@@ -23,16 +23,32 @@ import numpy as np
 
 from . import __version__
 from .criticality import calibrate, theta_kernel
-from .errors import ConfigError, ContactLabError, DivergenceError
+from .errors import ConfigError, ContactLabError, DivergenceError, ModelError
 from .hierarchy import (bound_constant_D, convergence_check, evolve_hierarchy,
                         factorial_bound_check, HierarchySolution,
                         stationary_k)
 from .model import load_model_config, model_from_dict
 from .simulator import empirical_correlations, run_replicas
 from .walkers import (convolution_bound_check, estimate_H, heat_bound_check,
-                      lower_tail_bound_check, poisson_domination_check)
+                      lower_tail_bound_check, parse_start, poisson_domination_check)
 
 STOCHASTIC_COMMANDS = {"transience", "simulate", "verify-lemmas", "verify-bounds"}
+
+# the config keys each command reads; any other key is a config error
+COMMON_KEYS = {"model", "model_file", "seed", "output_dir"}
+CONFIG_KEYS = {
+    "calibrate": {"tol"},
+    "transience": {"starts", "T", "replicas"},
+    "evolve": {"rho", "N", "T", "dt"},
+    "stationary": {"rho", "n", "backend", "controls", "displacements"},
+    "simulate": {"rho", "T", "snapshot_times", "replicas", "orders"},
+    "verify-lemmas": {"n_max", "lambda0", "t_grid", "replicas", "k_grid",
+                      "heat_t_grid"},
+    "verify-bounds": {"rho", "T", "replicas", "starts", "mc_tolerance"},
+    "report": {"runs"},
+}
+# stationary_pair_mc arguments a montecarlo config may set under "controls"
+MC_CONTROLS = {"T", "replicas", "integrability_margin"}
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_DIVERGENCE = 0, 1, 2, 3
 
@@ -131,6 +147,27 @@ def _require(cfg: dict, key: str, default=None):
     raise ConfigError(f"config key '{key}' is required")
 
 
+def _check_keys(cfg: dict, command: str):
+    unknown = set(cfg) - COMMON_KEYS - CONFIG_KEYS[command]
+    if unknown:
+        raise ConfigError(f"unknown config keys for '{command}': "
+                          f"{', '.join(sorted(unknown))}")
+
+
+def _starts(cfg: dict, tm) -> list:
+    """Two-walker starts from the config, as ``estimate_H`` takes them."""
+    d = tm.space.dim or 1
+    nmark = len(tm.v) if tm.marked else 0
+    disps = [[0] * d, [1] + [0] * (d - 1), [2] + [0] * (d - 1)]
+    starts = cfg.get("starts", [[u, 0, 0] for u in disps] if nmark else disps)
+    try:
+        for s in starts:
+            parse_start(s, d, nmark)
+    except ModelError as exc:
+        raise ConfigError(f"config key 'starts': {exc}") from exc
+    return starts
+
+
 def _tolerances_positive(cfg: dict):
     for key in ("tol", "dt"):
         if key in cfg and not (isinstance(cfg[key], (int, float)) and cfg[key] > 0):
@@ -168,17 +205,12 @@ def cmd_calibrate(cfg, run: Run, rng):
 def cmd_transience(cfg, run: Run, rng):
     space, model = _model_from_config(cfg, cfg["_path"])
     tm, _, _ = calibrate(model, space)
-    d = space.dim or 1
-    starts = [tuple(s) for s in cfg.get(
-        "starts", [[0] * d, [1] + [0] * (d - 1), [2] + [0] * (d - 1)])]
-    rep = estimate_H(tm, starts, T=float(cfg.get("T", 1000.0)),
-                     replicas=int(cfg.get("replicas", 100_000)), rng=rng,
-                     variant=cfg.get("variant", "full"))
+    rep = estimate_H(tm, _starts(cfg, tm), T=float(cfg.get("T", 1000.0)),
+                     replicas=int(cfg.get("replicas", 100_000)), rng=rng)
     run.write_json("transience.json", {
         "H_hat": rep.H_hat, "stderr": rep.stderr, "converged": rep.converged,
         "tail_exponent_fit": rep.tail_exponent_fit,
         "growth_exponent": rep.growth_exponent, "horizon": rep.horizon,
-        "variant": rep.variant,
         "per_start": {str(k): v for k, v in rep.per_start.items()},
     })
     if rep.times is not None:
@@ -207,25 +239,31 @@ def cmd_evolve(cfg, run: Run, rng):
 
 def cmd_stationary(cfg, run: Run, rng):
     space, model = _model_from_config(cfg, cfg["_path"])
-    tm, _, _ = calibrate(model, space)
     rho = float(_require(cfg, "rho"))
     n = int(cfg.get("n", 2))
     backend = cfg.get("backend", "dense")
     controls = dict(cfg.get("controls", {}))
-    if backend == "montecarlo":
+    if backend != "montecarlo":
+        for key in ("controls", "displacements"):
+            if key in cfg:
+                raise ConfigError(f"config key '{key}' needs backend 'montecarlo'")
+    else:
         if "seed" not in cfg:
             raise ConfigError("montecarlo backend requires a seed")
+        unknown = set(controls) - MC_CONTROLS
+        if unknown:
+            raise ConfigError(f"unknown montecarlo controls: "
+                              f"{', '.join(sorted(unknown))}")
         controls.setdefault("replicas", 20000)
         controls["rng"] = rng
         if "displacements" in cfg:
             controls["displacements"] = [tuple(u) for u in cfg["displacements"]]
+    tm, _, _ = calibrate(model, space)
     try:
         k = stationary_k(n, tm, rho, backend=backend, controls=controls)
     except DivergenceError as exc:
         run.write_json("divergence.json",
-                       {"error": str(exc),
-                        "diagnostics": {kk: vv for kk, vv in exc.diagnostics.items()
-                                        if kk != "increments"}})
+                       {"error": str(exc), "diagnostics": exc.diagnostics})
         run.checks["stationary_converged"] = False
         run.finish("stationary")
         return EXIT_DIVERGENCE
@@ -395,6 +433,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
+        _check_keys(cfg, args.command)
         cfg["_path"] = args.config
         if args.seed is not None:
             cfg["seed"] = args.seed

@@ -95,9 +95,6 @@ class ThetaKernel:
     theta: np.ndarray
     nu: np.ndarray
 
-    def row_sums(self) -> np.ndarray:
-        return self.theta @ self.nu
-
     def transition_probs(self) -> np.ndarray:
         """Row-stochastic matrix of mark-jump probabilities Theta * nu."""
         return self.theta * self.nu[None, :]
@@ -189,6 +186,9 @@ def solve_ground_state(model: RateModel, space: StateSpace,
         psi = np.ones(space.size)
         return GroundState(psi=psi, eigenvalue=r, normalization="sup",
                            iterations=0, residual=0.0, bracket=(r, r))
+    if model.birth.form == "stencil" and space.boundary == "unbounded":
+        raise ModelError("a stencil model on an unbounded window needs constant "
+                         "death rates: the window is a viewport, not the space")
     A = kernel_matrix(model.birth, space)
     T = (A * space.weights[None, :]) / model.death[:, None]
     r, psi, iters, history = power_iteration(T, tol, max_iters)
@@ -225,8 +225,8 @@ def ground_transform(model: RateModel, space: StateSpace,
         jump_b = kernel_matrix(model.jump, space) / psi[:, None]
 
     alpha = Q = q = v = None
-    if model.birth.form == "stencil":
-        # psi is constant for a translation-invariant critical model;
+    if model.birth.form == "stencil" and np.ptp(psi) == 0:
+        # translation invariant only with a constant psi (constant death);
         # b's stencil is alpha / psi with that constant.
         c = float(psi[0])
         alpha = {k: val / c for k, val in model.birth.stencil.items()}

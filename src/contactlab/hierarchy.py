@@ -11,9 +11,13 @@ with f_1 = 0.  The semigroup exp(t Lhat_n) factorizes over coordinates as a
 tensor product of the level-1 semigroup, so the dense backend applies the
 scaled-and-squared matrix exponential of the level-1 generator along each
 tensor axis and never forms the size^n x size^n matrix.  The stationary
-solution is k_n = int_0^inf exp(t Lhat_n) f_n dt + rho^n, built recursively;
-on unbounded lattices the integral is estimated by the Feynman-Kac
-two-walker representation  exp(t Lhat_2) b = E_{x,y} b(X_t, Y_t).
+solution is k_n = int_0^inf exp(t Lhat_n) f_n dt + rho^n, built recursively.
+On a finite space the integral is -Lhat_n^{-1} f_n, which the dense backend
+solves directly (Bartels-Stewart on one complex Schur form of the level-1
+generator G); it exists exactly when the spectral abscissa of G is negative,
+and a DivergenceError reports the leading eigenvalues otherwise.  On
+unbounded lattices the integral is estimated by the Feynman-Kac two-walker
+representation  exp(t Lhat_2) b = E_{x,y} b(X_t, Y_t).
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, schur
+from scipy.linalg.lapack import ztrsyl as trsyl
 
 from .criticality import GroundState, TransformedModel
-from .errors import DivergenceError, ModelError
+from .errors import ConvergenceError, DivergenceError, ModelError
 from .walkers import lattice_walk, pair_integral_curves, _tail_fit, _increment_exponent
 
 __all__ = [
@@ -140,10 +145,7 @@ def semigroup_apply(tm: TransformedModel, t: float, k: CorrelationTensor,
     """exp(t Lhat_n) k via the tensorized level-1 exponential."""
     if E is None:
         E = expm(t * generator_matrix(tm))
-    out = k.values
-    for i in range(k.order):
-        out = _apply_axis(E, out, i)
-    return CorrelationTensor(k.order, out)
+    return CorrelationTensor(k.order, _apply_each_axis(E, k.values))
 
 
 def poisson_initial(n: int, rho: float, space=None, gs: GroundState | None = None,
@@ -194,10 +196,10 @@ def evolve(n: int, tm: TransformedModel, k0: CorrelationTensor, source, T: float
     k = k0.values
     for s in range(steps):
         t = s * dt
-        k = _tensor_exp(E, k, n)
+        k = _apply_each_axis(E, k)
         if source is not None:
-            f0 = _tensor_exp(E, source(t), n)
-            fm = _tensor_exp(Eh, source(t + 0.5 * dt), n)
+            f0 = _apply_each_axis(E, source(t))
+            fm = _apply_each_axis(Eh, source(t + 0.5 * dt))
             f1 = source(t + dt)
             k = k + (dt / 6.0) * (f0 + 4.0 * fm + f1)
         times.append(t + dt)
@@ -205,11 +207,11 @@ def evolve(n: int, tm: TransformedModel, k0: CorrelationTensor, source, T: float
     return np.array(times), traj
 
 
-def _tensor_exp(E: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
-    out = k
-    for i in range(n):
-        out = _apply_axis(E, out, i)
-    return out
+def _apply_each_axis(M: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """M applied along every tensor axis of k (the n-fold tensor power of M)."""
+    for i in range(k.ndim):
+        k = _apply_axis(M, k, i)
+    return k
 
 
 def evolve_hierarchy(tm: TransformedModel, rho: float, N: int, T: float,
@@ -241,70 +243,54 @@ def evolve_hierarchy(tm: TransformedModel, rho: float, N: int, T: float,
     return results
 
 
-DEFAULT_DENSE_CONTROLS = {
-    "t0": 0.05,
-    "growth": 1.25,
-    "tol": 1e-10,
-    "max_steps": 2000,
-    "divergence_decades": 3.0,
-}
+# A level-n stationary solution exists iff the spectral abscissa of the
+# level-1 generator is negative; calibration leaves critical models within
+# about 1e-12 of zero, so anything above -SPECTRAL_TOL counts as critical.
+SPECTRAL_TOL = 1e-8
 
 
-def _integrate_semigroup(tm: TransformedModel, f: CorrelationTensor,
-                         controls: dict) -> tuple[np.ndarray, dict]:
-    """int_0^inf exp(t Lhat_n) f dt on a geometric grid with tail tests.
+def _kron_sum_solve(T: np.ndarray, C: np.ndarray, shift: complex = 0.0) -> np.ndarray:
+    """Solve (shift + sum over axes of T) X = C for upper-triangular T.
 
-    Raises DivergenceError when the sup-norm increments stop decaying
-    across the configured number of decades (recurrent model signature).
+    Bartels-Stewart back-substitution: the last two axes are one triangular
+    Sylvester equation T X + X T^T = C (LAPACK trsyl); every further leading
+    axis is swept from its last index to its first, each slice a smaller
+    problem shifted by the diagonal entry of T.
     """
-    c = {**DEFAULT_DENSE_CONTROLS, **(controls or {})}
-    n = f.order
-    G = generator_matrix(tm)
-    t0, g, tol = c["t0"], c["growth"], c["tol"]
-    total = np.zeros_like(f.values)
-    t_prev = 0.0
-    I_prev = f.values
-    E_step = None
-    t = t0
-    best_inc = np.inf
-    t_best = t0
-    inc_hist = []
-    for step in range(int(c["max_steps"])):
-        E = expm(t * G)
-        Em = expm(0.5 * (t + t_prev) * G)
-        I_cur = _tensor_exp(E, f.values, n)
-        I_mid = _tensor_exp(Em, f.values, n)
-        inc = ((t - t_prev) / 6.0) * (I_prev + 4.0 * I_mid + I_cur)
-        total += inc
-        inc_sup = float(np.abs(inc).max())
-        I_sup = float(np.abs(I_cur).max())
-        inc_hist.append((t, inc_sup))
-        # divergence test on the integrand itself: for non-transient models
-        # exp(t Lhat) f settles on a positive profile instead of decaying
-        if I_sup < best_inc:
-            best_inc = I_sup
-            t_best = t
-        elif t / t_best >= 10.0 ** c["divergence_decades"]:
-            raise DivergenceError(
-                "semigroup integrand stopped decaying: non-transient model",
-                diagnostics={"t": t, "t_best": t_best, "increments": inc_hist,
-                             "integrand_sup": I_sup})
-        # tail via last-increment ratio
-        if len(inc_hist) >= 2 and inc_hist[-2][1] > 0:
-            ratio = inc_sup / inc_hist[-2][1]
-            if ratio < 1.0:
-                tail = inc_sup * ratio / (1.0 - ratio)
-                if tail < tol and inc_sup < tol:
-                    return total, {"t_final": t, "tail_estimate": tail,
-                                   "steps": step + 1, "increments": inc_hist}
-        elif inc_sup == 0.0:
-            return total, {"t_final": t, "tail_estimate": 0.0,
-                           "steps": step + 1, "increments": inc_hist}
-        t_prev, I_prev = t, I_cur
-        t *= g
-    raise DivergenceError(
-        "time integral did not meet the tail tolerance within max_steps",
-        diagnostics={"t": t_prev, "increments": inc_hist})
+    if C.ndim == 2:
+        A = T + shift * np.eye(len(T))
+        X, scale, info = trsyl(A, T.conj(), C, trana="N", tranb="C")
+        if info != 0:
+            raise ConvergenceError(f"triangular Sylvester solve failed (info={info})")
+        return X / scale
+    X = np.empty_like(C)
+    for a in range(len(T) - 1, -1, -1):
+        rhs = C[a] - np.tensordot(T[a, a + 1:], X[a + 1:], axes=1)
+        X[a] = _kron_sum_solve(T, rhs, shift + T[a, a])
+    return X
+
+
+def _solve_stationary(tm: TransformedModel, f: CorrelationTensor) -> np.ndarray:
+    """-Lhat_n^{-1} f_n, i.e. int_0^inf exp(t Lhat_n) f_n dt, by a direct solve.
+
+    One complex Schur form G = Z T Z^H of the level-1 generator turns the
+    Kronecker-sum operator into a triangular one.  Raises DivergenceError
+    when the spectral abscissa of G is not negative (the integral diverges).
+    """
+    T, Z = schur(generator_matrix(tm), output="complex")
+    eig = np.diag(T)
+    abscissa = float(eig.real.max())
+    if abscissa >= -SPECTRAL_TOL:
+        lead = eig[np.argsort(-eig.real)[:5]]
+        raise DivergenceError(
+            "level-1 generator has spectral abscissa "
+            f"{abscissa:.3e} >= -{SPECTRAL_TOL:g}: non-transient model",
+            diagnostics={"spectral_abscissa": abscissa, "tol": SPECTRAL_TOL,
+                         "leading_eigenvalues": [[float(z.real), float(z.imag)]
+                                                 for z in lead]})
+    C = _apply_each_axis(Z.conj().T, -f.values.astype(complex))
+    X = _kron_sum_solve(T, C)
+    return _apply_each_axis(Z, X).real
 
 
 def stationary_k(n: int, tm: TransformedModel, rho: float,
@@ -312,11 +298,11 @@ def stationary_k(n: int, tm: TransformedModel, rho: float,
                  k_prev=None):
     """Stationary correlation function k_n = int exp(t Lhat_n) f_n dt + rho^n.
 
-    ``dense`` integrates the tensorized semigroup on finite spaces (and
-    raises DivergenceError on recurrent models); ``montecarlo`` uses the
-    two-walker Feynman-Kac representation on unbounded lattices (n = 2).
+    ``dense`` solves Lhat_n (k_n - rho^n) = -f_n directly on finite spaces
+    (and raises DivergenceError on critical models); ``montecarlo`` uses the
+    two-walker Feynman-Kac representation on unbounded lattices (n = 2),
+    with ``controls`` passed to ``stationary_pair_mc``.
     """
-    controls = controls or {}
     if n < 1:
         raise ModelError("stationary level must be >= 1")
     if n == 1:
@@ -324,20 +310,15 @@ def stationary_k(n: int, tm: TransformedModel, rho: float,
     if backend == "montecarlo":
         if n != 2:
             raise ModelError("montecarlo backend implements n = 2 only")
-        return stationary_pair_mc(tm, rho, **controls)
+        return stationary_pair_mc(tm, rho, **(controls or {}))
     if backend != "dense":
         raise ModelError(f"unknown backend {backend!r}")
+    if controls:
+        raise ModelError("the dense backend takes no controls")
     if k_prev is None:
-        k_prev = stationary_k(n - 1, tm, rho, backend="dense", controls=controls)
+        k_prev = stationary_k(n - 1, tm, rho)
     f = source_f(n, tm, k_prev)
-    integral, info = _integrate_semigroup(tm, f, controls)
-    k = CorrelationTensor(n, integral + float(rho) ** n)
-    # residual of the integral part; the rho^n constant is killed by the
-    # operator under criticality, so this equals the full residual there
-    resid = apply_Lhat(n, tm, CorrelationTensor(n, integral)).values + f.values
-    info["residual_sup"] = float(np.abs(resid).max())
-    k.info = info
-    return k
+    return CorrelationTensor(n, _solve_stationary(tm, f) + float(rho) ** n)
 
 
 def stationary_pair_mc(tm: TransformedModel, rho: float, displacements=None,
@@ -427,7 +408,7 @@ def convergence_check(n: int, tm: TransformedModel, rho: float, T_grid,
         return {"t": T_grid, "distance": dist, "threshold": se3,
                 "converged": bool(dist[-1] <= se3), "estimate": est}
     try:
-        k_inf = stationary_k(n, tm, rho, backend="dense", controls=controls)
+        k_inf = stationary_k(n, tm, rho)
     except DivergenceError as exc:
         times, traj = evolve_hierarchy(tm, rho, n, T,
                                        dt=controls.get("dt", 0.05))[n]

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -31,11 +30,8 @@ __all__ = [
     "StateSpace",
     "Kernel",
     "RateModel",
-    "Configuration",
     "build_space",
-    "kernel_eval",
     "kernel_matrix",
-    "validate_model",
     "load_model_config",
     "model_from_dict",
 ]
@@ -218,7 +214,8 @@ class RateModel:
         V = np.asarray(self.death, dtype=float)
         if V.ndim != 1:
             raise ModelError("death rates must be a flat per-point array")
-        # positivity/boundedness are reported by validate_model, not raised here
+        if not np.all(np.isfinite(V)) or np.any(V <= 0):
+            raise ModelError("death rates must be strictly positive and finite")
         object.__setattr__(self, "death", V)
         if self.death_marks is not None:
             object.__setattr__(self, "death_marks",
@@ -227,41 +224,6 @@ class RateModel:
     def with_birth(self, birth: Kernel) -> "RateModel":
         return RateModel(birth=birth, death=self.death, jump=self.jump,
                          death_marks=self.death_marks)
-
-
-class Configuration:
-    """Finite particle configuration: point index -> multiplicity >= 0."""
-
-    def __init__(self, space: StateSpace, counts=None):
-        self.space = space
-        self.counts = np.zeros(space.size, dtype=np.int64)
-        if counts is not None:
-            c = np.asarray(counts, dtype=np.int64)
-            if c.shape != (space.size,) or np.any(c < 0):
-                raise ModelError("counts must be a non-negative per-point vector")
-            self.counts = c.copy()
-
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def copy(self) -> "Configuration":
-        return Configuration(self.space, self.counts)
-
-
-def kernel_eval(model: RateModel, space: StateSpace, x, y, which: str = "birth") -> float:
-    """Rate a(x, y) (or J(x, y)) between two points of the space."""
-    kern = model.birth if which == "birth" else model.jump
-    if kern is None:
-        return 0.0
-    i, j = space.locate(x), space.locate(y)
-    if kern.form == "dense":
-        return float(kern.matrix[i, j])
-    disp = space.displacement(x, y)
-    a = kern.alpha(disp)
-    if kern.form == "stencil":
-        return a
-    si, sj = space.mark_index(x), space.mark_index(y)
-    return a * float(kern.Q[si, sj])
 
 
 def kernel_matrix(kern: Kernel | None, space: StateSpace) -> np.ndarray:
@@ -289,46 +251,6 @@ def kernel_matrix(kern: Kernel | None, space: StateSpace) -> np.ndarray:
                 a *= kern.Q[space.mark_index(x), space.mark_index(y)]
             A[i, j] = a
     return A
-
-
-def validate_model(model: RateModel, space: StateSpace) -> dict:
-    """Check the standing assumptions; failures are reported as flags.
-
-    Returns V bounds, the sup over x of the birth in-flow mass
-    (sum_y a(y, x) m(y), the pre-transform regularity proxy) and pass flags.
-    """
-    V = model.death
-    diags: dict[str, Any] = {}
-    shape_ok = V.shape == (space.size,)
-    diags["death_shape_ok"] = shape_ok
-    if shape_ok:
-        diags["V_min"] = float(V.min())
-        diags["V_max"] = float(V.max())
-        diags["V_positive"] = bool(np.all(V > 0))
-        diags["V_bounded"] = bool(np.all(np.isfinite(V)))
-    else:
-        diags["V_min"] = diags["V_max"] = float("nan")
-        diags["V_positive"] = diags["V_bounded"] = False
-    try:
-        A = kernel_matrix(model.birth, space)
-        in_mass = A.T @ space.weights  # sum_y a(y, x) m(y) per x
-        diags["sup_row_mass"] = float(in_mass.max())
-        diags["kernel_finite"] = bool(np.all(np.isfinite(A)))
-        diags["kernel_nonnegative"] = bool(np.all(A >= 0))
-    except ModelError as exc:
-        diags["sup_row_mass"] = float("nan")
-        diags["kernel_finite"] = diags["kernel_nonnegative"] = False
-        diags["kernel_error"] = str(exc)
-    if model.jump is not None:
-        J = kernel_matrix(model.jump, space)
-        diags["jump_sup_row_mass"] = float((J.T @ space.weights).max())
-        diags["jump_finite"] = bool(np.all(np.isfinite(J)))
-    diags["passed"] = bool(
-        diags["death_shape_ok"] and diags["V_positive"] and diags["V_bounded"]
-        and diags["kernel_finite"] and diags["kernel_nonnegative"]
-        and np.isfinite(diags["sup_row_mass"])
-    )
-    return diags
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +301,8 @@ def _death_from_config(d, space: StateSpace):
         V = np.array([vm[space.marks.index(p[1])] for p in space.points])
         return V, vm
     V = np.asarray(d, dtype=float)
+    if V.shape != (space.size,):
+        raise ModelError(f"{V.size} death rates for {space.size} points")
     return V, None
 
 

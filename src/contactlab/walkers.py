@@ -32,6 +32,7 @@ __all__ = [
     "lattice_walk",
     "simulate_jump",
     "pair_integral_curves",
+    "parse_start",
     "estimate_H",
     "heat_bound_check",
     "convolution_bound_check",
@@ -67,7 +68,6 @@ class TransienceReport:
     tail_exponent_fit: float
     horizon: float
     converged: bool
-    variant: str = "full"
     growth_exponent: float = float("nan")   # fitted exponent of the running integral
     per_start: dict = field(default_factory=dict)
     times: np.ndarray | None = None
@@ -298,24 +298,43 @@ def _running_exponent(cps: np.ndarray, mean: np.ndarray):
     return float(slope)
 
 
+def parse_start(start, d: int, nmark: int) -> tuple:
+    """A two-walker start as ``(disp, s_x, s_y)`` with ``disp`` a d-tuple.
+
+    Unmarked walks (``nmark == 0``) take a plain displacement ``x0 - y0``;
+    marked walks take ``(disp, s_x, s_y)`` with mark indices below ``nmark``.
+    """
+    try:
+        disp, sx, sy = start if nmark else (start, 0, 0)
+        disp = tuple(int(c) for c in np.atleast_1d(disp))
+        sx, sy = int(sx), int(sy)
+    except (TypeError, ValueError):
+        disp = None
+    if disp is None or len(disp) != d or not (
+            0 <= sx < max(nmark, 1) and 0 <= sy < max(nmark, 1)):
+        form = "[disp, s_x, s_y]" if nmark else "a displacement"
+        raise ModelError(f"start {start!r} is not {form} on a {d}-dimensional "
+                         f"{'marked' if nmark else 'unmarked'} model")
+    return disp, sx, sy
+
+
 def estimate_H(tm: TransformedModel, start_pairs, T: float, replicas: int,
-               rng: np.random.Generator, variant: str = "full",
+               rng: np.random.Generator,
                integrability_margin: float = 0.05) -> TransienceReport:
     """Estimate the transience constant H over a grid of start pairs.
 
-    ``start_pairs`` is a list of initial displacements ``x0 - y0`` (with
-    optional start marks ``(disp, s_x, s_y)`` for marked models).  For each
-    start the exact two-walker path integral is averaged over replicas; the
-    extrapolated limit of the running integral (fit ``A - c t^{1-d/2}``
-    over the last decade) plus a 3-stderr margin gives the per-start value,
-    and H_hat is the grid maximum.  ``converged`` requires the fitted
+    ``start_pairs`` is a list of initial displacements ``x0 - y0``, or of
+    ``(disp, s_x, s_y)`` for marked models (see ``parse_start``); the
+    per-start results are keyed the same way.  For each start the exact
+    two-walker path integral is averaged over replicas; the extrapolated
+    limit of the running integral (fit ``A - c t^{1-d/2}`` over the last
+    decade) plus a 3-stderr margin gives the per-start value, and H_hat is
+    the grid maximum.  ``converged`` requires the fitted
     integrand exponent to clear -1 by the integrability margin.
     """
-    if variant not in ("full", "sufficient"):
-        raise ModelError(f"unknown transience variant {variant!r}")
     if tm.translation_invariant and sum(tm.alpha.values()) == 0.0:
         return TransienceReport(H_hat=0.0, stderr=0.0, tail_exponent_fit=-np.inf,
-                                horizon=float(T), converged=True, variant=variant)
+                                horizon=float(T), converged=True)
     walk = lattice_walk(tm)
     d = walk.d
     per_start = {}
@@ -323,22 +342,17 @@ def estimate_H(tm: TransformedModel, start_pairs, T: float, replicas: int,
     worst = None
     converged = True
     exps = []
+    nmark = len(walk.v) if tm.marked else 0
     for start in start_pairs:
-        if isinstance(start, tuple) and len(start) == 3 and walk.Q.shape[0] > 1:
-            d0, s0x, s0y = start
-        else:
-            d0, s0x, s0y = start, 0, 0
-        if variant == "sufficient":
-            cps, mean, se, finals = _sufficient_curves(walk, d0, s0x, T, replicas, rng)
-        else:
-            cps, mean, se, finals = pair_integral_curves(
-                walk, d0, s0x, s0y, T, replicas, rng)
+        d0, s0x, s0y = parse_start(start, d, nmark)
+        cps, mean, se, finals = pair_integral_curves(
+            walk, d0, s0x, s0y, T, replicas, rng)
         p_hat = _increment_exponent(cps, mean)
         ok = p_hat <= -1.0 - integrability_margin
         A, _c = _tail_fit(cps, mean, d)
         value = max(A, float(mean[-1]))
         se_final = float(se[-1])
-        per_start[tuple(int(c) for c in np.atleast_1d(d0))] = {
+        per_start[(d0, s0x, s0y) if nmark else d0] = {
             "estimate": value, "stderr": se_final,
             "tail_exponent": p_hat, "running_final": float(mean[-1]),
             "growth_exponent": _running_exponent(cps, mean),
@@ -355,7 +369,7 @@ def estimate_H(tm: TransformedModel, start_pairs, T: float, replicas: int,
     return TransienceReport(
         H_hat=float(H_hat), stderr=stderr_at_max,
         tail_exponent_fit=float(max(exps)), horizon=float(T),
-        converged=bool(converged), variant=variant,
+        converged=bool(converged),
         growth_exponent=float(max(v["growth_exponent"] for v in per_start.values())),
         per_start=per_start, times=worst[0], running=worst[1])
 
@@ -388,36 +402,6 @@ def _single_walker_positions(walk: LatticeWalk, s0: int, t_grid, replicas: int,
                 s = np.where(jumped, np.argmax(u[:, None] < mark_cum[s], axis=1), s)
             active = jumped
         yield tb, xi, s
-
-
-def _sufficient_curves(walk: LatticeWalk, d0, s0: int, T: float, replicas: int,
-                       rng: np.random.Generator):
-    """Running integral of sup_y E_x b(X(t), y) (Remark-2 variant).
-
-    The sup over y is taken on the displacement grid covered by twice the
-    stencil support around the walker's start displacement; for
-    translation-invariant kernels the sup is attained there.
-    """
-    cps = _geometric_checkpoints(T)
-    offsets = np.array(list(np.ndindex(*(2 * walk.K + 1,) * walk.d))) - walk.K
-    targets = np.asarray(d0, dtype=np.int64).reshape(1, walk.d) + offsets
-    kappa = walk.Q.max() / walk.q.min()
-    prev_t, prev_val = 0.0, None
-    mean = np.empty(len(cps))
-    running = 0.0
-    for idx, (tb, xi, s) in enumerate(
-            _single_walker_positions(walk, s0, cps, replicas, rng)):
-        vals = np.empty(len(targets))
-        for j, tgt in enumerate(targets):
-            vals[j] = walk.alpha_of(xi - tgt[None, :]).mean()
-        cur = kappa * vals.max()
-        if prev_val is None:
-            prev_val = cur
-        running += 0.5 * (prev_val + cur) * (tb - prev_t)
-        mean[idx] = running
-        prev_t, prev_val = tb, cur
-    se = np.full(len(cps), mean[-1] / np.sqrt(replicas))  # crude scale
-    return cps, mean, se, np.full(replicas, mean[-1])
 
 
 # ---------------------------------------------------------------------------

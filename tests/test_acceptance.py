@@ -329,7 +329,7 @@ def test_criterion_11_reproducibility(tmp_path):
                                           [0.3, 0.7, 0.2, 0.9],
                                           [0.6, 0.4, 0.8, 0.2]]},
                      "death": [1.0, 1.4, 0.9, 1.1]},
-           "rho": 0.5, "T": 1.0, "snapshots": [0.5, 1.0], "replicas": 200}
+           "rho": 0.5, "T": 1.0, "snapshot_times": [0.5, 1.0], "replicas": 200}
     cfgp = tmp_path / "sim.json"
     cfgp.write_text(json.dumps(cfg))
     outs = []

@@ -14,6 +14,14 @@ LATTICE_MODEL = {
     "death": 1.0,
 }
 
+MARKED_MODEL = {
+    "space": {"type": "product", "d": 3, "R": 1, "boundary": "unbounded",
+              "marks": ["A", "B"], "nu": [0.5, 0.5]},
+    "birth": {"form": "factorized", "alpha": "nearest", "rate": 1.0,
+              "Q": [[2.0, 1.0], [1.0, 2.0]]},
+    "death": {"per_mark": [1.0, 3.0]},
+}
+
 FINITE_MODEL = {
     "space": {"type": "finite", "points": [0, 1, 2, 3],
               "weights": [1.0, 0.8, 1.2, 1.0]},
@@ -53,7 +61,22 @@ class TestExitCodes:
     def test_missing_seed_is_config_error(self, tmp_path):
         code, _ = run_cli(tmp_path, "simulate",
                           {"model": FINITE_MODEL, "rho": 0.5, "T": 0.5,
-                           "snapshots": [0.5], "replicas": 120})
+                           "snapshot_times": [0.5], "replicas": 120})
+        assert code == 2
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("simulate", {"model": FINITE_MODEL, "rho": 0.5, "T": 0.5,
+                      "snapshots": [0.5], "replicas": 120}),
+        ("calibrate", {"model": FINITE_MODEL, "dt": 0.1}),
+        ("stationary", {"model": FINITE_MODEL, "rho": 0.5, "n": 2,
+                        "controls": {"tol": 1e-12}}),
+        ("stationary", {"model": LATTICE_MODEL, "rho": 0.1,
+                        "backend": "montecarlo", "controls": {"horizon": 10}}),
+        ("transience", {"model": MARKED_MODEL, "T": 5, "replicas": 100,
+                        "starts": [[0, 0, 0]]}),
+    ])
+    def test_unsupported_config_is_config_error(self, tmp_path, command, cfg):
+        code, _ = run_cli(tmp_path, command, cfg, seed=1)
         assert code == 2
 
     def test_bad_config_file(self, tmp_path):
@@ -71,7 +94,7 @@ class TestExitCodes:
                              "backend": "dense"})
         assert code == 3
         div = json.loads((out / "divergence.json").read_text())
-        assert "diagnostics" in div
+        assert div["diagnostics"]["spectral_abscissa"] >= -div["diagnostics"]["tol"]
 
 
 class TestOutputs:
@@ -102,12 +125,22 @@ class TestOutputs:
         assert code == 0
         rep = json.loads((out / "transience.json").read_text())
         assert rep["H_hat"] > 0
+        assert list(rep["per_start"]) == ["(0, 0, 0)", "(1, 0, 0)", "(2, 0, 0)"]
         assert (out / "transience_curve.csv").exists()
+
+    def test_marked_transience_keys_by_full_start(self, tmp_path):
+        code, out = run_cli(tmp_path, "transience",
+                            {"model": MARKED_MODEL, "T": 5, "replicas": 200,
+                             "starts": [[[0, 0, 0], 0, 0], [[0, 0, 0], 0, 1]]},
+                            seed=11)
+        assert code == 0
+        rep = json.loads((out / "transience.json").read_text())
+        assert sorted(rep["per_start"]) == ["((0, 0, 0), 0, 0)", "((0, 0, 0), 0, 1)"]
 
     def test_simulate_moments(self, tmp_path):
         code, out = run_cli(tmp_path, "simulate",
                             {"model": FINITE_MODEL, "rho": 0.5, "T": 0.5,
-                             "snapshots": [0.5], "replicas": 150,
+                             "snapshot_times": [0.5], "replicas": 150,
                              "orders": [1, 2]}, seed=3)
         assert code == 0
         lines = (out / "moments.csv").read_text().splitlines()

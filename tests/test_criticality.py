@@ -162,6 +162,23 @@ class TestResiduals:
         tm, gs, report = calibrate(model, space)
         assert report["criticality_residual"] <= 1e-10
 
+    def test_stencil_with_unequal_death_is_dense(self):
+        # psi is not constant, so the model is not translation invariant and
+        # the residual is taken on the dense rows
+        space = build_space({"type": "lattice", "d": 1, "R": 3,
+                             "boundary": "periodic"})
+        death = [1, 1.2, 0.9, 1.1, 1, 1.3, 0.8]
+        model = RateModel(birth=Kernel("stencil", stencil=nearest_stencil(1)),
+                          death=np.array(death))
+        tm, gs, report = calibrate(model, space)
+        assert not tm.translation_invariant
+        assert report["criticality_residual"] <= 1e-10
+
+        unbounded = build_space({"type": "lattice", "d": 1, "R": 3,
+                                 "boundary": "unbounded"})
+        with pytest.raises(ModelError):
+            calibrate(model, unbounded)
+
     def test_residual_linear_in_scaling(self):
         space, model = lattice_model(3, boundary="periodic")
         tm, gs, _ = calibrate(model, space)
@@ -229,7 +246,7 @@ class TestThetaKernel:
             space, model = marked_model(Q=[[2, 1], [1, 2]], v=v)
             tm, gs, _ = calibrate(model, space)
             th = theta_kernel(tm)
-            assert np.allclose(th.row_sums(), 1.0, atol=1e-12)
+            assert np.allclose(th.transition_probs().sum(axis=1), 1.0, atol=1e-12)
 
     def test_requires_marked(self, z3_critical):
         with pytest.raises(ModelError):

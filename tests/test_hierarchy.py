@@ -1,6 +1,7 @@
 """Correlation hierarchy: operators, evolution, stationary solutions."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -209,20 +210,36 @@ class TestStationary:
     def test_finite_critical_diverges(self, finite4_critical):
         with pytest.raises(DivergenceError) as exc:
             stationary_k(2, finite4_critical, 0.5)
-        assert exc.value.diagnostics  # growth diagnostics attached
+        diag = exc.value.diagnostics
+        assert diag["spectral_abscissa"] >= -diag["tol"]
+        assert json.loads(json.dumps(diag)) == diag  # plain floats and lists
+
+    def test_matches_kronecker_sum_solve(self):
+        rng = np.random.default_rng(99)
+        tm = dissipative_tm(rng, size=4)
+        G = generator_matrix(tm)
+        assert np.abs(G @ G.T - G.T @ G).max() > 1e-2  # non-normal generator
+        k = stationary_k(1, tm, 0.5)
+        for n in (2, 3):
+            f = source_f(n, tm, k).values
+            k = stationary_k(n, tm, 0.5, k_prev=k)
+            oracle = -np.linalg.solve(kron_sum_matrix(G, n), f.ravel())
+            assert np.abs(k.values - 0.5 ** n - oracle.reshape(f.shape)).max() <= 1e-10
+
+    def test_dense_takes_no_controls(self):
+        tm = dissipative_tm(np.random.default_rng(77))
+        with pytest.raises(ModelError):
+            stationary_k(2, tm, 0.5, controls={"tol": 1e-12})
 
     def test_dissipative_residual(self):
         rng = np.random.default_rng(77)
         tm = dissipative_tm(rng)
-        k = stationary_k(2, tm, 0.5,
-                         controls={"tol": 1e-12, "max_steps": 4000,
-                                   "growth": 1.1, "t0": 0.02})
-        assert k.info["residual_sup"] <= 1e-6
+        k = stationary_k(2, tm, 0.5)
         # stationarity of the integral part: Lhat (k - rho^2) + f = 0
         f = source_f(2, tm, CorrelationTensor(1, np.full(3, 0.5)))
         part = CorrelationTensor(2, k.values - 0.25)
         resid = apply_Lhat(2, tm, part).values + f.values
-        assert np.abs(resid).max() <= 1e-6
+        assert np.abs(resid).max() <= 1e-12
 
     def test_recurrence_inequality(self):
         # K_n <= n^2 K_{n-1} H + rho^n with H = sup of the pair integral

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from contactlab.errors import ModelError, SpaceError
-from contactlab.model import (Configuration, Kernel, RateModel, build_space,
-                              kernel_eval, kernel_matrix, model_from_dict,
-                              validate_model)
+from contactlab.model import (Kernel, RateModel, build_space, kernel_matrix,
+                              model_from_dict)
 
 from conftest import nearest_stencil
 
@@ -67,85 +66,60 @@ class TestBuildSpace:
 
 
 class TestKernelEval:
+    """Kernel entries a(x_i, x_j) as kernel_matrix assembles them."""
+
     def test_dense_lookup(self):
         sp = build_space({"type": "finite", "points": [0, 1],
                           "weights": [1, 1]})
         A = np.array([[0.0, 2.5], [1.0, 0.0]])
-        m = RateModel(birth=Kernel("dense", matrix=A), death=np.ones(2))
-        assert kernel_eval(m, sp, 0, 1) == 2.5
+        assert kernel_matrix(Kernel("dense", matrix=A), sp)[0, 1] == 2.5
 
     def test_nearest_neighbour_stencil(self):
         sp = build_space({"type": "lattice", "d": 3, "R": 1,
                           "boundary": "unbounded"})
-        m = RateModel(birth=Kernel("stencil", stencil=nearest_stencil(3)),
-                      death=np.ones(sp.size))
-        assert kernel_eval(m, sp, (0, 0, 0), (1, 0, 0)) == pytest.approx(1 / 6)
-        assert kernel_eval(m, sp, (0, 0, 0), (1, 1, 0)) == 0.0
+        K = kernel_matrix(Kernel("stencil", stencil=nearest_stencil(3)), sp)
+        o = sp.locate((0, 0, 0))
+        assert K[o, sp.locate((1, 0, 0))] == pytest.approx(1 / 6)
+        assert K[o, sp.locate((1, 1, 0))] == 0.0
 
     def test_factorized_product(self):
         sp = build_space({"type": "product", "d": 1, "R": 1,
                           "boundary": "unbounded",
                           "marks": ["A", "B"], "nu": [0.5, 0.5]})
-        m = RateModel(birth=Kernel("factorized",
-                                   stencil={(0,): 0.3}, Q=[[1.0, 2.0], [2.0, 1.0]]),
-                      death=np.ones(sp.size))
-        assert kernel_eval(m, sp, ((0,), "A"), ((0,), "B")) == pytest.approx(0.6)
+        K = kernel_matrix(Kernel("factorized", stencil={(0,): 0.3},
+                                 Q=[[1.0, 2.0], [2.0, 1.0]]), sp)
+        assert K[sp.locate(((0,), "A")), sp.locate(((0,), "B"))] == pytest.approx(0.6)
 
     def test_even_stencil_symmetric(self):
         sp = build_space({"type": "lattice", "d": 2, "R": 1,
                           "boundary": "unbounded"})
-        m = RateModel(birth=Kernel("stencil", stencil=nearest_stencil(2)),
-                      death=np.ones(sp.size))
-        for x in sp.points:
-            for y in sp.points:
-                assert kernel_eval(m, sp, x, y) == kernel_eval(m, sp, y, x)
+        K = kernel_matrix(Kernel("stencil", stencil=nearest_stencil(2)), sp)
+        assert np.array_equal(K, K.T)
 
     def test_unknown_point(self):
         sp = build_space({"type": "finite", "points": [0, 1],
                           "weights": [1, 1]})
-        m = RateModel(birth=Kernel("dense", matrix=np.ones((2, 2))),
-                      death=np.ones(2))
         with pytest.raises(SpaceError):
-            kernel_eval(m, sp, 0, 99)
+            sp.locate(99)
 
 
 class TestValidateModel:
     def test_constant_death_passes(self):
-        sp = build_space({"type": "finite", "points": [0, 1, 2],
-                          "weights": [1, 1, 1]})
         m = RateModel(birth=Kernel("dense", matrix=np.ones((3, 3))),
                       death=np.ones(3))
-        diags = validate_model(m, sp)
-        assert diags["V_min"] == diags["V_max"] == 1.0
-        assert diags["passed"]
+        assert m.death.min() == m.death.max() == 1.0
 
     def test_nonpositive_death_flagged(self):
-        sp = build_space({"type": "finite", "points": [0, 1, 2],
-                          "weights": [1, 1, 1]})
-        m = RateModel(birth=Kernel("dense", matrix=np.ones((3, 3))),
-                      death=np.array([1.0, 0.0, 2.0]))
-        diags = validate_model(m, sp)
-        assert not diags["V_positive"]
-        assert not diags["passed"]
+        for death in ([1.0, 0.0, 2.0], [1.0, np.inf, 2.0]):
+            with pytest.raises(ModelError):
+                RateModel(birth=Kernel("dense", matrix=np.ones((3, 3))),
+                          death=np.array(death))
 
     def test_row_mass_nearest_neighbour(self):
         sp = build_space({"type": "lattice", "d": 3, "R": 1,
                           "boundary": "periodic"})
-        m = RateModel(birth=Kernel("stencil", stencil=nearest_stencil(3)),
-                      death=np.ones(sp.size))
-        diags = validate_model(m, sp)
-        assert diags["sup_row_mass"] == pytest.approx(1.0)
-        assert diags["passed"]
-
-
-class TestConfiguration:
-    def test_counts_nonnegative(self):
-        sp = build_space({"type": "finite", "points": [0, 1],
-                          "weights": [1, 1]})
-        cfg = Configuration(sp, [2, 0])
-        assert cfg.counts.sum() == 2
-        with pytest.raises(ModelError):
-            Configuration(sp, [1, -1])
+        K = kernel_matrix(Kernel("stencil", stencil=nearest_stencil(3)), sp)
+        assert np.allclose(K.T @ sp.weights, 1.0)
 
 
 class TestModelFromDict:
@@ -163,6 +137,12 @@ class TestModelFromDict:
         with pytest.raises(ModelError):
             model_from_dict({"space": {"type": "finite", "points": [0],
                                        "weights": [1]}})
+
+    def test_death_length_mismatch(self):
+        with pytest.raises(ModelError):
+            model_from_dict({"space": {"type": "finite", "points": [0, 1]},
+                             "birth": {"form": "dense", "matrix": np.ones((2, 2))},
+                             "death": [1.0, 1.0, 1.0]})
 
     def test_per_mark_death(self):
         cfg = {"space": {"type": "product", "d": 1, "R": 1,

@@ -207,12 +207,16 @@ class TestPairEngine:
         assert rep.tail_exponent_fit <= -1.05
         assert 0.2 <= rep.H_hat <= 0.35
 
-    def test_sufficient_variant_runs(self, z3_critical):
-        rng = np.random.default_rng(14)
-        rep = estimate_H(z3_critical, [(0, 0, 0)], T=60.0, replicas=1500,
-                         rng=rng, variant="sufficient")
-        assert rep.variant == "sufficient"
-        assert rep.H_hat >= 0.0
+    def test_marked_starts_keep_their_marks(self):
+        space, model = marked_model(Q=[[2, 1], [1, 2]], v=[1.0, 3.0], d=3)
+        tm, _, _ = calibrate(model, space)
+        starts = [((0, 0, 0), 0, 0), ((0, 0, 0), 0, 1)]
+        rep = estimate_H(tm, starts, T=5.0, replicas=200,
+                         rng=np.random.default_rng(14))
+        assert list(rep.per_start) == starts
+        with pytest.raises(ModelError):
+            estimate_H(tm, [(0, 0, 0)], T=5.0, replicas=200,
+                       rng=np.random.default_rng(14))
 
 
 class TestHeatBound:
