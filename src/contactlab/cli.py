@@ -168,6 +168,12 @@ def _starts(cfg: dict, tm) -> list:
     return starts
 
 
+def _require_unmarked(model, what: str):
+    """The two-walker pair backend follows no marks: reject marked models."""
+    if model.birth.form == "factorized":
+        raise ConfigError(f"{what} takes unmarked models only")
+
+
 def _tolerances_positive(cfg: dict):
     for key in ("tol", "dt"):
         if key in cfg and not (isinstance(cfg[key], (int, float)) and cfg[key] > 0):
@@ -250,6 +256,7 @@ def cmd_stationary(cfg, run: Run, rng):
     else:
         if "seed" not in cfg:
             raise ConfigError("montecarlo backend requires a seed")
+        _require_unmarked(model, "the montecarlo backend")
         unknown = set(controls) - MC_CONTROLS
         if unknown:
             raise ConfigError(f"unknown montecarlo controls: "
@@ -352,13 +359,12 @@ def cmd_verify_lemmas(cfg, run: Run, rng):
 
 def cmd_verify_bounds(cfg, run: Run, rng):
     space, model = _model_from_config(cfg, cfg["_path"])
+    _require_unmarked(model, "verify-bounds")
     tm, _, _ = calibrate(model, space)
     rho = float(_require(cfg, "rho"))
-    d = space.dim or 1
     T = float(cfg.get("T", 200.0))
     replicas = int(cfg.get("replicas", 20000))
-    starts = [tuple(s) for s in cfg.get(
-        "starts", [[0] * d, [1] + [0] * (d - 1), [2] + [0] * (d - 1)])]
+    starts = _starts(cfg, tm)
     trans = estimate_H(tm, starts, T=T, replicas=replicas, rng=rng)
     if not trans.converged:
         run.write_json("bounds.json", {"error": "transience not established",

@@ -328,6 +328,8 @@ def stationary_pair_mc(tm: TransformedModel, rho: float, displacements=None,
     """k_2(u) = rho^2 + rho E_{0,u} int_0^inf [b(X,Y) + b(Y,X)] dt by MC."""
     if rng is None:
         raise ModelError("montecarlo backend requires an rng")
+    if tm.marked:
+        raise ModelError("the montecarlo pair backend takes unmarked models only")
     walk = lattice_walk(tm)
     d = walk.d
     if displacements is None:

@@ -84,23 +84,6 @@ class StateSpace:
             return point[0]
         return point
 
-    def mark_of(self, point):
-        if self.structure != "product":
-            return None
-        return point[1]
-
-    def mark_index(self, point) -> int:
-        return self.marks.index(point[1])
-
-    def displacement(self, x, y) -> tuple:
-        """Coordinate difference x - y, wrapped to the minimal image if periodic."""
-        cx, cy = self.coordinate(x), self.coordinate(y)
-        d = np.subtract(cx, cy)
-        if self.boundary == "periodic":
-            width = 2 * self.radius + 1
-            d = (d + self.radius) % width - self.radius
-        return tuple(int(u) for u in np.atleast_1d(d))
-
 
 def _lattice_points(d: int, R: int):
     return [tuple(p) for p in itertools.product(range(-R, R + 1), repeat=d)]
@@ -186,13 +169,6 @@ class Kernel:
             raise ModelError("stencil values must be finite and non-negative")
         object.__setattr__(self, "stencil", st)
 
-    @property
-    def stencil_radius(self) -> int:
-        return max((max(abs(c) for c in k) for k in self.stencil), default=0)
-
-    def alpha(self, disp: tuple) -> float:
-        return self.stencil.get(tuple(disp), 0.0)
-
     def scaled(self, factor: float) -> "Kernel":
         if self.form == "dense":
             return Kernel("dense", matrix=self.matrix * factor)
@@ -240,17 +216,30 @@ def kernel_matrix(kern: Kernel | None, space: StateSpace) -> np.ndarray:
         if kern.matrix.shape != (n, n):
             raise ModelError("dense kernel shape does not match space size")
         return kern.matrix.copy()
-    A = np.zeros((n, n))
-    for i, x in enumerate(space.points):
-        for j, y in enumerate(space.points):
-            disp = space.displacement(x, y)
-            a = kern.alpha(disp)
-            if a == 0.0:
+    if space.structure == "finite":
+        raise ModelError(f"a {kern.form} kernel needs a lattice space")
+    d, R = space.dim, space.radius
+    width = 2 * R + 1
+    nmark = len(space.marks) if space.structure == "product" else 1
+    Q = kern.Q if kern.form == "factorized" else np.ones((nmark, nmark))
+    # lattice coordinates in enumeration order (last axis fastest)
+    y = np.indices((width,) * d).reshape(d, -1).T - R
+    A = np.zeros((len(y), nmark, len(y), nmark))
+    for disp, a in kern.stencil.items():
+        if len(disp) != d:
+            raise ModelError(f"stencil entry {disp} is not {d}-dimensional")
+        x = y + disp
+        if space.boundary == "periodic":
+            # a minimal-image displacement x - y lies in [-R, R]^d
+            if max(abs(c) for c in disp) > R:
                 continue
-            if kern.form == "factorized":
-                a *= kern.Q[space.mark_index(x), space.mark_index(y)]
-            A[i, j] = a
-    return A
+            x = (x + R) % width - R
+            src = np.arange(len(y))
+        else:
+            src = np.flatnonzero(np.all(np.abs(x) <= R, axis=1))
+        dst = np.ravel_multi_index(tuple((x[src] + R).T), (width,) * d)
+        A[dst, :, src, :] = a * Q
+    return A.reshape(n, n)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ class EventLog:
     snapshots: dict                   # time -> counts vector
     truncated: bool = False
     final_counts: np.ndarray | None = None
+    event_cap: int = DEFAULT_EVENT_CAP
 
 
 @dataclass
@@ -117,7 +118,7 @@ def simulate_contact(tm: TransformedModel, counts0, T: float, snapshot_times,
             truncated = True
             break
     return EventLog(events=events, snapshots=snaps, truncated=truncated,
-                    final_counts=counts)
+                    final_counts=counts, event_cap=event_cap)
 
 
 def run_replicas(tm: TransformedModel, rho: float, T: float, snapshot_times,
@@ -127,7 +128,7 @@ def run_replicas(tm: TransformedModel, rho: float, T: float, snapshot_times,
 
     ``initial`` is either None (product-Poisson with intensity rho * mbar)
     or a fixed counts vector.  Truncated replicas are kept in the list and
-    flagged; moment estimation excludes them.
+    flagged; moment estimation refuses them.
     """
     streams = [np.random.default_rng(s)
                for s in np.random.SeedSequence(seed).spawn(replicas)]
@@ -158,15 +159,19 @@ def empirical_correlations(logs, space, t: float, n: int,
 
     Distinct points use plain product counts, repeated points the falling
     factorial; the standard error is the across-replica variance of the
-    per-replica estimator.
+    per-replica estimator.  A truncated replica is an error: dropping it
+    would bias the moments toward the replicas that stayed under the cap.
     """
-    usable = [log for log in logs if not log.truncated]
-    if len(usable) < 100:
-        raise ModelError("need at least 100 untruncated replicas")
+    truncated = [log for log in logs if log.truncated]
+    if truncated:
+        raise ModelError(f"{len(truncated)} of {len(logs)} replicas were truncated "
+                         f"at the event cap of {truncated[0].event_cap} events")
+    if len(logs) < 100:
+        raise ModelError("need at least 100 replicas")
     size = space.size
     t = float(t)
-    cmat = np.empty((len(usable), size))
-    for r, log in enumerate(usable):
+    cmat = np.empty((len(logs), size))
+    for r, log in enumerate(logs):
         if t not in log.snapshots:
             raise ModelError(f"snapshot at t = {t} missing from a replica")
         cmat[r] = log.snapshots[t]
@@ -179,8 +184,8 @@ def empirical_correlations(logs, space, t: float, n: int,
         sample /= np.outer(mbar, mbar)[None, :, :]
     else:
         idx_all = list(np.ndindex(*(size,) * n))
-        sample = np.empty((len(usable),) + (size,) * n)
-        for r in range(len(usable)):
+        sample = np.empty((len(logs),) + (size,) * n)
+        for r in range(len(logs)):
             for idx in idx_all:
                 sample[(r,) + idx] = _factorial_product(cmat[r], idx)
         denom = np.empty((size,) * n)
@@ -188,6 +193,6 @@ def empirical_correlations(logs, space, t: float, n: int,
             denom[idx] = np.prod([mbar[i] for i in idx])
         sample /= denom
     values = sample.mean(axis=0)
-    stderr = sample.std(axis=0, ddof=1) / np.sqrt(len(usable))
+    stderr = sample.std(axis=0, ddof=1) / np.sqrt(len(logs))
     return MomentEstimate(order=n, values=values, stderr=stderr,
-                          replicas=len(usable), time=t)
+                          replicas=len(logs), time=t)

@@ -10,8 +10,11 @@ for marked models, the mark moves independently with the stochastic kernel
     sup_{x,y} int_0^inf E_{x,y} b(X(t), Y(t)) dt
 
 is estimated by exact path integrals of ``b`` along piecewise-constant
-two-walker trajectories (no time-discretization error), vectorized across
-replicas, with a ``t^{1 - d/2}`` tail extrapolation.
+two-walker trajectories (no time-discretization error), with a
+``t^{1 - d/2}`` tail extrapolation.  All walker Monte Carlo runs on one
+vectorized stepper, ``_jump_chain``, which steps only the replicas short of
+the next grid time and draws steps and marks by inverse CDF;
+``simulate_jump`` is the scalar single-path reference it is tested against.
 """
 
 from __future__ import annotations
@@ -151,6 +154,19 @@ def lattice_walk(tm: TransformedModel, normalization_tol: float = 1e-9) -> Latti
 # Single-path simulation (exact jump chain)
 # ---------------------------------------------------------------------------
 
+def _walker_start(tm: TransformedModel, x0):
+    """Lattice coordinate and mark index of a one-walker start point."""
+    if tm.marked:
+        return (np.asarray(tm.space.coordinate(x0), dtype=np.int64),
+                tm.space.marks.index(x0[1]))
+    return np.asarray(x0, dtype=np.int64).reshape(tm.space.dim), 0
+
+
+def _draw(cum: np.ndarray, rng: np.random.Generator) -> int:
+    """Inverse-CDF draw of an index from cumulative probabilities."""
+    return min(int(np.searchsorted(cum, rng.random())), len(cum) - 1)
+
+
 def simulate_jump(tm: TransformedModel, x0, T: float,
                   rng: np.random.Generator) -> WalkerPath:
     """One walker trajectory on [0, T].
@@ -161,23 +177,19 @@ def simulate_jump(tm: TransformedModel, x0, T: float,
     if tm.translation_invariant:
         walk = lattice_walk(tm)
         marked = tm.marked
-        if marked:
-            xi = np.asarray(tm.space.coordinate(x0), dtype=np.int64)
-            s = tm.space.marks.index(x0[1])
-        else:
-            xi = np.asarray(x0, dtype=np.int64).reshape(walk.d)
-            s = 0
+        xi, s = _walker_start(tm, x0)
+        step_cum = np.cumsum(walk.step_probs)
+        mark_cum = np.cumsum(walk.mark_trans, axis=1)
         times = [0.0]
         states = [(tuple(xi), tm.space.marks[s]) if marked else tuple(xi)]
         t = 0.0
-        nstep = len(walk.step_probs)
         while True:
             t += rng.exponential(1.0 / walk.v[s])
             if t >= T:
                 break
-            xi = xi + walk.steps[rng.choice(nstep, p=walk.step_probs)]
+            xi = xi + walk.steps[_draw(step_cum, rng)]
             if marked:
-                s = rng.choice(len(walk.v), p=walk.mark_trans[s])
+                s = _draw(mark_cum[s], rng)
                 states.append((tuple(xi), tm.space.marks[s]))
             else:
                 states.append(tuple(xi))
@@ -197,72 +209,111 @@ def simulate_jump(tm: TransformedModel, x0, T: float,
         t += rng.exponential(1.0 / V[i])
         if t >= T:
             break
-        i = int(np.searchsorted(cum[i], rng.random()))
+        i = _draw(cum[i], rng)
         times.append(t)
         states.append(tm.space.points[i])
     return WalkerPath(times=np.array(times), states=states)
 
 
 # ---------------------------------------------------------------------------
-# Vectorized two-walker engine
+# Vectorized jump-chain stepper
 # ---------------------------------------------------------------------------
 
-def _geometric_checkpoints(T: float, t0: float = 0.5, per_decade: int = 8):
-    n = max(int(np.ceil(np.log10(T / t0) * per_decade)), 1)
-    cps = t0 * (T / t0) ** (np.arange(1, n + 1) / n)
+def _jump_chain(v, mark_trans, steps, step_probs, D, s, sign, t_grid, rng,
+                integrand=None):
+    """Advance R replicas of W = len(sign) independent walkers to each grid time.
+
+    Walker w holds an exponential time at rate ``v[s_w]``, then moves by a
+    step drawn from ``step_probs`` and takes a mark drawn from row
+    ``mark_trans[s_w]``.  ``D`` (R, d) holds ``sum_w sign[w] xi_w`` and ``s``
+    (R, W) the marks; both are advanced in place.  At each grid time the
+    generator yields ``(I, n)``: the running integral of ``integrand(D, s)``
+    (held at the pre-jump state) and the jump count per replica, both updated
+    in place afterwards.  Only replicas short of the grid time are stepped;
+    clamping their holding times there is exact by memorylessness.
+    """
+    R, W = s.shape
+    signed_steps = np.multiply.outer(sign, steps)      # (W, S, d)
+    step_cum = np.cumsum(step_probs)
+    nstep, nmark = len(step_cum), len(v)
+    # row r of the mark CDF shifted into (r, r + 1] with its last entry
+    # exactly r + 1: one searchsorted draws the new mark of every jumper
+    mark_cdf = np.cumsum(mark_trans, axis=1)
+    mark_cdf[:, -1] = 1.0
+    mark_cdf = (mark_cdf + np.arange(nmark)[:, None]).ravel()
+    I = np.zeros(R)
+    n = np.zeros(R, dtype=np.int64)
+    t0 = 0.0     # every replica has been advanced to t0
+    for tb in t_grid:
+        # the active replicas' state, compacted as replicas reach tb; a grid
+        # time at or before t0 steps none
+        idx = np.arange(R if tb > t0 else 0)
+        ta, Da, sa, Ia, na = np.full(R, t0), D.copy(), s.copy(), I.copy(), n.copy()
+        while idx.size:
+            cum_rate = np.cumsum(v[sa], axis=1)
+            t_jump = ta + rng.exponential(size=idx.size) / cum_rate[:, -1]
+            if integrand is not None:
+                Ia += integrand(Da, sa) * (np.minimum(t_jump, tb) - ta)
+            hit = t_jump < tb
+            done = np.flatnonzero(~hit)
+            if done.size:
+                out = idx[done]
+                D[out], s[out], I[out], n[out] = Da[done], sa[done], Ia[done], na[done]
+                keep = np.flatnonzero(hit)
+                idx, ta, Da, sa, Ia, na, cum_rate = (
+                    idx[keep], t_jump[keep], Da[keep], sa[keep], Ia[keep],
+                    na[keep], cum_rate[keep])
+            else:
+                ta = t_jump
+            k = idx.size
+            na += 1
+            # the jumping walker: w with probability v[s_w] / sum_w v[s_w]
+            w = 0
+            if W > 1:
+                u = rng.random(k) * cum_rate[:, -1]
+                w = (u[:, None] >= cum_rate[:, :-1]).sum(axis=1)
+            if nstep:
+                j = np.minimum(np.searchsorted(step_cum, rng.random(k)), nstep - 1)
+                Da += signed_steps[w, j]
+            if nmark > 1:
+                rows = np.arange(k)
+                old = sa[rows, w]
+                new = np.searchsorted(mark_cdf, old + rng.random(k), side="right")
+                sa[rows, w] = np.minimum(new - old * nmark, nmark - 1)
+        t0 = max(t0, tb)
+        yield I, n
+
+
+def _geometric_checkpoints(T: float):
+    """Eight checkpoints per decade from t = 0.5 up to T (the last is T)."""
+    n = max(int(np.ceil(np.log10(T / 0.5) * 8)), 1)
+    cps = 0.5 * (T / 0.5) ** (np.arange(1, n + 1) / n)
     cps[-1] = T
     return cps
 
 
 def pair_integral_curves(walk: LatticeWalk, d0, s0x: int, s0y: int, T: float,
                          replicas: int, rng: np.random.Generator,
-                         symmetrized: bool = False, t0: float = 0.5,
-                         per_decade: int = 8):
+                         symmetrized: bool = False):
     """Running path integrals of b(X_t, Y_t) for two independent walkers.
 
     Returns ``(checkpoints, mean_running, stderr_running, final_samples)``.
     The integral over each holding interval is exact (b is piecewise
-    constant); checkpoint clamping is valid by memorylessness of the
-    exponential holding times.  ``symmetrized`` integrates
-    ``b(X, Y) + b(Y, X)`` instead.
+    constant).  ``symmetrized`` integrates ``b(X, Y) + b(Y, X)`` instead.
     """
-    cps = _geometric_checkpoints(T, t0=t0, per_decade=per_decade)
+    cps = _geometric_checkpoints(T)
     D = np.tile(np.asarray(d0, dtype=np.int64).reshape(walk.d), (replicas, 1))
-    sx = np.full(replicas, s0x, dtype=np.int64)
-    sy = np.full(replicas, s0y, dtype=np.int64)
-    t = np.zeros(replicas)
-    I = np.zeros(replicas)
-    nmark = len(walk.v)
-    nstep = len(walk.step_probs)
-    step_cum = np.cumsum(walk.step_probs)
-    mark_cum = np.cumsum(walk.mark_trans, axis=1)
+    s = np.tile(np.array([s0x, s0y], dtype=np.int64), (replicas, 1))
+
+    def b(D, s):
+        val = walk.b_pair(D, s[:, 0], s[:, 1])
+        return val + walk.b_pair(-D, s[:, 1], s[:, 0]) if symmetrized else val
+
     running = np.empty((len(cps), replicas))
-    for ci, tb in enumerate(cps):
-        active = t < tb
-        while active.any():
-            rate = walk.v[sx] + walk.v[sy]
-            dt = rng.exponential(1.0, size=replicas) / rate
-            bval = walk.b_pair(D, sx, sy)
-            if symmetrized:
-                bval = bval + walk.b_pair(-D, sy, sx)
-            tt = np.minimum(t + dt, tb)
-            I += np.where(active, bval * (tt - t), 0.0)
-            jumped = active & (t + dt < tb)
-            t = np.where(active, tt, t)
-            # which walker jumps: X with prob v[sx] / rate
-            ux = rng.random(replicas) * rate < walk.v[sx]
-            step = walk.steps[np.searchsorted(step_cum, rng.random(replicas))
-                              .clip(max=nstep - 1)]
-            sign = np.where(ux, 1, -1)[:, None]
-            D = np.where(jumped[:, None], D + sign * step, D)
-            if nmark > 1:
-                u = rng.random(replicas)
-                new_x = np.argmax(u[:, None] < mark_cum[sx], axis=1)
-                new_y = np.argmax(u[:, None] < mark_cum[sy], axis=1)
-                sx = np.where(jumped & ux, new_x, sx)
-                sy = np.where(jumped & ~ux, new_y, sy)
-            active = jumped
-        running[ci] = I
+    chain = _jump_chain(walk.v, walk.mark_trans, walk.steps, walk.step_probs, D, s,
+                        (1, -1), cps, rng, integrand=b)
+    for i, (I, _) in enumerate(chain):
+        running[i] = I
     mean = running.mean(axis=1)
     stderr = running.std(axis=1, ddof=1) / np.sqrt(replicas)
     return cps, mean, stderr, running[-1]
@@ -374,36 +425,6 @@ def estimate_H(tm: TransformedModel, start_pairs, T: float, replicas: int,
         per_start=per_start, times=worst[0], running=worst[1])
 
 
-def _single_walker_positions(walk: LatticeWalk, s0: int, t_grid, replicas: int,
-                             rng: np.random.Generator):
-    """Positions (and marks) of one walker sampled at the given times.
-
-    Yields ``(t, xi, s)`` in grid order; clamping at grid times is exact by
-    memorylessness.
-    """
-    xi = np.zeros((replicas, walk.d), dtype=np.int64)
-    s = np.full(replicas, s0, dtype=np.int64)
-    t = np.zeros(replicas)
-    nstep = len(walk.step_probs)
-    step_cum = np.cumsum(walk.step_probs)
-    mark_cum = np.cumsum(walk.mark_trans, axis=1)
-    nmark = len(walk.v)
-    for tb in t_grid:
-        active = t < tb
-        while active.any():
-            dt = rng.exponential(1.0, size=replicas) / walk.v[s]
-            jumped = active & (t + dt < tb)
-            t = np.where(active, np.minimum(t + dt, tb), t)
-            step = walk.steps[np.searchsorted(step_cum, rng.random(replicas))
-                              .clip(max=nstep - 1)]
-            xi = np.where(jumped[:, None], xi + step, xi)
-            if nmark > 1:
-                u = rng.random(replicas)
-                s = np.where(jumped, np.argmax(u[:, None] < mark_cum[s], axis=1), s)
-            active = jumped
-        yield tb, xi, s
-
-
 # ---------------------------------------------------------------------------
 # Lemma checks
 # ---------------------------------------------------------------------------
@@ -419,22 +440,16 @@ def heat_bound_check(tm: TransformedModel, t_grid, x0, xi1, replicas: int,
     """
     walk = lattice_walk(tm)
     d = walk.d
-    if tm.marked:
-        s0 = tm.space.marks.index(x0[1])
-        xi0 = np.asarray(tm.space.coordinate(x0), dtype=np.int64)
-    else:
-        s0 = 0
-        xi0 = np.asarray(x0, dtype=np.int64).reshape(walk.d)
+    xi0, s0 = _walker_start(tm, x0)
     xi1 = np.asarray(xi1, dtype=np.int64).reshape(walk.d)
     kappa = walk.Q.max() / walk.q.min()
     t_grid = np.asarray(t_grid, dtype=float)
-    est = np.empty(len(t_grid))
-    se = np.empty(len(t_grid))
-    for idx, (tb, xi, s) in enumerate(
-            _single_walker_positions(walk, s0, t_grid, replicas, rng)):
-        vals = kappa * walk.alpha_of(xi + xi0[None, :] - xi1[None, :])
-        est[idx] = vals.mean()
-        se[idx] = vals.std(ddof=1) / np.sqrt(replicas)
+    D = np.tile(xi0 - xi1, (replicas, 1))     # xi(t) - xi_1
+    s = np.full((replicas, 1), s0, dtype=np.int64)
+    vals = np.array([kappa * walk.alpha_of(D) for _ in _jump_chain(
+        walk.v, walk.mark_trans, walk.steps, walk.step_probs, D, s, (1,), t_grid, rng)])
+    est = vals.mean(axis=1)
+    se = vals.std(axis=1, ddof=1) / np.sqrt(replicas)
     scaled = est * t_grid ** (d / 2.0)
     scaled_se = se * t_grid ** (d / 2.0)
     last = t_grid >= t_grid[-1] / 10.0
@@ -498,27 +513,14 @@ def mark_chain_jump_counts(v: np.ndarray, trans: np.ndarray, nu: np.ndarray,
                            t_grid, replicas: int, rng: np.random.Generator,
                            s0: int | None = None) -> np.ndarray:
     """Jump counts n(t) of the mark chain at each grid time, per replica."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    nmark = len(v)
     if s0 is None:
-        s = np.searchsorted(np.cumsum(nu / nu.sum()), rng.random(replicas))
-        s = s.clip(max=nmark - 1)
+        s = rng.choice(len(v), size=replicas, p=nu / nu.sum())
     else:
         s = np.full(replicas, s0, dtype=np.int64)
-    t = np.zeros(replicas)
-    counts = np.zeros((replicas, len(t_grid)), dtype=np.int64)
-    tmax = t_grid[-1]
-    cum = np.cumsum(trans, axis=1)
-    while True:
-        alive = t <= tmax
-        if not alive.any():
-            break
-        t = t + rng.exponential(1.0, size=replicas) / v[s]
-        counts += (t[:, None] <= t_grid[None, :]) & alive[:, None]
-        if nmark > 1:
-            u = rng.random(replicas)
-            s = np.where(alive, np.argmax(u[:, None] < cum[s], axis=1), s)
-    return counts
+    chain = _jump_chain(v, trans, np.zeros((0, 0), dtype=np.int64), np.zeros(0),
+                        np.zeros((replicas, 0), dtype=np.int64), s[:, None], (1,),
+                        np.asarray(t_grid, dtype=float), rng)
+    return np.column_stack([n.copy() for _, n in chain])
 
 
 def poisson_domination_check(v: np.ndarray, theta: ThetaKernel, lambda0: float,
@@ -537,15 +539,9 @@ def poisson_domination_check(v: np.ndarray, theta: ThetaKernel, lambda0: float,
     counts = mark_chain_jump_counts(v, trans, theta.nu, t_grid, replicas, rng)
     t_grid = np.asarray(t_grid, dtype=float)
     k_grid = np.asarray(k_grid, dtype=int)
-    mc = np.empty((len(t_grid), len(k_grid)))
-    se = np.empty_like(mc)
-    exact = np.empty_like(mc)
-    for i, t in enumerate(t_grid):
-        for j, k in enumerate(k_grid):
-            p = float((counts[:, i] <= k).mean())
-            mc[i, j] = p
-            se[i, j] = np.sqrt(max(p * (1 - p), 1.0 / replicas) / replicas)
-            exact[i, j] = stats.poisson.cdf(k, lambda0 * t)
+    mc = (counts[:, :, None] <= k_grid).mean(axis=0)      # (t, k) cells
+    se = np.sqrt(np.maximum(mc * (1 - mc), 1.0 / replicas) / replicas)
+    exact = stats.poisson.cdf(k_grid, lambda0 * t_grid[:, None])
     ok = mc <= exact + 3 * se
     return {
         "t": t_grid, "k": k_grid, "mc_cdf": mc, "stderr": se,

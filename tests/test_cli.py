@@ -74,6 +74,10 @@ class TestExitCodes:
                         "backend": "montecarlo", "controls": {"horizon": 10}}),
         ("transience", {"model": MARKED_MODEL, "T": 5, "replicas": 100,
                         "starts": [[0, 0, 0]]}),
+        ("verify-bounds", {"model": MARKED_MODEL, "rho": 0.1, "T": 20,
+                           "replicas": 200, "starts": [[[0, 0, 0], 0, 0]]}),
+        ("stationary", {"model": MARKED_MODEL, "rho": 0.1, "backend": "montecarlo",
+                        "controls": {"T": 20, "replicas": 200}}),
     ])
     def test_unsupported_config_is_config_error(self, tmp_path, command, cfg):
         code, _ = run_cli(tmp_path, command, cfg, seed=1)

@@ -55,7 +55,9 @@ class TestBuildSpace:
     def test_periodic_displacement_wraps(self):
         sp = build_space({"type": "lattice", "d": 1, "R": 2,
                           "boundary": "periodic"})
-        assert sp.displacement((2,), (-2,)) == (-1,)
+        K = kernel_matrix(Kernel("stencil", stencil={(-1,): 0.25, (1,): 0.75}), sp)
+        # (2,) - (-2,) = 4 wraps to the minimal image -1
+        assert K[sp.locate((2,)), sp.locate((-2,))] == 0.25
 
     def test_product_enumeration_row_major(self):
         sp = build_space({"type": "product", "d": 1, "R": 1,
@@ -65,8 +67,47 @@ class TestBuildSpace:
         assert sp.points[1] == ((-1,), "B")
 
 
+def loop_kernel_matrix(kern, space):
+    """Point-pair double loop over minimal-image displacements (the oracle)."""
+    A = np.zeros((space.size, space.size))
+    for i, x in enumerate(space.points):
+        for j, y in enumerate(space.points):
+            disp = np.subtract(space.coordinate(x), space.coordinate(y))
+            if space.boundary == "periodic":
+                disp = (disp + space.radius) % (2 * space.radius + 1) - space.radius
+            a = kern.stencil.get(tuple(int(u) for u in np.atleast_1d(disp)), 0.0)
+            if kern.form == "factorized":
+                a *= kern.Q[space.marks.index(x[1]), space.marks.index(y[1])]
+            A[i, j] = a
+    return A
+
+
+SKEWED_2D = {(1, 0): 0.3, (-1, 0): 0.1, (0, 1): 0.25, (0, -2): 0.15,
+             (1, 1): 0.05, (0, 0): 0.15}
+
+
 class TestKernelEval:
     """Kernel entries a(x_i, x_j) as kernel_matrix assembles them."""
+
+    @pytest.mark.parametrize("spec, kern", [
+        ({"type": "lattice", "d": 2, "R": 2, "boundary": "unbounded"},
+         Kernel("stencil", stencil=SKEWED_2D)),
+        ({"type": "lattice", "d": 2, "R": 2, "boundary": "periodic"},
+         Kernel("stencil", stencil=SKEWED_2D)),
+        # narrower than the stencil: the (0, -2) entry is never a minimal image
+        ({"type": "lattice", "d": 2, "R": 1, "boundary": "periodic"},
+         Kernel("stencil", stencil=SKEWED_2D)),
+        ({"type": "product", "d": 1, "R": 2, "boundary": "unbounded",
+          "marks": ["A", "B", "C"], "nu": [0.2, 0.3, 0.5]},
+         Kernel("factorized", stencil={(1,): 0.6, (-2,): 0.4},
+                Q=[[1.0, 2.0, 0.5], [3.0, 1.5, 1.0], [0.7, 0.2, 2.5]])),
+        ({"type": "product", "d": 2, "R": 1, "boundary": "periodic",
+          "marks": ["A", "B"], "nu": [0.5, 0.5]},
+         Kernel("stencil", stencil=SKEWED_2D)),
+    ])
+    def test_matches_point_pair_loop(self, spec, kern):
+        sp = build_space(spec)
+        assert np.array_equal(kernel_matrix(kern, sp), loop_kernel_matrix(kern, sp))
 
     def test_dense_lookup(self):
         sp = build_space({"type": "finite", "points": [0, 1],

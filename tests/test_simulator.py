@@ -108,6 +108,16 @@ class TestEmpiricalCorrelations:
             empirical_correlations(logs, finite4_critical.space, 0.0, 1,
                                    finite4_critical.mbar)
 
+    def test_truncated_replicas_rejected(self, finite4_critical):
+        tm = finite4_critical
+        # a few replicas hit the cap and more than 100 stay under it
+        logs = run_replicas(tm, 0.5, 1.0, [1.0], 150, seed=13, event_cap=6)
+        n_trunc = sum(log.truncated for log in logs)
+        assert 0 < n_trunc <= 50
+        with pytest.raises(ModelError, match=f"{n_trunc} of 150 replicas were "
+                                             "truncated at the event cap of 6"):
+            empirical_correlations(logs, tm.space, 1.0, 1, tm.mbar)
+
     def test_falling_factorial_order3(self, finite4_critical):
         tm = finite4_critical
         from contactlab.simulator import EventLog

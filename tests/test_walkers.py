@@ -156,6 +156,42 @@ class TestPairEngine:
                           + 2 * vals[2:-2:2].sum())
         assert abs(float(mean[-1]) - oracle) <= 3.5 * float(se[-1])
 
+    def test_marked_engine_matches_pair_chain(self):
+        # the pair (D, s_x, s_y) = (X - Y, marks) is a finite Markov chain on
+        # |D| <= 40; int_0^T (e^{tL} b)(start) dt is the top-right block of
+        # expm(T [[L, b], [0, 0]]).  The walkers start on different marks.
+        from scipy.linalg import expm
+        space, model = marked_model(Q=[[2, 1], [1, 2]], v=[1.0, 3.0])
+        tm, _, _ = calibrate(model, space)
+        v, trans = tm.v, theta_kernel(tm).transition_probs()
+        T, R, M = 4.0, 40, 2
+        size = (2 * R + 1) * M * M
+
+        def state(D, sx, sy):
+            return ((D + R) * M + sx) * M + sy
+
+        L = np.zeros((size + 1, size + 1))
+        for D in range(-R, R + 1):
+            for sx in range(M):
+                for sy in range(M):
+                    i = state(D, sx, sy)
+                    L[i, i] = -(v[sx] + v[sy])
+                    L[i, size] = tm.alpha.get((D,), 0.0) * tm.Q[sx, sy] / tm.q[sx]
+                    # a jump of X or Y moves D by +-1 (mass leaving the
+                    # window is lost) and renews that walker's mark only
+                    for E in (D - 1, D + 1):
+                        if abs(E) > R:
+                            continue
+                        for new in range(M):
+                            L[i, state(E, new, sy)] += v[sx] * 0.5 * trans[sx, new]
+                            L[i, state(E, sx, new)] += v[sy] * 0.5 * trans[sy, new]
+        oracle = expm(T * L)[state(1, 1, 0), size]
+        walk = lattice_walk(tm)
+        rng = np.random.default_rng(89)
+        cps, mean, se, finals = pair_integral_curves(
+            walk, np.array([1]), 1, 0, T, 40000, rng)
+        assert abs(float(mean[-1]) - oracle) <= 3.5 * float(se[-1])
+
     def test_running_integral_monotone(self, z3_critical):
         walk = lattice_walk(z3_critical)
         rng = np.random.default_rng(9)
