@@ -28,7 +28,7 @@ from .hierarchy import (bound_constant_D, convergence_check, evolve_hierarchy,
                         factorial_bound_check, HierarchySolution,
                         stationary_k)
 from .model import load_model_config, model_from_dict
-from .simulator import empirical_correlations, run_replicas
+from .simulator import empirical_correlations, run_replicas, snapshot_grid
 from .walkers import (convolution_bound_check, estimate_H, heat_bound_check,
                       lower_tail_bound_check, parse_start, poisson_domination_check)
 
@@ -174,6 +174,23 @@ def _require_unmarked(model, what: str):
         raise ConfigError(f"{what} takes unmarked models only")
 
 
+def _time_grid(cfg: dict, key: str):
+    """The config's time grid under ``key`` (None if absent): a non-empty list
+    of finite, positive, strictly increasing times, because the walkers
+    advance through it in order and never go back."""
+    if key not in cfg:
+        return None
+    try:
+        grid = np.asarray(cfg[key], dtype=float)
+    except (TypeError, ValueError):
+        grid = np.empty(0)
+    if (grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid))
+            or np.any(grid <= 0) or np.any(np.diff(grid) <= 0)):
+        raise ConfigError(f"config key '{key}' must be a list of finite, positive, "
+                          "strictly increasing times")
+    return grid
+
+
 def _tolerances_positive(cfg: dict):
     for key in ("tol", "dt"):
         if key in cfg and not (isinstance(cfg[key], (int, float)) and cfg[key] > 0):
@@ -289,32 +306,37 @@ def cmd_stationary(cfg, run: Run, rng):
 
 
 def cmd_simulate(cfg, run: Run, rng):
+    T = float(cfg.get("T", 2.0))
+    snap = [float(t) for t in cfg.get("snapshot_times", [T])]
+    try:
+        snapshot_grid(T, snap)
+    except ModelError as exc:
+        raise ConfigError(str(exc)) from exc
     space, model = _model_from_config(cfg, cfg["_path"])
     tm, _, _ = calibrate(model, space)
     rho = float(_require(cfg, "rho"))
-    T = float(cfg.get("T", 2.0))
-    snap = [float(t) for t in cfg.get("snapshot_times", [T])]
     replicas = int(cfg.get("replicas", 1000))
-    logs = run_replicas(tm, rho, T, snap, replicas, seed=int(cfg["seed"]))
-    truncated = sum(log.truncated for log in logs)
+    batch = run_replicas(tm, rho, T, snap, replicas, seed=int(cfg["seed"]))
     orders = [int(n) for n in cfg.get("orders", [1, 2])]
     width = max(orders)
     rows = []
     for t in snap:
         for n in orders:
-            est = empirical_correlations(logs, space, t, n, tm.mbar)
+            est = empirical_correlations(batch, space, t, n, tm.mbar)
             for idx in np.ndindex(*est.values.shape):
                 rows.append((t, n) + idx + ("",) * (width - n)
                             + (est.values[idx], est.stderr[idx]))
     header = ["t", "order"] + [f"x{i + 1}" for i in range(width)] + ["value", "stderr"]
     run.write_csv("moments.csv", header, rows)
     run.write_json("simulate.json",
-                   {"replicas": replicas, "truncated": truncated,
+                   {"replicas": replicas, "truncated": int(batch.truncated.sum()),
                     "snapshot_times": snap})
     return EXIT_OK
 
 
 def cmd_verify_lemmas(cfg, run: Run, rng):
+    tgrid = _time_grid(cfg, "t_grid")
+    hb_grid = _time_grid(cfg, "heat_t_grid")
     space, model = _model_from_config(cfg, cfg["_path"])
     tm, _, _ = calibrate(model, space)
     d = space.dim or 1
@@ -327,7 +349,8 @@ def cmd_verify_lemmas(cfg, run: Run, rng):
     run.write_csv("convolution.csv", ["n", "sup", "scaled"],
                   zip(conv["n"], conv["sup"], conv["scaled"]))
     lam0 = float(cfg.get("lambda0", tm.v.min() if tm.marked else tm.death.min()))
-    tgrid = np.asarray(cfg.get("t_grid", np.linspace(2.0 / lam0, 40.0 / lam0, 8)))
+    if tgrid is None:
+        tgrid = np.linspace(2.0 / lam0, 40.0 / lam0, 8)
     lower = lower_tail_bound_check(lam0, tgrid)
     results["lower_tail"] = {"max_ratio": lower["max_ratio"],
                              "passed": lower["passed"]}
@@ -341,8 +364,8 @@ def cmd_verify_lemmas(cfg, run: Run, rng):
         results["poisson_domination"] = {"passed": dom["passed"],
                                          "max_excess": dom["max_excess"]}
         ok &= dom["passed"]
-    hb_grid = np.asarray(cfg.get("heat_t_grid",
-                                 np.geomspace(1.0, 100.0, 12)))
+    if hb_grid is None:
+        hb_grid = np.geomspace(1.0, 100.0, 12)
     x0 = ((tuple([0] * d), space.marks[0]) if tm.marked else tuple([0] * d))
     hb = heat_bound_check(tm, hb_grid, x0, tuple([0] * d), replicas, rng)
     results["heat_bound"] = {"sup_scaled": hb["sup_scaled"], "flat": hb["flat"]}

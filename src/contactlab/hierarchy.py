@@ -30,7 +30,8 @@ from scipy.linalg.lapack import ztrsyl as trsyl
 
 from .criticality import GroundState, TransformedModel
 from .errors import ConvergenceError, DivergenceError, ModelError
-from .walkers import lattice_walk, pair_integral_curves, _tail_fit, _increment_exponent
+from .walkers import (lattice_walk, pair_integral_curves, parse_start, _tail_fit,
+                      _increment_exponent)
 
 __all__ = [
     "CorrelationTensor",
@@ -334,6 +335,7 @@ def stationary_pair_mc(tm: TransformedModel, rho: float, displacements=None,
     d = walk.d
     if displacements is None:
         displacements = [(0,) * d, (1,) + (0,) * (d - 1), (2,) + (0,) * (d - 1)]
+    displacements = [parse_start(u, d, 0)[0] for u in displacements]
     values, errs, curves = [], [], {}
     for u in displacements:
         cps, mean, se, _ = pair_integral_curves(

@@ -202,6 +202,18 @@ class RateModel:
                          death_marks=self.death_marks)
 
 
+def _mark_factor(kern: Kernel, space: StateSpace) -> np.ndarray:
+    """The (nmark, nmark) mark factor of a lattice kernel: ``Q``, or ones for a
+    stencil; a plain lattice has one mark."""
+    nmark = len(space.marks) if space.structure == "product" else 1
+    if kern.form != "factorized":
+        return np.ones((nmark, nmark))
+    if kern.Q.shape != (nmark, nmark):
+        raise ModelError(f"mark kernel Q is {kern.Q.shape[0]}x{kern.Q.shape[1]} "
+                         f"but the space has {nmark} mark(s)")
+    return kern.Q
+
+
 def kernel_matrix(kern: Kernel | None, space: StateSpace) -> np.ndarray:
     """Dense matrix A[i, j] = a(x_i, x_j) over the enumerated points.
 
@@ -220,8 +232,8 @@ def kernel_matrix(kern: Kernel | None, space: StateSpace) -> np.ndarray:
         raise ModelError(f"a {kern.form} kernel needs a lattice space")
     d, R = space.dim, space.radius
     width = 2 * R + 1
-    nmark = len(space.marks) if space.structure == "product" else 1
-    Q = kern.Q if kern.form == "factorized" else np.ones((nmark, nmark))
+    Q = _mark_factor(kern, space)
+    nmark = len(Q)
     # lattice coordinates in enumeration order (last axis fastest)
     y = np.indices((width,) * d).reshape(d, -1).T - R
     A = np.zeros((len(y), nmark, len(y), nmark))
@@ -304,6 +316,9 @@ def model_from_dict(cfg: dict) -> tuple[StateSpace, RateModel]:
     birth = _kernel_from_dict(cfg["birth"], dim)
     death, death_marks = _death_from_config(cfg["death"], space)
     jump = _kernel_from_dict(cfg["jump"], dim) if cfg.get("jump") else None
+    for kern in (birth, jump):
+        if kern is not None and kern.form == "factorized":
+            _mark_factor(kern, space)
     return space, RateModel(birth=birth, death=death, jump=jump,
                             death_marks=death_marks)
 

@@ -78,6 +78,19 @@ class TestExitCodes:
                            "replicas": 200, "starts": [[[0, 0, 0], 0, 0]]}),
         ("stationary", {"model": MARKED_MODEL, "rho": 0.1, "backend": "montecarlo",
                         "controls": {"T": 20, "replicas": 200}}),
+        ("stationary", {"model": LATTICE_MODEL, "rho": 0.1, "backend": "montecarlo",
+                        "displacements": [[1, 0]],
+                        "controls": {"T": 20, "replicas": 200}}),
+        ("calibrate", {"model": dict(MARKED_MODEL, birth={
+            "form": "factorized", "alpha": "nearest", "Q": [[1.0] * 3] * 3})}),
+        ("simulate", {"model": FINITE_MODEL, "rho": 0.5, "T": 0.5,
+                      "snapshot_times": [-1.0, 0.5], "replicas": 120}),
+        ("simulate", {"model": FINITE_MODEL, "rho": 0.5, "T": 0.5,
+                      "snapshot_times": [0.5, 1.0], "replicas": 120}),
+        ("verify-lemmas", {"model": MARKED_MODEL, "replicas": 200,
+                           "heat_t_grid": [10, 1, 5]}),
+        ("verify-lemmas", {"model": MARKED_MODEL, "replicas": 200,
+                           "t_grid": [8.0, 2.0, 4.0]}),
     ])
     def test_unsupported_config_is_config_error(self, tmp_path, command, cfg):
         code, _ = run_cli(tmp_path, command, cfg, seed=1)

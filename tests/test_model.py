@@ -194,3 +194,16 @@ class TestModelFromDict:
                "death": {"per_mark": [1.0, 3.0]}}
         sp, m = model_from_dict(cfg)
         assert m.death[sp.locate(((0,), "B"))] == 3.0
+
+    def test_mark_kernel_shape_mismatch(self):
+        cfg = {"space": {"type": "product", "d": 1, "R": 1,
+                         "boundary": "unbounded",
+                         "marks": ["A", "B"], "nu": [0.5, 0.5]},
+               "birth": {"form": "factorized", "alpha": "nearest",
+                         "Q": np.ones((3, 3)).tolist()},
+               "death": {"per_mark": [1.0, 3.0]}}
+        with pytest.raises(ModelError, match="Q is 3x3 but the space has 2"):
+            model_from_dict(cfg)
+        kern = Kernel("factorized", stencil=nearest_stencil(1), Q=np.ones((3, 3)))
+        with pytest.raises(ModelError, match="Q is 3x3 but the space has 2"):
+            kernel_matrix(kern, build_space(cfg["space"]))

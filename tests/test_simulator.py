@@ -2,15 +2,37 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from contactlab.criticality import calibrate, solve_ground_state, ground_transform
 from contactlab.errors import ModelError
 from contactlab.hierarchy import evolve_hierarchy
 from contactlab.model import Kernel, RateModel, build_space
-from contactlab.simulator import (empirical_correlations, run_replicas,
-                                  sample_poisson_initial, simulate_contact)
+from contactlab.simulator import (ReplicaBatch, empirical_correlations,
+                                  run_replicas, simulate_contact)
 
 from conftest import random_finite_model
+
+
+def factorial_product(counts, idx):
+    """Per-replica, per-cell falling-factorial product: the reference the
+    vectorized moments of order n >= 3 must reproduce exactly."""
+    out = 1.0
+    seen = {}
+    for i in idx:
+        k = seen.get(i, 0)
+        out *= counts[i] - k
+        if out == 0.0:
+            return 0.0
+        seen[i] = k + 1
+    return out
+
+
+def fixed_batch(counts, replicas, t=0.0):
+    """A batch in which every replica holds ``counts`` at time ``t``."""
+    stacked = np.tile(np.asarray(counts, dtype=np.int64), (replicas, 1))
+    return ReplicaBatch(snapshots={t: stacked}, final_counts=stacked.copy(),
+                        truncated=np.zeros(replicas, dtype=bool))
 
 
 def one_point_critical():
@@ -94,11 +116,9 @@ class TestEmpiricalCorrelations:
         space = tm.space
         counts = np.zeros(4, dtype=int)
         counts[2] = 1
-        from contactlab.simulator import EventLog
-        logs = [EventLog(events=[], snapshots={0.0: counts.copy()})
-                for _ in range(200)]
-        k1 = empirical_correlations(logs, space, 0.0, 1, tm.mbar)
-        k2 = empirical_correlations(logs, space, 0.0, 2, tm.mbar)
+        batch = fixed_batch(counts, 200)
+        k1 = empirical_correlations(batch, space, 0.0, 1, tm.mbar)
+        k2 = empirical_correlations(batch, space, 0.0, 2, tm.mbar)
         assert k1.values[2] == pytest.approx(1.0 / tm.mbar[2])
         assert k2.values[2, 2] == 0.0
 
@@ -111,21 +131,37 @@ class TestEmpiricalCorrelations:
     def test_truncated_replicas_rejected(self, finite4_critical):
         tm = finite4_critical
         # a few replicas hit the cap and more than 100 stay under it
-        logs = run_replicas(tm, 0.5, 1.0, [1.0], 150, seed=13, event_cap=6)
-        n_trunc = sum(log.truncated for log in logs)
+        batch = run_replicas(tm, 0.5, 1.0, [1.0], 150, seed=13, event_cap=6)
+        n_trunc = int(batch.truncated.sum())
         assert 0 < n_trunc <= 50
+        # a truncated replica stopped before T, so its view has no t = T
+        # snapshot; every other replica has one
+        assert sum(log.truncated for log in batch) == n_trunc
+        assert all((1.0 in log.snapshots) != log.truncated for log in batch)
         with pytest.raises(ModelError, match=f"{n_trunc} of 150 replicas were "
                                              "truncated at the event cap of 6"):
-            empirical_correlations(logs, tm.space, 1.0, 1, tm.mbar)
+            empirical_correlations(batch, tm.space, 1.0, 1, tm.mbar)
 
     def test_falling_factorial_order3(self, finite4_critical):
         tm = finite4_critical
-        from contactlab.simulator import EventLog
-        counts = np.array([3, 0, 0, 0])
-        logs = [EventLog(events=[], snapshots={0.0: counts.copy()})
-                for _ in range(150)]
-        k3 = empirical_correlations(logs, tm.space, 0.0, 3, tm.mbar)
+        batch = fixed_batch([3, 0, 0, 0], 150)
+        k3 = empirical_correlations(batch, tm.space, 0.0, 3, tm.mbar)
         assert k3.values[0, 0, 0] == pytest.approx(3 * 2 * 1 / tm.mbar[0] ** 3)
+
+    def test_order3_matches_per_replica_formula(self, finite4_critical):
+        tm = finite4_critical
+        R = 120
+        counts = np.random.default_rng(14).poisson(1.5, size=(R, 4))
+        batch = ReplicaBatch(snapshots={0.0: counts}, final_counts=counts,
+                             truncated=np.zeros(R, dtype=bool))
+        k3 = empirical_correlations(batch, tm.space, 0.0, 3, tm.mbar)
+        cells = list(np.ndindex(4, 4, 4))
+        sample = np.array([[factorial_product(c.astype(float), idx)
+                            / np.prod([tm.mbar[i] for i in idx]) for idx in cells]
+                           for c in counts]).reshape(R, 4, 4, 4)
+        assert counts.max() >= 3
+        assert np.array_equal(k3.values, sample.mean(axis=0))
+        assert np.array_equal(k3.stderr, sample.std(axis=0, ddof=1) / np.sqrt(R))
 
 
 class TestHierarchyAgreement:
@@ -193,11 +229,35 @@ class TestJumpExtension:
         k1 = empirical_correlations(logs, space, 1.5, 1, tm.mbar)
         assert np.all(np.abs(k1.values - rho) <= 3.5 * k1.stderr)
 
+    def test_asymmetric_jumps_match_level1_expm(self):
+        # exact oracle: the mean counts solve m' = A m, with births, deaths
+        # and the jumps' inflow and outflow in A.  The jump kernel drives a
+        # 0 -> 1 -> 2 -> 0 cycle on non-uniform mbar, so a destination drawn
+        # from anything but the source's column of jump_M is far off.
+        from contactlab.criticality import TransformedModel
+        space = build_space({"type": "finite", "points": [0, 1, 2],
+                             "weights": [0.5, 1.0, 2.0]})
+        mbar = space.weights
+        b = np.array([[0.3, 0.1, 0.2], [0.2, 0.4, 0.1], [0.1, 0.3, 0.2]])
+        jb = np.array([[0.0, 0.1, 1.5], [2.0, 0.0, 0.1], [0.05, 0.8, 0.0]])
+        V = np.array([1.0, 0.7, 1.3])
+        tm = TransformedModel(space=space, b=b, mbar=mbar, death=V,
+                              psi=np.ones(3), jump_b=jb)
+        jump_M = jb * mbar[:, None]
+        A = b * mbar[:, None] - np.diag(V) + jump_M - np.diag(jump_M.sum(axis=0))
+        rho = 0.7
+        batch = run_replicas(tm, rho, 1.5, [0.5, 1.5], 20000, seed=15)
+        for t in (0.5, 1.5):
+            exact = expm(t * A) @ (rho * mbar) / mbar
+            k1 = empirical_correlations(batch, space, t, 1, mbar)
+            assert np.all(np.abs(k1.values - exact) <= 3.5 * k1.stderr)
+
 
 class TestReproducibility:
     def test_same_seed_same_logs(self, finite4_critical):
         a = run_replicas(finite4_critical, 0.5, 1.0, [1.0], 50, seed=42)
         b = run_replicas(finite4_critical, 0.5, 1.0, [1.0], 50, seed=42)
-        for la, lb in zip(a, b):
-            assert np.array_equal(la.final_counts, lb.final_counts)
-            assert np.array_equal(la.snapshots[1.0], lb.snapshots[1.0])
+        assert len(a) == len(b) == 50
+        assert np.array_equal(a.final_counts, b.final_counts)
+        assert np.array_equal(a.snapshots[1.0], b.snapshots[1.0])
+        assert np.array_equal(a.truncated, b.truncated)
