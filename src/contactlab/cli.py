@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -191,10 +192,40 @@ def _time_grid(cfg: dict, key: str):
     return grid
 
 
-def _tolerances_positive(cfg: dict):
-    for key in ("tol", "dt"):
-        if key in cfg and not (isinstance(cfg[key], (int, float)) and cfg[key] > 0):
-            raise ConfigError(f"config key '{key}' must be positive")
+# numeric config keys: (type, lower bound or None, whether the bound is strict)
+NUMERIC_KEYS = {
+    "T": (float, None, False), "rho": (float, 0, False), "lambda0": (float, 0, True),
+    "tol": (float, 0, True), "dt": (float, 0, True), "mc_tolerance": (float, None, False),
+    "replicas": (int, 1, False), "N": (int, 1, False), "n": (int, 1, False),
+    "n_max": (int, 1, False), "seed": (int, 0, False),
+}
+
+
+def _check_numbers(cfg: dict, where: str = "config key"):
+    """Each numeric key present is a finite number of its type (an int key
+    takes no float; a boolean is no number) at or above its lower bound."""
+    for key, (kind, low, strict) in NUMERIC_KEYS.items():
+        if key not in cfg:
+            continue
+        val = cfg[key]
+        ok = (isinstance(val, (int,) if kind is int else (int, float))
+              and not isinstance(val, bool) and math.isfinite(val)
+              and (low is None or val > low or (val == low and not strict)))
+        if not ok:
+            what = "an integer" if kind is int else "a finite number"
+            if low is not None:
+                what += f" {'>' if strict else '>='} {low}"
+            raise ConfigError(f"{where} '{key}' must be {what}, got {val!r}")
+
+
+def _orders(cfg: dict) -> list:
+    """Moment orders from the config: a non-empty list of integers >= 1."""
+    orders = cfg.get("orders", [1, 2])
+    if not (isinstance(orders, list) and orders and all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in orders)):
+        raise ConfigError(f"config key 'orders' must be a non-empty list of "
+                          f"integers >= 1, got {orders!r}")
+    return orders
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +309,7 @@ def cmd_stationary(cfg, run: Run, rng):
         if unknown:
             raise ConfigError(f"unknown montecarlo controls: "
                               f"{', '.join(sorted(unknown))}")
+        _check_numbers(controls, "montecarlo control")
         controls.setdefault("replicas", 20000)
         controls["rng"] = rng
         if "displacements" in cfg:
@@ -307,17 +339,17 @@ def cmd_stationary(cfg, run: Run, rng):
 
 def cmd_simulate(cfg, run: Run, rng):
     T = float(cfg.get("T", 2.0))
-    snap = [float(t) for t in cfg.get("snapshot_times", [T])]
     try:
+        snap = [float(t) for t in cfg.get("snapshot_times", [T])]
         snapshot_grid(T, snap)
-    except ModelError as exc:
+    except (TypeError, ValueError, ModelError) as exc:
         raise ConfigError(str(exc)) from exc
+    orders = _orders(cfg)
     space, model = _model_from_config(cfg, cfg["_path"])
     tm, _, _ = calibrate(model, space)
     rho = float(_require(cfg, "rho"))
     replicas = int(cfg.get("replicas", 1000))
     batch = run_replicas(tm, rho, T, snap, replicas, seed=int(cfg["seed"]))
-    orders = [int(n) for n in cfg.get("orders", [1, 2])]
     width = max(orders)
     rows = []
     for t in snap:
@@ -466,7 +498,7 @@ def main(argv=None) -> int:
         cfg["_path"] = args.config
         if args.seed is not None:
             cfg["seed"] = args.seed
-        _tolerances_positive(cfg)
+        _check_numbers(cfg)
         if args.command in STOCHASTIC_COMMANDS and "seed" not in cfg:
             raise ConfigError(f"command '{args.command}' requires a seed")
         outdir = Path(args.out or cfg.get("output_dir", "out"))

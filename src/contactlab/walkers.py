@@ -13,8 +13,14 @@ is estimated by exact path integrals of ``b`` along piecewise-constant
 two-walker trajectories (no time-discretization error), with a
 ``t^{1 - d/2}`` tail extrapolation.  All walker Monte Carlo runs on one
 vectorized stepper, ``_jump_chain``, which steps only the replicas short of
-the next grid time and draws steps and marks by inverse CDF;
-``simulate_jump`` is the scalar single-path reference it is tested against.
+the next grid time.  A replica's state is two integers: the lattice code of
+its signed walker sum (``_lattice_code``, ``63 // d`` bits per coordinate)
+and the index of its joint marks.  Each jump is one draw from a Walker alias
+table of (walker, step, new mark) for that joint state, and the integrand is
+looked up on the sorted codes of its support.  A start or a jump count that
+could carry a coordinate out of the code's range is a ``ModelError``.
+``simulate_jump`` is the scalar single-path reference the stepper is tested
+against.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal, stats
+from scipy import stats
 
 from .criticality import TransformedModel, ThetaKernel, theta_kernel
 from .errors import ModelError
@@ -81,6 +87,34 @@ class TransienceReport:
 # Walk law extraction
 # ---------------------------------------------------------------------------
 
+def _lattice_code(D) -> np.ndarray:
+    """Signed int64 code ``sum_i D[:, i] 2^(b i)`` of each row of D (R, d).
+
+    ``b = 63 // d`` bits per coordinate.  The code is linear in D, so a step
+    adds its own code, and one-to-one while every coordinate lies strictly
+    inside ``(-2^(b-1), 2^(b-1))``; a coordinate outside is a ``ModelError``.
+    Rows of a zero-dimensional D all have code 0.
+    """
+    D = np.asarray(D, dtype=np.int64)
+    R, d = D.shape
+    if d == 0:
+        return np.zeros(R, dtype=np.int64)
+    b = 63 // d
+    if D.size and int(np.abs(D).max()) >= 1 << (b - 1):
+        raise ModelError(f"lattice coordinate {int(np.abs(D).max())} is out of the "
+                         f"walker code range |x| < 2^{b - 1} in d = {d}")
+    return D @ (np.int64(1) << (b * np.arange(d, dtype=np.int64)))
+
+
+def _on_support(support: np.ndarray, codes: np.ndarray):
+    """Indices of the ``codes`` that lie on the sorted ``support``, and their
+    positions in it."""
+    # kind="sort": skip isin's probe for a range-indexed table, which codes
+    # in d >= 2 (spread over about 2^63) never fit
+    near = np.flatnonzero(np.isin(codes, support, kind="sort"))
+    return near, np.searchsorted(support, codes[near])
+
+
 @dataclass(frozen=True)
 class LatticeWalk:
     """Sampling-ready description of the lattice walker."""
@@ -92,17 +126,25 @@ class LatticeWalk:
     mark_trans: np.ndarray   # (M, M) row-stochastic
     Q: np.ndarray            # (M, M) mark factor of b (post-rescale)
     q: np.ndarray            # (M,)
-    alpha_table: np.ndarray  # dense alpha lookup over [-K, K]^d
-    K: int
+    support: np.ndarray      # sorted lattice codes of the nonzero alpha entries
+    support_alpha: np.ndarray  # alpha at those codes
+    K: int                   # sup norm of the largest step
     nu: np.ndarray
+
+    def alpha_at(self, codes: np.ndarray) -> np.ndarray:
+        """alpha at lattice codes; zero off the support."""
+        out = np.zeros(len(codes))
+        near, pos = _on_support(self.support, codes)
+        out[near] = self.support_alpha[pos]
+        return out
 
     def alpha_of(self, disp: np.ndarray) -> np.ndarray:
         """Vectorized stencil lookup; zero outside the support box."""
-        D = np.atleast_2d(disp)
-        inside = np.all(np.abs(D) <= self.K, axis=1)
-        idx = np.clip(D + self.K, 0, 2 * self.K)
-        flat = np.ravel_multi_index(tuple(idx.T), self.alpha_table.shape)
-        return np.where(inside, self.alpha_table.ravel()[flat], 0.0)
+        D = np.atleast_2d(np.asarray(disp, dtype=np.int64))
+        out = np.zeros(len(D))
+        inside = np.flatnonzero(np.all(np.abs(D) <= self.K, axis=1))
+        out[inside] = self.alpha_at(_lattice_code(D[inside]))
+        return out
 
     def b_pair(self, disp, sx, sy) -> np.ndarray:
         """b(X, Y) = alpha(xi_X - xi_Y) Q(s_X, s_Y) / q(s_X)."""
@@ -142,12 +184,13 @@ def lattice_walk(tm: TransformedModel, normalization_tol: float = 1e-9) -> Latti
                 f"walker jump law mass {total:.6g} deviates from 1: "
                 "model miscalibrated")
     K = max(int(np.abs(steps).max()), 1)
-    table = np.zeros((2 * K + 1,) * d)
-    for k, val in items:
-        table[tuple(np.asarray(k) + K)] = val
+    nonzero = vals != 0
+    codes = _lattice_code(steps[nonzero])
+    order = np.argsort(codes)
     probs = vals / vals.sum()
     return LatticeWalk(d=d, steps=steps, step_probs=probs, v=v, mark_trans=trans,
-                       Q=Q, q=q, alpha_table=table, K=K, nu=nu)
+                       Q=Q, q=q, support=codes[order],
+                       support_alpha=vals[nonzero][order], K=K, nu=nu)
 
 
 # ---------------------------------------------------------------------------
@@ -219,28 +262,82 @@ def simulate_jump(tm: TransformedModel, x0, T: float,
 # Vectorized jump-chain stepper
 # ---------------------------------------------------------------------------
 
+def _alias_table(P: np.ndarray):
+    """Walker alias tables of the rows of P (J, O), each summing to 1.
+
+    Returns ``(thresh, alias)`` of P's shape.  With ``u`` uniform on [0, O),
+    row r draws outcome ``i = floor(u)`` if ``u - i < thresh[r, i]`` and
+    ``alias[r, i]`` otherwise, so outcome i has probability
+    ``(thresh[r, i] + sum over alias[r, k] = i of (1 - thresh[r, k])) / O``.
+    An outcome of probability 0 gets threshold 0 and is no alias, so it is
+    never drawn.
+    """
+    J, O = P.shape
+    thresh = np.ones((J, O))
+    alias = np.tile(np.arange(O), (J, 1))
+    for r in range(J):
+        p = P[r] * O
+        small = [i for i in range(O) if p[i] < 1.0]
+        large = [i for i in range(O) if p[i] >= 1.0]
+        while small and large:
+            lo, hi = small.pop(), large.pop()
+            thresh[r, lo], alias[r, lo] = p[lo], hi
+            p[hi] -= 1.0 - p[lo]
+            (small if p[hi] < 1.0 else large).append(hi)
+        # what is left holds p = 1 up to rounding and keeps threshold 1
+    return thresh, alias
+
+
 def _jump_chain(v, mark_trans, steps, step_probs, D, s, sign, t_grid, rng,
-                integrand=None):
+                support=None):
     """Advance R replicas of W = len(sign) independent walkers to each grid time.
 
     Walker w holds an exponential time at rate ``v[s_w]``, then moves by a
     step drawn from ``step_probs`` and takes a mark drawn from row
-    ``mark_trans[s_w]``.  ``D`` (R, d) holds ``sum_w sign[w] xi_w`` and ``s``
-    (R, W) the marks; both are advanced in place.  At each grid time the
-    generator yields ``(I, n)``: the running integral of ``integrand(D, s)``
-    (held at the pre-jump state) and the jump count per replica, both updated
-    in place afterwards.  Only replicas short of the grid time are stepped;
-    clamping their holding times there is exact by memorylessness.
+    ``mark_trans[s_w]``.  A replica's state is the lattice code of
+    ``sum_w sign[w] xi_w`` (``D`` (R, d) at the start) and its joint mark
+    index ``js``, the C-order index of its marks (``s`` (R, W) at the start).
+    Each jump is one alias draw of (walker, step, new mark) from the table of
+    its ``js``, with probability ``v[s_w] / sum v * p_step * Theta(s_w, m')``;
+    the move adds the step's code and looks up the next ``js``.
+
+    The integrand, if any, is ``support = (codes, table)``: ``table[js, p]``
+    at the sorted lattice codes ``codes[p]`` and zero elsewhere.  At each grid
+    time the generator yields ``(I, n, code)``: per replica the running
+    integral of the integrand (held at the pre-jump state), the jump count
+    and the lattice code, updated in place afterwards.  Only replicas short of
+    the grid time are stepped; clamping their holding times there is exact by
+    memorylessness.  A jump count that could carry a coordinate out of the
+    code's range is a ``ModelError``.
     """
     R, W = s.shape
-    signed_steps = np.multiply.outer(sign, steps)      # (W, S, d)
-    step_cum = np.cumsum(step_probs)
-    nstep, nmark = len(step_cum), len(v)
-    # row r of the mark CDF shifted into (r, r + 1] with its last entry
-    # exactly r + 1: one searchsorted draws the new mark of every jumper
-    mark_cdf = np.cumsum(mark_trans, axis=1)
-    mark_cdf[:, -1] = 1.0
-    mark_cdf = (mark_cdf + np.arange(nmark)[:, None]).ravel()
+    nmark, d = len(v), steps.shape[1]
+    marks = np.array(list(np.ndindex(*(nmark,) * W)), dtype=np.int64)  # (J, W)
+    J = len(marks)
+    place = nmark ** np.arange(W - 1, -1, -1)
+    vw = v[marks]
+    rate = vw.sum(axis=1)
+    # outcome (w, j, m') of joint state js, flattened to js * O + o
+    P = ((vw / rate[:, None])[:, :, None, None] * step_probs[:, None]
+         * mark_trans[marks][:, :, None, :])
+    O = P[0].size
+    thresh, alias = _alias_table(P.reshape(J, O))
+    thresh = thresh.ravel()
+    alias = (alias + O * np.arange(J)[:, None]).ravel()
+    dcode = np.broadcast_to(np.multiply.outer(sign, _lattice_code(steps))[:, :, None],
+                            P.shape[1:]).ravel()
+    dcode = np.tile(dcode, J)
+    new_js = (np.arange(J)[:, None, None, None] + place[:, None, None]
+              * (np.arange(nmark) - marks[:, :, None, None]))
+    new_js = np.broadcast_to(new_js, P.shape).ravel()
+    if support is not None:
+        sup_codes, sup_table = support
+    # the range guard: no coordinate of the code may reach 2^(b - 1)
+    reach = int(np.abs(D).max()) if D.size else 0
+    K = int(np.abs(steps).max()) if steps.size else 0
+    limit = 1 << (63 // d - 1) if d else None
+    code = _lattice_code(D)
+    js = s @ place
     I = np.zeros(R)
     n = np.zeros(R, dtype=np.int64)
     t0 = 0.0     # every replica has been advanced to t0
@@ -248,44 +345,48 @@ def _jump_chain(v, mark_trans, steps, step_probs, D, s, sign, t_grid, rng,
         # the active replicas' state, compacted as replicas reach tb; a grid
         # time at or before t0 steps none
         idx = np.arange(R if tb > t0 else 0)
-        ta, Da, sa, Ia, na = np.full(R, t0), D.copy(), s.copy(), I.copy(), n.copy()
+        ta, ca, ja, Ia, na = np.full(R, t0), code.copy(), js.copy(), I.copy(), n.copy()
         while idx.size:
-            cum_rate = np.cumsum(v[sa], axis=1)
-            t_jump = ta + rng.exponential(size=idx.size) / cum_rate[:, -1]
-            if integrand is not None:
-                Ia += integrand(Da, sa) * (np.minimum(t_jump, tb) - ta)
+            t_jump = ta + rng.standard_exponential(idx.size) / (
+                rate[ja] if J > 1 else rate[0])
+            if support is not None:
+                near, pos = _on_support(sup_codes, ca)
+                if near.size:
+                    Ia[near] += sup_table[ja[near], pos] * (
+                        np.minimum(t_jump[near], tb) - ta[near])
             hit = t_jump < tb
             done = np.flatnonzero(~hit)
             if done.size:
                 out = idx[done]
-                D[out], s[out], I[out], n[out] = Da[done], sa[done], Ia[done], na[done]
+                code[out], js[out] = ca[done], ja[done]
+                I[out], n[out] = Ia[done], na[done]
                 keep = np.flatnonzero(hit)
-                idx, ta, Da, sa, Ia, na, cum_rate = (
-                    idx[keep], t_jump[keep], Da[keep], sa[keep], Ia[keep],
-                    na[keep], cum_rate[keep])
+                idx, ta, ca, ja, Ia, na = (idx[keep], t_jump[keep], ca[keep],
+                                           ja[keep], Ia[keep], na[keep])
             else:
                 ta = t_jump
-            k = idx.size
             na += 1
-            # the jumping walker: w with probability v[s_w] / sum_w v[s_w]
-            w = 0
-            if W > 1:
-                u = rng.random(k) * cum_rate[:, -1]
-                w = (u[:, None] >= cum_rate[:, :-1]).sum(axis=1)
-            if nstep:
-                j = np.minimum(np.searchsorted(step_cum, rng.random(k)), nstep - 1)
-                Da += signed_steps[w, j]
-            if nmark > 1:
-                rows = np.arange(k)
-                old = sa[rows, w]
-                new = np.searchsorted(mark_cdf, old + rng.random(k), side="right")
-                sa[rows, w] = np.minimum(new - old * nmark, nmark - 1)
+            u = rng.random(idx.size) * O
+            b = u.astype(np.int64)
+            frac = u - b
+            if J > 1:
+                b += ja * O
+            o = np.where(frac < thresh[b], b, alias[b])
+            ca += dcode[o]
+            if J > 1:
+                ja = new_js[o]
         t0 = max(t0, tb)
-        yield I, n
+        if limit is not None and reach + K * int(n.max(initial=0)) >= limit:
+            raise ModelError(
+                f"walker displacement may leave the lattice code range 2^"
+                f"{63 // d - 1} in d = {d}: start {reach} + {K} x {int(n.max())} jumps")
+        yield I, n, code
 
 
 def _geometric_checkpoints(T: float):
     """Eight checkpoints per decade from t = 0.5 up to T (the last is T)."""
+    if not T > 0:
+        raise ModelError(f"the horizon T = {T} must be positive")
     n = max(int(np.ceil(np.log10(T / 0.5) * 8)), 1)
     cps = 0.5 * (T / 0.5) ** (np.arange(1, n + 1) / n)
     cps[-1] = T
@@ -304,15 +405,20 @@ def pair_integral_curves(walk: LatticeWalk, d0, s0x: int, s0y: int, T: float,
     cps = _geometric_checkpoints(T)
     D = np.tile(np.asarray(d0, dtype=np.int64).reshape(walk.d), (replicas, 1))
     s = np.tile(np.array([s0x, s0y], dtype=np.int64), (replicas, 1))
-
-    def b(D, s):
-        val = walk.b_pair(D, s[:, 0], s[:, 1])
-        return val + walk.b_pair(-D, s[:, 1], s[:, 0]) if symmetrized else val
-
+    # b on the joint marks js = s_x M + s_y, at the sorted support codes
+    M = len(walk.v)
+    sx, sy = np.divmod(np.arange(M * M), M)
+    if symmetrized:
+        codes = np.union1d(walk.support, -walk.support)
+        table = (walk.alpha_at(codes) * (walk.Q[sx, sy] / walk.q[sx])[:, None]
+                 + walk.alpha_at(-codes) * (walk.Q[sy, sx] / walk.q[sy])[:, None])
+    else:
+        codes = walk.support
+        table = walk.support_alpha * (walk.Q[sx, sy] / walk.q[sx])[:, None]
     running = np.empty((len(cps), replicas))
     chain = _jump_chain(walk.v, walk.mark_trans, walk.steps, walk.step_probs, D, s,
-                        (1, -1), cps, rng, integrand=b)
-    for i, (I, _) in enumerate(chain):
+                        (1, -1), cps, rng, support=(codes, table))
+    for i, (I, _, _) in enumerate(chain):
         running[i] = I
     mean = running.mean(axis=1)
     stderr = running.std(axis=1, ddof=1) / np.sqrt(replicas)
@@ -446,7 +552,7 @@ def heat_bound_check(tm: TransformedModel, t_grid, x0, xi1, replicas: int,
     t_grid = np.asarray(t_grid, dtype=float)
     D = np.tile(xi0 - xi1, (replicas, 1))     # xi(t) - xi_1
     s = np.full((replicas, 1), s0, dtype=np.int64)
-    vals = np.array([kappa * walk.alpha_of(D) for _ in _jump_chain(
+    vals = np.array([kappa * walk.alpha_at(code) for _, _, code in _jump_chain(
         walk.v, walk.mark_trans, walk.steps, walk.step_probs, D, s, (1,), t_grid, rng)])
     est = vals.mean(axis=1)
     se = vals.std(axis=1, ddof=1) / np.sqrt(replicas)
@@ -469,11 +575,13 @@ def heat_bound_check(tm: TransformedModel, t_grid, x0, xi1, replicas: int,
 
 def iterated_convolution(alpha: Kernel | dict, d: int, n_max: int,
                          mass_tol: float = 1e-9):
-    """alpha^{*n} for n = 1..n_max by FFT convolution on a growing window.
+    """alpha^{*n} for n = 1..n_max by the stencil recursion
+    ``alpha^{*(n+1)} = sum_k alpha_k shift_k(alpha^{*n})`` over the nonzero
+    entries ``k``, on a window that grows by the stencil radius each step.
 
-    Compactly supported stencils never leak mass (the window grows with n);
-    the mass deficit is still monitored against ``mass_tol``.
-    Returns ``(sups, arrays_last)`` where ``sups[n-1] = sup alpha^{*n}``.
+    The window holds the whole support, so no mass leaks; the mass deficit is
+    still monitored against ``mass_tol``.  Returns ``(sups, arrays_last)``
+    where ``sups[n-1] = sup alpha^{*n}``.
     """
     st = alpha.stencil if isinstance(alpha, Kernel) else {
         tuple(np.atleast_1d(k)): float(v) for k, v in alpha.items()}
@@ -484,11 +592,21 @@ def iterated_convolution(alpha: Kernel | dict, d: int, n_max: int,
     total = base.sum()
     if abs(total - 1.0) > 1e-9:
         raise ModelError(f"stencil mass {total:.6g} is not normalized to 1")
-    cur = base.copy()
+    # window offsets of the nonzero entries, grouped by value: one product
+    # v * alpha^{*n} per distinct value
+    groups = {}
+    for k, v in st.items():
+        if v != 0.0:
+            groups.setdefault(v, []).append(np.asarray(k) + K)
+    cur = base
     sups = [float(cur.max())]
-    for _ in range(2, n_max + 1):
-        cur = signal.fftconvolve(cur, base, mode="full")
-        np.clip(cur, 0.0, None, out=cur)
+    for n in range(2, n_max + 1):
+        nxt = np.zeros((2 * n * K + 1,) * d)
+        for v, offsets in groups.items():
+            scaled = v * cur
+            for lo in offsets:
+                nxt[tuple(slice(c, c + m) for c, m in zip(lo, cur.shape))] += scaled
+        cur = nxt
         deficit = abs(cur.sum() - 1.0)
         if deficit > mass_tol:
             raise ModelError(f"convolution mass leakage {deficit:.3e}")
@@ -517,10 +635,11 @@ def mark_chain_jump_counts(v: np.ndarray, trans: np.ndarray, nu: np.ndarray,
         s = rng.choice(len(v), size=replicas, p=nu / nu.sum())
     else:
         s = np.full(replicas, s0, dtype=np.int64)
-    chain = _jump_chain(v, trans, np.zeros((0, 0), dtype=np.int64), np.zeros(0),
+    # one step of dimension 0: only the mark moves
+    chain = _jump_chain(v, trans, np.zeros((1, 0), dtype=np.int64), np.ones(1),
                         np.zeros((replicas, 0), dtype=np.int64), s[:, None], (1,),
                         np.asarray(t_grid, dtype=float), rng)
-    return np.column_stack([n.copy() for _, n in chain])
+    return np.column_stack([n.copy() for _, n, _ in chain])
 
 
 def poisson_domination_check(v: np.ndarray, theta: ThetaKernel, lambda0: float,

@@ -91,6 +91,15 @@ class TestExitCodes:
                            "heat_t_grid": [10, 1, 5]}),
         ("verify-lemmas", {"model": MARKED_MODEL, "replicas": 200,
                            "t_grid": [8.0, 2.0, 4.0]}),
+        ("simulate", {"model": FINITE_MODEL, "rho": 0.5, "T": "abc",
+                      "replicas": 120}),
+        ("simulate", {"model": FINITE_MODEL, "rho": 0.5, "T": 0.5,
+                      "replicas": "x"}),
+        ("simulate", {"model": FINITE_MODEL, "rho": -0.5, "T": 0.5,
+                      "replicas": 120}),
+        ("simulate", {"model": FINITE_MODEL, "rho": 0.5, "T": 0.5,
+                      "replicas": 120, "orders": [0]}),
+        ("transience", {"model": LATTICE_MODEL, "T": 0, "replicas": 200}),
     ])
     def test_unsupported_config_is_config_error(self, tmp_path, command, cfg):
         code, _ = run_cli(tmp_path, command, cfg, seed=1)

@@ -7,10 +7,10 @@ from scipy import stats
 from contactlab.criticality import calibrate, theta_kernel
 from contactlab.errors import ModelError
 from contactlab.model import Kernel, RateModel, build_space
-from contactlab.walkers import (LOWER_TAIL_B, convolution_bound_check,
-                                estimate_H, heat_bound_check,
-                                iterated_convolution, lattice_walk,
-                                lower_tail_bound_check,
+from contactlab.walkers import (LOWER_TAIL_B, _alias_table,
+                                convolution_bound_check, estimate_H,
+                                heat_bound_check, iterated_convolution,
+                                lattice_walk, lower_tail_bound_check,
                                 mark_chain_jump_counts, pair_integral_curves,
                                 poisson_domination_check, simulate_jump)
 
@@ -255,6 +255,50 @@ class TestPairEngine:
                        rng=np.random.default_rng(14))
 
 
+class TestLatticeCode:
+    def test_alias_rows_match_target(self):
+        # implied probability of outcome i: (thresh[i] + sum over the bins k
+        # aliased to i of (1 - thresh[k])) / O
+        rng = np.random.default_rng(21)
+        for O in (1, 2, 5, 12, 24, 96):
+            P = rng.random((40, O)) * (rng.random((40, O)) < 0.6)
+            P[:, -1] += 0.01
+            P /= P.sum(axis=1, keepdims=True)
+            thresh, alias = _alias_table(P)
+            implied = thresh.copy()
+            for r in range(len(P)):
+                np.add.at(implied[r], alias[r], 1.0 - thresh[r])
+            implied /= O
+            assert np.abs(implied - P).max() <= 1e-15
+            assert np.all(implied[P == 0] == 0.0)
+
+    def test_alpha_of_matches_stencil(self):
+        stencil = {(1, 0): 0.3, (-2, 1): 0.2, (0, -1): 0.5}
+        space = build_space({"type": "lattice", "d": 2, "R": 2,
+                             "boundary": "unbounded"})
+        model = RateModel(birth=Kernel("stencil", stencil=stencil),
+                          death=np.ones(space.size))
+        tm, _, _ = calibrate(model, space)
+        walk = lattice_walk(tm)
+        box = np.array([(x, y) for x in range(-5, 6) for y in range(-5, 6)]
+                       + [(2 ** 40, 0), (-3, -2 ** 40)])
+        expect = [tm.alpha.get(tuple(u), 0.0) for u in box]
+        assert np.array_equal(walk.alpha_of(box), expect)
+
+    def test_code_range_guard(self, z3_critical):
+        # 21 bits per coordinate on Z^3: |x| must stay below 2^20
+        walk = lattice_walk(z3_critical)
+        rng = np.random.default_rng(22)
+        with pytest.raises(ModelError):
+            pair_integral_curves(walk, (2 ** 20, 0, 0), 0, 0, 1.0, 10, rng)
+        # two jumps could reach 2^20: caught at a grid time
+        with pytest.raises(ModelError):
+            pair_integral_curves(walk, (2 ** 20 - 2, 0, 0), 0, 0, 50.0, 100, rng)
+        cps, mean, _, _ = pair_integral_curves(walk, (-(2 ** 20) + 500, 0, 0),
+                                               0, 0, 50.0, 100, rng)
+        assert mean[-1] == 0.0
+
+
 class TestHeatBound:
     def test_small_t_limit(self):
         space, model = marked_model(Q=[[2, 1], [1, 2]], v=[1.0, 3.0], d=3)
@@ -320,6 +364,48 @@ class TestConvolution:
     def test_unnormalized_rejected(self):
         with pytest.raises(ModelError):
             iterated_convolution({(0,): 0.7}, 1, 4)
+
+    def test_z1_binomial(self):
+        # alpha^{*n}(x) = C(n, (n + x) / 2) / 2^n for n + x even
+        from math import comb
+        n_max = 40
+        sups, last = iterated_convolution({(-1,): 0.5, (1,): 0.5}, 1, n_max)
+        x = np.arange(-n_max, n_max + 1)
+        exact = np.array([comb(n_max, (n_max + c) // 2) / 2 ** n_max
+                          if (n_max + c) % 2 == 0 else 0.0 for c in x])
+        assert np.allclose(last, exact, rtol=1e-12, atol=0.0)
+        n = np.arange(1, n_max + 1)
+        assert np.allclose(sups, [comb(k, k // 2) / 2 ** k for k in n],
+                           rtol=1e-12, atol=0.0)
+
+    def test_asymmetric_lazy_stencil(self):
+        st = {(-1,): 0.2, (0,): 0.5, (2,): 0.3}
+        base = np.array([0.0, 0.2, 0.5, 0.0, 0.3])      # offsets -2..2
+        cur = base
+        sups, last = iterated_convolution(st, 1, 12)
+        for n in range(2, 13):
+            cur = np.convolve(cur, base)
+            assert sups[n - 1] == pytest.approx(cur.max(), rel=1e-13)
+        assert np.abs(last - cur).max() <= 1e-15
+
+    def test_z3_matches_fft(self):
+        from scipy import signal
+
+        def fft_convolution(stencil, d, n_max):
+            base = np.zeros((3,) * d)
+            for k, v in stencil.items():
+                base[tuple(np.asarray(k) + 1)] = v
+            cur, sups = base.copy(), [base.max()]
+            for _ in range(2, n_max + 1):
+                cur = np.clip(signal.fftconvolve(cur, base, mode="full"), 0.0, None)
+                sups.append(cur.max())
+            return np.array(sups), cur
+
+        sups, last = iterated_convolution(nearest_stencil(3), 3, 24)
+        ref_sups, ref_last = fft_convolution(nearest_stencil(3), 3, 24)
+        assert last.shape == ref_last.shape
+        assert np.abs(sups / ref_sups - 1.0).max() <= 1e-12
+        assert np.abs(last - ref_last).max() <= 1e-12 * ref_last.max()
 
 
 class TestPoissonDomination:
