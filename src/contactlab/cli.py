@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -25,9 +26,8 @@ import numpy as np
 from . import __version__
 from .criticality import calibrate, theta_kernel
 from .errors import ConfigError, ContactLabError, DivergenceError, ModelError
-from .hierarchy import (bound_constant_D, convergence_check, evolve_hierarchy,
-                        factorial_bound_check, HierarchySolution,
-                        stationary_k)
+from .hierarchy import (bound_constant_D, evolve_hierarchy, factorial_bound_check,
+                        HierarchySolution, poisson_initial, stationary_k)
 from .model import load_model_config, model_from_dict
 from .simulator import empirical_correlations, run_replicas, snapshot_grid
 from .walkers import (convolution_bound_check, estimate_H, heat_bound_check,
@@ -64,7 +64,23 @@ def _write_csv(path: Path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
+
+
+def _index_fields(n: int, size: int, width: int | None = None) -> list:
+    """``x1,..,xn`` of every index of an order-n tensor over ``size`` points
+    in C order, padded with empty fields to ``width`` indices."""
+    pad = "," * ((width or n) - n)
+    labels = [str(i) for i in range(size)]
+    return [",".join(idx) + pad for idx in itertools.product(labels, repeat=n)]
+
+
+def _tensor_rows(lead: tuple, index: list, *tensors) -> list:
+    """CSV rows ``lead, x1..xn, values`` of same-shape tensors in C index
+    order, formatted column by column; ``index`` is from ``_index_fields``."""
+    lead = tuple(map(_fmt, lead))
+    cols = [[format(v, ".17g") for v in np.ravel(a).tolist()] for a in tensors]
+    return [lead + cells for cells in zip(index, *cols)]
 
 
 def _digest(path: Path) -> str:
@@ -218,14 +234,14 @@ def _check_numbers(cfg: dict, where: str = "config key"):
             raise ConfigError(f"{where} '{key}' must be {what}, got {val!r}")
 
 
-def _orders(cfg: dict) -> list:
-    """Moment orders from the config: a non-empty list of integers >= 1."""
-    orders = cfg.get("orders", [1, 2])
-    if not (isinstance(orders, list) and orders and all(
-            isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in orders)):
-        raise ConfigError(f"config key 'orders' must be a non-empty list of "
-                          f"integers >= 1, got {orders!r}")
-    return orders
+def _int_list(cfg: dict, key: str, default: list, low: int) -> list:
+    """The config's ``key``: a non-empty list of integers >= ``low``."""
+    vals = cfg.get(key, default)
+    if not (isinstance(vals, list) and vals and all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= low for n in vals)):
+        raise ConfigError(f"config key '{key}' must be a non-empty list of "
+                          f"integers >= {low}, got {vals!r}")
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +296,13 @@ def cmd_evolve(cfg, run: Run, rng):
     rho = float(_require(cfg, "rho"))
     N = int(cfg.get("N", 2))
     T = float(cfg.get("T", 2.0))
-    results = evolve_hierarchy(tm, rho, N, T, dt=float(cfg.get("dt", 0.05)))
-    for n, (times, traj) in results.items():
-        rows = []
-        for t, tensor in zip(times, traj):
-            for idx in np.ndindex(*tensor.values.shape):
-                rows.append((t,) + idx + (tensor.values[idx],))
+    # the evolution is exact: dt only spaces the output times
+    grid = np.linspace(0.0, T, max(round(T / float(cfg.get("dt", 0.05))), 1) + 1)
+    k0 = [poisson_initial(n, rho, space) for n in range(1, N + 1)]
+    for n, (times, traj) in evolve_hierarchy(tm, k0, grid).items():
+        index = _index_fields(n, space.size)
+        rows = [row for t, tensor in zip(times, traj)
+                for row in _tensor_rows((t,), index, tensor.values)]
         run.write_csv(f"evolve_k{n}.csv",
                       ["t"] + [f"x{i + 1}" for i in range(n)] + ["value"], rows)
     return EXIT_OK
@@ -330,9 +347,9 @@ def cmd_stationary(cfg, run: Run, rng):
                       [f"u{i + 1}" for i in range(space.dim)] + ["value", "stderr"],
                       rows)
     else:
-        rows = [idx + (k.values[idx],) for idx in np.ndindex(*k.values.shape)]
         run.write_csv(f"stationary_k{n}.csv",
-                      [f"x{i + 1}" for i in range(n)] + ["value"], rows)
+                      [f"x{i + 1}" for i in range(n)] + ["value"],
+                      _tensor_rows((), _index_fields(n, space.size), k.values))
     run.checks["stationary_converged"] = True
     return EXIT_OK
 
@@ -344,20 +361,19 @@ def cmd_simulate(cfg, run: Run, rng):
         snapshot_grid(T, snap)
     except (TypeError, ValueError, ModelError) as exc:
         raise ConfigError(str(exc)) from exc
-    orders = _orders(cfg)
+    orders = _int_list(cfg, "orders", [1, 2], 1)
     space, model = _model_from_config(cfg, cfg["_path"])
     tm, _, _ = calibrate(model, space)
     rho = float(_require(cfg, "rho"))
     replicas = int(cfg.get("replicas", 1000))
     batch = run_replicas(tm, rho, T, snap, replicas, seed=int(cfg["seed"]))
     width = max(orders)
+    index = {n: _index_fields(n, space.size, width) for n in orders}
     rows = []
     for t in snap:
         for n in orders:
             est = empirical_correlations(batch, space, t, n, tm.mbar)
-            for idx in np.ndindex(*est.values.shape):
-                rows.append((t, n) + idx + ("",) * (width - n)
-                            + (est.values[idx], est.stderr[idx]))
+            rows += _tensor_rows((t, n), index[n], est.values, est.stderr)
     header = ["t", "order"] + [f"x{i + 1}" for i in range(width)] + ["value", "stderr"]
     run.write_csv("moments.csv", header, rows)
     run.write_json("simulate.json",
@@ -369,6 +385,7 @@ def cmd_simulate(cfg, run: Run, rng):
 def cmd_verify_lemmas(cfg, run: Run, rng):
     tgrid = _time_grid(cfg, "t_grid")
     hb_grid = _time_grid(cfg, "heat_t_grid")
+    kgrid = _int_list(cfg, "k_grid", list(range(8)), 0)
     space, model = _model_from_config(cfg, cfg["_path"])
     tm, _, _ = calibrate(model, space)
     d = space.dim or 1
@@ -390,7 +407,6 @@ def cmd_verify_lemmas(cfg, run: Run, rng):
     replicas = int(cfg.get("replicas", 20000))
     if tm.marked:
         theta = theta_kernel(tm)
-        kgrid = np.asarray(cfg.get("k_grid", np.arange(0, 8)), dtype=int)
         dom = poisson_domination_check(tm.v, theta, lam0, tgrid, kgrid,
                                        replicas, rng)
         results["poisson_domination"] = {"passed": dom["passed"],

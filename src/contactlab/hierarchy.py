@@ -7,15 +7,18 @@ Level n of the hierarchy evolves by
                            + sum_i sum_y b(x_i, y) k(.., y, ..) mbar(y),
     f_n(x_1..x_n) = sum_i k_prev(.., x_i dropped, ..) sum_{j != i} b(x_i, x_j),
 
-with f_1 = 0.  The semigroup exp(t Lhat_n) factorizes over coordinates as a
-tensor product of the level-1 semigroup, so the dense backend applies the
-scaled-and-squared matrix exponential of the level-1 generator along each
-tensor axis and never forms the size^n x size^n matrix.  The stationary
-solution is k_n = int_0^inf exp(t Lhat_n) f_n dt + rho^n, built recursively.
-On a finite space the integral is -Lhat_n^{-1} f_n, which the dense backend
-solves directly (Bartels-Stewart on one complex Schur form of the level-1
-generator G); it exists exactly when the spectral abscissa of G is negative,
-and a DivergenceError reports the leading eigenvalues otherwise.  On
+with f_1 = 0.  Lhat_n is the Kronecker sum of the level-1 generator G over
+the n tensor axes, so exp(t Lhat_n) is the n-fold tensor power of exp(tG).
+Levels 1..N evolve exactly: the flattened (k_1, ..., k_N) solve one linear
+system dz/dt = A z whose sparse block-lower-triangular generator A has
+Lhat_n on its diagonal and the source map k_{n-1} -> f_n below it, and the
+action z(t) = exp(tA) z(0) is computed by ``expm_multiply`` (Al-Mohy and
+Higham 2011) to double precision at the requested output times.  The
+stationary solution is k_n = int_0^inf exp(t Lhat_n) f_n dt + rho^n, built
+recursively.  On a finite space the integral is -Lhat_n^{-1} f_n, which the
+dense backend solves directly (Bartels-Stewart on one complex Schur form of
+G); it exists exactly when the spectral abscissa of G is negative, and a
+DivergenceError reports the leading eigenvalues otherwise.  On
 unbounded lattices the integral is estimated by the Feynman-Kac two-walker
 representation  exp(t Lhat_2) b = E_{x,y} b(X_t, Y_t).
 """
@@ -25,10 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import expm, schur
 from scipy.linalg.lapack import ztrsyl as trsyl
+from scipy.sparse.linalg import expm_multiply
 
-from .criticality import GroundState, TransformedModel
+from .criticality import TransformedModel
 from .errors import ConvergenceError, DivergenceError, ModelError
 from .walkers import (lattice_walk, pair_integral_curves, parse_start, _tail_fit,
                       _increment_exponent)
@@ -41,7 +46,6 @@ __all__ = [
     "apply_Lhat",
     "source_f",
     "semigroup_apply",
-    "evolve",
     "evolve_hierarchy",
     "poisson_initial",
     "stationary_k",
@@ -68,9 +72,6 @@ class CorrelationTensor:
     @property
     def sup(self) -> float:
         return float(np.abs(self.values).max())
-
-    def copy(self) -> "CorrelationTensor":
-        return CorrelationTensor(self.order, self.values.copy())
 
 
 @dataclass
@@ -117,6 +118,20 @@ def apply_Lhat(n: int, tm: TransformedModel, k: CorrelationTensor) -> Correlatio
     return CorrelationTensor(n, out)
 
 
+def _source_terms(n: int, B: np.ndarray):
+    """The terms of f_n: for each ordered pair of axes i != j, yield i and B
+    shaped to broadcast with axis i as its first argument and axis j as its
+    second, so f_n = sum over terms of b(x_i, x_j) k_prev(.., x_i dropped, ..)."""
+    size = len(B)
+    for i in range(n):
+        for j in range(n):
+            if j == i:
+                continue
+            sh = [1] * n
+            sh[i], sh[j] = size, size
+            yield i, (B if i < j else B.T).reshape(sh)
+
+
 def source_f(n: int, tm: TransformedModel, k_prev: CorrelationTensor) -> CorrelationTensor:
     """Lower-level coupling f_n built from the level-(n-1) tensor."""
     if n < 1:
@@ -125,19 +140,9 @@ def source_f(n: int, tm: TransformedModel, k_prev: CorrelationTensor) -> Correla
         return CorrelationTensor(1, np.zeros(tm.space.size))
     if k_prev.order != n - 1:
         raise ModelError(f"expected order {n - 1} input, got {k_prev.order}")
-    size = tm.space.size
-    B = tm.b
-    out = np.zeros((size,) * n)
-    for i in range(n):
-        ki = np.expand_dims(k_prev.values, i)  # constant along axis i
-        for j in range(n):
-            if j == i:
-                continue
-            # orient B so axis i indexes its first argument, axis j its second
-            sh = [1] * n
-            sh[i], sh[j] = size, size
-            Bb = (B if i < j else B.T).reshape(sh)
-            out += ki * Bb
+    out = np.zeros((tm.space.size,) * n)
+    for i, Bij in _source_terms(n, tm.b):
+        out += np.expand_dims(k_prev.values, i) * Bij  # constant along axis i
     return CorrelationTensor(n, out)
 
 
@@ -149,63 +154,17 @@ def semigroup_apply(tm: TransformedModel, t: float, k: CorrelationTensor,
     return CorrelationTensor(k.order, _apply_each_axis(E, k.values))
 
 
-def poisson_initial(n: int, rho: float, space=None, gs: GroundState | None = None,
-                    convention: str = "mbar") -> CorrelationTensor:
+def poisson_initial(n: int, rho: float, space=None) -> CorrelationTensor:
     """Initial data of the Poisson measure with intensity rho.
 
     In the mbar convention this is the constant tensor rho^n (the marked
-    per-mark profile q is absorbed by the measure change; the conversion
-    from the m convention divides by prod q(s_i)).  Passing
-    ``convention="m"`` with a marked ground state returns the m-convention
-    tensor rho^n prod q(s_i) instead.
+    per-mark profile q is absorbed by the measure change).
     """
     if n == 0:
         return CorrelationTensor(0, np.asarray(1.0))
     if space is None:
         raise ModelError("space required for n >= 1")
-    size = space.size
-    if convention == "m" and gs is not None:
-        qv = gs.psi
-        out = np.full((size,) * n, float(rho) ** n)
-        for i in range(n):
-            sh = [1] * n
-            sh[i] = size
-            out = out * qv.reshape(sh)
-        return CorrelationTensor(n, out)
-    return CorrelationTensor(n, np.full((size,) * n, float(rho) ** n))
-
-
-def evolve(n: int, tm: TransformedModel, k0: CorrelationTensor, source, T: float,
-           controls: dict | None = None):
-    """Integrate dk/dt = Lhat_n k + f_t from 0 to T.
-
-    Exact semigroup stepping with Simpson quadrature of the source over
-    each step; ``source`` is None (f = 0) or a callable t -> ndarray.
-    Returns ``(times, tensors)`` on the uniform step grid.
-    """
-    controls = controls or {}
-    if k0.order != n:
-        raise ModelError(f"expected initial tensor of order {n}")
-    dt = float(controls.get("dt", 0.05))
-    steps = max(int(round(T / dt)), 1)
-    dt = T / steps
-    G = generator_matrix(tm)
-    E = expm(dt * G)
-    Eh = expm(0.5 * dt * G)
-    times = [0.0]
-    traj = [k0.copy()]
-    k = k0.values
-    for s in range(steps):
-        t = s * dt
-        k = _apply_each_axis(E, k)
-        if source is not None:
-            f0 = _apply_each_axis(E, source(t))
-            fm = _apply_each_axis(Eh, source(t + 0.5 * dt))
-            f1 = source(t + dt)
-            k = k + (dt / 6.0) * (f0 + 4.0 * fm + f1)
-        times.append(t + dt)
-        traj.append(CorrelationTensor(n, k.copy()))
-    return np.array(times), traj
+    return CorrelationTensor(n, np.full((space.size,) * n, float(rho) ** n))
 
 
 def _apply_each_axis(M: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -215,33 +174,61 @@ def _apply_each_axis(M: np.ndarray, k: np.ndarray) -> np.ndarray:
     return k
 
 
-def evolve_hierarchy(tm: TransformedModel, rho: float, N: int, T: float,
-                     dt: float = 0.05):
-    """Evolve levels 1..N from Poisson initial data with coupled sources.
+def _augmented_generator(tm: TransformedModel, N: int) -> sp.csr_matrix:
+    """Generator A of z = (vec k_1, ..., vec k_N), with dz/dt = A z.
 
-    Level n is stepped at dt while level n-1 is computed on the dt/2 grid,
-    so the Simpson nodes of each step are exact trajectory points.
-    Returns ``{n: (times, tensors)}``.
+    Block (n, n) is Lhat_n, the Kronecker sum of G over n axes; block
+    (n, n-1) is the matrix of the source map k_{n-1} -> f_n.  Vectors are
+    tensors flattened in C order.
     """
-    results = {}
-    prev_times = prev_traj = None
-    for n in range(1, N + 1):
-        level_dt = dt / (2 ** (N - n))
-        k0 = poisson_initial(n, rho, tm.space)
-        if n == 1:
-            src = None
-        else:
-            times_p, traj_p = prev_times, prev_traj
-            t_step = times_p[1] - times_p[0]
+    size = tm.space.size
+    G = sp.csr_matrix(generator_matrix(tm))
+    blocks = [[None] * N for _ in range(N)]
+    blocks[0][0] = L = G
+    for n in range(2, N + 1):
+        # G on the last axis, Lhat_{n-1} on the others
+        blocks[n - 1][n - 1] = L = sp.kronsum(G, L, format="csr")
+        # each term repeats k_{n-1} along a new axis i, then weights by b(x_i, x_j)
+        blocks[n - 1][n - 2] = sum(
+            sp.diags(np.broadcast_to(Bij, (size,) * n).ravel())
+            @ sp.kron(sp.kron(sp.identity(size ** i), np.ones((size, 1))),
+                      sp.identity(size ** (n - 1 - i)))
+            for i, Bij in _source_terms(n, tm.b))
+    A = sp.bmat(blocks, format="csr")
+    A.eliminate_zeros()
+    return A
 
-            def src(t, traj_p=traj_p, t_step=t_step, n=n):
-                idx = int(round(t / t_step))
-                idx = min(idx, len(traj_p) - 1)
-                return source_f(n, tm, traj_p[idx]).values
-        times, traj = evolve(n, tm, k0, src, T, {"dt": level_dt})
-        results[n] = (times, traj)
-        prev_times, prev_traj = times, traj
-    return results
+
+def evolve_hierarchy(tm: TransformedModel, k0: list, times) -> dict:
+    """Exact solution of levels 1..N at the output ``times``.
+
+    ``k0`` lists the initial tensors of orders 1..N (``poisson_initial``
+    for Poisson data).  ``times`` is any finite, non-negative,
+    non-decreasing grid; the solution is carried from one output time to
+    the next by ``expm_multiply`` of the augmented generator, so no step
+    size controls its accuracy.  Returns ``{n: (times, tensors)}``.
+    """
+    size = tm.space.size
+    N = len(k0)
+    if N < 1 or any(k.values.shape != (size,) * n for n, k in enumerate(k0, 1)):
+        raise ModelError(f"initial data must be tensors of orders 1..N over "
+                         f"{size} points")
+    times = np.asarray(times, dtype=float)
+    if (times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times))
+            or times[0] < 0 or np.any(np.diff(times) < 0)):
+        raise ModelError("output times must be a non-empty, finite, non-negative "
+                         "and non-decreasing grid")
+    A = _augmented_generator(tm, N)
+    trace = A.trace()
+    z = np.concatenate([k.values.ravel() for k in k0])
+    states = []
+    for h in np.diff(times, prepend=0.0):
+        z = expm_multiply(h * A, z, traceA=h * trace)
+        states.append(z)
+    offsets = np.cumsum([0] + [size ** n for n in range(1, N + 1)])
+    return {n: (times, [CorrelationTensor(n, z[offsets[n - 1]:offsets[n]]
+                                          .reshape((size,) * n)) for z in states])
+            for n in range(1, N + 1)}
 
 
 # A level-n stationary solution exists iff the spectral abscissa of the
@@ -385,24 +372,26 @@ def convergence_check(n: int, tm: TransformedModel, rho: float, T_grid,
                       backend: str = "dense", controls: dict | None = None) -> dict:
     """Distance of the evolved solution from the stationary one over time.
 
-    Dense backend: evolve from Poisson initial data and report
+    Dense backend: evolve exactly from Poisson initial data and report
     ``sup |k_t - k_rho|`` at the grid times (a DivergenceError from the
     stationary construction is reported as non-convergence with the growth
     of ``sup |k_t|`` as the diagnostic).  Monte Carlo backend: the distance
-    equals rho times the tail of the running two-walker integral.
+    equals rho times the tail of the running two-walker integral; it needs
+    a precomputed ``estimate`` or an ``rng``.
     """
     controls = controls or {}
+    allowed = {"dense": {"tol"},
+               "montecarlo": {"estimate", "rng", "displacements", "replicas"}}
+    if backend not in allowed or set(controls) - allowed[backend]:
+        raise ModelError(f"unknown backend {backend!r} or controls {sorted(controls)}")
     T_grid = np.asarray(T_grid, dtype=float)
     T = float(T_grid[-1])
     if backend == "montecarlo":
         est = controls.get("estimate")
         if est is None:
-            rng = controls.get("rng")
-            if rng is None:
-                rng = np.random.default_rng(controls.get("seed", 0))
             est = stationary_pair_mc(tm, rho, displacements=controls.get("displacements"),
                                      T=T, replicas=controls.get("replicas", 20000),
-                                     rng=rng)
+                                     rng=controls.get("rng"))
         dist = None
         se3 = 0.0
         for u, cur in est.curves.items():
@@ -411,19 +400,17 @@ def convergence_check(n: int, tm: TransformedModel, rho: float, T_grid,
             se3 = max(se3, 3 * rho * float(cur["stderr"][-1]))
         return {"t": T_grid, "distance": dist, "threshold": se3,
                 "converged": bool(dist[-1] <= se3), "estimate": est}
+    k0 = [poisson_initial(m, rho, tm.space) for m in range(1, n + 1)]
     try:
         k_inf = stationary_k(n, tm, rho)
     except DivergenceError as exc:
-        times, traj = evolve_hierarchy(tm, rho, n, T,
-                                       dt=controls.get("dt", 0.05))[n]
-        sups = np.array([t.sup for t in traj])
-        idx = np.searchsorted(times, T_grid).clip(max=len(times) - 1)
-        return {"t": T_grid, "distance": None, "norm_growth": sups[idx],
+        _, traj = evolve_hierarchy(tm, k0, T_grid)[n]
+        return {"t": T_grid, "distance": None,
+                "norm_growth": np.array([k.sup for k in traj]),
                 "converged": False, "divergence": str(exc),
                 "diagnostics": exc.diagnostics}
-    times, traj = evolve_hierarchy(tm, rho, n, T, dt=controls.get("dt", 0.05))[n]
-    idx = np.searchsorted(times, T_grid).clip(max=len(times) - 1)
-    dist = np.array([float(np.abs(traj[i].values - k_inf.values).max()) for i in idx])
+    _, traj = evolve_hierarchy(tm, k0, T_grid)[n]
+    dist = np.array([float(np.abs(k.values - k_inf.values).max()) for k in traj])
     tol = controls.get("tol", 1e-8)
     return {"t": T_grid, "distance": dist, "threshold": tol,
             "converged": bool(dist[-1] <= tol), "stationary": k_inf}

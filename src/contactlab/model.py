@@ -68,10 +68,6 @@ class StateSpace:
     def size(self) -> int:
         return len(self.points)
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
     def locate(self, point) -> int:
         try:
             return self.index[point]

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import pdtr
 
 from .criticality import TransformedModel, ThetaKernel, theta_kernel
 from .errors import ModelError
@@ -65,9 +65,6 @@ class WalkerPath:
     def state_at(self, t: float):
         i = int(np.searchsorted(self.times, t, side="right")) - 1
         return self.states[i]
-
-    def holding_times(self) -> np.ndarray:
-        return np.diff(self.times)
 
 
 @dataclass
@@ -660,7 +657,7 @@ def poisson_domination_check(v: np.ndarray, theta: ThetaKernel, lambda0: float,
     k_grid = np.asarray(k_grid, dtype=int)
     mc = (counts[:, :, None] <= k_grid).mean(axis=0)      # (t, k) cells
     se = np.sqrt(np.maximum(mc * (1 - mc), 1.0 / replicas) / replicas)
-    exact = stats.poisson.cdf(k_grid, lambda0 * t_grid[:, None])
+    exact = pdtr(k_grid, lambda0 * t_grid[:, None])
     ok = mc <= exact + 3 * se
     return {
         "t": t_grid, "k": k_grid, "mc_cdf": mc, "stderr": se,
@@ -681,7 +678,7 @@ def lower_tail_bound_check(lambda0: float, t_grid, m_scale: float = 1.0) -> dict
         raise ModelError("t grid must start at t >= 2 / lambda0")
     Mt = 0.5 * m_scale * lambda0
     kflr = np.floor(0.5 * lambda0 * t_grid).astype(int)
-    exact = stats.poisson.cdf(kflr, lambda0 * t_grid)
+    exact = pdtr(kflr, lambda0 * t_grid)
     bound = Mt * t_grid * np.exp(-LOWER_TAIL_B * lambda0 * t_grid)
     ratio = exact / bound
     return {

@@ -20,7 +20,7 @@ from contactlab.criticality import (TransformedModel, calibrate,
                                     jump_criticality_residual,
                                     solve_ground_state, theta_kernel)
 from contactlab.hierarchy import (CorrelationTensor, HierarchySolution,
-                                  apply_Lhat, bound_constant_D, evolve,
+                                  apply_Lhat, bound_constant_D,
                                   convergence_check, evolve_hierarchy,
                                   factorial_bound_check, generator_matrix,
                                   poisson_initial, semigroup_apply, source_f,
@@ -128,7 +128,7 @@ def test_criterion_02_level_one():
         f1 = source_f(1, tm, CorrelationTensor(0, np.asarray(1.0)))
         resid = np.abs(apply_Lhat(1, tm, k1).values + f1.values).max()
         worst_resid = max(worst_resid, float(resid))
-        _, traj = evolve(1, tm, k1, None, T=10.0)
+        _, traj = evolve_hierarchy(tm, [k1], np.linspace(0.0, 10.0, 201))[1]
         drift = max(float(np.abs(k.values - rho).max()) for k in traj)
         worst_drift = max(worst_drift, drift)
     assert worst_resid <= 1e-12
@@ -190,7 +190,8 @@ def test_criterion_05_simulator_vs_dense():
     rho = 0.5
     snaps = [0.5, 1.0, 2.0]
     logs = run_replicas(tm, rho, 2.0, snaps, 100_000, seed=2024)
-    traj = evolve_hierarchy(tm, rho, 2, 2.0, dt=0.05)
+    traj = evolve_hierarchy(tm, [poisson_initial(n, rho, space) for n in (1, 2)],
+                            np.linspace(0.0, 2.0, 41))
     worst_sigma = 0.0
     for t in snaps:
         for n in (1, 2):

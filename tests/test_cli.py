@@ -3,9 +3,10 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from contactlab.cli import main
+from contactlab.cli import _fmt, _index_fields, _tensor_rows, main
 
 
 LATTICE_MODEL = {
@@ -100,6 +101,10 @@ class TestExitCodes:
         ("simulate", {"model": FINITE_MODEL, "rho": 0.5, "T": 0.5,
                       "replicas": 120, "orders": [0]}),
         ("transience", {"model": LATTICE_MODEL, "T": 0, "replicas": 200}),
+        ("verify-lemmas", {"model": MARKED_MODEL, "replicas": 200, "k_grid": ["a"]}),
+        ("verify-lemmas", {"model": MARKED_MODEL, "replicas": 200,
+                           "k_grid": [1.5, 2.7]}),
+        ("verify-lemmas", {"model": MARKED_MODEL, "replicas": 200, "k_grid": [-1]}),
     ])
     def test_unsupported_config_is_config_error(self, tmp_path, command, cfg):
         code, _ = run_cli(tmp_path, command, cfg, seed=1)
@@ -141,8 +146,11 @@ class TestOutputs:
         assert code == 0
         assert (out / "evolve_k1.csv").exists()
         assert (out / "evolve_k2.csv").exists()
-        header = (out / "evolve_k2.csv").read_text().splitlines()[0]
-        assert header == "t,x1,x2,value"
+        lines = (out / "evolve_k2.csv").read_text().splitlines()
+        assert lines[0] == "t,x1,x2,value"
+        # dt spaces the output times of every level: 11 times over [0, 0.5]
+        assert len(lines) == 1 + 11 * 16
+        assert len((out / "evolve_k1.csv").read_text().splitlines()) == 1 + 11 * 4
 
     def test_transience_outputs(self, tmp_path):
         code, out = run_cli(tmp_path, "transience",
@@ -182,6 +190,18 @@ class TestOutputs:
         table = (out / "report.csv").read_text().splitlines()
         assert table[0] == "command,check,status"
         assert any("calibrate" in line for line in table[1:])
+
+
+def test_tensor_rows_match_cellwise_format():
+    # the column-wise rows format exactly as a cell-by-cell loop over the
+    # tensor, index padding included
+    rng = np.random.default_rng(4)
+    vals, errs = rng.random((3, 3)), rng.random((3, 3)) * 1e-300
+    vals[0, 1], vals[1, 2], errs[2, 0] = -0.0, np.nan, 1.0 / 3.0
+    got = _tensor_rows((0.5, 2), _index_fields(2, 3, width=3), vals, errs)
+    loop = [(0.5, 2) + idx + ("",) + (vals[idx], errs[idx]) for idx in np.ndindex(3, 3)]
+    assert ([",".join(map(_fmt, row)) for row in got]
+            == [",".join(_fmt(v) for v in row) for row in loop])
 
 
 class TestDeterminism:

@@ -10,14 +10,15 @@ from scipy.linalg import expm
 from contactlab.criticality import calibrate
 from contactlab.errors import DivergenceError, ModelError
 from contactlab.hierarchy import (CorrelationTensor, HierarchySolution,
-                                  apply_Lhat, bound_constant_D,
-                                  convergence_check, evolve, evolve_hierarchy,
+                                  _augmented_generator, apply_Lhat,
+                                  bound_constant_D, convergence_check,
+                                  evolve_hierarchy,
                                   factorial_bound_check, generator_matrix,
                                   poisson_initial, semigroup_apply, source_f,
                                   stationary_k)
 from contactlab.model import Kernel, RateModel, build_space
 
-from conftest import random_finite_model
+from conftest import lattice_model, random_finite_model
 
 
 def kron_sum_matrix(G, n):
@@ -34,6 +35,22 @@ def kron_sum_matrix(G, n):
             M = np.kron(M, f)
         total += M
     return total
+
+
+def augmented_matrix(tm, N):
+    """Dense generator of (vec k_1, ..., vec k_N), built independently:
+    Kronecker sums on the diagonal, source_f of each unit tensor below it."""
+    G = generator_matrix(tm)
+    size = len(G)
+    off = np.cumsum([0] + [size ** n for n in range(1, N + 1)])
+    M = np.zeros((off[-1], off[-1]))
+    for n in range(1, N + 1):
+        M[off[n - 1]:off[n], off[n - 1]:off[n]] = kron_sum_matrix(G, n)
+        if n > 1:
+            for c, e in enumerate(np.eye(size ** (n - 1))):
+                unit = CorrelationTensor(n - 1, e.reshape((size,) * (n - 1)))
+                M[off[n - 1]:off[n], off[n - 2] + c] = source_f(n, tm, unit).values.ravel()
+    return M
 
 
 def dissipative_tm(rng, size=3, leak=0.5):
@@ -153,8 +170,75 @@ class TestSemigroup:
 class TestEvolve:
     def test_constant_k1_stationary(self, finite4_critical):
         k0 = poisson_initial(1, 0.8, finite4_critical.space)
-        times, traj = evolve(1, finite4_critical, k0, None, T=5.0)
+        grid = np.linspace(0.0, 5.0, 101)
+        times, traj = evolve_hierarchy(finite4_critical, [k0], grid)[1]
         assert max(np.abs(k.values - 0.8).max() for k in traj) <= 1e-10
+
+    def test_matches_dense_expm(self):
+        # random critical models, N = 2 and 3, uniform and non-uniform grids
+        rng = np.random.default_rng(17)
+        for size in (2, 3, 4):
+            space, model = random_finite_model(rng, size=size)
+            tm, _, _ = calibrate(model, space)
+            for N in (2, 3):
+                M = augmented_matrix(tm, N)
+                k0 = [CorrelationTensor(n, rng.random((size,) * n))
+                      for n in range(1, N + 1)]
+                z0 = np.concatenate([k.values.ravel() for k in k0])
+                for times in (np.linspace(0.0, 2.0, 5), [0.1, 0.35, 0.4, 0.4, 1.7, 3.0]):
+                    res = evolve_hierarchy(tm, k0, times)
+                    for i, t in enumerate(times):
+                        got = np.concatenate([res[n][1][i].values.ravel()
+                                              for n in range(1, N + 1)])
+                        assert np.abs(got - expm(t * M) @ z0).max() <= 1e-12
+
+    def test_generator_blocks(self):
+        # diagonal blocks apply Lhat_n, the blocks below them f_n; all others are 0
+        rng = np.random.default_rng(18)
+        cases = [random_finite_model(rng, size=s) for s in (2, 3, 4)]
+        cases.append(lattice_model(1, R=2, boundary="periodic"))
+        for space, model in cases:
+            tm, _, _ = calibrate(model, space)
+            size = space.size
+            A = _augmented_generator(tm, 3)
+            off = np.cumsum([0, size, size ** 2, size ** 3])
+            for r in range(3):
+                for c in range(3):
+                    block = A[off[r]:off[r + 1], off[c]:off[c + 1]]
+                    k = CorrelationTensor(c + 1, rng.random((size,) * (c + 1)))
+                    if r == c:
+                        expect = apply_Lhat(r + 1, tm, k).values
+                    elif r == c + 1:
+                        expect = source_f(r + 1, tm, k).values
+                    else:
+                        assert block.count_nonzero() == 0
+                        continue
+                    assert np.abs(block @ k.values.ravel() - expect.ravel()).max() <= 1e-13
+
+    def test_global_rng_does_not_change_result(self):
+        # at h |A|_1 > 63 expm_multiply estimates the 1-norms of powers of A,
+        # drawing from the global np.random stream; T = 60 on this model
+        # takes that branch
+        rng = np.random.default_rng(19)
+        space, model = random_finite_model(rng, size=6)
+        tm, _, _ = calibrate(model, space)
+        k0 = [poisson_initial(n, 0.5, space) for n in (1, 2)]
+        runs = []
+        for seed in (1, 2):
+            np.random.seed(seed)
+            res = evolve_hierarchy(tm, k0, [0.0, 60.0])
+            runs.append(b"".join(k.values.tobytes() for n in (1, 2) for k in res[n][1]))
+        assert runs[0] == runs[1]
+
+    def test_rejects_bad_input(self, finite4_critical):
+        tm = finite4_critical
+        k0 = [poisson_initial(n, 0.5, tm.space) for n in (1, 2)]
+        for times in ([], [1.0, 0.5], [-0.1, 1.0], [0.0, np.inf], [[0.0, 1.0]]):
+            with pytest.raises(ModelError):
+                evolve_hierarchy(tm, k0, times)
+        for bad in ([], k0[::-1], [k0[0], CorrelationTensor(2, np.ones((3, 3)))]):
+            with pytest.raises(ModelError):
+                evolve_hierarchy(tm, bad, [1.0])
 
     def test_two_point_analytic_oracle(self):
         # closed-form exponential of a 2x2 generator
@@ -166,12 +250,13 @@ class TestEvolve:
         G = generator_matrix(tm)
         k0 = CorrelationTensor(1, np.array([1.0, 0.25]))
         T = 1.3
-        times, traj = evolve(1, tm, k0, None, T=T, controls={"dt": T / 64})
+        times, traj = evolve_hierarchy(tm, [k0], np.linspace(0.0, T, 65))[1]
         oracle = expm(T * G) @ k0.values
         assert np.abs(traj[-1].values - oracle).max() <= 1e-10
 
     def test_level2_nonnegative(self, finite4_critical):
-        res = evolve_hierarchy(finite4_critical, 0.5, 2, T=2.0, dt=0.05)
+        k0 = [poisson_initial(n, 0.5, finite4_critical.space) for n in (1, 2)]
+        res = evolve_hierarchy(finite4_critical, k0, np.linspace(0.0, 2.0, 41))
         _, traj = res[2]
         assert min(k.values.min() for k in traj) >= -1e-12
 
@@ -188,18 +273,6 @@ class TestPoissonInitial:
         k = poisson_initial(0, 0.5)
         assert k.order == 0
         assert float(k.values) == 1.0
-
-    def test_marked_m_convention(self):
-        from contactlab.criticality import GroundState
-        space = build_space({"type": "product", "d": 1, "R": 1,
-                             "boundary": "unbounded",
-                             "marks": ["A", "B"], "nu": [0.5, 0.5]})
-        q = np.array([2.0, 0.5])
-        psi = np.array([q[space.marks.index(p[1])] for p in space.points])
-        gs = GroundState(psi=psi, eigenvalue=1.0, normalization="mark-nu", q=q)
-        k = poisson_initial(1, 0.4, space, gs=gs, convention="m")
-        expect = 0.4 * psi
-        assert np.allclose(k.values, expect)
 
 
 class TestStationary:
@@ -297,3 +370,13 @@ class TestConvergence:
         rep = convergence_check(2, finite4_critical, 0.5, [1.0, 2.0])
         assert not rep["converged"]
         assert "divergence" in rep
+
+    def test_montecarlo_requires_rng(self, z3_critical):
+        with pytest.raises(ModelError):
+            convergence_check(2, z3_critical, 0.1, [1.0, 2.0], backend="montecarlo")
+
+    def test_unknown_controls_rejected(self, finite4_critical):
+        with pytest.raises(ModelError):
+            convergence_check(1, finite4_critical, 0.5, [1.0], controls={"dt": 0.05})
+        with pytest.raises(ModelError):
+            convergence_check(1, finite4_critical, 0.5, [1.0], backend="spectral")

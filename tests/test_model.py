@@ -15,7 +15,7 @@ class TestBuildSpace:
         sp = build_space({"type": "finite", "points": [0, 1, 2],
                           "weights": [1, 1, 1]})
         assert sp.size == 3
-        assert sp.total_mass == 3.0
+        assert sp.weights.sum() == 3.0
 
     def test_lattice_window_periodic(self):
         sp = build_space({"type": "lattice", "d": 3, "R": 1,

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from contactlab.criticality import calibrate, solve_ground_state, ground_transform
 from contactlab.errors import ModelError
-from contactlab.hierarchy import evolve_hierarchy
+from contactlab.hierarchy import evolve_hierarchy, poisson_initial
 from contactlab.model import Kernel, RateModel, build_space
 from contactlab.simulator import (ReplicaBatch, empirical_correlations,
                                   run_replicas, simulate_contact)
@@ -178,7 +178,8 @@ class TestHierarchyAgreement:
         tm, _, _ = calibrate(model, space)
         rho, T = 0.5, 1.0
         logs = run_replicas(tm, rho, T, [T], 8000, seed=9)
-        res = evolve_hierarchy(tm, rho, 2, T, dt=0.02)
+        res = evolve_hierarchy(tm, [poisson_initial(n, rho, space) for n in (1, 2)],
+                               np.linspace(0.0, T, 51))
         t2, traj2 = res[2]
         i = int(np.argmin(np.abs(t2 - T)))
         k2_hat = empirical_correlations(logs, space, T, 2, tm.mbar)

@@ -23,7 +23,7 @@ class TestSimulateJump:
         rng = np.random.default_rng(1)
         holds = {i: [] for i in range(4)}
         path = simulate_jump(tm, tm.space.points[0], 4000.0, rng)
-        ht = path.holding_times()
+        ht = np.diff(path.times)
         for h, st in zip(ht, path.states[:-1]):
             holds[tm.space.locate(st)].append(h)
         for i, hs in holds.items():
@@ -120,10 +120,15 @@ class TestPairEngine:
         cuts = np.unique(np.concatenate([px.times, py.times, [T]]))
         cuts = cuts[cuts <= T]
         exact = sum(b_at(a) * (b - a) for a, b in zip(cuts[:-1], cuts[1:]))
-        # fine-grid Riemann (midpoint)
+        # fine-grid Riemann (midpoint), both paths read at every grid point
         m = 200000
         grid = (np.arange(m) + 0.5) * (T / m)
-        riemann = sum(b_at(t) for t in grid) * (T / m)
+
+        def states(path):
+            held = np.searchsorted(path.times, grid, side="right") - 1
+            return np.asarray(path.states)[held]
+
+        riemann = walk.b_pair(states(px) - states(py), 0, 0).sum() * (T / m)
         assert exact == pytest.approx(riemann, abs=2e-3)
         assert exact == pytest.approx(riemann, rel=0.02)
 
