@@ -49,7 +49,7 @@ CONFIG_KEYS = {
     "report": {"runs"},
 }
 # stationary_pair_mc arguments a montecarlo config may set under "controls"
-MC_CONTROLS = {"T", "replicas", "integrability_margin"}
+MC_CONTROLS = {"T", "replicas"}
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_DIVERGENCE = 0, 1, 2, 3
 
@@ -156,11 +156,9 @@ def _model_from_config(cfg: dict, config_path: str):
     raise ConfigError("config needs a 'model' dict or 'model_file' path")
 
 
-def _require(cfg: dict, key: str, default=None):
+def _require(cfg: dict, key: str):
     if key in cfg:
         return cfg[key]
-    if default is not None:
-        return default
     raise ConfigError(f"config key '{key}' is required")
 
 
@@ -171,17 +169,18 @@ def _check_keys(cfg: dict, command: str):
                           f"{', '.join(sorted(unknown))}")
 
 
-def _starts(cfg: dict, tm) -> list:
-    """Two-walker starts from the config, as ``estimate_H`` takes them."""
-    d = tm.space.dim or 1
-    nmark = len(tm.v) if tm.marked else 0
+def _starts(cfg: dict, key: str, d: int, nmark: int = 0) -> list:
+    """Two-walker starts from the config's ``key``, as ``parse_start`` takes
+    them; by default the displacements 0, e_1 and 2 e_1 (from marks 0, 0)."""
     disps = [[0] * d, [1] + [0] * (d - 1), [2] + [0] * (d - 1)]
-    starts = cfg.get("starts", [[u, 0, 0] for u in disps] if nmark else disps)
+    starts = cfg.get(key, [[u, 0, 0] for u in disps] if nmark else disps)
     try:
+        if not isinstance(starts, list):
+            raise ModelError(f"{starts!r} is not a list")
         for s in starts:
             parse_start(s, d, nmark)
     except ModelError as exc:
-        raise ConfigError(f"config key 'starts': {exc}") from exc
+        raise ConfigError(f"config key '{key}': {exc}") from exc
     return starts
 
 
@@ -275,7 +274,8 @@ def cmd_calibrate(cfg, run: Run, rng):
 def cmd_transience(cfg, run: Run, rng):
     space, model = _model_from_config(cfg, cfg["_path"])
     tm, _, _ = calibrate(model, space)
-    rep = estimate_H(tm, _starts(cfg, tm), T=float(cfg.get("T", 1000.0)),
+    starts = _starts(cfg, "starts", space.dim or 1, len(tm.v) if tm.marked else 0)
+    rep = estimate_H(tm, starts, T=float(cfg.get("T", 1000.0)),
                      replicas=int(cfg.get("replicas", 100_000)), rng=rng)
     run.write_json("transience.json", {
         "H_hat": rep.H_hat, "stderr": rep.stderr, "converged": rep.converged,
@@ -329,8 +329,7 @@ def cmd_stationary(cfg, run: Run, rng):
         _check_numbers(controls, "montecarlo control")
         controls.setdefault("replicas", 20000)
         controls["rng"] = rng
-        if "displacements" in cfg:
-            controls["displacements"] = [tuple(u) for u in cfg["displacements"]]
+        controls["displacements"] = _starts(cfg, "displacements", space.dim or 1)
     tm, _, _ = calibrate(model, space)
     try:
         k = stationary_k(n, tm, rho, backend=backend, controls=controls)
@@ -435,7 +434,7 @@ def cmd_verify_bounds(cfg, run: Run, rng):
     rho = float(_require(cfg, "rho"))
     T = float(cfg.get("T", 200.0))
     replicas = int(cfg.get("replicas", 20000))
-    starts = _starts(cfg, tm)
+    starts = _starts(cfg, "starts", space.dim or 1)
     trans = estimate_H(tm, starts, T=T, replicas=replicas, rng=rng)
     if not trans.converged:
         run.write_json("bounds.json", {"error": "transience not established",

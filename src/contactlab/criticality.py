@@ -10,11 +10,14 @@ reduces to the mark-only kernel ``Q(s, s') / v(s)`` against ``nu`` and the
 eigenfunction is reported with the ``sum q nu = 1`` normalization.  The
 birth kernel is rescaled by ``1/r`` to land exactly on criticality, and the
 ground-state transform ``b = a / psi``, ``mbar = psi * m`` is applied.
+Rescaling keeps the eigenvector, so calibration solves once: the ratios
+``inflow / V = T psi / psi`` of the transformed model bracket the rescaled
+Perron root (Collatz 1942; Wielandt 1950).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,7 +52,6 @@ class GroundState:
     normalization: str         # "sup" | "mark-nu"
     q: np.ndarray | None = None  # per mark (marked models only)
     iterations: int = 0
-    residual: float = 0.0
     bracket: tuple | None = None  # final Collatz-Wielandt (min, max)
 
 
@@ -76,10 +78,6 @@ class TransformedModel:
     v: np.ndarray | None = None         # per-mark death rates
 
     @property
-    def dim(self) -> int | None:
-        return self.space.dim
-
-    @property
     def translation_invariant(self) -> bool:
         return self.alpha is not None
 
@@ -100,22 +98,19 @@ class ThetaKernel:
         return self.theta * self.nu[None, :]
 
 
-def power_iteration(T: np.ndarray, tol: float, max_iters: int,
-                    x0: np.ndarray | None = None, shift: float | None = None):
-    """Perron pair of a non-negative matrix by power iteration.
+def power_iteration(T: np.ndarray, tol: float, max_iters: int):
+    """Perron pair of a non-negative matrix by power iteration from ones.
 
-    Iterates the shifted matrix ``T + shift I`` (the diagonal shift breaks
-    periodic/bipartite kernels without changing the eigenvector; the shift
-    is subtracted from the reported eigenvalue and bracket).  Stops when
-    the Collatz-Wielandt bracket ``[min Tx/x, max Tx/x]`` has width below
-    ``tol`` relative to the eigenvalue.  Returns
-    ``(r, x, iterations, bracket_history)`` with ``x`` sup-normalized.
+    Iterates the shifted matrix ``T + shift I`` with ``shift`` half the
+    largest absolute row sum (the diagonal shift breaks periodic/bipartite
+    kernels without changing the eigenvector; the shift is subtracted from
+    the reported eigenvalue and bracket).  Stops when the Collatz-Wielandt
+    bracket ``[min Tx/x, max Tx/x]`` has width below ``tol`` relative to the
+    eigenvalue.  Returns ``(r, x, iterations, bracket_history)`` with ``x``
+    sup-normalized.
     """
-    n = T.shape[0]
-    if shift is None:
-        shift = 0.5 * float(np.abs(T).sum(axis=1).max())
-    x = np.ones(n) if x0 is None else np.asarray(x0, dtype=float)
-    x = x / np.abs(x).max()
+    shift = 0.5 * float(np.abs(T).sum(axis=1).max())
+    x = np.ones(T.shape[0])
     history = []
     for it in range(1, max_iters + 1):
         y = T @ x + shift * x
@@ -153,8 +148,7 @@ def _mark_death(model: RateModel, space: StateSpace) -> np.ndarray:
 
 
 def solve_ground_state(model: RateModel, space: StateSpace,
-                       tol: float = DEFAULT_TOL,
-                       max_iters: int = DEFAULT_MAX_ITERS) -> GroundState:
+                       tol: float = DEFAULT_TOL) -> GroundState:
     """Krein-Rutman pair of the normalized birth operator.
 
     Marked (factorized) models solve the mark-only problem with kernel
@@ -168,13 +162,11 @@ def solve_ground_state(model: RateModel, space: StateSpace,
         alpha_mass = sum(model.birth.stencil.values())
         v = _mark_death(model, space)
         K = (model.birth.Q / v[:, None]) * space.nu[None, :] * alpha_mass
-        r, q, iters, history = power_iteration(K, tol, max_iters)
+        r, q, iters, history = power_iteration(K, tol, DEFAULT_MAX_ITERS)
         q = q / float(q @ space.nu)
-        resid = np.abs(K @ q - r * q).max() / np.abs(q).max()
         psi = np.array([q[space.marks.index(p[1])] for p in space.points])
         return GroundState(psi=psi, eigenvalue=r, normalization="mark-nu",
-                           q=q, iterations=iters, residual=float(resid),
-                           bracket=history[-1])
+                           q=q, iterations=iters, bracket=history[-1])
     if model.birth.form == "stencil" and np.ptp(model.death) == 0:
         # homogeneous model: psi is constant and r is the stencil mass / V
         # (exact; the unbounded-window dense view has edge losses and must
@@ -185,17 +177,15 @@ def solve_ground_state(model: RateModel, space: StateSpace,
         r = sum(model.birth.stencil.values()) * unit / float(model.death[0])
         psi = np.ones(space.size)
         return GroundState(psi=psi, eigenvalue=r, normalization="sup",
-                           iterations=0, residual=0.0, bracket=(r, r))
+                           iterations=0, bracket=(r, r))
     if model.birth.form == "stencil" and space.boundary == "unbounded":
         raise ModelError("a stencil model on an unbounded window needs constant "
                          "death rates: the window is a viewport, not the space")
     A = kernel_matrix(model.birth, space)
     T = (A * space.weights[None, :]) / model.death[:, None]
-    r, psi, iters, history = power_iteration(T, tol, max_iters)
-    resid = np.abs(T @ psi - r * psi).max() / np.abs(psi).max()
+    r, psi, iters, history = power_iteration(T, tol, DEFAULT_MAX_ITERS)
     return GroundState(psi=psi, eigenvalue=r, normalization="sup",
-                       iterations=iters, residual=float(resid),
-                       bracket=history[-1])
+                       iterations=iters, bracket=history[-1])
 
 
 def rescale_to_critical(model: RateModel, gs: GroundState) -> RateModel:
@@ -239,22 +229,26 @@ def ground_transform(model: RateModel, space: StateSpace,
                             psi=psi, jump_b=jump_b, alpha=alpha, Q=Q, q=q, v=v)
 
 
-def criticality_residual(tm: TransformedModel,
-                         space: StateSpace | None = None) -> float:
-    """sup_x | sum_y b(x, y) mbar(y) - V(x) |.
+def _balance(tm: TransformedModel):
+    """Birth inflow ``sum_y b(x, y) mbar(y)`` and death rate ``V(x)``, per
+    mark when marked; ``inflow / V = T psi / psi`` for the critical operator.
 
     Translation-invariant models use the displacement-sum identity (exact on
     the unbounded lattice, where window edge rows are not meaningful).
     """
-    if tm.translation_invariant:
-        mass = sum(tm.alpha.values())
-        if tm.marked:
-            flow = mass * (tm.Q @ (tm.q * tm.space.nu)) / tm.q
-            return float(np.abs(flow - tm.v).max())
-        # psi constant: mbar weight equals psi * unit weight
-        flow = mass * float(tm.psi[0])
-        return float(np.abs(flow - tm.death).max())
-    return float(np.abs(tm.b @ tm.mbar - tm.death).max())
+    if not tm.translation_invariant:
+        return tm.b @ tm.mbar, tm.death
+    mass = sum(tm.alpha.values())
+    if tm.marked:
+        return mass * (tm.Q @ (tm.q * tm.space.nu)) / tm.q, tm.v
+    # psi constant: mbar weight equals psi * unit weight
+    return mass * tm.psi, tm.death
+
+
+def criticality_residual(tm: TransformedModel) -> float:
+    """sup_x | sum_y b(x, y) mbar(y) - V(x) |."""
+    inflow, V = _balance(tm)
+    return float(np.abs(inflow - V).max())
 
 
 def jump_criticality_residual(model: RateModel, space: StateSpace,
@@ -281,22 +275,23 @@ def theta_kernel(tm: TransformedModel) -> ThetaKernel:
     return ThetaKernel(theta=theta, nu=tm.space.nu)
 
 
-def calibrate(model: RateModel, space: StateSpace,
-              tol: float = DEFAULT_TOL,
-              max_iters: int = DEFAULT_MAX_ITERS):
-    """Full pipeline: solve, rescale to r = 1, transform.
+def calibrate(model: RateModel, space: StateSpace, tol: float = DEFAULT_TOL):
+    """Full pipeline: solve once, rescale to r = 1, transform.
 
-    Returns ``(tm, gs_initial, report)`` where ``report`` collects the
-    eigenvalue, iteration counts and residuals.
+    Returns ``(tm, gs, report)``.  ``gs`` is the critical ground state: the
+    solved ``psi`` (and ``q``), which rescaling keeps, with the range of the
+    Collatz-Wielandt ratios ``inflow / V`` as its bracket of the rescaled
+    Perron root and the bracket's midpoint as its eigenvalue.
     """
-    gs0 = solve_ground_state(model, space, tol=tol, max_iters=max_iters)
-    critical = rescale_to_critical(model, gs0)
-    gs = solve_ground_state(critical, space, tol=tol, max_iters=max_iters)
-    tm = ground_transform(critical, space, gs)
+    gs0 = solve_ground_state(model, space, tol)
+    tm = ground_transform(rescale_to_critical(model, gs0), space, gs0)
+    ratios = np.divide(*_balance(tm))
+    lo, hi = float(ratios.min()), float(ratios.max())
+    gs = replace(gs0, eigenvalue=0.5 * (lo + hi), bracket=(lo, hi))
     report = {
         "r_initial": gs0.eigenvalue,
         "r_after_rescale": gs.eigenvalue,
-        "iterations": gs0.iterations + gs.iterations,
+        "iterations": gs.iterations,
         "criticality_residual": criticality_residual(tm),
         "normalization": gs.normalization,
     }

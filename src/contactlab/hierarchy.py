@@ -35,8 +35,8 @@ from scipy.sparse.linalg import expm_multiply
 
 from .criticality import TransformedModel
 from .errors import ConvergenceError, DivergenceError, ModelError
-from .walkers import (lattice_walk, pair_integral_curves, parse_start, _tail_fit,
-                      _increment_exponent)
+from .walkers import (INTEGRABILITY_MARGIN, lattice_walk, pair_integral_curves,
+                      parse_start, _tail_fit, _increment_exponent)
 
 __all__ = [
     "CorrelationTensor",
@@ -222,9 +222,14 @@ def evolve_hierarchy(tm: TransformedModel, k0: list, times) -> dict:
     trace = A.trace()
     z = np.concatenate([k.values.ravel() for k in k0])
     states = []
-    for h in np.diff(times, prepend=0.0):
-        z = expm_multiply(h * A, z, traceA=h * trace)
-        states.append(z)
+    # expm_multiply's norm estimates draw from (and so advance) np.random
+    global_state = np.random.get_state()
+    try:
+        for h in np.diff(times, prepend=0.0):
+            z = expm_multiply(h * A, z, traceA=h * trace)
+            states.append(z)
+    finally:
+        np.random.set_state(global_state)
     offsets = np.cumsum([0] + [size ** n for n in range(1, N + 1)])
     return {n: (times, [CorrelationTensor(n, z[offsets[n - 1]:offsets[n]]
                                           .reshape((size,) * n)) for z in states])
@@ -311,8 +316,7 @@ def stationary_k(n: int, tm: TransformedModel, rho: float,
 
 def stationary_pair_mc(tm: TransformedModel, rho: float, displacements=None,
                        T: float = 200.0, replicas: int = 20000,
-                       rng: np.random.Generator | None = None,
-                       integrability_margin: float = 0.05) -> PairCorrelationMC:
+                       rng: np.random.Generator | None = None) -> PairCorrelationMC:
     """k_2(u) = rho^2 + rho E_{0,u} int_0^inf [b(X,Y) + b(Y,X)] dt by MC."""
     if rng is None:
         raise ModelError("montecarlo backend requires an rng")
@@ -328,7 +332,7 @@ def stationary_pair_mc(tm: TransformedModel, rho: float, displacements=None,
         cps, mean, se, _ = pair_integral_curves(
             walk, u, 0, 0, T, replicas, rng, symmetrized=True)
         p_hat = _increment_exponent(cps, mean)
-        if p_hat > -1.0 - integrability_margin:
+        if p_hat > -1.0 - INTEGRABILITY_MARGIN:
             raise DivergenceError(
                 "two-walker interaction integral is not integrable "
                 f"(fitted exponent {p_hat:.3f})",
@@ -343,9 +347,9 @@ def stationary_pair_mc(tm: TransformedModel, rho: float, displacements=None,
                              curves=curves)
 
 
-def bound_constant_D(rho: float, H: float, terms: int = 60) -> float:
-    """D = sum_{n >= 1} (rho / H)^n / (n!)^2."""
-    n = np.arange(1, terms + 1)
+def bound_constant_D(rho: float, H: float) -> float:
+    """D = sum_{n >= 1} (rho / H)^n / (n!)^2, summed over its first 60 terms."""
+    n = np.arange(1, 61)
     from scipy.special import gammaln
     return float(np.sum(np.exp(n * np.log(rho / H) - 2 * gammaln(n + 1))))
 

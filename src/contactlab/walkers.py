@@ -53,6 +53,10 @@ __all__ = [
 
 # decay exponent in the lower-tail bound  P(n(t) <= floor(l0 t / 2)) <= M t exp(-B l0 t)
 LOWER_TAIL_B = (1.0 - np.log(2.0)) / 2.0
+# largest deviation from 1 accepted for a jump law's or a stencil's total mass
+MASS_TOL = 1e-9
+# a fitted integrand exponent counts as integrable only at or below -1 - margin
+INTEGRABILITY_MARGIN = 0.05
 
 
 @dataclass
@@ -148,7 +152,7 @@ class LatticeWalk:
         return self.alpha_of(disp) * self.Q[sx, sy] / self.q[sx]
 
 
-def lattice_walk(tm: TransformedModel, normalization_tol: float = 1e-9) -> LatticeWalk:
+def lattice_walk(tm: TransformedModel) -> LatticeWalk:
     """Build the walk law from a translation-invariant critical model."""
     if not tm.translation_invariant:
         raise ModelError("lattice walk requires a stencil or factorized model")
@@ -161,7 +165,7 @@ def lattice_walk(tm: TransformedModel, normalization_tol: float = 1e-9) -> Latti
         # the jump-law mass lives in the mark rows: alpha_mass * Theta nu ~ 1
         trans = theta_kernel(tm).transition_probs()
         rows = trans.sum(axis=1)
-        if np.abs(rows - 1.0).max() > normalization_tol:
+        if np.abs(rows - 1.0).max() > MASS_TOL:
             raise ModelError(
                 f"walker jump law mass {rows.max():.6g} deviates from 1: "
                 "model miscalibrated")
@@ -176,7 +180,7 @@ def lattice_walk(tm: TransformedModel, normalization_tol: float = 1e-9) -> Latti
         trans = np.ones((1, 1))
         # jump law b(x,.) mbar / V: mass = sum(alpha/psi * psi) / V
         total = vals.sum() * float(tm.psi[0]) / v[0]
-        if abs(total - 1.0) > normalization_tol:
+        if abs(total - 1.0) > MASS_TOL:
             raise ModelError(
                 f"walker jump law mass {total:.6g} deviates from 1: "
                 "model miscalibrated")
@@ -473,8 +477,7 @@ def parse_start(start, d: int, nmark: int) -> tuple:
 
 
 def estimate_H(tm: TransformedModel, start_pairs, T: float, replicas: int,
-               rng: np.random.Generator,
-               integrability_margin: float = 0.05) -> TransienceReport:
+               rng: np.random.Generator) -> TransienceReport:
     """Estimate the transience constant H over a grid of start pairs.
 
     ``start_pairs`` is a list of initial displacements ``x0 - y0``, or of
@@ -484,7 +487,7 @@ def estimate_H(tm: TransformedModel, start_pairs, T: float, replicas: int,
     limit of the running integral (fit ``A - c t^{1-d/2}`` over the last
     decade) plus a 3-stderr margin gives the per-start value, and H_hat is
     the grid maximum.  ``converged`` requires the fitted
-    integrand exponent to clear -1 by the integrability margin.
+    integrand exponent to clear -1 by ``INTEGRABILITY_MARGIN``.
     """
     if tm.translation_invariant and sum(tm.alpha.values()) == 0.0:
         return TransienceReport(H_hat=0.0, stderr=0.0, tail_exponent_fit=-np.inf,
@@ -502,7 +505,7 @@ def estimate_H(tm: TransformedModel, start_pairs, T: float, replicas: int,
         cps, mean, se, finals = pair_integral_curves(
             walk, d0, s0x, s0y, T, replicas, rng)
         p_hat = _increment_exponent(cps, mean)
-        ok = p_hat <= -1.0 - integrability_margin
+        ok = p_hat <= -1.0 - INTEGRABILITY_MARGIN
         A, _c = _tail_fit(cps, mean, d)
         value = max(A, float(mean[-1]))
         se_final = float(se[-1])
@@ -570,14 +573,13 @@ def heat_bound_check(tm: TransformedModel, t_grid, x0, xi1, replicas: int,
     }
 
 
-def iterated_convolution(alpha: Kernel | dict, d: int, n_max: int,
-                         mass_tol: float = 1e-9):
+def iterated_convolution(alpha: Kernel | dict, d: int, n_max: int):
     """alpha^{*n} for n = 1..n_max by the stencil recursion
     ``alpha^{*(n+1)} = sum_k alpha_k shift_k(alpha^{*n})`` over the nonzero
     entries ``k``, on a window that grows by the stencil radius each step.
 
     The window holds the whole support, so no mass leaks; the mass deficit is
-    still monitored against ``mass_tol``.  Returns ``(sups, arrays_last)``
+    still monitored against ``MASS_TOL``.  Returns ``(sups, arrays_last)``
     where ``sups[n-1] = sup alpha^{*n}``.
     """
     st = alpha.stencil if isinstance(alpha, Kernel) else {
@@ -587,7 +589,7 @@ def iterated_convolution(alpha: Kernel | dict, d: int, n_max: int,
     for k, v in st.items():
         base[tuple(np.asarray(k) + K)] = v
     total = base.sum()
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > MASS_TOL:
         raise ModelError(f"stencil mass {total:.6g} is not normalized to 1")
     # window offsets of the nonzero entries, grouped by value: one product
     # v * alpha^{*n} per distinct value
@@ -605,7 +607,7 @@ def iterated_convolution(alpha: Kernel | dict, d: int, n_max: int,
                 nxt[tuple(slice(c, c + m) for c, m in zip(lo, cur.shape))] += scaled
         cur = nxt
         deficit = abs(cur.sum() - 1.0)
-        if deficit > mass_tol:
+        if deficit > MASS_TOL:
             raise ModelError(f"convolution mass leakage {deficit:.3e}")
         sups.append(float(cur.max()))
     return np.array(sups), cur
@@ -666,17 +668,17 @@ def poisson_domination_check(v: np.ndarray, theta: ThetaKernel, lambda0: float,
     }
 
 
-def lower_tail_bound_check(lambda0: float, t_grid, m_scale: float = 1.0) -> dict:
+def lower_tail_bound_check(lambda0: float, t_grid) -> dict:
     """Exact lower-tail bound P(n(t) <= floor(l0 t / 2)) <= M t exp(-B l0 t).
 
-    ``B = (1 - ln 2) / 2`` and ``M = m_scale * lambda0 / 2``.  The grid must
+    ``B = (1 - ln 2) / 2`` and ``M = lambda0 / 2``.  The grid must
     start at t >= 2 / lambda0 (below that the floor is 0 and the bound is a
     boundary convention, excluded by contract).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.min() < 2.0 / lambda0:
         raise ModelError("t grid must start at t >= 2 / lambda0")
-    Mt = 0.5 * m_scale * lambda0
+    Mt = 0.5 * lambda0
     kflr = np.floor(0.5 * lambda0 * t_grid).astype(int)
     exact = pdtr(kflr, lambda0 * t_grid)
     bound = Mt * t_grid * np.exp(-LOWER_TAIL_B * lambda0 * t_grid)

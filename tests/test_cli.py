@@ -105,6 +105,17 @@ class TestExitCodes:
         ("verify-lemmas", {"model": MARKED_MODEL, "replicas": 200,
                            "k_grid": [1.5, 2.7]}),
         ("verify-lemmas", {"model": MARKED_MODEL, "replicas": 200, "k_grid": [-1]}),
+        ("stationary", {"model": LATTICE_MODEL, "rho": 0.1, "backend": "montecarlo",
+                        "displacements": [5], "controls": {"T": 20, "replicas": 200}}),
+        ("stationary", {"model": LATTICE_MODEL, "rho": 0.1, "backend": "montecarlo",
+                        "displacements": 5, "controls": {"T": 20, "replicas": 200}}),
+        ("stationary", {"model": LATTICE_MODEL, "rho": 0.1, "backend": "montecarlo",
+                        "controls": {"T": 20, "replicas": 200,
+                                     "integrability_margin": "x"}}),
+        ("stationary", {"model": LATTICE_MODEL, "rho": 0.1, "backend": "montecarlo",
+                        "controls": {"T": 20, "replicas": 200,
+                                     "integrability_margin": 0.1}}),
+        ("transience", {"model": LATTICE_MODEL, "T": 5, "replicas": 100, "starts": 5}),
     ])
     def test_unsupported_config_is_config_error(self, tmp_path, command, cfg):
         code, _ = run_cli(tmp_path, command, cfg, seed=1)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from contactlab import criticality
 from contactlab.criticality import (calibrate, criticality_residual,
                                     ground_transform, jump_criticality_residual,
                                     power_iteration, rescale_to_critical,
@@ -232,6 +233,44 @@ class TestResiduals:
             for i in range(4))
         assert jump_criticality_residual(withJ, space, gs) == pytest.approx(
             brute, abs=1e-12)
+
+
+class TestCalibrate:
+    def test_one_ground_state_solve(self, monkeypatch):
+        cases = [random_finite_model(np.random.default_rng(21)),
+                 marked_model(Q=[[2, 1], [1, 2]], v=[1, 3])]
+        calls = []
+        solve = criticality.power_iteration
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(criticality, "power_iteration", counted)
+        for space, model in cases:
+            calls.clear()
+            _, _, report = calibrate(model, space)
+            assert len(calls) == 1
+            assert report["iterations"] == solve_ground_state(model, space).iterations
+
+    def test_bracket_certifies_rescaled_root(self):
+        # the Collatz-Wielandt bracket holds the Perron root of the rescaled
+        # operator: 21 random finite models and a periodic window with
+        # unequal death
+        rng = np.random.default_rng(23)
+        cases = [random_finite_model(rng, size=2 + i % 7) for i in range(21)]
+        ring = build_space({"type": "lattice", "d": 1, "R": 3, "boundary": "periodic"})
+        cases.append((ring, RateModel(birth=Kernel("stencil", stencil=nearest_stencil(1)),
+                                      death=np.array([1, 1.2, 0.9, 1.1, 1, 1.3, 0.8]))))
+        for space, model in cases:
+            tm, gs, _ = calibrate(model, space)
+            crit = rescale_to_critical(model, solve_ground_state(model, space))
+            T = kernel_matrix(crit.birth, space) * space.weights[None, :] / model.death[:, None]
+            root = float(np.linalg.eigvals(T).real.max())
+            lo, hi = gs.bracket
+            assert lo - 1e-14 <= root <= hi + 1e-14
+            assert hi - lo <= 1e-11
+            assert criticality_residual(tm) <= 1e-10
 
 
 class TestThetaKernel:

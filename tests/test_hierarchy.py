@@ -230,6 +230,20 @@ class TestEvolve:
             runs.append(b"".join(k.values.tobytes() for n in (1, 2) for k in res[n][1]))
         assert runs[0] == runs[1]
 
+    def test_global_rng_state_restored(self):
+        # at T = 60 on this model expm_multiply draws from np.random;
+        # evolution hands the global stream back as it found it
+        rng = np.random.default_rng(19)
+        space, model = random_finite_model(rng, size=6)
+        tm, _, _ = calibrate(model, space)
+        k0 = [poisson_initial(n, 0.5, space) for n in (1, 2)]
+        np.random.seed(3)
+        before = np.random.get_state()
+        evolve_hierarchy(tm, k0, [0.0, 60.0])
+        after = np.random.get_state()
+        assert before[0] == after[0] and before[2:] == after[2:]
+        assert np.array_equal(before[1], after[1])
+
     def test_rejects_bad_input(self, finite4_critical):
         tm = finite4_critical
         k0 = [poisson_initial(n, 0.5, tm.space) for n in (1, 2)]
