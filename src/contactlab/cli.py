@@ -26,9 +26,9 @@ import numpy as np
 from . import __version__
 from .criticality import calibrate, theta_kernel
 from .errors import ConfigError, ContactLabError, DivergenceError, ModelError
-from .hierarchy import (bound_constant_D, evolve_hierarchy, factorial_bound_check,
-                        HierarchySolution, poisson_initial, stationary_k)
-from .model import load_model_config, model_from_dict
+from .hierarchy import (CorrelationTensor, evolve_hierarchy, factorial_bound_check,
+                        poisson_initial, stationary_k, stationary_pair_mc)
+from .model import model_from_dict
 from .simulator import empirical_correlations, run_replicas, snapshot_grid
 from .walkers import (convolution_bound_check, estimate_H, heat_bound_check,
                       lower_tail_bound_check, parse_start, poisson_domination_check)
@@ -45,7 +45,7 @@ CONFIG_KEYS = {
     "simulate": {"rho", "T", "snapshot_times", "replicas", "orders"},
     "verify-lemmas": {"n_max", "lambda0", "t_grid", "replicas", "k_grid",
                       "heat_t_grid"},
-    "verify-bounds": {"rho", "T", "replicas", "starts", "mc_tolerance"},
+    "verify-bounds": {"rho", "T", "replicas", "starts"},
     "report": {"runs"},
 }
 # stationary_pair_mc arguments a montecarlo config may set under "controls"
@@ -137,22 +137,27 @@ class Run:
         return manifest
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path) -> dict:
+    """The JSON object in the file at ``path``."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return cfg
 
 
 def _model_from_config(cfg: dict, config_path: str):
     if "model" in cfg:
         return model_from_dict(cfg["model"])
     if "model_file" in cfg:
-        p = Path(cfg["model_file"])
-        if not p.is_absolute():
-            p = Path(config_path).parent / p
-        return load_model_config(p)
+        path = cfg["model_file"]
+        if not isinstance(path, str):
+            raise ConfigError(f"config key 'model_file' must be a path, got {path!r}")
+        # a relative path is relative to the config's directory
+        return model_from_dict(_load_config(Path(config_path).parent / path))
     raise ConfigError("config needs a 'model' dict or 'model_file' path")
 
 
@@ -210,7 +215,7 @@ def _time_grid(cfg: dict, key: str):
 # numeric config keys: (type, lower bound or None, whether the bound is strict)
 NUMERIC_KEYS = {
     "T": (float, None, False), "rho": (float, 0, False), "lambda0": (float, 0, True),
-    "tol": (float, 0, True), "dt": (float, 0, True), "mc_tolerance": (float, None, False),
+    "tol": (float, 0, True), "dt": (float, 0, True),
     "replicas": (int, 1, False), "N": (int, 1, False), "n": (int, 1, False),
     "n_max": (int, 1, False), "seed": (int, 0, False),
 }
@@ -313,31 +318,37 @@ def cmd_stationary(cfg, run: Run, rng):
     rho = float(_require(cfg, "rho"))
     n = int(cfg.get("n", 2))
     backend = cfg.get("backend", "dense")
-    controls = dict(cfg.get("controls", {}))
-    if backend != "montecarlo":
+    if backend == "dense":
         for key in ("controls", "displacements"):
             if key in cfg:
                 raise ConfigError(f"config key '{key}' needs backend 'montecarlo'")
-    else:
+    elif backend == "montecarlo":
+        if n != 2:
+            raise ConfigError(f"the montecarlo backend computes n = 2 only, not n = {n}")
         if "seed" not in cfg:
             raise ConfigError("montecarlo backend requires a seed")
         _require_unmarked(model, "the montecarlo backend")
+        controls = cfg.get("controls", {})
+        if not isinstance(controls, dict):
+            raise ConfigError(f"config key 'controls' must be an object, got {controls!r}")
         unknown = set(controls) - MC_CONTROLS
         if unknown:
             raise ConfigError(f"unknown montecarlo controls: "
                               f"{', '.join(sorted(unknown))}")
         _check_numbers(controls, "montecarlo control")
-        controls.setdefault("replicas", 20000)
-        controls["rng"] = rng
-        controls["displacements"] = _starts(cfg, "displacements", space.dim or 1)
+        starts = _starts(cfg, "displacements", space.dim or 1)
+    else:
+        raise ConfigError(f"unknown backend {backend!r}: use 'dense' or 'montecarlo'")
     tm, _, _ = calibrate(model, space)
     try:
-        k = stationary_k(n, tm, rho, backend=backend, controls=controls)
+        if backend == "montecarlo":
+            k = stationary_pair_mc(tm, rho, rng=rng, displacements=starts, **controls)
+        else:
+            k = stationary_k(n, tm, rho)
     except DivergenceError as exc:
         run.write_json("divergence.json",
                        {"error": str(exc), "diagnostics": exc.diagnostics})
         run.checks["stationary_converged"] = False
-        run.finish("stationary")
         return EXIT_DIVERGENCE
     if backend == "montecarlo":
         rows = [tuple(u) + (val, se) for u, val, se in
@@ -441,22 +452,16 @@ def cmd_verify_bounds(cfg, run: Run, rng):
                                        "H_hat": trans.H_hat,
                                        "converged": False})
         run.checks["factorial_bound"] = False
-        run.finish("verify-bounds")
         return EXIT_DIVERGENCE
     try:
-        k2 = stationary_k(2, tm, rho, backend="montecarlo",
-                          controls={"displacements": starts, "T": T,
-                                    "replicas": replicas, "rng": rng})
+        k2 = stationary_pair_mc(tm, rho, rng=rng, displacements=starts, T=T,
+                                replicas=replicas)
     except DivergenceError as exc:
         run.write_json("bounds.json", {"error": str(exc), "converged": False})
         run.checks["factorial_bound"] = False
-        run.finish("verify-bounds")
         return EXIT_DIVERGENCE
-    from .hierarchy import CorrelationTensor
     k1 = CorrelationTensor(1, np.full(1, rho))
-    sol = HierarchySolution(rho=rho, tensors=[k1, k2], H_used=trans.H_hat,
-                            D_const=bound_constant_D(rho, trans.H_hat))
-    rep = factorial_bound_check(sol, mc_tolerance=float(cfg.get("mc_tolerance", 0.0)))
+    rep = factorial_bound_check([k1, k2], rho, trans.H_hat)
     run.write_json("bounds.json", {
         "H": trans.H_hat, "D": rep["D"],
         "per_level": {str(k): v for k, v in rep["per_level"].items()},
@@ -467,8 +472,8 @@ def cmd_verify_bounds(cfg, run: Run, rng):
 
 
 def cmd_report(cfg, run: Run, rng):
-    runs = cfg.get("runs", [])
-    if not runs:
+    runs = cfg.get("runs")
+    if not (isinstance(runs, list) and runs and all(isinstance(r, str) for r in runs)):
         raise ConfigError("report needs a 'runs' list of run directories")
     table = []
     all_ok = True
@@ -521,8 +526,7 @@ def main(argv=None) -> int:
                if "seed" in cfg else None)
         run = Run({k: v for k, v in cfg.items() if k != "_path"}, outdir)
         code = COMMANDS[args.command](cfg, run, rng)
-        if not (outdir / "manifest.json").exists():
-            run.finish(args.command)
+        run.finish(args.command)
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -134,16 +134,12 @@ def power_iteration(T: np.ndarray, tol: float, max_iters: int):
 
 
 def _mark_death(model: RateModel, space: StateSpace) -> np.ndarray:
-    """Per-mark death rates v(s), checking V depends on marks only."""
-    if model.death_marks is not None:
-        return model.death_marks
-    nm = len(space.marks)
-    v = np.empty(nm)
-    for k, s in enumerate(space.marks):
-        vals = [model.death[i] for i, p in enumerate(space.points) if p[1] == s]
-        v[k] = vals[0]
-        if any(abs(u - vals[0]) > 0 for u in vals):
-            raise ModelError("marked model requires V(xi, s) = v(s)")
+    """Per-mark death rates v(s) read off V, checking V(xi, s) = v(s)."""
+    mark = np.array([space.marks.index(p[1]) for p in space.points])
+    v = np.empty(len(space.marks))
+    v[mark] = model.death
+    if np.any(model.death != v[mark]):
+        raise ModelError("marked model requires V(xi, s) = v(s)")
     return v
 
 

@@ -15,12 +15,13 @@ Lhat_n on its diagonal and the source map k_{n-1} -> f_n below it, and the
 action z(t) = exp(tA) z(0) is computed by ``expm_multiply`` (Al-Mohy and
 Higham 2011) to double precision at the requested output times.  The
 stationary solution is k_n = int_0^inf exp(t Lhat_n) f_n dt + rho^n, built
-recursively.  On a finite space the integral is -Lhat_n^{-1} f_n, which the
-dense backend solves directly (Bartels-Stewart on one complex Schur form of
-G); it exists exactly when the spectral abscissa of G is negative, and a
+recursively.  On a finite space the integral is -Lhat_n^{-1} f_n, which
+``stationary_k`` solves directly (Bartels-Stewart on one complex Schur form
+of G); it exists exactly when the spectral abscissa of G is negative, and a
 DivergenceError reports the leading eigenvalues otherwise.  On
-unbounded lattices the integral is estimated by the Feynman-Kac two-walker
-representation  exp(t Lhat_2) b = E_{x,y} b(X_t, Y_t).
+unbounded lattices k_2 is estimated instead (``stationary_pair_mc``) by the
+Feynman-Kac two-walker representation  exp(t Lhat_2) b = E_{x,y} b(X_t, Y_t),
+its running integral extrapolated by ``walkers.pair_limit``.
 """
 
 from __future__ import annotations
@@ -35,12 +36,10 @@ from scipy.sparse.linalg import expm_multiply
 
 from .criticality import TransformedModel
 from .errors import ConvergenceError, DivergenceError, ModelError
-from .walkers import (INTEGRABILITY_MARGIN, lattice_walk, pair_integral_curves,
-                      parse_start, _tail_fit, _increment_exponent)
+from .walkers import lattice_walk, pair_integral_curves, pair_limit, parse_start
 
 __all__ = [
     "CorrelationTensor",
-    "HierarchySolution",
     "PairCorrelationMC",
     "generator_matrix",
     "apply_Lhat",
@@ -61,7 +60,7 @@ class CorrelationTensor:
     """Symmetric order-n array over space points (mbar convention)."""
 
     order: int
-    values: np.ndarray  # shape (size,) * order; scalar array for order 0
+    values: np.ndarray  # shape (size,) * order
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -83,19 +82,22 @@ class PairCorrelationMC:
     values: np.ndarray
     stderr: np.ndarray
     order: int = 2
-    curves: dict = field(default_factory=dict)  # per displacement: (t, running, se)
+    curves: dict = field(default_factory=dict)  # per displacement: its PairLimit
 
     @property
     def sup(self) -> float:
         return float(self.values.max())
 
-
-@dataclass
-class HierarchySolution:
-    rho: float
-    tensors: list          # CorrelationTensor / PairCorrelationMC for n = 1..N
-    H_used: float
-    D_const: float
+    def convergence(self, T_grid) -> dict:
+        """Distance rho (limit - running) of the evolved k_2 from this estimate
+        at the times ``T_grid``, the largest over the displacements; converged
+        when at most 3 SE of the estimate at the last time."""
+        T_grid = np.asarray(T_grid, dtype=float)
+        dist = np.max([self.rho * np.interp(T_grid, c.t, c.limit - c.running)
+                       for c in self.curves.values()], axis=0)
+        threshold = 3 * float(self.stderr.max())
+        return {"t": T_grid, "distance": dist, "threshold": threshold,
+                "converged": bool(dist[-1] <= threshold)}
 
 
 def generator_matrix(tm: TransformedModel) -> np.ndarray:
@@ -154,16 +156,12 @@ def semigroup_apply(tm: TransformedModel, t: float, k: CorrelationTensor,
     return CorrelationTensor(k.order, _apply_each_axis(E, k.values))
 
 
-def poisson_initial(n: int, rho: float, space=None) -> CorrelationTensor:
+def poisson_initial(n: int, rho: float, space) -> CorrelationTensor:
     """Initial data of the Poisson measure with intensity rho.
 
     In the mbar convention this is the constant tensor rho^n (the marked
     per-mark profile q is absorbed by the measure change).
     """
-    if n == 0:
-        return CorrelationTensor(0, np.asarray(1.0))
-    if space is None:
-        raise ModelError("space required for n >= 1")
     return CorrelationTensor(n, np.full((space.size,) * n, float(rho) ** n))
 
 
@@ -286,42 +284,32 @@ def _solve_stationary(tm: TransformedModel, f: CorrelationTensor) -> np.ndarray:
     return _apply_each_axis(Z, X).real
 
 
-def stationary_k(n: int, tm: TransformedModel, rho: float,
-                 backend: str = "dense", controls: dict | None = None,
-                 k_prev=None):
+def stationary_k(n: int, tm: TransformedModel, rho: float) -> CorrelationTensor:
     """Stationary correlation function k_n = int exp(t Lhat_n) f_n dt + rho^n.
 
-    ``dense`` solves Lhat_n (k_n - rho^n) = -f_n directly on finite spaces
-    (and raises DivergenceError on critical models); ``montecarlo`` uses the
-    two-walker Feynman-Kac representation on unbounded lattices (n = 2),
-    with ``controls`` passed to ``stationary_pair_mc``.
+    Solves Lhat_n (k_n - rho^n) = -f_n directly on a finite space, with f_n
+    built from k_{n-1} by recursion; raises DivergenceError on critical
+    models.  ``stationary_pair_mc`` estimates k_2 on unbounded lattices.
     """
     if n < 1:
         raise ModelError("stationary level must be >= 1")
     if n == 1:
         return CorrelationTensor(1, np.full(tm.space.size, float(rho)))
-    if backend == "montecarlo":
-        if n != 2:
-            raise ModelError("montecarlo backend implements n = 2 only")
-        return stationary_pair_mc(tm, rho, **(controls or {}))
-    if backend != "dense":
-        raise ModelError(f"unknown backend {backend!r}")
-    if controls:
-        raise ModelError("the dense backend takes no controls")
-    if k_prev is None:
-        k_prev = stationary_k(n - 1, tm, rho)
-    f = source_f(n, tm, k_prev)
+    f = source_f(n, tm, stationary_k(n - 1, tm, rho))
     return CorrelationTensor(n, _solve_stationary(tm, f) + float(rho) ** n)
 
 
-def stationary_pair_mc(tm: TransformedModel, rho: float, displacements=None,
-                       T: float = 200.0, replicas: int = 20000,
-                       rng: np.random.Generator | None = None) -> PairCorrelationMC:
-    """k_2(u) = rho^2 + rho E_{0,u} int_0^inf [b(X,Y) + b(Y,X)] dt by MC."""
-    if rng is None:
-        raise ModelError("montecarlo backend requires an rng")
+def stationary_pair_mc(tm: TransformedModel, rho: float, *, rng: np.random.Generator,
+                       displacements=None, T: float = 200.0,
+                       replicas: int = 20000) -> PairCorrelationMC:
+    """k_2(u) = rho^2 + rho E_{0,u} int_0^inf [b(X,Y) + b(Y,X)] dt by MC.
+
+    Each integral is the ``pair_limit`` of its running value on [0, T], at
+    the displacements u (default 0, e_1, 2 e_1); a DivergenceError reports
+    one that is not integrable.
+    """
     if tm.marked:
-        raise ModelError("the montecarlo pair backend takes unmarked models only")
+        raise ModelError("stationary_pair_mc takes unmarked models only")
     walk = lattice_walk(tm)
     d = walk.d
     if displacements is None:
@@ -329,19 +317,17 @@ def stationary_pair_mc(tm: TransformedModel, rho: float, displacements=None,
     displacements = [parse_start(u, d, 0)[0] for u in displacements]
     values, errs, curves = [], [], {}
     for u in displacements:
-        cps, mean, se, _ = pair_integral_curves(
-            walk, u, 0, 0, T, replicas, rng, symmetrized=True)
-        p_hat = _increment_exponent(cps, mean)
-        if p_hat > -1.0 - INTEGRABILITY_MARGIN:
+        lim = pair_limit(*pair_integral_curves(walk, u, 0, 0, T, replicas, rng,
+                                               symmetrized=True), d)
+        if not lim.integrable:
             raise DivergenceError(
                 "two-walker interaction integral is not integrable "
-                f"(fitted exponent {p_hat:.3f})",
-                diagnostics={"t": cps, "running": mean, "exponent": p_hat})
-        A, _ = _tail_fit(cps, mean, d)
-        A = max(A, float(mean[-1]))
-        values.append(rho ** 2 + rho * A)
-        errs.append(rho * float(se[-1]))
-        curves[tuple(u)] = {"t": cps, "running": mean, "stderr": se, "limit": A}
+                f"(fitted exponent {lim.exponent:.3f})",
+                diagnostics={"t": lim.t, "running": lim.running,
+                             "exponent": lim.exponent})
+        values.append(rho ** 2 + rho * lim.limit)
+        errs.append(rho * float(lim.stderr[-1]))
+        curves[tuple(u)] = lim
     return PairCorrelationMC(rho=rho, displacements=list(displacements),
                              values=np.array(values), stderr=np.array(errs),
                              curves=curves)
@@ -354,18 +340,19 @@ def bound_constant_D(rho: float, H: float) -> float:
     return float(np.sum(np.exp(n * np.log(rho / H) - 2 * gammaln(n + 1))))
 
 
-def factorial_bound_check(sol: HierarchySolution, mc_tolerance: float = 0.0) -> dict:
-    """Check k_n <= D H^n (n!)^2 for every computed level."""
-    if sol.H_used <= 0:
+def factorial_bound_check(tensors: list, rho: float, H: float) -> dict:
+    """Check k_n <= D H^n (n!)^2, D = ``bound_constant_D(rho, H)``, for each
+    computed level in ``tensors`` (CorrelationTensor or PairCorrelationMC)."""
+    if H <= 0:
         raise ModelError("factorial bound check needs a positive H")
-    D = sol.D_const
-    report = {"per_level": {}, "passed": True, "D": D, "H": sol.H_used}
+    D = bound_constant_D(rho, H)
+    report = {"per_level": {}, "passed": True, "D": D, "H": H}
     from math import factorial
-    for tensor in sol.tensors:
+    for tensor in tensors:
         n = tensor.order
-        bound = D * sol.H_used ** n * factorial(n) ** 2
+        bound = D * H ** n * factorial(n) ** 2
         ratio = tensor.sup / bound
-        ok = ratio <= 1.0 + mc_tolerance
+        ok = ratio <= 1.0
         report["per_level"][n] = {"sup": tensor.sup, "bound": bound,
                                   "ratio": ratio, "passed": ok}
         report["passed"] = report["passed"] and ok
@@ -373,37 +360,16 @@ def factorial_bound_check(sol: HierarchySolution, mc_tolerance: float = 0.0) -> 
 
 
 def convergence_check(n: int, tm: TransformedModel, rho: float, T_grid,
-                      backend: str = "dense", controls: dict | None = None) -> dict:
+                      tol: float = 1e-8) -> dict:
     """Distance of the evolved solution from the stationary one over time.
 
-    Dense backend: evolve exactly from Poisson initial data and report
-    ``sup |k_t - k_rho|`` at the grid times (a DivergenceError from the
-    stationary construction is reported as non-convergence with the growth
-    of ``sup |k_t|`` as the diagnostic).  Monte Carlo backend: the distance
-    equals rho times the tail of the running two-walker integral; it needs
-    a precomputed ``estimate`` or an ``rng``.
+    Evolves exactly from Poisson initial data and reports
+    ``sup |k_t - k_rho|`` at the grid times; converged when it is at most
+    ``tol`` at the last one.  A DivergenceError from the stationary solve is
+    reported as non-convergence with the growth of ``sup |k_t|`` as the
+    diagnostic.  ``PairCorrelationMC.convergence`` is the Monte Carlo verdict.
     """
-    controls = controls or {}
-    allowed = {"dense": {"tol"},
-               "montecarlo": {"estimate", "rng", "displacements", "replicas"}}
-    if backend not in allowed or set(controls) - allowed[backend]:
-        raise ModelError(f"unknown backend {backend!r} or controls {sorted(controls)}")
     T_grid = np.asarray(T_grid, dtype=float)
-    T = float(T_grid[-1])
-    if backend == "montecarlo":
-        est = controls.get("estimate")
-        if est is None:
-            est = stationary_pair_mc(tm, rho, displacements=controls.get("displacements"),
-                                     T=T, replicas=controls.get("replicas", 20000),
-                                     rng=controls.get("rng"))
-        dist = None
-        se3 = 0.0
-        for u, cur in est.curves.items():
-            tail = rho * np.interp(T_grid, cur["t"], cur["limit"] - cur["running"])
-            dist = tail if dist is None else np.maximum(dist, tail)
-            se3 = max(se3, 3 * rho * float(cur["stderr"][-1]))
-        return {"t": T_grid, "distance": dist, "threshold": se3,
-                "converged": bool(dist[-1] <= se3), "estimate": est}
     k0 = [poisson_initial(m, rho, tm.space) for m in range(1, n + 1)]
     try:
         k_inf = stationary_k(n, tm, rho)
@@ -415,6 +381,5 @@ def convergence_check(n: int, tm: TransformedModel, rho: float, T_grid,
                 "diagnostics": exc.diagnostics}
     _, traj = evolve_hierarchy(tm, k0, T_grid)[n]
     dist = np.array([float(np.abs(k.values - k_inf.values).max()) for k in traj])
-    tol = controls.get("tol", 1e-8)
     return {"t": T_grid, "distance": dist, "threshold": tol,
             "converged": bool(dist[-1] <= tol), "stationary": k_inf}

@@ -19,12 +19,11 @@ death rates ``V(x) > 0`` and an optional jump kernel ``J(y, x)``.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ModelError, SpaceError
+from .errors import ContactLabError, ModelError, SpaceError
 
 __all__ = [
     "StateSpace",
@@ -32,9 +31,17 @@ __all__ = [
     "RateModel",
     "build_space",
     "kernel_matrix",
-    "load_model_config",
     "model_from_dict",
 ]
+
+# the keys of a model config and, per type or form, of its space and kernels
+MODEL_KEYS = {"space", "birth", "death", "jump"}
+SPACE_KEYS = {"finite": {"type", "points", "weights"},
+              "lattice": {"type", "d", "R", "boundary"},
+              "product": {"type", "d", "R", "boundary", "marks", "nu"}}
+KERNEL_KEYS = {"dense": {"form", "matrix"},
+               "stencil": {"form", "entries", "rate"},
+               "factorized": {"form", "alpha", "rate", "Q"}}
 
 
 @dataclass(frozen=True)
@@ -88,37 +95,35 @@ def _lattice_points(d: int, R: int):
 def build_space(spec: dict) -> StateSpace:
     """Build and validate a StateSpace from a description dict.
 
-    ``spec["type"]`` selects the flavor; see the module docstring for the
-    accepted keys of each.
+    ``spec["type"]`` selects the flavor; ``SPACE_KEYS`` lists the keys
+    each accepts.
     """
-    kind = spec.get("type")
-    if kind in ("finite", "finite-set"):
+    kind = spec.get("type") if isinstance(spec, dict) else None
+    if kind not in SPACE_KEYS:
+        raise SpaceError(f"unknown space type {kind!r}")
+    _check_keys(spec, SPACE_KEYS[kind], f"{kind} space")
+    if kind == "finite":
         points = tuple(spec["points"])
         weights = np.asarray(spec.get("weights", np.ones(len(points))), dtype=float)
         return StateSpace(points, weights, "finite")
-    if kind in ("lattice", "lattice-window"):
-        d, R = int(spec["d"]), int(spec["R"])
-        boundary = spec.get("boundary", "periodic")
-        if boundary not in ("periodic", "unbounded"):
-            raise SpaceError(f"unknown boundary mode {boundary!r}")
-        pts = _lattice_points(d, R)
-        return StateSpace(tuple(pts), np.ones(len(pts)), "lattice",
+    d, R = int(spec["d"]), int(spec["R"])
+    boundary = spec.get("boundary", "periodic")
+    if boundary not in ("periodic", "unbounded"):
+        raise SpaceError(f"unknown boundary mode {boundary!r}")
+    lat = _lattice_points(d, R)
+    if kind == "lattice":
+        return StateSpace(tuple(lat), np.ones(len(lat)), "lattice",
                           dim=d, radius=R, boundary=boundary)
-    if kind == "product":
-        d, R = int(spec["d"]), int(spec["R"])
-        boundary = spec.get("boundary", "periodic")
-        marks = tuple(spec["marks"])
-        nu = np.asarray(spec["nu"], dtype=float)
-        if len(marks) != len(nu):
-            raise SpaceError("marks and nu length mismatch")
-        if np.any(nu <= 0):
-            raise SpaceError("nu weights must be strictly positive")
-        lat = _lattice_points(d, R)
-        points = tuple((xi, s) for xi in lat for s in marks)
-        weights = np.array([nu[marks.index(s)] for _, s in points])
-        return StateSpace(points, weights, "product",
-                          dim=d, radius=R, boundary=boundary, marks=marks, nu=nu)
-    raise SpaceError(f"unknown space type {kind!r}")
+    marks = tuple(spec["marks"])
+    nu = np.asarray(spec["nu"], dtype=float)
+    if len(marks) != len(nu):
+        raise SpaceError("marks and nu length mismatch")
+    if np.any(nu <= 0):
+        raise SpaceError("nu weights must be strictly positive")
+    points = tuple((xi, s) for xi in lat for s in marks)
+    weights = np.array([nu[marks.index(s)] for _, s in points])
+    return StateSpace(points, weights, "product",
+                      dim=d, radius=R, boundary=boundary, marks=marks, nu=nu)
 
 
 @dataclass(frozen=True)
@@ -180,7 +185,6 @@ class RateModel:
     birth: Kernel
     death: np.ndarray
     jump: Kernel | None = None
-    death_marks: np.ndarray | None = None  # per-mark v(s) when death depends on marks only
 
     def __post_init__(self):
         V = np.asarray(self.death, dtype=float)
@@ -189,13 +193,9 @@ class RateModel:
         if not np.all(np.isfinite(V)) or np.any(V <= 0):
             raise ModelError("death rates must be strictly positive and finite")
         object.__setattr__(self, "death", V)
-        if self.death_marks is not None:
-            object.__setattr__(self, "death_marks",
-                               np.asarray(self.death_marks, dtype=float))
 
     def with_birth(self, birth: Kernel) -> "RateModel":
-        return RateModel(birth=birth, death=self.death, jump=self.jump,
-                         death_marks=self.death_marks)
+        return RateModel(birth=birth, death=self.death, jump=self.jump)
 
 
 def _mark_factor(kern: Kernel, space: StateSpace) -> np.ndarray:
@@ -254,6 +254,13 @@ def kernel_matrix(kern: Kernel | None, space: StateSpace) -> np.ndarray:
 # JSON model configuration
 # ---------------------------------------------------------------------------
 
+def _check_keys(spec: dict, allowed: set, what: str):
+    """Every key of ``spec`` is one of ``allowed``."""
+    unknown = set(spec) - allowed
+    if unknown:
+        raise ModelError(f"unknown {what} keys: {', '.join(sorted(map(str, unknown)))}")
+
+
 def _nearest_stencil(dim: int, rate: float) -> dict:
     """Uniform nearest-neighbour stencil with total mass ``rate``."""
     per = rate / (2 * dim)
@@ -275,51 +282,54 @@ def _stencil_entries(d: dict, dim: int | None, key: str) -> dict:
 
 
 def _kernel_from_dict(d: dict, dim: int | None = None) -> Kernel:
-    form = d.get("form")
+    form = d.get("form") if isinstance(d, dict) else None
+    if form not in KERNEL_KEYS:
+        raise ModelError(f"unknown kernel form {form!r}")
+    _check_keys(d, KERNEL_KEYS[form], f"{form} kernel")
     if form == "dense":
         return Kernel("dense", matrix=np.asarray(d["matrix"], dtype=float))
     if form == "stencil":
         return Kernel("stencil", stencil=_stencil_entries(d, dim, "entries"))
-    if form == "factorized":
-        entries = _stencil_entries(d, dim, "alpha")
-        return Kernel("factorized", stencil=entries, Q=np.asarray(d["Q"], dtype=float))
-    raise ModelError(f"unknown kernel form {form!r}")
+    entries = _stencil_entries(d, dim, "alpha")
+    return Kernel("factorized", stencil=entries, Q=np.asarray(d["Q"], dtype=float))
 
 
-def _death_from_config(d, space: StateSpace):
+def _death_from_config(d, space: StateSpace) -> np.ndarray:
     if isinstance(d, (int, float)):
-        return np.full(space.size, float(d)), None
-    if isinstance(d, dict) and "per_mark" in d:
+        return np.full(space.size, float(d))
+    if isinstance(d, dict):
+        _check_keys(d, {"per_mark"}, "death")
         if space.structure != "product":
             raise ModelError("per-mark death rates require a product space")
         vm = np.asarray(d["per_mark"], dtype=float)
         if vm.shape != (len(space.marks),):
             raise ModelError("per-mark death rate length mismatch")
-        V = np.array([vm[space.marks.index(p[1])] for p in space.points])
-        return V, vm
+        return np.array([vm[space.marks.index(p[1])] for p in space.points])
     V = np.asarray(d, dtype=float)
     if V.shape != (space.size,):
         raise ModelError(f"{V.size} death rates for {space.size} points")
-    return V, None
+    return V
 
 
 def model_from_dict(cfg: dict) -> tuple[StateSpace, RateModel]:
-    """Build (space, model) from a parsed model-config dict."""
-    if "space" not in cfg or "birth" not in cfg or "death" not in cfg:
-        raise ModelError("model config needs 'space', 'birth' and 'death' keys")
-    space = build_space(cfg["space"])
-    dim = space.dim if space.structure in ("lattice", "product") else None
-    birth = _kernel_from_dict(cfg["birth"], dim)
-    death, death_marks = _death_from_config(cfg["death"], space)
-    jump = _kernel_from_dict(cfg["jump"], dim) if cfg.get("jump") else None
-    for kern in (birth, jump):
-        if kern is not None and kern.form == "factorized":
-            _mark_factor(kern, space)
-    return space, RateModel(birth=birth, death=death, jump=jump,
-                            death_marks=death_marks)
-
-
-def load_model_config(path) -> tuple[StateSpace, RateModel]:
-    with open(path) as fh:
-        cfg = json.load(fh)
-    return model_from_dict(cfg)
+    """Build (space, model) from a parsed model-config dict; an unknown key
+    (see ``MODEL_KEYS``) or a malformed value is a ``ModelError``."""
+    try:
+        if not (isinstance(cfg, dict) and {"space", "birth", "death"} <= set(cfg)):
+            raise ModelError("model config needs 'space', 'birth' and 'death' keys")
+        _check_keys(cfg, MODEL_KEYS, "model")
+        space = build_space(cfg["space"])
+        dim = space.dim if space.structure in ("lattice", "product") else None
+        birth = _kernel_from_dict(cfg["birth"], dim)
+        death = _death_from_config(cfg["death"], space)
+        jump = _kernel_from_dict(cfg["jump"], dim) if cfg.get("jump") else None
+        for kern in (birth, jump):
+            if kern is not None and kern.form == "factorized":
+                _mark_factor(kern, space)
+        return space, RateModel(birth=birth, death=death, jump=jump)
+    except ContactLabError:
+        raise
+    except KeyError as exc:
+        raise ModelError(f"model config is missing the key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"malformed model config: {exc}") from exc

@@ -165,7 +165,7 @@ def snapshot_grid(T: float, snapshot_times) -> np.ndarray:
 
 
 def run_replicas(tm: TransformedModel, rho: float, T: float, snapshot_times,
-                 replicas: int, seed: int, initial=None,
+                 replicas: int, seed: int,
                  event_cap: int = DEFAULT_EVENT_CAP) -> ReplicaBatch:
     """Independent replicas advanced in lockstep on one stream from ``seed``.
 
@@ -177,20 +177,14 @@ def run_replicas(tm: TransformedModel, rho: float, T: float, snapshot_times,
     replica leaves the active set once its next event time passes T, or
     once it reaches ``event_cap`` events, which flags it as truncated.  A
     snapshot at t_s takes the counts before the first event after t_s, the
-    rule of ``simulate_contact``.  ``initial`` is either None
-    (product-Poisson with intensity rho * mbar) or a fixed counts vector.
+    rule of ``simulate_contact``.  Initial counts are product-Poisson with
+    intensity rho * mbar.
     """
     size = tm.space.size
     T = float(T)
     grid = snapshot_grid(T, snapshot_times)
     rng = np.random.default_rng(seed)
-    if initial is None:
-        counts = sample_poisson_initial(tm, rho, rng, replicas)
-    else:
-        c0 = np.asarray(initial, dtype=np.int64)
-        if c0.shape != (size,) or np.any(c0 < 0):
-            raise ModelError("initial counts must be a non-negative per-point vector")
-        counts = np.tile(c0, (replicas, 1))
+    counts = sample_poisson_initial(tm, rho, rng, replicas)
     birth_M = tm.b * tm.mbar[:, None]            # birth_M[y, x] = b(y, x) mbar(y)
     # weights = counts @ rate_M: V * counts | counts @ birth_M.T | jump_out * counts
     blocks = [np.diag(tm.death), birth_M.T]

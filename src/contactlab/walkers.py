@@ -10,17 +10,17 @@ for marked models, the mark moves independently with the stochastic kernel
     sup_{x,y} int_0^inf E_{x,y} b(X(t), Y(t)) dt
 
 is estimated by exact path integrals of ``b`` along piecewise-constant
-two-walker trajectories (no time-discretization error), with a
-``t^{1 - d/2}`` tail extrapolation.  All walker Monte Carlo runs on one
-vectorized stepper, ``_jump_chain``, which steps only the replicas short of
-the next grid time.  A replica's state is two integers: the lattice code of
-its signed walker sum (``_lattice_code``, ``63 // d`` bits per coordinate)
-and the index of its joint marks.  Each jump is one draw from a Walker alias
-table of (walker, step, new mark) for that joint state, and the integrand is
-looked up on the sorted codes of its support.  A start or a jump count that
-could carry a coordinate out of the code's range is a ``ModelError``.
-``simulate_jump`` is the scalar single-path reference the stepper is tested
-against.
+two-walker trajectories (no time-discretization error), extrapolated to
+T = inf by one ``t^{1 - d/2}`` tail fit, ``pair_limit``.  All walker Monte
+Carlo runs on one vectorized stepper, ``_jump_chain``, which steps only the
+replicas short of the next grid time.  A replica's state is two integers:
+the lattice code of its signed walker sum (``_lattice_code``, ``63 // d``
+bits per coordinate) and the index of its joint marks.  Each jump is one
+draw from a Walker alias table of (walker, step, new mark) for that joint
+state, and the integrand is looked up on the sorted codes of its support.
+A start or a jump count that could carry a coordinate out of the code's
+range is a ``ModelError``.  ``simulate_jump`` is the scalar single-path
+reference the stepper is tested against.
 """
 
 from __future__ import annotations
@@ -41,11 +41,14 @@ __all__ = [
     "lattice_walk",
     "simulate_jump",
     "pair_integral_curves",
+    "PairLimit",
+    "pair_limit",
     "parse_start",
     "estimate_H",
     "heat_bound_check",
     "convolution_bound_check",
     "iterated_convolution",
+    "mark_chain_jump_counts",
     "poisson_domination_check",
     "lower_tail_bound_check",
     "LOWER_TAIL_B",
@@ -399,7 +402,7 @@ def pair_integral_curves(walk: LatticeWalk, d0, s0x: int, s0y: int, T: float,
                          symmetrized: bool = False):
     """Running path integrals of b(X_t, Y_t) for two independent walkers.
 
-    Returns ``(checkpoints, mean_running, stderr_running, final_samples)``.
+    Returns ``(checkpoints, mean_running, stderr_running)``.
     The integral over each holding interval is exact (b is piecewise
     constant).  ``symmetrized`` integrates ``b(X, Y) + b(Y, X)`` instead.
     """
@@ -423,7 +426,31 @@ def pair_integral_curves(walk: LatticeWalk, d0, s0x: int, s0y: int, T: float,
         running[i] = I
     mean = running.mean(axis=1)
     stderr = running.std(axis=1, ddof=1) / np.sqrt(replicas)
-    return cps, mean, stderr, running[-1]
+    return cps, mean, stderr
+
+
+@dataclass(frozen=True)
+class PairLimit:
+    """A running two-walker integral and its extrapolation to T = inf."""
+
+    t: np.ndarray
+    running: np.ndarray
+    stderr: np.ndarray
+    exponent: float  # fitted p of the integrand E b ~ t^p over the last decade
+    limit: float     # A of the tail fit A - c t^(1 - d/2), floored at running[-1]
+
+    @property
+    def integrable(self) -> bool:
+        """The integrand decays faster than 1/t by ``INTEGRABILITY_MARGIN``."""
+        return self.exponent <= -1.0 - INTEGRABILITY_MARGIN
+
+
+def pair_limit(cps: np.ndarray, mean: np.ndarray, se: np.ndarray, d: int) -> PairLimit:
+    """The limit T -> inf of a ``pair_integral_curves`` result in d dimensions."""
+    A, _ = _tail_fit(cps, mean, d)
+    return PairLimit(t=cps, running=mean, stderr=se,
+                     exponent=_increment_exponent(cps, mean),
+                     limit=max(A, float(mean[-1])))
 
 
 def _tail_fit(cps: np.ndarray, mean: np.ndarray, d: int):
@@ -498,24 +525,19 @@ def estimate_H(tm: TransformedModel, start_pairs, T: float, replicas: int,
     H_hat, stderr_at_max = 0.0, 0.0
     worst = None
     converged = True
-    exps = []
     nmark = len(walk.v) if tm.marked else 0
     for start in start_pairs:
         d0, s0x, s0y = parse_start(start, d, nmark)
-        cps, mean, se, finals = pair_integral_curves(
-            walk, d0, s0x, s0y, T, replicas, rng)
-        p_hat = _increment_exponent(cps, mean)
-        ok = p_hat <= -1.0 - INTEGRABILITY_MARGIN
-        A, _c = _tail_fit(cps, mean, d)
-        value = max(A, float(mean[-1]))
+        cps, mean, se = pair_integral_curves(walk, d0, s0x, s0y, T, replicas, rng)
+        lim = pair_limit(cps, mean, se, d)
+        value = lim.limit
         se_final = float(se[-1])
         per_start[(d0, s0x, s0y) if nmark else d0] = {
             "estimate": value, "stderr": se_final,
-            "tail_exponent": p_hat, "running_final": float(mean[-1]),
+            "tail_exponent": lim.exponent, "running_final": float(mean[-1]),
             "growth_exponent": _running_exponent(cps, mean),
         }
-        exps.append(p_hat)
-        converged = converged and ok
+        converged = converged and lim.integrable
         if worst is None or value + 3 * se_final > H_hat:
             H_hat = value + 3 * se_final
             stderr_at_max = se_final
@@ -525,8 +547,8 @@ def estimate_H(tm: TransformedModel, start_pairs, T: float, replicas: int,
         H_hat = max(v["running_final"] for v in per_start.values())
     return TransienceReport(
         H_hat=float(H_hat), stderr=stderr_at_max,
-        tail_exponent_fit=float(max(exps)), horizon=float(T),
-        converged=bool(converged),
+        tail_exponent_fit=float(max(v["tail_exponent"] for v in per_start.values())),
+        horizon=float(T), converged=bool(converged),
         growth_exponent=float(max(v["growth_exponent"] for v in per_start.values())),
         per_start=per_start, times=worst[0], running=worst[1])
 

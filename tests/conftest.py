@@ -48,8 +48,7 @@ def marked_model(Q=None, v=None, d=1, R=1):
     model = RateModel(birth=Kernel("factorized",
                                    stencil=nearest_stencil(d), Q=Q),
                       death=np.array([v[space.marks.index(p[1])]
-                                      for p in space.points]),
-                      death_marks=v)
+                                      for p in space.points]))
     return space, model
 
 

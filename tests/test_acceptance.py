@@ -19,9 +19,8 @@ from contactlab.criticality import (TransformedModel, calibrate,
                                     ground_transform,
                                     jump_criticality_residual,
                                     solve_ground_state, theta_kernel)
-from contactlab.hierarchy import (CorrelationTensor, HierarchySolution,
-                                  apply_Lhat, bound_constant_D,
-                                  convergence_check, evolve_hierarchy,
+from contactlab.hierarchy import (CorrelationTensor, apply_Lhat,
+                                  bound_constant_D, evolve_hierarchy,
                                   factorial_bound_check, generator_matrix,
                                   poisson_initial, semigroup_apply, source_f,
                                   stationary_pair_mc)
@@ -235,12 +234,9 @@ def test_criterion_07_stationary_k2(z3tm, z3_transience, z3_mc_long):
     assert np.all(sigmas <= 3.0)
 
     H = z3_transience[300.0].H_hat
-    sol = HierarchySolution(rho=rho, tensors=[
-        CorrelationTensor(1, np.full(1, rho)), mc],
-        H_used=H, D_const=bound_constant_D(rho, H))
-    report = factorial_bound_check(sol)
+    report = factorial_bound_check([CorrelationTensor(1, np.full(1, rho)), mc], rho, H)
     assert report["passed"]
-    bound = sol.D_const * H ** 2 * 4.0
+    bound = bound_constant_D(rho, H) * H ** 2 * 4.0
     assert mc.values.max() <= bound
     print(f"ACCEPTANCE 7: PASS - k2 within {sigmas.max():.2f} combined SE "
           f"of the independent estimate; sup k2 = {mc.values.max():.4f} <= "
@@ -249,9 +245,7 @@ def test_criterion_07_stationary_k2(z3tm, z3_transience, z3_mc_long):
 
 def test_criterion_08_convergence(z3tm, z3_mc_long):
     T_grid = np.geomspace(2.0, 4000.0, 12)
-    rep = convergence_check(2, z3tm, rho=0.1, T_grid=T_grid,
-                            backend="montecarlo",
-                            controls={"estimate": z3_mc_long})
+    rep = z3_mc_long.convergence(T_grid)
     assert rep["converged"]
     assert rep["distance"][-1] <= rep["threshold"]
     assert rep["distance"][-1] < rep["distance"][0]

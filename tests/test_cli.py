@@ -116,6 +116,25 @@ class TestExitCodes:
                         "controls": {"T": 20, "replicas": 200,
                                      "integrability_margin": 0.1}}),
         ("transience", {"model": LATTICE_MODEL, "T": 5, "replicas": 100, "starts": 5}),
+        ("simulate", {"model": dict(FINITE_MODEL, jmup=FINITE_MODEL["birth"]),
+                      "rho": 0.5, "T": 0.5, "replicas": 120}),
+        ("calibrate", {"model": dict(FINITE_MODEL, space={
+            "type": "finite", "points": [0, 1, 2, 3], "wieghts": [1.0, 0.8, 1.2, 1.0]})}),
+        ("calibrate", {"model": dict(LATTICE_MODEL, space={
+            "type": "lattice", "d": 3, "R": 1, "boundry": "unbounded"})}),
+        ("calibrate", {"model": dict(LATTICE_MODEL, space={"type": "lattice", "R": 1})}),
+        ("calibrate", {"model": dict(LATTICE_MODEL, space={"type": "lattice", "d": 3,
+                                                           "R": "x"})}),
+        ("calibrate", {"model": dict(FINITE_MODEL, birth={"form": "dense"})}),
+        ("calibrate", {"model": dict(FINITE_MODEL, death="abc")}),
+        ("calibrate", {"model_file": "missing_model.json"}),
+        ("calibrate", [{"model": FINITE_MODEL}]),
+        ("report", {"runs": 5}),
+        ("stationary", {"model": LATTICE_MODEL, "rho": 0.1, "backend": "montecarlo",
+                        "controls": 5}),
+        ("stationary", {"model": FINITE_MODEL, "rho": 0.5, "backend": "spectral"}),
+        ("verify-bounds", {"model": LATTICE_MODEL, "rho": 0.1, "T": 20,
+                           "replicas": 200, "mc_tolerance": 0.5}),
     ])
     def test_unsupported_config_is_config_error(self, tmp_path, command, cfg):
         code, _ = run_cli(tmp_path, command, cfg, seed=1)

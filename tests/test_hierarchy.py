@@ -9,8 +9,7 @@ from scipy.linalg import expm
 
 from contactlab.criticality import calibrate
 from contactlab.errors import DivergenceError, ModelError
-from contactlab.hierarchy import (CorrelationTensor, HierarchySolution,
-                                  _augmented_generator, apply_Lhat,
+from contactlab.hierarchy import (CorrelationTensor, _augmented_generator, apply_Lhat,
                                   bound_constant_D, convergence_check,
                                   evolve_hierarchy,
                                   factorial_bound_check, generator_matrix,
@@ -283,11 +282,6 @@ class TestPoissonInitial:
         assert k.values.shape == (2, 2, 2)
         assert np.all(k.values == 0.125)
 
-    def test_order_zero_scalar(self):
-        k = poisson_initial(0, 0.5)
-        assert k.order == 0
-        assert float(k.values) == 1.0
-
 
 class TestStationary:
     def test_level1_exact(self, finite4_critical):
@@ -309,14 +303,9 @@ class TestStationary:
         k = stationary_k(1, tm, 0.5)
         for n in (2, 3):
             f = source_f(n, tm, k).values
-            k = stationary_k(n, tm, 0.5, k_prev=k)
+            k = stationary_k(n, tm, 0.5)
             oracle = -np.linalg.solve(kron_sum_matrix(G, n), f.ravel())
             assert np.abs(k.values - 0.5 ** n - oracle.reshape(f.shape)).max() <= 1e-10
-
-    def test_dense_takes_no_controls(self):
-        tm = dissipative_tm(np.random.default_rng(77))
-        with pytest.raises(ModelError):
-            stationary_k(2, tm, 0.5, controls={"tol": 1e-12})
 
     def test_dissipative_residual(self):
         rng = np.random.default_rng(77)
@@ -335,7 +324,7 @@ class TestStationary:
         rho = 0.5
         k1 = stationary_k(1, tm, rho)
         k2 = stationary_k(2, tm, rho)
-        k3 = stationary_k(3, tm, rho, k_prev=k2)
+        k3 = stationary_k(3, tm, rho)
         # dense H for the dissipative model: integral of the two-walker
         # semigroup applied to b, maximized over starts
         G = generator_matrix(tm)
@@ -357,20 +346,15 @@ class TestBounds:
 
     def test_level1_ratio_below_one(self):
         rho, H = 0.3, 0.2
-        D = bound_constant_D(rho, H)
-        sol = HierarchySolution(rho=rho,
-                                tensors=[CorrelationTensor(1, np.full(3, rho))],
-                                H_used=H, D_const=D)
-        rep = factorial_bound_check(sol)
+        rep = factorial_bound_check([CorrelationTensor(1, np.full(3, rho))], rho, H)
+        assert rep["D"] == bound_constant_D(rho, H)
         assert rep["per_level"][1]["ratio"] <= 1.0
         assert rep["passed"]
 
     def test_constructed_violation_flagged(self):
         rho, H = 0.3, 0.2
-        D = bound_constant_D(rho, H)
         bad = CorrelationTensor(2, np.full((3, 3), 10.0))
-        sol = HierarchySolution(rho=rho, tensors=[bad], H_used=H, D_const=D)
-        rep = factorial_bound_check(sol)
+        rep = factorial_bound_check([bad], rho, H)
         assert not rep["passed"]
 
 
@@ -384,13 +368,3 @@ class TestConvergence:
         rep = convergence_check(2, finite4_critical, 0.5, [1.0, 2.0])
         assert not rep["converged"]
         assert "divergence" in rep
-
-    def test_montecarlo_requires_rng(self, z3_critical):
-        with pytest.raises(ModelError):
-            convergence_check(2, z3_critical, 0.1, [1.0, 2.0], backend="montecarlo")
-
-    def test_unknown_controls_rejected(self, finite4_critical):
-        with pytest.raises(ModelError):
-            convergence_check(1, finite4_critical, 0.5, [1.0], controls={"dt": 0.05})
-        with pytest.raises(ModelError):
-            convergence_check(1, finite4_critical, 0.5, [1.0], backend="spectral")

@@ -141,7 +141,7 @@ class TestPairEngine:
         walk = lattice_walk(z1_critical)
         T = 4.0
         rng = np.random.default_rng(88)
-        cps, mean, se, finals = pair_integral_curves(
+        cps, mean, se = pair_integral_curves(
             walk, np.array([1]), 0, 0, T, 40000, rng)
         R = 40
         size = 2 * R + 1
@@ -195,14 +195,14 @@ class TestPairEngine:
         oracle = expm(T * L)[state(1, 1, 0), size]
         walk = lattice_walk(tm)
         rng = np.random.default_rng(89)
-        cps, mean, se, finals = pair_integral_curves(
+        cps, mean, se = pair_integral_curves(
             walk, np.array([1]), 1, 0, T, 40000, rng)
         assert abs(float(mean[-1]) - oracle) <= 3.5 * float(se[-1])
 
     def test_running_integral_monotone(self, z3_critical):
         walk = lattice_walk(z3_critical)
         rng = np.random.default_rng(9)
-        cps, mean, se, finals = pair_integral_curves(
+        cps, mean, se = pair_integral_curves(
             walk, np.array([0, 0, 0]), 0, 0, 100.0, 500, rng)
         assert np.all(np.diff(mean) >= -1e-15)
 
@@ -302,7 +302,7 @@ class TestLatticeCode:
         # two jumps could reach 2^20: caught at a grid time
         with pytest.raises(ModelError):
             pair_integral_curves(walk, (2 ** 20 - 2, 0, 0), 0, 0, 50.0, 100, rng)
-        cps, mean, _, _ = pair_integral_curves(walk, (-(2 ** 20) + 500, 0, 0),
+        cps, mean, _ = pair_integral_curves(walk, (-(2 ** 20) + 500, 0, 0),
                                                0, 0, 50.0, 100, rng)
         assert mean[-1] == 0.0
 
