@@ -60,11 +60,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header, rows):
+def _csv_lines(rows) -> list:
+    """CSV lines of tuple rows, each cell through ``_fmt``."""
+    return [",".join(map(_fmt, row)) for row in rows]
+
+
+def _write_csv(path: Path, header, lines):
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_fmt, row)) + "\n")
+        fh.write("\n".join([",".join(header), *lines, ""]))
 
 
 def _index_fields(n: int, size: int, width: int | None = None) -> list:
@@ -75,12 +78,22 @@ def _index_fields(n: int, size: int, width: int | None = None) -> list:
     return [",".join(idx) + pad for idx in itertools.product(labels, repeat=n)]
 
 
-def _tensor_rows(lead: tuple, index: list, *tensors) -> list:
-    """CSV rows ``lead, x1..xn, values`` of same-shape tensors in C index
-    order, formatted column by column; ``index`` is from ``_index_fields``."""
-    lead = tuple(map(_fmt, lead))
-    cols = [[format(v, ".17g") for v in np.ravel(a).tolist()] for a in tensors]
-    return [lead + cells for cells in zip(index, *cols)]
+def _format_floats(a) -> list:
+    """``.17g`` strings of the floats of ``a`` in C order.  Each distinct bit
+    pattern is formatted once (so -0 stays apart from 0), and every cell
+    holding it shares that string."""
+    bits = np.ascontiguousarray(a, dtype=np.float64).view(np.int64).ravel()
+    uniq, inverse = np.unique(bits, return_inverse=True)
+    strs = [format(v, ".17g") for v in uniq.view(np.float64).tolist()]
+    return [strs[i] for i in inverse.tolist()]
+
+
+def _tensor_rows(lead: tuple, index: list, *cols) -> list:
+    """CSV lines ``lead,x1..xn,values`` of same-shape tensors in C index
+    order; ``index`` is from ``_index_fields`` and each of ``cols`` is the
+    ``_format_floats`` of one tensor."""
+    head = "".join(_fmt(x) + "," for x in lead)
+    return [head + ",".join(cells) for cells in zip(index, *cols)]
 
 
 def _digest(path: Path) -> str:
@@ -115,9 +128,9 @@ class Run:
             fh.write("\n")
         self.files.append(path)
 
-    def write_csv(self, name: str, header, rows):
+    def write_csv(self, name: str, header, lines):
         path = self.outdir / name
-        _write_csv(path, header, rows)
+        _write_csv(path, header, lines)
         self.files.append(path)
 
     def finish(self, command: str):
@@ -180,8 +193,8 @@ def _starts(cfg: dict, key: str, d: int, nmark: int = 0) -> list:
     disps = [[0] * d, [1] + [0] * (d - 1), [2] + [0] * (d - 1)]
     starts = cfg.get(key, [[u, 0, 0] for u in disps] if nmark else disps)
     try:
-        if not isinstance(starts, list):
-            raise ModelError(f"{starts!r} is not a list")
+        if not (isinstance(starts, list) and starts):
+            raise ModelError(f"{starts!r} is not a non-empty list")
         for s in starts:
             parse_start(s, d, nmark)
     except ModelError as exc:
@@ -212,11 +225,12 @@ def _time_grid(cfg: dict, key: str):
     return grid
 
 
-# numeric config keys: (type, lower bound or None, whether the bound is strict)
+# numeric config keys: (type, lower bound or None, whether the bound is strict);
+# every command that reads replicas reports a ddof=1 standard error, so >= 2
 NUMERIC_KEYS = {
     "T": (float, None, False), "rho": (float, 0, False), "lambda0": (float, 0, True),
     "tol": (float, 0, True), "dt": (float, 0, True),
-    "replicas": (int, 1, False), "N": (int, 1, False), "n": (int, 1, False),
+    "replicas": (int, 2, False), "N": (int, 1, False), "n": (int, 1, False),
     "n_max": (int, 1, False), "seed": (int, 0, False),
 }
 
@@ -278,8 +292,9 @@ def cmd_calibrate(cfg, run: Run, rng):
 
 def cmd_transience(cfg, run: Run, rng):
     space, model = _model_from_config(cfg, cfg["_path"])
+    nmark = len(space.marks or ()) if model.birth.form == "factorized" else 0
+    starts = _starts(cfg, "starts", space.dim or 1, nmark)
     tm, _, _ = calibrate(model, space)
-    starts = _starts(cfg, "starts", space.dim or 1, len(tm.v) if tm.marked else 0)
     rep = estimate_H(tm, starts, T=float(cfg.get("T", 1000.0)),
                      replicas=int(cfg.get("replicas", 100_000)), rng=rng)
     run.write_json("transience.json", {
@@ -290,7 +305,7 @@ def cmd_transience(cfg, run: Run, rng):
     })
     if rep.times is not None:
         run.write_csv("transience_curve.csv", ["t", "running_integral"],
-                      zip(rep.times, rep.running))
+                      _csv_lines(zip(rep.times, rep.running)))
     run.checks["transience_converged"] = rep.converged
     return EXIT_OK
 
@@ -306,10 +321,14 @@ def cmd_evolve(cfg, run: Run, rng):
     k0 = [poisson_initial(n, rho, space) for n in range(1, N + 1)]
     for n, (times, traj) in evolve_hierarchy(tm, k0, grid).items():
         index = _index_fields(n, space.size)
-        rows = [row for t, tensor in zip(times, traj)
-                for row in _tensor_rows((t,), index, tensor.values)]
+        # one call over the trajectory: values repeated across times share a string
+        values = _format_floats([tensor.values for tensor in traj])
+        m = len(index)
+        lines = []
+        for i, t in enumerate(times):
+            lines += _tensor_rows((t,), index, values[i * m:(i + 1) * m])
         run.write_csv(f"evolve_k{n}.csv",
-                      ["t"] + [f"x{i + 1}" for i in range(n)] + ["value"], rows)
+                      ["t"] + [f"x{i + 1}" for i in range(n)] + ["value"], lines)
     return EXIT_OK
 
 
@@ -351,15 +370,15 @@ def cmd_stationary(cfg, run: Run, rng):
         run.checks["stationary_converged"] = False
         return EXIT_DIVERGENCE
     if backend == "montecarlo":
-        rows = [tuple(u) + (val, se) for u, val, se in
-                zip(k.displacements, k.values, k.stderr)]
         run.write_csv("stationary_k2.csv",
                       [f"u{i + 1}" for i in range(space.dim)] + ["value", "stderr"],
-                      rows)
+                      _csv_lines(tuple(u) + (val, se) for u, val, se in
+                                 zip(k.displacements, k.values, k.stderr)))
     else:
         run.write_csv(f"stationary_k{n}.csv",
                       [f"x{i + 1}" for i in range(n)] + ["value"],
-                      _tensor_rows((), _index_fields(n, space.size), k.values))
+                      _tensor_rows((), _index_fields(n, space.size),
+                                   _format_floats(k.values)))
     run.checks["stationary_converged"] = True
     return EXIT_OK
 
@@ -379,13 +398,14 @@ def cmd_simulate(cfg, run: Run, rng):
     batch = run_replicas(tm, rho, T, snap, replicas, seed=int(cfg["seed"]))
     width = max(orders)
     index = {n: _index_fields(n, space.size, width) for n in orders}
-    rows = []
+    lines = []
     for t in snap:
         for n in orders:
             est = empirical_correlations(batch, space, t, n, tm.mbar)
-            rows += _tensor_rows((t, n), index[n], est.values, est.stderr)
+            lines += _tensor_rows((t, n), index[n], _format_floats(est.values),
+                                  _format_floats(est.stderr))
     header = ["t", "order"] + [f"x{i + 1}" for i in range(width)] + ["value", "stderr"]
-    run.write_csv("moments.csv", header, rows)
+    run.write_csv("moments.csv", header, lines)
     run.write_json("simulate.json",
                    {"replicas": replicas, "truncated": int(batch.truncated.sum()),
                     "snapshot_times": snap})
@@ -406,7 +426,7 @@ def cmd_verify_lemmas(cfg, run: Run, rng):
                               "bounded": conv["bounded"]}
     ok &= conv["bounded"]
     run.write_csv("convolution.csv", ["n", "sup", "scaled"],
-                  zip(conv["n"], conv["sup"], conv["scaled"]))
+                  _csv_lines(zip(conv["n"], conv["sup"], conv["scaled"])))
     lam0 = float(cfg.get("lambda0", tm.v.min() if tm.marked else tm.death.min()))
     if tgrid is None:
         tgrid = np.linspace(2.0 / lam0, 40.0 / lam0, 8)
@@ -441,11 +461,11 @@ def cmd_verify_lemmas(cfg, run: Run, rng):
 def cmd_verify_bounds(cfg, run: Run, rng):
     space, model = _model_from_config(cfg, cfg["_path"])
     _require_unmarked(model, "verify-bounds")
+    starts = _starts(cfg, "starts", space.dim or 1)
     tm, _, _ = calibrate(model, space)
     rho = float(_require(cfg, "rho"))
     T = float(cfg.get("T", 200.0))
     replicas = int(cfg.get("replicas", 20000))
-    starts = _starts(cfg, "starts", space.dim or 1)
     trans = estimate_H(tm, starts, T=T, replicas=replicas, rng=rng)
     if not trans.converged:
         run.write_json("bounds.json", {"error": "transience not established",
@@ -486,7 +506,7 @@ def cmd_report(cfg, run: Run, rng):
         for check, passed in man.get("checks", {}).items():
             table.append((man["command"], check, "pass" if passed else "fail"))
             all_ok &= bool(passed)
-    run.write_csv("report.csv", ["command", "check", "status"], table)
+    run.write_csv("report.csv", ["command", "check", "status"], _csv_lines(table))
     run.write_json("report.json", {"checks": len(table), "all_passed": all_ok})
     run.checks["all_runs_passed"] = all_ok
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED

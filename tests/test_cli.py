@@ -6,7 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from contactlab.cli import _fmt, _index_fields, _tensor_rows, main
+from contactlab import cli
+from contactlab.cli import _fmt, _format_floats, _index_fields, _tensor_rows, main
+from contactlab.criticality import calibrate
+from contactlab.hierarchy import evolve_hierarchy, poisson_initial, stationary_k
+from contactlab.model import model_from_dict
 
 
 LATTICE_MODEL = {
@@ -49,6 +53,10 @@ def run_cli(tmp_path, command, cfg, seed=None, outname="out"):
         argv += ["--seed", str(seed)]
     code = main(argv)
     return code, out
+
+
+def _no_calibration(*args, **kwargs):
+    raise AssertionError("the config should be rejected before calibration")
 
 
 class TestExitCodes:
@@ -140,6 +148,25 @@ class TestExitCodes:
         code, _ = run_cli(tmp_path, command, cfg, seed=1)
         assert code == 2
 
+    @pytest.mark.parametrize("command, cfg", [
+        ("transience", {"model": LATTICE_MODEL, "T": 5, "replicas": 100, "starts": []}),
+        ("verify-bounds", {"model": LATTICE_MODEL, "rho": 0.1, "T": 20,
+                           "replicas": 200, "starts": []}),
+        ("stationary", {"model": LATTICE_MODEL, "rho": 0.1, "backend": "montecarlo",
+                        "displacements": [], "controls": {"T": 20, "replicas": 200}}),
+        # one replica: each of these reports a ddof=1 standard error
+        ("transience", {"model": LATTICE_MODEL, "T": 5, "replicas": 1}),
+        ("verify-lemmas", {"model": MARKED_MODEL, "replicas": 1}),
+        ("verify-bounds", {"model": LATTICE_MODEL, "rho": 0.1, "T": 20, "replicas": 1}),
+        ("stationary", {"model": LATTICE_MODEL, "rho": 0.1, "backend": "montecarlo",
+                        "controls": {"T": 20, "replicas": 1}}),
+        ("simulate", {"model": FINITE_MODEL, "rho": 0.5, "T": 0.5, "replicas": 1}),
+    ])
+    def test_rejected_before_calibration(self, tmp_path, monkeypatch, command, cfg):
+        monkeypatch.setattr(cli, "calibrate", _no_calibration)
+        code, _ = run_cli(tmp_path, command, cfg, seed=1)
+        assert code == 2
+
     def test_bad_config_file(self, tmp_path):
         assert main(["calibrate", "--config",
                      str(tmp_path / "missing.json")]) == 2
@@ -223,15 +250,60 @@ class TestOutputs:
 
 
 def test_tensor_rows_match_cellwise_format():
-    # the column-wise rows format exactly as a cell-by-cell loop over the
-    # tensor, index padding included
+    # the finished lines equal a cell-by-cell loop over the tensors, index
+    # padding included, with repeated values, -0 beside 0, nan, +-inf and a
+    # subnormal
     rng = np.random.default_rng(4)
-    vals, errs = rng.random((3, 3)), rng.random((3, 3)) * 1e-300
-    vals[0, 1], vals[1, 2], errs[2, 0] = -0.0, np.nan, 1.0 / 3.0
-    got = _tensor_rows((0.5, 2), _index_fields(2, 3, width=3), vals, errs)
-    loop = [(0.5, 2) + idx + ("",) + (vals[idx], errs[idx]) for idx in np.ndindex(3, 3)]
-    assert ([",".join(map(_fmt, row)) for row in got]
-            == [",".join(_fmt(v) for v in row) for row in loop])
+    vals, errs = rng.random((4, 4)), rng.random((4, 4)) * 1e-300
+    vals[0, :3] = errs[3, :3] = vals[3, 3]
+    vals[1] = [-0.0, 0.0, np.nan, np.inf]
+    vals[2, :2] = [-np.inf, 5e-324]
+    errs[2, :3] = [1.0 / 3.0, 0.0, -0.0]
+    got = _tensor_rows((0.5, 2), _index_fields(2, 4, width=3),
+                       _format_floats(vals), _format_floats(errs))
+    loop = [(0.5, 2) + idx + ("",) + (vals[idx], errs[idx]) for idx in np.ndindex(4, 4)]
+    assert got == [",".join(map(_fmt, row)) for row in loop]
+    assert [line.split(",")[5] for line in got[4:10]] == [
+        "-0", "0", "nan", "inf", "-inf", "4.9406564584124654e-324"]
+
+
+def _cellwise_write_csv(path, header, rows):
+    """The row-by-row CSV writer the one-block writer replaced."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
+
+
+def test_tensor_csvs_match_row_by_row_writer(tmp_path):
+    # stationary n = 2, 3 and evolve on a 9-point window, byte for byte
+    model = dict(LATTICE_MODEL, space={"type": "lattice", "d": 2, "R": 1,
+                                       "boundary": "unbounded"})
+    space, rate_model = model_from_dict(model)
+    tm, _, _ = calibrate(rate_model, space)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    for n in (2, 3):
+        code, out = run_cli(tmp_path, "stationary", {"model": model, "rho": 0.1, "n": n},
+                            outname=f"stationary{n}")
+        assert code == 0
+        k = stationary_k(n, tm, 0.1).values
+        _cellwise_write_csv(ref / f"stationary_k{n}.csv",
+                            [f"x{i + 1}" for i in range(n)] + ["value"],
+                            (idx + (k[idx],) for idx in np.ndindex(k.shape)))
+        assert ((out / f"stationary_k{n}.csv").read_bytes()
+                == (ref / f"stationary_k{n}.csv").read_bytes())
+    code, out = run_cli(tmp_path, "evolve",
+                        {"model": model, "rho": 0.1, "N": 2, "T": 0.5, "dt": 0.05})
+    assert code == 0
+    k0 = [poisson_initial(n, 0.1, space) for n in (1, 2)]
+    for n, (times, traj) in evolve_hierarchy(tm, k0, np.linspace(0, 0.5, 11)).items():
+        _cellwise_write_csv(ref / f"evolve_k{n}.csv",
+                            ["t"] + [f"x{i + 1}" for i in range(n)] + ["value"],
+                            ((t,) + idx + (k.values[idx],) for t, k in zip(times, traj)
+                             for idx in np.ndindex(k.values.shape)))
+        assert ((out / f"evolve_k{n}.csv").read_bytes()
+                == (ref / f"evolve_k{n}.csv").read_bytes())
 
 
 class TestDeterminism:
