@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, metrics
 from .criticality import calibrate, theta_kernel
 from .errors import ConfigError, ContactLabError, DivergenceError, ModelError
 from .hierarchy import (CorrelationTensor, evolve_hierarchy, factorial_bound_check,
@@ -121,6 +121,7 @@ class Run:
         self.checks: dict[str, bool] = {}
         self.files: list[Path] = []
 
+    @metrics.phase("write")
     def write_json(self, name: str, payload: dict):
         path = self.outdir / name
         with open(path, "w") as fh:
@@ -128,12 +129,15 @@ class Run:
             fh.write("\n")
         self.files.append(path)
 
+    @metrics.phase("write")
     def write_csv(self, name: str, header, lines):
         path = self.outdir / name
         _write_csv(path, header, lines)
         self.files.append(path)
 
-    def finish(self, command: str):
+    def finish(self, command: str, recorded: dict):
+        """Write ``manifest.json``: the outputs' digests, the checks and the
+        ``recorded`` metrics, which are not digested (their timings vary)."""
         manifest = {
             "artifact_version": __version__,
             "command": command,
@@ -142,6 +146,7 @@ class Run:
             "wall_clock_seconds": round(time.time() - self.started, 3),
             "checks": self.checks,
             "outputs": {p.name: _digest(p) for p in self.files},
+            "metrics": recorded,
         }
         path = self.outdir / "manifest.json"
         with open(path, "w") as fh:
@@ -545,8 +550,9 @@ def main(argv=None) -> int:
         rng = (np.random.default_rng(int(cfg["seed"]))
                if "seed" in cfg else None)
         run = Run({k: v for k, v in cfg.items() if k != "_path"}, outdir)
-        code = COMMANDS[args.command](cfg, run, rng)
-        run.finish(args.command)
+        with metrics.recording() as recorded:
+            code = COMMANDS[args.command](cfg, run, rng)
+        run.finish(args.command, recorded)
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

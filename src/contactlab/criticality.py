@@ -4,12 +4,15 @@ The principal eigenpair of the positive operator
 
     (T psi)(x) = sum_y [a(x, y) / V(x)] psi(y) m(y)
 
-is found by power iteration with sup-norm normalization and
-Collatz-Wielandt stopping.  For factorized (marked) models the problem
-reduces to the mark-only kernel ``Q(s, s') / v(s)`` against ``nu`` and the
-eigenfunction is reported with the ``sum q nu = 1`` normalization.  The
-birth kernel is rescaled by ``1/r`` to land exactly on criticality, and the
-ground-state transform ``b = a / psi``, ``mbar = psi * m`` is applied.
+is found directly: one dense eigensolve locates the root r, and inverse
+iteration on one LU factorization of ``sigma I - T`` (``sigma`` just above
+r) gives the sup-normalized eigenvector within a few solves, stopped when
+the Collatz-Wielandt bracket certifies r.  For factorized (marked) models
+the problem reduces to the mark-only kernel ``Q(s, s') / v(s)`` against
+``nu`` and the eigenfunction is reported with the ``sum q nu = 1``
+normalization.  The birth kernel is rescaled by ``1/r`` to land exactly on
+criticality, and the ground-state transform ``b = a / psi``,
+``mbar = psi * m`` is applied.
 Rescaling keeps the eigenvector, so calibration solves once: the ratios
 ``inflow / V = T psi / psi`` of the transformed model bracket the rescaled
 Perron root (Collatz 1942; Wielandt 1950).
@@ -20,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
+from . import metrics
 from .errors import ConvergenceError, ModelError, ReducibleKernelError
 from .model import Kernel, RateModel, StateSpace, kernel_matrix
 
@@ -28,7 +33,7 @@ __all__ = [
     "GroundState",
     "TransformedModel",
     "ThetaKernel",
-    "power_iteration",
+    "perron_solve",
     "solve_ground_state",
     "rescale_to_critical",
     "ground_transform",
@@ -39,8 +44,12 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITERS = 100_000
 POSITIVITY_FLOOR = 1e-12
+# inverse iteration shifts by SIGMA_GAP max(|r|, 1) above the eigvals root,
+# far above its rounding error, so each solve cuts the non-Perron part by
+# about SIGMA_GAP / (relative spectral gap)
+SIGMA_GAP = 1e-9
+MAX_SOLVES = 10
 
 
 @dataclass(frozen=True)
@@ -51,7 +60,7 @@ class GroundState:
     eigenvalue: float
     normalization: str         # "sup" | "mark-nu"
     q: np.ndarray | None = None  # per mark (marked models only)
-    iterations: int = 0
+    iterations: int = 0        # inverse-iteration solves
     bracket: tuple | None = None  # final Collatz-Wielandt (min, max)
 
 
@@ -98,39 +107,40 @@ class ThetaKernel:
         return self.theta * self.nu[None, :]
 
 
-def power_iteration(T: np.ndarray, tol: float, max_iters: int):
-    """Perron pair of a non-negative matrix by power iteration from ones.
+def perron_solve(T: np.ndarray, tol: float):
+    """Perron pair of a non-negative matrix by one eigensolve and inverse iteration.
 
-    Iterates the shifted matrix ``T + shift I`` with ``shift`` half the
-    largest absolute row sum (the diagonal shift breaks periodic/bipartite
-    kernels without changing the eigenvector; the shift is subtracted from
-    the reported eigenvalue and bracket).  Stops when the Collatz-Wielandt
-    bracket ``[min Tx/x, max Tx/x]`` has width below ``tol`` relative to the
-    eigenvalue.  Returns ``(r, x, iterations, bracket_history)`` with ``x``
-    sup-normalized.
+    ``eigvals`` gives the root ``r`` as the eigenvalue of largest real part;
+    a second eigenvalue within ``tol max(r, 1)`` of it means a reducible
+    kernel with a non-simple root, which has no unique positive
+    eigenvector.  ``sigma I - T`` with ``sigma`` just above ``r`` is then
+    factored once, and inverse iteration from the ones vector (each solve
+    maps the positive cone into itself) runs until the Collatz-Wielandt
+    bracket ``[min Tx/x, max Tx/x]`` has width at most ``tol`` relative to
+    the root.  Returns ``(r, x, solves, bracket)`` with ``r`` the bracket's
+    midpoint and ``x`` sup-normalized.
     """
-    shift = 0.5 * float(np.abs(T).sum(axis=1).max())
-    x = np.ones(T.shape[0])
-    history = []
-    for it in range(1, max_iters + 1):
-        y = T @ x + shift * x
-        ymax = np.abs(y).max()
-        if ymax == 0.0:
-            raise ReducibleKernelError("kernel annihilates the positive cone")
-        floor = POSITIVITY_FLOOR * ymax
-        if np.any(y <= floor):
+    w = np.linalg.eigvals(T)
+    top = np.sort(w.real)[::-1]
+    r = float(top[0])
+    if len(top) > 1 and top[1] >= r - tol * max(r, 1.0):
+        raise ReducibleKernelError(
+            f"Perron root {r:.6g} is not simple; kernel reducible")
+    lu = lu_factor((r + SIGMA_GAP * max(abs(r), 1.0)) * np.eye(len(T)) - T)
+    x = np.ones(len(T))
+    for solves in range(1, MAX_SOLVES + 1):
+        y = lu_solve(lu, x)
+        x = y / y[np.argmax(np.abs(y))]
+        if np.any(x <= POSITIVITY_FLOOR):
             raise ReducibleKernelError(
                 "eigenvector entry below positivity floor; kernel reducible")
-        ratios = y / x
-        lo, hi = float(ratios.min()) - shift, float(ratios.max()) - shift
-        history.append((lo, hi))
-        x = y / ymax
+        ratios = (T @ x) / x
+        lo, hi = float(ratios.min()), float(ratios.max())
         if hi - lo <= tol * max(hi, 1.0):
-            r = 0.5 * (lo + hi)
-            return r, x, it, history
+            return 0.5 * (lo + hi), x, solves, (lo, hi)
     raise ConvergenceError(
-        f"power iteration did not converge in {max_iters} iterations "
-        f"(bracket width {history[-1][1] - history[-1][0]:.3e})")
+        f"inverse iteration did not certify the Perron root in {MAX_SOLVES} "
+        f"solves (bracket width {hi - lo:.3e})")
 
 
 def _mark_death(model: RateModel, space: StateSpace) -> np.ndarray:
@@ -158,11 +168,11 @@ def solve_ground_state(model: RateModel, space: StateSpace,
         alpha_mass = sum(model.birth.stencil.values())
         v = _mark_death(model, space)
         K = (model.birth.Q / v[:, None]) * space.nu[None, :] * alpha_mass
-        r, q, iters, history = power_iteration(K, tol, DEFAULT_MAX_ITERS)
+        r, q, solves, bracket = perron_solve(K, tol)
         q = q / float(q @ space.nu)
         psi = np.array([q[space.marks.index(p[1])] for p in space.points])
         return GroundState(psi=psi, eigenvalue=r, normalization="mark-nu",
-                           q=q, iterations=iters, bracket=history[-1])
+                           q=q, iterations=solves, bracket=bracket)
     if model.birth.form == "stencil" and np.ptp(model.death) == 0:
         # homogeneous model: psi is constant and r is the stencil mass / V
         # (exact; the unbounded-window dense view has edge losses and must
@@ -179,9 +189,9 @@ def solve_ground_state(model: RateModel, space: StateSpace,
                          "death rates: the window is a viewport, not the space")
     A = kernel_matrix(model.birth, space)
     T = (A * space.weights[None, :]) / model.death[:, None]
-    r, psi, iters, history = power_iteration(T, tol, DEFAULT_MAX_ITERS)
+    r, psi, solves, bracket = perron_solve(T, tol)
     return GroundState(psi=psi, eigenvalue=r, normalization="sup",
-                       iterations=iters, bracket=history[-1])
+                       iterations=solves, bracket=bracket)
 
 
 def rescale_to_critical(model: RateModel, gs: GroundState) -> RateModel:
@@ -271,6 +281,7 @@ def theta_kernel(tm: TransformedModel) -> ThetaKernel:
     return ThetaKernel(theta=theta, nu=tm.space.nu)
 
 
+@metrics.phase("calibrate")
 def calibrate(model: RateModel, space: StateSpace, tol: float = DEFAULT_TOL):
     """Full pipeline: solve once, rescale to r = 1, transform.
 
@@ -284,6 +295,8 @@ def calibrate(model: RateModel, space: StateSpace, tol: float = DEFAULT_TOL):
     ratios = np.divide(*_balance(tm))
     lo, hi = float(ratios.min()), float(ratios.max())
     gs = replace(gs0, eigenvalue=0.5 * (lo + hi), bracket=(lo, hi))
+    metrics.count("calibrate.solves", gs.iterations)
+    metrics.record("calibrate.bracket_width", hi - lo)
     report = {
         "r_initial": gs0.eigenvalue,
         "r_after_rescale": gs.eigenvalue,

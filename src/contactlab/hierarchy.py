@@ -16,12 +16,14 @@ action z(t) = exp(tA) z(0) is computed by ``expm_multiply`` (Al-Mohy and
 Higham 2011) to double precision at the requested output times.  The
 stationary solution is k_n = int_0^inf exp(t Lhat_n) f_n dt + rho^n, built
 recursively.  On a finite space the integral is -Lhat_n^{-1} f_n, which
-``stationary_k`` solves directly (Bartels-Stewart on one complex Schur form
-of G); it exists exactly when the spectral abscissa of G is negative, and a
-DivergenceError reports the leading eigenvalues otherwise.  On
-unbounded lattices k_2 is estimated instead (``stationary_pair_mc``) by the
-Feynman-Kac two-walker representation  exp(t Lhat_2) b = E_{x,y} b(X_t, Y_t),
-its running integral extrapolated by ``walkers.pair_limit``.
+``stationary_k`` solves directly: Bartels-Stewart on one Schur form of G,
+in real arithmetic when G's spectrum is real (its real Schur form is then
+triangular) and in complex arithmetic otherwise.  It exists exactly when
+the spectral abscissa of G is negative, and a DivergenceError reports the
+leading eigenvalues otherwise.  On unbounded lattices k_2 is estimated
+instead (``stationary_pair_mc``) by the Feynman-Kac two-walker
+representation  exp(t Lhat_2) b = E_{x,y} b(X_t, Y_t), its running
+integral extrapolated by ``walkers.pair_limit``.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm, schur
-from scipy.linalg.lapack import ztrsyl as trsyl
+from scipy.linalg import expm, get_lapack_funcs, rsf2csf, schur
 from scipy.sparse.linalg import expm_multiply
 
+from . import metrics
 from .criticality import TransformedModel
 from .errors import ConvergenceError, DivergenceError, ModelError
 from .walkers import lattice_walk, pair_integral_curves, pair_limit, parse_start
@@ -197,6 +199,7 @@ def _augmented_generator(tm: TransformedModel, N: int) -> sp.csr_matrix:
     return A
 
 
+@metrics.phase("evolve")
 def evolve_hierarchy(tm: TransformedModel, k0: list, times) -> dict:
     """Exact solution of levels 1..N at the output ``times``.
 
@@ -244,13 +247,16 @@ def _kron_sum_solve(T: np.ndarray, C: np.ndarray, shift: complex = 0.0) -> np.nd
     """Solve (shift + sum over axes of T) X = C for upper-triangular T.
 
     Bartels-Stewart back-substitution: the last two axes are one triangular
-    Sylvester equation T X + X T^T = C (LAPACK trsyl); every further leading
-    axis is swept from its last index to its first, each slice a smaller
-    problem shifted by the diagonal entry of T.
+    Sylvester equation T X + X T^H = C (LAPACK trsyl of T's dtype, real or
+    complex); every further leading axis is swept from its last index to
+    its first, each slice a smaller problem shifted by the diagonal entry
+    of T.
     """
     if C.ndim == 2:
-        A = T + shift * np.eye(len(T))
-        X, scale, info = trsyl(A, T.conj(), C, trana="N", tranb="C")
+        trsyl = get_lapack_funcs("trsyl", (T,))
+        X, scale, info = trsyl(T + shift * np.eye(len(T)), T.conj(), C,
+                               trana="N", tranb="C")
+        metrics.count("stationary.trsyl_calls")
         if info != 0:
             raise ConvergenceError(f"triangular Sylvester solve failed (info={info})")
         return X / scale
@@ -261,14 +267,18 @@ def _kron_sum_solve(T: np.ndarray, C: np.ndarray, shift: complex = 0.0) -> np.nd
     return X
 
 
-def _solve_stationary(tm: TransformedModel, f: CorrelationTensor) -> np.ndarray:
-    """-Lhat_n^{-1} f_n, i.e. int_0^inf exp(t Lhat_n) f_n dt, by a direct solve.
+def _triangular_form(tm: TransformedModel):
+    """Schur form G = Z T Z^H of the level-1 generator with T triangular.
 
-    One complex Schur form G = Z T Z^H of the level-1 generator turns the
-    Kronecker-sum operator into a triangular one.  Raises DivergenceError
-    when the spectral abscissa of G is not negative (the integral diverges).
+    The real Schur form is kept when it is triangular (real spectrum), so
+    the solves run in real arithmetic; a 2x2 block (a complex pair) turns
+    it into the complex Schur form.  Raises DivergenceError when the
+    spectral abscissa of G is not negative (the integrals diverge).
     """
-    T, Z = schur(generator_matrix(tm), output="complex")
+    T, Z = schur(generator_matrix(tm))
+    if np.any(np.diag(T, -1)):
+        T, Z = rsf2csf(T, Z)
+    metrics.count(f"stationary.schur_{T.dtype}")
     eig = np.diag(T)
     abscissa = float(eig.real.max())
     if abscissa >= -SPECTRAL_TOL:
@@ -279,26 +289,33 @@ def _solve_stationary(tm: TransformedModel, f: CorrelationTensor) -> np.ndarray:
             diagnostics={"spectral_abscissa": abscissa, "tol": SPECTRAL_TOL,
                          "leading_eigenvalues": [[float(z.real), float(z.imag)]
                                                  for z in lead]})
-    C = _apply_each_axis(Z.conj().T, -f.values.astype(complex))
-    X = _kron_sum_solve(T, C)
-    return _apply_each_axis(Z, X).real
+    return T, Z
 
 
+@metrics.phase("stationary")
 def stationary_k(n: int, tm: TransformedModel, rho: float) -> CorrelationTensor:
     """Stationary correlation function k_n = int exp(t Lhat_n) f_n dt + rho^n.
 
-    Solves Lhat_n (k_n - rho^n) = -f_n directly on a finite space, with f_n
-    built from k_{n-1} by recursion; raises DivergenceError on critical
-    models.  ``stationary_pair_mc`` estimates k_2 on unbounded lattices.
+    Solves Lhat_n (k_n - rho^n) = -f_n directly on a finite space, level by
+    level with f_n built from k_{n-1}, on one Schur form of G; raises
+    DivergenceError on critical models.  ``stationary_pair_mc`` estimates
+    k_2 on unbounded lattices.
     """
     if n < 1:
         raise ModelError("stationary level must be >= 1")
+    k = CorrelationTensor(1, np.full(tm.space.size, float(rho)))
     if n == 1:
-        return CorrelationTensor(1, np.full(tm.space.size, float(rho)))
-    f = source_f(n, tm, stationary_k(n - 1, tm, rho))
-    return CorrelationTensor(n, _solve_stationary(tm, f) + float(rho) ** n)
+        return k
+    T, Z = _triangular_form(tm)
+    for m in range(2, n + 1):
+        # -Lhat_m^{-1} f_m in the Schur basis, where Lhat_m is triangular
+        C = _apply_each_axis(Z.conj().T, -source_f(m, tm, k).values)
+        X = _apply_each_axis(Z, _kron_sum_solve(T, C)).real
+        k = CorrelationTensor(m, X + float(rho) ** m)
+    return k
 
 
+@metrics.phase("stationary")
 def stationary_pair_mc(tm: TransformedModel, rho: float, *, rng: np.random.Generator,
                        displacements=None, T: float = 200.0,
                        replicas: int = 20000) -> PairCorrelationMC:

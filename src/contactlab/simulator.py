@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import metrics
 from .criticality import TransformedModel
 from .errors import ModelError
 
@@ -164,6 +165,7 @@ def snapshot_grid(T: float, snapshot_times) -> np.ndarray:
     return grid
 
 
+@metrics.phase("simulate")
 def run_replicas(tm: TransformedModel, rho: float, T: float, snapshot_times,
                  replicas: int, seed: int,
                  event_cap: int = DEFAULT_EVENT_CAP) -> ReplicaBatch:

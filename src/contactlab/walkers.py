@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import pdtr
 
+from . import metrics
 from .criticality import TransformedModel, ThetaKernel, theta_kernel
 from .errors import ModelError
 from .model import Kernel
@@ -503,6 +504,7 @@ def parse_start(start, d: int, nmark: int) -> tuple:
     return disp, sx, sy
 
 
+@metrics.phase("transience")
 def estimate_H(tm: TransformedModel, start_pairs, T: float, replicas: int,
                rng: np.random.Generator) -> TransienceReport:
     """Estimate the transience constant H over a grid of start pairs.

@@ -196,6 +196,31 @@ class TestOutputs:
             data = (out / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest
 
+    def test_manifest_metrics(self, tmp_path):
+        # the metrics block counts each command's solves and times its phases;
+        # a rerun changes the timings but no digest
+        window = {**LATTICE_MODEL, "space": {**LATTICE_MODEL["space"], "d": 2}}
+        cases = [("calibrate", {"model": FINITE_MODEL}, {"calibrate", "write"}),
+                 ("stationary", {"model": window, "rho": 0.5, "n": 2},
+                  {"calibrate", "stationary", "write"})]
+        recorded = {}
+        for command, cfg, phases in cases:
+            _, out1 = run_cli(tmp_path, command, cfg, outname=f"{command}1")
+            _, out2 = run_cli(tmp_path, command, cfg, outname=f"{command}2")
+            m1, m2 = (json.loads((out / "manifest.json").read_text())
+                      for out in (out1, out2))
+            assert m1["outputs"] == m2["outputs"]
+            assert set(m1["metrics"]["phases_s"]) == phases
+            assert all(t >= 0 for t in m1["metrics"]["phases_s"].values())
+            recorded[command] = m1["metrics"]
+        cal = json.loads((tmp_path / "calibrate1" / "calibration.json").read_text())
+        assert recorded["calibrate"]["counters"] == {"calibrate.solves": cal["iterations"]}
+        assert 0 <= recorded["calibrate"]["values"]["calibrate.bracket_width"] <= 1e-12
+        # the homogeneous window calibrates in closed form, with no solve
+        assert recorded["stationary"]["counters"] == {"calibrate.solves": 0,
+                                                      "stationary.schur_float64": 1,
+                                                      "stationary.trsyl_calls": 1}
+
     def test_evolve_writes_levels(self, tmp_path):
         code, out = run_cli(tmp_path, "evolve",
                             {"model": FINITE_MODEL, "rho": 0.5, "N": 2,

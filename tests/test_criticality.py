@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from contactlab import criticality
+from contactlab import criticality, metrics
 from contactlab.criticality import (calibrate, criticality_residual,
                                     ground_transform, jump_criticality_residual,
-                                    power_iteration, rescale_to_critical,
+                                    perron_solve, rescale_to_critical,
                                     solve_ground_state, theta_kernel)
-from contactlab.errors import ModelError, ReducibleKernelError
+from contactlab.errors import ConvergenceError, ModelError, ReducibleKernelError
 from contactlab.model import (Kernel, RateModel, build_space, kernel_matrix,
                               model_from_dict)
 
@@ -75,25 +75,64 @@ class TestSolveGroundState:
             solve_ground_state(model, space)
 
 
-class TestPowerIteration:
-    def test_collatz_wielandt_monotone(self):
+def ring_operator(death, size=100):
+    """T = A / V of the nearest-neighbour ring with rate 1/2 per neighbour."""
+    A = np.zeros((size, size))
+    idx = np.arange(size)
+    A[idx, (idx + 1) % size] = A[idx, (idx - 1) % size] = 0.5
+    return A / np.asarray(death)[:, None]
+
+
+class TestPerronSolve:
+    def test_bracket_holds_eigvals_root(self):
         rng = np.random.default_rng(3)
         T = rng.random((6, 6)) + 0.05
-        lam, x, iters, bracket = power_iteration(T, tol=1e-12, max_iters=10000)
-        lo = np.array([b[0] for b in bracket])
-        hi = np.array([b[1] for b in bracket])
-        assert np.all(np.diff(lo) >= -1e-13)
-        assert np.all(np.diff(hi) <= 1e-13)
-        assert hi[-1] - lo[-1] <= 1e-12 * max(lam, 1.0)
-        w = np.linalg.eigvals(T)
-        assert lam == pytest.approx(float(np.max(w.real)), abs=1e-10)
+        lam, x, solves, (lo, hi) = perron_solve(T, tol=1e-12)
+        root = float(np.max(np.linalg.eigvals(T).real))
+        assert lo - 1e-14 <= root <= hi + 1e-14
+        assert hi - lo <= 1e-12
+        assert lam == pytest.approx(root, abs=1e-12)
+        assert x.max() == 1.0 and np.all(x > 0)
+        assert np.allclose(T @ x, lam * x, rtol=0, atol=1e-12)
 
     def test_bipartite_kernel_converges(self):
-        # plain power iteration oscillates on this matrix; the shifted
-        # iteration must still find the Perron pair
+        # the root 1 has the eigenvalue -1 at the same modulus; power
+        # iteration without a shift oscillates here
         T = np.array([[0.0, 1.0], [1.0, 0.0]])
-        lam, x, iters, bracket = power_iteration(T, tol=1e-12, max_iters=10000)
-        assert lam == pytest.approx(1.0, abs=1e-10)
+        lam, x, solves, bracket = perron_solve(T, tol=1e-12)
+        assert lam == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(x, 1.0)
+
+    def test_localized_eigenvector_certified(self):
+        # death 1 + 0.6 U on the 100-point ring localizes psi (min/max about
+        # 5e-9); the inverse-iteration vector still certifies the root
+        U = np.random.default_rng(1).random(100)
+        T = ring_operator(1.0 + 0.6 * U)
+        lam, x, solves, (lo, hi) = perron_solve(T, tol=1e-12)
+        assert x.min() < 1e-8
+        assert solves <= 4
+        assert hi - lo <= 1e-12 * hi
+        root = float(np.max(np.linalg.eigvals(T).real))
+        assert lo - 1e-14 <= root <= hi + 1e-14
+
+    def test_non_simple_root_rejected(self):
+        # two identical disconnected blocks: the root 1.2 is double, and
+        # any positive combination of the block vectors is an eigenvector
+        T = np.array([[.2, 1, 0, 0], [1, .2, 0, 0], [0, 0, .2, 1], [0, 0, 1, .2]])
+        with pytest.raises(ReducibleKernelError, match="not simple"):
+            perron_solve(T, tol=1e-12)
+        space = build_space({"type": "finite", "points": [0, 1, 2, 3]})
+        model = RateModel(birth=Kernel("dense", matrix=T), death=np.ones(4))
+        with pytest.raises(ReducibleKernelError):
+            calibrate(model, space)
+
+    def test_uncertified_bracket_raises(self):
+        # a spectral gap of 4e-10: the root is simple, but each solve cuts
+        # the second eigenvector only by a factor of about 0.8, so the
+        # bracket is not certified within the solve budget
+        T = np.array([[1.0, 1e-10], [1e-10, 1.0 + 3e-10]])
+        with pytest.raises(ConvergenceError, match="did not certify"):
+            perron_solve(T, tol=1e-12)
 
 
 class TestRescaleAndTransform:
@@ -240,18 +279,22 @@ class TestCalibrate:
         cases = [random_finite_model(np.random.default_rng(21)),
                  marked_model(Q=[[2, 1], [1, 2]], v=[1, 3])]
         calls = []
-        solve = criticality.power_iteration
+        solve = criticality.perron_solve
 
         def counted(*args):
             calls.append(args)
             return solve(*args)
 
-        monkeypatch.setattr(criticality, "power_iteration", counted)
+        monkeypatch.setattr(criticality, "perron_solve", counted)
         for space, model in cases:
             calls.clear()
-            _, _, report = calibrate(model, space)
+            with metrics.recording() as rec:
+                _, gs, report = calibrate(model, space)
             assert len(calls) == 1
             assert report["iterations"] == solve_ground_state(model, space).iterations
+            assert rec["counters"]["calibrate.solves"] == report["iterations"] >= 1
+            lo, hi = gs.bracket
+            assert rec["values"]["calibrate.bracket_width"] == hi - lo
 
     def test_bracket_certifies_rescaled_root(self):
         # the Collatz-Wielandt bracket holds the Perron root of the rescaled

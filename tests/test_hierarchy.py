@@ -5,8 +5,9 @@ import json
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, schur
 
+from contactlab import metrics
 from contactlab.criticality import calibrate
 from contactlab.errors import DivergenceError, ModelError
 from contactlab.hierarchy import (CorrelationTensor, _augmented_generator, apply_Lhat,
@@ -306,6 +307,37 @@ class TestStationary:
             k = stationary_k(n, tm, 0.5)
             oracle = -np.linalg.solve(kron_sum_matrix(G, n), f.ravel())
             assert np.abs(k.values - 0.5 ** n - oracle.reshape(f.shape)).max() <= 1e-10
+
+    @pytest.mark.parametrize("case", ["symmetric window", "complex pair"])
+    def test_real_and_complex_schur_paths(self, case):
+        # a symmetric generator has a triangular (diagonal) real Schur form
+        # and is solved in real arithmetic; a directed 3-cycle birth kernel
+        # gives G a complex eigenvalue pair, a 2x2 block in its real Schur
+        # form, and the complex path
+        if case == "symmetric window":
+            space, model = lattice_model(2)
+            tm, _, _ = calibrate(model, space)
+            dtype = "float64"
+        else:
+            space = build_space({"type": "finite", "points": [0, 1, 2]})
+            A = np.roll(np.eye(3), 1, axis=1) + 0.1
+            model = RateModel(birth=Kernel("dense", matrix=A),
+                              death=np.array([1.0, 1.5, 2.0]))
+            tm, _, _ = calibrate(model, space)
+            tm = tm.__class__(space=tm.space, b=tm.b * 0.5, mbar=tm.mbar,
+                              death=tm.death, psi=tm.psi)
+            dtype = "complex128"
+        G = generator_matrix(tm)
+        assert np.any(np.diag(schur(G)[0], -1)) == (dtype == "complex128")
+        with metrics.recording() as rec:
+            k = stationary_k(3, tm, 0.5)
+        assert rec["counters"] == {f"stationary.schur_{dtype}": 1,
+                                   "stationary.trsyl_calls": 1 + len(G)}
+        k2 = stationary_k(2, tm, 0.5)
+        for n, kn, prev in ((2, k2, stationary_k(1, tm, 0.5)), (3, k, k2)):
+            f = source_f(n, tm, prev).values
+            oracle = -np.linalg.solve(kron_sum_matrix(G, n), f.ravel())
+            assert np.abs(kn.values - 0.5 ** n - oracle.reshape(f.shape)).max() <= 1e-10
 
     def test_dissipative_residual(self):
         rng = np.random.default_rng(77)
