@@ -3,8 +3,12 @@
     contactlab <command> --config <file> [--seed N] [--out DIR]
 
 One JSON config per run; every stochastic output is reproducible from
-(config, seed).  Outputs land in the run directory together with a
-``manifest.json`` listing each file with a content digest.
+(config, seed).  ``CONFIG`` lists, for each command, every key it reads
+with its default or ``REQUIRED``, and ``NUMERIC_KEYS`` the type and lower
+bound of each number; ``main`` checks the config against both before any
+model is calibrated.  Outputs land in the run directory together with a
+``manifest.json`` that records the seed, the digest of the config as given,
+and each file with a content digest.
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 numerical
 divergence (with diagnostics in the report).
@@ -33,23 +37,29 @@ from .simulator import empirical_correlations, run_replicas, snapshot_grid
 from .walkers import (convolution_bound_check, estimate_H, heat_bound_check,
                       lower_tail_bound_check, parse_start, poisson_domination_check)
 
-STOCHASTIC_COMMANDS = {"transience", "simulate", "verify-lemmas", "verify-bounds"}
-
-# the config keys each command reads; any other key is a config error
-COMMON_KEYS = {"model", "model_file", "seed", "output_dir"}
-CONFIG_KEYS = {
-    "calibrate": {"tol"},
-    "transience": {"starts", "T", "replicas"},
-    "evolve": {"rho", "N", "T", "dt"},
-    "stationary": {"rho", "n", "backend", "controls", "displacements"},
-    "simulate": {"rho", "T", "snapshot_times", "replicas", "orders"},
-    "verify-lemmas": {"n_max", "lambda0", "t_grid", "replicas", "k_grid",
-                      "heat_t_grid"},
-    "verify-bounds": {"rho", "T", "replicas", "starts"},
-    "report": {"runs"},
+REQUIRED = object()
+# a model config sets one of the two (see _model_from_config)
+MODEL = {"model": None, "model_file": None}
+# the config keys each command reads, each with its default or REQUIRED;
+# None is a default derived from the model, or no value at all (model,
+# model_file, seed).  Any other key is a config error.  The montecarlo
+# backend of stationary reads its own keys.
+CONFIG = {
+    "calibrate": {**MODEL, "seed": None},
+    "transience": {**MODEL, "seed": REQUIRED, "starts": None, "T": 1000.0,
+                   "replicas": 100_000},
+    "evolve": {**MODEL, "seed": None, "rho": REQUIRED, "N": 2, "T": 2.0, "dt": 0.05},
+    "stationary": {**MODEL, "seed": None, "rho": REQUIRED, "n": 2, "backend": "dense"},
+    "stationary montecarlo": {**MODEL, "seed": REQUIRED, "rho": REQUIRED, "n": 2,
+                              "backend": "montecarlo", "displacements": None,
+                              "T": 200.0, "replicas": 20000},
+    "simulate": {**MODEL, "seed": REQUIRED, "rho": REQUIRED, "T": 2.0,
+                 "snapshot_times": None, "replicas": 1000, "orders": [1, 2]},
+    "verify-lemmas": {**MODEL, "seed": REQUIRED, "replicas": 20000},
+    "verify-bounds": {**MODEL, "seed": REQUIRED, "rho": REQUIRED, "starts": None,
+                      "T": 200.0, "replicas": 20000},
+    "report": {"seed": None, "runs": REQUIRED},
 }
-# stationary_pair_mc arguments a montecarlo config may set under "controls"
-MC_CONTROLS = {"T", "replicas"}
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_DIVERGENCE = 0, 1, 2, 3
 
@@ -143,6 +153,7 @@ class Run:
             "command": command,
             "config_digest": hashlib.sha256(
                 json.dumps(self.config, sort_keys=True).encode()).hexdigest(),
+            "seed": self.config.get("seed"),
             "wall_clock_seconds": round(time.time() - self.started, 3),
             "checks": self.checks,
             "outputs": {p.name: _digest(p) for p in self.files},
@@ -179,24 +190,33 @@ def _model_from_config(cfg: dict, config_path: str):
     raise ConfigError("config needs a 'model' dict or 'model_file' path")
 
 
-def _require(cfg: dict, key: str):
-    if key in cfg:
-        return cfg[key]
-    raise ConfigError(f"config key '{key}' is required")
-
-
-def _check_keys(cfg: dict, command: str):
-    unknown = set(cfg) - COMMON_KEYS - CONFIG_KEYS[command]
+def _settings(command: str, cfg: dict) -> dict:
+    """The config's values over its ``CONFIG`` entry's defaults.  A key the
+    entry lacks, a missing REQUIRED key, a null value or a malformed number
+    is a config error."""
+    entry = ("stationary montecarlo" if command == "stationary"
+             and cfg.get("backend") == "montecarlo" else command)
+    table = CONFIG[entry]
+    unknown = set(cfg) - set(table)
     if unknown:
-        raise ConfigError(f"unknown config keys for '{command}': "
+        raise ConfigError(f"unknown config keys for '{entry}': "
                           f"{', '.join(sorted(unknown))}")
+    for key, default in table.items():
+        if default is REQUIRED and key not in cfg:
+            raise ConfigError(f"config key '{key}' is required for '{entry}'")
+        if key in cfg and cfg[key] is None:
+            raise ConfigError(f"config key '{key}' is null")
+    _check_numbers(cfg)
+    return {**table, **cfg}
 
 
 def _starts(cfg: dict, key: str, d: int, nmark: int = 0) -> list:
     """Two-walker starts from the config's ``key``, as ``parse_start`` takes
     them; by default the displacements 0, e_1 and 2 e_1 (from marks 0, 0)."""
-    disps = [[0] * d, [1] + [0] * (d - 1), [2] + [0] * (d - 1)]
-    starts = cfg.get(key, [[u, 0, 0] for u in disps] if nmark else disps)
+    starts = cfg[key]
+    if starts is None:
+        disps = [[0] * d, [1] + [0] * (d - 1), [2] + [0] * (d - 1)]
+        return [[u, 0, 0] for u in disps] if nmark else disps
     try:
         if not (isinstance(starts, list) and starts):
             raise ModelError(f"{starts!r} is not a non-empty list")
@@ -213,34 +233,16 @@ def _require_unmarked(model, what: str):
         raise ConfigError(f"{what} takes unmarked models only")
 
 
-def _time_grid(cfg: dict, key: str):
-    """The config's time grid under ``key`` (None if absent): a non-empty list
-    of finite, positive, strictly increasing times, because the walkers
-    advance through it in order and never go back."""
-    if key not in cfg:
-        return None
-    try:
-        grid = np.asarray(cfg[key], dtype=float)
-    except (TypeError, ValueError):
-        grid = np.empty(0)
-    if (grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid))
-            or np.any(grid <= 0) or np.any(np.diff(grid) <= 0)):
-        raise ConfigError(f"config key '{key}' must be a list of finite, positive, "
-                          "strictly increasing times")
-    return grid
-
-
-# numeric config keys: (type, lower bound or None, whether the bound is strict);
-# every command that reads replicas reports a ddof=1 standard error, so >= 2
+# numeric config keys: (type, lower bound, whether the bound is strict); every
+# command that reads replicas reports a ddof=1 standard error, so >= 2
 NUMERIC_KEYS = {
-    "T": (float, None, False), "rho": (float, 0, False), "lambda0": (float, 0, True),
-    "tol": (float, 0, True), "dt": (float, 0, True),
+    "T": (float, 0, False), "rho": (float, 0, False), "dt": (float, 0, True),
     "replicas": (int, 2, False), "N": (int, 1, False), "n": (int, 1, False),
-    "n_max": (int, 1, False), "seed": (int, 0, False),
+    "seed": (int, 0, False),
 }
 
 
-def _check_numbers(cfg: dict, where: str = "config key"):
+def _check_numbers(cfg: dict):
     """Each numeric key present is a finite number of its type (an int key
     takes no float; a boolean is no number) at or above its lower bound."""
     for key, (kind, low, strict) in NUMERIC_KEYS.items():
@@ -249,32 +251,20 @@ def _check_numbers(cfg: dict, where: str = "config key"):
         val = cfg[key]
         ok = (isinstance(val, (int,) if kind is int else (int, float))
               and not isinstance(val, bool) and math.isfinite(val)
-              and (low is None or val > low or (val == low and not strict)))
+              and (val > low or (val == low and not strict)))
         if not ok:
             what = "an integer" if kind is int else "a finite number"
-            if low is not None:
-                what += f" {'>' if strict else '>='} {low}"
-            raise ConfigError(f"{where} '{key}' must be {what}, got {val!r}")
-
-
-def _int_list(cfg: dict, key: str, default: list, low: int) -> list:
-    """The config's ``key``: a non-empty list of integers >= ``low``."""
-    vals = cfg.get(key, default)
-    if not (isinstance(vals, list) and vals and all(
-            isinstance(n, int) and not isinstance(n, bool) and n >= low for n in vals)):
-        raise ConfigError(f"config key '{key}' must be a non-empty list of "
-                          f"integers >= {low}, got {vals!r}")
-    return vals
+            raise ConfigError(f"config key '{key}' must be {what} "
+                              f"{'>' if strict else '>='} {low}, got {val!r}")
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the settings of _settings, the run, the random
+# generator (None without a seed) and the parsed (space, model)
 # ---------------------------------------------------------------------------
 
-def cmd_calibrate(cfg, run: Run, rng):
-    space, model = _model_from_config(cfg, cfg["_path"])
-    tol = float(cfg.get("tol", 1e-12))
-    tm, gs, report = calibrate(model, space, tol=tol)
+def cmd_calibrate(cfg, run: Run, rng, space, model):
+    tm, gs, report = calibrate(model, space)
     payload = {
         "r": report["r_initial"],
         "r_after_rescale": report["r_after_rescale"],
@@ -290,18 +280,16 @@ def cmd_calibrate(cfg, run: Run, rng):
         "Q": tm.Q, "q": tm.q, "v": tm.v,
     }
     run.write_json("transformed_model.json", tm_payload)
-    ok = report["criticality_residual"] <= max(1e-10, 100 * tol)
+    ok = report["criticality_residual"] <= 1e-10
     run.checks["criticality_residual"] = bool(ok)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_transience(cfg, run: Run, rng):
-    space, model = _model_from_config(cfg, cfg["_path"])
+def cmd_transience(cfg, run: Run, rng, space, model):
     nmark = len(space.marks or ()) if model.birth.form == "factorized" else 0
     starts = _starts(cfg, "starts", space.dim or 1, nmark)
     tm, _, _ = calibrate(model, space)
-    rep = estimate_H(tm, starts, T=float(cfg.get("T", 1000.0)),
-                     replicas=int(cfg.get("replicas", 100_000)), rng=rng)
+    rep = estimate_H(tm, starts, T=float(cfg["T"]), replicas=cfg["replicas"], rng=rng)
     run.write_json("transience.json", {
         "H_hat": rep.H_hat, "stderr": rep.stderr, "converged": rep.converged,
         "tail_exponent_fit": rep.tail_exponent_fit,
@@ -315,14 +303,11 @@ def cmd_transience(cfg, run: Run, rng):
     return EXIT_OK
 
 
-def cmd_evolve(cfg, run: Run, rng):
-    space, model = _model_from_config(cfg, cfg["_path"])
+def cmd_evolve(cfg, run: Run, rng, space, model):
+    rho, N, T = float(cfg["rho"]), cfg["N"], float(cfg["T"])
     tm, _, _ = calibrate(model, space)
-    rho = float(_require(cfg, "rho"))
-    N = int(cfg.get("N", 2))
-    T = float(cfg.get("T", 2.0))
     # the evolution is exact: dt only spaces the output times
-    grid = np.linspace(0.0, T, max(round(T / float(cfg.get("dt", 0.05))), 1) + 1)
+    grid = np.linspace(0.0, T, max(round(T / float(cfg["dt"])), 1) + 1)
     k0 = [poisson_initial(n, rho, space) for n in range(1, N + 1)]
     for n, (times, traj) in evolve_hierarchy(tm, k0, grid).items():
         index = _index_fields(n, space.size)
@@ -337,36 +322,20 @@ def cmd_evolve(cfg, run: Run, rng):
     return EXIT_OK
 
 
-def cmd_stationary(cfg, run: Run, rng):
-    space, model = _model_from_config(cfg, cfg["_path"])
-    rho = float(_require(cfg, "rho"))
-    n = int(cfg.get("n", 2))
-    backend = cfg.get("backend", "dense")
-    if backend == "dense":
-        for key in ("controls", "displacements"):
-            if key in cfg:
-                raise ConfigError(f"config key '{key}' needs backend 'montecarlo'")
-    elif backend == "montecarlo":
+def cmd_stationary(cfg, run: Run, rng, space, model):
+    rho, n, backend = float(cfg["rho"]), cfg["n"], cfg["backend"]
+    if backend == "montecarlo":
         if n != 2:
             raise ConfigError(f"the montecarlo backend computes n = 2 only, not n = {n}")
-        if "seed" not in cfg:
-            raise ConfigError("montecarlo backend requires a seed")
         _require_unmarked(model, "the montecarlo backend")
-        controls = cfg.get("controls", {})
-        if not isinstance(controls, dict):
-            raise ConfigError(f"config key 'controls' must be an object, got {controls!r}")
-        unknown = set(controls) - MC_CONTROLS
-        if unknown:
-            raise ConfigError(f"unknown montecarlo controls: "
-                              f"{', '.join(sorted(unknown))}")
-        _check_numbers(controls, "montecarlo control")
         starts = _starts(cfg, "displacements", space.dim or 1)
-    else:
+    elif backend != "dense":
         raise ConfigError(f"unknown backend {backend!r}: use 'dense' or 'montecarlo'")
     tm, _, _ = calibrate(model, space)
     try:
         if backend == "montecarlo":
-            k = stationary_pair_mc(tm, rho, rng=rng, displacements=starts, **controls)
+            k = stationary_pair_mc(tm, rho, rng=rng, displacements=starts, T=cfg["T"],
+                                   replicas=cfg["replicas"])
         else:
             k = stationary_k(n, tm, rho)
     except DivergenceError as exc:
@@ -388,19 +357,20 @@ def cmd_stationary(cfg, run: Run, rng):
     return EXIT_OK
 
 
-def cmd_simulate(cfg, run: Run, rng):
-    T = float(cfg.get("T", 2.0))
+def cmd_simulate(cfg, run: Run, rng, space, model):
+    rho, T, orders = float(cfg["rho"]), float(cfg["T"]), cfg["orders"]
     try:
-        snap = [float(t) for t in cfg.get("snapshot_times", [T])]
+        snap = [float(t) for t in
+                ([T] if cfg["snapshot_times"] is None else cfg["snapshot_times"])]
         snapshot_grid(T, snap)
     except (TypeError, ValueError, ModelError) as exc:
         raise ConfigError(str(exc)) from exc
-    orders = _int_list(cfg, "orders", [1, 2], 1)
-    space, model = _model_from_config(cfg, cfg["_path"])
+    if not (isinstance(orders, list) and orders and all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in orders)):
+        raise ConfigError("config key 'orders' must be a non-empty list of "
+                          f"integers >= 1, got {orders!r}")
     tm, _, _ = calibrate(model, space)
-    rho = float(_require(cfg, "rho"))
-    replicas = int(cfg.get("replicas", 1000))
-    batch = run_replicas(tm, rho, T, snap, replicas, seed=int(cfg["seed"]))
+    batch = run_replicas(tm, rho, T, snap, cfg["replicas"], seed=cfg["seed"])
     width = max(orders)
     index = {n: _index_fields(n, space.size, width) for n in orders}
     lines = []
@@ -412,45 +382,43 @@ def cmd_simulate(cfg, run: Run, rng):
     header = ["t", "order"] + [f"x{i + 1}" for i in range(width)] + ["value", "stderr"]
     run.write_csv("moments.csv", header, lines)
     run.write_json("simulate.json",
-                   {"replicas": replicas, "truncated": int(batch.truncated.sum()),
+                   {"replicas": cfg["replicas"], "truncated": int(batch.truncated.sum()),
                     "snapshot_times": snap})
     return EXIT_OK
 
 
-def cmd_verify_lemmas(cfg, run: Run, rng):
-    tgrid = _time_grid(cfg, "t_grid")
-    hb_grid = _time_grid(cfg, "heat_t_grid")
-    kgrid = _int_list(cfg, "k_grid", list(range(8)), 0)
-    space, model = _model_from_config(cfg, cfg["_path"])
+def cmd_verify_lemmas(cfg, run: Run, rng, space, model):
+    replicas = cfg["replicas"]
     tm, _, _ = calibrate(model, space)
+    if not tm.translation_invariant:
+        raise ModelError("verify-lemmas requires a stencil or factorized model")
     d = space.dim or 1
     results = {}
     ok = True
-    conv = convolution_bound_check(tm.alpha, d, int(cfg.get("n_max", 64)))
+    conv = convolution_bound_check(tm.alpha, d, 64)
     results["convolution"] = {"max_over_median": conv["max_over_median"],
                               "bounded": conv["bounded"]}
     ok &= conv["bounded"]
     run.write_csv("convolution.csv", ["n", "sup", "scaled"],
                   _csv_lines(zip(conv["n"], conv["sup"], conv["scaled"])))
-    lam0 = float(cfg.get("lambda0", tm.v.min() if tm.marked else tm.death.min()))
-    if tgrid is None:
-        tgrid = np.linspace(2.0 / lam0, 40.0 / lam0, 8)
+    # lam0, the lowest holding rate, bounds the mark chain's jump rate from
+    # below; the lower-tail bound holds from t = 2 / lam0
+    lam0 = float(tm.v.min() if tm.marked else tm.death.min())
+    tgrid = np.linspace(2.0 / lam0, 40.0 / lam0, 8)
     lower = lower_tail_bound_check(lam0, tgrid)
     results["lower_tail"] = {"max_ratio": lower["max_ratio"],
                              "passed": lower["passed"]}
     ok &= lower["passed"]
-    replicas = int(cfg.get("replicas", 20000))
     if tm.marked:
         theta = theta_kernel(tm)
-        dom = poisson_domination_check(tm.v, theta, lam0, tgrid, kgrid,
+        dom = poisson_domination_check(tm.v, theta, lam0, tgrid, list(range(8)),
                                        replicas, rng)
         results["poisson_domination"] = {"passed": dom["passed"],
                                          "max_excess": dom["max_excess"]}
         ok &= dom["passed"]
-    if hb_grid is None:
-        hb_grid = np.geomspace(1.0, 100.0, 12)
     x0 = ((tuple([0] * d), space.marks[0]) if tm.marked else tuple([0] * d))
-    hb = heat_bound_check(tm, hb_grid, x0, tuple([0] * d), replicas, rng)
+    hb = heat_bound_check(tm, np.geomspace(1.0, 100.0, 12), x0, tuple([0] * d),
+                          replicas, rng)
     results["heat_bound"] = {"sup_scaled": hb["sup_scaled"], "flat": hb["flat"]}
     ok &= hb["flat"]
     results["passed"] = bool(ok)
@@ -463,14 +431,11 @@ def cmd_verify_lemmas(cfg, run: Run, rng):
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_verify_bounds(cfg, run: Run, rng):
-    space, model = _model_from_config(cfg, cfg["_path"])
+def cmd_verify_bounds(cfg, run: Run, rng, space, model):
+    rho, T, replicas = float(cfg["rho"]), float(cfg["T"]), cfg["replicas"]
     _require_unmarked(model, "verify-bounds")
     starts = _starts(cfg, "starts", space.dim or 1)
     tm, _, _ = calibrate(model, space)
-    rho = float(_require(cfg, "rho"))
-    T = float(cfg.get("T", 200.0))
-    replicas = int(cfg.get("replicas", 20000))
     trans = estimate_H(tm, starts, T=T, replicas=replicas, rng=rng)
     if not trans.converged:
         run.write_json("bounds.json", {"error": "transience not established",
@@ -497,18 +462,18 @@ def cmd_verify_bounds(cfg, run: Run, rng):
 
 
 def cmd_report(cfg, run: Run, rng):
-    runs = cfg.get("runs")
+    runs = cfg["runs"]
     if not (isinstance(runs, list) and runs and all(isinstance(r, str) for r in runs)):
         raise ConfigError("report needs a 'runs' list of run directories")
     table = []
     all_ok = True
     for rdir in runs:
         mpath = Path(rdir) / "manifest.json"
-        if not mpath.exists():
-            raise ConfigError(f"no manifest in {rdir}")
-        with open(mpath) as fh:
-            man = json.load(fh)
-        for check, passed in man.get("checks", {}).items():
+        man = _load_config(mpath)
+        checks = man.get("checks", {})
+        if "command" not in man or not isinstance(checks, dict):
+            raise ConfigError(f"manifest {mpath} needs a 'command' and a 'checks' object")
+        for check, passed in checks.items():
             table.append((man["command"], check, "pass" if passed else "fail"))
             all_ok &= bool(passed)
     run.write_csv("report.csv", ["command", "check", "status"], _csv_lines(table))
@@ -539,19 +504,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        _check_keys(cfg, args.command)
-        cfg["_path"] = args.config
         if args.seed is not None:
             cfg["seed"] = args.seed
-        _check_numbers(cfg)
-        if args.command in STOCHASTIC_COMMANDS and "seed" not in cfg:
-            raise ConfigError(f"command '{args.command}' requires a seed")
-        outdir = Path(args.out or cfg.get("output_dir", "out"))
-        rng = (np.random.default_rng(int(cfg["seed"]))
-               if "seed" in cfg else None)
-        run = Run({k: v for k, v in cfg.items() if k != "_path"}, outdir)
+        settings = _settings(args.command, cfg)
+        parts = () if args.command == "report" else _model_from_config(cfg, args.config)
+        rng = np.random.default_rng(cfg["seed"]) if "seed" in cfg else None
+        run = Run(cfg, Path(args.out or "out"))
         with metrics.recording() as recorded:
-            code = COMMANDS[args.command](cfg, run, rng)
+            code = COMMANDS[args.command](settings, run, rng, *parts)
         run.finish(args.command, recorded)
         return code
     except ConfigError as exc:

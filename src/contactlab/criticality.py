@@ -153,8 +153,7 @@ def _mark_death(model: RateModel, space: StateSpace) -> np.ndarray:
     return v
 
 
-def solve_ground_state(model: RateModel, space: StateSpace,
-                       tol: float = DEFAULT_TOL) -> GroundState:
+def solve_ground_state(model: RateModel, space: StateSpace) -> GroundState:
     """Krein-Rutman pair of the normalized birth operator.
 
     Marked (factorized) models solve the mark-only problem with kernel
@@ -168,7 +167,7 @@ def solve_ground_state(model: RateModel, space: StateSpace,
         alpha_mass = sum(model.birth.stencil.values())
         v = _mark_death(model, space)
         K = (model.birth.Q / v[:, None]) * space.nu[None, :] * alpha_mass
-        r, q, solves, bracket = perron_solve(K, tol)
+        r, q, solves, bracket = perron_solve(K, DEFAULT_TOL)
         q = q / float(q @ space.nu)
         psi = np.array([q[space.marks.index(p[1])] for p in space.points])
         return GroundState(psi=psi, eigenvalue=r, normalization="mark-nu",
@@ -189,7 +188,7 @@ def solve_ground_state(model: RateModel, space: StateSpace,
                          "death rates: the window is a viewport, not the space")
     A = kernel_matrix(model.birth, space)
     T = (A * space.weights[None, :]) / model.death[:, None]
-    r, psi, solves, bracket = perron_solve(T, tol)
+    r, psi, solves, bracket = perron_solve(T, DEFAULT_TOL)
     return GroundState(psi=psi, eigenvalue=r, normalization="sup",
                        iterations=solves, bracket=bracket)
 
@@ -282,7 +281,7 @@ def theta_kernel(tm: TransformedModel) -> ThetaKernel:
 
 
 @metrics.phase("calibrate")
-def calibrate(model: RateModel, space: StateSpace, tol: float = DEFAULT_TOL):
+def calibrate(model: RateModel, space: StateSpace):
     """Full pipeline: solve once, rescale to r = 1, transform.
 
     Returns ``(tm, gs, report)``.  ``gs`` is the critical ground state: the
@@ -290,7 +289,7 @@ def calibrate(model: RateModel, space: StateSpace, tol: float = DEFAULT_TOL):
     Collatz-Wielandt ratios ``inflow / V`` as its bracket of the rescaled
     Perron root and the bracket's midpoint as its eigenvalue.
     """
-    gs0 = solve_ground_state(model, space, tol)
+    gs0 = solve_ground_state(model, space)
     tm = ground_transform(rescale_to_critical(model, gs0), space, gs0)
     ratios = np.divide(*_balance(tm))
     lo, hi = float(ratios.min()), float(ratios.max())

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,19 +79,17 @@ class TestExitCodes:
         ("simulate", {"model": FINITE_MODEL, "rho": 0.5, "T": 0.5,
                       "snapshots": [0.5], "replicas": 120}),
         ("calibrate", {"model": FINITE_MODEL, "dt": 0.1}),
-        ("stationary", {"model": FINITE_MODEL, "rho": 0.5, "n": 2,
-                        "controls": {"tol": 1e-12}}),
+        ("stationary", {"model": FINITE_MODEL, "rho": 0.5, "n": 2, "tol": 1e-12}),
         ("stationary", {"model": LATTICE_MODEL, "rho": 0.1,
-                        "backend": "montecarlo", "controls": {"horizon": 10}}),
+                        "backend": "montecarlo", "horizon": 10}),
         ("transience", {"model": MARKED_MODEL, "T": 5, "replicas": 100,
                         "starts": [[0, 0, 0]]}),
         ("verify-bounds", {"model": MARKED_MODEL, "rho": 0.1, "T": 20,
                            "replicas": 200, "starts": [[[0, 0, 0], 0, 0]]}),
         ("stationary", {"model": MARKED_MODEL, "rho": 0.1, "backend": "montecarlo",
-                        "controls": {"T": 20, "replicas": 200}}),
+                        "T": 20, "replicas": 200}),
         ("stationary", {"model": LATTICE_MODEL, "rho": 0.1, "backend": "montecarlo",
-                        "displacements": [[1, 0]],
-                        "controls": {"T": 20, "replicas": 200}}),
+                        "displacements": [[1, 0]], "T": 20, "replicas": 200}),
         ("calibrate", {"model": dict(MARKED_MODEL, birth={
             "form": "factorized", "alpha": "nearest", "Q": [[1.0] * 3] * 3})}),
         ("simulate", {"model": FINITE_MODEL, "rho": 0.5, "T": 0.5,
@@ -114,15 +114,13 @@ class TestExitCodes:
                            "k_grid": [1.5, 2.7]}),
         ("verify-lemmas", {"model": MARKED_MODEL, "replicas": 200, "k_grid": [-1]}),
         ("stationary", {"model": LATTICE_MODEL, "rho": 0.1, "backend": "montecarlo",
-                        "displacements": [5], "controls": {"T": 20, "replicas": 200}}),
+                        "displacements": [5], "T": 20, "replicas": 200}),
         ("stationary", {"model": LATTICE_MODEL, "rho": 0.1, "backend": "montecarlo",
-                        "displacements": 5, "controls": {"T": 20, "replicas": 200}}),
+                        "displacements": 5, "T": 20, "replicas": 200}),
         ("stationary", {"model": LATTICE_MODEL, "rho": 0.1, "backend": "montecarlo",
-                        "controls": {"T": 20, "replicas": 200,
-                                     "integrability_margin": "x"}}),
+                        "T": 20, "replicas": 200, "integrability_margin": "x"}),
         ("stationary", {"model": LATTICE_MODEL, "rho": 0.1, "backend": "montecarlo",
-                        "controls": {"T": 20, "replicas": 200,
-                                     "integrability_margin": 0.1}}),
+                        "T": 20, "replicas": 200, "integrability_margin": 0.1}),
         ("transience", {"model": LATTICE_MODEL, "T": 5, "replicas": 100, "starts": 5}),
         ("simulate", {"model": dict(FINITE_MODEL, jmup=FINITE_MODEL["birth"]),
                       "rho": 0.5, "T": 0.5, "replicas": 120}),
@@ -143,6 +141,16 @@ class TestExitCodes:
         ("stationary", {"model": FINITE_MODEL, "rho": 0.5, "backend": "spectral"}),
         ("verify-bounds", {"model": LATTICE_MODEL, "rho": 0.1, "T": 20,
                            "replicas": 200, "mc_tolerance": 0.5}),
+        # no translation-invariant walk law: a model error, not a failed check
+        ("verify-lemmas", {"model": FINITE_MODEL, "replicas": 200}),
+        ("verify-lemmas", {"model": dict(LATTICE_MODEL, space={
+            "type": "lattice", "d": 1, "R": 3, "boundary": "periodic"},
+            death=[1.0, 1.2, 0.9, 1.1, 1.0, 0.8, 1.3])}),
+        # a montecarlo key on the dense backend
+        ("stationary", {"model": FINITE_MODEL, "rho": 0.5, "replicas": 200}),
+        ("evolve", {"model": FINITE_MODEL, "rho": 0.5, "output_dir": "elsewhere"}),
+        ("transience", {"model": LATTICE_MODEL, "T": 5, "replicas": 100,
+                        "starts": None}),
     ])
     def test_unsupported_config_is_config_error(self, tmp_path, command, cfg):
         code, _ = run_cli(tmp_path, command, cfg, seed=1)
@@ -153,14 +161,22 @@ class TestExitCodes:
         ("verify-bounds", {"model": LATTICE_MODEL, "rho": 0.1, "T": 20,
                            "replicas": 200, "starts": []}),
         ("stationary", {"model": LATTICE_MODEL, "rho": 0.1, "backend": "montecarlo",
-                        "displacements": [], "controls": {"T": 20, "replicas": 200}}),
+                        "displacements": [], "T": 20, "replicas": 200}),
         # one replica: each of these reports a ddof=1 standard error
         ("transience", {"model": LATTICE_MODEL, "T": 5, "replicas": 1}),
         ("verify-lemmas", {"model": MARKED_MODEL, "replicas": 1}),
         ("verify-bounds", {"model": LATTICE_MODEL, "rho": 0.1, "T": 20, "replicas": 1}),
         ("stationary", {"model": LATTICE_MODEL, "rho": 0.1, "backend": "montecarlo",
-                        "controls": {"T": 20, "replicas": 1}}),
+                        "T": 20, "replicas": 1}),
         ("simulate", {"model": FINITE_MODEL, "rho": 0.5, "T": 0.5, "replicas": 1}),
+        # a missing required key, a negative horizon, or n = 3 for montecarlo
+        ("evolve", {"model": FINITE_MODEL, "N": 2, "T": 0.5}),
+        ("simulate", {"model": FINITE_MODEL, "T": 0.5, "replicas": 120}),
+        ("verify-bounds", {"model": LATTICE_MODEL, "T": 20, "replicas": 200}),
+        ("evolve", {"model": FINITE_MODEL, "rho": 0.5, "T": -1}),
+        ("stationary", {"model": LATTICE_MODEL, "backend": "montecarlo"}),
+        ("stationary", {"model": LATTICE_MODEL, "rho": 0.1, "backend": "montecarlo",
+                        "n": 3}),
     ])
     def test_rejected_before_calibration(self, tmp_path, monkeypatch, command, cfg):
         monkeypatch.setattr(cli, "calibrate", _no_calibration)
@@ -272,6 +288,48 @@ class TestOutputs:
         table = (out / "report.csv").read_text().splitlines()
         assert table[0] == "command,check,status"
         assert any("calibrate" in line for line in table[1:])
+
+    @pytest.mark.parametrize("manifest", [
+        "{not json", json.dumps({"checks": {"x": True}}),
+        json.dumps({"command": "calibrate", "checks": ["x"]}), json.dumps([1])])
+    def test_report_rejects_bad_manifest(self, tmp_path, manifest):
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "manifest.json").write_text(manifest)
+        code, _ = run_cli(tmp_path, "report", {"runs": [str(tmp_path / "run")]})
+        assert code == 2
+
+    def test_manifest_records_seed(self, tmp_path):
+        _, out = run_cli(tmp_path, "calibrate", {"model": FINITE_MODEL}, outname="a")
+        assert json.loads((out / "manifest.json").read_text())["seed"] is None
+        _, out = run_cli(tmp_path, "calibrate", {"model": FINITE_MODEL, "seed": 4},
+                         outname="b")
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 4
+        _, out = run_cli(tmp_path, "calibrate", {"model": FINITE_MODEL, "seed": 4},
+                         seed=9, outname="c")
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 9
+
+    def test_verify_lemmas_outputs(self, tmp_path):
+        code, out = run_cli(tmp_path, "verify-lemmas",
+                            {"model": MARKED_MODEL, "replicas": 2000}, seed=5)
+        lemmas = json.loads((out / "lemmas.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        verdicts = {"convolution": "bounded", "lower_tail": "passed",
+                    "poisson_domination": "passed", "heat_bound": "flat"}
+        assert manifest["checks"] == {f"lemma_{name}": lemmas[name][key]
+                                      for name, key in verdicts.items()}
+        assert lemmas["passed"] == all(manifest["checks"].values())
+        assert (code == 0) == lemmas["passed"]
+        assert code in (0, 1)
+        assert len((out / "convolution.csv").read_text().splitlines()) == 1 + 64
+
+
+def test_readme_key_tables_match_config():
+    # README has one table per CONFIG entry, listing its keys besides the model
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tables = {name: re.findall(r"^\| `(\w+)` \|", body, re.M) for name, body in
+              re.findall(r"^#### `([^`]+)`\n(.*?)(?=^#|^Exit codes)", readme, re.M | re.S)}
+    assert tables == {name: [k for k in keys if k not in cli.MODEL]
+                      for name, keys in cli.CONFIG.items()}
 
 
 def test_tensor_rows_match_cellwise_format():
