@@ -33,7 +33,7 @@ from .errors import ConfigError, ContactLabError, DivergenceError, ModelError
 from .hierarchy import (CorrelationTensor, evolve_hierarchy, factorial_bound_check,
                         poisson_initial, stationary_k, stationary_pair_mc)
 from .model import model_from_dict
-from .simulator import empirical_correlations, run_replicas, snapshot_grid
+from .simulator import MIN_REPLICAS, empirical_correlations, run_replicas, snapshot_grid
 from .walkers import (convolution_bound_check, estimate_H, heat_bound_check,
                       lower_tail_bound_check, parse_start, poisson_domination_check)
 
@@ -306,8 +306,8 @@ def cmd_transience(cfg, run: Run, rng, space, model):
 def cmd_evolve(cfg, run: Run, rng, space, model):
     rho, N, T = float(cfg["rho"]), cfg["N"], float(cfg["T"])
     tm, _, _ = calibrate(model, space)
-    # the evolution is exact: dt only spaces the output times
-    grid = np.linspace(0.0, T, max(round(T / float(cfg["dt"])), 1) + 1)
+    # the evolution is exact: dt only spaces the output times (T = 0 has one)
+    grid = np.linspace(0.0, T, (max(round(T / float(cfg["dt"])), 1) if T > 0 else 0) + 1)
     k0 = [poisson_initial(n, rho, space) for n in range(1, N + 1)]
     for n, (times, traj) in evolve_hierarchy(tm, k0, grid).items():
         index = _index_fields(n, space.size)
@@ -369,6 +369,9 @@ def cmd_simulate(cfg, run: Run, rng, space, model):
             isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in orders)):
         raise ConfigError("config key 'orders' must be a non-empty list of "
                           f"integers >= 1, got {orders!r}")
+    if cfg["replicas"] < MIN_REPLICAS:
+        raise ConfigError(f"config key 'replicas' must be >= {MIN_REPLICAS} for "
+                          f"simulate, got {cfg['replicas']}")
     tm, _, _ = calibrate(model, space)
     batch = run_replicas(tm, rho, T, snap, cfg["replicas"], seed=cfg["seed"])
     width = max(orders)

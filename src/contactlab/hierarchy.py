@@ -323,7 +323,8 @@ def stationary_pair_mc(tm: TransformedModel, rho: float, *, rng: np.random.Gener
 
     Each integral is the ``pair_limit`` of its running value on [0, T], at
     the displacements u (default 0, e_1, 2 e_1); a DivergenceError reports
-    one that is not integrable.
+    one that is not integrable.  All displacements share one two-walker
+    chain, so their estimates are correlated.
     """
     if tm.marked:
         raise ModelError("stationary_pair_mc takes unmarked models only")
@@ -333,9 +334,10 @@ def stationary_pair_mc(tm: TransformedModel, rho: float, *, rng: np.random.Gener
         displacements = [(0,) * d, (1,) + (0,) * (d - 1), (2,) + (0,) * (d - 1)]
     displacements = [parse_start(u, d, 0)[0] for u in displacements]
     values, errs, curves = [], [], {}
-    for u in displacements:
-        lim = pair_limit(*pair_integral_curves(walk, u, 0, 0, T, replicas, rng,
-                                               symmetrized=True), d)
+    group = pair_integral_curves(walk, displacements, 0, 0, T, replicas, rng,
+                                 symmetrized=True)
+    for u, curve in zip(displacements, group):
+        lim = pair_limit(*curve, d)
         if not lim.integrable:
             raise DivergenceError(
                 "two-walker interaction integral is not integrable "

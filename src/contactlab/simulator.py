@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 DEFAULT_EVENT_CAP = 1_000_000
+# the fewest replicas empirical_correlations estimates moments from
+MIN_REPLICAS = 100
 
 
 @dataclass
@@ -156,10 +158,12 @@ def simulate_contact(tm: TransformedModel, counts0, T: float, snapshot_times,
 
 
 def snapshot_grid(T: float, snapshot_times) -> np.ndarray:
-    """Sorted distinct snapshot times; each must be finite and lie in [0, T]."""
+    """Sorted distinct snapshot times: at least one, each finite and in [0, T]."""
     grid = np.unique(np.asarray(snapshot_times, dtype=float))
     if not (np.isfinite(T) and T >= 0):
         raise ModelError(f"the horizon T = {T} must be finite and non-negative")
+    if grid.size == 0:
+        raise ModelError("no snapshot times")
     if np.any(~np.isfinite(grid) | (grid < 0) | (grid > T)):
         raise ModelError(f"snapshot times must be finite and lie in [0, T = {T}]")
     return grid
@@ -259,8 +263,8 @@ def empirical_correlations(batch: ReplicaBatch, space, t: float, n: int,
     if n_trunc:
         raise ModelError(f"{n_trunc} of {R} replicas were truncated "
                          f"at the event cap of {batch.event_cap} events")
-    if R < 100:
-        raise ModelError("need at least 100 replicas")
+    if R < MIN_REPLICAS:
+        raise ModelError(f"need at least {MIN_REPLICAS} replicas")
     size = space.size
     t = float(t)
     if t not in batch.snapshots:

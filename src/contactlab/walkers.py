@@ -18,9 +18,12 @@ the lattice code of its signed walker sum (``_lattice_code``, ``63 // d``
 bits per coordinate) and the index of its joint marks.  Each jump is one
 draw from a Walker alias table of (walker, step, new mark) for that joint
 state, and the integrand is looked up on the sorted codes of its support.
-A start or a jump count that could carry a coordinate out of the code's
-range is a ``ModelError``.  ``simulate_jump`` is the scalar single-path
-reference the stepper is tested against.
+No draw depends on the code, so two-walker starts with the same initial
+marks share one chain of ``X - Y`` from 0, each reading the integrand on its
+own shifted support (common random numbers).  A start or a jump count that
+could carry a coordinate out of the code's range is a ``ModelError``.
+``simulate_jump`` is the scalar single-path reference the stepper is tested
+against.
 """
 
 from __future__ import annotations
@@ -293,27 +296,31 @@ def _alias_table(P: np.ndarray):
     return thresh, alias
 
 
-def _jump_chain(v, mark_trans, steps, step_probs, D, s, sign, t_grid, rng,
+def _jump_chain(v, mark_trans, steps, step_probs, s, sign, t_grid, rng, reach=0,
                 support=None):
     """Advance R replicas of W = len(sign) independent walkers to each grid time.
 
     Walker w holds an exponential time at rate ``v[s_w]``, then moves by a
     step drawn from ``step_probs`` and takes a mark drawn from row
     ``mark_trans[s_w]``.  A replica's state is the lattice code of
-    ``sum_w sign[w] xi_w`` (``D`` (R, d) at the start) and its joint mark
-    index ``js``, the C-order index of its marks (``s`` (R, W) at the start).
-    Each jump is one alias draw of (walker, step, new mark) from the table of
-    its ``js``, with probability ``v[s_w] / sum v * p_step * Theta(s_w, m')``;
-    the move adds the step's code and looks up the next ``js``.
+    ``sum_w sign[w] (xi_w(t) - xi_w(0))``, which starts at 0, and its joint
+    mark index ``js``, the C-order index of its marks (``s`` (R, W) at the
+    start).  Each jump is one alias draw of (walker, step, new mark) from the
+    table of its ``js``, with probability ``v[s_w] / sum v * p_step *
+    Theta(s_w, m')``; the move adds the step's code and looks up the next
+    ``js``.  No draw depends on the code, so a caller reads several starts
+    off one chain by adding each start's code to it.
 
-    The integrand, if any, is ``support = (codes, table)``: ``table[js, p]``
-    at the sorted lattice codes ``codes[p]`` and zero elsewhere.  At each grid
-    time the generator yields ``(I, n, code)``: per replica the running
-    integral of the integrand (held at the pre-jump state), the jump count
-    and the lattice code, updated in place afterwards.  Only replicas short of
-    the grid time are stepped; clamping their holding times there is exact by
-    memorylessness.  A jump count that could carry a coordinate out of the
-    code's range is a ``ModelError``.
+    The integrands, if any, are ``support = (codes, table)``: ``table[k, js,
+    p]`` is integrand k at the sorted lattice codes ``codes[p]``, zero
+    elsewhere.  At each grid time the generator yields ``(I, n, code)``: per
+    replica the running integral of each integrand (held at the pre-jump
+    state; one row per integrand), the jump count and the lattice code,
+    updated in place afterwards.  Only replicas short of the grid time are stepped; clamping
+    their holding times there is exact by memorylessness.  ``reach`` is the
+    largest start coordinate the codes are added to; a jump count that could
+    carry such a sum out of the code's range is a ``ModelError``.  The chain,
+    its loop iterations and its jumps are counted in ``metrics``.
     """
     R, W = s.shape
     nmark, d = len(v), steps.shape[1]
@@ -327,6 +334,8 @@ def _jump_chain(v, mark_trans, steps, step_probs, D, s, sign, t_grid, rng,
          * mark_trans[marks][:, :, None, :])
     O = P[0].size
     thresh, alias = _alias_table(P.reshape(J, O))
+    # every threshold 1: each outcome is its own bin, and no alias is read
+    uniform = bool((thresh == 1.0).all())
     thresh = thresh.ravel()
     alias = (alias + O * np.arange(J)[:, None]).ravel()
     dcode = np.broadcast_to(np.multiply.outer(sign, _lattice_code(steps))[:, :, None],
@@ -337,50 +346,56 @@ def _jump_chain(v, mark_trans, steps, step_probs, D, s, sign, t_grid, rng,
     new_js = np.broadcast_to(new_js, P.shape).ravel()
     if support is not None:
         sup_codes, sup_table = support
-    # the range guard: no coordinate of the code may reach 2^(b - 1)
-    reach = int(np.abs(D).max()) if D.size else 0
+    # the range guard: no coordinate of a start plus the code may reach 2^(b - 1)
     K = int(np.abs(steps).max()) if steps.size else 0
     limit = 1 << (63 // d - 1) if d else None
-    code = _lattice_code(D)
+    code = np.zeros(R, dtype=np.int64)
     js = s @ place
-    I = np.zeros(R)
+    I = np.zeros((0 if support is None else len(sup_table), R))
     n = np.zeros(R, dtype=np.int64)
+    metrics.count("walkers.chains")
     t0 = 0.0     # every replica has been advanced to t0
     for tb in t_grid:
-        # the active replicas' state, compacted as replicas reach tb; a grid
-        # time at or before t0 steps none
+        # the active replicas' index, time, code and joint marks, compacted as
+        # replicas reach tb; a grid time at or before t0 steps none
         idx = np.arange(R if tb > t0 else 0)
-        ta, ca, ja, Ia, na = np.full(R, t0), code.copy(), js.copy(), I.copy(), n.copy()
+        ta, ca, ja = np.full(R, t0), code.copy(), js.copy()
+        it = jumps = 0
         while idx.size:
             t_jump = ta + rng.standard_exponential(idx.size) / (
                 rate[ja] if J > 1 else rate[0])
             if support is not None:
                 near, pos = _on_support(sup_codes, ca)
                 if near.size:
-                    Ia[near] += sup_table[ja[near], pos] * (
+                    I[:, idx[near]] += sup_table[:, ja[near] if J > 1 else 0, pos] * (
                         np.minimum(t_jump[near], tb) - ta[near])
             hit = t_jump < tb
             done = np.flatnonzero(~hit)
             if done.size:
+                # a replica that finishes at iteration it has jumped it times
                 out = idx[done]
-                code[out], js[out] = ca[done], ja[done]
-                I[out], n[out] = Ia[done], na[done]
+                code[out] = ca[done]
+                n[out] += it
                 keep = np.flatnonzero(hit)
-                idx, ta, ca, ja, Ia, na = (idx[keep], t_jump[keep], ca[keep],
-                                           ja[keep], Ia[keep], na[keep])
+                idx, ta, ca = idx[keep], t_jump[keep], ca[keep]
+                if J > 1:
+                    js[out] = ja[done]
+                    ja = ja[keep]
             else:
                 ta = t_jump
-            na += 1
+            it += 1
+            jumps += idx.size
             u = rng.random(idx.size) * O
             b = u.astype(np.int64)
-            frac = u - b
-            if J > 1:
-                b += ja * O
-            o = np.where(frac < thresh[b], b, alias[b])
+            o = b + ja * O if J > 1 else b
+            if not uniform:
+                o = np.where(u - b < thresh[o], o, alias[o])
             ca += dcode[o]
             if J > 1:
                 ja = new_js[o]
         t0 = max(t0, tb)
+        metrics.count("walkers.iterations", it)
+        metrics.count("walkers.jumps", jumps)
         if limit is not None and reach + K * int(n.max(initial=0)) >= limit:
             raise ModelError(
                 f"walker displacement may leave the lattice code range 2^"
@@ -398,18 +413,28 @@ def _geometric_checkpoints(T: float):
     return cps
 
 
-def pair_integral_curves(walk: LatticeWalk, d0, s0x: int, s0y: int, T: float,
-                         replicas: int, rng: np.random.Generator,
-                         symmetrized: bool = False):
+def pair_integral_curves(walk: LatticeWalk, displacements, s0x: int, s0y: int,
+                         T: float, replicas: int, rng: np.random.Generator,
+                         symmetrized: bool = False) -> list:
     """Running path integrals of b(X_t, Y_t) for two independent walkers.
 
-    Returns ``(checkpoints, mean_running, stderr_running)``.
-    The integral over each holding interval is exact (b is piecewise
-    constant).  ``symmetrized`` integrates ``b(X, Y) + b(Y, X)`` instead.
+    The walkers start at each of the ``displacements`` ``x0 - y0`` (d-tuples)
+    with marks ``s0x`` and ``s0y``.  Returns one ``(checkpoints,
+    mean_running, stderr_running)`` per displacement.  The integral over each
+    holding interval is exact (b is piecewise constant).  ``symmetrized``
+    integrates ``b(X, Y) + b(Y, X)`` instead.
+
+    The increments of ``X - Y`` and the marks do not depend on the start, so
+    one chain of ``X - Y`` from 0 serves every displacement u, which reads b
+    on the support shifted by ``-code(u)`` (common random numbers).  Each
+    curve is the one a call with u alone returns from the same generator
+    state; the curves of different displacements are correlated.
     """
     cps = _geometric_checkpoints(T)
-    D = np.tile(np.asarray(d0, dtype=np.int64).reshape(walk.d), (replicas, 1))
-    s = np.tile(np.array([s0x, s0y], dtype=np.int64), (replicas, 1))
+    disps = np.asarray(displacements, dtype=np.int64).reshape(-1, walk.d)
+    if not len(disps):
+        raise ModelError("pair_integral_curves needs at least one displacement")
+    shifts = _lattice_code(disps)
     # b on the joint marks js = s_x M + s_y, at the sorted support codes
     M = len(walk.v)
     sx, sy = np.divmod(np.arange(M * M), M)
@@ -420,14 +445,21 @@ def pair_integral_curves(walk: LatticeWalk, d0, s0x: int, s0y: int, T: float,
     else:
         codes = walk.support
         table = walk.support_alpha * (walk.Q[sx, sy] / walk.q[sx])[:, None]
-    running = np.empty((len(cps), replicas))
-    chain = _jump_chain(walk.v, walk.mark_trans, walk.steps, walk.step_probs, D, s,
-                        (1, -1), cps, rng, support=(codes, table))
+    # every displacement's shifted support on one sorted code table
+    merged = np.unique(codes - shifts[:, None])
+    tables = np.zeros((len(disps), M * M, len(merged)))
+    for k, shift in enumerate(shifts):
+        tables[k][:, np.searchsorted(merged, codes - shift)] = table
+    s = np.tile(np.array([s0x, s0y], dtype=np.int64), (replicas, 1))
+    running = np.empty((len(disps), len(cps), replicas))
+    chain = _jump_chain(walk.v, walk.mark_trans, walk.steps, walk.step_probs, s, (1, -1),
+                        cps, rng, reach=int(np.abs(disps).max()),
+                        support=(merged, tables))
     for i, (I, _, _) in enumerate(chain):
-        running[i] = I
-    mean = running.mean(axis=1)
-    stderr = running.std(axis=1, ddof=1) / np.sqrt(replicas)
-    return cps, mean, stderr
+        running[:, i] = I
+    mean = running.mean(axis=2)
+    stderr = running.std(axis=2, ddof=1) / np.sqrt(replicas)
+    return [(cps, m, e) for m, e in zip(mean, stderr)]
 
 
 @dataclass(frozen=True)
@@ -512,25 +544,35 @@ def estimate_H(tm: TransformedModel, start_pairs, T: float, replicas: int,
     ``start_pairs`` is a list of initial displacements ``x0 - y0``, or of
     ``(disp, s_x, s_y)`` for marked models (see ``parse_start``); the
     per-start results are keyed the same way.  For each start the exact
-    two-walker path integral is averaged over replicas; the extrapolated
-    limit of the running integral (fit ``A - c t^{1-d/2}`` over the last
-    decade) plus a 3-stderr margin gives the per-start value, and H_hat is
-    the grid maximum.  ``converged`` requires the fitted
-    integrand exponent to clear -1 by ``INTEGRABILITY_MARGIN``.
+    two-walker path integral is averaged over replicas; starts with the
+    same marks share one chain (``pair_integral_curves``), run per mark pair
+    in order of first appearance, so their estimates are correlated.  The
+    extrapolated limit of the running integral (fit ``A - c t^{1-d/2}`` over
+    the last decade) plus a 3-stderr margin gives the per-start value, and
+    H_hat is the grid maximum.  ``converged`` requires the fitted integrand
+    exponent to clear -1 by ``INTEGRABILITY_MARGIN``.
     """
     if tm.translation_invariant and sum(tm.alpha.values()) == 0.0:
         return TransienceReport(H_hat=0.0, stderr=0.0, tail_exponent_fit=-np.inf,
                                 horizon=float(T), converged=True)
     walk = lattice_walk(tm)
     d = walk.d
+    nmark = len(walk.v) if tm.marked else 0
+    starts = [parse_start(start, d, nmark) for start in start_pairs]
+    # one chain per initial mark pair, in order of first appearance
+    groups = {}
+    for d0, s0x, s0y in starts:
+        groups.setdefault((s0x, s0y), []).append(d0)
+    curves = {}
+    for (s0x, s0y), disps in groups.items():
+        group = pair_integral_curves(walk, disps, s0x, s0y, T, replicas, rng)
+        curves.update(((d0, s0x, s0y), curve) for d0, curve in zip(disps, group))
     per_start = {}
     H_hat, stderr_at_max = 0.0, 0.0
     worst = None
     converged = True
-    nmark = len(walk.v) if tm.marked else 0
-    for start in start_pairs:
-        d0, s0x, s0y = parse_start(start, d, nmark)
-        cps, mean, se = pair_integral_curves(walk, d0, s0x, s0y, T, replicas, rng)
+    for d0, s0x, s0y in starts:
+        cps, mean, se = curves[d0, s0x, s0y]
         lim = pair_limit(cps, mean, se, d)
         value = lim.limit
         se_final = float(se[-1])
@@ -574,10 +616,12 @@ def heat_bound_check(tm: TransformedModel, t_grid, x0, xi1, replicas: int,
     xi1 = np.asarray(xi1, dtype=np.int64).reshape(walk.d)
     kappa = walk.Q.max() / walk.q.min()
     t_grid = np.asarray(t_grid, dtype=float)
-    D = np.tile(xi0 - xi1, (replicas, 1))     # xi(t) - xi_1
+    start = xi0 - xi1                          # xi(t) - xi_1 at t = 0
+    shift = _lattice_code(start[None])
     s = np.full((replicas, 1), s0, dtype=np.int64)
-    vals = np.array([kappa * walk.alpha_at(code) for _, _, code in _jump_chain(
-        walk.v, walk.mark_trans, walk.steps, walk.step_probs, D, s, (1,), t_grid, rng)])
+    vals = np.array([kappa * walk.alpha_at(shift + code) for _, _, code in _jump_chain(
+        walk.v, walk.mark_trans, walk.steps, walk.step_probs, s, (1,), t_grid, rng,
+        reach=int(np.abs(start).max()))])
     est = vals.mean(axis=1)
     se = vals.std(axis=1, ddof=1) / np.sqrt(replicas)
     scaled = est * t_grid ** (d / 2.0)
@@ -660,8 +704,7 @@ def mark_chain_jump_counts(v: np.ndarray, trans: np.ndarray, nu: np.ndarray,
         s = np.full(replicas, s0, dtype=np.int64)
     # one step of dimension 0: only the mark moves
     chain = _jump_chain(v, trans, np.zeros((1, 0), dtype=np.int64), np.ones(1),
-                        np.zeros((replicas, 0), dtype=np.int64), s[:, None], (1,),
-                        np.asarray(t_grid, dtype=float), rng)
+                        s[:, None], (1,), np.asarray(t_grid, dtype=float), rng)
     return np.column_stack([n.copy() for _, n, _ in chain])
 
 

@@ -177,6 +177,10 @@ class TestExitCodes:
         ("stationary", {"model": LATTICE_MODEL, "backend": "montecarlo"}),
         ("stationary", {"model": LATTICE_MODEL, "rho": 0.1, "backend": "montecarlo",
                         "n": 3}),
+        # simulate estimates moments from at least 100 replicas, at one time or more
+        ("simulate", {"model": FINITE_MODEL, "rho": 0.5, "T": 0.5, "replicas": 99}),
+        ("simulate", {"model": FINITE_MODEL, "rho": 0.5, "T": 0.5, "replicas": 120,
+                      "snapshot_times": []}),
     ])
     def test_rejected_before_calibration(self, tmp_path, monkeypatch, command, cfg):
         monkeypatch.setattr(cli, "calibrate", _no_calibration)
@@ -249,6 +253,36 @@ class TestOutputs:
         # dt spaces the output times of every level: 11 times over [0, 0.5]
         assert len(lines) == 1 + 11 * 16
         assert len((out / "evolve_k1.csv").read_text().splitlines()) == 1 + 11 * 4
+
+    def test_evolve_at_t0_writes_each_point_once(self, tmp_path):
+        code, out = run_cli(tmp_path, "evolve",
+                            {"model": FINITE_MODEL, "rho": 0.5, "N": 2, "T": 0})
+        assert code == 0
+        for n, size in ((1, 4), (2, 16)):
+            rows = (out / f"evolve_k{n}.csv").read_text().splitlines()[1:]
+            assert len(rows) == size
+            assert {row.split(",")[0] for row in rows} == {"0"}
+        # k_1 at t = 0 is the Poisson intensity
+        k1 = (out / "evolve_k1.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[-1]) for row in k1] == [0.5] * 4
+
+    def test_walker_counters_in_manifest(self, tmp_path):
+        # one chain per initial mark pair; its jumps are counted, and a pair
+        # of rate-1 walkers jumps Poisson(2 T) times per replica
+        cases = [({"model": LATTICE_MODEL, "T": 30, "replicas": 1500}, 1),
+                 ({"model": MARKED_MODEL, "T": 5, "replicas": 200,
+                   "starts": [[[0, 0, 0], 0, 0], [[1, 0, 0], 0, 0],
+                              [[0, 0, 0], 0, 1]]}, 2)]
+        jumps = []
+        for i, (cfg, chains) in enumerate(cases):
+            code, out = run_cli(tmp_path, "transience", cfg, seed=11, outname=f"t{i}")
+            assert code == 0
+            counters = json.loads((out / "manifest.json").read_text())["metrics"]["counters"]
+            assert counters["walkers.chains"] == chains
+            assert counters["walkers.jumps"] >= counters["walkers.iterations"] >= 1
+            jumps.append(counters["walkers.jumps"])
+        expect = 1500 * 2 * 30
+        assert abs(jumps[0] - expect) <= 5 * np.sqrt(expect)
 
     def test_transience_outputs(self, tmp_path):
         code, out = run_cli(tmp_path, "transience",

@@ -141,8 +141,8 @@ class TestPairEngine:
         walk = lattice_walk(z1_critical)
         T = 4.0
         rng = np.random.default_rng(88)
-        cps, mean, se = pair_integral_curves(
-            walk, np.array([1]), 0, 0, T, 40000, rng)
+        [(cps, mean, se)] = pair_integral_curves(
+            walk, [(1,)], 0, 0, T, 40000, rng)
         R = 40
         size = 2 * R + 1
         P = np.zeros((size, size))
@@ -195,15 +195,15 @@ class TestPairEngine:
         oracle = expm(T * L)[state(1, 1, 0), size]
         walk = lattice_walk(tm)
         rng = np.random.default_rng(89)
-        cps, mean, se = pair_integral_curves(
-            walk, np.array([1]), 1, 0, T, 40000, rng)
+        [(cps, mean, se)] = pair_integral_curves(
+            walk, [(1,)], 1, 0, T, 40000, rng)
         assert abs(float(mean[-1]) - oracle) <= 3.5 * float(se[-1])
 
     def test_running_integral_monotone(self, z3_critical):
         walk = lattice_walk(z3_critical)
         rng = np.random.default_rng(9)
-        cps, mean, se = pair_integral_curves(
-            walk, np.array([0, 0, 0]), 0, 0, 100.0, 500, rng)
+        [(cps, mean, se)] = pair_integral_curves(
+            walk, [(0, 0, 0)], 0, 0, 100.0, 500, rng)
         assert np.all(np.diff(mean) >= -1e-15)
 
     def test_two_walker_independence(self, z3_critical):
@@ -298,13 +298,73 @@ class TestLatticeCode:
         walk = lattice_walk(z3_critical)
         rng = np.random.default_rng(22)
         with pytest.raises(ModelError):
-            pair_integral_curves(walk, (2 ** 20, 0, 0), 0, 0, 1.0, 10, rng)
+            pair_integral_curves(walk, [(2 ** 20, 0, 0)], 0, 0, 1.0, 10, rng)
         # two jumps could reach 2^20: caught at a grid time
         with pytest.raises(ModelError):
-            pair_integral_curves(walk, (2 ** 20 - 2, 0, 0), 0, 0, 50.0, 100, rng)
-        cps, mean, _ = pair_integral_curves(walk, (-(2 ** 20) + 500, 0, 0),
-                                               0, 0, 50.0, 100, rng)
+            pair_integral_curves(walk, [(2 ** 20 - 2, 0, 0)], 0, 0, 50.0, 100, rng)
+        [(cps, mean, _)] = pair_integral_curves(walk, [(-(2 ** 20) + 500, 0, 0)],
+                                                0, 0, 50.0, 100, rng)
         assert mean[-1] == 0.0
+
+
+class TestSharedChain:
+    """Starts with the same marks share one chain of X - Y from 0."""
+
+    @pytest.mark.parametrize("symmetrized", [False, True])
+    def test_each_curve_matches_its_own_call_z3(self, z3_critical, symmetrized):
+        walk = lattice_walk(z3_critical)
+        group = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (-1, 1, 0)]
+        shared = pair_integral_curves(walk, group, 0, 0, 40.0, 500,
+                                      np.random.default_rng(31), symmetrized)
+        for u, curve in zip(group, shared):
+            [alone] = pair_integral_curves(walk, [u], 0, 0, 40.0, 500,
+                                           np.random.default_rng(31), symmetrized)
+            for a, b in zip(curve, alone):
+                assert np.array_equal(a, b)
+        # the same increments read at different starts: distinct curves
+        assert not np.array_equal(shared[0][1], shared[1][1])
+
+    def test_each_curve_matches_its_own_call_marked(self):
+        space, model = marked_model(Q=[[2, 1], [1, 2]], v=[1.0, 3.0], d=3)
+        tm, _, _ = calibrate(model, space)
+        walk = lattice_walk(tm)
+        group = [(0, 0, 0), (1, 0, 0), (0, 2, 0)]
+        shared = pair_integral_curves(walk, group, 1, 0, 20.0, 400,
+                                      np.random.default_rng(32))
+        for u, curve in zip(group, shared):
+            [alone] = pair_integral_curves(walk, [u], 1, 0, 20.0, 400,
+                                           np.random.default_rng(32))
+            for a, b in zip(curve, alone):
+                assert np.array_equal(a, b)
+
+    def test_distinct_marks_run_one_by_one(self):
+        # one start per mark pair: one chain each, in the order of the starts
+        space, model = marked_model(Q=[[2, 1], [1, 2]], v=[1.0, 3.0], d=3)
+        tm, _, _ = calibrate(model, space)
+        starts = [((0, 0, 0), 0, 0), ((1, 0, 0), 0, 1), ((2, 0, 0), 1, 1)]
+        together = estimate_H(tm, starts, T=20.0, replicas=300,
+                              rng=np.random.default_rng(33))
+        rng = np.random.default_rng(33)
+        for start in starts:
+            alone = estimate_H(tm, [start], T=20.0, replicas=300, rng=rng)
+            assert alone.per_start[start] == together.per_start[start]
+
+    def test_range_guard_trips_on_farthest_start(self, z3_critical):
+        walk = lattice_walk(z3_critical)
+        far = (2 ** 20 - 2, 0, 0)
+        pair_integral_curves(walk, [(0, 0, 0), (-far[0] + 500, 0, 0)], 0, 0, 50.0,
+                             100, np.random.default_rng(34))
+        with pytest.raises(ModelError):
+            pair_integral_curves(walk, [(0, 0, 0), far], 0, 0, 50.0, 100,
+                                 np.random.default_rng(34))
+        with pytest.raises(ModelError):
+            pair_integral_curves(walk, [(0, 0, 0), (2 ** 20, 0, 0)], 0, 0, 1.0, 10,
+                                 np.random.default_rng(34))
+
+    def test_no_displacement_rejected(self, z3_critical):
+        with pytest.raises(ModelError):
+            pair_integral_curves(lattice_walk(z3_critical), [], 0, 0, 1.0, 10,
+                                 np.random.default_rng(35))
 
 
 class TestHeatBound:
