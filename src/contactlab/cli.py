@@ -206,7 +206,7 @@ def _settings(command: str, cfg: dict) -> dict:
             raise ConfigError(f"config key '{key}' is required for '{entry}'")
         if key in cfg and cfg[key] is None:
             raise ConfigError(f"config key '{key}' is null")
-    _check_numbers(cfg)
+    _check_numbers(cfg, entry)
     return {**table, **cfg}
 
 
@@ -240,14 +240,18 @@ NUMERIC_KEYS = {
     "replicas": (int, 2, False), "N": (int, 1, False), "n": (int, 1, False),
     "seed": (int, 0, False),
 }
+# the entries whose T is a two-walker horizon, which must be positive
+WALKER_HORIZON = ("transience", "verify-bounds", "stationary montecarlo")
 
 
-def _check_numbers(cfg: dict):
+def _check_numbers(cfg: dict, entry: str):
     """Each numeric key present is a finite number of its type (an int key
-    takes no float; a boolean is no number) at or above its lower bound."""
+    takes no float; a boolean is no number) at or above its lower bound (above
+    it for the T of a ``WALKER_HORIZON`` entry)."""
     for key, (kind, low, strict) in NUMERIC_KEYS.items():
         if key not in cfg:
             continue
+        strict = strict or (key == "T" and entry in WALKER_HORIZON)
         val = cfg[key]
         ok = (isinstance(val, (int,) if kind is int else (int, float))
               and not isinstance(val, bool) and math.isfinite(val)
@@ -398,7 +402,8 @@ def cmd_verify_lemmas(cfg, run: Run, rng, space, model):
     d = space.dim or 1
     results = {}
     ok = True
-    conv = convolution_bound_check(tm.alpha, d, 64)
+    with metrics.phase("lemmas.convolution"):
+        conv = convolution_bound_check(tm.alpha, d, 64)
     results["convolution"] = {"max_over_median": conv["max_over_median"],
                               "bounded": conv["bounded"]}
     ok &= conv["bounded"]
@@ -414,14 +419,16 @@ def cmd_verify_lemmas(cfg, run: Run, rng, space, model):
     ok &= lower["passed"]
     if tm.marked:
         theta = theta_kernel(tm)
-        dom = poisson_domination_check(tm.v, theta, lam0, tgrid, list(range(8)),
-                                       replicas, rng)
+        with metrics.phase("lemmas.poisson_domination"):
+            dom = poisson_domination_check(tm.v, theta, lam0, tgrid, list(range(8)),
+                                           replicas, rng)
         results["poisson_domination"] = {"passed": dom["passed"],
                                          "max_excess": dom["max_excess"]}
         ok &= dom["passed"]
     x0 = ((tuple([0] * d), space.marks[0]) if tm.marked else tuple([0] * d))
-    hb = heat_bound_check(tm, np.geomspace(1.0, 100.0, 12), x0, tuple([0] * d),
-                          replicas, rng)
+    with metrics.phase("lemmas.heat_bound"):
+        hb = heat_bound_check(tm, np.geomspace(1.0, 100.0, 12), x0, tuple([0] * d),
+                              replicas, rng)
     results["heat_bound"] = {"sup_scaled": hb["sup_scaled"], "flat": hb["flat"]}
     ok &= hb["flat"]
     results["passed"] = bool(ok)

@@ -320,7 +320,9 @@ def _jump_chain(v, mark_trans, steps, step_probs, s, sign, t_grid, rng, reach=0,
     their holding times there is exact by memorylessness.  ``reach`` is the
     largest start coordinate the codes are added to; a jump count that could
     carry such a sum out of the code's range is a ``ModelError``.  The chain,
-    its loop iterations and its jumps are counted in ``metrics``.
+    its loop iterations, jumps and replica slots (iterations times the replicas
+    active as a grid interval starts; jumps / slots is the active fraction) are
+    counted in ``metrics``.
     """
     R, W = s.shape
     nmark, d = len(v), steps.shape[1]
@@ -359,6 +361,7 @@ def _jump_chain(v, mark_trans, steps, step_probs, s, sign, t_grid, rng, reach=0,
         # the active replicas' index, time, code and joint marks, compacted as
         # replicas reach tb; a grid time at or before t0 steps none
         idx = np.arange(R if tb > t0 else 0)
+        active = idx.size
         ta, ca, ja = np.full(R, t0), code.copy(), js.copy()
         it = jumps = 0
         while idx.size:
@@ -394,6 +397,7 @@ def _jump_chain(v, mark_trans, steps, step_probs, s, sign, t_grid, rng, reach=0,
             if J > 1:
                 ja = new_js[o]
         t0 = max(t0, tb)
+        metrics.count("walkers.replica_slots", it * active)
         metrics.count("walkers.iterations", it)
         metrics.count("walkers.jumps", jumps)
         if limit is not None and reach + K * int(n.max(initial=0)) >= limit:
@@ -497,13 +501,16 @@ def _tail_fit(cps: np.ndarray, mean: np.ndarray, d: int):
 
 
 def _increment_exponent(cps: np.ndarray, mean: np.ndarray):
-    """Fitted exponent p of the integrand E b ~ t^p over the last decade."""
+    """Fitted exponent p of the integrand E b ~ t^p over the last decade:
+    ``-inf`` if it holds 3 checkpoint increments or more and none is positive
+    (numerically zero), ``nan`` if fewer than 3 positive ones leave no fit."""
     dR = np.diff(mean)
     dt = np.diff(cps)
     mid = np.sqrt(cps[1:] * cps[:-1])
-    sel = (mid >= cps[-1] / 10.0) & (dR > 0)
+    last = mid >= cps[-1] / 10.0
+    sel = last & (dR > 0)
     if sel.sum() < 3:
-        return -np.inf  # integrand already numerically zero
+        return -np.inf if last.sum() >= 3 and not sel.any() else np.nan
     slope, _ = np.polyfit(np.log(mid[sel]), np.log(dR[sel] / dt[sel]), 1)
     return float(slope)
 
@@ -550,7 +557,7 @@ def estimate_H(tm: TransformedModel, start_pairs, T: float, replicas: int,
     extrapolated limit of the running integral (fit ``A - c t^{1-d/2}`` over
     the last decade) plus a 3-stderr margin gives the per-start value, and
     H_hat is the grid maximum.  ``converged`` requires the fitted integrand
-    exponent to clear -1 by ``INTEGRABILITY_MARGIN``.
+    exponent (``nan`` on too short a horizon) to clear -1 by ``INTEGRABILITY_MARGIN``.
     """
     if tm.translation_invariant and sum(tm.alpha.values()) == 0.0:
         return TransienceReport(H_hat=0.0, stderr=0.0, tail_exponent_fit=-np.inf,
@@ -591,7 +598,7 @@ def estimate_H(tm: TransformedModel, start_pairs, T: float, replicas: int,
         H_hat = max(v["running_final"] for v in per_start.values())
     return TransienceReport(
         H_hat=float(H_hat), stderr=stderr_at_max,
-        tail_exponent_fit=float(max(v["tail_exponent"] for v in per_start.values())),
+        tail_exponent_fit=float(np.max([v["tail_exponent"] for v in per_start.values()])),
         horizon=float(T), converged=bool(converged),
         growth_exponent=float(max(v["growth_exponent"] for v in per_start.values())),
         per_start=per_start, times=worst[0], running=worst[1])
@@ -641,14 +648,15 @@ def heat_bound_check(tm: TransformedModel, t_grid, x0, xi1, replicas: int,
     }
 
 
-def iterated_convolution(alpha: Kernel | dict, d: int, n_max: int):
-    """alpha^{*n} for n = 1..n_max by the stencil recursion
-    ``alpha^{*(n+1)} = sum_k alpha_k shift_k(alpha^{*n})`` over the nonzero
-    entries ``k``, on a window that grows by the stencil radius each step.
-
-    The window holds the whole support, so no mass leaks; the mass deficit is
-    still monitored against ``MASS_TOL``.  Returns ``(sups, arrays_last)``
-    where ``sups[n-1] = sup alpha^{*n}``.
+def _convolution(alpha: Kernel | dict, d: int, n_max: int):
+    """``alpha^{*n}`` for n = 1..n_max by the stencil recursion ``alpha^{*(n+1)}
+    = sum_k alpha_k shift_k(alpha^{*n})``, on a window that grows by the
+    stencil radius K each step.  On an axis where the stencil equals its mirror
+    ``x_i -> -x_i`` exactly, so does every ``alpha^{*n}``: the window holds only
+    ``x_i >= 0``, and the K layers below 0 are read by reflection.  The window
+    holds the whole support; its mass (cells with ``x_i > 0`` twice on each
+    symmetric axis) is still checked against ``MASS_TOL``.  Returns the sups,
+    ``alpha^{*n_max}`` on the window and the symmetric-axis mask.
     """
     st = alpha.stencil if isinstance(alpha, Kernel) else {
         tuple(np.atleast_1d(k)): float(v) for k, v in alpha.items()}
@@ -659,31 +667,46 @@ def iterated_convolution(alpha: Kernel | dict, d: int, n_max: int):
     total = base.sum()
     if abs(total - 1.0) > MASS_TOL:
         raise ModelError(f"stencil mass {total:.6g} is not normalized to 1")
-    # window offsets of the nonzero entries, grouped by value: one product
-    # v * alpha^{*n} per distinct value
+    sym = [bool(np.array_equal(base, np.flip(base, axis=i))) for i in range(d)]
+    metrics.count("convolution.symmetric_axes", sum(sym))
+    # one product v * alpha^{*n} per distinct value; the entry k moves index p
+    # to p + k_i - K on a symmetric axis (read from -K), else to p + k_i + K
     groups = {}
     for k, v in st.items():
         if v != 0.0:
-            groups.setdefault(v, []).append(np.asarray(k) + K)
-    cur = base
+            groups.setdefault(v, []).append(
+                [c - K if s else c + K for c, s in zip(k, sym)])
+    cur = base[tuple(slice(K, None) if s else slice(None) for s in sym)]
     sups = [float(cur.max())]
     for n in range(2, n_max + 1):
-        nxt = np.zeros((2 * n * K + 1,) * d)
-        for v, offsets in groups.items():
-            scaled = v * cur
-            for lo in offsets:
-                nxt[tuple(slice(c, c + m) for c, m in zip(lo, cur.shape))] += scaled
-        cur = nxt
-        deficit = abs(cur.sum() - 1.0)
-        if deficit > MASS_TOL:
-            raise ModelError(f"convolution mass leakage {deficit:.3e}")
+        src = np.pad(cur, [(K, 0) if s else (0, 0) for s in sym], mode="reflect")
+        cur = np.zeros(tuple(n * K + 1 if s else 2 * n * K + 1 for s in sym))
+        for v, shifts in groups.items():
+            scaled = v * src
+            for h in shifts:
+                cur[tuple(slice(max(c, 0), m + c) for c, m in zip(h, src.shape))] += (
+                    scaled[tuple(slice(max(-c, 0), None) for c in h)])
+        metrics.count("convolution.cells", cur.size)
+        mass = cur
+        for i in reversed(range(d)):
+            mass = 2 * mass.sum(axis=i) - mass.take(0, axis=i) if sym[i] else mass.sum(axis=i)
+        if abs(float(mass) - 1.0) > MASS_TOL:
+            raise ModelError(f"convolution mass leakage {abs(float(mass) - 1.0):.3e}")
         sups.append(float(cur.max()))
-    return np.array(sups), cur
+    return np.array(sups), cur, sym
+
+
+def iterated_convolution(alpha: Kernel | dict, d: int, n_max: int):
+    """``(sups, last)``: ``sups[n-1] = sup alpha^{*n}``, and ``alpha^{*n_max}``
+    on the full window, unfolded once from ``_convolution``'s half window."""
+    sups, half, sym = _convolution(alpha, d, n_max)
+    return sups, np.pad(half, [(m - 1, 0) if s else (0, 0)
+                               for m, s in zip(half.shape, sym)], mode="reflect")
 
 
 def convolution_bound_check(alpha, d: int, n_max: int) -> dict:
     """Verify sup alpha^{*n} * n^{d/2} stays bounded (no divergence trend)."""
-    sups, _ = iterated_convolution(alpha, d, n_max)
+    sups, _, _ = _convolution(alpha, d, n_max)
     n = np.arange(1, n_max + 1)
     scaled = sups * n ** (d / 2.0)
     med = float(np.median(scaled))

@@ -181,6 +181,11 @@ class TestExitCodes:
         ("simulate", {"model": FINITE_MODEL, "rho": 0.5, "T": 0.5, "replicas": 99}),
         ("simulate", {"model": FINITE_MODEL, "rho": 0.5, "T": 0.5, "replicas": 120,
                       "snapshot_times": []}),
+        # the two-walker commands integrate over (0, T]: T = 0 is no horizon
+        ("transience", {"model": LATTICE_MODEL, "T": 0, "replicas": 100}),
+        ("verify-bounds", {"model": LATTICE_MODEL, "rho": 0.1, "T": 0, "replicas": 200}),
+        ("stationary", {"model": LATTICE_MODEL, "rho": 0.1, "backend": "montecarlo",
+                        "T": 0, "replicas": 200}),
     ])
     def test_rejected_before_calibration(self, tmp_path, monkeypatch, command, cfg):
         monkeypatch.setattr(cli, "calibrate", _no_calibration)
@@ -280,6 +285,9 @@ class TestOutputs:
             counters = json.loads((out / "manifest.json").read_text())["metrics"]["counters"]
             assert counters["walkers.chains"] == chains
             assert counters["walkers.jumps"] >= counters["walkers.iterations"] >= 1
+            # jumps / slots is the mean active fraction
+            assert (counters["walkers.jumps"] <= counters["walkers.replica_slots"]
+                    <= counters["walkers.iterations"] * cfg["replicas"])
             jumps.append(counters["walkers.jumps"])
         expect = 1500 * 2 * 30
         assert abs(jumps[0] - expect) <= 5 * np.sqrt(expect)
@@ -355,6 +363,15 @@ class TestOutputs:
         assert (code == 0) == lemmas["passed"]
         assert code in (0, 1)
         assert len((out / "convolution.csv").read_text().splitlines()) == 1 + 64
+        # the lemma phases are timed, and the convolution runs on the half box
+        # of nearest-neighbour Z^3: (n + 1)^3 cells at each step n = 2..64
+        recorded = manifest["metrics"]
+        assert {"lemmas.convolution", "lemmas.poisson_domination",
+                "lemmas.heat_bound"} <= set(recorded["phases_s"])
+        counters = recorded["counters"]
+        assert counters["convolution.symmetric_axes"] == 3
+        assert counters["convolution.cells"] == sum((n + 1) ** 3 for n in range(2, 65))
+        assert counters["walkers.jumps"] <= counters["walkers.replica_slots"]
 
 
 def test_readme_key_tables_match_config():

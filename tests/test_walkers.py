@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import signal, stats
 
+from contactlab import metrics
 from contactlab.criticality import calibrate, theta_kernel
 from contactlab.errors import ModelError
 from contactlab.model import Kernel, RateModel, build_space
-from contactlab.walkers import (LOWER_TAIL_B, _alias_table,
+from contactlab.walkers import (LOWER_TAIL_B, _alias_table, _increment_exponent,
                                 convolution_bound_check, estimate_H,
                                 heat_bound_check, iterated_convolution,
                                 lattice_walk, lower_tail_bound_check,
@@ -243,6 +244,30 @@ class TestPairEngine:
         # square-root growth diagnostic of the running integral
         assert 0.3 <= rep.growth_exponent <= 0.8
 
+    @pytest.mark.parametrize("T", [0.1, 1.0, 5.0])
+    def test_z1_short_horizon_not_converged(self, z1_critical, T):
+        # below T = 5 the last decade holds fewer than 3 checkpoint
+        # increments: no exponent is fitted, and the recurrent walk is not
+        # converged at any of these horizons
+        rep = estimate_H(z1_critical, [(0,)], T=T, replicas=2000,
+                         rng=np.random.default_rng(1))
+        assert rep.converged is False
+        if T < 5:
+            assert np.isnan(rep.tail_exponent_fit)
+        else:
+            assert -1.0 < rep.tail_exponent_fit < 0.0
+
+    def test_increment_exponent_cases(self):
+        cps = np.geomspace(0.5, 50.0, 17)
+        # a flat running integral over the last decade: numerically zero
+        assert _increment_exponent(cps, np.minimum(cps, 1.0)) == -np.inf
+        # two increments only: nothing to fit
+        assert np.isnan(_increment_exponent(cps[:3], cps[:3]))
+        # two positive increments among the last decade's 8: nothing to fit
+        assert np.isnan(_increment_exponent(cps, np.minimum(cps, cps[10])))
+        # E b = t^-2 exactly
+        assert _increment_exponent(cps, -1.0 / cps) == pytest.approx(-2.0, abs=0.01)
+
     def test_z3_converged(self, z3_critical):
         rng = np.random.default_rng(13)
         rep = estimate_H(z3_critical, [(0, 0, 0)], T=150.0, replicas=4000,
@@ -474,6 +499,69 @@ class TestConvolution:
         assert last.shape == ref_last.shape
         assert np.abs(sups / ref_sups - 1.0).max() <= 1e-12
         assert np.abs(last - ref_last).max() <= 1e-12 * ref_last.max()
+
+
+def _direct_convolution(stencil, d, n_max):
+    """sup alpha^{*n} for n = 1..n_max and alpha^{*n_max} on the full box, by
+    repeated direct convolution of the dense base array."""
+    K = max(max(abs(c) for c in k) for k in stencil)
+    base = np.zeros((2 * K + 1,) * d)
+    for k, v in stencil.items():
+        base[tuple(np.asarray(k) + K)] = v
+    cur, sups = base, [base.max()]
+    for _ in range(2, n_max + 1):
+        cur = signal.convolve(cur, base, mode="full", method="direct")
+        sups.append(cur.max())
+    return np.array(sups), cur
+
+
+class TestHalfBoxConvolution:
+    """The recursion runs on x_i >= 0 of each reflection-symmetric axis and
+    matches a full-box direct convolution."""
+
+    @pytest.mark.parametrize("stencil, d, n_max, symmetric", [
+        # symmetric in x only
+        ({(-1, 0): 0.2, (1, 0): 0.2, (0, 1): 0.25, (0, -1): 0.15, (0, 0): 0.1,
+          (1, 1): 0.05, (-1, 1): 0.05}, 2, 24, (True, False)),
+        # K = 2, symmetric in both axes: two reflected layers are read
+        ({(-2, 0): 0.1, (2, 0): 0.1, (0, -2): 0.15, (0, 2): 0.15, (1, 1): 0.05,
+          (-1, 1): 0.05, (1, -1): 0.05, (-1, -1): 0.05, (0, 0): 0.3}, 2, 20, (True, True)),
+        # no symmetric axis
+        ({(1, 0, 0): 0.3, (0, 1, 0): 0.2, (0, 0, -1): 0.25, (-1, -1, 0): 0.15,
+          (0, 0, 2): 0.1}, 3, 12, (False, False, False)),
+        # the mirror of (1, 0) is 1 ulp off: x is not symmetric, y is
+        ({(-1, 0): 0.25, (1, 0): float(np.nextafter(0.25, 1.0)), (0, -1): 0.25,
+          (0, 1): 0.25}, 2, 24, (False, True)),
+    ])
+    def test_matches_direct_convolution(self, stencil, d, n_max, symmetric):
+        with metrics.recording() as rec:
+            sups, last = iterated_convolution(stencil, d, n_max)
+        ref_sups, ref_last = _direct_convolution(stencil, d, n_max)
+        # the half box: n K + 1 cells on a symmetric axis, 2 n K + 1 elsewhere
+        K = max(max(abs(c) for c in k) for k in stencil)
+        assert rec["counters"] == {
+            "convolution.symmetric_axes": sum(symmetric),
+            "convolution.cells": sum(np.prod([n * K + 1 if s else 2 * n * K + 1
+                                              for s in symmetric])
+                                     for n in range(2, n_max + 1))}
+        np.testing.assert_allclose(sups, ref_sups, rtol=1e-13, atol=0.0)
+        assert last.shape == ref_last.shape
+        assert np.abs(last - ref_last).max() <= 1e-15 * ref_last.max()
+        # the bound check reads the same recursion
+        assert np.array_equal(convolution_bound_check(stencil, d, n_max)["sup"], sups)
+
+    @pytest.mark.parametrize("stencil", [
+        {(-1,): 0.5, (1,): 0.5 + 9e-10},                    # asymmetric
+        {(-1,): 0.5 + 4.5e-10, (1,): 0.5 + 4.5e-10},        # symmetric
+    ])
+    def test_mass_leakage_rejected(self, stencil):
+        # within MASS_TOL of 1 at n = 1, about twice as far off at n = 2
+        with pytest.raises(ModelError, match="leakage"):
+            convolution_bound_check(stencil, 1, 4)
+
+    def test_unnormalized_symmetric_rejected(self):
+        with pytest.raises(ModelError, match="normalized"):
+            convolution_bound_check(nearest_stencil(2, mass=0.9), 2, 4)
 
 
 class TestPoissonDomination:
