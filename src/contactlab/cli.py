@@ -227,9 +227,9 @@ def _starts(cfg: dict, key: str, d: int, nmark: int = 0) -> list:
     return starts
 
 
-def _require_unmarked(model, what: str):
-    """The two-walker pair backend follows no marks: reject marked models."""
-    if model.birth.form == "factorized":
+def _require_unmarked(space, what: str):
+    """The two-walker pair backend follows no marks: reject spaces with marks."""
+    if space.marks:
         raise ConfigError(f"{what} takes unmarked models only")
 
 
@@ -290,7 +290,7 @@ def cmd_calibrate(cfg, run: Run, rng, space, model):
 
 
 def cmd_transience(cfg, run: Run, rng, space, model):
-    nmark = len(space.marks or ()) if model.birth.form == "factorized" else 0
+    nmark = len(space.marks or ())
     starts = _starts(cfg, "starts", space.dim or 1, nmark)
     tm, _, _ = calibrate(model, space)
     rep = estimate_H(tm, starts, T=float(cfg["T"]), replicas=cfg["replicas"], rng=rng)
@@ -331,7 +331,7 @@ def cmd_stationary(cfg, run: Run, rng, space, model):
     if backend == "montecarlo":
         if n != 2:
             raise ConfigError(f"the montecarlo backend computes n = 2 only, not n = {n}")
-        _require_unmarked(model, "the montecarlo backend")
+        _require_unmarked(space, "the montecarlo backend")
         starts = _starts(cfg, "displacements", space.dim or 1)
     elif backend != "dense":
         raise ConfigError(f"unknown backend {backend!r}: use 'dense' or 'montecarlo'")
@@ -398,7 +398,7 @@ def cmd_verify_lemmas(cfg, run: Run, rng, space, model):
     replicas = cfg["replicas"]
     tm, _, _ = calibrate(model, space)
     if not tm.translation_invariant:
-        raise ModelError("verify-lemmas requires a stencil or factorized model")
+        raise ModelError("verify-lemmas requires a translation-invariant model")
     d = space.dim or 1
     results = {}
     ok = True
@@ -411,7 +411,7 @@ def cmd_verify_lemmas(cfg, run: Run, rng, space, model):
                   _csv_lines(zip(conv["n"], conv["sup"], conv["scaled"])))
     # lam0, the lowest holding rate, bounds the mark chain's jump rate from
     # below; the lower-tail bound holds from t = 2 / lam0
-    lam0 = float(tm.v.min() if tm.marked else tm.death.min())
+    lam0 = float(tm.v.min())
     tgrid = np.linspace(2.0 / lam0, 40.0 / lam0, 8)
     lower = lower_tail_bound_check(lam0, tgrid)
     results["lower_tail"] = {"max_ratio": lower["max_ratio"],
@@ -443,7 +443,7 @@ def cmd_verify_lemmas(cfg, run: Run, rng, space, model):
 
 def cmd_verify_bounds(cfg, run: Run, rng, space, model):
     rho, T, replicas = float(cfg["rho"]), float(cfg["T"]), cfg["replicas"]
-    _require_unmarked(model, "verify-bounds")
+    _require_unmarked(space, "verify-bounds")
     starts = _starts(cfg, "starts", space.dim or 1)
     tm, _, _ = calibrate(model, space)
     trans = estimate_H(tm, starts, T=T, replicas=replicas, rng=rng)

@@ -7,9 +7,11 @@ The principal eigenpair of the positive operator
 is found directly: one dense eigensolve locates the root r, and inverse
 iteration on one LU factorization of ``sigma I - T`` (``sigma`` just above
 r) gives the sup-normalized eigenvector within a few solves, stopped when
-the Collatz-Wielandt bracket certifies r.  For factorized (marked) models
-the problem reduces to the mark-only kernel ``Q(s, s') / v(s)`` against
-``nu`` and the eigenfunction is reported with the ``sum q nu = 1``
+the Collatz-Wielandt bracket certifies r.  A lattice kernel
+``alpha(xi - xi') Q(s, s')`` (a stencil is ``Q`` = ones, and a plain lattice
+one mark of weight ``weights[0]``) whose death rates ``v(s)`` depend on the
+mark only reduces to the mark-only kernel ``alpha_mass Q(s, s') / v(s)``
+against ``nu``, and the eigenfunction is reported with the ``sum q nu = 1``
 normalization.  The birth kernel is rescaled by ``1/r`` to land exactly on
 criticality, and the ground-state transform ``b = a / psi``,
 ``mbar = psi * m`` is applied.
@@ -27,7 +29,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from . import metrics
 from .errors import ConvergenceError, ModelError, ReducibleKernelError
-from .model import Kernel, RateModel, StateSpace, kernel_matrix
+from .model import Kernel, RateModel, StateSpace, _mark_factor, kernel_matrix
 
 __all__ = [
     "GroundState",
@@ -54,12 +56,13 @@ MAX_SOLVES = 10
 
 @dataclass(frozen=True)
 class GroundState:
-    """Principal eigenpair (r, psi) plus the per-mark profile when marked."""
+    """Principal eigenpair (r, psi) plus the per-mark profile of a
+    translation-invariant model."""
 
     psi: np.ndarray            # per point
     eigenvalue: float
     normalization: str         # "sup" | "mark-nu"
-    q: np.ndarray | None = None  # per mark (marked models only)
+    q: np.ndarray | None = None  # per mark (translation-invariant models only)
     iterations: int = 0        # inverse-iteration solves
     bracket: tuple | None = None  # final Collatz-Wielandt (min, max)
 
@@ -69,9 +72,9 @@ class TransformedModel:
     """Critical model after the ground-state transform.
 
     ``b`` and ``jump_b`` are dense matrices over the space points; ``mbar``
-    is the transformed measure.  For translation-invariant models the
-    stencil / factorized structure (needed by the unbounded walkers) is
-    carried alongside the dense view.
+    is the transformed measure.  A translation-invariant model carries the
+    multi-species payload ``(alpha, Q, q, v)`` alongside the dense view (needed
+    by the unbounded walkers); a plain lattice is one mark.
     """
 
     space: StateSpace
@@ -82,7 +85,7 @@ class TransformedModel:
     jump_b: np.ndarray | None = None
     # translation-invariant payload (None for generic dense models)
     alpha: dict | None = None           # displacement stencil of b's spatial part
-    Q: np.ndarray | None = None         # mark kernel (post-rescale)
+    Q: np.ndarray | None = None         # mark kernel (post-rescale; ones for a stencil)
     q: np.ndarray | None = None         # per-mark ground state
     v: np.ndarray | None = None         # per-mark death rates
 
@@ -92,7 +95,14 @@ class TransformedModel:
 
     @property
     def marked(self) -> bool:
-        return self.Q is not None
+        """The space has marks (a plain lattice has one, implicitly)."""
+        return self.space.marks is not None
+
+    @property
+    def nu(self) -> np.ndarray:
+        """Per-mark weights ``nu`` of a translation-invariant model (1 on a
+        plain lattice): the first lattice point's, as marks run inner."""
+        return self.space.weights[:len(self.q)]
 
 
 @dataclass(frozen=True)
@@ -143,49 +153,37 @@ def perron_solve(T: np.ndarray, tol: float):
         f"solves (bracket width {hi - lo:.3e})")
 
 
-def _mark_death(model: RateModel, space: StateSpace) -> np.ndarray:
-    """Per-mark death rates v(s) read off V, checking V(xi, s) = v(s)."""
-    mark = np.array([space.marks.index(p[1]) for p in space.points])
-    v = np.empty(len(space.marks))
-    v[mark] = model.death
-    if np.any(model.death != v[mark]):
-        raise ModelError("marked model requires V(xi, s) = v(s)")
-    return v
+def _mark_death(model: RateModel, nmark: int) -> np.ndarray | None:
+    """Per-mark death rates v(s) if V(xi, s) = v(s) (points run lattice-outer,
+    marks-inner), or None if V depends on the lattice point."""
+    V = model.death.reshape(-1, nmark)
+    return V[0] if np.all(V == V[0]) else None
 
 
 def solve_ground_state(model: RateModel, space: StateSpace) -> GroundState:
     """Krein-Rutman pair of the normalized birth operator.
 
-    Marked (factorized) models solve the mark-only problem with kernel
-    ``Q(s, s') / v(s)`` against ``nu`` and report ``q`` with
-    ``sum q nu = 1``; generic models solve the full per-point problem
-    with sup-norm normalization.
+    A lattice kernel whose death rates depend on the mark only solves the
+    mark-only problem with kernel ``alpha_mass Q(s, s') / v(s)`` against
+    ``nu`` and reports ``q`` with ``sum q nu = 1``; any other model solves
+    the full per-point problem with sup-norm normalization.
     """
-    if model.birth.form == "factorized":
-        if space.structure != "product":
-            raise ModelError("factorized kernel requires a product space")
-        alpha_mass = sum(model.birth.stencil.values())
-        v = _mark_death(model, space)
-        K = (model.birth.Q / v[:, None]) * space.nu[None, :] * alpha_mass
-        r, q, solves, bracket = perron_solve(K, DEFAULT_TOL)
-        q = q / float(q @ space.nu)
-        psi = np.array([q[space.marks.index(p[1])] for p in space.points])
-        return GroundState(psi=psi, eigenvalue=r, normalization="mark-nu",
-                           q=q, iterations=solves, bracket=bracket)
-    if model.birth.form == "stencil" and np.ptp(model.death) == 0:
-        # homogeneous model: psi is constant and r is the stencil mass / V
-        # (exact; the unbounded-window dense view has edge losses and must
-        # not be used for the eigenproblem)
-        if space.structure not in ("lattice", "product"):
-            raise ModelError("stencil kernel requires a lattice space")
-        unit = float(space.weights[0])
-        r = sum(model.birth.stencil.values()) * unit / float(model.death[0])
-        psi = np.ones(space.size)
-        return GroundState(psi=psi, eigenvalue=r, normalization="sup",
-                           iterations=0, bracket=(r, r))
-    if model.birth.form == "stencil" and space.boundary == "unbounded":
-        raise ModelError("a stencil model on an unbounded window needs constant "
-                         "death rates: the window is a viewport, not the space")
+    if model.birth.form != "dense" and space.structure != "finite":
+        Q = _mark_factor(model.birth, space)
+        v = _mark_death(model, len(Q))
+        if v is not None:
+            nu = space.weights[:len(Q)]
+            alpha_mass = sum(model.birth.stencil.values())
+            K = (Q / v[:, None]) * nu[None, :] * alpha_mass
+            r, q, solves, bracket = perron_solve(K, DEFAULT_TOL)
+            q = q / float(q @ nu)
+            return GroundState(psi=np.tile(q, space.size // len(q)), eigenvalue=r,
+                               normalization="mark-nu", q=q, iterations=solves,
+                               bracket=bracket)
+        if space.boundary == "unbounded":
+            raise ModelError("a lattice kernel on an unbounded window needs death "
+                             "rates that depend on the mark only: the window is a "
+                             "viewport, not the space")
     A = kernel_matrix(model.birth, space)
     T = (A * space.weights[None, :]) / model.death[:, None]
     r, psi, solves, bracket = perron_solve(T, DEFAULT_TOL)
@@ -220,23 +218,19 @@ def ground_transform(model: RateModel, space: StateSpace,
         jump_b = kernel_matrix(model.jump, space) / psi[:, None]
 
     alpha = Q = q = v = None
-    if model.birth.form == "stencil" and np.ptp(psi) == 0:
-        # translation invariant only with a constant psi (constant death);
-        # b's stencil is alpha / psi with that constant.
-        c = float(psi[0])
-        alpha = {k: val / c for k, val in model.birth.stencil.items()}
-    elif model.birth.form == "factorized":
+    if gs.q is not None:
         alpha = dict(model.birth.stencil)
-        Q = model.birth.Q.copy()
+        Q = _mark_factor(model.birth, space).copy()
         q = gs.q.copy()
-        v = _mark_death(model, space)
+        v = _mark_death(model, len(q))
     return TransformedModel(space=space, b=b, mbar=mbar, death=model.death.copy(),
                             psi=psi, jump_b=jump_b, alpha=alpha, Q=Q, q=q, v=v)
 
 
 def _balance(tm: TransformedModel):
     """Birth inflow ``sum_y b(x, y) mbar(y)`` and death rate ``V(x)``, per
-    mark when marked; ``inflow / V = T psi / psi`` for the critical operator.
+    mark for translation-invariant models; ``inflow / V = T psi / psi`` for
+    the critical operator.
 
     Translation-invariant models use the displacement-sum identity (exact on
     the unbounded lattice, where window edge rows are not meaningful).
@@ -244,10 +238,7 @@ def _balance(tm: TransformedModel):
     if not tm.translation_invariant:
         return tm.b @ tm.mbar, tm.death
     mass = sum(tm.alpha.values())
-    if tm.marked:
-        return mass * (tm.Q @ (tm.q * tm.space.nu)) / tm.q, tm.v
-    # psi constant: mbar weight equals psi * unit weight
-    return mass * tm.psi, tm.death
+    return mass * (tm.Q @ (tm.q * tm.nu)) / tm.q, tm.v
 
 
 def criticality_residual(tm: TransformedModel) -> float:
@@ -273,11 +264,11 @@ def jump_criticality_residual(model: RateModel, space: StateSpace,
 
 def theta_kernel(tm: TransformedModel) -> ThetaKernel:
     """Theta(s, s') = Q(s, s') q(s') / (v(s) q(s)); rows sum to 1 against nu."""
-    if not tm.marked:
-        raise ModelError("theta_kernel requires a factorized (marked) model")
+    if not tm.translation_invariant:
+        raise ModelError("theta_kernel requires a translation-invariant model")
     alpha_mass = sum(tm.alpha.values())
     theta = alpha_mass * tm.Q * tm.q[None, :] / (tm.v[:, None] * tm.q[:, None])
-    return ThetaKernel(theta=theta, nu=tm.space.nu)
+    return ThetaKernel(theta=theta, nu=tm.nu)
 
 
 @metrics.phase("calibrate")

@@ -1,11 +1,12 @@
 """Auxiliary Markov jump walkers and the probabilistic lemma checks.
 
 The walker jumps from x with holding rate V(x) and jump law
-``b(x, dy) mbar(dy) / V(x)``.  For translation-invariant (stencil or
-factorized) critical models the walker lives on the unbounded lattice: the
-displacement increment is drawn from the normalized stencil ``alpha`` and,
-for marked models, the mark moves independently with the stochastic kernel
-``Theta(s, .) nu``.  The transience functional
+``b(x, dy) mbar(dy) / V(x)``.  For translation-invariant critical models
+(a stencil or factorized kernel with death rates ``v(s)``) the walker lives
+on the unbounded lattice: the displacement increment is drawn from the
+normalized stencil ``alpha`` and the mark moves independently with the
+stochastic kernel ``Theta(s, .) nu`` (``theta_kernel``); a plain lattice is
+one mark, which never changes.  The transience functional
 
     sup_{x,y} int_0^inf E_{x,y} b(X(t), Y(t)) dt
 
@@ -162,43 +163,27 @@ class LatticeWalk:
 def lattice_walk(tm: TransformedModel) -> LatticeWalk:
     """Build the walk law from a translation-invariant critical model."""
     if not tm.translation_invariant:
-        raise ModelError("lattice walk requires a stencil or factorized model")
+        raise ModelError("lattice walk requires a translation-invariant model")
     d = tm.space.dim
     items = sorted(tm.alpha.items())
     steps = np.array([k for k, _ in items], dtype=np.int64).reshape(len(items), d)
     vals = np.array([v for _, v in items])
-    if tm.marked:
-        q, Q, v, nu = tm.q, tm.Q, tm.v, tm.space.nu
-        # the jump-law mass lives in the mark rows: alpha_mass * Theta nu ~ 1
-        trans = theta_kernel(tm).transition_probs()
-        rows = trans.sum(axis=1)
-        if np.abs(rows - 1.0).max() > MASS_TOL:
-            raise ModelError(
-                f"walker jump law mass {rows.max():.6g} deviates from 1: "
-                "model miscalibrated")
-        trans = trans / rows[:, None]
-    else:
-        if np.ptp(tm.death) != 0:
-            raise ModelError("translation-invariant unmarked walk needs constant V")
-        q = np.ones(1)
-        Q = np.ones((1, 1))
-        v = np.array([float(tm.death[0])])
-        nu = np.ones(1)
-        trans = np.ones((1, 1))
-        # jump law b(x,.) mbar / V: mass = sum(alpha/psi * psi) / V
-        total = vals.sum() * float(tm.psi[0]) / v[0]
-        if abs(total - 1.0) > MASS_TOL:
-            raise ModelError(
-                f"walker jump law mass {total:.6g} deviates from 1: "
-                "model miscalibrated")
+    # the jump-law mass lives in the mark rows: alpha_mass * Theta nu ~ 1
+    trans = theta_kernel(tm).transition_probs()
+    rows = trans.sum(axis=1)
+    if np.abs(rows - 1.0).max() > MASS_TOL:
+        raise ModelError(
+            f"walker jump law mass {rows.max():.6g} deviates from 1: "
+            "model miscalibrated")
     K = max(int(np.abs(steps).max()), 1)
     nonzero = vals != 0
     codes = _lattice_code(steps[nonzero])
     order = np.argsort(codes)
     probs = vals / vals.sum()
-    return LatticeWalk(d=d, steps=steps, step_probs=probs, v=v, mark_trans=trans,
-                       Q=Q, q=q, support=codes[order],
-                       support_alpha=vals[nonzero][order], K=K, nu=nu)
+    return LatticeWalk(d=d, steps=steps, step_probs=probs, v=tm.v,
+                       mark_trans=trans / rows[:, None], Q=tm.Q, q=tm.q,
+                       support=codes[order], support_alpha=vals[nonzero][order],
+                       K=K, nu=tm.nu)
 
 
 # ---------------------------------------------------------------------------
@@ -502,15 +487,18 @@ def _tail_fit(cps: np.ndarray, mean: np.ndarray, d: int):
 
 def _increment_exponent(cps: np.ndarray, mean: np.ndarray):
     """Fitted exponent p of the integrand E b ~ t^p over the last decade:
-    ``-inf`` if it holds 3 checkpoint increments or more and none is positive
-    (numerically zero), ``nan`` if fewer than 3 positive ones leave no fit."""
+    ``-inf`` if it holds 3 checkpoint increments or more, none is positive
+    and the running integral is positive at T (the integrand has died out),
+    ``nan`` if fewer than 3 positive ones leave no fit otherwise (a curve that
+    is 0 throughout has not started)."""
     dR = np.diff(mean)
     dt = np.diff(cps)
     mid = np.sqrt(cps[1:] * cps[:-1])
     last = mid >= cps[-1] / 10.0
     sel = last & (dR > 0)
     if sel.sum() < 3:
-        return -np.inf if last.sum() >= 3 and not sel.any() else np.nan
+        dead = last.sum() >= 3 and not sel.any() and mean[-1] > 0
+        return -np.inf if dead else np.nan
     slope, _ = np.polyfit(np.log(mid[sel]), np.log(dR[sel] / dt[sel]), 1)
     return float(slope)
 
@@ -600,7 +588,7 @@ def estimate_H(tm: TransformedModel, start_pairs, T: float, replicas: int,
         H_hat=float(H_hat), stderr=stderr_at_max,
         tail_exponent_fit=float(np.max([v["tail_exponent"] for v in per_start.values()])),
         horizon=float(T), converged=bool(converged),
-        growth_exponent=float(max(v["growth_exponent"] for v in per_start.values())),
+        growth_exponent=float(np.max([v["growth_exponent"] for v in per_start.values()])),
         per_start=per_start, times=worst[0], running=worst[1])
 
 

@@ -29,6 +29,9 @@ MARKED_MODEL = {
     "death": {"per_mark": [1.0, 3.0]},
 }
 
+# a stencil on a product space: the multi-species model with Q = ones
+STENCIL_PRODUCT_MODEL = dict(MARKED_MODEL, birth=LATTICE_MODEL["birth"])
+
 FINITE_MODEL = {
     "space": {"type": "finite", "points": [0, 1, 2, 3],
               "weights": [1.0, 0.8, 1.2, 1.0]},
@@ -186,6 +189,11 @@ class TestExitCodes:
         ("verify-bounds", {"model": LATTICE_MODEL, "rho": 0.1, "T": 0, "replicas": 200}),
         ("stationary", {"model": LATTICE_MODEL, "rho": 0.1, "backend": "montecarlo",
                         "T": 0, "replicas": 200}),
+        # the pair backend follows no marks, and a stencil on a product space has them
+        ("stationary", {"model": STENCIL_PRODUCT_MODEL, "rho": 0.1,
+                        "backend": "montecarlo", "T": 20, "replicas": 200}),
+        ("verify-bounds", {"model": STENCIL_PRODUCT_MODEL, "rho": 0.1, "T": 20,
+                           "replicas": 200}),
     ])
     def test_rejected_before_calibration(self, tmp_path, monkeypatch, command, cfg):
         monkeypatch.setattr(cli, "calibrate", _no_calibration)
@@ -241,8 +249,8 @@ class TestOutputs:
         cal = json.loads((tmp_path / "calibrate1" / "calibration.json").read_text())
         assert recorded["calibrate"]["counters"] == {"calibrate.solves": cal["iterations"]}
         assert 0 <= recorded["calibrate"]["values"]["calibrate.bracket_width"] <= 1e-12
-        # the homogeneous window calibrates in closed form, with no solve
-        assert recorded["stationary"]["counters"] == {"calibrate.solves": 0,
+        # the homogeneous window takes the one-mark Perron solve
+        assert recorded["stationary"]["counters"] == {"calibrate.solves": 1,
                                                       "stationary.schur_float64": 1,
                                                       "stationary.trsyl_calls": 1}
 
@@ -310,6 +318,19 @@ class TestOutputs:
         assert code == 0
         rep = json.loads((out / "transience.json").read_text())
         assert sorted(rep["per_start"]) == ["((0, 0, 0), 0, 0)", "((0, 0, 0), 0, 1)"]
+
+    def test_stencil_on_product_transience_takes_marked_starts(self, tmp_path):
+        # the mark count comes from the space, whatever the birth kernel's form
+        code, out = run_cli(tmp_path, "transience",
+                            {"model": STENCIL_PRODUCT_MODEL, "T": 5, "replicas": 200,
+                             "starts": [[[0, 0, 0], 0, 1]]}, seed=11)
+        assert code == 0
+        rep = json.loads((out / "transience.json").read_text())
+        assert list(rep["per_start"]) == ["((0, 0, 0), 0, 1)"]
+        code, _ = run_cli(tmp_path, "transience",
+                          {"model": STENCIL_PRODUCT_MODEL, "T": 5, "replicas": 200,
+                           "starts": [[0, 0, 0]]}, seed=11, outname="plain")
+        assert code == 2
 
     def test_simulate_moments(self, tmp_path):
         code, out = run_cli(tmp_path, "simulate",

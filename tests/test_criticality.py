@@ -315,6 +315,22 @@ class TestCalibrate:
             assert hi - lo <= 1e-11
             assert criticality_residual(tm) <= 1e-10
 
+    @pytest.mark.parametrize("boundary", ["periodic", "unbounded"])
+    @pytest.mark.parametrize("death", [1.0, {"per_mark": [1.0, 3.0]}])
+    def test_stencil_on_product_space(self, boundary, death):
+        # a stencil is the multi-species model with Q = ones: its root is
+        # mass sum(nu) / v for constant death, not the one-mark mass nu_0 / v
+        space, model = model_from_dict({
+            "space": {"type": "product", "d": 1, "R": 3, "boundary": boundary,
+                      "marks": ["A", "B"], "nu": [0.5, 0.5]},
+            "birth": {"form": "stencil", "entries": "nearest", "rate": 1.0},
+            "death": death})
+        tm, gs, report = calibrate(model, space)
+        assert report["criticality_residual"] <= 1e-10
+        if boundary == "periodic":
+            T = tm.b * tm.mbar[None, :] / tm.death[:, None]
+            assert abs(float(np.linalg.eigvals(T).real.max()) - 1.0) <= 1e-10
+
 
 class TestThetaKernel:
     def test_constant_kernel(self):
@@ -331,5 +347,11 @@ class TestThetaKernel:
             assert np.allclose(th.transition_probs().sum(axis=1), 1.0, atol=1e-12)
 
     def test_requires_marked(self, z3_critical):
+        # a plain lattice is one mark, which Theta nu keeps; a dense model
+        # has no mark kernel
+        probs = theta_kernel(z3_critical).transition_probs()
+        assert probs.shape == (1, 1) and probs[0, 0] == pytest.approx(1.0, abs=1e-12)
+        space, model = random_finite_model(np.random.default_rng(5))
+        tm, _, _ = calibrate(model, space)
         with pytest.raises(ModelError):
-            theta_kernel(z3_critical)
+            theta_kernel(tm)

@@ -268,6 +268,23 @@ class TestPairEngine:
         # E b = t^-2 exactly
         assert _increment_exponent(cps, -1.0 / cps) == pytest.approx(-2.0, abs=0.01)
 
+    def test_far_start_not_converged(self, z1_critical):
+        # no pair meets by T = 20 from 40 apart: a running integral that is 0
+        # throughout shows no decay, so the recurrent walk is not converged
+        rep = estimate_H(z1_critical, [(40,)], T=20.0, replicas=2000,
+                         rng=np.random.default_rng(1))
+        assert rep.converged is False
+        assert np.isnan(rep.tail_exponent_fit)
+
+    def test_report_independent_of_start_order(self, z3_critical):
+        # the far start's growth exponent is nan, and shows in either order
+        starts = [(0, 0, 0), (40, 0, 0)]
+        a, b = (estimate_H(z3_critical, order, T=5.0, replicas=300,
+                           rng=np.random.default_rng(2))
+                for order in (starts, starts[::-1]))
+        assert np.isnan(a.growth_exponent)
+        np.testing.assert_equal(vars(a), vars(b))
+
     def test_z3_converged(self, z3_critical):
         rng = np.random.default_rng(13)
         rep = estimate_H(z3_critical, [(0, 0, 0)], T=150.0, replicas=4000,
