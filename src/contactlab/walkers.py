@@ -10,19 +10,25 @@ one mark, which never changes.  The transience functional
 
     sup_{x,y} int_0^inf E_{x,y} b(X(t), Y(t)) dt
 
-is estimated by exact path integrals of ``b`` along piecewise-constant
+is estimated by path integrals of ``b`` along piecewise-constant
 two-walker trajectories (no time-discretization error), extrapolated to
-T = inf by one ``t^{1 - d/2}`` tail fit, ``pair_limit``.  All walker Monte
-Carlo runs on one vectorized stepper, ``_jump_chain``, which steps only the
-replicas short of the next grid time.  A replica's state is two integers:
-the lattice code of its signed walker sum (``_lattice_code``, ``63 // d``
-bits per coordinate) and the index of its joint marks.  Each jump is one
-draw from a Walker alias table of (walker, step, new mark) for that joint
-state, and the integrand is looked up on the sorted codes of its support.
-No draw depends on the code, so two-walker starts with the same initial
-marks share one chain of ``X - Y`` from 0, each reading the integrand on its
-own shifted support (common random numbers).  A start or a jump count that
-could carry a coordinate out of the code's range is a ``ModelError``.
+T = inf by one tail fit ``A - c1 t^{1 - d/2} - c2 t^{-d/2}``, ``pair_limit``.
+Two conditional Monte Carlo steps lower the variance without bias: each
+holding piece on the integrand's support is credited with its conditional
+mean given its start, and each start reads the integrand averaged over its
+orbit under the reflections and axis transpositions that preserve the
+stencil.  All walker Monte Carlo runs on one vectorized stepper,
+``_jump_chain``, which steps only the replicas short of the next grid
+time.  A replica's state is two integers: the lattice code of its signed
+walker sum (``_lattice_code``, ``63 // d`` bits per coordinate) and the
+index of its joint marks.  Each jump is one draw from a Walker alias table
+of (walker, step, new mark) for that joint state, and the integrand is
+looked up on the sorted codes of its support through a hashed prefilter
+(``_on_support``).  No draw depends on the code, so two-walker starts with
+the same initial marks share one chain of ``X - Y`` from 0, each reading
+the integrand on its own shifted support (common random numbers).  A start
+or a jump count that could carry a coordinate out of the code's range is a
+``ModelError``.
 ``simulate_jump`` is the scalar single-path reference the stepper is tested
 against.
 """
@@ -115,13 +121,40 @@ def _lattice_code(D) -> np.ndarray:
     return D @ (np.int64(1) << (b * np.arange(d, dtype=np.int64)))
 
 
-def _on_support(support: np.ndarray, codes: np.ndarray):
+# Knuth's multiplicative hash constant, 2^64 over the golden ratio (odd)
+_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _hash(codes: np.ndarray, bits: int) -> np.ndarray:
+    """The top ``bits`` bits of the int64 ``codes`` times ``_HASH_MULT`` mod
+    2^64, as int64."""
+    h = codes.view(np.uint64) * _HASH_MULT
+    return (h >> np.uint64(64 - bits)).view(np.int64)
+
+
+def _support_hash(support: np.ndarray):
+    """``(table, bits)``: a boolean table of at least 64 slots per code of
+    ``support``, True at the ``_hash`` of each, for ``_on_support``."""
+    bits = len(support).bit_length() + 6
+    table = np.zeros(1 << bits, dtype=bool)
+    table[_hash(support, bits)] = True
+    return table, bits
+
+
+def _on_support(support: np.ndarray, hashed, codes: np.ndarray):
     """Indices of the ``codes`` that lie on the sorted ``support``, and their
-    positions in it."""
-    # kind="sort": skip isin's probe for a range-indexed table, which codes
-    # in d >= 2 (spread over about 2^63) never fit
-    near = np.flatnonzero(np.isin(codes, support, kind="sort"))
-    return near, np.searchsorted(support, codes[near])
+    positions in it (``np.isin`` and ``np.searchsorted``).
+
+    The table ``hashed = _support_hash(support)`` passes every code on the
+    support and about 1 in 64 of the others; a sorted search and an
+    equality test decide those candidates.
+    """
+    table, bits = hashed
+    cand = np.flatnonzero(table.take(_hash(codes, bits)))
+    found = codes[cand]
+    pos = np.searchsorted(support, found)
+    hit = support.take(pos, mode="clip") == found
+    return cand[hit], pos[hit]
 
 
 @dataclass(frozen=True)
@@ -138,12 +171,11 @@ class LatticeWalk:
     support: np.ndarray      # sorted lattice codes of the nonzero alpha entries
     support_alpha: np.ndarray  # alpha at those codes
     K: int                   # sup norm of the largest step
-    nu: np.ndarray
 
     def alpha_at(self, codes: np.ndarray) -> np.ndarray:
         """alpha at lattice codes; zero off the support."""
         out = np.zeros(len(codes))
-        near, pos = _on_support(self.support, codes)
+        near, pos = _on_support(self.support, _support_hash(self.support), codes)
         out[near] = self.support_alpha[pos]
         return out
 
@@ -183,7 +215,7 @@ def lattice_walk(tm: TransformedModel) -> LatticeWalk:
     return LatticeWalk(d=d, steps=steps, step_probs=probs, v=tm.v,
                        mark_trans=trans / rows[:, None], Q=tm.Q, q=tm.q,
                        support=codes[order], support_alpha=vals[nonzero][order],
-                       K=K, nu=tm.nu)
+                       K=K)
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +331,20 @@ def _jump_chain(v, mark_trans, steps, step_probs, s, sign, t_grid, rng, reach=0,
     The integrands, if any, are ``support = (codes, table)``: ``table[k, js,
     p]`` is integrand k at the sorted lattice codes ``codes[p]``, zero
     elsewhere.  At each grid time the generator yields ``(I, n, code)``: per
-    replica the running integral of each integrand (held at the pre-jump
-    state; one row per integrand), the jump count and the lattice code,
-    updated in place afterwards.  Only replicas short of the grid time are stepped; clamping
-    their holding times there is exact by memorylessness.  ``reach`` is the
-    largest start coordinate the codes are added to; a jump count that could
-    carry such a sum out of the code's range is a ``ModelError``.  The chain,
-    its loop iterations, jumps and replica slots (iterations times the replicas
-    active as a grid interval starts; jumps / slots is the active fraction) are
-    counted in ``metrics``.
+    replica the running integral of each integrand (one row per integrand),
+    the jump count and the lattice code, updated in place afterwards.  Only
+    replicas short of the grid time are stepped; clamping their holding
+    times there is exact by memorylessness.  A holding piece that starts at
+    ``ta`` on the support, with holding rate r, is credited with its
+    conditional mean given its start, ``b (1 - e^{-r (tb - ta)}) / r``, in
+    place of the sampled ``b (min(t_jump, tb) - ta)``: the same expectation
+    (conditional Monte Carlo), less variance, and the same draws.  ``reach``
+    is the largest start coordinate the codes are added to; a jump count
+    that could carry such a sum out of the code's range is a ``ModelError``.
+    The chain, its loop iterations, jumps, replica slots (iterations times
+    the replicas active as a grid interval starts; jumps / slots is the
+    active fraction) and support hits (replica-steps credited on the
+    support) are counted in ``metrics``.
     """
     R, W = s.shape
     nmark, d = len(v), steps.shape[1]
@@ -332,7 +369,9 @@ def _jump_chain(v, mark_trans, steps, step_probs, s, sign, t_grid, rng, reach=0,
               * (np.arange(nmark) - marks[:, :, None, None]))
     new_js = np.broadcast_to(new_js, P.shape).ravel()
     if support is not None:
-        sup_codes, sup_table = support
+        # b / r per joint state: a piece's credit is this times 1 - e^{-r (tb - ta)}
+        sup_codes, sup_table = support[0], support[1] / rate[:, None]
+        hashed = _support_hash(sup_codes)
     # the range guard: no coordinate of a start plus the code may reach 2^(b - 1)
     K = int(np.abs(steps).max()) if steps.size else 0
     limit = 1 << (63 // d - 1) if d else None
@@ -348,15 +387,16 @@ def _jump_chain(v, mark_trans, steps, step_probs, s, sign, t_grid, rng, reach=0,
         idx = np.arange(R if tb > t0 else 0)
         active = idx.size
         ta, ca, ja = np.full(R, t0), code.copy(), js.copy()
-        it = jumps = 0
+        it = jumps = credited = 0
         while idx.size:
-            t_jump = ta + rng.standard_exponential(idx.size) / (
-                rate[ja] if J > 1 else rate[0])
+            r = rate[ja] if J > 1 else rate[0]
+            t_jump = ta + rng.standard_exponential(idx.size) / r
             if support is not None:
-                near, pos = _on_support(sup_codes, ca)
+                near, pos = _on_support(sup_codes, hashed, ca)
                 if near.size:
-                    I[:, idx[near]] += sup_table[:, ja[near] if J > 1 else 0, pos] * (
-                        np.minimum(t_jump[near], tb) - ta[near])
+                    I[:, idx[near]] -= sup_table[:, ja[near] if J > 1 else 0, pos] * np.expm1(
+                        (r[near] if J > 1 else r) * (ta[near] - tb))
+                    credited += near.size
             hit = t_jump < tb
             done = np.flatnonzero(~hit)
             if done.size:
@@ -385,6 +425,7 @@ def _jump_chain(v, mark_trans, steps, step_probs, s, sign, t_grid, rng, reach=0,
         metrics.count("walkers.replica_slots", it * active)
         metrics.count("walkers.iterations", it)
         metrics.count("walkers.jumps", jumps)
+        metrics.count("walkers.support_hits", credited)
         if limit is not None and reach + K * int(n.max(initial=0)) >= limit:
             raise ModelError(
                 f"walker displacement may leave the lattice code range 2^"
@@ -402,6 +443,37 @@ def _geometric_checkpoints(T: float):
     return cps
 
 
+def _symmetry_generators(steps: np.ndarray, step_probs: np.ndarray) -> list:
+    """The single-axis reflections and axis transpositions that each map the
+    step law onto itself exactly, as (d, d) signed permutation matrices."""
+    d = steps.shape[1]
+    on = step_probs != 0
+    law = dict(zip(map(tuple, steps[on].tolist()), step_probs[on]))
+    candidates = []
+    for i in range(d):
+        g = np.eye(d, dtype=np.int64)
+        g[i, i] = -1
+        candidates.append(g)
+        for j in range(i + 1, d):
+            g = np.eye(d, dtype=np.int64)
+            g[[i, j]] = g[[j, i]]
+            candidates.append(g)
+    return [g for g in candidates
+            if dict(zip(map(tuple, (steps[on] @ g).tolist()), step_probs[on])) == law]
+
+
+def _orbit(u, generators) -> np.ndarray:
+    """Sorted lattice codes of the orbit of the point u under the group that
+    the ``generators`` generate."""
+    orbit = np.asarray(u, dtype=np.int64).reshape(1, -1)
+    while True:
+        grown = np.unique(np.concatenate([orbit] + [orbit @ g for g in generators]),
+                          axis=0)
+        if len(grown) == len(orbit):
+            return np.unique(_lattice_code(orbit))
+        orbit = grown
+
+
 def pair_integral_curves(walk: LatticeWalk, displacements, s0x: int, s0y: int,
                          T: float, replicas: int, rng: np.random.Generator,
                          symmetrized: bool = False) -> list:
@@ -409,21 +481,33 @@ def pair_integral_curves(walk: LatticeWalk, displacements, s0x: int, s0y: int,
 
     The walkers start at each of the ``displacements`` ``x0 - y0`` (d-tuples)
     with marks ``s0x`` and ``s0y``.  Returns one ``(checkpoints,
-    mean_running, stderr_running)`` per displacement.  The integral over each
-    holding interval is exact (b is piecewise constant).  ``symmetrized``
-    integrates ``b(X, Y) + b(Y, X)`` instead.
+    mean_running, stderr_running, per_replica)`` per displacement, with
+    ``per_replica`` the (checkpoints, replicas) running integrals.  Each
+    holding interval on the integrand's support is credited with its
+    conditional mean given its start (b is piecewise constant; see
+    ``_jump_chain``).  ``symmetrized`` integrates ``b(X, Y) + b(Y, X)``
+    instead.
+
+    The group generated by the single-axis reflections and axis
+    transpositions that preserve the stencil leaves the law of ``X - Y``
+    (and of the marks) unchanged, so the integral from u has the same mean
+    from every point of u's orbit: each displacement reads b averaged over
+    its orbit, which keeps the estimate unbiased and lowers its variance.
 
     The increments of ``X - Y`` and the marks do not depend on the start, so
     one chain of ``X - Y`` from 0 serves every displacement u, which reads b
-    on the support shifted by ``-code(u)`` (common random numbers).  Each
-    curve is the one a call with u alone returns from the same generator
-    state; the curves of different displacements are correlated.
+    on the support shifted by ``-code(w)`` for each w in its orbit (common
+    random numbers).  Each curve is the one a call with u alone returns from
+    the same generator state; the curves of different displacements are
+    correlated, and those of displacements with one orbit are equal.
     """
     cps = _geometric_checkpoints(T)
     disps = np.asarray(displacements, dtype=np.int64).reshape(-1, walk.d)
     if not len(disps):
         raise ModelError("pair_integral_curves needs at least one displacement")
-    shifts = _lattice_code(disps)
+    generators = _symmetry_generators(walk.steps, walk.step_probs)
+    orbits = [_orbit(u, generators) for u in disps]
+    metrics.count("walkers.orbit_points", sum(len(o) for o in orbits))
     # b on the joint marks js = s_x M + s_y, at the sorted support codes
     M = len(walk.v)
     sx, sy = np.divmod(np.arange(M * M), M)
@@ -434,11 +518,13 @@ def pair_integral_curves(walk: LatticeWalk, displacements, s0x: int, s0y: int,
     else:
         codes = walk.support
         table = walk.support_alpha * (walk.Q[sx, sy] / walk.q[sx])[:, None]
-    # every displacement's shifted support on one sorted code table
-    merged = np.unique(codes - shifts[:, None])
+    # every displacement's orbit-averaged table on one sorted code table
+    merged = np.unique(np.concatenate([(codes - o[:, None]).ravel() for o in orbits]))
     tables = np.zeros((len(disps), M * M, len(merged)))
-    for k, shift in enumerate(shifts):
-        tables[k][:, np.searchsorted(merged, codes - shift)] = table
+    for k, orbit in enumerate(orbits):
+        for shift in orbit:
+            tables[k][:, np.searchsorted(merged, codes - shift)] += table
+        tables[k] /= len(orbit)
     s = np.tile(np.array([s0x, s0y], dtype=np.int64), (replicas, 1))
     running = np.empty((len(disps), len(cps), replicas))
     chain = _jump_chain(walk.v, walk.mark_trans, walk.steps, walk.step_probs, s, (1, -1),
@@ -448,7 +534,7 @@ def pair_integral_curves(walk: LatticeWalk, displacements, s0x: int, s0y: int,
         running[:, i] = I
     mean = running.mean(axis=2)
     stderr = running.std(axis=2, ddof=1) / np.sqrt(replicas)
-    return [(cps, m, e) for m, e in zip(mean, stderr)]
+    return [(cps, m, e, r) for m, e, r in zip(mean, stderr, running)]
 
 
 @dataclass(frozen=True)
@@ -459,7 +545,8 @@ class PairLimit:
     running: np.ndarray
     stderr: np.ndarray
     exponent: float  # fitted p of the integrand E b ~ t^p over the last decade
-    limit: float     # A of the tail fit A - c t^(1 - d/2), floored at running[-1]
+    limit: float     # A of the tail fit (``_tail_fit``), floored at running[-1]
+    limit_stderr: float  # standard error of the fitted A
 
     @property
     def integrable(self) -> bool:
@@ -467,22 +554,33 @@ class PairLimit:
         return self.exponent <= -1.0 - INTEGRABILITY_MARGIN
 
 
-def pair_limit(cps: np.ndarray, mean: np.ndarray, se: np.ndarray, d: int) -> PairLimit:
-    """The limit T -> inf of a ``pair_integral_curves`` result in d dimensions."""
-    A, _ = _tail_fit(cps, mean, d)
+def pair_limit(cps: np.ndarray, mean: np.ndarray, se: np.ndarray,
+               per_replica: np.ndarray, d: int) -> PairLimit:
+    """The limit T -> inf of a ``pair_integral_curves`` result in d dimensions.
+
+    The fitted A is a fixed linear functional ``w . mean`` of the checkpoint
+    means, so its standard error is that of ``w . per_replica`` over the
+    replicas.
+    """
+    w = _tail_fit(cps, d)[0]
+    A = float(w @ mean)
     return PairLimit(t=cps, running=mean, stderr=se,
                      exponent=_increment_exponent(cps, mean),
-                     limit=max(A, float(mean[-1])))
+                     limit=max(A, float(mean[-1])),
+                     limit_stderr=float((w @ per_replica).std(ddof=1)
+                                        / np.sqrt(per_replica.shape[1])))
 
 
-def _tail_fit(cps: np.ndarray, mean: np.ndarray, d: int):
-    """Fit R(t) = A - c t^(1 - d/2) over the last decade; returns (A, c)."""
-    lo = cps[-1] / 10.0
-    sel = cps >= lo
-    tpow = cps[sel] ** (1.0 - d / 2.0)
-    M = np.column_stack([np.ones(tpow.size), -tpow])
-    coef, *_ = np.linalg.lstsq(M, mean[sel], rcond=None)
-    return float(coef[0]), float(coef[1])
+def _tail_fit(cps: np.ndarray, d: int) -> np.ndarray:
+    """Linear weights of the least-squares fit ``R(t) = A - c1 t^(1 - d/2)
+    - c2 t^(-d/2)`` over the last decade: rows ``(A, c1, c2)``, zero before
+    the last decade, so that ``_tail_fit(cps, d) @ R`` is the fit."""
+    sel = cps >= cps[-1] / 10.0
+    t = cps[sel]
+    W = np.zeros((3, len(cps)))
+    W[:, sel] = np.linalg.pinv(np.column_stack(
+        [np.ones(t.size), -t ** (1.0 - d / 2.0), -t ** (-d / 2.0)]))
+    return W
 
 
 def _increment_exponent(cps: np.ndarray, mean: np.ndarray):
@@ -542,14 +640,13 @@ def estimate_H(tm: TransformedModel, start_pairs, T: float, replicas: int,
     two-walker path integral is averaged over replicas; starts with the
     same marks share one chain (``pair_integral_curves``), run per mark pair
     in order of first appearance, so their estimates are correlated.  The
-    extrapolated limit of the running integral (fit ``A - c t^{1-d/2}`` over
-    the last decade) plus a 3-stderr margin gives the per-start value, and
-    H_hat is the grid maximum.  ``converged`` requires the fitted integrand
-    exponent (``nan`` on too short a horizon) to clear -1 by ``INTEGRABILITY_MARGIN``.
+    extrapolated limit of the running integral (``pair_limit``) is each
+    start's ``estimate``, with its own standard error ``estimate_stderr``;
+    ``stderr`` is that of the running integral at T.  The estimate plus 3
+    ``stderr`` gives the per-start value, and H_hat is the grid maximum.
+    ``converged`` requires the fitted integrand exponent (``nan`` on too
+    short a horizon) to clear -1 by ``INTEGRABILITY_MARGIN``.
     """
-    if tm.translation_invariant and sum(tm.alpha.values()) == 0.0:
-        return TransienceReport(H_hat=0.0, stderr=0.0, tail_exponent_fit=-np.inf,
-                                horizon=float(T), converged=True)
     walk = lattice_walk(tm)
     d = walk.d
     nmark = len(walk.v) if tm.marked else 0
@@ -558,29 +655,30 @@ def estimate_H(tm: TransformedModel, start_pairs, T: float, replicas: int,
     groups = {}
     for d0, s0x, s0y in starts:
         groups.setdefault((s0x, s0y), []).append(d0)
-    curves = {}
+    limits = {}
     for (s0x, s0y), disps in groups.items():
         group = pair_integral_curves(walk, disps, s0x, s0y, T, replicas, rng)
-        curves.update(((d0, s0x, s0y), curve) for d0, curve in zip(disps, group))
+        limits.update(((d0, s0x, s0y), pair_limit(*curve, d))
+                      for d0, curve in zip(disps, group))
     per_start = {}
     H_hat, stderr_at_max = 0.0, 0.0
     worst = None
     converged = True
     for d0, s0x, s0y in starts:
-        cps, mean, se = curves[d0, s0x, s0y]
-        lim = pair_limit(cps, mean, se, d)
+        lim = limits[d0, s0x, s0y]
         value = lim.limit
-        se_final = float(se[-1])
+        se_final = float(lim.stderr[-1])
         per_start[(d0, s0x, s0y) if nmark else d0] = {
-            "estimate": value, "stderr": se_final,
-            "tail_exponent": lim.exponent, "running_final": float(mean[-1]),
-            "growth_exponent": _running_exponent(cps, mean),
+            "estimate": value, "estimate_stderr": lim.limit_stderr,
+            "stderr": se_final, "tail_exponent": lim.exponent,
+            "running_final": float(lim.running[-1]),
+            "growth_exponent": _running_exponent(lim.t, lim.running),
         }
         converged = converged and lim.integrable
         if worst is None or value + 3 * se_final > H_hat:
             H_hat = value + 3 * se_final
             stderr_at_max = se_final
-            worst = (cps, mean)
+            worst = (lim.t, lim.running)
     if not converged:
         # no finite extrapolation is meaningful; report the raw running max
         H_hat = max(v["running_final"] for v in per_start.values())

@@ -281,13 +281,14 @@ class TestOutputs:
 
     def test_walker_counters_in_manifest(self, tmp_path):
         # one chain per initial mark pair; its jumps are counted, and a pair
-        # of rate-1 walkers jumps Poisson(2 T) times per replica
-        cases = [({"model": LATTICE_MODEL, "T": 30, "replicas": 1500}, 1),
+        # of rate-1 walkers jumps Poisson(2 T) times per replica.  On
+        # nearest-neighbour Z^3 the orbit of 0 is one point and that of e_1 six.
+        cases = [({"model": LATTICE_MODEL, "T": 30, "replicas": 1500}, 1, 1 + 6 + 6),
                  ({"model": MARKED_MODEL, "T": 5, "replicas": 200,
                    "starts": [[[0, 0, 0], 0, 0], [[1, 0, 0], 0, 0],
-                              [[0, 0, 0], 0, 1]]}, 2)]
+                              [[0, 0, 0], 0, 1]]}, 2, 1 + 6 + 1)]
         jumps = []
-        for i, (cfg, chains) in enumerate(cases):
+        for i, (cfg, chains, orbit_points) in enumerate(cases):
             code, out = run_cli(tmp_path, "transience", cfg, seed=11, outname=f"t{i}")
             assert code == 0
             counters = json.loads((out / "manifest.json").read_text())["metrics"]["counters"]
@@ -296,6 +297,9 @@ class TestOutputs:
             # jumps / slots is the mean active fraction
             assert (counters["walkers.jumps"] <= counters["walkers.replica_slots"]
                     <= counters["walkers.iterations"] * cfg["replicas"])
+            # a replica is credited on the support at most once per loop iteration
+            assert 1 <= counters["walkers.support_hits"] <= counters["walkers.replica_slots"]
+            assert counters["walkers.orbit_points"] == orbit_points
             jumps.append(counters["walkers.jumps"])
         expect = 1500 * 2 * 30
         assert abs(jumps[0] - expect) <= 5 * np.sqrt(expect)
@@ -308,6 +312,9 @@ class TestOutputs:
         rep = json.loads((out / "transience.json").read_text())
         assert rep["H_hat"] > 0
         assert list(rep["per_start"]) == ["(0, 0, 0)", "(1, 0, 0)", "(2, 0, 0)"]
+        # the extrapolated estimate's own SE next to the running integral's at T
+        for start in rep["per_start"].values():
+            assert start["estimate_stderr"] > 0 and start["stderr"] > 0
         assert (out / "transience_curve.csv").exists()
 
     def test_marked_transience_keys_by_full_start(self, tmp_path):

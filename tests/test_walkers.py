@@ -1,19 +1,27 @@
 """Auxiliary walkers, the transience estimate, and the lemma checks."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal, stats
 
 from contactlab import metrics
+from contactlab.cli import main
 from contactlab.criticality import calibrate, theta_kernel
 from contactlab.errors import ModelError
 from contactlab.model import Kernel, RateModel, build_space
-from contactlab.walkers import (LOWER_TAIL_B, _alias_table, _increment_exponent,
-                                convolution_bound_check, estimate_H,
+from contactlab.walkers import (LOWER_TAIL_B, _HASH_MULT, _alias_table,
+                                _increment_exponent, _lattice_code, _on_support,
+                                _orbit, _support_hash, _symmetry_generators,
+                                _tail_fit, convolution_bound_check, estimate_H,
                                 heat_bound_check, iterated_convolution,
                                 lattice_walk, lower_tail_bound_check,
                                 mark_chain_jump_counts, pair_integral_curves,
-                                poisson_domination_check, simulate_jump)
+                                pair_limit, poisson_domination_check,
+                                simulate_jump)
 
 from conftest import lattice_model, marked_model, nearest_stencil
 
@@ -142,7 +150,7 @@ class TestPairEngine:
         walk = lattice_walk(z1_critical)
         T = 4.0
         rng = np.random.default_rng(88)
-        [(cps, mean, se)] = pair_integral_curves(
+        [(cps, mean, se, _)] = pair_integral_curves(
             walk, [(1,)], 0, 0, T, 40000, rng)
         R = 40
         size = 2 * R + 1
@@ -196,14 +204,14 @@ class TestPairEngine:
         oracle = expm(T * L)[state(1, 1, 0), size]
         walk = lattice_walk(tm)
         rng = np.random.default_rng(89)
-        [(cps, mean, se)] = pair_integral_curves(
+        [(cps, mean, se, _)] = pair_integral_curves(
             walk, [(1,)], 1, 0, T, 40000, rng)
         assert abs(float(mean[-1]) - oracle) <= 3.5 * float(se[-1])
 
     def test_running_integral_monotone(self, z3_critical):
         walk = lattice_walk(z3_critical)
         rng = np.random.default_rng(9)
-        [(cps, mean, se)] = pair_integral_curves(
+        [(cps, mean, se, _)] = pair_integral_curves(
             walk, [(0, 0, 0)], 0, 0, 100.0, 500, rng)
         assert np.all(np.diff(mean) >= -1e-15)
 
@@ -222,19 +230,15 @@ class TestPairEngine:
         r = np.corrcoef(t1, t2)[0, 1]
         assert abs(r) <= 3.5 / np.sqrt(n)
 
-    def test_zero_kernel_H_zero(self):
-        space = build_space({"type": "lattice", "d": 3, "R": 1,
-                             "boundary": "unbounded"})
-        zero = {k: 0.0 for k in nearest_stencil(3)}
-        model = RateModel(birth=Kernel("stencil", stencil=zero),
-                          death=np.ones(space.size))
-        from contactlab.criticality import TransformedModel
-        tm = TransformedModel(space=space, b=np.zeros((27, 27)),
-                              mbar=space.weights, death=model.death,
-                              psi=np.ones(27), alpha=zero)
-        rep = estimate_H(tm, [(0, 0, 0)], T=10.0, replicas=10,
-                         rng=np.random.default_rng(0))
-        assert rep.H_hat == 0.0
+    def test_zero_kernel_rejected(self, tmp_path):
+        # a zero-mass stencil has no critical rescaling: exit 2 before any walk
+        cfg = tmp_path / "zero.json"
+        cfg.write_text(json.dumps({"model": {
+            "space": {"type": "lattice", "d": 1, "R": 1, "boundary": "unbounded"},
+            "birth": {"form": "stencil", "entries": [[[1], 0.0]]},
+            "death": 1.0}, "T": 10.0, "replicas": 10}))
+        assert main(["transience", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--seed", "0"]) == 2
 
     def test_z1_not_converged(self, z1_critical):
         rng = np.random.default_rng(12)
@@ -344,9 +348,32 @@ class TestLatticeCode:
         # two jumps could reach 2^20: caught at a grid time
         with pytest.raises(ModelError):
             pair_integral_curves(walk, [(2 ** 20 - 2, 0, 0)], 0, 0, 50.0, 100, rng)
-        [(cps, mean, _)] = pair_integral_curves(walk, [(-(2 ** 20) + 500, 0, 0)],
-                                                0, 0, 50.0, 100, rng)
+        [(cps, mean, _, _)] = pair_integral_curves(walk, [(-(2 ** 20) + 500, 0, 0)],
+                                                   0, 0, 50.0, 100, rng)
         assert mean[-1] == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(support=st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=100, unique=True),
+           others=st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=50),
+           picks=st.lists(st.integers(0, 10 ** 6), max_size=50),
+           deltas=st.lists(st.integers(1, 2 ** 51 - 1), max_size=50))
+    def test_on_support_matches_isin(self, support, others, picks, deltas):
+        # random and negative codes, codes on the support, and codes whose
+        # hash equals a support code's in every table of up to 2^13 slots:
+        # h = s * MULT mod 2^64 with its low 51 bits changed, times MULT^-1
+        sup = np.array(sorted(support), dtype=np.int64)
+        mult, wrap = int(_HASH_MULT), 2 ** 64
+        inverse = pow(mult, -1, wrap)
+        chosen = [support[i % len(support)] for i in picks] if support else []
+        colliders = [((((s * mult) % wrap) ^ delta) * inverse) % wrap
+                     for s, delta in zip(chosen, deltas)]
+        colliders = [c - wrap if c >= 2 ** 63 else c for c in colliders]
+        codes = np.array(others + chosen + colliders, dtype=np.int64)
+        np.random.default_rng(len(codes)).shuffle(codes)
+        near, pos = _on_support(sup, _support_hash(sup), codes)
+        expect = np.flatnonzero(np.isin(codes, sup))
+        assert np.array_equal(near, expect)
+        assert np.array_equal(pos, np.searchsorted(sup, codes[expect]))
 
 
 class TestSharedChain:
@@ -407,6 +434,59 @@ class TestSharedChain:
         with pytest.raises(ModelError):
             pair_integral_curves(lattice_walk(z3_critical), [], 0, 0, 1.0, 10,
                                  np.random.default_rng(35))
+
+
+class TestVarianceReduction:
+    """Orbit-averaged integrands and the two-term tail fit."""
+
+    @pytest.mark.parametrize("stencil, u, size", [
+        (nearest_stencil(3), (1, 0, 0), 6),
+        (nearest_stencil(3), (1, 1, 0), 12),
+        (nearest_stencil(3), (1, 2, 3), 48),
+        # each axis its own rate: reflections only
+        ({(1, 0, 0): 0.1, (-1, 0, 0): 0.1, (0, 1, 0): 0.15, (0, -1, 0): 0.15,
+          (0, 0, 1): 0.25, (0, 0, -1): 0.25}, (1, 2, 0), 4),
+        # a drift: no reflection or transposition keeps the law
+        ({(1, 0, 0): 0.5, (0, 2, 0): 0.3, (0, 0, -1): 0.2}, (1, 2, 3), 1),
+    ])
+    def test_orbit_sizes(self, stencil, u, size):
+        steps = np.array(list(stencil), dtype=np.int64)
+        probs = np.array(list(stencil.values()))
+        orbit = _orbit(u, _symmetry_generators(steps, probs))
+        assert len(orbit) == size
+        assert _lattice_code(np.array([u]))[0] in orbit
+
+    def test_orbit_equivalent_marked_starts_equal(self):
+        space, model = marked_model(Q=[[2, 1], [1, 2]], v=[1.0, 3.0], d=3)
+        tm, _, _ = calibrate(model, space)
+        starts = [((1, 0, 0), 0, 1), ((0, 1, 0), 0, 1)]
+        rep = estimate_H(tm, starts, T=20.0, replicas=300,
+                         rng=np.random.default_rng(36))
+        assert rep.per_start[starts[0]] == rep.per_start[starts[1]]
+
+    def test_limit_stderr_matches_spread_over_seeds(self, z3_critical):
+        # the fitted A's reported SE against its spread over 40 seeds: the
+        # sample SD of 40 draws is within 30% of the truth at about 2.7 SD
+        walk = lattice_walk(z3_critical)
+        fits, ses = [], []
+        for seed in range(40):
+            [curve] = pair_integral_curves(walk, [(2, 0, 0)], 0, 0, 20.0, 400,
+                                           np.random.default_rng(seed))
+            fits.append(_tail_fit(curve[0], 3)[0] @ curve[1])
+            ses.append(pair_limit(*curve, 3).limit_stderr)
+        assert 0.7 <= np.std(fits, ddof=1) / np.mean(ses) <= 1.3
+
+    def test_tail_fit_two_terms(self):
+        # R(t) = A - c1 t^(-1/2) - c2 t^(-3/2) on Z^3 checkpoints
+        cps = np.geomspace(0.5, 200.0, 22)
+        A, c1, c2 = 0.2581930296, 0.31, 0.47
+        curve = A - c1 * cps ** -0.5 - c2 * cps ** -1.5
+        assert abs(_tail_fit(cps, 3) @ curve - [A, c1, c2]).max() <= 1e-12
+        # the one-term fit A - c t^(-1/2) is biased by the next term
+        last = cps >= cps[-1] / 10.0
+        X = np.column_stack([np.ones(last.sum()), -cps[last] ** -0.5])
+        one_term = np.linalg.lstsq(X, curve[last], rcond=None)[0][0]
+        assert abs(one_term - A) > 1e-4
 
 
 class TestHeatBound:
@@ -620,7 +700,7 @@ class TestPoissonDomination:
         walk = lattice_walk(tm)
         rng = np.random.default_rng(20)
         t_grid = np.array([1.0, 2.0])
-        counts = mark_chain_jump_counts(walk.v, walk.mark_trans, walk.nu,
+        counts = mark_chain_jump_counts(walk.v, walk.mark_trans, tm.nu,
                                         t_grid, 20000, rng, s0=0)
         # direct path simulation of the full process
         full = np.zeros((4000, len(t_grid)), dtype=int)
