@@ -417,14 +417,11 @@ def cmd_verify_lemmas(cfg, run: Run, rng, space, model):
     results["lower_tail"] = {"max_ratio": lower["max_ratio"],
                              "passed": lower["passed"]}
     ok &= lower["passed"]
-    if tm.marked:
-        theta = theta_kernel(tm)
-        with metrics.phase("lemmas.poisson_domination"):
-            dom = poisson_domination_check(tm.v, theta, lam0, tgrid, list(range(8)),
-                                           replicas, rng)
-        results["poisson_domination"] = {"passed": dom["passed"],
-                                         "max_excess": dom["max_excess"]}
-        ok &= dom["passed"]
+    with metrics.phase("lemmas.poisson_domination"):
+        dom = poisson_domination_check(tm.v, theta_kernel(tm), lam0, tgrid, list(range(8)))
+    results["poisson_domination"] = {"passed": dom["passed"],
+                                     "max_excess": dom["max_excess"]}
+    ok &= dom["passed"]
     x0 = ((tuple([0] * d), space.marks[0]) if tm.marked else tuple([0] * d))
     with metrics.phase("lemmas.heat_bound"):
         hb = heat_bound_check(tm, np.geomspace(1.0, 100.0, 12), x0, tuple([0] * d),

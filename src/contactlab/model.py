@@ -106,7 +106,11 @@ def build_space(spec: dict) -> StateSpace:
         points = tuple(spec["points"])
         weights = np.asarray(spec.get("weights", np.ones(len(points))), dtype=float)
         return StateSpace(points, weights, "finite")
-    d, R = int(spec["d"]), int(spec["R"])
+    d, R = spec["d"], spec["R"]
+    for key, val, low in (("d", d, 1), ("R", R, 0)):
+        if not (isinstance(val, (int, np.integer)) and not isinstance(val, bool)
+                and val >= low):
+            raise SpaceError(f"lattice {key} must be an integer >= {low}, got {val!r}")
     boundary = spec.get("boundary", "periodic")
     if boundary not in ("periodic", "unbounded"):
         raise SpaceError(f"unknown boundary mode {boundary!r}")
@@ -278,7 +282,13 @@ def _stencil_entries(d: dict, dim: int | None, key: str) -> dict:
         if dim is None:
             raise ModelError("'nearest' stencil shorthand requires a lattice space")
         return _nearest_stencil(dim, float(d.get("rate", 1.0)))
-    return {tuple(k): float(v) for k, v in d[key]}
+    entries = [(tuple(k), float(v)) for k, v in d[key]]
+    stencil = dict(entries)
+    if len(stencil) != len(entries):
+        keys = [k for k, _ in entries]
+        dups = [list(k) for k in stencil if keys.count(k) > 1]
+        raise ModelError(f"stencil '{key}' repeats the displacements {dups}")
+    return stencil
 
 
 def _kernel_from_dict(d: dict, dim: int | None = None) -> Kernel:

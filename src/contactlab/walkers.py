@@ -31,14 +31,20 @@ or a jump count that could carry a coordinate out of the code's range is a
 ``ModelError``.
 ``simulate_jump`` is the scalar single-path reference the stepper is tested
 against.
+
+Of the lemma checks only the heat-kernel bound is Monte Carlo.  The
+convolution bound is a deterministic recursion, and the jump-count law of
+the mark chain is exact by uniformization (``jump_count_cdf``): the Poisson
+domination compares it with the Poisson CDF, which is the same law for one
+mark at rate ``lambda0`` and which the lower-tail bound reads too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import pdtr
 
 from . import metrics
 from .criticality import TransformedModel, ThetaKernel, theta_kernel
@@ -59,7 +65,7 @@ __all__ = [
     "heat_bound_check",
     "convolution_bound_check",
     "iterated_convolution",
-    "mark_chain_jump_counts",
+    "jump_count_cdf",
     "poisson_domination_check",
     "lower_tail_bound_check",
     "LOWER_TAIL_B",
@@ -69,6 +75,10 @@ __all__ = [
 LOWER_TAIL_B = (1.0 - np.log(2.0)) / 2.0
 # largest deviation from 1 accepted for a jump law's or a stencil's total mass
 MASS_TOL = 1e-9
+# a jump-count CDF may exceed the Poisson CDF it is dominated by only by rounding
+DOMINATION_TOL = 1e-12
+# the Poisson(Lambda t) tail mass that jump_count_cdf's uniformization leaves out
+POISSON_TAIL = 1e-18
 # a fitted integrand exponent counts as integrable only at or below -1 - margin
 INTEGRABILITY_MARGIN = 0.05
 
@@ -95,7 +105,7 @@ class TransienceReport:
     growth_exponent: float = float("nan")   # fitted exponent of the running integral
     per_start: dict = field(default_factory=dict)
     times: np.ndarray | None = None
-    running: np.ndarray | None = None       # mean running integral, worst start
+    running: np.ndarray | None = None       # mean running integral, H_hat's start
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +118,9 @@ def _lattice_code(D) -> np.ndarray:
     ``b = 63 // d`` bits per coordinate.  The code is linear in D, so a step
     adds its own code, and one-to-one while every coordinate lies strictly
     inside ``(-2^(b-1), 2^(b-1))``; a coordinate outside is a ``ModelError``.
-    Rows of a zero-dimensional D all have code 0.
     """
     D = np.asarray(D, dtype=np.int64)
-    R, d = D.shape
-    if d == 0:
-        return np.zeros(R, dtype=np.int64)
+    d = D.shape[1]
     b = 63 // d
     if D.size and int(np.abs(D).max()) >= 1 << (b - 1):
         raise ModelError(f"lattice coordinate {int(np.abs(D).max())} is out of the "
@@ -373,8 +380,8 @@ def _jump_chain(v, mark_trans, steps, step_probs, s, sign, t_grid, rng, reach=0,
         sup_codes, sup_table = support[0], support[1] / rate[:, None]
         hashed = _support_hash(sup_codes)
     # the range guard: no coordinate of a start plus the code may reach 2^(b - 1)
-    K = int(np.abs(steps).max()) if steps.size else 0
-    limit = 1 << (63 // d - 1) if d else None
+    K = int(np.abs(steps).max())
+    limit = 1 << (63 // d - 1)
     code = np.zeros(R, dtype=np.int64)
     js = s @ place
     I = np.zeros((0 if support is None else len(sup_table), R))
@@ -426,7 +433,7 @@ def _jump_chain(v, mark_trans, steps, step_probs, s, sign, t_grid, rng, reach=0,
         metrics.count("walkers.iterations", it)
         metrics.count("walkers.jumps", jumps)
         metrics.count("walkers.support_hits", credited)
-        if limit is not None and reach + K * int(n.max(initial=0)) >= limit:
+        if reach + K * int(n.max(initial=0)) >= limit:
             raise ModelError(
                 f"walker displacement may leave the lattice code range 2^"
                 f"{63 // d - 1} in d = {d}: start {reach} + {K} x {int(n.max())} jumps")
@@ -643,9 +650,11 @@ def estimate_H(tm: TransformedModel, start_pairs, T: float, replicas: int,
     extrapolated limit of the running integral (``pair_limit``) is each
     start's ``estimate``, with its own standard error ``estimate_stderr``;
     ``stderr`` is that of the running integral at T.  The estimate plus 3
-    ``stderr`` gives the per-start value, and H_hat is the grid maximum.
-    ``converged`` requires the fitted integrand exponent (``nan`` on too
-    short a horizon) to clear -1 by ``INTEGRABILITY_MARGIN``.
+    ``stderr`` gives the per-start value, and H_hat is the grid maximum; a
+    run that has not converged reports the largest running integral at T
+    instead.  The report's ``stderr`` and curve are those of the start that
+    gives H_hat.  ``converged`` requires the fitted integrand exponent
+    (``nan`` on too short a horizon) to clear -1 by ``INTEGRABILITY_MARGIN``.
     """
     walk = lattice_walk(tm)
     d = walk.d
@@ -661,33 +670,31 @@ def estimate_H(tm: TransformedModel, start_pairs, T: float, replicas: int,
         limits.update(((d0, s0x, s0y), pair_limit(*curve, d))
                       for d0, curve in zip(disps, group))
     per_start = {}
-    H_hat, stderr_at_max = 0.0, 0.0
-    worst = None
     converged = True
     for d0, s0x, s0y in starts:
         lim = limits[d0, s0x, s0y]
-        value = lim.limit
-        se_final = float(lim.stderr[-1])
         per_start[(d0, s0x, s0y) if nmark else d0] = {
-            "estimate": value, "estimate_stderr": lim.limit_stderr,
-            "stderr": se_final, "tail_exponent": lim.exponent,
+            "estimate": lim.limit, "estimate_stderr": lim.limit_stderr,
+            "stderr": float(lim.stderr[-1]), "tail_exponent": lim.exponent,
             "running_final": float(lim.running[-1]),
             "growth_exponent": _running_exponent(lim.t, lim.running),
         }
         converged = converged and lim.integrable
-        if worst is None or value + 3 * se_final > H_hat:
-            H_hat = value + 3 * se_final
-            stderr_at_max = se_final
-            worst = (lim.t, lim.running)
-    if not converged:
-        # no finite extrapolation is meaningful; report the raw running max
-        H_hat = max(v["running_final"] for v in per_start.values())
+
+    def value(lim: PairLimit) -> float:
+        if converged:
+            return lim.limit + 3 * float(lim.stderr[-1])
+        # no finite extrapolation is meaningful; the raw running integral
+        return float(lim.running[-1])
+
+    # the first start with the largest value gives H_hat, its stderr and curve
+    worst = max((limits[start] for start in starts), key=value)
     return TransienceReport(
-        H_hat=float(H_hat), stderr=stderr_at_max,
+        H_hat=float(value(worst)), stderr=float(worst.stderr[-1]),
         tail_exponent_fit=float(np.max([v["tail_exponent"] for v in per_start.values()])),
         horizon=float(T), converged=bool(converged),
         growth_exponent=float(np.max([v["growth_exponent"] for v in per_start.values()])),
-        per_start=per_start, times=worst[0], running=worst[1])
+        per_start=per_start, times=worst.t, running=worst.running)
 
 
 # ---------------------------------------------------------------------------
@@ -803,45 +810,83 @@ def convolution_bound_check(alpha, d: int, n_max: int) -> dict:
     }
 
 
-def mark_chain_jump_counts(v: np.ndarray, trans: np.ndarray, nu: np.ndarray,
-                           t_grid, replicas: int, rng: np.random.Generator,
-                           s0: int | None = None) -> np.ndarray:
-    """Jump counts n(t) of the mark chain at each grid time, per replica."""
-    if s0 is None:
-        s = rng.choice(len(v), size=replicas, p=nu / nu.sum())
-    else:
-        s = np.full(replicas, s0, dtype=np.int64)
-    # one step of dimension 0: only the mark moves
-    chain = _jump_chain(v, trans, np.zeros((1, 0), dtype=np.int64), np.ones(1),
-                        s[:, None], (1,), np.asarray(t_grid, dtype=float), rng)
-    return np.column_stack([n.copy() for _, n, _ in chain])
+def jump_count_cdf(v: np.ndarray, trans: np.ndarray, p0: np.ndarray, t_grid,
+                   k_max: int) -> np.ndarray:
+    """``P(N_t <= k)`` for k = 0..k_max at each grid time: the exact law of the
+    jump count N_t of the mark chain started from the law ``p0``.
+
+    The chain holds at rate ``v[s]`` and jumps to mark s' with probability
+    ``trans[s, s']`` (a jump to s itself counts).  Uniformized at ``Lambda =
+    max v`` (Jensen 1953), it makes one move per Poisson(Lambda t) event: a
+    jump with probability ``v[s] / Lambda``, else a virtual stay.  The law of
+    (count, mark) after n events, counts above k_max dropped, is weighted by
+    ``exp(-Lambda t) (Lambda t)^n / n!`` (``math.lgamma``) for as many n as
+    the Poisson(Lambda t_max) tail needs to fall below ``POISSON_TAIL``, so
+    about ``Lambda t_max + 10 sqrt(Lambda t_max)`` terms.  Their number is
+    counted in ``metrics`` as ``lemmas.uniformized_terms``.
+    """
+    v = np.asarray(v, dtype=float)
+    t_grid = np.asarray(t_grid, dtype=float)
+    lam = float(v.max())
+    mean = lam * float(t_grid.max())
+    # past the mean the weights fall at least geometrically with ratio
+    # r = mean / (n + 1), so the tail beyond term n is at most w_n r / (1 - r)
+    n, logw = 0, -mean
+    while mean and (n <= mean or math.exp(logw) * mean / (n + 1 - mean) > POISSON_TAIL):
+        n += 1
+        logw += math.log(mean / n)
+    terms = n + 1
+    metrics.count("lemmas.uniformized_terms", terms)
+    jump = (v / lam)[:, None] * np.asarray(trans, dtype=float)
+    stay = 1.0 - v / lam
+    p = np.zeros((k_max + 1, len(v)))
+    p[0] = np.asarray(p0, dtype=float) / np.sum(p0)
+    below = np.empty((terms, k_max + 1))   # P(count <= k) after n events
+    for n in range(terms):
+        below[n] = np.cumsum(p.sum(axis=1))
+        p[1:] = p[1:] * stay + p[:-1] @ jump
+        p[0] *= stay
+    lt = lam * t_grid[:, None]
+    ns = np.arange(terms)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logw = -lt + ns * np.log(lt) - np.array([math.lgamma(k + 1.0) for k in ns])
+    logw[:, 0] = -lt[:, 0]                # (Lambda t)^0 = 1 at t = 0 too
+    # the kept terms hold all but POISSON_TAIL of the mass: normalizing them
+    # removes the rounding error they share
+    w = np.exp(logw)
+    return (w / w.sum(axis=1, keepdims=True)) @ below
 
 
 def poisson_domination_check(v: np.ndarray, theta: ThetaKernel, lambda0: float,
-                             t_grid, k_grid, replicas: int,
-                             rng: np.random.Generator) -> dict:
-    """Empirical CDF of the state-dependent jump count versus Poisson(lambda0).
+                             t_grid, k_grid) -> dict:
+    """Exact CDF of the state-dependent jump count versus Poisson(lambda0).
 
-    Passes iff  P_hat(n(t) <= k) <= PoissonCDF(k; lambda0 t) + 3 SE  at
-    every (t, k) grid cell.
+    The mark chain starts from ``nu``.  Passes iff ``P(N_t <= k) <=
+    PoissonCDF(k; lambda0 t) + DOMINATION_TOL`` at every (t, k) grid cell;
+    both sides come from ``jump_count_cdf``, the Poisson one as the one-mark
+    chain at rate lambda0, and the tolerance only absorbs rounding.
     """
     v = np.asarray(v, dtype=float)
     if lambda0 > v.min() + 1e-12:
         raise ModelError("lambda0 must be a lower bound for the mark rates")
     trans = theta.transition_probs()
     trans = trans / trans.sum(axis=1, keepdims=True)
-    counts = mark_chain_jump_counts(v, trans, theta.nu, t_grid, replicas, rng)
     t_grid = np.asarray(t_grid, dtype=float)
     k_grid = np.asarray(k_grid, dtype=int)
-    mc = (counts[:, :, None] <= k_grid).mean(axis=0)      # (t, k) cells
-    se = np.sqrt(np.maximum(mc * (1 - mc), 1.0 / replicas) / replicas)
-    exact = pdtr(k_grid, lambda0 * t_grid[:, None])
-    ok = mc <= exact + 3 * se
+    k_max = int(k_grid.max())
+    chain = jump_count_cdf(v, trans, theta.nu, t_grid, k_max)[:, k_grid]
+    poisson = _poisson_cdf(lambda0, t_grid, k_max)[:, k_grid]
+    ok = chain - poisson <= DOMINATION_TOL
     return {
-        "t": t_grid, "k": k_grid, "mc_cdf": mc, "stderr": se,
-        "poisson_cdf": exact, "cells_ok": ok, "passed": bool(ok.all()),
-        "max_excess": float((mc - exact - 3 * se).max()),
+        "t": t_grid, "k": k_grid, "chain_cdf": chain, "poisson_cdf": poisson,
+        "cells_ok": ok, "passed": bool(ok.all()),
+        "max_excess": float((chain - poisson).max()), "tolerance": DOMINATION_TOL,
     }
+
+
+def _poisson_cdf(lam: float, t_grid, k_max: int) -> np.ndarray:
+    """``PoissonCDF(k; lam t)`` for k = 0..k_max: the one-mark chain's law."""
+    return jump_count_cdf(np.array([lam]), np.ones((1, 1)), np.ones(1), t_grid, k_max)
 
 
 def lower_tail_bound_check(lambda0: float, t_grid) -> dict:
@@ -856,7 +901,7 @@ def lower_tail_bound_check(lambda0: float, t_grid) -> dict:
         raise ModelError("t grid must start at t >= 2 / lambda0")
     Mt = 0.5 * lambda0
     kflr = np.floor(0.5 * lambda0 * t_grid).astype(int)
-    exact = pdtr(kflr, lambda0 * t_grid)
+    exact = _poisson_cdf(lambda0, t_grid, int(kflr.max()))[np.arange(t_grid.size), kflr]
     bound = Mt * t_grid * np.exp(-LOWER_TAIL_B * lambda0 * t_grid)
     ratio = exact / bound
     return {

@@ -200,6 +200,19 @@ class TestExitCodes:
         code, _ = run_cli(tmp_path, command, cfg, seed=1)
         assert code == 2
 
+    @pytest.mark.parametrize("size", [{"d": 0, "R": 1}, {"d": 2.7, "R": 1.9},
+                                      {"d": 1, "R": -1}])
+    @pytest.mark.parametrize("command, cfg", [
+        ("calibrate", {}), ("transience", {"T": 5, "replicas": 100}),
+        ("simulate", {"rho": 0.1, "replicas": 100}), ("verify-lemmas", {"replicas": 200})])
+    def test_unusable_lattice_size_rejected(self, tmp_path, monkeypatch, command, cfg,
+                                            size):
+        # d = 0 once died in kernel_matrix (exit 1), d = 2.7 ran as d = 2
+        monkeypatch.setattr(cli, "calibrate", _no_calibration)
+        model = dict(LATTICE_MODEL, space=dict(LATTICE_MODEL["space"], **size))
+        code, _ = run_cli(tmp_path, command, {"model": model, **cfg}, seed=1)
+        assert code == 2
+
     def test_bad_config_file(self, tmp_path):
         assert main(["calibrate", "--config",
                      str(tmp_path / "missing.json")]) == 2
@@ -400,6 +413,32 @@ class TestOutputs:
         assert counters["convolution.symmetric_axes"] == 3
         assert counters["convolution.cells"] == sum((n + 1) ** 3 for n in range(2, 65))
         assert counters["walkers.jumps"] <= counters["walkers.replica_slots"]
+        # uniformization to t = 40 / lambda0: the lower tail and the Poisson side
+        # of the domination run one mark at lambda0 = 1, the mark chain runs at
+        # Lambda = 3; each needs about Lambda t + 10 sqrt(Lambda t) terms
+        means = (40.0, 40.0, 120.0)
+        assert (sum(m + 5 * np.sqrt(m) for m in means)
+                <= counters["lemmas.uniformized_terms"]
+                <= sum(m + 20 * np.sqrt(m) for m in means))
+
+    def test_verify_lemmas_draws_only_in_heat_bound(self, tmp_path, monkeypatch):
+        # the other three verdicts are exact: the generator reaches the heat
+        # bound unused, and a plain stencil gets the domination verdict too
+        heat_bound_check = cli.heat_bound_check
+        states = []
+
+        def spy(tm, t_grid, x0, xi1, replicas, rng):
+            states.append(rng.bit_generator.state)
+            return heat_bound_check(tm, t_grid, x0, xi1, replicas, rng)
+
+        monkeypatch.setattr(cli, "heat_bound_check", spy)
+        code, out = run_cli(tmp_path, "verify-lemmas",
+                            {"model": LATTICE_MODEL, "replicas": 2000}, seed=5)
+        assert states == [np.random.default_rng(5).bit_generator.state]
+        lemmas = json.loads((out / "lemmas.json").read_text())
+        # one mark at rate lambda0 is the Poisson law itself
+        assert lemmas["poisson_domination"] == {"passed": True, "max_excess": 0.0}
+        assert code in (0, 1)
 
 
 def test_readme_key_tables_match_config():

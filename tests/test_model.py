@@ -52,6 +52,16 @@ class TestBuildSpace:
         with pytest.raises(SpaceError):
             build_space({"type": "finite", "points": [], "weights": []})
 
+    @pytest.mark.parametrize("d, R", [(0, 1), (-1, 1), (1, -1), (2.7, 1.9), (2.0, 1),
+                                      (True, 1), ("2", 1), (None, 1)])
+    def test_rejects_unusable_lattice_size(self, d, R):
+        for kind, extra in (("lattice", {}), ("product", {"marks": ["A"], "nu": [1.0]})):
+            with pytest.raises(SpaceError, match="integer"):
+                build_space({"type": kind, "d": d, "R": R, **extra})
+
+    def test_zero_radius_is_one_point(self):
+        assert build_space({"type": "lattice", "d": 2, "R": 0}).points == ((0, 0),)
+
     def test_periodic_displacement_wraps(self):
         sp = build_space({"type": "lattice", "d": 1, "R": 2,
                           "boundary": "periodic"})
@@ -194,6 +204,17 @@ class TestModelFromDict:
                "death": {"per_mark": [1.0, 3.0]}}
         sp, m = model_from_dict(cfg)
         assert m.death[sp.locate(((0,), "B"))] == 3.0
+
+    @pytest.mark.parametrize("form, key", [("stencil", "entries"), ("factorized", "alpha")])
+    def test_duplicate_displacement_rejected(self, form, key):
+        # a dict would keep the last 0.5 at +1 and calibrate to r = 1.0, not 1.5
+        kern = {"form": form, key: [[[1], 0.5], [[1], 0.5], [[-1], 0.5]]}
+        if form == "factorized":
+            kern["Q"] = [[1.0]]
+        cfg = {"space": {"type": "lattice", "d": 1, "R": 2, "boundary": "unbounded"},
+               "birth": kern, "death": 1.0}
+        with pytest.raises(ModelError, match=r"repeats the displacements \[\[1\]\]"):
+            model_from_dict(cfg)
 
     def test_mark_kernel_shape_mismatch(self):
         cfg = {"space": {"type": "product", "d": 1, "R": 1,

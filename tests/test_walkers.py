@@ -13,17 +13,18 @@ from contactlab.cli import main
 from contactlab.criticality import calibrate, theta_kernel
 from contactlab.errors import ModelError
 from contactlab.model import Kernel, RateModel, build_space
-from contactlab.walkers import (LOWER_TAIL_B, _HASH_MULT, _alias_table,
-                                _increment_exponent, _lattice_code, _on_support,
-                                _orbit, _support_hash, _symmetry_generators,
-                                _tail_fit, convolution_bound_check, estimate_H,
+from contactlab.walkers import (DOMINATION_TOL, LOWER_TAIL_B, _HASH_MULT,
+                                _alias_table, _increment_exponent, _lattice_code,
+                                _on_support, _orbit, _support_hash,
+                                _symmetry_generators, _tail_fit,
+                                convolution_bound_check, estimate_H,
                                 heat_bound_check, iterated_convolution,
-                                lattice_walk, lower_tail_bound_check,
-                                mark_chain_jump_counts, pair_integral_curves,
-                                pair_limit, poisson_domination_check,
-                                simulate_jump)
+                                jump_count_cdf, lattice_walk, lower_tail_bound_check,
+                                pair_integral_curves, pair_limit,
+                                poisson_domination_check, simulate_jump)
 
 from conftest import lattice_model, marked_model, nearest_stencil
+from reference import empirical_cdf, mark_chain_jump_counts
 
 
 class TestSimulateJump:
@@ -260,6 +261,18 @@ class TestPairEngine:
             assert np.isnan(rep.tail_exponent_fit)
         else:
             assert -1.0 < rep.tail_exponent_fit < 0.0
+
+    def test_unconverged_report_follows_running_max(self, z1_critical):
+        # (1,) has the largest running integral at T but not the largest
+        # estimate + 3 stderr: H_hat, stderr and the curve all come from (1,)
+        rep = estimate_H(z1_critical, [(0,), (1,), (10,)], T=100.0, replicas=2000,
+                         rng=np.random.default_rng(0))
+        assert not rep.converged
+        first, best = rep.per_start[(0,)], rep.per_start[(1,)]
+        assert first["estimate"] + 3 * first["stderr"] > best["estimate"] + 3 * best["stderr"]
+        assert rep.H_hat == best["running_final"] > first["running_final"]
+        assert rep.stderr == best["stderr"] != first["stderr"]
+        assert rep.running[-1] == rep.H_hat
 
     def test_increment_exponent_cases(self):
         cps = np.geomspace(0.5, 50.0, 17)
@@ -661,45 +674,100 @@ class TestHalfBoxConvolution:
             convolution_bound_check(nearest_stencil(2, mass=0.9), 2, 4)
 
 
+def _generator_cdf(v, trans, p0, t, k_max):
+    """``P(N_t <= k)`` for k = 0..k_max from the matrix exponential of the
+    generator of (count, mark), with counts above k_max absorbed in one level."""
+    from scipy.linalg import expm
+    M = len(v)
+    G = np.zeros(((k_max + 2) * M,) * 2)
+    for c in range(k_max + 1):
+        for s in range(M):
+            G[c * M + s, c * M + s] = -v[s]
+            G[c * M + s, (c + 1) * M:(c + 2) * M] += v[s] * trans[s]
+    p = np.zeros(len(G))
+    p[:M] = p0 / np.sum(p0)
+    return np.cumsum((p @ expm(G * t)).reshape(k_max + 2, M).sum(axis=1))[:-1]
+
+
+class TestJumpCountLaw:
+    def test_one_mark_is_poisson(self):
+        t = np.array([0.0, 0.3, 2.0, 17.5, 50.0])
+        cdf = jump_count_cdf(np.array([2.0]), np.ones((1, 1)), np.ones(1), t, 150)
+        exact = stats.poisson.cdf(np.arange(151), 2.0 * t[:, None])
+        assert np.abs(cdf - exact).max() <= 1e-14
+
+    def test_matches_generator_expm(self):
+        # a chain with self-jumps and an unequal start law
+        v = np.array([0.7, 2.0, 3.5])
+        trans = np.array([[0.2, 0.5, 0.3], [0.6, 0.0, 0.4], [0.1, 0.1, 0.8]])
+        p0 = np.array([0.5, 0.2, 0.3])
+        t_grid = [0.1, 1.0, 4.0, 9.0]
+        cdf = jump_count_cdf(v, trans, p0, t_grid, 12)
+        for row, t in zip(cdf, t_grid):
+            assert np.abs(row - _generator_cdf(v, trans, p0, t, 12)).max() <= 1e-13
+
+    def test_terms_counted(self):
+        # a Poisson(40) tail below POISSON_TAIL takes about 40 + 13 sqrt(40) terms
+        with metrics.recording() as rec:
+            jump_count_cdf(np.array([1.0, 4.0]), np.full((2, 2), 0.5), np.ones(2),
+                           [2.5, 10.0], 5)
+        terms = rec["counters"]["lemmas.uniformized_terms"]
+        assert 40 + 5 * np.sqrt(40) <= terms <= 40 + 20 * np.sqrt(40)
+
+
 class TestPoissonDomination:
     def test_homogeneous_equality(self):
         from contactlab.criticality import ThetaKernel
         nu = np.array([1.0])
         th = ThetaKernel(theta=np.array([[1.0]]), nu=nu)
-        rng = np.random.default_rng(18)
-        rep = poisson_domination_check(np.array([2.0]), th, 2.0,
-                                       t_grid=[0.5, 1.0, 2.0],
-                                       k_grid=[0, 1, 2, 4],
-                                       replicas=20000, rng=rng)
+        t_grid, k_grid = [0.5, 1.0, 2.0], [0, 1, 2, 4]
+        rep = poisson_domination_check(np.array([2.0]), th, 2.0, t_grid=t_grid,
+                                       k_grid=k_grid)
         assert rep["passed"]
-        # equality case: MC should also not be far below the exact CDF
-        assert np.all(rep["mc_cdf"] >= rep["poisson_cdf"] - 4 * rep["stderr"])
+        # one mark at rate lambda0 is the Poisson process itself
+        assert np.array_equal(rep["chain_cdf"], rep["poisson_cdf"])
+        assert np.abs(rep["poisson_cdf"] - stats.poisson.cdf(
+            k_grid, 2.0 * np.asarray(t_grid)[:, None])).max() <= 1e-14
+        # the Monte Carlo counts sit within 3 SE above and 4 SE below it
+        counts = mark_chain_jump_counts(np.array([2.0]), th.transition_probs(), nu,
+                                        t_grid, 20000, np.random.default_rng(18))
+        mc, se = empirical_cdf(counts, k_grid)
+        assert np.all(mc <= rep["chain_cdf"] + 3 * se)
+        assert np.all(mc >= rep["chain_cdf"] - 4 * se)
 
     def test_state_dependent_dominated(self):
         space, model = marked_model(Q=[[2, 1], [1, 2]], v=[1.0, 3.0])
         tm, _, _ = calibrate(model, space)
         th = theta_kernel(tm)
-        rng = np.random.default_rng(19)
-        rep = poisson_domination_check(tm.v, th, 1.0,
-                                       t_grid=[0.5, 1, 2, 4],
-                                       k_grid=[0, 1, 2, 3, 5, 8],
-                                       replicas=20000, rng=rng)
+        t_grid, k_grid = [0.5, 1, 2, 4], [0, 1, 2, 3, 5, 8]
+        rep = poisson_domination_check(tm.v, th, 1.0, t_grid=t_grid, k_grid=k_grid)
         assert rep["passed"]
+        assert rep["max_excess"] <= rep["tolerance"] == DOMINATION_TOL
+        # strictly below the Poisson CDF wherever it is not rounding-small
+        assert np.all(rep["chain_cdf"] < rep["poisson_cdf"])
+        trans = th.transition_probs()
+        counts = mark_chain_jump_counts(tm.v, trans / trans.sum(axis=1, keepdims=True),
+                                        th.nu, t_grid, 20000, np.random.default_rng(19))
+        mc, se = empirical_cdf(counts, k_grid)
+        assert np.all(np.abs(mc - rep["chain_cdf"]) <= 3 * se)
 
     def test_lambda0_above_min_rejected(self):
         from contactlab.criticality import ThetaKernel
         th = ThetaKernel(theta=np.array([[1.0]]), nu=np.array([1.0]))
         with pytest.raises(ModelError):
-            poisson_domination_check(np.array([1.0]), th, 2.0, [1.0], [1],
-                                     1000, np.random.default_rng(0))
+            poisson_domination_check(np.array([1.0]), th, 2.0, [1.0], [1])
 
     def test_jump_count_identity(self):
-        # jump counts of the full marked walker match the mark chain counts
+        # the jump counts of the mark chain and of the full marked walker both
+        # have the exact law's mean
         space, model = marked_model(Q=[[2, 1], [1, 2]], v=[1.0, 3.0])
         tm, _, _ = calibrate(model, space)
         walk = lattice_walk(tm)
         rng = np.random.default_rng(20)
         t_grid = np.array([1.0, 2.0])
+        p0 = np.array([1.0, 0.0])
+        # E N_t = sum_k P(N_t > k); N_2 exceeds 60 with probability below 1e-30
+        exact = (1.0 - jump_count_cdf(walk.v, walk.mark_trans, p0, t_grid, 60)).sum(axis=1)
         counts = mark_chain_jump_counts(walk.v, walk.mark_trans, tm.nu,
                                         t_grid, 20000, rng, s0=0)
         # direct path simulation of the full process
@@ -709,11 +777,9 @@ class TestPoissonDomination:
             for j, t in enumerate(t_grid):
                 full[i, j] = int(np.searchsorted(path.times, t,
                                                  side="right")) - 1
-        for j in range(len(t_grid)):
-            m1, m2 = counts[:, j].mean(), full[:, j].mean()
-            se = np.hypot(counts[:, j].std(ddof=1) / np.sqrt(len(counts)),
-                          full[:, j].std(ddof=1) / np.sqrt(len(full)))
-            assert abs(m1 - m2) <= 3.5 * se
+        for sample in (counts, full):
+            se = sample.std(axis=0, ddof=1) / np.sqrt(len(sample))
+            assert np.all(np.abs(sample.mean(axis=0) - exact) <= 3.5 * se)
 
 
 class TestLowerTail:
