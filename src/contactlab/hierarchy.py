@@ -92,12 +92,15 @@ class PairCorrelationMC:
 
     def convergence(self, T_grid) -> dict:
         """Distance rho (limit - running) of the evolved k_2 from this estimate
-        at the times ``T_grid``, the largest over the displacements; converged
-        when at most 3 SE of the estimate at the last time."""
+        at the times ``T_grid``, the largest over the displacements.  At the
+        last time the distance is itself an estimate, with standard error rho
+        ``gap_stderr``: converged unless it exceeds 3 SE of the estimate by
+        more than 3 SE of its own (a one-sided 3-SE test per displacement)."""
         T_grid = np.asarray(T_grid, dtype=float)
         dist = np.max([self.rho * np.interp(T_grid, c.t, c.limit - c.running)
                        for c in self.curves.values()], axis=0)
-        threshold = 3 * float(self.stderr.max())
+        gap_se = self.rho * max(c.gap_stderr for c in self.curves.values())
+        threshold = 3 * (float(self.stderr.max()) + gap_se)
         return {"t": T_grid, "distance": dist, "threshold": threshold,
                 "converged": bool(dist[-1] <= threshold)}
 
@@ -322,9 +325,10 @@ def stationary_pair_mc(tm: TransformedModel, rho: float, *, rng: np.random.Gener
     """k_2(u) = rho^2 + rho E_{0,u} int_0^inf [b(X,Y) + b(Y,X)] dt by MC.
 
     Each integral is the ``pair_limit`` of its running value on [0, T], at
-    the displacements u (default 0, e_1, 2 e_1); a DivergenceError reports
-    one that is not integrable.  All displacements share one two-walker
-    chain, so their estimates are correlated.
+    the displacements u (default 0, e_1, 2 e_1), and its standard error is
+    that of the fitted limit (``limit_stderr``); a DivergenceError reports
+    one that is not integrable.  All displacements share one skeleton walk
+    (``pair_integral_curves``), so their estimates are correlated.
     """
     if tm.marked:
         raise ModelError("stationary_pair_mc takes unmarked models only")
@@ -345,7 +349,7 @@ def stationary_pair_mc(tm: TransformedModel, rho: float, *, rng: np.random.Gener
                 diagnostics={"t": lim.t, "running": lim.running,
                              "exponent": lim.exponent})
         values.append(rho ** 2 + rho * lim.limit)
-        errs.append(rho * float(lim.stderr[-1]))
+        errs.append(rho * lim.limit_stderr)
         curves[tuple(u)] = lim
     return PairCorrelationMC(rho=rho, displacements=list(displacements),
                              values=np.array(values), stderr=np.array(errs),

@@ -10,32 +10,26 @@ one mark, which never changes.  The transience functional
 
     sup_{x,y} int_0^inf E_{x,y} b(X(t), Y(t)) dt
 
-is estimated by path integrals of ``b`` along piecewise-constant
-two-walker trajectories (no time-discretization error), extrapolated to
-T = inf by one tail fit ``A - c1 t^{1 - d/2} - c2 t^{-d/2}``, ``pair_limit``.
-Two conditional Monte Carlo steps lower the variance without bias: each
-holding piece on the integrand's support is credited with its conditional
-mean given its start, and each start reads the integrand averaged over its
-orbit under the reflections and axis transpositions that preserve the
-stencil.  All walker Monte Carlo runs on one vectorized stepper,
-``_jump_chain``, which steps only the replicas short of the next grid
-time.  A replica's state is two integers: the lattice code of its signed
-walker sum (``_lattice_code``, ``63 // d`` bits per coordinate) and the
-index of its joint marks.  Each jump is one draw from a Walker alias table
-of (walker, step, new mark) for that joint state, and the integrand is
-looked up on the sorted codes of its support through a hashed prefilter
-(``_on_support``).  No draw depends on the code, so two-walker starts with
-the same initial marks share one chain of ``X - Y`` from 0, each reading
-the integrand on its own shifted support (common random numbers).  A start
-or a jump count that could carry a coordinate out of the code's range is a
-``ModelError``.
-``simulate_jump`` is the scalar single-path reference the stepper is tested
-against.
+is estimated by path integrals of ``b`` along the two walkers, extrapolated
+to T = inf by one tail fit ``A - c1 t^{1 - d/2} - c2 t^{-d/2}``,
+``pair_limit``.
 
-Of the lemma checks only the heat-kernel bound is Monte Carlo.  The
-convolution bound is a deterministic recursion, and the jump-count law of
-the mark chain is exact by uniformization (``jump_count_cdf``): the Poisson
-domination compares it with the Poisson CDF, which is the same law for one
+All walker Monte Carlo simulates only the spatial skeleton
+(``_skeleton_hits``): a walker's position after ``N_t`` jumps is ``xi_0 +
+S_{N_t}``, with ``S`` a walk of i.i.d. steps independent of the jump count
+of the marks, and ``X - Y`` factors the same way on a reflection-symmetric
+stencil or a one-mark model.  The clocks and marks enter through their exact
+(count, mark) law by uniformization, ``jump_count_law`` (conditional Monte
+Carlo).  A replica is one int64 lattice code (``_lattice_code``), the
+integrand is looked up through a hashed prefilter (``_on_support``), each
+start reads it averaged over its stencil-symmetry orbit, and one skeleton
+serves every start (common random numbers).  A start that the skeleton
+could carry out of the code's range is a ``ModelError`` before any draw.
+
+Of the lemma checks only the heat-kernel bound is Monte Carlo, and only in
+its skeleton.  The convolution bound is a deterministic recursion, and the
+Poisson domination compares the exact jump-count law of the mark chain
+(``jump_count_cdf``) with the Poisson CDF, which is the same law for one
 mark at rate ``lambda0`` and which the lower-tail bound reads too.
 """
 
@@ -52,11 +46,9 @@ from .errors import ModelError
 from .model import Kernel
 
 __all__ = [
-    "WalkerPath",
     "TransienceReport",
     "LatticeWalk",
     "lattice_walk",
-    "simulate_jump",
     "pair_integral_curves",
     "PairLimit",
     "pair_limit",
@@ -65,6 +57,7 @@ __all__ = [
     "heat_bound_check",
     "convolution_bound_check",
     "iterated_convolution",
+    "jump_count_law",
     "jump_count_cdf",
     "poisson_domination_check",
     "lower_tail_bound_check",
@@ -77,22 +70,13 @@ LOWER_TAIL_B = (1.0 - np.log(2.0)) / 2.0
 MASS_TOL = 1e-9
 # a jump-count CDF may exceed the Poisson CDF it is dominated by only by rounding
 DOMINATION_TOL = 1e-12
-# the Poisson(Lambda t) tail mass that jump_count_cdf's uniformization leaves out
+# the Poisson(Lambda t) tail mass that jump_count_law's uniformization leaves
+# out, and the weight below which a count lies past the skeleton's length K
 POISSON_TAIL = 1e-18
+# jump_count_law drops the entries of the (count, mark) law below this
+LAW_TRIM = 1e-30
 # a fitted integrand exponent counts as integrable only at or below -1 - margin
 INTEGRABILITY_MARGIN = 0.05
-
-
-@dataclass
-class WalkerPath:
-    """Piecewise-constant trajectory: jump times and visited states."""
-
-    times: np.ndarray   # strictly increasing, times[0] = 0
-    states: list        # states[i] held on [times[i], times[i+1])
-
-    def state_at(self, t: float):
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        return self.states[i]
 
 
 @dataclass
@@ -226,7 +210,7 @@ def lattice_walk(tm: TransformedModel) -> LatticeWalk:
 
 
 # ---------------------------------------------------------------------------
-# Single-path simulation (exact jump chain)
+# Skeleton stepper
 # ---------------------------------------------------------------------------
 
 def _walker_start(tm: TransformedModel, x0):
@@ -236,63 +220,6 @@ def _walker_start(tm: TransformedModel, x0):
                 tm.space.marks.index(x0[1]))
     return np.asarray(x0, dtype=np.int64).reshape(tm.space.dim), 0
 
-
-def _draw(cum: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw of an index from cumulative probabilities."""
-    return min(int(np.searchsorted(cum, rng.random())), len(cum) - 1)
-
-
-def simulate_jump(tm: TransformedModel, x0, T: float,
-                  rng: np.random.Generator) -> WalkerPath:
-    """One walker trajectory on [0, T].
-
-    Translation-invariant models walk the unbounded lattice; generic dense
-    models walk the enumerated points with jump law ``b(x,.) mbar / V(x)``.
-    """
-    if tm.translation_invariant:
-        walk = lattice_walk(tm)
-        marked = tm.marked
-        xi, s = _walker_start(tm, x0)
-        step_cum = np.cumsum(walk.step_probs)
-        mark_cum = np.cumsum(walk.mark_trans, axis=1)
-        times = [0.0]
-        states = [(tuple(xi), tm.space.marks[s]) if marked else tuple(xi)]
-        t = 0.0
-        while True:
-            t += rng.exponential(1.0 / walk.v[s])
-            if t >= T:
-                break
-            xi = xi + walk.steps[_draw(step_cum, rng)]
-            if marked:
-                s = _draw(mark_cum[s], rng)
-                states.append((tuple(xi), tm.space.marks[s]))
-            else:
-                states.append(tuple(xi))
-            times.append(t)
-        return WalkerPath(times=np.array(times), states=states)
-    # dense finite-space walk
-    V = tm.death
-    P = tm.b * tm.mbar[None, :] / V[:, None]
-    rows = P.sum(axis=1)
-    if np.abs(rows - 1.0).max() > 1e-9:
-        raise ModelError("jump law rows deviate from 1: model miscalibrated")
-    cum = np.cumsum(P, axis=1)
-    i = tm.space.locate(x0)
-    times, states = [0.0], [tm.space.points[i]]
-    t = 0.0
-    while True:
-        t += rng.exponential(1.0 / V[i])
-        if t >= T:
-            break
-        i = _draw(cum[i], rng)
-        times.append(t)
-        states.append(tm.space.points[i])
-    return WalkerPath(times=np.array(times), states=states)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized jump-chain stepper
-# ---------------------------------------------------------------------------
 
 def _alias_table(P: np.ndarray):
     """Walker alias tables of the rows of P (J, O), each summing to 1.
@@ -320,124 +247,179 @@ def _alias_table(P: np.ndarray):
     return thresh, alias
 
 
-def _jump_chain(v, mark_trans, steps, step_probs, s, sign, t_grid, rng, reach=0,
-                support=None):
-    """Advance R replicas of W = len(sign) independent walkers to each grid time.
+# the skeleton steps whose support hits _skeleton_hits hands over at once
+_BLOCK = 64
 
-    Walker w holds an exponential time at rate ``v[s_w]``, then moves by a
-    step drawn from ``step_probs`` and takes a mark drawn from row
-    ``mark_trans[s_w]``.  A replica's state is the lattice code of
-    ``sum_w sign[w] (xi_w(t) - xi_w(0))``, which starts at 0, and its joint
-    mark index ``js``, the C-order index of its marks (``s`` (R, W) at the
-    start).  Each jump is one alias draw of (walker, step, new mark) from the
-    table of its ``js``, with probability ``v[s_w] / sum v * p_step *
-    Theta(s_w, m')``; the move adds the step's code and looks up the next
-    ``js``.  No draw depends on the code, so a caller reads several starts
-    off one chain by adding each start's code to it.
 
-    The integrands, if any, are ``support = (codes, table)``: ``table[k, js,
-    p]`` is integrand k at the sorted lattice codes ``codes[p]``, zero
-    elsewhere.  At each grid time the generator yields ``(I, n, code)``: per
-    replica the running integral of each integrand (one row per integrand),
-    the jump count and the lattice code, updated in place afterwards.  Only
-    replicas short of the grid time are stepped; clamping their holding
-    times there is exact by memorylessness.  A holding piece that starts at
-    ``ta`` on the support, with holding rate r, is credited with its
-    conditional mean given its start, ``b (1 - e^{-r (tb - ta)}) / r``, in
-    place of the sampled ``b (min(t_jump, tb) - ta)``: the same expectation
-    (conditional Monte Carlo), less variance, and the same draws.  ``reach``
-    is the largest start coordinate the codes are added to; a jump count
-    that could carry such a sum out of the code's range is a ``ModelError``.
-    The chain, its loop iterations, jumps, replica slots (iterations times
-    the replicas active as a grid interval starts; jumps / slots is the
-    active fraction) and support hits (replica-steps credited on the
-    support) are counted in ``metrics``.
+def _skeleton_hits(walk: LatticeWalk, codes: np.ndarray, probs: np.ndarray, replicas: int,
+                   K: int, reach: int, support: np.ndarray, rng: np.random.Generator):
+    """Yield the hits of ``replicas`` skeleton walks ``S_n``, n = 0..K, on the
+    sorted lattice codes ``support``, ``_BLOCK`` steps at a time in step
+    order: replica, position in ``support`` and n, as int32 arrays.  A step
+    is one draw of ``codes`` with law ``probs``: a uniform integer when the
+    law is uniform, else one alias draw.  If K steps could carry a start
+    ``reach`` away out of the code's range, that is a ``ModelError`` before
+    any draw.  K, the replica-steps and the hits are counted in ``metrics``.
     """
-    R, W = s.shape
-    nmark, d = len(v), steps.shape[1]
-    marks = np.array(list(np.ndindex(*(nmark,) * W)), dtype=np.int64)  # (J, W)
-    J = len(marks)
-    place = nmark ** np.arange(W - 1, -1, -1)
-    vw = v[marks]
-    rate = vw.sum(axis=1)
-    # outcome (w, j, m') of joint state js, flattened to js * O + o
-    P = ((vw / rate[:, None])[:, :, None, None] * step_probs[:, None]
-         * mark_trans[marks][:, :, None, :])
-    O = P[0].size
-    thresh, alias = _alias_table(P.reshape(J, O))
-    # every threshold 1: each outcome is its own bin, and no alias is read
-    uniform = bool((thresh == 1.0).all())
-    thresh = thresh.ravel()
-    alias = (alias + O * np.arange(J)[:, None]).ravel()
-    dcode = np.broadcast_to(np.multiply.outer(sign, _lattice_code(steps))[:, :, None],
-                            P.shape[1:]).ravel()
-    dcode = np.tile(dcode, J)
-    new_js = (np.arange(J)[:, None, None, None] + place[:, None, None]
-              * (np.arange(nmark) - marks[:, :, None, None]))
-    new_js = np.broadcast_to(new_js, P.shape).ravel()
-    if support is not None:
-        # b / r per joint state: a piece's credit is this times 1 - e^{-r (tb - ta)}
-        sup_codes, sup_table = support[0], support[1] / rate[:, None]
-        hashed = _support_hash(sup_codes)
-    # the range guard: no coordinate of a start plus the code may reach 2^(b - 1)
-    K = int(np.abs(steps).max())
-    limit = 1 << (63 // d - 1)
-    code = np.zeros(R, dtype=np.int64)
-    js = s @ place
-    I = np.zeros((0 if support is None else len(sup_table), R))
-    n = np.zeros(R, dtype=np.int64)
-    metrics.count("walkers.chains")
-    t0 = 0.0     # every replica has been advanced to t0
-    for tb in t_grid:
-        # the active replicas' index, time, code and joint marks, compacted as
-        # replicas reach tb; a grid time at or before t0 steps none
-        idx = np.arange(R if tb > t0 else 0)
-        active = idx.size
-        ta, ca, ja = np.full(R, t0), code.copy(), js.copy()
-        it = jumps = credited = 0
-        while idx.size:
-            r = rate[ja] if J > 1 else rate[0]
-            t_jump = ta + rng.standard_exponential(idx.size) / r
-            if support is not None:
-                near, pos = _on_support(sup_codes, hashed, ca)
-                if near.size:
-                    I[:, idx[near]] -= sup_table[:, ja[near] if J > 1 else 0, pos] * np.expm1(
-                        (r[near] if J > 1 else r) * (ta[near] - tb))
-                    credited += near.size
-            hit = t_jump < tb
-            done = np.flatnonzero(~hit)
-            if done.size:
-                # a replica that finishes at iteration it has jumped it times
-                out = idx[done]
-                code[out] = ca[done]
-                n[out] += it
-                keep = np.flatnonzero(hit)
-                idx, ta, ca = idx[keep], t_jump[keep], ca[keep]
-                if J > 1:
-                    js[out] = ja[done]
-                    ja = ja[keep]
-            else:
-                ta = t_jump
-            it += 1
-            jumps += idx.size
-            u = rng.random(idx.size) * O
-            b = u.astype(np.int64)
-            o = b + ja * O if J > 1 else b
-            if not uniform:
-                o = np.where(u - b < thresh[o], o, alias[o])
-            ca += dcode[o]
-            if J > 1:
-                ja = new_js[o]
-        t0 = max(t0, tb)
-        metrics.count("walkers.replica_slots", it * active)
-        metrics.count("walkers.iterations", it)
-        metrics.count("walkers.jumps", jumps)
-        metrics.count("walkers.support_hits", credited)
-        if reach + K * int(n.max(initial=0)) >= limit:
-            raise ModelError(
-                f"walker displacement may leave the lattice code range 2^"
-                f"{63 // d - 1} in d = {d}: start {reach} + {K} x {int(n.max())} jumps")
-        yield I, n, code
+    d = walk.d
+    if reach + K * walk.K >= 1 << (63 // d - 1):
+        raise ModelError(f"walker displacement may leave the lattice code range 2^"
+                         f"{63 // d - 1} in d = {d}: start {reach} + {walk.K} x {K} steps")
+    metrics.count("walkers.skeleton_steps", K)
+    metrics.count("walkers.replica_steps", K * replicas)
+    O = len(codes)
+    uniform = bool((probs == probs[0]).all())
+    [thresh], [alias] = _alias_table(probs[None])
+    hashed = _support_hash(support)
+    code = np.zeros(replicas, dtype=np.int64)
+    near, pos, count = [], [], []
+    for n in range(K + 1):
+        if n and uniform:
+            code += codes.take(rng.integers(O, size=replicas,
+                                            dtype=np.uint8 if O < 256 else np.int64))
+        elif n:
+            u = rng.random(replicas) * O
+            o = u.astype(np.int64)
+            code += codes.take(np.where(u - o < thresh[o], o, alias[o]))
+        r, p = _on_support(support, hashed, code)
+        near.append(r.astype(np.int32))
+        pos.append(p.astype(np.int32))
+        count.append(r.size)
+        if len(count) == _BLOCK or n == K:
+            metrics.count("walkers.support_hits", sum(count))
+            yield (np.concatenate(near), np.concatenate(pos),
+                   np.repeat(np.arange(n + 1 - len(count), n + 1, dtype=np.int32), count))
+            near, pos, count = [], [], []
+
+
+def _step_law(walk: LatticeWalk, mirrored: bool = False):
+    """Sorted lattice codes of the steps of ``walk`` and their probabilities;
+    ``mirrored`` gives ``(alpha + alpha(-.)) / 2`` instead, which is alpha
+    itself on a reflection-symmetric stencil."""
+    on = walk.step_probs != 0
+    codes, probs = _lattice_code(walk.steps[on]), walk.step_probs[on]
+    if mirrored:
+        codes, inverse = np.unique(np.concatenate([codes, -codes]), return_inverse=True)
+        probs = np.bincount(inverse, np.concatenate([probs, probs]) / 2.0)
+    order = np.argsort(codes)
+    return codes[order], probs[order]
+
+
+def _pair_chain(walk: LatticeWalk):
+    """Holding rates and jump law of the joint marks ``(s_x, s_y)`` of two
+    independent walkers, indexed ``s_x M + s_y``: either walker jumps, at its
+    own rate, and renews its own mark."""
+    M = len(walk.v)
+    sx, sy = np.divmod(np.arange(M * M), M)
+    rate = walk.v[sx] + walk.v[sy]
+    flux = walk.v[:, None] * walk.mark_trans
+    return rate, (np.kron(flux, np.eye(M)) + np.kron(np.eye(M), flux)) / rate[:, None]
+
+
+def jump_count_law(v: np.ndarray, trans: np.ndarray, p0: np.ndarray, t_grid,
+                   integrated: bool = False, k_max: int | None = None) -> np.ndarray:
+    """The exact (count, mark) law ``w`` (S, times, counts, M) of a mark chain
+    that holds at rate ``v[s]``, jumps to s' with probability ``trans[s, s']``
+    (a jump to s itself counts) and starts from each row of ``p0`` (S, M):
+    ``P(N_t = n, m_t = m)``, or with ``integrated`` the occupation time
+    ``int_0^t P(N_s = n, m_s = m) ds``; counts above ``k_max`` are dropped.
+
+    Uniformized at ``Lambda = max v`` (Jensen 1953), the chain makes a jump
+    with probability ``v[s] / Lambda`` at each Poisson(Lambda t) event.  With
+    ``p_j`` the law after j events, ``w = sum_j c_j p_j``, ``c_j =
+    Pois_j(Lambda t)`` or ``P(Pois(Lambda t) > j) / Lambda``.  Each time reads
+    the events of its window, outside which ``Pois_j`` is below
+    ``POISSON_TAIL * 1e-3``, normalized to remove their shared rounding;
+    below it the integral reads a running sum of the ``p_j``.  Each event
+    moves only the band of counts with an entry above ``LAW_TRIM``.  The
+    events are counted in ``metrics`` as ``walkers.weight_terms``.
+    """
+    v = np.asarray(v, dtype=float)
+    p0 = np.atleast_2d(np.asarray(p0, dtype=float))
+    t_grid = np.asarray(t_grid, dtype=float)
+    order = np.argsort(t_grid)
+    lam = float(v.max())
+    L = lam * t_grid[order]
+    top = int(np.ceil(L[-1] + 12.0 * np.sqrt(L[-1]) + 30.0))
+    j = np.arange(top + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logw = (-L[:, None] + j * np.log(L[:, None])
+                - np.array([math.lgamma(k + 1.0) for k in j]))
+    logw[:, 0] = -L                           # (Lambda t)^0 = 1 at t = 0 too
+    pois = np.exp(logw)
+    inside = pois >= POISSON_TAIL * 1e-3
+    first, last = inside.argmax(axis=1), top - inside[:, ::-1].argmax(axis=1)
+    pois = np.where(inside, pois, 0.0)
+    pois /= pois.sum(axis=1, keepdims=True)
+    if integrated:
+        # P(Pois > j) / Lambda: the window's mass above j, 1 / Lambda below it
+        c = np.zeros_like(pois)
+        c[:, :-1] = pois[:, :0:-1].cumsum(axis=1)[:, ::-1] / lam
+        c[j < first[:, None]] = 1.0 / lam
+    else:
+        c = pois
+    J = int(last[-1])
+    metrics.count("walkers.weight_terms", J + 1)
+    ncap = J if k_max is None else min(int(k_max), J)
+    # column s M + m holds mark m of start law s
+    S, M = p0.shape
+    start = (p0 / p0.sum(axis=1, keepdims=True)).ravel()
+    jump = np.kron(np.eye(S), (v / lam)[:, None] * np.asarray(trans, dtype=float))
+    stay = np.tile(1.0 - v / lam, S)
+    if not stay.any():
+        # every event is a jump: the count is the event count, and the marks
+        # after n jumps have the law start @ jump^n
+        law = np.empty((ncap + 1, S * M))
+        law[0] = start
+        for n in range(ncap):
+            law[n + 1] = law[n] @ jump
+        w = c[:, :ncap + 1, None] * law
+    else:
+        p = np.zeros((ncap + 2, S * M))     # the last row takes what leaves the cap
+        p[0] = start
+        w = np.zeros((len(L), ncap + 1, S * M))
+        below = np.zeros((ncap + 1, S * M))
+        # the times whose window holds event e are a[e]..b[e] - 1
+        events = np.arange(J + 1)
+        a, b = np.searchsorted(last, events), np.searchsorted(first, events, side="right")
+        lo = hi = 0                          # p is zero outside the counts lo..hi
+        for e in range(J + 1):
+            seg = p[lo:hi + 1]
+            w[a[e]:b[e], lo:hi + 1] += c[a[e]:b[e], e, None, None] * seg
+            if integrated:
+                below[lo:hi + 1] += seg
+                # the times whose window starts at event e + 1
+                for i in range(b[e], np.searchsorted(first, e + 1, side="right")):
+                    w[i] += below / lam
+            moved = seg @ jump
+            seg *= stay
+            p[lo + 1:hi + 2] += moved
+            hi = min(hi + 1, ncap)
+            p[ncap + 1] = 0.0
+            # the band loses the end counts with no entry above LAW_TRIM
+            while lo <= hi and p[lo].max() < LAW_TRIM:
+                p[lo] = 0.0
+                lo += 1
+            while hi > lo and p[hi].max() < LAW_TRIM:
+                p[hi] = 0.0
+                hi -= 1
+    w = w.reshape(len(L), ncap + 1, S, M).transpose(2, 0, 1, 3)
+    return w[:, np.argsort(order)]
+
+
+def _skeleton_weights(v, trans, p0, t_grid, integrated: bool):
+    """``jump_count_law`` cut at each start's skeleton length K: the last
+    count at which a weight (per unit time for the integral) reaches
+    ``POISSON_TAIL``.  Returns the weights, zero past each start's K, and K."""
+    w = jump_count_law(v, trans, p0, t_grid, integrated)
+    t = np.asarray(t_grid, dtype=float)
+    scale = np.where(t > 0, t, 1.0) if integrated else np.ones_like(t)
+    big = (w / scale[:, None, None] >= POISSON_TAIL).any(axis=(1, 3))   # (S, counts)
+    K = np.array([np.flatnonzero(row).max(initial=0) for row in big])
+    w = w[:, :, :int(K.max()) + 1].copy()
+    for s, k in enumerate(K):
+        w[s, :, k + 1:] = 0.0
+    return w, K
 
 
 def _geometric_checkpoints(T: float):
@@ -481,64 +463,93 @@ def _orbit(u, generators) -> np.ndarray:
         orbit = grown
 
 
-def pair_integral_curves(walk: LatticeWalk, displacements, s0x: int, s0y: int,
-                         T: float, replicas: int, rng: np.random.Generator,
+def pair_integral_curves(walk: LatticeWalk, displacements, s0x, s0y, T: float,
+                         replicas: int, rng: np.random.Generator,
                          symmetrized: bool = False) -> list:
     """Running path integrals of b(X_t, Y_t) for two independent walkers.
 
     The walkers start at each of the ``displacements`` ``x0 - y0`` (d-tuples)
-    with marks ``s0x`` and ``s0y``.  Returns one ``(checkpoints,
-    mean_running, stderr_running, per_replica)`` per displacement, with
-    ``per_replica`` the (checkpoints, replicas) running integrals.  Each
-    holding interval on the integrand's support is credited with its
-    conditional mean given its start (b is piecewise constant; see
-    ``_jump_chain``).  ``symmetrized`` integrates ``b(X, Y) + b(Y, X)``
+    with marks ``s0x`` and ``s0y``, one pair for all or one per displacement.
+    Returns one ``(checkpoints, mean_running, stderr_running, per_replica)``
+    per displacement, with ``per_replica`` the (checkpoints, replicas)
+    running integrals.  ``symmetrized`` integrates ``b(X, Y) + b(Y, X)``
     instead.
 
-    The group generated by the single-axis reflections and axis
-    transpositions that preserve the stencil leaves the law of ``X - Y``
-    (and of the marks) unchanged, so the integral from u has the same mean
-    from every point of u's orbit: each displacement reads b averaged over
-    its orbit, which keeps the estimate unbiased and lowers its variance.
+    Each jump of either walker moves ``X - Y`` by one step of alpha or of
+    its mirror image.  On a reflection-symmetric stencil both are alpha, and
+    on a one-mark model each walker jumps with probability 1/2, so ``X - Y =
+    u + S_{N_t}``: a skeleton ``S`` stepping by ``(alpha + alpha(-.)) / 2``,
+    read at the jump count ``N_t`` of the joint marks, which is independent
+    of it.  Other marked models do not factor: a ``ModelError``.  Given the
+    skeleton (conditional Monte Carlo), a replica's integral to t is ``sum_n
+    sum_m b(u + S_n, m) c(t, n, m)`` with the exact occupation times of
+    ``jump_count_law``, cut at each start's own skeleton length K.
 
-    The increments of ``X - Y`` and the marks do not depend on the start, so
-    one chain of ``X - Y`` from 0 serves every displacement u, which reads b
-    on the support shifted by ``-code(w)`` for each w in its orbit (common
-    random numbers).  Each curve is the one a call with u alone returns from
-    the same generator state; the curves of different displacements are
-    correlated, and those of displacements with one orbit are equal.
+    The reflections and axis transpositions that preserve the stencil leave
+    the law of ``X - Y`` and the marks unchanged, so each displacement reads
+    b averaged over its orbit: on the support shifted by ``-code(w)`` for
+    each w in it.  One skeleton serves every start (common random numbers),
+    and each curve is the one a call with that start alone returns from the
+    same generator state.
     """
     cps = _geometric_checkpoints(T)
     disps = np.asarray(displacements, dtype=np.int64).reshape(-1, walk.d)
     if not len(disps):
         raise ModelError("pair_integral_curves needs at least one displacement")
+    M = len(walk.v)
+    codes, probs = _step_law(walk, mirrored=True)
+    own = _step_law(walk)
+    if M > 1 and not (np.array_equal(codes, own[0]) and np.array_equal(probs, own[1])):
+        raise ModelError("two marked walkers factor through one skeleton only on a "
+                         "reflection-symmetric stencil")
+    # the joint initial marks s_x M + s_y, one per displacement
+    s0 = np.broadcast_to(np.asarray(s0x) * M + np.asarray(s0y), (len(disps),))
     generators = _symmetry_generators(walk.steps, walk.step_probs)
     orbits = [_orbit(u, generators) for u in disps]
     metrics.count("walkers.orbit_points", sum(len(o) for o in orbits))
     # b on the joint marks js = s_x M + s_y, at the sorted support codes
-    M = len(walk.v)
     sx, sy = np.divmod(np.arange(M * M), M)
     if symmetrized:
-        codes = np.union1d(walk.support, -walk.support)
-        table = (walk.alpha_at(codes) * (walk.Q[sx, sy] / walk.q[sx])[:, None]
-                 + walk.alpha_at(-codes) * (walk.Q[sy, sx] / walk.q[sy])[:, None])
+        support = np.union1d(walk.support, -walk.support)
+        table = (walk.alpha_at(support) * (walk.Q[sx, sy] / walk.q[sx])[:, None]
+                 + walk.alpha_at(-support) * (walk.Q[sy, sx] / walk.q[sy])[:, None])
     else:
-        codes = walk.support
+        support = walk.support
         table = walk.support_alpha * (walk.Q[sx, sy] / walk.q[sx])[:, None]
     # every displacement's orbit-averaged table on one sorted code table
-    merged = np.unique(np.concatenate([(codes - o[:, None]).ravel() for o in orbits]))
+    merged = np.unique(np.concatenate([(support - o[:, None]).ravel() for o in orbits]))
     tables = np.zeros((len(disps), M * M, len(merged)))
     for k, orbit in enumerate(orbits):
         for shift in orbit:
-            tables[k][:, np.searchsorted(merged, codes - shift)] += table
+            tables[k][:, np.searchsorted(merged, support - shift)] += table
         tables[k] /= len(orbit)
-    s = np.tile(np.array([s0x, s0y], dtype=np.int64), (replicas, 1))
-    running = np.empty((len(disps), len(cps), replicas))
-    chain = _jump_chain(walk.v, walk.mark_trans, walk.steps, walk.step_probs, s, (1, -1),
-                        cps, rng, reach=int(np.abs(disps).max()),
-                        support=(merged, tables))
-    for i, (I, _, _) in enumerate(chain):
-        running[:, i] = I
+    # the weights of every joint initial mark, so that they do not depend on
+    # which starts share the call
+    rate, trans = _pair_chain(walk)
+    weights, K = _skeleton_weights(rate, trans, np.eye(M * M), cps, integrated=True)
+    # the occupation times of each checkpoint interval, which a step's hits
+    # are credited with on the intervals where its weight grows (steps
+    # first..last); the curves are their running sums
+    gain = np.diff(weights[s0], axis=1, prepend=0.0)
+    gain[gain < POISSON_TAIL * np.diff(cps, prepend=0.0)[:, None, None]] = 0.0
+    gain = np.ascontiguousarray(gain.transpose(0, 1, 3, 2))    # (start, interval, m, n)
+    grows = gain.any(axis=2)
+    first, last = grows.argmax(axis=2), grows.shape[2] - 1 - grows[:, :, ::-1].argmax(axis=2)
+    mine = tables.any(axis=1)                                  # (start, support code)
+    running = np.zeros((len(disps), len(cps), replicas))
+    for near, pos, step in _skeleton_hits(walk, codes, probs, replicas, int(K[s0].max()),
+                                          int(np.abs(disps).max()), merged, rng):
+        for k, (table, rise) in enumerate(zip(tables, gain)):
+            on = np.flatnonzero(mine[k].take(pos))
+            n, p, r = step[on], pos[on], near[on]
+            for c, (lo, hi) in enumerate(np.searchsorted(n, np.c_[first[k], last[k] + 1])):
+                if lo == hi:
+                    continue
+                credit = table[0].take(p[lo:hi]) * rise[c, 0].take(n[lo:hi])
+                for m in range(1, M * M):
+                    credit += table[m].take(p[lo:hi]) * rise[c, m].take(n[lo:hi])
+                running[k, c] += np.bincount(r[lo:hi], credit, minlength=replicas)
+    np.cumsum(running, axis=1, out=running)
     mean = running.mean(axis=2)
     stderr = running.std(axis=2, ddof=1) / np.sqrt(replicas)
     return [(cps, m, e, r) for m, e, r in zip(mean, stderr, running)]
@@ -554,6 +565,7 @@ class PairLimit:
     exponent: float  # fitted p of the integrand E b ~ t^p over the last decade
     limit: float     # A of the tail fit (``_tail_fit``), floored at running[-1]
     limit_stderr: float  # standard error of the fitted A
+    gap_stderr: float    # standard error of A - running[-1]
 
     @property
     def integrable(self) -> bool:
@@ -567,15 +579,18 @@ def pair_limit(cps: np.ndarray, mean: np.ndarray, se: np.ndarray,
 
     The fitted A is a fixed linear functional ``w . mean`` of the checkpoint
     means, so its standard error is that of ``w . per_replica`` over the
-    replicas.
+    replicas, and that of the gap ``A - mean[-1]`` is that of ``w .
+    per_replica - per_replica[-1]``.
     """
     w = _tail_fit(cps, d)[0]
     A = float(w @ mean)
+    fits = w @ per_replica
+    root = np.sqrt(per_replica.shape[1])
     return PairLimit(t=cps, running=mean, stderr=se,
                      exponent=_increment_exponent(cps, mean),
                      limit=max(A, float(mean[-1])),
-                     limit_stderr=float((w @ per_replica).std(ddof=1)
-                                        / np.sqrt(per_replica.shape[1])))
+                     limit_stderr=float(fits.std(ddof=1) / root),
+                     gap_stderr=float((fits - per_replica[-1]).std(ddof=1) / root))
 
 
 def _tail_fit(cps: np.ndarray, d: int) -> np.ndarray:
@@ -644,36 +659,29 @@ def estimate_H(tm: TransformedModel, start_pairs, T: float, replicas: int,
     ``start_pairs`` is a list of initial displacements ``x0 - y0``, or of
     ``(disp, s_x, s_y)`` for marked models (see ``parse_start``); the
     per-start results are keyed the same way.  For each start the exact
-    two-walker path integral is averaged over replicas; starts with the
-    same marks share one chain (``pair_integral_curves``), run per mark pair
-    in order of first appearance, so their estimates are correlated.  The
-    extrapolated limit of the running integral (``pair_limit``) is each
-    start's ``estimate``, with its own standard error ``estimate_stderr``;
-    ``stderr`` is that of the running integral at T.  The estimate plus 3
-    ``stderr`` gives the per-start value, and H_hat is the grid maximum; a
-    run that has not converged reports the largest running integral at T
-    instead.  The report's ``stderr`` and curve are those of the start that
-    gives H_hat.  ``converged`` requires the fitted integrand exponent
-    (``nan`` on too short a horizon) to clear -1 by ``INTEGRABILITY_MARGIN``.
+    two-walker path integral is averaged over replicas; all starts, whatever
+    their marks, share one skeleton (``pair_integral_curves``), so their
+    estimates are correlated.  The extrapolated limit of the running
+    integral (``pair_limit``) is each start's ``estimate``, with its own
+    standard error ``estimate_stderr``; ``stderr`` is that of the running
+    integral at T.  The estimate plus 3 ``estimate_stderr`` gives the
+    per-start value, and H_hat is the grid maximum; a run that has not
+    converged reports the largest running integral at T instead.  The
+    report's ``stderr`` and curve are those of the start that gives H_hat.
+    ``converged`` requires the fitted integrand exponent (``nan`` on too
+    short a horizon) to clear -1 by ``INTEGRABILITY_MARGIN``.
     """
     walk = lattice_walk(tm)
     d = walk.d
     nmark = len(walk.v) if tm.marked else 0
     starts = [parse_start(start, d, nmark) for start in start_pairs]
-    # one chain per initial mark pair, in order of first appearance
-    groups = {}
-    for d0, s0x, s0y in starts:
-        groups.setdefault((s0x, s0y), []).append(d0)
-    limits = {}
-    for (s0x, s0y), disps in groups.items():
-        group = pair_integral_curves(walk, disps, s0x, s0y, T, replicas, rng)
-        limits.update(((d0, s0x, s0y), pair_limit(*curve, d))
-                      for d0, curve in zip(disps, group))
+    disps, s0x, s0y = zip(*starts)
+    curves = pair_integral_curves(walk, disps, s0x, s0y, T, replicas, rng)
+    limits = [pair_limit(*curve, d) for curve in curves]
     per_start = {}
     converged = True
-    for d0, s0x, s0y in starts:
-        lim = limits[d0, s0x, s0y]
-        per_start[(d0, s0x, s0y) if nmark else d0] = {
+    for (d0, sx, sy), lim in zip(starts, limits):
+        per_start[(d0, sx, sy) if nmark else d0] = {
             "estimate": lim.limit, "estimate_stderr": lim.limit_stderr,
             "stderr": float(lim.stderr[-1]), "tail_exponent": lim.exponent,
             "running_final": float(lim.running[-1]),
@@ -683,12 +691,12 @@ def estimate_H(tm: TransformedModel, start_pairs, T: float, replicas: int,
 
     def value(lim: PairLimit) -> float:
         if converged:
-            return lim.limit + 3 * float(lim.stderr[-1])
+            return lim.limit + 3 * lim.limit_stderr
         # no finite extrapolation is meaningful; the raw running integral
         return float(lim.running[-1])
 
     # the first start with the largest value gives H_hat, its stderr and curve
-    worst = max((limits[start] for start in starts), key=value)
+    worst = max(limits, key=value)
     return TransienceReport(
         H_hat=float(value(worst)), stderr=float(worst.stderr[-1]),
         tail_exponent_fit=float(np.max([v["tail_exponent"] for v in per_start.values()])),
@@ -705,10 +713,16 @@ def heat_bound_check(tm: TransformedModel, t_grid, x0, xi1, replicas: int,
                      rng: np.random.Generator) -> dict:
     """Heat-kernel bound: E_x b(X(t), y) <= kappa E alpha(xi(t) - xi_1).
 
-    Estimates ``kappa * E alpha(xi(t) - xi_1)`` by Monte Carlo (the
-    zero-jump singular part ``exp(-v t) alpha(xi_0 - xi_1)`` is included by
-    the paths that have not jumped) and reports ``estimate * t^{d/2}``
-    together with a flatness verdict over the last decade.
+    The walker's position after ``N_t`` jumps is ``xi_0 + S_{N_t}``, a
+    skeleton walk ``S`` of i.i.d. alpha-steps read at the jump count of its
+    marks, which is independent of it.  So each replica of the skeleton
+    gives ``kappa sum_n P(N_t = n) alpha(xi_0 - xi_1 + S_n)`` with the exact
+    law ``P(N_t = n)`` of ``jump_count_law``, cut at the skeleton length K
+    (``_skeleton_weights``): only the skeleton is Monte Carlo.  Reports the
+    mean, ``estimate * t^{d/2}`` and a flatness verdict over the last decade
+    (on an ascending grid): the slope of ``t * scaled`` over its first and
+    its last interval, which a bounded curve ``C - c / t`` shares, agree
+    within 3 SE of their difference.
     """
     walk = lattice_walk(tm)
     d = walk.d
@@ -717,20 +731,30 @@ def heat_bound_check(tm: TransformedModel, t_grid, x0, xi1, replicas: int,
     kappa = walk.Q.max() / walk.q.min()
     t_grid = np.asarray(t_grid, dtype=float)
     start = xi0 - xi1                          # xi(t) - xi_1 at t = 0
-    shift = _lattice_code(start[None])
-    s = np.full((replicas, 1), s0, dtype=np.int64)
-    vals = np.array([kappa * walk.alpha_at(shift + code) for _, _, code in _jump_chain(
-        walk.v, walk.mark_trans, walk.steps, walk.step_probs, s, (1,), t_grid, rng,
-        reach=int(np.abs(start).max()))])
+    weights, [K] = _skeleton_weights(walk.v, walk.mark_trans, np.eye(len(walk.v))[[s0]],
+                                     t_grid, integrated=False)
+    point = weights[0].sum(axis=2)                  # P(N_t = n), (times, counts)
+    vals = np.zeros((len(t_grid), replicas))
+    # alpha(start + S_n) is nonzero where S_n lies on the support shifted by -start
+    for near, pos, step in _skeleton_hits(walk, *_step_law(walk), replicas, int(K),
+                                          int(np.abs(start).max()),
+                                          walk.support - _lattice_code(start[None])[0], rng):
+        hit = walk.support_alpha[pos]
+        for i, w in enumerate(point):
+            vals[i] += np.bincount(near, w[step] * hit, minlength=replicas)
+    vals *= kappa
     est = vals.mean(axis=1)
     se = vals.std(axis=1, ddof=1) / np.sqrt(replicas)
-    scaled = est * t_grid ** (d / 2.0)
-    scaled_se = se * t_grid ** (d / 2.0)
-    last = t_grid >= t_grid[-1] / 10.0
-    # flat over the last decade: endpoints agree within combined 3 SE
-    i0 = int(np.argmax(last))
-    drift = scaled[-1] - scaled[i0]
-    drift_se = float(np.hypot(scaled_se[-1], scaled_se[i0]))
+    scale = t_grid ** (d / 2.0)
+    scaled, scaled_se = est * scale, se * scale
+    # a bounded curve nears its local-CLT limit as C - c / t, so t * scaled
+    # has slope C; flat: the slopes of the first and the last interval of the
+    # last decade agree within 3 SE of their per-replica difference
+    slopes = np.diff(vals * (t_grid * scale)[:, None], axis=0) / np.diff(t_grid)[:, None]
+    inside = np.flatnonzero(t_grid[:-1] >= t_grid[-1] / 10.0)
+    change = slopes[-1] - slopes[inside[0]] if inside.size else np.zeros(replicas)
+    drift = float(change.mean())
+    drift_se = float(change.std(ddof=1) / np.sqrt(replicas))
     return {
         "t": t_grid, "estimate": est, "stderr": se,
         "scaled": scaled, "scaled_stderr": scaled_se,
@@ -813,48 +837,12 @@ def convolution_bound_check(alpha, d: int, n_max: int) -> dict:
 def jump_count_cdf(v: np.ndarray, trans: np.ndarray, p0: np.ndarray, t_grid,
                    k_max: int) -> np.ndarray:
     """``P(N_t <= k)`` for k = 0..k_max at each grid time: the exact law of the
-    jump count N_t of the mark chain started from the law ``p0``.
-
-    The chain holds at rate ``v[s]`` and jumps to mark s' with probability
-    ``trans[s, s']`` (a jump to s itself counts).  Uniformized at ``Lambda =
-    max v`` (Jensen 1953), it makes one move per Poisson(Lambda t) event: a
-    jump with probability ``v[s] / Lambda``, else a virtual stay.  The law of
-    (count, mark) after n events, counts above k_max dropped, is weighted by
-    ``exp(-Lambda t) (Lambda t)^n / n!`` (``math.lgamma``) for as many n as
-    the Poisson(Lambda t_max) tail needs to fall below ``POISSON_TAIL``, so
-    about ``Lambda t_max + 10 sqrt(Lambda t_max)`` terms.  Their number is
-    counted in ``metrics`` as ``lemmas.uniformized_terms``.
-    """
-    v = np.asarray(v, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
-    lam = float(v.max())
-    mean = lam * float(t_grid.max())
-    # past the mean the weights fall at least geometrically with ratio
-    # r = mean / (n + 1), so the tail beyond term n is at most w_n r / (1 - r)
-    n, logw = 0, -mean
-    while mean and (n <= mean or math.exp(logw) * mean / (n + 1 - mean) > POISSON_TAIL):
-        n += 1
-        logw += math.log(mean / n)
-    terms = n + 1
-    metrics.count("lemmas.uniformized_terms", terms)
-    jump = (v / lam)[:, None] * np.asarray(trans, dtype=float)
-    stay = 1.0 - v / lam
-    p = np.zeros((k_max + 1, len(v)))
-    p[0] = np.asarray(p0, dtype=float) / np.sum(p0)
-    below = np.empty((terms, k_max + 1))   # P(count <= k) after n events
-    for n in range(terms):
-        below[n] = np.cumsum(p.sum(axis=1))
-        p[1:] = p[1:] * stay + p[:-1] @ jump
-        p[0] *= stay
-    lt = lam * t_grid[:, None]
-    ns = np.arange(terms)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logw = -lt + ns * np.log(lt) - np.array([math.lgamma(k + 1.0) for k in ns])
-    logw[:, 0] = -lt[:, 0]                # (Lambda t)^0 = 1 at t = 0 too
-    # the kept terms hold all but POISSON_TAIL of the mass: normalizing them
-    # removes the rounding error they share
-    w = np.exp(logw)
-    return (w / w.sum(axis=1, keepdims=True)) @ below
+    jump count N_t of the mark chain started from the law ``p0``, the
+    cumulative sum of ``jump_count_law`` over counts and marks."""
+    law = jump_count_law(v, trans, p0, t_grid, k_max=k_max)[0].sum(axis=2)
+    cdf = np.cumsum(law, axis=1)
+    # counts that no event reaches: the CDF has reached its total
+    return np.pad(cdf, [(0, 0), (0, k_max + 1 - cdf.shape[1])], mode="edge")
 
 
 def poisson_domination_check(v: np.ndarray, theta: ThetaKernel, lambda0: float,

@@ -1,8 +1,226 @@
-"""Monte Carlo references that the exact lemma code is cross-checked against."""
+"""Monte Carlo references that the exact and skeleton code is cross-checked
+against: a scalar single-path walker, the exponential-clock jump chain of
+both walkers, and the mark-chain jump counts read off that chain."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from contactlab.walkers import _jump_chain
+from contactlab import metrics
+from contactlab.criticality import TransformedModel
+from contactlab.errors import ModelError
+from contactlab.walkers import (LatticeWalk, _alias_table, _lattice_code, _on_support,
+                                _support_hash, _walker_start, lattice_walk)
+
+
+@dataclass
+class WalkerPath:
+    """Piecewise-constant trajectory: jump times and visited states."""
+
+    times: np.ndarray   # strictly increasing, times[0] = 0
+    states: list        # states[i] held on [times[i], times[i+1])
+
+    def state_at(self, t: float):
+        i = int(np.searchsorted(self.times, t, side="right")) - 1
+        return self.states[i]
+
+
+def _draw(cum: np.ndarray, rng: np.random.Generator) -> int:
+    """Inverse-CDF draw of an index from cumulative probabilities."""
+    return min(int(np.searchsorted(cum, rng.random())), len(cum) - 1)
+
+
+def simulate_jump(tm: TransformedModel, x0, T: float,
+                  rng: np.random.Generator, walk: LatticeWalk | None = None) -> WalkerPath:
+    """One walker trajectory on [0, T].
+
+    Translation-invariant models walk the unbounded lattice, with the walk
+    law ``walk`` (built from ``tm`` when not given); generic dense models
+    walk the enumerated points with jump law ``b(x,.) mbar / V(x)``.
+    """
+    if tm.translation_invariant:
+        walk = lattice_walk(tm) if walk is None else walk
+        marked = tm.marked
+        xi, s = _walker_start(tm, x0)
+        step_cum = np.cumsum(walk.step_probs)
+        mark_cum = np.cumsum(walk.mark_trans, axis=1)
+        times = [0.0]
+        states = [(tuple(xi), tm.space.marks[s]) if marked else tuple(xi)]
+        t = 0.0
+        while True:
+            t += rng.exponential(1.0 / walk.v[s])
+            if t >= T:
+                break
+            xi = xi + walk.steps[_draw(step_cum, rng)]
+            if marked:
+                s = _draw(mark_cum[s], rng)
+                states.append((tuple(xi), tm.space.marks[s]))
+            else:
+                states.append(tuple(xi))
+            times.append(t)
+        return WalkerPath(times=np.array(times), states=states)
+    # dense finite-space walk
+    V = tm.death
+    P = tm.b * tm.mbar[None, :] / V[:, None]
+    rows = P.sum(axis=1)
+    if np.abs(rows - 1.0).max() > 1e-9:
+        raise ModelError("jump law rows deviate from 1: model miscalibrated")
+    cum = np.cumsum(P, axis=1)
+    i = tm.space.locate(x0)
+    times, states = [0.0], [tm.space.points[i]]
+    t = 0.0
+    while True:
+        t += rng.exponential(1.0 / V[i])
+        if t >= T:
+            break
+        i = _draw(cum[i], rng)
+        times.append(t)
+        states.append(tm.space.points[i])
+    return WalkerPath(times=np.array(times), states=states)
+
+
+def _jump_chain(v, mark_trans, steps, step_probs, s, sign, t_grid, rng, reach=0,
+                support=None):
+    """Advance R replicas of W = len(sign) independent walkers to each grid time.
+
+    Walker w holds an exponential time at rate ``v[s_w]``, then moves by a
+    step drawn from ``step_probs`` and takes a mark drawn from row
+    ``mark_trans[s_w]``.  A replica's state is the lattice code of
+    ``sum_w sign[w] (xi_w(t) - xi_w(0))``, which starts at 0, and its joint
+    mark index ``js``, the C-order index of its marks (``s`` (R, W) at the
+    start).  Each jump is one alias draw of (walker, step, new mark) from the
+    table of its ``js``, with probability ``v[s_w] / sum v * p_step *
+    Theta(s_w, m')``; the move adds the step's code and looks up the next
+    ``js``.  No draw depends on the code, so a caller reads several starts
+    off one chain by adding each start's code to it.
+
+    The integrands, if any, are ``support = (codes, table)``: ``table[k, js,
+    p]`` is integrand k at the sorted lattice codes ``codes[p]``, zero
+    elsewhere.  At each grid time the generator yields ``(I, n, code)``: per
+    replica the running integral of each integrand (one row per integrand),
+    the jump count and the lattice code, updated in place afterwards.  Only
+    replicas short of the grid time are stepped; clamping their holding
+    times there is exact by memorylessness.  A holding piece that starts at
+    ``ta`` on the support, with holding rate r, is credited with its
+    conditional mean given its start, ``b (1 - e^{-r (tb - ta)}) / r``, in
+    place of the sampled ``b (min(t_jump, tb) - ta)``: the same expectation
+    (conditional Monte Carlo), less variance, and the same draws.  ``reach``
+    is the largest start coordinate the codes are added to; a jump count
+    that could carry such a sum out of the code's range is a ``ModelError``.
+    The chain, its loop iterations, jumps, replica slots (iterations times
+    the replicas active as a grid interval starts; jumps / slots is the
+    active fraction) and support hits (replica-steps credited on the
+    support) are counted in ``metrics``.
+    """
+    R, W = s.shape
+    nmark, d = len(v), steps.shape[1]
+    marks = np.array(list(np.ndindex(*(nmark,) * W)), dtype=np.int64)  # (J, W)
+    J = len(marks)
+    place = nmark ** np.arange(W - 1, -1, -1)
+    vw = v[marks]
+    rate = vw.sum(axis=1)
+    # outcome (w, j, m') of joint state js, flattened to js * O + o
+    P = ((vw / rate[:, None])[:, :, None, None] * step_probs[:, None]
+         * mark_trans[marks][:, :, None, :])
+    O = P[0].size
+    thresh, alias = _alias_table(P.reshape(J, O))
+    # every threshold 1: each outcome is its own bin, and no alias is read
+    uniform = bool((thresh == 1.0).all())
+    thresh = thresh.ravel()
+    alias = (alias + O * np.arange(J)[:, None]).ravel()
+    dcode = np.broadcast_to(np.multiply.outer(sign, _lattice_code(steps))[:, :, None],
+                            P.shape[1:]).ravel()
+    dcode = np.tile(dcode, J)
+    new_js = (np.arange(J)[:, None, None, None] + place[:, None, None]
+              * (np.arange(nmark) - marks[:, :, None, None]))
+    new_js = np.broadcast_to(new_js, P.shape).ravel()
+    if support is not None:
+        # b / r per joint state: a piece's credit is this times 1 - e^{-r (tb - ta)}
+        sup_codes, sup_table = support[0], support[1] / rate[:, None]
+        hashed = _support_hash(sup_codes)
+    # the range guard: no coordinate of a start plus the code may reach 2^(b - 1)
+    K = int(np.abs(steps).max())
+    limit = 1 << (63 // d - 1)
+    code = np.zeros(R, dtype=np.int64)
+    js = s @ place
+    I = np.zeros((0 if support is None else len(sup_table), R))
+    n = np.zeros(R, dtype=np.int64)
+    metrics.count("walkers.chains")
+    t0 = 0.0     # every replica has been advanced to t0
+    for tb in t_grid:
+        # the active replicas' index, time, code and joint marks, compacted as
+        # replicas reach tb; a grid time at or before t0 steps none
+        idx = np.arange(R if tb > t0 else 0)
+        active = idx.size
+        ta, ca, ja = np.full(R, t0), code.copy(), js.copy()
+        it = jumps = credited = 0
+        while idx.size:
+            r = rate[ja] if J > 1 else rate[0]
+            t_jump = ta + rng.standard_exponential(idx.size) / r
+            if support is not None:
+                near, pos = _on_support(sup_codes, hashed, ca)
+                if near.size:
+                    I[:, idx[near]] -= sup_table[:, ja[near] if J > 1 else 0, pos] * np.expm1(
+                        (r[near] if J > 1 else r) * (ta[near] - tb))
+                    credited += near.size
+            hit = t_jump < tb
+            done = np.flatnonzero(~hit)
+            if done.size:
+                # a replica that finishes at iteration it has jumped it times
+                out = idx[done]
+                code[out] = ca[done]
+                n[out] += it
+                keep = np.flatnonzero(hit)
+                idx, ta, ca = idx[keep], t_jump[keep], ca[keep]
+                if J > 1:
+                    js[out] = ja[done]
+                    ja = ja[keep]
+            else:
+                ta = t_jump
+            it += 1
+            jumps += idx.size
+            u = rng.random(idx.size) * O
+            b = u.astype(np.int64)
+            o = b + ja * O if J > 1 else b
+            if not uniform:
+                o = np.where(u - b < thresh[o], o, alias[o])
+            ca += dcode[o]
+            if J > 1:
+                ja = new_js[o]
+        t0 = max(t0, tb)
+        metrics.count("walkers.replica_slots", it * active)
+        metrics.count("walkers.iterations", it)
+        metrics.count("walkers.jumps", jumps)
+        metrics.count("walkers.support_hits", credited)
+        if reach + K * int(n.max(initial=0)) >= limit:
+            raise ModelError(
+                f"walker displacement may leave the lattice code range 2^"
+                f"{63 // d - 1} in d = {d}: start {reach} + {K} x {int(n.max())} jumps")
+        yield I, n, code
+
+
+def clock_pair_curves(walk: LatticeWalk, displacements, s0x: int, s0y: int, T: float,
+                      checkpoints, replicas: int, rng: np.random.Generator):
+    """Mean and standard error of the running integral of b(X_t, Y_t) at each
+    checkpoint, per displacement (rows), from ``_jump_chain``: two walkers
+    with exponential clocks and marks, each holding piece on the support
+    credited with its conditional mean.  No orbit averaging."""
+    disps = np.asarray(displacements, dtype=np.int64).reshape(-1, walk.d)
+    M = len(walk.v)
+    sx, sy = np.divmod(np.arange(M * M), M)
+    weight = walk.Q[sx, sy] / walk.q[sx]
+    merged = np.unique(np.concatenate([walk.support - c for c in _lattice_code(disps)]))
+    tables = np.zeros((len(disps), M * M, len(merged)))
+    for k, c in enumerate(_lattice_code(disps)):
+        tables[k][:, np.searchsorted(merged, walk.support - c)] = (
+            walk.support_alpha * weight[:, None])
+    s = np.tile(np.array([s0x, s0y], dtype=np.int64), (replicas, 1))
+    running = np.array([I.copy() for I, _, _ in _jump_chain(
+        walk.v, walk.mark_trans, walk.steps, walk.step_probs, s, (1, -1),
+        np.asarray(checkpoints, dtype=float), rng, reach=int(np.abs(disps).max()),
+        support=(merged, tables))])                       # (checkpoints, starts, R)
+    return (running.mean(axis=2).T,
+            (running.std(axis=2, ddof=1) / np.sqrt(replicas)).T)
 
 
 def mark_chain_jump_counts(v: np.ndarray, trans: np.ndarray, nu: np.ndarray,

@@ -293,29 +293,30 @@ class TestOutputs:
         assert [float(row.split(",")[-1]) for row in k1] == [0.5] * 4
 
     def test_walker_counters_in_manifest(self, tmp_path):
-        # one chain per initial mark pair; its jumps are counted, and a pair
-        # of rate-1 walkers jumps Poisson(2 T) times per replica.  On
-        # nearest-neighbour Z^3 the orbit of 0 is one point and that of e_1 six.
-        cases = [({"model": LATTICE_MODEL, "T": 30, "replicas": 1500}, 1, 1 + 6 + 6),
+        # one skeleton per run, whatever the starts' marks: K steps for each
+        # replica, K below the uniformization's event count.  A pair of
+        # rate-1 walkers jumps Poisson(2 T) times, so K is about 2 T plus ten
+        # standard deviations.  On nearest-neighbour Z^3 the orbit of 0 is one
+        # point and that of e_1 six.
+        cases = [({"model": LATTICE_MODEL, "T": 30, "replicas": 1500}, 1 + 6 + 6),
                  ({"model": MARKED_MODEL, "T": 5, "replicas": 200,
                    "starts": [[[0, 0, 0], 0, 0], [[1, 0, 0], 0, 0],
-                              [[0, 0, 0], 0, 1]]}, 2, 1 + 6 + 1)]
-        jumps = []
-        for i, (cfg, chains, orbit_points) in enumerate(cases):
+                              [[0, 0, 0], 0, 1]]}, 1 + 6 + 1)]
+        lengths = []
+        for i, (cfg, orbit_points) in enumerate(cases):
             code, out = run_cli(tmp_path, "transience", cfg, seed=11, outname=f"t{i}")
             assert code == 0
             counters = json.loads((out / "manifest.json").read_text())["metrics"]["counters"]
-            assert counters["walkers.chains"] == chains
-            assert counters["walkers.jumps"] >= counters["walkers.iterations"] >= 1
-            # jumps / slots is the mean active fraction
-            assert (counters["walkers.jumps"] <= counters["walkers.replica_slots"]
-                    <= counters["walkers.iterations"] * cfg["replicas"])
-            # a replica is credited on the support at most once per loop iteration
-            assert 1 <= counters["walkers.support_hits"] <= counters["walkers.replica_slots"]
+            K = counters["walkers.skeleton_steps"]
+            assert counters["walkers.replica_steps"] == K * cfg["replicas"]
+            assert K < counters["walkers.weight_terms"]
+            # a replica is credited on the support at most once per skeleton point
+            assert 1 <= counters["walkers.support_hits"] <= (K + 1) * cfg["replicas"]
             assert counters["walkers.orbit_points"] == orbit_points
-            jumps.append(counters["walkers.jumps"])
-        expect = 1500 * 2 * 30
-        assert abs(jumps[0] - expect) <= 5 * np.sqrt(expect)
+            assert not {"walkers.chains", "walkers.iterations", "walkers.jumps",
+                        "walkers.replica_slots"} & set(counters)
+            lengths.append(K)
+        assert 60 + 5 * np.sqrt(60) <= lengths[0] <= 60 + 20 * np.sqrt(60)
 
     def test_transience_outputs(self, tmp_path):
         code, out = run_cli(tmp_path, "transience",
@@ -351,6 +352,26 @@ class TestOutputs:
                           {"model": STENCIL_PRODUCT_MODEL, "T": 5, "replicas": 200,
                            "starts": [[0, 0, 0]]}, seed=11, outname="plain")
         assert code == 2
+
+    def test_marked_asymmetric_stencil_transience_rejected(self, tmp_path):
+        # two marked walkers on a stencil that is not its own mirror image do
+        # not factor through one skeleton walk: exit 2, while the same
+        # stencil with one mark runs, and verify-lemmas' one walker runs too
+        drift = [[[1, 0, 0], 0.3], [[-1, 0, 0], 0.1], [[0, 1, 0], 0.15],
+                 [[0, -1, 0], 0.15], [[0, 0, 1], 0.15], [[0, 0, -1], 0.15]]
+        marked = dict(MARKED_MODEL, birth={"form": "factorized", "alpha": drift,
+                                           "Q": [[2.0, 1.0], [1.0, 2.0]]})
+        code, _ = run_cli(tmp_path, "transience",
+                          {"model": marked, "T": 5, "replicas": 200,
+                           "starts": [[[0, 0, 0], 0, 1]]}, seed=11, outname="marked")
+        assert code == 2
+        plain = dict(LATTICE_MODEL, birth={"form": "stencil", "entries": drift})
+        code, _ = run_cli(tmp_path, "transience", {"model": plain, "T": 5, "replicas": 200},
+                          seed=11, outname="plain")
+        assert code == 0
+        code, _ = run_cli(tmp_path, "verify-lemmas", {"model": marked, "replicas": 200},
+                          seed=11, outname="lemmas")
+        assert code in (0, 1)
 
     def test_simulate_moments(self, tmp_path):
         code, out = run_cli(tmp_path, "simulate",
@@ -412,13 +433,15 @@ class TestOutputs:
         counters = recorded["counters"]
         assert counters["convolution.symmetric_axes"] == 3
         assert counters["convolution.cells"] == sum((n + 1) ** 3 for n in range(2, 65))
-        assert counters["walkers.jumps"] <= counters["walkers.replica_slots"]
+        assert (counters["walkers.replica_steps"]
+                == counters["walkers.skeleton_steps"] * 2000)
         # uniformization to t = 40 / lambda0: the lower tail and the Poisson side
         # of the domination run one mark at lambda0 = 1, the mark chain runs at
-        # Lambda = 3; each needs about Lambda t + 10 sqrt(Lambda t) terms
-        means = (40.0, 40.0, 120.0)
+        # Lambda = 3, and so does the heat bound's walker to t = 100; each
+        # needs about Lambda t + 10 sqrt(Lambda t) terms
+        means = (40.0, 40.0, 120.0, 300.0)
         assert (sum(m + 5 * np.sqrt(m) for m in means)
-                <= counters["lemmas.uniformized_terms"]
+                <= counters["walkers.weight_terms"]
                 <= sum(m + 20 * np.sqrt(m) for m in means))
 
     def test_verify_lemmas_draws_only_in_heat_bound(self, tmp_path, monkeypatch):

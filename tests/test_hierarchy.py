@@ -15,10 +15,11 @@ from contactlab.hierarchy import (CorrelationTensor, _augmented_generator, apply
                                   evolve_hierarchy,
                                   factorial_bound_check, generator_matrix,
                                   poisson_initial, semigroup_apply, source_f,
-                                  stationary_k)
+                                  stationary_k, stationary_pair_mc)
 from contactlab.model import Kernel, RateModel, build_space
 
 from conftest import lattice_model, random_finite_model
+from contactlab.walkers import lattice_walk, pair_integral_curves, pair_limit
 
 
 def kron_sum_matrix(G, n):
@@ -400,3 +401,31 @@ class TestConvergence:
         rep = convergence_check(2, finite4_critical, 0.5, [1.0, 2.0])
         assert not rep["converged"]
         assert "divergence" in rep
+
+
+class TestPairCorrelationMC:
+    def test_stderr_is_the_fitted_limits(self):
+        # each k_2 reads rho times the SE of its fitted limit, from the same
+        # skeleton pair_integral_curves runs
+        space, model = lattice_model(3)
+        tm, _, _ = calibrate(model, space)
+        mc = stationary_pair_mc(tm, 0.2, rng=np.random.default_rng(7), T=50.0,
+                                replicas=2000)
+        curves = pair_integral_curves(lattice_walk(tm), mc.displacements, 0, 0, 50.0,
+                                      2000, np.random.default_rng(7), symmetrized=True)
+        for se, curve in zip(mc.stderr, curves):
+            assert se == 0.2 * pair_limit(*curve, 3).limit_stderr
+
+    def test_short_horizon_not_converged(self):
+        # the tail of the running integral on Z^3 left after T = 50 is about
+        # four times its 3-SE allowance at 20000 replicas; after T = 400 it is
+        # within it at 2000 replicas
+        space, model = lattice_model(3)
+        tm, _, _ = calibrate(model, space)
+        for T, replicas, expect in ((50.0, 20000, False), (400.0, 2000, True)):
+            mc = stationary_pair_mc(tm, 0.2, rng=np.random.default_rng(8), T=T,
+                                    replicas=replicas)
+            rep = mc.convergence([T])
+            gap_se = max(0.2 * c.gap_stderr for c in mc.curves.values())
+            assert rep["threshold"] == 3 * (mc.stderr.max() + gap_se)
+            assert rep["converged"] is expect

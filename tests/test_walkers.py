@@ -13,18 +13,19 @@ from contactlab.cli import main
 from contactlab.criticality import calibrate, theta_kernel
 from contactlab.errors import ModelError
 from contactlab.model import Kernel, RateModel, build_space
-from contactlab.walkers import (DOMINATION_TOL, LOWER_TAIL_B, _HASH_MULT,
+from contactlab.walkers import (DOMINATION_TOL, LOWER_TAIL_B, POISSON_TAIL, _HASH_MULT,
                                 _alias_table, _increment_exponent, _lattice_code,
-                                _on_support, _orbit, _support_hash,
-                                _symmetry_generators, _tail_fit,
+                                _on_support, _orbit, _pair_chain, _skeleton_weights,
+                                _support_hash, _symmetry_generators, _tail_fit,
                                 convolution_bound_check, estimate_H,
                                 heat_bound_check, iterated_convolution,
-                                jump_count_cdf, lattice_walk, lower_tail_bound_check,
-                                pair_integral_curves, pair_limit,
-                                poisson_domination_check, simulate_jump)
+                                jump_count_cdf, jump_count_law, lattice_walk,
+                                lower_tail_bound_check, pair_integral_curves,
+                                pair_limit, poisson_domination_check)
 
 from conftest import lattice_model, marked_model, nearest_stencil
-from reference import empirical_cdf, mark_chain_jump_counts
+from reference import (clock_pair_curves, empirical_cdf, mark_chain_jump_counts,
+                       simulate_jump)
 
 
 class TestSimulateJump:
@@ -60,7 +61,7 @@ class TestSimulateJump:
         key = {tuple(s): i for i, s in enumerate(walk.steps)}
         done = 0
         while done < n:
-            path = simulate_jump(z3_critical, (0, 0, 0), 2.0, rng)
+            path = simulate_jump(z3_critical, (0, 0, 0), 2.0, rng, walk)
             if len(path.states) < 2:
                 continue
             disp = tuple(np.subtract(path.states[1], path.states[0]))
@@ -74,12 +75,13 @@ class TestSimulateJump:
         # probability of no jumps by time t is exp(-v t)
         space, model = marked_model(Q=[[2, 1], [1, 2]], v=[1.0, 3.0])
         tm, _, _ = calibrate(model, space)
+        walk = lattice_walk(tm)
         rng = np.random.default_rng(4)
         t, n = 0.7, 20000
         hits = 0
         x0 = ((0,), "A")
         for _ in range(n):
-            path = simulate_jump(tm, x0, t, rng)
+            path = simulate_jump(tm, x0, t, rng, walk)
             hits += len(path.times) == 1
         p = hits / n
         v0 = tm.v[space.marks.index("A")]
@@ -90,10 +92,11 @@ class TestSimulateJump:
         space, model = marked_model(Q=[[2, 1], [1, 2]], v=[1.0, 3.0])
         tm, _, _ = calibrate(model, space)
         trans = theta_kernel(tm).transition_probs()
+        walk = lattice_walk(tm)
         rng = np.random.default_rng(5)
         counts = np.zeros((2, 2))
         for _ in range(4000):
-            path = simulate_jump(tm, ((0,), "A"), 5.0, rng)
+            path = simulate_jump(tm, ((0,), "A"), 5.0, rng, walk)
             marks = [space.marks.index(s[1]) for s in path.states]
             for a, b in zip(marks[:-1], marks[1:]):
                 counts[a, b] += 1
@@ -219,13 +222,14 @@ class TestPairEngine:
     def test_two_walker_independence(self, z3_critical):
         # first-jump times of the two walkers are uncorrelated (censored at
         # the horizon, which keeps independent times independent)
+        walk = lattice_walk(z3_critical)
         rng = np.random.default_rng(10)
         n = 5000
         t1 = np.empty(n)
         t2 = np.empty(n)
         for i in range(n):
-            p1 = simulate_jump(z3_critical, (0, 0, 0), 5.0, rng)
-            p2 = simulate_jump(z3_critical, (1, 0, 0), 5.0, rng)
+            p1 = simulate_jump(z3_critical, (0, 0, 0), 5.0, rng, walk)
+            p2 = simulate_jump(z3_critical, (1, 0, 0), 5.0, rng, walk)
             t1[i] = p1.times[1] if len(p1.times) > 1 else 5.0
             t2[i] = p2.times[1] if len(p2.times) > 1 else 5.0
         r = np.corrcoef(t1, t2)[0, 1]
@@ -358,9 +362,11 @@ class TestLatticeCode:
         rng = np.random.default_rng(22)
         with pytest.raises(ModelError):
             pair_integral_curves(walk, [(2 ** 20, 0, 0)], 0, 0, 1.0, 10, rng)
-        # two jumps could reach 2^20: caught at a grid time
+        # the skeleton's K steps could reach 2^20: caught before any draw
+        state = rng.bit_generator.state
         with pytest.raises(ModelError):
             pair_integral_curves(walk, [(2 ** 20 - 2, 0, 0)], 0, 0, 50.0, 100, rng)
+        assert rng.bit_generator.state == state
         [(cps, mean, _, _)] = pair_integral_curves(walk, [(-(2 ** 20) + 500, 0, 0)],
                                                    0, 0, 50.0, 100, rng)
         assert mean[-1] == 0.0
@@ -419,17 +425,24 @@ class TestSharedChain:
             for a, b in zip(curve, alone):
                 assert np.array_equal(a, b)
 
-    def test_distinct_marks_run_one_by_one(self):
-        # one start per mark pair: one chain each, in the order of the starts
+    def test_distinct_marks_share_one_skeleton(self):
+        # one start per mark pair: each start's weights stop at its own
+        # skeleton length, so it reads the same result alone as together
         space, model = marked_model(Q=[[2, 1], [1, 2]], v=[1.0, 3.0], d=3)
         tm, _, _ = calibrate(model, space)
         starts = [((0, 0, 0), 0, 0), ((1, 0, 0), 0, 1), ((2, 0, 0), 1, 1)]
-        together = estimate_H(tm, starts, T=20.0, replicas=300,
-                              rng=np.random.default_rng(33))
-        rng = np.random.default_rng(33)
+        with metrics.recording() as rec:
+            together = estimate_H(tm, starts, T=20.0, replicas=300,
+                                  rng=np.random.default_rng(33))
+        lengths = []
         for start in starts:
-            alone = estimate_H(tm, [start], T=20.0, replicas=300, rng=rng)
+            with metrics.recording() as alone_rec:
+                alone = estimate_H(tm, [start], T=20.0, replicas=300,
+                                   rng=np.random.default_rng(33))
             assert alone.per_start[start] == together.per_start[start]
+            lengths.append(alone_rec["counters"]["walkers.skeleton_steps"])
+        # one skeleton, as long as the longest start's
+        assert rec["counters"]["walkers.skeleton_steps"] == max(lengths)
 
     def test_range_guard_trips_on_farthest_start(self, z3_critical):
         walk = lattice_walk(z3_critical)
@@ -447,6 +460,151 @@ class TestSharedChain:
         with pytest.raises(ModelError):
             pair_integral_curves(lattice_walk(z3_critical), [], 0, 0, 1.0, 10,
                                  np.random.default_rng(35))
+
+
+def _pair_generator_integral(v, trans, alpha, Q, q, start, T, R=40):
+    """E int_0^T b(X_t, Y_t) dt for the pair chain (D, s_x, s_y) of a
+    one-dimensional model on |D| <= R, from the top-right block of
+    expm(T [[L, b], [0, 0]]) (mass leaving the window is lost)."""
+    from scipy.linalg import expm
+    M = len(v)
+    size = (2 * R + 1) * M * M
+
+    def state(D, sx, sy):
+        return ((D + R) * M + sx) * M + sy
+
+    L = np.zeros((size + 1, size + 1))
+    for D in range(-R, R + 1):
+        for sx in range(M):
+            for sy in range(M):
+                i = state(D, sx, sy)
+                L[i, i] = -(v[sx] + v[sy])
+                L[i, size] = alpha.get((D,), 0.0) * Q[sx, sy] / q[sx]
+                # X moves D by +step, Y by -step; each renews its own mark
+                for (step,), p in alpha.items():
+                    for E, rate, x_moves in ((D + step, v[sx], True),
+                                             (D - step, v[sy], False)):
+                        if abs(E) > R:
+                            continue
+                        for new in range(M):
+                            j = state(E, new, sy) if x_moves else state(E, sx, new)
+                            L[i, j] += rate * p / sum(alpha.values()) * trans[
+                                sx if x_moves else sy, new]
+    d0, sx, sy = start
+    return expm(T * L)[state(d0, sx, sy), size]
+
+
+class TestSkeleton:
+    """The skeleton walk with exact mark-and-clock weights."""
+
+    @pytest.mark.parametrize("marks", [(0, 0), (0, 1), (1, 1)])
+    def test_marked_z3_matches_clock_chain(self, marks):
+        # every checkpoint of each start against the exponential-clock
+        # reference chain, within 5 combined SE
+        space, model = marked_model(Q=[[2, 1], [1, 2]], v=[1.0, 3.0], d=3)
+        tm, _, _ = calibrate(model, space)
+        walk = lattice_walk(tm)
+        starts = [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+        curves = pair_integral_curves(walk, starts, *marks, 20.0, 4000,
+                                      np.random.default_rng(41))
+        mean, se = clock_pair_curves(walk, starts, *marks, 20.0, curves[0][0], 4000,
+                                     np.random.default_rng(42))
+        for (_, m, e, _), m_ref, e_ref in zip(curves, mean, se):
+            assert np.all(np.abs(m - m_ref) <= 5 * np.hypot(e, e_ref))
+
+    def test_z1_matches_clock_chain(self, z1_critical):
+        walk = lattice_walk(z1_critical)
+        curves = pair_integral_curves(walk, [(0,), (3,)], 0, 0, 30.0, 4000,
+                                      np.random.default_rng(43))
+        mean, se = clock_pair_curves(walk, [(0,), (3,)], 0, 0, 30.0, curves[0][0], 4000,
+                                     np.random.default_rng(44))
+        for (_, m, e, _), m_ref, e_ref in zip(curves, mean, se):
+            assert np.all(np.abs(m - m_ref) <= 5 * np.hypot(e, e_ref))
+
+    def test_one_mark_asymmetric_stencil_mirrored(self):
+        # X - Y steps by +alpha or -alpha with probability 1/2 each: the
+        # skeleton takes the mirrored law, checked against the pair chain
+        stencil = {(1,): 0.5, (-1,): 0.2, (2,): 0.3}
+        space = build_space({"type": "lattice", "d": 1, "R": 2, "boundary": "unbounded"})
+        tm, _, _ = calibrate(RateModel(birth=Kernel("stencil", stencil=stencil),
+                                       death=np.ones(space.size)), space)
+        walk = lattice_walk(tm)
+        [(_, mean, se, _)] = pair_integral_curves(walk, [(1,)], 0, 0, 3.0, 40000,
+                                                  np.random.default_rng(45))
+        oracle = _pair_generator_integral(walk.v, walk.mark_trans, tm.alpha, walk.Q,
+                                          walk.q, (1, 0, 0), 3.0)
+        assert abs(float(mean[-1]) - oracle) <= 3.5 * float(se[-1])
+
+    def test_marked_asymmetric_stencil_rejected(self):
+        # two marked walkers on a drifting stencil do not factor: X and Y
+        # step in opposite directions at rates set by their own marks
+        space = build_space({"type": "product", "d": 1, "R": 2, "boundary": "unbounded",
+                             "marks": ["A", "B"], "nu": [0.5, 0.5]})
+        model = RateModel(birth=Kernel("factorized", stencil={(1,): 0.6, (-1,): 0.4},
+                                       Q=np.array([[2.0, 1.0], [1.0, 2.0]])),
+                          death=np.array([1.0 if p[1] == "A" else 3.0
+                                          for p in space.points]))
+        tm, _, _ = calibrate(model, space)
+        with pytest.raises(ModelError, match="reflection-symmetric"):
+            estimate_H(tm, [((0,), 0, 1)], T=5.0, replicas=100,
+                       rng=np.random.default_rng(46))
+        # one walker factors on any stencil
+        rep = heat_bound_check(tm, [1.0, 4.0], ((0,), "A"), (1,), 200,
+                               np.random.default_rng(47))
+        assert np.all(rep["estimate"] > 0)
+
+    def test_occupation_weights_match_generator_expm(self):
+        # int_0^t P(N_s = n, m_s = m) ds from the integral block of the
+        # (count, mark) generator's exponential; the counts sum to t
+        from scipy.linalg import expm
+        v = np.array([0.7, 2.0, 3.5])
+        trans = np.array([[0.2, 0.5, 0.3], [0.6, 0.0, 0.4], [0.1, 0.1, 0.8]])
+        p0 = np.array([[0.5, 0.2, 0.3], [0.0, 1.0, 0.0]])
+        t_grid, k_max, M = [0.4, 3.0, 8.0], 10, 3
+        occupation = jump_count_law(v, trans, p0, t_grid, integrated=True)
+        point = jump_count_law(v, trans, p0, t_grid)
+        size = (k_max + 2) * M
+        G = np.zeros((size, size))
+        for c in range(k_max + 1):
+            for s in range(M):
+                G[c * M + s, c * M + s] = -v[s]
+                G[c * M + s, (c + 1) * M:(c + 2) * M] += v[s] * trans[s]
+        big = np.block([[G, np.eye(size)], [np.zeros((size, size)), np.zeros((size, size))]])
+        for i, t in enumerate(t_grid):
+            E = expm(big * t)
+            for row, law in enumerate(p0):
+                start = np.zeros(size)
+                start[:M] = law
+                exact_int = (start @ E[:size, size:]).reshape(k_max + 2, M)[:-1]
+                exact_pt = (start @ E[:size, :size]).reshape(k_max + 2, M)[:-1]
+                assert np.abs(occupation[row, i, :k_max + 1] - exact_int).max() <= 1e-13
+                assert np.abs(point[row, i, :k_max + 1] - exact_pt).max() <= 1e-13
+                assert occupation[row, i].sum() == pytest.approx(t, rel=1e-13)
+
+    def test_skeleton_length_and_weights(self):
+        # K is the last count whose occupation time per unit time reaches
+        # POISSON_TAIL; past it every weight is zero
+        space, model = marked_model(Q=[[2, 1], [1, 2]], v=[1.0, 3.0], d=3)
+        tm, _, _ = calibrate(model, space)
+        walk = lattice_walk(tm)
+        rate, trans = _pair_chain(walk)
+        cps = np.array([1.0, 10.0, 40.0])
+        weights, K = _skeleton_weights(rate, trans, np.eye(4), cps, integrated=True)
+        full = jump_count_law(rate, trans, np.eye(4), cps, integrated=True)
+        for k, w, cut in zip(K, full, weights):
+            assert (w[:, k] / cps[:, None] >= POISSON_TAIL).any()
+            assert (w[:, k + 1:] / cps[:, None, None] < POISSON_TAIL).all()
+            assert np.array_equal(cut[:, :k + 1], w[:, :k + 1])
+            assert not cut[:, k + 1:].any()
+        # at most Lambda t + 10 sqrt(Lambda t) steps, Lambda = 6
+        assert K.max() <= 240 + 10 * np.sqrt(240)
+
+    def test_converged_h_hat_adds_estimate_stderr(self, z3_critical):
+        rep = estimate_H(z3_critical, [(0, 0, 0), (1, 0, 0)], T=100.0, replicas=2000,
+                         rng=np.random.default_rng(48))
+        assert rep.converged
+        assert rep.H_hat == max(v["estimate"] + 3 * v["estimate_stderr"]
+                                for v in rep.per_start.values())
 
 
 class TestVarianceReduction:
@@ -711,7 +869,7 @@ class TestJumpCountLaw:
         with metrics.recording() as rec:
             jump_count_cdf(np.array([1.0, 4.0]), np.full((2, 2), 0.5), np.ones(2),
                            [2.5, 10.0], 5)
-        terms = rec["counters"]["lemmas.uniformized_terms"]
+        terms = rec["counters"]["walkers.weight_terms"]
         assert 40 + 5 * np.sqrt(40) <= terms <= 40 + 20 * np.sqrt(40)
 
 
@@ -773,7 +931,7 @@ class TestPoissonDomination:
         # direct path simulation of the full process
         full = np.zeros((4000, len(t_grid)), dtype=int)
         for i in range(4000):
-            path = simulate_jump(tm, ((0,), "A"), float(t_grid[-1]), rng)
+            path = simulate_jump(tm, ((0,), "A"), float(t_grid[-1]), rng, walk)
             for j, t in enumerate(t_grid):
                 full[i, j] = int(np.searchsorted(path.times, t,
                                                  side="right")) - 1
