@@ -227,12 +227,6 @@ def _starts(cfg: dict, key: str, d: int, nmark: int = 0) -> list:
     return starts
 
 
-def _require_unmarked(space, what: str):
-    """The two-walker pair backend follows no marks: reject spaces with marks."""
-    if space.marks:
-        raise ConfigError(f"{what} takes unmarked models only")
-
-
 # numeric config keys: (type, lower bound, whether the bound is strict); every
 # command that reads replicas reports a ddof=1 standard error, so >= 2
 NUMERIC_KEYS = {
@@ -331,8 +325,8 @@ def cmd_stationary(cfg, run: Run, rng, space, model):
     if backend == "montecarlo":
         if n != 2:
             raise ConfigError(f"the montecarlo backend computes n = 2 only, not n = {n}")
-        _require_unmarked(space, "the montecarlo backend")
-        starts = _starts(cfg, "displacements", space.dim or 1)
+        nmark = len(space.marks or ())
+        starts = _starts(cfg, "displacements", space.dim or 1, nmark)
     elif backend != "dense":
         raise ConfigError(f"unknown backend {backend!r}: use 'dense' or 'montecarlo'")
     tm, _, _ = calibrate(model, space)
@@ -348,10 +342,12 @@ def cmd_stationary(cfg, run: Run, rng, space, model):
         run.checks["stationary_converged"] = False
         return EXIT_DIVERGENCE
     if backend == "montecarlo":
-        run.write_csv("stationary_k2.csv",
-                      [f"u{i + 1}" for i in range(space.dim)] + ["value", "stderr"],
-                      _csv_lines(tuple(u) + (val, se) for u, val, se in
-                                 zip(k.displacements, k.values, k.stderr)))
+        cols = [f"u{i + 1}" for i in range(space.dim)] + (["s_x", "s_y"] if nmark else [])
+        # a marked start (u, s_x, s_y) fills u1..ud, s_x, s_y
+        flat = [(*s[0], *s[1:]) if nmark else s for s in k.displacements]
+        run.write_csv("stationary_k2.csv", cols + ["value", "stderr"],
+                      _csv_lines(s + (val, se) for s, val, se in
+                                 zip(flat, k.values, k.stderr)))
     else:
         run.write_csv(f"stationary_k{n}.csv",
                       [f"x{i + 1}" for i in range(n)] + ["value"],
@@ -440,8 +436,7 @@ def cmd_verify_lemmas(cfg, run: Run, rng, space, model):
 
 def cmd_verify_bounds(cfg, run: Run, rng, space, model):
     rho, T, replicas = float(cfg["rho"]), float(cfg["T"]), cfg["replicas"]
-    _require_unmarked(space, "verify-bounds")
-    starts = _starts(cfg, "starts", space.dim or 1)
+    starts = _starts(cfg, "starts", space.dim or 1, len(space.marks or ()))
     tm, _, _ = calibrate(model, space)
     trans = estimate_H(tm, starts, T=T, replicas=replicas, rng=rng)
     if not trans.converged:

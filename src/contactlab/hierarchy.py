@@ -20,14 +20,18 @@ recursively.  On a finite space the integral is -Lhat_n^{-1} f_n, which
 in real arithmetic when G's spectrum is real (its real Schur form is then
 triangular) and in complex arithmetic otherwise.  It exists exactly when
 the spectral abscissa of G is negative, and a DivergenceError reports the
-leading eigenvalues otherwise.  On unbounded lattices k_2 is estimated
-instead (``stationary_pair_mc``) by the Feynman-Kac two-walker
-representation  exp(t Lhat_2) b = E_{x,y} b(X_t, Y_t), its running
-integral extrapolated by ``walkers.pair_limit``.
+leading eigenvalues otherwise.  On unbounded lattices, marked ones
+included, k_2 is estimated instead (``stationary_pair_mc``) by the
+Feynman-Kac two-walker representation  exp(t Lhat_2) f = E_{x,y} f(X_t, Y_t).
+Its source term b(x, y) + b(y, x) needs no integrand of its own: exchanging
+the walkers makes the integral of b(Y, X) from (u, s_x, s_y) that of b(X, Y)
+from (-u, s_y, s_x), the per-start integral the transience estimate reads.
+The summed running integral is extrapolated by ``walkers.pair_limit``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -320,28 +324,36 @@ def stationary_k(n: int, tm: TransformedModel, rho: float) -> CorrelationTensor:
 
 @metrics.phase("stationary")
 def stationary_pair_mc(tm: TransformedModel, rho: float, *, rng: np.random.Generator,
-                       displacements=None, T: float = 200.0,
+                       displacements, T: float = 200.0,
                        replicas: int = 20000) -> PairCorrelationMC:
-    """k_2(u) = rho^2 + rho E_{0,u} int_0^inf [b(X,Y) + b(Y,X)] dt by MC.
+    """k_2 = rho^2 + rho E int_0^inf [b(X,Y) + b(Y,X)] dt by Monte Carlo.
 
-    Each integral is the ``pair_limit`` of its running value on [0, T], at
-    the displacements u (default 0, e_1, 2 e_1), and its standard error is
-    that of the fitted limit (``limit_stderr``); a DivergenceError reports
-    one that is not integrable.  All displacements share one skeleton walk
-    (``pair_integral_curves``), so their estimates are correlated.
+    The ``displacements`` are two-walker starts as ``estimate_H`` takes them
+    (``parse_start``): ``u = x0 - y0``, or ``(u, s_x, s_y)`` on a marked
+    model, and the results are keyed the same way.  Exchanging the walkers
+    turns the integral of b(Y, X) from ``(u, s_x, s_y)`` into that of b(X, Y)
+    from ``(-u, s_y, s_x)``, so with I the integral of b(X, Y) that
+    ``estimate_H`` reads, ``k_2(u, s_x, s_y) = rho^2 + rho [I(u, s_x, s_y) +
+    I(-u, s_y, s_x)]``.  Each start and its exchange share one skeleton
+    (``pair_integral_curves``), and their running integrals are added per
+    replica.  Each sum is the ``pair_limit`` of its running value on [0, T],
+    and its standard error is that of the fitted limit (``limit_stderr``); a
+    DivergenceError reports one that is not integrable.  All starts share
+    the skeleton, so their estimates are correlated.
     """
-    if tm.marked:
-        raise ModelError("stationary_pair_mc takes unmarked models only")
     walk = lattice_walk(tm)
     d = walk.d
-    if displacements is None:
-        displacements = [(0,) * d, (1,) + (0,) * (d - 1), (2,) + (0,) * (d - 1)]
-    displacements = [parse_start(u, d, 0)[0] for u in displacements]
-    values, errs, curves = [], [], {}
-    group = pair_integral_curves(walk, displacements, 0, 0, T, replicas, rng,
-                                 symmetrized=True)
-    for u, curve in zip(displacements, group):
-        lim = pair_limit(*curve, d)
+    nmark = len(walk.v) if tm.marked else 0
+    starts = [parse_start(u, d, nmark) for u in displacements]
+    disps, sx, sy = (list(c) for c in zip(*starts))
+    curves = pair_integral_curves(walk, disps + [tuple(-c for c in u) for u in disps],
+                                  sx + sy, sy + sx, T, replicas, rng)
+    keys = [start if nmark else start[0] for start in starts]
+    values, errs, limits = [], [], {}
+    for key, (cps, _, _, own), (_, _, _, swap) in zip(keys, curves, curves[len(keys):]):
+        both = own + swap
+        lim = pair_limit(cps, both.mean(axis=1),
+                         both.std(axis=1, ddof=1) / np.sqrt(replicas), both, d)
         if not lim.integrable:
             raise DivergenceError(
                 "two-walker interaction integral is not integrable "
@@ -350,17 +362,16 @@ def stationary_pair_mc(tm: TransformedModel, rho: float, *, rng: np.random.Gener
                              "exponent": lim.exponent})
         values.append(rho ** 2 + rho * lim.limit)
         errs.append(rho * lim.limit_stderr)
-        curves[tuple(u)] = lim
-    return PairCorrelationMC(rho=rho, displacements=list(displacements),
-                             values=np.array(values), stderr=np.array(errs),
-                             curves=curves)
+        limits[key] = lim
+    return PairCorrelationMC(rho=rho, displacements=keys, values=np.array(values),
+                             stderr=np.array(errs), curves=limits)
 
 
 def bound_constant_D(rho: float, H: float) -> float:
     """D = sum_{n >= 1} (rho / H)^n / (n!)^2, summed over its first 60 terms."""
     n = np.arange(1, 61)
-    from scipy.special import gammaln
-    return float(np.sum(np.exp(n * np.log(rho / H) - 2 * gammaln(n + 1))))
+    log_fact = np.array([math.lgamma(k + 1.0) for k in n])
+    return float(np.sum(np.exp(n * np.log(rho / H) - 2 * log_fact)))
 
 
 def factorial_bound_check(tensors: list, rho: float, H: float) -> dict:
@@ -370,10 +381,9 @@ def factorial_bound_check(tensors: list, rho: float, H: float) -> dict:
         raise ModelError("factorial bound check needs a positive H")
     D = bound_constant_D(rho, H)
     report = {"per_level": {}, "passed": True, "D": D, "H": H}
-    from math import factorial
     for tensor in tensors:
         n = tensor.order
-        bound = D * H ** n * factorial(n) ** 2
+        bound = D * H ** n * math.factorial(n) ** 2
         ratio = tensor.sup / bound
         ok = ratio <= 1.0
         report["per_level"][n] = {"sup": tensor.sup, "bound": bound,

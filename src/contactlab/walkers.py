@@ -163,25 +163,6 @@ class LatticeWalk:
     support_alpha: np.ndarray  # alpha at those codes
     K: int                   # sup norm of the largest step
 
-    def alpha_at(self, codes: np.ndarray) -> np.ndarray:
-        """alpha at lattice codes; zero off the support."""
-        out = np.zeros(len(codes))
-        near, pos = _on_support(self.support, _support_hash(self.support), codes)
-        out[near] = self.support_alpha[pos]
-        return out
-
-    def alpha_of(self, disp: np.ndarray) -> np.ndarray:
-        """Vectorized stencil lookup; zero outside the support box."""
-        D = np.atleast_2d(np.asarray(disp, dtype=np.int64))
-        out = np.zeros(len(D))
-        inside = np.flatnonzero(np.all(np.abs(D) <= self.K, axis=1))
-        out[inside] = self.alpha_at(_lattice_code(D[inside]))
-        return out
-
-    def b_pair(self, disp, sx, sy) -> np.ndarray:
-        """b(X, Y) = alpha(xi_X - xi_Y) Q(s_X, s_Y) / q(s_X)."""
-        return self.alpha_of(disp) * self.Q[sx, sy] / self.q[sx]
-
 
 def lattice_walk(tm: TransformedModel) -> LatticeWalk:
     """Build the walk law from a translation-invariant critical model."""
@@ -247,17 +228,20 @@ def _alias_table(P: np.ndarray):
     return thresh, alias
 
 
-# the skeleton steps whose support hits _skeleton_hits hands over at once
+# _skeleton_hits hands over the support hits of this many skeleton steps at
+# once, or fewer once they hold _BLOCK_HITS hits (dense hits on a recurrent walk)
 _BLOCK = 64
+_BLOCK_HITS = 1 << 18
 
 
 def _skeleton_hits(walk: LatticeWalk, codes: np.ndarray, probs: np.ndarray, replicas: int,
                    K: int, reach: int, support: np.ndarray, rng: np.random.Generator):
     """Yield the hits of ``replicas`` skeleton walks ``S_n``, n = 0..K, on the
-    sorted lattice codes ``support``, ``_BLOCK`` steps at a time in step
-    order: replica, position in ``support`` and n, as int32 arrays.  A step
-    is one draw of ``codes`` with law ``probs``: a uniform integer when the
-    law is uniform, else one alias draw.  If K steps could carry a start
+    sorted lattice codes ``support``, in blocks of ``_BLOCK`` steps or of the
+    steps that reach ``_BLOCK_HITS`` hits, in step order: replica, position
+    in ``support`` and n, as int32 arrays.  A step is one draw of ``codes``
+    with law ``probs``: a uniform integer when the law is uniform, else one
+    alias draw.  If K steps could carry a start
     ``reach`` away out of the code's range, that is a ``ModelError`` before
     any draw.  K, the replica-steps and the hits are counted in ``metrics``.
     """
@@ -285,7 +269,7 @@ def _skeleton_hits(walk: LatticeWalk, codes: np.ndarray, probs: np.ndarray, repl
         near.append(r.astype(np.int32))
         pos.append(p.astype(np.int32))
         count.append(r.size)
-        if len(count) == _BLOCK or n == K:
+        if len(count) == _BLOCK or sum(count) >= _BLOCK_HITS or n == K:
             metrics.count("walkers.support_hits", sum(count))
             yield (np.concatenate(near), np.concatenate(pos),
                    np.repeat(np.arange(n + 1 - len(count), n + 1, dtype=np.int32), count))
@@ -464,16 +448,14 @@ def _orbit(u, generators) -> np.ndarray:
 
 
 def pair_integral_curves(walk: LatticeWalk, displacements, s0x, s0y, T: float,
-                         replicas: int, rng: np.random.Generator,
-                         symmetrized: bool = False) -> list:
+                         replicas: int, rng: np.random.Generator) -> list:
     """Running path integrals of b(X_t, Y_t) for two independent walkers.
 
     The walkers start at each of the ``displacements`` ``x0 - y0`` (d-tuples)
     with marks ``s0x`` and ``s0y``, one pair for all or one per displacement.
     Returns one ``(checkpoints, mean_running, stderr_running, per_replica)``
     per displacement, with ``per_replica`` the (checkpoints, replicas)
-    running integrals.  ``symmetrized`` integrates ``b(X, Y) + b(Y, X)``
-    instead.
+    running integrals.
 
     Each jump of either walker moves ``X - Y`` by one step of alpha or of
     its mirror image.  On a reflection-symmetric stencil both are alpha, and
@@ -488,9 +470,10 @@ def pair_integral_curves(walk: LatticeWalk, displacements, s0x, s0y, T: float,
     The reflections and axis transpositions that preserve the stencil leave
     the law of ``X - Y`` and the marks unchanged, so each displacement reads
     b averaged over its orbit: on the support shifted by ``-code(w)`` for
-    each w in it.  One skeleton serves every start (common random numbers),
-    and each curve is the one a call with that start alone returns from the
-    same generator state.
+    each w in it.  Starts with the same orbit and joint initial marks are
+    credited once and share their curve.  One skeleton serves every start
+    (common random numbers), and each curve is the one a call with that
+    start alone returns from the same generator state.
     """
     cps = _geometric_checkpoints(T)
     disps = np.asarray(displacements, dtype=np.int64).reshape(-1, walk.d)
@@ -505,23 +488,22 @@ def pair_integral_curves(walk: LatticeWalk, displacements, s0x, s0y, T: float,
     # the joint initial marks s_x M + s_y, one per displacement
     s0 = np.broadcast_to(np.asarray(s0x) * M + np.asarray(s0y), (len(disps),))
     generators = _symmetry_generators(walk.steps, walk.step_probs)
-    orbits = [_orbit(u, generators) for u in disps]
+    # starts with the same orbit and joint initial marks share one curve
+    keys = [(_orbit(u, generators).tobytes(), int(js)) for u, js in zip(disps, s0)]
+    distinct = list(dict.fromkeys(keys))
+    which = [distinct.index(key) for key in keys]
+    orbits = [np.frombuffer(orbit, dtype=np.int64) for orbit, _ in distinct]
+    s0 = np.array([js for _, js in distinct])
     metrics.count("walkers.orbit_points", sum(len(o) for o in orbits))
     # b on the joint marks js = s_x M + s_y, at the sorted support codes
     sx, sy = np.divmod(np.arange(M * M), M)
-    if symmetrized:
-        support = np.union1d(walk.support, -walk.support)
-        table = (walk.alpha_at(support) * (walk.Q[sx, sy] / walk.q[sx])[:, None]
-                 + walk.alpha_at(-support) * (walk.Q[sy, sx] / walk.q[sy])[:, None])
-    else:
-        support = walk.support
-        table = walk.support_alpha * (walk.Q[sx, sy] / walk.q[sx])[:, None]
-    # every displacement's orbit-averaged table on one sorted code table
-    merged = np.unique(np.concatenate([(support - o[:, None]).ravel() for o in orbits]))
-    tables = np.zeros((len(disps), M * M, len(merged)))
+    table = walk.support_alpha * (walk.Q[sx, sy] / walk.q[sx])[:, None]
+    # every distinct start's orbit-averaged table on one sorted code table
+    merged = np.unique(np.concatenate([(walk.support - o[:, None]).ravel() for o in orbits]))
+    tables = np.zeros((len(orbits), M * M, len(merged)))
     for k, orbit in enumerate(orbits):
         for shift in orbit:
-            tables[k][:, np.searchsorted(merged, support - shift)] += table
+            tables[k][:, np.searchsorted(merged, walk.support - shift)] += table
         tables[k] /= len(orbit)
     # the weights of every joint initial mark, so that they do not depend on
     # which starts share the call
@@ -536,7 +518,7 @@ def pair_integral_curves(walk: LatticeWalk, displacements, s0x, s0y, T: float,
     grows = gain.any(axis=2)
     first, last = grows.argmax(axis=2), grows.shape[2] - 1 - grows[:, :, ::-1].argmax(axis=2)
     mine = tables.any(axis=1)                                  # (start, support code)
-    running = np.zeros((len(disps), len(cps), replicas))
+    running = np.zeros((len(orbits), len(cps), replicas))
     for near, pos, step in _skeleton_hits(walk, codes, probs, replicas, int(K[s0].max()),
                                           int(np.abs(disps).max()), merged, rng):
         for k, (table, rise) in enumerate(zip(tables, gain)):
@@ -549,10 +531,13 @@ def pair_integral_curves(walk: LatticeWalk, displacements, s0x, s0y, T: float,
                 for m in range(1, M * M):
                     credit += table[m].take(p[lo:hi]) * rise[c, m].take(n[lo:hi])
                 running[k, c] += np.bincount(r[lo:hi], credit, minlength=replicas)
-    np.cumsum(running, axis=1, out=running)
+    # the running sums, one contiguous checkpoint row at a time (the same
+    # additions as np.cumsum over axis 1, without its strided pass)
+    for c in range(1, len(cps)):
+        running[:, c] += running[:, c - 1]
     mean = running.mean(axis=2)
     stderr = running.std(axis=2, ddof=1) / np.sqrt(replicas)
-    return [(cps, m, e, r) for m, e, r in zip(mean, stderr, running)]
+    return [(cps, mean[k], stderr[k], running[k]) for k in which]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Monte Carlo references that the exact and skeleton code is cross-checked
 against: a scalar single-path walker, the exponential-clock jump chain of
-both walkers, and the mark-chain jump counts read off that chain."""
+both walkers, and the mark-chain jump counts read off that chain; and the
+pointwise lookups of a walk's stencil and of b."""
 
 from dataclasses import dataclass
 
@@ -11,6 +12,28 @@ from contactlab.criticality import TransformedModel
 from contactlab.errors import ModelError
 from contactlab.walkers import (LatticeWalk, _alias_table, _lattice_code, _on_support,
                                 _support_hash, _walker_start, lattice_walk)
+
+
+def alpha_at(walk: LatticeWalk, codes: np.ndarray) -> np.ndarray:
+    """alpha at lattice codes; zero off the support."""
+    out = np.zeros(len(codes))
+    near, pos = _on_support(walk.support, _support_hash(walk.support), codes)
+    out[near] = walk.support_alpha[pos]
+    return out
+
+
+def alpha_of(walk: LatticeWalk, disp: np.ndarray) -> np.ndarray:
+    """Vectorized stencil lookup; zero outside the support box."""
+    D = np.atleast_2d(np.asarray(disp, dtype=np.int64))
+    out = np.zeros(len(D))
+    inside = np.flatnonzero(np.all(np.abs(D) <= walk.K, axis=1))
+    out[inside] = alpha_at(walk, _lattice_code(D[inside]))
+    return out
+
+
+def b_pair(walk: LatticeWalk, disp, sx, sy) -> np.ndarray:
+    """b(X, Y) = alpha(xi_X - xi_Y) Q(s_X, s_Y) / q(s_X)."""
+    return alpha_of(walk, disp) * walk.Q[sx, sy] / walk.q[sx]
 
 
 @dataclass

@@ -32,6 +32,12 @@ MARKED_MODEL = {
 # a stencil on a product space: the multi-species model with Q = ones
 STENCIL_PRODUCT_MODEL = dict(MARKED_MODEL, birth=LATTICE_MODEL["birth"])
 
+# a stencil that is not its own mirror image, and the marked model on it
+DRIFT = [[[1, 0, 0], 0.3], [[-1, 0, 0], 0.1], [[0, 1, 0], 0.15],
+         [[0, -1, 0], 0.15], [[0, 0, 1], 0.15], [[0, 0, -1], 0.15]]
+DRIFT_MARKED_MODEL = dict(MARKED_MODEL, birth={"form": "factorized", "alpha": DRIFT,
+                                               "Q": [[2.0, 1.0], [1.0, 2.0]]})
+
 FINITE_MODEL = {
     "space": {"type": "finite", "points": [0, 1, 2, 3],
               "weights": [1.0, 0.8, 1.2, 1.0]},
@@ -88,9 +94,9 @@ class TestExitCodes:
         ("transience", {"model": MARKED_MODEL, "T": 5, "replicas": 100,
                         "starts": [[0, 0, 0]]}),
         ("verify-bounds", {"model": MARKED_MODEL, "rho": 0.1, "T": 20,
-                           "replicas": 200, "starts": [[[0, 0, 0], 0, 0]]}),
+                           "replicas": 200, "starts": [[0, 0, 0]]}),
         ("stationary", {"model": MARKED_MODEL, "rho": 0.1, "backend": "montecarlo",
-                        "T": 20, "replicas": 200}),
+                        "displacements": [[[0, 0, 0], 0, 2]], "T": 20, "replicas": 200}),
         ("stationary", {"model": LATTICE_MODEL, "rho": 0.1, "backend": "montecarlo",
                         "displacements": [[1, 0]], "T": 20, "replicas": 200}),
         ("calibrate", {"model": dict(MARKED_MODEL, birth={
@@ -189,11 +195,12 @@ class TestExitCodes:
         ("verify-bounds", {"model": LATTICE_MODEL, "rho": 0.1, "T": 0, "replicas": 200}),
         ("stationary", {"model": LATTICE_MODEL, "rho": 0.1, "backend": "montecarlo",
                         "T": 0, "replicas": 200}),
-        # the pair backend follows no marks, and a stencil on a product space has them
+        # a stencil on a product space has marks, so its starts carry them
         ("stationary", {"model": STENCIL_PRODUCT_MODEL, "rho": 0.1,
-                        "backend": "montecarlo", "T": 20, "replicas": 200}),
+                        "backend": "montecarlo", "displacements": [[1, 0, 0]],
+                        "T": 20, "replicas": 200}),
         ("verify-bounds", {"model": STENCIL_PRODUCT_MODEL, "rho": 0.1, "T": 20,
-                           "replicas": 200}),
+                           "replicas": 200, "starts": [[0, 0, 0]]}),
     ])
     def test_rejected_before_calibration(self, tmp_path, monkeypatch, command, cfg):
         monkeypatch.setattr(cli, "calibrate", _no_calibration)
@@ -357,21 +364,76 @@ class TestOutputs:
         # two marked walkers on a stencil that is not its own mirror image do
         # not factor through one skeleton walk: exit 2, while the same
         # stencil with one mark runs, and verify-lemmas' one walker runs too
-        drift = [[[1, 0, 0], 0.3], [[-1, 0, 0], 0.1], [[0, 1, 0], 0.15],
-                 [[0, -1, 0], 0.15], [[0, 0, 1], 0.15], [[0, 0, -1], 0.15]]
-        marked = dict(MARKED_MODEL, birth={"form": "factorized", "alpha": drift,
-                                           "Q": [[2.0, 1.0], [1.0, 2.0]]})
         code, _ = run_cli(tmp_path, "transience",
-                          {"model": marked, "T": 5, "replicas": 200,
+                          {"model": DRIFT_MARKED_MODEL, "T": 5, "replicas": 200,
                            "starts": [[[0, 0, 0], 0, 1]]}, seed=11, outname="marked")
         assert code == 2
-        plain = dict(LATTICE_MODEL, birth={"form": "stencil", "entries": drift})
+        plain = dict(LATTICE_MODEL, birth={"form": "stencil", "entries": DRIFT})
         code, _ = run_cli(tmp_path, "transience", {"model": plain, "T": 5, "replicas": 200},
                           seed=11, outname="plain")
         assert code == 0
-        code, _ = run_cli(tmp_path, "verify-lemmas", {"model": marked, "replicas": 200},
+        code, _ = run_cli(tmp_path, "verify-lemmas",
+                          {"model": DRIFT_MARKED_MODEL, "replicas": 200},
                           seed=11, outname="lemmas")
         assert code in (0, 1)
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("stationary", {"rho": 0.1, "backend": "montecarlo", "T": 5, "replicas": 200}),
+        ("verify-bounds", {"rho": 0.1, "T": 5, "replicas": 200})])
+    def test_marked_asymmetric_stencil_pair_commands_rejected(self, tmp_path, command, cfg):
+        # the k_2 and bound commands run the same two-walker skeleton
+        code, _ = run_cli(tmp_path, command, {"model": DRIFT_MARKED_MODEL, **cfg}, seed=11)
+        assert code == 2
+
+    def test_marked_pair_commands_key_by_full_start(self, tmp_path):
+        # both pair commands take [disp, s_x, s_y] starts on a marked model, by
+        # default 0, e_1 and 2 e_1 from marks (0, 0), a stencil on a product
+        # space included; stationary_k2.csv spreads a start over u1..u3, s_x, s_y
+        def k2_rows(out):
+            header, *rows = (out / "stationary_k2.csv").read_text().splitlines()
+            assert header == "u1,u2,u3,s_x,s_y,value,stderr"
+            return [row.split(",") for row in rows]
+
+        code, out = run_cli(tmp_path, "stationary",
+                            {"model": STENCIL_PRODUCT_MODEL, "rho": 0.1,
+                             "backend": "montecarlo", "T": 100, "replicas": 1000},
+                            seed=11, outname="product")
+        assert code == 0
+        assert [row[:5] for row in k2_rows(out)] == [
+            ["0", "0", "0", "0", "0"], ["1", "0", "0", "0", "0"], ["2", "0", "0", "0", "0"]]
+        # k_2 is symmetric under the exchange (u, s_x, s_y) -> (-u, s_y, s_x):
+        # both starts add the same two running integrals
+        code, out = run_cli(tmp_path, "stationary",
+                            {"model": MARKED_MODEL, "rho": 0.1, "backend": "montecarlo",
+                             "displacements": [[[1, 0, 0], 0, 1], [[-1, 0, 0], 1, 0]],
+                             "T": 100, "replicas": 1000}, seed=11, outname="marked")
+        assert code == 0
+        first, second = k2_rows(out)
+        assert first[:5] == ["1", "0", "0", "0", "1"]
+        assert second[:5] == ["-1", "0", "0", "1", "0"]
+        assert first[5:] == second[5:]
+        code, out = run_cli(tmp_path, "verify-bounds",
+                            {"model": MARKED_MODEL, "rho": 0.1, "replicas": 2000,
+                             "starts": [[[0, 0, 0], 0, 1], [[1, 0, 0], 1, 1]]},
+                            seed=11, outname="bounds")
+        assert code == 0
+        assert json.loads((out / "bounds.json").read_text())["passed"]
+
+    def test_marked_k2_matches_the_embedded_chain_series(self, tmp_path):
+        # H on MARKED_MODEL from (0, A, A) and (2 e_1, B, B), from the series
+        # over the embedded joint-mark chain with Bessel-product step laws
+        # (agreeing with a Fourier quadrature to 1e-5).  With s_x = s_y the
+        # exchanged start has the same integral, so k_2 = rho^2 + 2 rho H.
+        rho = 0.1
+        code, out = run_cli(tmp_path, "stationary",
+                            {"model": MARKED_MODEL, "rho": rho, "backend": "montecarlo",
+                             "displacements": [[[0, 0, 0], 0, 0], [[2, 0, 0], 1, 1]],
+                             "T": 150, "replicas": 10000}, seed=18)
+        assert code == 0
+        rows = (out / "stationary_k2.csv").read_text().splitlines()[1:]
+        for row, H in zip(rows, (0.2725506, 0.1346589)):
+            value, se = map(float, row.split(",")[5:])
+            assert abs(value - (rho ** 2 + 2 * rho * H)) <= 4 * se
 
     def test_simulate_moments(self, tmp_path):
         code, out = run_cli(tmp_path, "simulate",

@@ -404,17 +404,48 @@ class TestConvergence:
 
 
 class TestPairCorrelationMC:
+    STARTS = [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+
+    @staticmethod
+    def summed_limit(own, swap, d):
+        """``pair_limit`` of the per-replica sum of two running integrals."""
+        both = own[3] + swap[3]
+        return pair_limit(own[0], both.mean(axis=1),
+                          both.std(axis=1, ddof=1) / np.sqrt(both.shape[1]), both, d)
+
     def test_stderr_is_the_fitted_limits(self):
-        # each k_2 reads rho times the SE of its fitted limit, from the same
-        # skeleton pair_integral_curves runs
+        # each k_2 reads rho times the SE of the fitted limit of its start's
+        # and its exchanged start's running integrals, summed per replica,
+        # from the one skeleton pair_integral_curves runs
         space, model = lattice_model(3)
         tm, _, _ = calibrate(model, space)
-        mc = stationary_pair_mc(tm, 0.2, rng=np.random.default_rng(7), T=50.0,
-                                replicas=2000)
-        curves = pair_integral_curves(lattice_walk(tm), mc.displacements, 0, 0, 50.0,
-                                      2000, np.random.default_rng(7), symmetrized=True)
-        for se, curve in zip(mc.stderr, curves):
-            assert se == 0.2 * pair_limit(*curve, 3).limit_stderr
+        mc = stationary_pair_mc(tm, 0.2, rng=np.random.default_rng(7),
+                                displacements=self.STARTS, T=50.0, replicas=2000)
+        swapped = [tuple(-c for c in u) for u in self.STARTS]
+        curves = pair_integral_curves(lattice_walk(tm), self.STARTS + swapped, 0, 0, 50.0,
+                                      2000, np.random.default_rng(7))
+        for k, se in enumerate(mc.stderr):
+            assert se == 0.2 * self.summed_limit(curves[k], curves[k + 3], 3).limit_stderr
+
+    def test_exchange_identity_on_a_drifting_stencil(self):
+        # on a stencil that is not its own mirror image, b(Y, X) from u is
+        # b(X, Y) from -u, a different running integral: k_2 is rho^2 + rho
+        # times the fitted limit of the two summed, bit for bit
+        space = build_space({"type": "lattice", "d": 3, "R": 1, "boundary": "unbounded"})
+        drift = {(1, 0, 0): 0.3, (-1, 0, 0): 0.1, (0, 1, 0): 0.15, (0, -1, 0): 0.15,
+                 (0, 0, 1): 0.15, (0, 0, -1): 0.15}
+        model = RateModel(birth=Kernel("stencil", stencil=drift), death=np.ones(space.size))
+        tm, _, _ = calibrate(model, space)
+        starts = [(1, 0, 0), (0, 2, 0)]
+        mc = stationary_pair_mc(tm, 0.2, rng=np.random.default_rng(9),
+                                displacements=starts, T=400.0, replicas=2000)
+        curves = pair_integral_curves(lattice_walk(tm), starts + [(-1, 0, 0), (0, -2, 0)],
+                                      0, 0, 400.0, 2000, np.random.default_rng(9))
+        assert not np.array_equal(curves[0][3], curves[2][3])
+        for k, u in enumerate(starts):
+            lim = self.summed_limit(curves[k], curves[k + 2], 3)
+            assert mc.values[k] == 0.2 ** 2 + 0.2 * lim.limit
+            assert mc.curves[u].limit == lim.limit
 
     def test_short_horizon_not_converged(self):
         # the tail of the running integral on Z^3 left after T = 50 is about
@@ -424,7 +455,7 @@ class TestPairCorrelationMC:
         tm, _, _ = calibrate(model, space)
         for T, replicas, expect in ((50.0, 20000, False), (400.0, 2000, True)):
             mc = stationary_pair_mc(tm, 0.2, rng=np.random.default_rng(8), T=T,
-                                    replicas=replicas)
+                                    displacements=self.STARTS, replicas=replicas)
             rep = mc.convergence([T])
             gap_se = max(0.2 * c.gap_stderr for c in mc.curves.values())
             assert rep["threshold"] == 3 * (mc.stderr.max() + gap_se)

@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal, stats
 
-from contactlab import metrics
+from contactlab import metrics, walkers
 from contactlab.cli import main
 from contactlab.criticality import calibrate, theta_kernel
 from contactlab.errors import ModelError
 from contactlab.model import Kernel, RateModel, build_space
 from contactlab.walkers import (DOMINATION_TOL, LOWER_TAIL_B, POISSON_TAIL, _HASH_MULT,
                                 _alias_table, _increment_exponent, _lattice_code,
-                                _on_support, _orbit, _pair_chain, _skeleton_weights,
+                                _on_support, _orbit, _pair_chain, _skeleton_hits,
+                                _skeleton_weights, _step_law,
                                 _support_hash, _symmetry_generators, _tail_fit,
                                 convolution_bound_check, estimate_H,
                                 heat_bound_check, iterated_convolution,
@@ -24,8 +25,8 @@ from contactlab.walkers import (DOMINATION_TOL, LOWER_TAIL_B, POISSON_TAIL, _HAS
                                 pair_limit, poisson_domination_check)
 
 from conftest import lattice_model, marked_model, nearest_stencil
-from reference import (clock_pair_curves, empirical_cdf, mark_chain_jump_counts,
-                       simulate_jump)
+from reference import (alpha_of, b_pair, clock_pair_curves, empirical_cdf,
+                       mark_chain_jump_counts, simulate_jump)
 
 
 class TestSimulateJump:
@@ -129,7 +130,7 @@ class TestPairEngine:
         def b_at(t):
             x = np.asarray(px.state_at(t))
             y = np.asarray(py.state_at(t))
-            return float(walk.b_pair((x - y)[None, :], 0, 0)[0])
+            return float(b_pair(walk, (x - y)[None, :], 0, 0)[0])
 
         # exact: sum over the merged breakpoint intervals
         cuts = np.unique(np.concatenate([px.times, py.times, [T]]))
@@ -143,7 +144,7 @@ class TestPairEngine:
             held = np.searchsorted(path.times, grid, side="right") - 1
             return np.asarray(path.states)[held]
 
-        riemann = walk.b_pair(states(px) - states(py), 0, 0).sum() * (T / m)
+        riemann = b_pair(walk, states(px) - states(py), 0, 0).sum() * (T / m)
         assert exact == pytest.approx(riemann, abs=2e-3)
         assert exact == pytest.approx(riemann, rel=0.02)
 
@@ -354,7 +355,7 @@ class TestLatticeCode:
         box = np.array([(x, y) for x in range(-5, 6) for y in range(-5, 6)]
                        + [(2 ** 40, 0), (-3, -2 ** 40)])
         expect = [tm.alpha.get(tuple(u), 0.0) for u in box]
-        assert np.array_equal(walk.alpha_of(box), expect)
+        assert np.array_equal(alpha_of(walk, box), expect)
 
     def test_code_range_guard(self, z3_critical):
         # 21 bits per coordinate on Z^3: |x| must stay below 2^20
@@ -398,15 +399,14 @@ class TestLatticeCode:
 class TestSharedChain:
     """Starts with the same marks share one chain of X - Y from 0."""
 
-    @pytest.mark.parametrize("symmetrized", [False, True])
-    def test_each_curve_matches_its_own_call_z3(self, z3_critical, symmetrized):
+    def test_each_curve_matches_its_own_call_z3(self, z3_critical):
         walk = lattice_walk(z3_critical)
         group = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (-1, 1, 0)]
         shared = pair_integral_curves(walk, group, 0, 0, 40.0, 500,
-                                      np.random.default_rng(31), symmetrized)
+                                      np.random.default_rng(31))
         for u, curve in zip(group, shared):
             [alone] = pair_integral_curves(walk, [u], 0, 0, 40.0, 500,
-                                           np.random.default_rng(31), symmetrized)
+                                           np.random.default_rng(31))
             for a, b in zip(curve, alone):
                 assert np.array_equal(a, b)
         # the same increments read at different starts: distinct curves
@@ -520,6 +520,28 @@ class TestSkeleton:
                                      np.random.default_rng(44))
         for (_, m, e, _), m_ref, e_ref in zip(curves, mean, se):
             assert np.all(np.abs(m - m_ref) <= 5 * np.hypot(e, e_ref))
+
+    def test_hit_blocks_capped(self, z1_critical, monkeypatch):
+        # a recurrent walk hits its support densely: a block closes at the
+        # first step that brings it to _BLOCK_HITS hits, and the blocks hold
+        # the same hits in the same order as blocks of 64 steps
+        walk = lattice_walk(z1_critical)
+        codes, probs = _step_law(walk)
+
+        def blocks():
+            return list(_skeleton_hits(walk, codes, probs, 2000, 300, 0, walk.support,
+                                       np.random.default_rng(45)))
+
+        whole = blocks()
+        monkeypatch.setattr(walkers, "_BLOCK_HITS", 1000)
+        capped = blocks()
+        assert len(capped) > len(whole)
+        for field in range(3):
+            assert np.array_equal(np.concatenate([b[field] for b in whole]),
+                                  np.concatenate([b[field] for b in capped]))
+        for near, _, step in capped[:-1]:
+            last = step == step[-1]
+            assert len(near) >= 1000 > len(near) - last.sum()
 
     def test_one_mark_asymmetric_stencil_mirrored(self):
         # X - Y steps by +alpha or -alpha with probability 1/2 each: the
@@ -669,7 +691,7 @@ class TestHeatBound:
                                replicas=4000, rng=rng)
         # no jumps yet: estimate = kappa * alpha(xi0 - xi1)
         walk = lattice_walk(tm)
-        expect = rep["kappa"] * walk.alpha_of(np.array([[-1, 0, 0]]))[0]
+        expect = rep["kappa"] * alpha_of(walk, np.array([[-1, 0, 0]]))[0]
         assert rep["estimate"][0] == pytest.approx(expect, rel=1e-6)
 
     def test_z3_flat(self, z3_critical):
