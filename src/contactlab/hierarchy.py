@@ -350,10 +350,8 @@ def stationary_pair_mc(tm: TransformedModel, rho: float, *, rng: np.random.Gener
                                   sx + sy, sy + sx, T, replicas, rng)
     keys = [start if nmark else start[0] for start in starts]
     values, errs, limits = [], [], {}
-    for key, (cps, _, _, own), (_, _, _, swap) in zip(keys, curves, curves[len(keys):]):
-        both = own + swap
-        lim = pair_limit(cps, both.mean(axis=1),
-                         both.std(axis=1, ddof=1) / np.sqrt(replicas), both, d)
+    for key, (cps, own), (_, swap) in zip(keys, curves, curves[len(keys):]):
+        lim = pair_limit(cps, own + swap, d)
         if not lim.integrable:
             raise DivergenceError(
                 "two-walker interaction integral is not integrable "

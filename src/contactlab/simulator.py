@@ -3,10 +3,12 @@
 Exact Gillespie scheme on the transformed model: each particle at x dies at
 rate V(x), a new particle appears at y with rate sum_{x in gamma} b(y, x)
 mbar(y), and (when a jump kernel is present) a particle at x relocates to y
-at rate jump_b(y, x) mbar(y).  ``run_replicas`` advances all replicas in
-lockstep on one random stream; ``simulate_contact`` is the scalar
-single-trajectory reference.  Empirical correlation functions are read off
-replica snapshots with falling-factorial counts at repeated points.
+at rate jump_b(y, x) mbar(y).  These rates are a superposition of
+independent per-particle clocks, so ``run_replicas`` picks each event by the
+particle that causes it: a site by its particles' total rate, then that
+particle's outcome.  It advances all replicas in lockstep on one random
+stream.  Empirical correlation functions are read off replica snapshots
+with falling-factorial counts at repeated points.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "EventLog",
     "ReplicaBatch",
     "MomentEstimate",
-    "simulate_contact",
     "sample_poisson_initial",
     "snapshot_grid",
     "run_replicas",
@@ -88,75 +89,6 @@ def sample_poisson_initial(tm: TransformedModel, rho: float,
     return rng.poisson(rho * tm.mbar, size=(replicas, tm.space.size))
 
 
-def simulate_contact(tm: TransformedModel, counts0, T: float, snapshot_times,
-                     rng: np.random.Generator, event_cap: int = DEFAULT_EVENT_CAP,
-                     keep_events: bool = True) -> EventLog:
-    """One exact-jump trajectory on [0, T] with snapshots at the given times."""
-    size = tm.space.size
-    counts = np.asarray(counts0, dtype=np.int64).copy()
-    if counts.shape != (size,) or np.any(counts < 0):
-        raise ModelError("initial counts must be a non-negative per-point vector")
-    birth_M = tm.b * tm.mbar[:, None]     # birth_M[y, x] = b(y, x) mbar(y)
-    V = tm.death
-    jump_M = None
-    if tm.jump_b is not None:
-        jump_M = tm.jump_b * tm.mbar[:, None]    # jump_M[y, x] = jb(y, x) mbar(y)
-        jump_out = jump_M.sum(axis=0)            # total jump rate per particle at x
-    snap_times = sorted(float(t) for t in snapshot_times)
-    snaps: dict[float, np.ndarray] = {}
-    events = []
-    t = 0.0
-    si = 0
-    n_events = 0
-    truncated = False
-    while True:
-        birth_w = birth_M @ counts
-        birth_rate = float(birth_w.sum())
-        death_w = V * counts
-        death_rate = float(death_w.sum())
-        jump_rate = 0.0
-        if jump_M is not None:
-            jump_w_out = jump_out * counts
-            jump_rate = float(jump_w_out.sum())
-        total = birth_rate + death_rate + jump_rate
-        t_next = t + (rng.exponential(1.0 / total) if total > 0 else np.inf)
-        while si < len(snap_times) and snap_times[si] <= min(t_next, T):
-            snaps[snap_times[si]] = counts.copy()
-            si += 1
-        if t_next >= T or total == 0.0:
-            t = min(T, t_next)
-            break
-        t = t_next
-        u = rng.random() * total
-        if u < death_rate:
-            i = int(np.searchsorted(np.cumsum(death_w), u))
-            counts[i] -= 1
-            kind = "death"
-            pt = (i,)
-        elif u < death_rate + birth_rate:
-            i = int(np.searchsorted(np.cumsum(birth_w), u - death_rate))
-            counts[i] += 1
-            kind = "birth"
-            pt = (i,)
-        else:
-            uj = u - death_rate - birth_rate
-            i = int(np.searchsorted(np.cumsum(jump_w_out), uj))
-            dest_w = jump_M[:, i]
-            j = int(np.searchsorted(np.cumsum(dest_w), rng.random() * dest_w.sum()))
-            counts[i] -= 1
-            counts[j] += 1
-            kind = "jump"
-            pt = (i, j)
-        if keep_events:
-            events.append((t, kind, pt))
-        n_events += 1
-        if n_events >= event_cap:
-            truncated = True
-            break
-    return EventLog(events=events, snapshots=snaps, truncated=truncated,
-                    final_counts=counts, event_cap=event_cap)
-
-
 def snapshot_grid(T: float, snapshot_times) -> np.ndarray:
     """Sorted distinct snapshot times: at least one, each finite and in [0, T]."""
     grid = np.unique(np.asarray(snapshot_times, dtype=float))
@@ -169,6 +101,42 @@ def snapshot_grid(T: float, snapshot_times) -> np.ndarray:
     return grid
 
 
+def _particle_outcomes(tm: TransformedModel):
+    """One particle's clocks at each site, as a padded outcome table.
+
+    A particle at x dies at rate V(x), gives birth at y at rate b(y, x)
+    mbar(y) and jumps to y at rate jump_b(y, x) mbar(y).  Its outcomes
+    j = 0, 1, ... are the nonzero ones of these rates: the death, then the
+    births and the jumps, each by y; W is the most at any site.  Returns
+    ``rate``, with ``rate[x]`` the particle's total rate at x, and three
+    tables over (j, x): ``cum[j, x]``, the probability of outcomes 0..j,
+    inf from x's last outcome on; and, at ``j * size + x``, ``lose`` and
+    ``gain``, the sites that the outcome takes one particle from and adds
+    one to, or ``size`` (a sink row) for none.
+    """
+    size = tm.space.size
+    # R[x, o]: outcome o of a particle at x, in blocks death | birth | jump
+    blocks = [np.diag(tm.death), (tm.b * tm.mbar[:, None]).T]
+    if tm.jump_b is not None:
+        blocks.append((tm.jump_b * tm.mbar[:, None]).T)
+    R = np.hstack(blocks)
+    rate = R.sum(axis=1)
+    x, o = np.nonzero(R)                         # by site, then outcome
+    nnz = np.bincount(x, minlength=size)
+    j = np.arange(len(x)) - np.repeat(np.cumsum(nnz) - nnz, nnz)
+    W = max(int(nnz.max()), 1)
+    prob = np.zeros((W, size))
+    prob[j, x] = R[x, o] / rate[x]
+    cum = np.cumsum(prob, axis=0)
+    cum[np.arange(W)[:, None] >= nnz - 1] = np.inf
+    kind, y = np.divmod(o, size)                 # 0 death, 1 birth, 2 jump
+    lose = np.full(W * size, size)
+    gain = np.full(W * size, size)
+    lose[j * size + x] = np.where(kind == 1, size, x)
+    gain[j * size + x] = np.where(kind == 0, size, y)
+    return rate, cum, lose, gain
+
+
 @metrics.phase("simulate")
 def run_replicas(tm: TransformedModel, rho: float, T: float, snapshot_times,
                  replicas: int, seed: int,
@@ -176,77 +144,96 @@ def run_replicas(tm: TransformedModel, rho: float, T: float, snapshot_times,
     """Independent replicas advanced in lockstep on one stream from ``seed``.
 
     Each iteration performs one exact Gillespie event in every active
-    replica: one exponential holding time at the replica's total rate, then
-    one uniform picks the event by inverse CDF over the row-wise cumulative
-    ``[death | birth | jump]`` weights (and, for a jump, one more uniform
-    picks the destination from the source's column of ``jump_M``).  A
-    replica leaves the active set once its next event time passes T, or
-    once it reaches ``event_cap`` events, which flags it as truncated.  A
-    snapshot at t_s takes the counts before the first event after t_s, the
-    rule of ``simulate_contact``.  Initial counts are product-Poisson with
-    intensity rho * mbar.
+    replica.  One exponential gives the holding time at the replica's total
+    rate ``sum_x c_x rate_x``.  Then one uniform picks the site x of the
+    particle that causes the event, by inverse CDF over the weights ``c_x
+    rate_x``, and one more picks that particle's outcome from the
+    ``_particle_outcomes`` table at x: a death at x, a birth at y or a jump
+    to y.  The counts are held site-major, as (size, active replicas), so
+    the cumulative sums over sites and the comparisons run along contiguous
+    rows; an event costs O(size + W) per replica.  A replica leaves the
+    active set once its next event time passes T, or once it reaches
+    ``event_cap`` events, which flags it as truncated.  A snapshot at t_s
+    takes the counts before the first event after t_s.  Initial counts are
+    product-Poisson with intensity rho * mbar.  The run counts
+    ``simulator.iterations``, ``simulator.events`` and
+    ``simulator.truncated``, and records ``simulator.active_fraction``, the
+    mean active replicas per iteration over ``replicas``.
     """
     size = tm.space.size
     T = float(T)
     grid = snapshot_grid(T, snapshot_times)
+    next_snap = np.append(grid, np.inf)
     rng = np.random.default_rng(seed)
-    counts = sample_poisson_initial(tm, rho, rng, replicas)
-    birth_M = tm.b * tm.mbar[:, None]            # birth_M[y, x] = b(y, x) mbar(y)
-    # weights = counts @ rate_M: V * counts | counts @ birth_M.T | jump_out * counts
-    blocks = [np.diag(tm.death), birth_M.T]
-    if tm.jump_b is not None:
-        jump_M = tm.jump_b * tm.mbar[:, None]    # jump_M[y, x] = jb(y, x) mbar(y)
-        blocks.append(np.diag(jump_M.sum(axis=0)))
-        dest_cum = np.cumsum(jump_M, axis=0).T   # row x: destination CDF from x
-    rate_M = np.hstack(blocks)
-    snaps = np.full((len(grid), replicas, size), -1, dtype=np.int64)
-    final = np.empty((replicas, size), dtype=np.int64)
+    rate, out_cum, lose, gain = _particle_outcomes(tm)
+    # site-major counts of the active replicas, with a sink row at ``size``
+    # that an outcome without a loss or a gain writes to
+    counts = np.zeros((size + 1, replicas), dtype=np.int64)
+    counts[:size] = sample_poisson_initial(tm, rho, rng, replicas).T
+    snaps = np.full((len(grid), size, replicas), -1, dtype=np.int64)
+    final = np.empty((size, replicas), dtype=np.int64)
     truncated = np.zeros(replicas, dtype=bool)
     # the active replicas' state, compacted as replicas leave
     idx = np.arange(replicas)
     t = np.zeros(replicas)
     si = np.zeros(replicas, dtype=np.int64)      # next snapshot per replica
     n_ev = np.zeros(replicas, dtype=np.int64)
+    iterations = events = active = 0
     while idx.size:
-        cum = np.cumsum(counts @ rate_M, axis=1)
-        total = cum[:, -1]
-        hold = rng.exponential(size=idx.size)
-        t_next = t + np.divide(hold, total, out=np.full(idx.size, np.inf),
-                               where=total > 0)
+        n = idx.size
+        iterations += 1
+        active += n
+        cum = counts[:size] * rate[:, None]
+        for row, prev in zip(cum[1:], cum[:-1]):
+            row += prev
+        total = cum[-1]
+        hold = rng.exponential(size=n)
+        t_next = t + np.divide(hold, total, out=np.full(n, np.inf), where=total > 0)
         # snapshots at or before min(t_next, T) take the pre-event counts
-        hi = np.searchsorted(grid, np.minimum(t_next, T), side="right")
-        cross = np.flatnonzero(hi > si)
+        cross = np.flatnonzero(t_next >= next_snap[si])
         if cross.size:
-            for j in range(si[cross].min(), hi[cross].max()):
-                m = cross[(si[cross] <= j) & (j < hi[cross])]
-                snaps[j, idx[m]] = counts[m]
-            si = hi
+            lo = si[cross]
+            hi = np.searchsorted(grid, t_next[cross], side="right")
+            for j in range(lo.min(), hi.max()):
+                m = cross[(lo <= j) & (j < hi)]
+                snaps[j][:, idx[m]] = counts[:size].take(m, axis=1)
+            si[cross] = hi
         # leaving: past T (an extinct replica's t_next is inf) or at the cap
         cap = n_ev + 1 >= event_cap
         stop = t_next >= T
         leave = stop | cap
         go = np.flatnonzero(~stop)
-        u = rng.random(go.size) * total[go]
-        e = (cum[go] <= u[:, None]).sum(axis=1)
-        kind, i = np.divmod(e, size)             # 0 death, 1 birth, 2 jump
-        counts[go, i] += np.where(kind == 1, 1, -1)
-        jumps = np.flatnonzero(kind == 2)
-        if jumps.size:
-            src_cum = dest_cum[i[jumps]]
-            uj = rng.random(jumps.size) * src_cum[:, -1]
-            counts[go[jumps], (src_cum <= uj[:, None]).sum(axis=1)] += 1
+        events += go.size
+        # the site of the particle that causes the event, then its outcome
+        u = np.zeros(n)
+        u[go] = rng.random(go.size) * total[go]
+        x = (cum <= u).sum(axis=0)[go]
+        u = rng.random(go.size)
+        k = np.zeros(go.size, dtype=np.intp)
+        for row in out_cum[:-1]:
+            k += row[x] <= u
+        o = k * size + x
+        flat = counts.reshape(-1)
+        flat[lose[o] * n + go] -= 1
+        flat[gain[o] * n + go] += 1
         if leave.any():
             out = np.flatnonzero(leave)
-            final[idx[out]] = counts[out]
+            final[:, idx[out]] = counts[:size].take(out, axis=1)
             truncated[idx[out]] = ~stop[out]
             keep = np.flatnonzero(~leave)
             idx, t, si, n_ev, counts = (idx[keep], t_next[keep], si[keep],
-                                        n_ev[keep] + 1, counts[keep])
+                                        n_ev[keep] + 1, counts.take(keep, axis=1))
         else:
             t, n_ev = t_next, n_ev + 1
-    return ReplicaBatch(snapshots={float(ts): snaps[j] for j, ts in enumerate(grid)},
-                        final_counts=final, truncated=truncated,
-                        event_cap=event_cap)
+    metrics.count("simulator.iterations", iterations)
+    metrics.count("simulator.events", events)
+    metrics.count("simulator.truncated", int(truncated.sum()))
+    metrics.record("simulator.active_fraction",
+                   active / iterations / replicas if iterations else 0.0)
+    return ReplicaBatch(snapshots={float(ts): np.ascontiguousarray(snaps[j].T)
+                                   for j, ts in enumerate(grid)},
+                        final_counts=np.ascontiguousarray(final.T),
+                        truncated=truncated, event_cap=event_cap)
 
 
 def empirical_correlations(batch: ReplicaBatch, space, t: float, n: int,

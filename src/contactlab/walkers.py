@@ -453,9 +453,8 @@ def pair_integral_curves(walk: LatticeWalk, displacements, s0x, s0y, T: float,
 
     The walkers start at each of the ``displacements`` ``x0 - y0`` (d-tuples)
     with marks ``s0x`` and ``s0y``, one pair for all or one per displacement.
-    Returns one ``(checkpoints, mean_running, stderr_running, per_replica)``
-    per displacement, with ``per_replica`` the (checkpoints, replicas)
-    running integrals.
+    Returns one ``(checkpoints, per_replica)`` per displacement, with
+    ``per_replica`` the (checkpoints, replicas) running integrals.
 
     Each jump of either walker moves ``X - Y`` by one step of alpha or of
     its mirror image.  On a reflection-symmetric stencil both are alpha, and
@@ -535,9 +534,7 @@ def pair_integral_curves(walk: LatticeWalk, displacements, s0x, s0y, T: float,
     # additions as np.cumsum over axis 1, without its strided pass)
     for c in range(1, len(cps)):
         running[:, c] += running[:, c - 1]
-    mean = running.mean(axis=2)
-    stderr = running.std(axis=2, ddof=1) / np.sqrt(replicas)
-    return [(cps, mean[k], stderr[k], running[k]) for k in which]
+    return [(cps, running[k]) for k in which]
 
 
 @dataclass(frozen=True)
@@ -558,20 +555,21 @@ class PairLimit:
         return self.exponent <= -1.0 - INTEGRABILITY_MARGIN
 
 
-def pair_limit(cps: np.ndarray, mean: np.ndarray, se: np.ndarray,
-               per_replica: np.ndarray, d: int) -> PairLimit:
+def pair_limit(cps: np.ndarray, per_replica: np.ndarray, d: int) -> PairLimit:
     """The limit T -> inf of a ``pair_integral_curves`` result in d dimensions.
 
-    The fitted A is a fixed linear functional ``w . mean`` of the checkpoint
-    means, so its standard error is that of ``w . per_replica`` over the
-    replicas, and that of the gap ``A - mean[-1]`` is that of ``w .
-    per_replica - per_replica[-1]``.
+    The running integral is the replica mean of ``per_replica`` (checkpoints,
+    replicas), with its standard error.  The fitted A is a fixed linear
+    functional ``w . mean`` of the checkpoint means, so its standard error is
+    that of ``w . per_replica`` over the replicas, and that of the gap ``A -
+    mean[-1]`` is that of ``w . per_replica - per_replica[-1]``.
     """
+    root = np.sqrt(per_replica.shape[1])
+    mean = per_replica.mean(axis=1)
     w = _tail_fit(cps, d)[0]
     A = float(w @ mean)
     fits = w @ per_replica
-    root = np.sqrt(per_replica.shape[1])
-    return PairLimit(t=cps, running=mean, stderr=se,
+    return PairLimit(t=cps, running=mean, stderr=per_replica.std(axis=1, ddof=1) / root,
                      exponent=_increment_exponent(cps, mean),
                      limit=max(A, float(mean[-1])),
                      limit_stderr=float(fits.std(ddof=1) / root),

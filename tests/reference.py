@@ -1,7 +1,9 @@
 """Monte Carlo references that the exact and skeleton code is cross-checked
 against: a scalar single-path walker, the exponential-clock jump chain of
-both walkers, and the mark-chain jump counts read off that chain; and the
-pointwise lookups of a walk's stencil and of b."""
+both walkers, and the mark-chain jump counts read off that chain; the
+pointwise lookups of a walk's stencil and of b; and the scalar
+single-trajectory contact process, which picks each event by its
+destination, against the particle-attributed ``run_replicas``."""
 
 from dataclasses import dataclass
 
@@ -10,6 +12,7 @@ import numpy as np
 from contactlab import metrics
 from contactlab.criticality import TransformedModel
 from contactlab.errors import ModelError
+from contactlab.simulator import DEFAULT_EVENT_CAP, EventLog
 from contactlab.walkers import (LatticeWalk, _alias_table, _lattice_code, _on_support,
                                 _support_hash, _walker_start, lattice_walk)
 
@@ -270,3 +273,72 @@ def empirical_cdf(counts: np.ndarray, k_grid):
     R = len(counts)
     cdf = (counts[:, :, None] <= np.asarray(k_grid)).mean(axis=0)
     return cdf, np.sqrt(np.maximum(cdf * (1 - cdf), 1.0 / R) / R)
+
+
+def simulate_contact(tm: TransformedModel, counts0, T: float, snapshot_times,
+                     rng: np.random.Generator, event_cap: int = DEFAULT_EVENT_CAP,
+                     keep_events: bool = True) -> EventLog:
+    """One exact-jump trajectory on [0, T] with snapshots at the given times."""
+    size = tm.space.size
+    counts = np.asarray(counts0, dtype=np.int64).copy()
+    if counts.shape != (size,) or np.any(counts < 0):
+        raise ModelError("initial counts must be a non-negative per-point vector")
+    birth_M = tm.b * tm.mbar[:, None]     # birth_M[y, x] = b(y, x) mbar(y)
+    V = tm.death
+    jump_M = None
+    if tm.jump_b is not None:
+        jump_M = tm.jump_b * tm.mbar[:, None]    # jump_M[y, x] = jb(y, x) mbar(y)
+        jump_out = jump_M.sum(axis=0)            # total jump rate per particle at x
+    snap_times = sorted(float(t) for t in snapshot_times)
+    snaps: dict[float, np.ndarray] = {}
+    events = []
+    t = 0.0
+    si = 0
+    n_events = 0
+    truncated = False
+    while True:
+        birth_w = birth_M @ counts
+        birth_rate = float(birth_w.sum())
+        death_w = V * counts
+        death_rate = float(death_w.sum())
+        jump_rate = 0.0
+        if jump_M is not None:
+            jump_w_out = jump_out * counts
+            jump_rate = float(jump_w_out.sum())
+        total = birth_rate + death_rate + jump_rate
+        t_next = t + (rng.exponential(1.0 / total) if total > 0 else np.inf)
+        while si < len(snap_times) and snap_times[si] <= min(t_next, T):
+            snaps[snap_times[si]] = counts.copy()
+            si += 1
+        if t_next >= T or total == 0.0:
+            t = min(T, t_next)
+            break
+        t = t_next
+        u = rng.random() * total
+        if u < death_rate:
+            i = int(np.searchsorted(np.cumsum(death_w), u))
+            counts[i] -= 1
+            kind = "death"
+            pt = (i,)
+        elif u < death_rate + birth_rate:
+            i = int(np.searchsorted(np.cumsum(birth_w), u - death_rate))
+            counts[i] += 1
+            kind = "birth"
+            pt = (i,)
+        else:
+            uj = u - death_rate - birth_rate
+            i = int(np.searchsorted(np.cumsum(jump_w_out), uj))
+            dest_w = jump_M[:, i]
+            j = int(np.searchsorted(np.cumsum(dest_w), rng.random() * dest_w.sum()))
+            counts[i] -= 1
+            counts[j] += 1
+            kind = "jump"
+            pt = (i, j)
+        if keep_events:
+            events.append((t, kind, pt))
+        n_events += 1
+        if n_events >= event_cap:
+            truncated = True
+            break
+    return EventLog(events=events, snapshots=snaps, truncated=truncated,
+                    final_counts=counts, event_cap=event_cap)

@@ -444,6 +444,32 @@ class TestOutputs:
         lines = (out / "moments.csv").read_text().splitlines()
         assert lines[0] == "t,order,x1,x2,value,stderr"
 
+    def test_simulator_counters_in_manifest(self, tmp_path, monkeypatch):
+        # every replica is active in each iteration up to its last, which
+        # passes T, so the active replica-iterations are the events plus one
+        # per replica (none is truncated)
+        cfg = {"model": FINITE_MODEL, "rho": 0.5, "T": 0.5,
+               "snapshot_times": [0.25, 0.5], "replicas": 150}
+        code, out = run_cli(tmp_path, "simulate", cfg, seed=3, outname="a")
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        counters, values = manifest["metrics"]["counters"], manifest["metrics"]["values"]
+        its, events = counters["simulator.iterations"], counters["simulator.events"]
+        assert counters["simulator.truncated"] == 0
+        assert events >= its - 1 >= 1
+        assert values["simulator.active_fraction"] == pytest.approx(
+            (events + 150) / (its * 150), rel=1e-12)
+        assert "simulator" not in (out / "simulate.json").read_text()
+        # the digested outputs are the same when nothing is recorded
+        from contactlab import simulator
+        monkeypatch.setattr(simulator.metrics, "count", lambda *a: None)
+        monkeypatch.setattr(simulator.metrics, "record", lambda *a: None)
+        code, quiet = run_cli(tmp_path, "simulate", cfg, seed=3, outname="b")
+        assert code == 0
+        bare = json.loads((quiet / "manifest.json").read_text())
+        assert not any(k.startswith("simulator.") for k in bare["metrics"]["counters"])
+        assert bare["outputs"] == manifest["outputs"]
+
     def test_report_aggregates(self, tmp_path):
         run_cli(tmp_path, "calibrate", {"model": FINITE_MODEL},
                 outname="cal")

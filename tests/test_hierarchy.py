@@ -409,9 +409,7 @@ class TestPairCorrelationMC:
     @staticmethod
     def summed_limit(own, swap, d):
         """``pair_limit`` of the per-replica sum of two running integrals."""
-        both = own[3] + swap[3]
-        return pair_limit(own[0], both.mean(axis=1),
-                          both.std(axis=1, ddof=1) / np.sqrt(both.shape[1]), both, d)
+        return pair_limit(own[0], own[1] + swap[1], d)
 
     def test_stderr_is_the_fitted_limits(self):
         # each k_2 reads rho times the SE of the fitted limit of its start's
@@ -441,7 +439,7 @@ class TestPairCorrelationMC:
                                 displacements=starts, T=400.0, replicas=2000)
         curves = pair_integral_curves(lattice_walk(tm), starts + [(-1, 0, 0), (0, -2, 0)],
                                       0, 0, 400.0, 2000, np.random.default_rng(9))
-        assert not np.array_equal(curves[0][3], curves[2][3])
+        assert not np.array_equal(curves[0][1], curves[2][1])
         for k, u in enumerate(starts):
             lim = self.summed_limit(curves[k], curves[k + 2], 3)
             assert mc.values[k] == 0.2 ** 2 + 0.2 * lim.limit

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from contactlab.criticality import calibrate, solve_ground_state, ground_transform
+from contactlab.criticality import (TransformedModel, calibrate, ground_transform,
+                                    solve_ground_state)
 from contactlab.errors import ModelError
 from contactlab.hierarchy import evolve_hierarchy, poisson_initial
 from contactlab.model import Kernel, RateModel, build_space
-from contactlab.simulator import (ReplicaBatch, empirical_correlations,
-                                  run_replicas, simulate_contact)
+from contactlab.simulator import ReplicaBatch, empirical_correlations, run_replicas
 
 from conftest import random_finite_model
+from reference import simulate_contact
 
 
 def factorial_product(counts, idx):
@@ -41,6 +42,28 @@ def one_point_critical():
                       death=np.ones(1))
     tm, _, _ = calibrate(model, space)
     return tm
+
+
+def asymmetric_jump_model():
+    """Three points on non-uniform mbar whose jump kernel drives a 0 -> 1 ->
+    2 -> 0 cycle."""
+    space = build_space({"type": "finite", "points": [0, 1, 2],
+                         "weights": [0.5, 1.0, 2.0]})
+    b = np.array([[0.3, 0.1, 0.2], [0.2, 0.4, 0.1], [0.1, 0.3, 0.2]])
+    jb = np.array([[0.0, 0.1, 1.5], [2.0, 0.0, 0.1], [0.05, 0.8, 0.0]])
+    return TransformedModel(space=space, b=b, mbar=space.weights,
+                            death=np.array([1.0, 0.7, 1.3]), psi=np.ones(3),
+                            jump_b=jb)
+
+
+def level1_generator(b, mbar, V, jb=None):
+    """A of the mean counts' equation m' = A m: births and deaths, and the
+    jumps' inflow and outflow."""
+    A = b * mbar[:, None] - np.diag(V)
+    if jb is not None:
+        jump_M = jb * mbar[:, None]
+        A += jump_M - np.diag(jump_M.sum(axis=0))
+    return A
 
 
 class TestSimulateContact:
@@ -231,27 +254,95 @@ class TestJumpExtension:
         assert np.all(np.abs(k1.values - rho) <= 3.5 * k1.stderr)
 
     def test_asymmetric_jumps_match_level1_expm(self):
-        # exact oracle: the mean counts solve m' = A m, with births, deaths
-        # and the jumps' inflow and outflow in A.  The jump kernel drives a
-        # 0 -> 1 -> 2 -> 0 cycle on non-uniform mbar, so a destination drawn
-        # from anything but the source's column of jump_M is far off.
-        from contactlab.criticality import TransformedModel
-        space = build_space({"type": "finite", "points": [0, 1, 2],
-                             "weights": [0.5, 1.0, 2.0]})
-        mbar = space.weights
-        b = np.array([[0.3, 0.1, 0.2], [0.2, 0.4, 0.1], [0.1, 0.3, 0.2]])
-        jb = np.array([[0.0, 0.1, 1.5], [2.0, 0.0, 0.1], [0.05, 0.8, 0.0]])
-        V = np.array([1.0, 0.7, 1.3])
-        tm = TransformedModel(space=space, b=b, mbar=mbar, death=V,
-                              psi=np.ones(3), jump_b=jb)
-        jump_M = jb * mbar[:, None]
-        A = b * mbar[:, None] - np.diag(V) + jump_M - np.diag(jump_M.sum(axis=0))
+        # exact oracle: the mean counts solve m' = A m.  The jump kernel
+        # drives a 0 -> 1 -> 2 -> 0 cycle on non-uniform mbar, so a
+        # destination drawn from anything but the source's column of jump_M
+        # is far off.
+        tm = asymmetric_jump_model()
+        mbar = tm.mbar
+        A = level1_generator(tm.b, mbar, tm.death, tm.jump_b)
         rho = 0.7
         batch = run_replicas(tm, rho, 1.5, [0.5, 1.5], 20000, seed=15)
         for t in (0.5, 1.5):
             exact = expm(t * A) @ (rho * mbar) / mbar
-            k1 = empirical_correlations(batch, space, t, 1, mbar)
+            k1 = empirical_correlations(batch, tm.space, t, 1, mbar)
             assert np.all(np.abs(k1.values - exact) <= 3.5 * k1.stderr)
+
+
+class TestParticleAttribution:
+    def test_outcome_table_reproduces_the_rates(self):
+        # each site's outcome probabilities times its total rate give back
+        # the death, birth and jump rates of one particle there
+        from contactlab.simulator import _particle_outcomes
+        tm = asymmetric_jump_model()
+        size = 3
+        rate, cum, lose, gain = _particle_outcomes(tm)
+        W = cum.shape[0]
+        prob = np.diff(np.where(np.isinf(cum), 1.0, cum), axis=0, prepend=0.0)
+        death, birth, jump = np.zeros(size), np.zeros((size, size)), np.zeros((size, size))
+        for j, x in np.ndindex(W, size):
+            o = j * size + x
+            r = prob[j, x] * rate[x]
+            if lose[o] == x and gain[o] == size:
+                death[x] += r
+            elif lose[o] == size:
+                birth[gain[o], x] += r
+            else:
+                assert lose[o] == x
+                jump[gain[o], x] += r
+        assert np.allclose(death, tm.death, rtol=1e-14, atol=0)
+        assert np.allclose(birth, tm.b * tm.mbar[:, None], rtol=1e-14, atol=0)
+        assert np.allclose(jump, tm.jump_b * tm.mbar[:, None], rtol=1e-14, atol=0)
+        # W is the widest row: a death, 3 births and 2 jumps
+        assert W == 6
+
+    def test_asymmetric_births_match_level1_expm(self):
+        # the birth kernel drives a 0 -> 1 -> 2 -> 0 cycle on non-uniform
+        # mbar, so a core that credits the births from x to y to a particle
+        # at y (a transposed kernel) is far off
+        space = build_space({"type": "finite", "points": [0, 1, 2],
+                             "weights": [0.5, 1.0, 2.0]})
+        mbar = space.weights
+        b = np.array([[0.05, 0.02, 1.6], [1.8, 0.05, 0.03], [0.02, 0.9, 0.05]])
+        V = np.array([1.0, 0.7, 1.3])
+        tm = TransformedModel(space=space, b=b, mbar=mbar, death=V, psi=np.ones(3))
+        B = b * mbar[:, None]
+        wrong = [B.T - np.diag(V), level1_generator(b.T, mbar, V)]
+        rho = 0.7
+        batch = run_replicas(tm, rho, 1.5, [0.5, 1.5], 20000, seed=16)
+        far = np.zeros(len(wrong))
+        for t in (0.5, 1.5):
+            k1 = empirical_correlations(batch, space, t, 1, mbar)
+            exact = expm(t * level1_generator(b, mbar, V)) @ (rho * mbar) / mbar
+            assert np.all(np.abs(k1.values - exact) <= 3.5 * k1.stderr)
+            for i, A in enumerate(wrong):
+                off = expm(t * A) @ (rho * mbar) / mbar
+                far[i] = max(far[i], np.max(np.abs(k1.values - off) / k1.stderr))
+        assert np.all(far >= 6.0)
+
+    def test_two_sample_against_scalar_reference(self):
+        # k1 and k2 of the lockstep core against the scalar per-destination
+        # reference on the asymmetric-jump model, cell by cell
+        tm = asymmetric_jump_model()
+        rho, snaps = 0.7, [0.5, 1.5]
+        rng = np.random.default_rng(17)
+        R = 1500
+        logs = [simulate_contact(tm, c0, 1.5, snaps, rng, keep_events=False)
+                for c0 in rng.poisson(rho * tm.mbar, size=(R, 3))]
+        ref = ReplicaBatch(snapshots={t: np.array([log.snapshots[t] for log in logs])
+                                      for t in snaps},
+                           final_counts=np.array([log.final_counts for log in logs]),
+                           truncated=np.zeros(R, dtype=bool))
+        batch = run_replicas(tm, rho, 1.5, snaps, 6000, seed=18)
+        worst = 0.0
+        for t in snaps:
+            for n in (1, 2):
+                a = empirical_correlations(batch, tm.space, t, n, tm.mbar)
+                r = empirical_correlations(ref, tm.space, t, n, tm.mbar)
+                se = np.hypot(a.stderr, r.stderr)
+                assert np.all(se > 0)
+                worst = max(worst, float(np.max(np.abs(a.values - r.values) / se)))
+        assert worst <= 4.0
 
 
 class TestReproducibility:

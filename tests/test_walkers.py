@@ -29,6 +29,12 @@ from reference import (alpha_of, b_pair, clock_pair_curves, empirical_cdf,
                        mark_chain_jump_counts, simulate_jump)
 
 
+def mean_se(per_replica):
+    """Replica mean and standard error of (checkpoints, replicas) running integrals."""
+    return (per_replica.mean(axis=1),
+            per_replica.std(axis=1, ddof=1) / np.sqrt(per_replica.shape[1]))
+
+
 class TestSimulateJump:
     def test_holding_time_exponential(self, finite4_critical):
         tm = finite4_critical
@@ -155,8 +161,8 @@ class TestPairEngine:
         walk = lattice_walk(z1_critical)
         T = 4.0
         rng = np.random.default_rng(88)
-        [(cps, mean, se, _)] = pair_integral_curves(
-            walk, [(1,)], 0, 0, T, 40000, rng)
+        [(cps, per)] = pair_integral_curves(walk, [(1,)], 0, 0, T, 40000, rng)
+        mean, se = mean_se(per)
         R = 40
         size = 2 * R + 1
         P = np.zeros((size, size))
@@ -209,15 +215,15 @@ class TestPairEngine:
         oracle = expm(T * L)[state(1, 1, 0), size]
         walk = lattice_walk(tm)
         rng = np.random.default_rng(89)
-        [(cps, mean, se, _)] = pair_integral_curves(
-            walk, [(1,)], 1, 0, T, 40000, rng)
+        [(cps, per)] = pair_integral_curves(walk, [(1,)], 1, 0, T, 40000, rng)
+        mean, se = mean_se(per)
         assert abs(float(mean[-1]) - oracle) <= 3.5 * float(se[-1])
 
     def test_running_integral_monotone(self, z3_critical):
         walk = lattice_walk(z3_critical)
         rng = np.random.default_rng(9)
-        [(cps, mean, se, _)] = pair_integral_curves(
-            walk, [(0, 0, 0)], 0, 0, 100.0, 500, rng)
+        [(cps, per)] = pair_integral_curves(walk, [(0, 0, 0)], 0, 0, 100.0, 500, rng)
+        mean, _ = mean_se(per)
         assert np.all(np.diff(mean) >= -1e-15)
 
     def test_two_walker_independence(self, z3_critical):
@@ -368,9 +374,9 @@ class TestLatticeCode:
         with pytest.raises(ModelError):
             pair_integral_curves(walk, [(2 ** 20 - 2, 0, 0)], 0, 0, 50.0, 100, rng)
         assert rng.bit_generator.state == state
-        [(cps, mean, _, _)] = pair_integral_curves(walk, [(-(2 ** 20) + 500, 0, 0)],
-                                                   0, 0, 50.0, 100, rng)
-        assert mean[-1] == 0.0
+        [(cps, per)] = pair_integral_curves(walk, [(-(2 ** 20) + 500, 0, 0)],
+                                            0, 0, 50.0, 100, rng)
+        assert mean_se(per)[0][-1] == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(support=st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=100, unique=True),
@@ -509,7 +515,8 @@ class TestSkeleton:
                                       np.random.default_rng(41))
         mean, se = clock_pair_curves(walk, starts, *marks, 20.0, curves[0][0], 4000,
                                      np.random.default_rng(42))
-        for (_, m, e, _), m_ref, e_ref in zip(curves, mean, se):
+        for (_, per), m_ref, e_ref in zip(curves, mean, se):
+            m, e = mean_se(per)
             assert np.all(np.abs(m - m_ref) <= 5 * np.hypot(e, e_ref))
 
     def test_z1_matches_clock_chain(self, z1_critical):
@@ -518,7 +525,8 @@ class TestSkeleton:
                                       np.random.default_rng(43))
         mean, se = clock_pair_curves(walk, [(0,), (3,)], 0, 0, 30.0, curves[0][0], 4000,
                                      np.random.default_rng(44))
-        for (_, m, e, _), m_ref, e_ref in zip(curves, mean, se):
+        for (_, per), m_ref, e_ref in zip(curves, mean, se):
+            m, e = mean_se(per)
             assert np.all(np.abs(m - m_ref) <= 5 * np.hypot(e, e_ref))
 
     def test_hit_blocks_capped(self, z1_critical, monkeypatch):
@@ -551,8 +559,9 @@ class TestSkeleton:
         tm, _, _ = calibrate(RateModel(birth=Kernel("stencil", stencil=stencil),
                                        death=np.ones(space.size)), space)
         walk = lattice_walk(tm)
-        [(_, mean, se, _)] = pair_integral_curves(walk, [(1,)], 0, 0, 3.0, 40000,
-                                                  np.random.default_rng(45))
+        [(_, per)] = pair_integral_curves(walk, [(1,)], 0, 0, 3.0, 40000,
+                                          np.random.default_rng(45))
+        mean, se = mean_se(per)
         oracle = _pair_generator_integral(walk.v, walk.mark_trans, tm.alpha, walk.Q,
                                           walk.q, (1, 0, 0), 3.0)
         assert abs(float(mean[-1]) - oracle) <= 3.5 * float(se[-1])
@@ -665,7 +674,7 @@ class TestVarianceReduction:
         for seed in range(40):
             [curve] = pair_integral_curves(walk, [(2, 0, 0)], 0, 0, 20.0, 400,
                                            np.random.default_rng(seed))
-            fits.append(_tail_fit(curve[0], 3)[0] @ curve[1])
+            fits.append(_tail_fit(curve[0], 3)[0] @ curve[1].mean(axis=1))
             ses.append(pair_limit(*curve, 3).limit_stderr)
         assert 0.7 <= np.std(fits, ddof=1) / np.mean(ses) <= 1.3
 
