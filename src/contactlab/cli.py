@@ -377,11 +377,12 @@ def cmd_simulate(cfg, run: Run, rng, space, model):
     width = max(orders)
     index = {n: _index_fields(n, space.size, width) for n in orders}
     lines = []
-    for t in snap:
-        for n in orders:
-            est = empirical_correlations(batch, space, t, n, tm.mbar)
-            lines += _tensor_rows((t, n), index[n], _format_floats(est.values),
-                                  _format_floats(est.stderr))
+    with metrics.phase("moments"):
+        for t in snap:
+            for n in orders:
+                est = empirical_correlations(batch, space, t, n, tm.mbar)
+                lines += _tensor_rows((t, n), index[n], _format_floats(est.values),
+                                      _format_floats(est.stderr))
     header = ["t", "order"] + [f"x{i + 1}" for i in range(width)] + ["value", "stderr"]
     run.write_csv("moments.csv", header, lines)
     run.write_json("simulate.json",

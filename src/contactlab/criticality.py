@@ -40,7 +40,6 @@ __all__ = [
     "rescale_to_critical",
     "ground_transform",
     "criticality_residual",
-    "jump_criticality_residual",
     "theta_kernel",
     "calibrate",
 ]
@@ -245,21 +244,6 @@ def criticality_residual(tm: TransformedModel) -> float:
     """sup_x | sum_y b(x, y) mbar(y) - V(x) |."""
     inflow, V = _balance(tm)
     return float(np.abs(inflow - V).max())
-
-
-def jump_criticality_residual(model: RateModel, space: StateSpace,
-                              gs: GroundState) -> float:
-    """Residual of the jump-extended balance condition.
-
-    sup_x | sum_y (a + J)(x, y) psi(y) m(y)
-            - (V(x) + sum_y J(y, x) m(y)) psi(x) |.
-    """
-    psi = gs.psi
-    A = kernel_matrix(model.birth, space)
-    J = kernel_matrix(model.jump, space)
-    inflow = (A + J) @ (psi * space.weights)
-    outflow = (model.death + J.T @ space.weights) * psi
-    return float(np.abs(inflow - outflow).max())
 
 
 def theta_kernel(tm: TransformedModel) -> ThetaKernel:

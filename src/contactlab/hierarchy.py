@@ -214,7 +214,9 @@ def evolve_hierarchy(tm: TransformedModel, k0: list, times) -> dict:
     for Poisson data).  ``times`` is any finite, non-negative,
     non-decreasing grid; the solution is carried from one output time to
     the next by ``expm_multiply`` of the augmented generator, so no step
-    size controls its accuracy.  Returns ``{n: (times, tensors)}``.
+    size controls its accuracy; it counts the calls as
+    ``evolve.expm_multiply_calls``, one per output time.  Returns
+    ``{n: (times, tensors)}``.
     """
     size = tm.space.size
     N = len(k0)
@@ -235,6 +237,7 @@ def evolve_hierarchy(tm: TransformedModel, k0: list, times) -> dict:
     try:
         for h in np.diff(times, prepend=0.0):
             z = expm_multiply(h * A, z, traceA=h * trace)
+            metrics.count("evolve.expm_multiply_calls")
             states.append(z)
     finally:
         np.random.set_state(global_state)

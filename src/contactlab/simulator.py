@@ -241,9 +241,24 @@ def empirical_correlations(batch: ReplicaBatch, space, t: float, n: int,
     """Empirical k_n at snapshot time t (mbar convention).
 
     Distinct points use plain product counts, repeated points the falling
-    factorial; the standard error is the across-replica variance of the
-    per-replica estimator.  A truncated replica is an error: dropping it
-    would bias the moments toward the replicas that stayed under the cap.
+    factorial; the standard error is the across-replica standard deviation
+    of the per-replica estimator over sqrt(R).  Orders 1 and 2 read both
+    from two sums over the replicas' counts C (R x size): S1 of the
+    per-replica products and S2 of their squares.  Order 1 takes
+    S1 = sum_r c and S2 = sum_r c^2; order 2 takes S1 = C^T C less sum_r c
+    on the diagonal (c (c - 1) at a repeated point) and S2 = (C o C)^T (C o C)
+    off it, sum_r (c^2 - c)^2 on it.  Then, with scale = mbar (order 1) or
+    mbar x mbar (order 2),
+
+        values = S1 / R / scale,
+        stderr = sqrt((S2 - S1^2 / R) / (R - 1) / R) / scale.
+
+    The counts are integers, so S1 and S2 are exact while they stay below
+    2^53 and a constant cell has a stderr of exactly 0; the difference is
+    clamped at 0 against rounding beyond that.  Orders n >= 3 build the
+    per-replica sample cell by cell.  A truncated replica is an error:
+    dropping it would bias the moments toward the replicas that stayed
+    under the cap.
     """
     R = len(batch)
     n_trunc = int(np.count_nonzero(batch.truncated))
@@ -257,13 +272,17 @@ def empirical_correlations(batch: ReplicaBatch, space, t: float, n: int,
     if t not in batch.snapshots:
         raise ModelError(f"no snapshot at t = {t}")
     cmat = batch.snapshots[t].astype(float)
-    if n == 1:
-        sample = cmat / mbar[None, :]
-    elif n == 2:
-        sample = cmat[:, :, None] * cmat[:, None, :]
-        rng_i = np.arange(size)
-        sample[:, rng_i, rng_i] -= cmat
-        sample /= np.outer(mbar, mbar)[None, :, :]
+    if n <= 2:
+        sq = cmat * cmat
+        if n == 1:
+            S1, S2, scale = cmat.sum(axis=0), sq.sum(axis=0), mbar
+        else:
+            S1, S2, scale = cmat.T @ cmat, sq.T @ sq, np.outer(mbar, mbar)
+            diag = np.diag_indices(size)
+            S1[diag] -= cmat.sum(axis=0)
+            S2[diag] = np.square(sq - cmat).sum(axis=0)
+        values = S1 / R / scale
+        stderr = np.sqrt(np.maximum(S2 - S1 ** 2 / R, 0.0) / (R - 1) / R) / scale
     else:
         # per cell, over all replicas: prod over distinct points i of the
         # falling factorial c_i (c_i - 1) ... (c_i - m_i + 1)
@@ -274,7 +293,7 @@ def empirical_correlations(batch: ReplicaBatch, space, t: float, n: int,
                 for k in range(m):
                     prod *= np.maximum(cmat[:, i] - k, 0.0)
             sample[(slice(None),) + idx] = prod / np.prod([mbar[i] for i in idx])
-    values = sample.mean(axis=0)
-    stderr = sample.std(axis=0, ddof=1) / np.sqrt(R)
+        values = sample.mean(axis=0)
+        stderr = sample.std(axis=0, ddof=1) / np.sqrt(R)
     return MomentEstimate(order=n, values=values, stderr=stderr,
                           replicas=R, time=t)

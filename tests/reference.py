@@ -3,15 +3,17 @@ against: a scalar single-path walker, the exponential-clock jump chain of
 both walkers, and the mark-chain jump counts read off that chain; the
 pointwise lookups of a walk's stencil and of b; and the scalar
 single-trajectory contact process, which picks each event by its
-destination, against the particle-attributed ``run_replicas``."""
+destination, against the particle-attributed ``run_replicas``; and the
+residual of the jump-extended balance condition."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from contactlab import metrics
-from contactlab.criticality import TransformedModel
+from contactlab.criticality import GroundState, TransformedModel
 from contactlab.errors import ModelError
+from contactlab.model import RateModel, StateSpace, kernel_matrix
 from contactlab.simulator import DEFAULT_EVENT_CAP, EventLog
 from contactlab.walkers import (LatticeWalk, _alias_table, _lattice_code, _on_support,
                                 _support_hash, _walker_start, lattice_walk)
@@ -342,3 +344,18 @@ def simulate_contact(tm: TransformedModel, counts0, T: float, snapshot_times,
             break
     return EventLog(events=events, snapshots=snaps, truncated=truncated,
                     final_counts=counts, event_cap=event_cap)
+
+
+def jump_criticality_residual(model: RateModel, space: StateSpace,
+                              gs: GroundState) -> float:
+    """Residual of the jump-extended balance condition.
+
+    sup_x | sum_y (a + J)(x, y) psi(y) m(y)
+            - (V(x) + sum_y J(y, x) m(y)) psi(x) |.
+    """
+    psi = gs.psi
+    A = kernel_matrix(model.birth, space)
+    J = kernel_matrix(model.jump, space)
+    inflow = (A + J) @ (psi * space.weights)
+    outflow = (model.death + J.T @ space.weights) * psi
+    return float(np.abs(inflow - outflow).max())

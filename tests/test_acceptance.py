@@ -14,11 +14,10 @@ from scipy.linalg import expm
 
 from conftest import (lattice_model, marked_model, nearest_stencil,
                       random_finite_model)
-from reference import empirical_cdf, mark_chain_jump_counts
+from reference import empirical_cdf, jump_criticality_residual, mark_chain_jump_counts
 from contactlab.cli import main as cli_main
 from contactlab.criticality import (TransformedModel, calibrate,
                                     ground_transform,
-                                    jump_criticality_residual,
                                     solve_ground_state, theta_kernel)
 from contactlab.hierarchy import (CorrelationTensor, apply_Lhat,
                                   bound_constant_D, evolve_hierarchy,

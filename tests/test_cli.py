@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,25 @@ class TestOutputs:
         assert len(lines) == 1 + 11 * 16
         assert len((out / "evolve_k1.csv").read_text().splitlines()) == 1 + 11 * 4
 
+    def test_evolve_counts_expm_multiply_calls(self, tmp_path, monkeypatch):
+        # one expm_multiply call carries the state to each output time
+        cfg = {"model": FINITE_MODEL, "rho": 0.5, "N": 2, "T": 0.5, "dt": 0.1}
+        code, out = run_cli(tmp_path, "evolve", cfg, outname="a")
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        times = {row.split(",")[0]
+                 for row in (out / "evolve_k1.csv").read_text().splitlines()[1:]}
+        assert len(times) == 6
+        assert manifest["metrics"]["counters"]["evolve.expm_multiply_calls"] == 6
+        # the digested outputs are the same when nothing is counted
+        from contactlab import hierarchy
+        monkeypatch.setattr(hierarchy.metrics, "count", lambda *a: None)
+        code, quiet = run_cli(tmp_path, "evolve", cfg, outname="b")
+        assert code == 0
+        bare = json.loads((quiet / "manifest.json").read_text())
+        assert "evolve.expm_multiply_calls" not in bare["metrics"]["counters"]
+        assert bare["outputs"] == manifest["outputs"]
+
     def test_evolve_at_t0_writes_each_point_once(self, tmp_path):
         code, out = run_cli(tmp_path, "evolve",
                             {"model": FINITE_MODEL, "rho": 0.5, "N": 2, "T": 0})
@@ -460,14 +480,18 @@ class TestOutputs:
         assert values["simulator.active_fraction"] == pytest.approx(
             (events + 150) / (its * 150), rel=1e-12)
         assert "simulator" not in (out / "simulate.json").read_text()
+        # the moments are their own phase, apart from the simulation
+        assert {"simulate", "moments"} <= set(manifest["metrics"]["phases_s"])
         # the digested outputs are the same when nothing is recorded
         from contactlab import simulator
         monkeypatch.setattr(simulator.metrics, "count", lambda *a: None)
         monkeypatch.setattr(simulator.metrics, "record", lambda *a: None)
+        monkeypatch.setattr(simulator.metrics, "phase", lambda name: nullcontext())
         code, quiet = run_cli(tmp_path, "simulate", cfg, seed=3, outname="b")
         assert code == 0
         bare = json.loads((quiet / "manifest.json").read_text())
         assert not any(k.startswith("simulator.") for k in bare["metrics"]["counters"])
+        assert "moments" not in bare["metrics"]["phases_s"]
         assert bare["outputs"] == manifest["outputs"]
 
     def test_report_aggregates(self, tmp_path):

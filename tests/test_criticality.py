@@ -5,14 +5,15 @@ import pytest
 
 from contactlab import criticality, metrics
 from contactlab.criticality import (calibrate, criticality_residual,
-                                    ground_transform, jump_criticality_residual,
-                                    perron_solve, rescale_to_critical,
-                                    solve_ground_state, theta_kernel)
+                                    ground_transform, perron_solve,
+                                    rescale_to_critical, solve_ground_state,
+                                    theta_kernel)
 from contactlab.errors import ConvergenceError, ModelError, ReducibleKernelError
 from contactlab.model import (Kernel, RateModel, build_space, kernel_matrix,
                               model_from_dict)
 
 from conftest import lattice_model, marked_model, nearest_stencil, random_finite_model
+from reference import jump_criticality_residual
 
 
 def mark_oracle(Q, v, nu):

@@ -1,5 +1,8 @@
 """Event-driven contact-process simulation and empirical moments."""
 
+import tracemalloc
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -8,16 +11,16 @@ from contactlab.criticality import (TransformedModel, calibrate, ground_transfor
                                     solve_ground_state)
 from contactlab.errors import ModelError
 from contactlab.hierarchy import evolve_hierarchy, poisson_initial
-from contactlab.model import Kernel, RateModel, build_space
+from contactlab.model import Kernel, RateModel, build_space, model_from_dict
 from contactlab.simulator import ReplicaBatch, empirical_correlations, run_replicas
 
 from conftest import random_finite_model
-from reference import simulate_contact
+from reference import jump_criticality_residual, simulate_contact
 
 
 def factorial_product(counts, idx):
     """Per-replica, per-cell falling-factorial product: the reference the
-    vectorized moments of order n >= 3 must reproduce exactly."""
+    moments reproduce, exactly at order n >= 3 and to rounding at n <= 2."""
     out = 1.0
     seen = {}
     for i in idx:
@@ -186,6 +189,57 @@ class TestEmpiricalCorrelations:
         assert np.array_equal(k3.values, sample.mean(axis=0))
         assert np.array_equal(k3.stderr, sample.std(axis=0, ddof=1) / np.sqrt(R))
 
+    def test_orders_1_2_match_per_replica_formula(self):
+        # the Gram sums against the per-replica sample's mean and std, with
+        # a constant column (stderr exactly 0), an all-zero column and one
+        # near 1000 (S2 - S1^2 / R cancels to about three digits there)
+        R = 300
+        rng = np.random.default_rng(15)
+        counts = np.column_stack([rng.poisson(1.5, size=(R, 4)), np.full(R, 3),
+                                  np.zeros(R, dtype=int), rng.poisson(1000, size=R)])
+        size = counts.shape[1]
+        mbar = rng.uniform(0.5, 2.0, size)
+        space = build_space({"type": "finite", "points": list(range(size)),
+                             "weights": list(mbar)})
+        batch = ReplicaBatch(snapshots={0.0: counts}, final_counts=counts,
+                             truncated=np.zeros(R, dtype=bool))
+        for n in (1, 2):
+            est = empirical_correlations(batch, space, 0.0, n, mbar)
+            # the integer products' mean and std, scaled after: a constant
+            # cell's reference std is then exactly 0, not rounding noise
+            cells = list(np.ndindex(*(size,) * n))
+            sample = np.array([[factorial_product(c.astype(float), idx) for idx in cells]
+                               for c in counts]).reshape((R,) + (size,) * n)
+            scale = mbar if n == 1 else np.outer(mbar, mbar)
+            np.testing.assert_allclose(est.values, sample.mean(axis=0) / scale,
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(est.stderr,
+                                       sample.std(axis=0, ddof=1) / np.sqrt(R) / scale,
+                                       rtol=1e-12, atol=0)
+        k1 = empirical_correlations(batch, space, 0.0, 1, mbar)
+        k2 = empirical_correlations(batch, space, 0.0, 2, mbar)
+        assert k1.stderr[4] == k1.stderr[5] == 0.0 < k1.stderr[6]
+        assert k2.values[4, 4] == pytest.approx(6 / mbar[4] ** 2, rel=1e-15)
+        assert np.all(k2.stderr[4:6, 4:6] == 0.0)
+        assert np.all(k2.stderr[5] == 0.0) and np.all(k2.stderr[:, 5] == 0.0)
+        assert np.all(np.delete(k2.stderr[6], 5) > 0.0)
+
+    def test_order2_memory_is_small(self):
+        # R = 2000 on 49 points: a per-replica (R, size, size) array alone
+        # would take 38 MB
+        R = 2000
+        space = build_space({"type": "lattice", "d": 2, "R": 3, "boundary": "periodic"})
+        counts = np.random.default_rng(16).poisson(1.0, size=(R, space.size))
+        batch = ReplicaBatch(snapshots={0.0: counts}, final_counts=counts,
+                             truncated=np.zeros(R, dtype=bool))
+        tracemalloc.start()
+        try:
+            empirical_correlations(batch, space, 0.0, 2, np.ones(space.size))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
 
 class TestHierarchyAgreement:
     def test_k1_conserved_critical(self, finite4_critical):
@@ -208,6 +262,34 @@ class TestHierarchyAgreement:
         k2_hat = empirical_correlations(logs, space, T, 2, tm.mbar)
         z = (k2_hat.values - traj2[i].values) / np.maximum(k2_hat.stderr, 1e-12)
         assert np.abs(z).max() <= 3.5
+
+    def test_marked_window_matches_evolve(self):
+        # a product space: a periodic 3-site window with two marks.  84
+        # cells (6 of k1, 36 of k2, at two times), each held to the z limit
+        # that keeps the family-wise false-alarm rate at 1e-3 (Bonferroni)
+        space, model = model_from_dict({
+            "space": {"type": "product", "d": 1, "R": 1, "boundary": "periodic",
+                      "marks": ["A", "B"], "nu": [0.5, 0.5]},
+            "birth": {"form": "factorized", "alpha": "nearest", "rate": 1.0,
+                      "Q": [[2.0, 1.0], [1.0, 2.0]]},
+            "death": {"per_mark": [1.0, 3.0]}})
+        assert space.size == 6
+        tm, _, _ = calibrate(model, space)
+        rho, times = 0.5, [1.0, 2.0]
+        batch = run_replicas(tm, rho, 2.0, times, 20000, seed=19)
+        exact = evolve_hierarchy(tm, [poisson_initial(n, rho, space) for n in (1, 2)],
+                                 [0.0] + times)
+        cells = 2 * (6 + 36)
+        z_max = NormalDist().inv_cdf(1 - 1e-3 / (2 * cells))
+        worst = 0.0
+        for n in (1, 2):
+            _, traj = exact[n]
+            for i, t in enumerate(times, 1):
+                est = empirical_correlations(batch, space, t, n, tm.mbar)
+                assert np.all(est.stderr > 0)
+                z = (est.values - traj[i].values) / est.stderr
+                worst = max(worst, float(np.abs(z).max()))
+        assert worst <= z_max
 
     def test_death_rate_audit(self, finite4_critical):
         # empirical deaths per particle-time match V
@@ -237,7 +319,6 @@ class TestJumpExtension:
     def test_psi_profile_conserved(self):
         # symmetric jump kernel on a homogeneous critical model (psi = 1):
         # the jump-extended balance holds and the density is conserved
-        from contactlab.criticality import jump_criticality_residual
         from conftest import nearest_stencil
         space = build_space({"type": "lattice", "d": 1, "R": 2,
                              "boundary": "periodic"})
