@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm, get_lapack_funcs, rsf2csf, schur
+from scipy.linalg import get_lapack_funcs, rsf2csf, schur
 from scipy.sparse.linalg import expm_multiply
 
 from . import metrics
@@ -48,9 +48,7 @@ __all__ = [
     "CorrelationTensor",
     "PairCorrelationMC",
     "generator_matrix",
-    "apply_Lhat",
     "source_f",
-    "semigroup_apply",
     "evolve_hierarchy",
     "poisson_initial",
     "stationary_k",
@@ -118,17 +116,6 @@ def _apply_axis(M: np.ndarray, k: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(M, k, axes=([1], [axis])), 0, axis)
 
 
-def apply_Lhat(n: int, tm: TransformedModel, k: CorrelationTensor) -> CorrelationTensor:
-    """Hierarchy operator at level n (sum of the level-1 generator per axis)."""
-    if k.order != n or n < 1:
-        raise ModelError(f"expected tensor of order {n}, got {k.order}")
-    G = generator_matrix(tm)
-    out = np.zeros_like(k.values)
-    for i in range(n):
-        out += _apply_axis(G, k.values, i)
-    return CorrelationTensor(n, out)
-
-
 def _source_terms(n: int, B: np.ndarray):
     """The terms of f_n: for each ordered pair of axes i != j, yield i and B
     shaped to broadcast with axis i as its first argument and axis j as its
@@ -155,14 +142,6 @@ def source_f(n: int, tm: TransformedModel, k_prev: CorrelationTensor) -> Correla
     for i, Bij in _source_terms(n, tm.b):
         out += np.expand_dims(k_prev.values, i) * Bij  # constant along axis i
     return CorrelationTensor(n, out)
-
-
-def semigroup_apply(tm: TransformedModel, t: float, k: CorrelationTensor,
-                    E: np.ndarray | None = None) -> CorrelationTensor:
-    """exp(t Lhat_n) k via the tensorized level-1 exponential."""
-    if E is None:
-        E = expm(t * generator_matrix(tm))
-    return CorrelationTensor(k.order, _apply_each_axis(E, k.values))
 
 
 def poisson_initial(n: int, rho: float, space) -> CorrelationTensor:

@@ -13,7 +13,6 @@ with falling-factorial counts at repeated points.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,26 +239,34 @@ def empirical_correlations(batch: ReplicaBatch, space, t: float, n: int,
                            mbar: np.ndarray) -> MomentEstimate:
     """Empirical k_n at snapshot time t (mbar convention).
 
-    Distinct points use plain product counts, repeated points the falling
-    factorial; the standard error is the across-replica standard deviation
-    of the per-replica estimator over sqrt(R).  Orders 1 and 2 read both
-    from two sums over the replicas' counts C (R x size): S1 of the
-    per-replica products and S2 of their squares.  Order 1 takes
-    S1 = sum_r c and S2 = sum_r c^2; order 2 takes S1 = C^T C less sum_r c
-    on the diagonal (c (c - 1) at a repeated point) and S2 = (C o C)^T (C o C)
-    off it, sum_r (c^2 - c)^2 on it.  Then, with scale = mbar (order 1) or
-    mbar x mbar (order 2),
+    A replica with counts c estimates k_n(i_1..i_n) by the falling-factorial
+    product F_n(I) = prod_m (c_{i_m} - rep_m), rep_m the number of earlier
+    points i_1..i_{m-1} equal to i_m (plain products at distinct points),
+    over mbar_{i_1} ... mbar_{i_n}; the standard error is the across-replica
+    standard deviation of that estimator over sqrt(R).  Both come from two
+    sums over the replicas' counts C (R x size), S1 of F_n and S2 of F_n^2,
+    built one order at a time from F_0 = 1 and S1_0 = S2_0 = R: with
+    rep_m(I, j) the points of I equal to j, F_m(I, j) = F_{m-1}(I) (c_j -
+    rep_m(I, j)), so
+
+        S1_m = F_{m-1}^T C - rep_m o S1_{m-1},
+        S2_m = (F_{m-1}^2)^T (C o C) - 2 rep_m o (F_{m-1}^2)^T C
+               + rep_m^2 o S2_{m-1},
+
+    and order n holds F_{n-1}, R x size^(n-1) numbers.  Then, with scale
+    the n-fold outer product of mbar,
 
         values = S1 / R / scale,
         stderr = sqrt((S2 - S1^2 / R) / (R - 1) / R) / scale.
 
     The counts are integers, so S1 and S2 are exact while they stay below
     2^53 and a constant cell has a stderr of exactly 0; the difference is
-    clamped at 0 against rounding beyond that.  Orders n >= 3 build the
-    per-replica sample cell by cell.  A truncated replica is an error:
-    dropping it would bias the moments toward the replicas that stayed
-    under the cap.
+    clamped at 0 against rounding beyond that.  A truncated replica is an
+    error: dropping it would bias the moments toward the replicas that
+    stayed under the cap.
     """
+    if n < 1:
+        raise ModelError(f"the order n = {n} must be at least 1")
     R = len(batch)
     n_trunc = int(np.count_nonzero(batch.truncated))
     if n_trunc:
@@ -271,29 +278,21 @@ def empirical_correlations(batch: ReplicaBatch, space, t: float, n: int,
     t = float(t)
     if t not in batch.snapshots:
         raise ModelError(f"no snapshot at t = {t}")
-    cmat = batch.snapshots[t].astype(float)
-    if n <= 2:
-        sq = cmat * cmat
-        if n == 1:
-            S1, S2, scale = cmat.sum(axis=0), sq.sum(axis=0), mbar
-        else:
-            S1, S2, scale = cmat.T @ cmat, sq.T @ sq, np.outer(mbar, mbar)
-            diag = np.diag_indices(size)
-            S1[diag] -= cmat.sum(axis=0)
-            S2[diag] = np.square(sq - cmat).sum(axis=0)
-        values = S1 / R / scale
-        stderr = np.sqrt(np.maximum(S2 - S1 ** 2 / R, 0.0) / (R - 1) / R) / scale
-    else:
-        # per cell, over all replicas: prod over distinct points i of the
-        # falling factorial c_i (c_i - 1) ... (c_i - m_i + 1)
-        sample = np.empty((R,) + (size,) * n)
-        for idx in np.ndindex(*(size,) * n):
-            prod = np.ones(R)
-            for i, m in Counter(idx).items():
-                for k in range(m):
-                    prod *= np.maximum(cmat[:, i] - k, 0.0)
-            sample[(slice(None),) + idx] = prod / np.prod([mbar[i] for i in idx])
-        values = sample.mean(axis=0)
-        stderr = sample.std(axis=0, ddof=1) / np.sqrt(R)
+    C = batch.snapshots[t].astype(float)
+    sq = C * C
+    # order 0: the empty product over the empty cell; rep_1 = 0
+    F, S1, S2, scale = np.ones((R, 1)), np.full(1, float(R)), np.full(1, float(R)), 1.0
+    rep = np.zeros((1, size))
+    for m in range(1, n + 1):
+        F2 = F * F
+        S1 = (F.T @ C - rep * S1[:, None]).ravel()
+        S2 = (F2.T @ sq - 2 * rep * (F2.T @ C) + rep * rep * S2[:, None]).ravel()
+        scale = np.multiply.outer(scale, mbar)
+        if m < n:
+            F = (F[:, :, None] * (C[:, None, :] - rep)).reshape(R, -1)
+            rep = (rep[:, None, :] + np.eye(size)).reshape(-1, size)
+    S1, S2 = S1.reshape(scale.shape), S2.reshape(scale.shape)
+    values = S1 / R / scale
+    stderr = np.sqrt(np.maximum(S2 - S1 ** 2 / R, 0.0) / (R - 1) / R) / scale
     return MomentEstimate(order=n, values=values, stderr=stderr,
                           replicas=R, time=t)

@@ -3,16 +3,20 @@ against: a scalar single-path walker, the exponential-clock jump chain of
 both walkers, and the mark-chain jump counts read off that chain; the
 pointwise lookups of a walk's stencil and of b; and the scalar
 single-trajectory contact process, which picks each event by its
-destination, against the particle-attributed ``run_replicas``; and the
-residual of the jump-extended balance condition."""
+destination, against the particle-attributed ``run_replicas``; the
+residual of the jump-extended balance condition; and the hierarchy
+operator Lhat_n and its semigroup, applied axis by axis."""
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from contactlab import metrics
 from contactlab.criticality import GroundState, TransformedModel
 from contactlab.errors import ModelError
+from contactlab.hierarchy import (CorrelationTensor, _apply_axis, _apply_each_axis,
+                                  generator_matrix)
 from contactlab.model import RateModel, StateSpace, kernel_matrix
 from contactlab.simulator import DEFAULT_EVENT_CAP, EventLog
 from contactlab.walkers import (LatticeWalk, _alias_table, _lattice_code, _on_support,
@@ -359,3 +363,22 @@ def jump_criticality_residual(model: RateModel, space: StateSpace,
     inflow = (A + J) @ (psi * space.weights)
     outflow = (model.death + J.T @ space.weights) * psi
     return float(np.abs(inflow - outflow).max())
+
+
+def apply_Lhat(n: int, tm: TransformedModel, k: CorrelationTensor) -> CorrelationTensor:
+    """Hierarchy operator at level n (sum of the level-1 generator per axis)."""
+    if k.order != n or n < 1:
+        raise ModelError(f"expected tensor of order {n}, got {k.order}")
+    G = generator_matrix(tm)
+    out = np.zeros_like(k.values)
+    for i in range(n):
+        out += _apply_axis(G, k.values, i)
+    return CorrelationTensor(n, out)
+
+
+def semigroup_apply(tm: TransformedModel, t: float, k: CorrelationTensor,
+                    E: np.ndarray | None = None) -> CorrelationTensor:
+    """exp(t Lhat_n) k via the tensorized level-1 exponential."""
+    if E is None:
+        E = expm(t * generator_matrix(tm))
+    return CorrelationTensor(k.order, _apply_each_axis(E, k.values))

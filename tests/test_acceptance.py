@@ -14,15 +14,16 @@ from scipy.linalg import expm
 
 from conftest import (lattice_model, marked_model, nearest_stencil,
                       random_finite_model)
-from reference import empirical_cdf, jump_criticality_residual, mark_chain_jump_counts
+from reference import (apply_Lhat, empirical_cdf, jump_criticality_residual,
+                       mark_chain_jump_counts, semigroup_apply)
 from contactlab.cli import main as cli_main
 from contactlab.criticality import (TransformedModel, calibrate,
                                     ground_transform,
                                     solve_ground_state, theta_kernel)
-from contactlab.hierarchy import (CorrelationTensor, apply_Lhat,
+from contactlab.hierarchy import (CorrelationTensor,
                                   bound_constant_D, evolve_hierarchy,
                                   factorial_bound_check, generator_matrix,
-                                  poisson_initial, semigroup_apply, source_f,
+                                  poisson_initial, source_f,
                                   stationary_pair_mc)
 from contactlab.model import Kernel, RateModel, build_space
 from contactlab.simulator import empirical_correlations, run_replicas

@@ -10,15 +10,16 @@ from scipy.linalg import expm, schur
 from contactlab import metrics
 from contactlab.criticality import calibrate
 from contactlab.errors import DivergenceError, ModelError
-from contactlab.hierarchy import (CorrelationTensor, _augmented_generator, apply_Lhat,
+from contactlab.hierarchy import (CorrelationTensor, _augmented_generator,
                                   bound_constant_D, convergence_check,
                                   evolve_hierarchy,
                                   factorial_bound_check, generator_matrix,
-                                  poisson_initial, semigroup_apply, source_f,
+                                  poisson_initial, source_f,
                                   stationary_k, stationary_pair_mc)
 from contactlab.model import Kernel, RateModel, build_space
 
 from conftest import lattice_model, random_finite_model
+from reference import apply_Lhat, semigroup_apply
 from contactlab.walkers import lattice_walk, pair_integral_curves, pair_limit
 
 

@@ -20,7 +20,7 @@ from reference import jump_criticality_residual, simulate_contact
 
 def factorial_product(counts, idx):
     """Per-replica, per-cell falling-factorial product: the reference the
-    moments reproduce, exactly at order n >= 3 and to rounding at n <= 2."""
+    moments reproduce to rounding."""
     out = 1.0
     seen = {}
     for i in idx:
@@ -174,23 +174,8 @@ class TestEmpiricalCorrelations:
         k3 = empirical_correlations(batch, tm.space, 0.0, 3, tm.mbar)
         assert k3.values[0, 0, 0] == pytest.approx(3 * 2 * 1 / tm.mbar[0] ** 3)
 
-    def test_order3_matches_per_replica_formula(self, finite4_critical):
-        tm = finite4_critical
-        R = 120
-        counts = np.random.default_rng(14).poisson(1.5, size=(R, 4))
-        batch = ReplicaBatch(snapshots={0.0: counts}, final_counts=counts,
-                             truncated=np.zeros(R, dtype=bool))
-        k3 = empirical_correlations(batch, tm.space, 0.0, 3, tm.mbar)
-        cells = list(np.ndindex(4, 4, 4))
-        sample = np.array([[factorial_product(c.astype(float), idx)
-                            / np.prod([tm.mbar[i] for i in idx]) for idx in cells]
-                           for c in counts]).reshape(R, 4, 4, 4)
-        assert counts.max() >= 3
-        assert np.array_equal(k3.values, sample.mean(axis=0))
-        assert np.array_equal(k3.stderr, sample.std(axis=0, ddof=1) / np.sqrt(R))
-
-    def test_orders_1_2_match_per_replica_formula(self):
-        # the Gram sums against the per-replica sample's mean and std, with
+    def test_orders_1_to_3_match_per_replica_formula(self):
+        # the recursive sums against the per-replica sample's mean and std, with
         # a constant column (stderr exactly 0), an all-zero column and one
         # near 1000 (S2 - S1^2 / R cancels to about three digits there)
         R = 300
@@ -203,14 +188,16 @@ class TestEmpiricalCorrelations:
                              "weights": list(mbar)})
         batch = ReplicaBatch(snapshots={0.0: counts}, final_counts=counts,
                              truncated=np.zeros(R, dtype=bool))
-        for n in (1, 2):
+        for n in (1, 2, 3):
             est = empirical_correlations(batch, space, 0.0, n, mbar)
             # the integer products' mean and std, scaled after: a constant
             # cell's reference std is then exactly 0, not rounding noise
             cells = list(np.ndindex(*(size,) * n))
             sample = np.array([[factorial_product(c.astype(float), idx) for idx in cells]
                                for c in counts]).reshape((R,) + (size,) * n)
-            scale = mbar if n == 1 else np.outer(mbar, mbar)
+            scale = np.ones(())
+            for _ in range(n):
+                scale = np.multiply.outer(scale, mbar)
             np.testing.assert_allclose(est.values, sample.mean(axis=0) / scale,
                                        rtol=1e-12, atol=0)
             np.testing.assert_allclose(est.stderr,
@@ -218,11 +205,14 @@ class TestEmpiricalCorrelations:
                                        rtol=1e-12, atol=0)
         k1 = empirical_correlations(batch, space, 0.0, 1, mbar)
         k2 = empirical_correlations(batch, space, 0.0, 2, mbar)
+        k3 = empirical_correlations(batch, space, 0.0, 3, mbar)
         assert k1.stderr[4] == k1.stderr[5] == 0.0 < k1.stderr[6]
         assert k2.values[4, 4] == pytest.approx(6 / mbar[4] ** 2, rel=1e-15)
         assert np.all(k2.stderr[4:6, 4:6] == 0.0)
         assert np.all(k2.stderr[5] == 0.0) and np.all(k2.stderr[:, 5] == 0.0)
         assert np.all(np.delete(k2.stderr[6], 5) > 0.0)
+        assert k3.values[4, 4, 4] == pytest.approx(6 / mbar[4] ** 3, rel=1e-15)
+        assert k3.stderr[4, 4, 4] == 0.0
 
     def test_order2_memory_is_small(self):
         # R = 2000 on 49 points: a per-replica (R, size, size) array alone
@@ -239,6 +229,30 @@ class TestEmpiricalCorrelations:
         finally:
             tracemalloc.stop()
         assert peak < 10e6
+
+    def test_order3_memory_is_small(self):
+        # R = 1000 on 49 points: a per-replica (R, size, size, size) array
+        # alone would take 941 MB
+        R = 1000
+        space = build_space({"type": "lattice", "d": 2, "R": 3, "boundary": "periodic"})
+        counts = np.random.default_rng(17).poisson(1.0, size=(R, space.size))
+        batch = ReplicaBatch(snapshots={0.0: counts}, final_counts=counts,
+                             truncated=np.zeros(R, dtype=bool))
+        tracemalloc.start()
+        try:
+            k3 = empirical_correlations(batch, space, 0.0, 3, np.ones(space.size))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k3.values.shape == (space.size,) * 3
+        assert peak < 64e6
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_order_below_one_rejected(self, finite4_critical, n):
+        batch = fixed_batch([1, 2, 0, 1], 150)
+        with pytest.raises(ModelError, match=f"order n = {n} must be at least 1"):
+            empirical_correlations(batch, finite4_critical.space, 0.0, n,
+                                   finite4_critical.mbar)
 
 
 class TestHierarchyAgreement:
@@ -289,6 +303,26 @@ class TestHierarchyAgreement:
                 assert np.all(est.stderr > 0)
                 z = (est.values - traj[i].values) / est.stderr
                 worst = max(worst, float(np.abs(z).max()))
+        assert worst <= z_max
+
+    def test_order3_matches_evolve(self):
+        # criterion 5's random 4-point model: 192 cells of k3 (64 at each of
+        # three times), held to the z limit that keeps the family-wise
+        # false-alarm rate at 1e-3 (Bonferroni)
+        space, model = random_finite_model(np.random.default_rng(7), size=4)
+        tm, _, _ = calibrate(model, space)
+        rho, times = 0.5, [0.5, 1.0, 2.0]
+        batch = run_replicas(tm, rho, 2.0, times, 100_000, seed=99)
+        _, traj = evolve_hierarchy(tm, [poisson_initial(n, rho, space) for n in (1, 2, 3)],
+                                   [0.0] + times)[3]
+        cells = len(times) * 4 ** 3
+        z_max = NormalDist().inv_cdf(1 - 1e-3 / (2 * cells))
+        worst = 0.0
+        for i, t in enumerate(times, 1):
+            est = empirical_correlations(batch, space, t, 3, tm.mbar)
+            assert np.all(est.stderr > 0)
+            z = (est.values - traj[i].values) / est.stderr
+            worst = max(worst, float(np.abs(z).max()))
         assert worst <= z_max
 
     def test_death_rate_audit(self, finite4_critical):
