@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -71,39 +70,66 @@ def _fmt(x) -> str:
 
 
 def _csv_lines(rows) -> list:
-    """CSV lines of tuple rows, each cell through ``_fmt``."""
-    return [",".join(map(_fmt, row)) for row in rows]
+    """One byte block of the CSV lines of tuple rows, each cell through
+    ``_fmt``."""
+    return ["".join(",".join(map(_fmt, row)) + "\n" for row in rows).encode()]
 
 
-def _write_csv(path: Path, header, lines):
-    with open(path, "w") as fh:
-        fh.write("\n".join([",".join(header), *lines, ""]))
+def _write_csv(path: Path, header, blocks):
+    """The ``header`` line, then the byte ``blocks`` (whole lines each)."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        fh.writelines(blocks)
+
+
+# rows per block of _tensor_rows: its uint8 table is a block's bytes with
+# padding, so a whole 117k-row tensor at once would raise the peak memory
+BLOCK_ROWS = 8192
 
 
 def _index_fields(n: int, size: int, width: int | None = None) -> list:
-    """``x1,..,xn`` of every index of an order-n tensor over ``size`` points
-    in C order, padded with empty fields to ``width`` indices."""
-    pad = "," * ((width or n) - n)
-    labels = [str(i) for i in range(size)]
-    return [",".join(idx) + pad for idx in itertools.product(labels, repeat=n)]
+    """Byte-string columns ``x1..xn`` of every index of an order-n tensor
+    over ``size`` points in C order, then ``width - n`` empty columns."""
+    labels = np.array([b"%d" % i for i in range(size)])
+    cols = [labels[ix] for ix in np.indices((size,) * n).reshape(n, -1)]
+    return cols + [np.zeros(size ** n, "S1")] * ((width or n) - n)
 
 
-def _format_floats(a) -> list:
-    """``.17g`` strings of the floats of ``a`` in C order.  Each distinct bit
-    pattern is formatted once (so -0 stays apart from 0), and every cell
-    holding it shares that string."""
+def _format_floats(a) -> np.ndarray:
+    """``.17g`` byte strings of the floats of ``a`` in C order, as an
+    ``S`` array.  Each distinct bit pattern is formatted once (so -0 stays
+    apart from 0), and every cell holding it takes that string."""
     bits = np.ascontiguousarray(a, dtype=np.float64).view(np.int64).ravel()
     uniq, inverse = np.unique(bits, return_inverse=True)
-    strs = [format(v, ".17g") for v in uniq.view(np.float64).tolist()]
-    return [strs[i] for i in inverse.tolist()]
+    vals = tuple(uniq.view(np.float64).tolist())
+    # one %-format over all of them: the conversion of format(v, ".17g"),
+    # without a Python call per value
+    strs = (b"%.17g\n" * len(vals) % vals).split(b"\n")[:-1]
+    return np.array(strs, dtype="S")[inverse]
 
 
 def _tensor_rows(lead: tuple, index: list, *cols) -> list:
-    """CSV lines ``lead,x1..xn,values`` of same-shape tensors in C index
-    order; ``index`` is from ``_index_fields`` and each of ``cols`` is the
-    ``_format_floats`` of one tensor."""
-    head = "".join(_fmt(x) + "," for x in lead)
-    return [head + ",".join(cells) for cells in zip(index, *cols)]
+    """Byte blocks of at most ``BLOCK_ROWS`` CSV lines ``lead,x1..xn,values``
+    of same-shape tensors in C index order; ``index`` is from
+    ``_index_fields`` and each of ``cols`` is the ``_format_floats`` of one
+    tensor.  The fields of a block are laid side by side as fixed-width
+    bytes, with the separators between them, and the NUL padding of the
+    shorter strings is dropped."""
+    head = np.frombuffer("".join(_fmt(x) + "," for x in lead).encode(), np.uint8)
+    cols = [*index, *cols]
+    blocks = []
+    for lo in range(0, len(cols[0]), BLOCK_ROWS):
+        part = [c[lo:lo + BLOCK_ROWS] for c in cols]
+        m = len(part[0])
+        fields = [np.broadcast_to(head, (m, head.size))]
+        for c in part:
+            fields += [c.view(np.uint8).reshape(m, c.itemsize),
+                       np.broadcast_to(np.uint8(ord(",")), (m, 1))]
+        table = np.concatenate(fields, axis=1)
+        table[:, -1] = ord("\n")
+        table = table.ravel()
+        blocks.append(table[table != 0].tobytes())
+    return blocks
 
 
 def _digest(path: Path) -> str:
@@ -308,15 +334,16 @@ def cmd_evolve(cfg, run: Run, rng, space, model):
     grid = np.linspace(0.0, T, (max(round(T / float(cfg["dt"])), 1) if T > 0 else 0) + 1)
     k0 = [poisson_initial(n, rho, space) for n in range(1, N + 1)]
     for n, (times, traj) in evolve_hierarchy(tm, k0, grid).items():
-        index = _index_fields(n, space.size)
-        # one call over the trajectory: values repeated across times share a string
-        values = _format_floats([tensor.values for tensor in traj])
-        m = len(index)
-        lines = []
-        for i, t in enumerate(times):
-            lines += _tensor_rows((t,), index, values[i * m:(i + 1) * m])
-        run.write_csv(f"evolve_k{n}.csv",
-                      ["t"] + [f"x{i + 1}" for i in range(n)] + ["value"], lines)
+        with metrics.phase("write"):
+            index = _index_fields(n, space.size)
+            # one call over the trajectory: values repeated across times share a string
+            values = _format_floats([tensor.values for tensor in traj])
+            m = len(index[0])
+            blocks = []
+            for i, t in enumerate(times):
+                blocks += _tensor_rows((t,), index, values[i * m:(i + 1) * m])
+            run.write_csv(f"evolve_k{n}.csv",
+                          ["t"] + [f"x{i + 1}" for i in range(n)] + ["value"], blocks)
     return EXIT_OK
 
 
@@ -349,10 +376,11 @@ def cmd_stationary(cfg, run: Run, rng, space, model):
                       _csv_lines(s + (val, se) for s, val, se in
                                  zip(flat, k.values, k.stderr)))
     else:
-        run.write_csv(f"stationary_k{n}.csv",
-                      [f"x{i + 1}" for i in range(n)] + ["value"],
-                      _tensor_rows((), _index_fields(n, space.size),
-                                   _format_floats(k.values)))
+        with metrics.phase("write"):
+            run.write_csv(f"stationary_k{n}.csv",
+                          [f"x{i + 1}" for i in range(n)] + ["value"],
+                          _tensor_rows((), _index_fields(n, space.size),
+                                       _format_floats(k.values)))
     run.checks["stationary_converged"] = True
     return EXIT_OK
 
@@ -365,26 +393,30 @@ def cmd_simulate(cfg, run: Run, rng, space, model):
         snapshot_grid(T, snap)
     except (TypeError, ValueError, ModelError) as exc:
         raise ConfigError(str(exc)) from exc
+    if len(set(snap)) < len(snap):
+        raise ConfigError(f"config key 'snapshot_times' repeats a time: {snap!r}")
     if not (isinstance(orders, list) and orders and all(
-            isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in orders)):
+            isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in orders)
+            and len(set(orders)) == len(orders)):
         raise ConfigError("config key 'orders' must be a non-empty list of "
-                          f"integers >= 1, got {orders!r}")
+                          f"distinct integers >= 1, got {orders!r}")
     if cfg["replicas"] < MIN_REPLICAS:
         raise ConfigError(f"config key 'replicas' must be >= {MIN_REPLICAS} for "
                           f"simulate, got {cfg['replicas']}")
     tm, _, _ = calibrate(model, space)
     batch = run_replicas(tm, rho, T, snap, cfg["replicas"], seed=cfg["seed"])
-    width = max(orders)
-    index = {n: _index_fields(n, space.size, width) for n in orders}
-    lines = []
     with metrics.phase("moments"):
-        for t in snap:
-            for n in orders:
-                est = empirical_correlations(batch, space, t, n, tm.mbar)
-                lines += _tensor_rows((t, n), index[n], _format_floats(est.values),
-                                      _format_floats(est.stderr))
-    header = ["t", "order"] + [f"x{i + 1}" for i in range(width)] + ["value", "stderr"]
-    run.write_csv("moments.csv", header, lines)
+        ests = [empirical_correlations(batch, space, t, n, tm.mbar)
+                for t in snap for n in orders]
+    width = max(orders)
+    with metrics.phase("write"):
+        index = {n: _index_fields(n, space.size, width) for n in orders}
+        blocks = []
+        for est in ests:
+            blocks += _tensor_rows((est.time, est.order), index[est.order],
+                                   _format_floats(est.values), _format_floats(est.stderr))
+        header = ["t", "order"] + [f"x{i + 1}" for i in range(width)] + ["value", "stderr"]
+        run.write_csv("moments.csv", header, blocks)
     run.write_json("simulate.json",
                    {"replicas": cfg["replicas"], "truncated": int(batch.truncated.sum()),
                     "snapshot_times": snap})

@@ -4,7 +4,8 @@ A recorder lives in a context variable.  ``recording()`` starts a fresh one
 (the CLI starts one per command and writes it to ``manifest.json``), and
 ``count``, ``record`` and ``phase`` add to the recorder in effect; outside
 ``recording()`` they do nothing.  ``phase`` is a context manager and a
-decorator; a phase's time includes that of the phases it encloses.
+decorator; a phase's time includes that of the phases it encloses, and a
+phase entered inside one of the same name adds nothing.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 
 _recorder: ContextVar[dict | None] = ContextVar("contactlab_metrics", default=None)
+# the names of the phases that enclose the running code
+_open: ContextVar[frozenset] = ContextVar("contactlab_phases", default=frozenset())
 
 
 @contextmanager
@@ -44,12 +47,17 @@ def record(name: str, value: float):
 
 @contextmanager
 def phase(name: str):
-    """Add the wall time of the enclosed code to the phase ``name``."""
+    """Add the wall time of the enclosed code to the phase ``name``, unless
+    a phase of that name encloses it (its time counts once)."""
     rec = _recorder.get()
+    if rec is None or name in _open.get():
+        yield
+        return
+    token = _open.set(_open.get() | {name})
     start = time.perf_counter()
     try:
         yield
     finally:
-        if rec is not None:
-            rec["phases_s"][name] = (rec["phases_s"].get(name, 0.0)
-                                     + time.perf_counter() - start)
+        _open.reset(token)
+        rec["phases_s"][name] = (rec["phases_s"].get(name, 0.0)
+                                 + time.perf_counter() - start)

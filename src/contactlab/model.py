@@ -19,7 +19,7 @@ death rates ``V(x) > 0`` and an optional jump kernel ``J(y, x)``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,6 @@ class StateSpace:
     boundary: str | None = None  # "periodic" | "unbounded"
     marks: tuple | None = None
     nu: np.ndarray | None = None
-    index: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.points) == 0:
@@ -69,17 +68,10 @@ class StateSpace:
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise SpaceError("weights must be strictly positive and finite")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "index", {p: i for i, p in enumerate(self.points)})
 
     @property
     def size(self) -> int:
         return len(self.points)
-
-    def locate(self, point) -> int:
-        try:
-            return self.index[point]
-        except KeyError:
-            raise SpaceError(f"unknown point {point!r}") from None
 
     def coordinate(self, point):
         """Lattice coordinate of a point (the point itself on pure lattices)."""

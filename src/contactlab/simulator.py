@@ -34,6 +34,9 @@ __all__ = [
 DEFAULT_EVENT_CAP = 1_000_000
 # the fewest replicas empirical_correlations estimates moments from
 MIN_REPLICAS = 100
+# the most falling-factorial products (2 MB) empirical_correlations holds
+# per order: it sums its moments over chunks of replicas this bounds
+MOMENT_CHUNK = 1 << 18
 
 
 @dataclass
@@ -253,17 +256,19 @@ def empirical_correlations(batch: ReplicaBatch, space, t: float, n: int,
         S2_m = (F_{m-1}^2)^T (C o C) - 2 rep_m o (F_{m-1}^2)^T C
                + rep_m^2 o S2_{m-1},
 
-    and order n holds F_{n-1}, R x size^(n-1) numbers.  Then, with scale
-    the n-fold outer product of mbar,
+    and order n holds F_{n-1}, size^(n-1) numbers per replica.  The sums
+    run over chunks of replicas whose F_{n-1} holds at most MOMENT_CHUNK
+    numbers (one chunk unless R size^(n-1) exceeds it), added up in turn.
+    Then, with scale the n-fold outer product of mbar,
 
         values = S1 / R / scale,
         stderr = sqrt((S2 - S1^2 / R) / (R - 1) / R) / scale.
 
-    The counts are integers, so S1 and S2 are exact while they stay below
-    2^53 and a constant cell has a stderr of exactly 0; the difference is
-    clamped at 0 against rounding beyond that.  A truncated replica is an
-    error: dropping it would bias the moments toward the replicas that
-    stayed under the cap.
+    The counts are integers, so S1 and S2 are exact, in any chunking, while
+    they stay below 2^53, and a constant cell has a stderr of exactly 0;
+    the difference is clamped at 0 against rounding beyond that.  A
+    truncated replica is an error: dropping it would bias the moments
+    toward the replicas that stayed under the cap.
     """
     if n < 1:
         raise ModelError(f"the order n = {n} must be at least 1")
@@ -279,18 +284,27 @@ def empirical_correlations(batch: ReplicaBatch, space, t: float, n: int,
     if t not in batch.snapshots:
         raise ModelError(f"no snapshot at t = {t}")
     C = batch.snapshots[t].astype(float)
-    sq = C * C
-    # order 0: the empty product over the empty cell; rep_1 = 0
-    F, S1, S2, scale = np.ones((R, 1)), np.full(1, float(R)), np.full(1, float(R)), 1.0
-    rep = np.zeros((1, size))
+    # rep_1 = 0, rep_2, ..., rep_n
+    reps, scale = [np.zeros((1, size))], 1.0
     for m in range(1, n + 1):
-        F2 = F * F
-        S1 = (F.T @ C - rep * S1[:, None]).ravel()
-        S2 = (F2.T @ sq - 2 * rep * (F2.T @ C) + rep * rep * S2[:, None]).ravel()
         scale = np.multiply.outer(scale, mbar)
         if m < n:
-            F = (F[:, :, None] * (C[:, None, :] - rep)).reshape(R, -1)
-            rep = (rep[:, None, :] + np.eye(size)).reshape(-1, size)
+            reps.append((reps[-1][:, None, :] + np.eye(size)).reshape(-1, size))
+    # None, not 0.0, before the first chunk: 0.0 + -0.0 would drop a sign
+    S1 = S2 = None
+    step = max(1, MOMENT_CHUNK // size ** (n - 1))
+    for lo in range(0, R, step):
+        c = C[lo:lo + step]
+        r, sq = len(c), c * c
+        # order 0: the empty product over the empty cell
+        F, s1, s2 = np.ones((r, 1)), np.full(1, float(r)), np.full(1, float(r))
+        for m, rep in enumerate(reps, 1):
+            F2 = F * F
+            s1 = (F.T @ c - rep * s1[:, None]).ravel()
+            s2 = (F2.T @ sq - 2 * rep * (F2.T @ c) + rep * rep * s2[:, None]).ravel()
+            if m < n:
+                F = (F[:, :, None] * (c[:, None, :] - rep)).reshape(r, -1)
+        S1, S2 = (s1, s2) if S1 is None else (S1 + s1, S2 + s2)
     S1, S2 = S1.reshape(scale.shape), S2.reshape(scale.shape)
     values = S1 / R / scale
     stderr = np.sqrt(np.maximum(S2 - S1 ** 2 / R, 0.0) / (R - 1) / R) / scale

@@ -1,8 +1,8 @@
 """Monte Carlo references that the exact and skeleton code is cross-checked
 against: a scalar single-path walker, the exponential-clock jump chain of
 both walkers, and the mark-chain jump counts read off that chain; the
-pointwise lookups of a walk's stencil and of b; and the scalar
-single-trajectory contact process, which picks each event by its
+pointwise lookups of a point's index, of a walk's stencil and of b; and
+the scalar single-trajectory contact process, which picks each event by its
 destination, against the particle-attributed ``run_replicas``; the
 residual of the jump-extended balance condition; and the hierarchy
 operator Lhat_n and its semigroup, applied axis by axis."""
@@ -14,13 +14,21 @@ from scipy.linalg import expm
 
 from contactlab import metrics
 from contactlab.criticality import GroundState, TransformedModel
-from contactlab.errors import ModelError
+from contactlab.errors import ModelError, SpaceError
 from contactlab.hierarchy import (CorrelationTensor, _apply_axis, _apply_each_axis,
                                   generator_matrix)
 from contactlab.model import RateModel, StateSpace, kernel_matrix
 from contactlab.simulator import DEFAULT_EVENT_CAP, EventLog
 from contactlab.walkers import (LatticeWalk, _alias_table, _lattice_code, _on_support,
                                 _support_hash, _walker_start, lattice_walk)
+
+
+def locate(space: StateSpace, point) -> int:
+    """The index of ``point`` in ``space.points``."""
+    try:
+        return space.points.index(point)
+    except ValueError:
+        raise SpaceError(f"unknown point {point!r}") from None
 
 
 def alpha_at(walk: LatticeWalk, codes: np.ndarray) -> np.ndarray:
@@ -98,7 +106,7 @@ def simulate_jump(tm: TransformedModel, x0, T: float,
     if np.abs(rows - 1.0).max() > 1e-9:
         raise ModelError("jump law rows deviate from 1: model miscalibrated")
     cum = np.cumsum(P, axis=1)
-    i = tm.space.locate(x0)
+    i = locate(tm.space, x0)
     times, states = [0.0], [tm.space.points[i]]
     t = 0.0
     while True:

@@ -3,17 +3,20 @@
 import hashlib
 import json
 import re
+import time
+import tracemalloc
 from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from contactlab import cli
+from contactlab import cli, metrics
 from contactlab.cli import _fmt, _format_floats, _index_fields, _tensor_rows, main
 from contactlab.criticality import calibrate
 from contactlab.hierarchy import evolve_hierarchy, poisson_initial, stationary_k
 from contactlab.model import model_from_dict
+from contactlab.simulator import empirical_correlations, run_replicas
 
 
 LATTICE_MODEL = {
@@ -202,6 +205,11 @@ class TestExitCodes:
                         "T": 20, "replicas": 200}),
         ("verify-bounds", {"model": STENCIL_PRODUCT_MODEL, "rho": 0.1, "T": 20,
                            "replicas": 200, "starts": [[0, 0, 0]]}),
+        # a repeated time or order would repeat its rows of moments.csv
+        ("simulate", {"model": FINITE_MODEL, "rho": 0.5, "T": 1.0, "replicas": 120,
+                      "snapshot_times": [1.0, 0.5, 1.0]}),
+        ("simulate", {"model": FINITE_MODEL, "rho": 0.5, "T": 1.0, "replicas": 120,
+                      "orders": [1, 1]}),
     ])
     def test_rejected_before_calibration(self, tmp_path, monkeypatch, command, cfg):
         monkeypatch.setattr(cli, "calibrate", _no_calibration)
@@ -586,7 +594,7 @@ def test_readme_key_tables_match_config():
 
 
 def test_tensor_rows_match_cellwise_format():
-    # the finished lines equal a cell-by-cell loop over the tensors, index
+    # the joined blocks equal a cell-by-cell loop over the tensors, index
     # padding included, with repeated values, -0 beside 0, nan, +-inf and a
     # subnormal
     rng = np.random.default_rng(4)
@@ -595,16 +603,19 @@ def test_tensor_rows_match_cellwise_format():
     vals[1] = [-0.0, 0.0, np.nan, np.inf]
     vals[2, :2] = [-np.inf, 5e-324]
     errs[2, :3] = [1.0 / 3.0, 0.0, -0.0]
-    got = _tensor_rows((0.5, 2), _index_fields(2, 4, width=3),
-                       _format_floats(vals), _format_floats(errs))
+    got = b"".join(_tensor_rows((0.5, 2), _index_fields(2, 4, width=3),
+                                _format_floats(vals), _format_floats(errs))).decode()
     loop = [(0.5, 2) + idx + ("",) + (vals[idx], errs[idx]) for idx in np.ndindex(4, 4)]
-    assert got == [",".join(map(_fmt, row)) for row in loop]
-    assert [line.split(",")[5] for line in got[4:10]] == [
+    assert got == "".join(",".join(map(_fmt, row)) + "\n" for row in loop)
+    assert [line.split(",")[5] for line in got.splitlines()[4:10]] == [
         "-0", "0", "nan", "inf", "-inf", "4.9406564584124654e-324"]
+    # any bit pattern, nan payloads and subnormals of either sign included
+    bits = rng.integers(-2 ** 63, 2 ** 63, 20000, dtype=np.int64).view(np.float64)
+    assert _format_floats(bits).tolist() == [_fmt(v).encode() for v in bits.tolist()]
 
 
 def _cellwise_write_csv(path, header, rows):
-    """The row-by-row CSV writer the one-block writer replaced."""
+    """The row-by-row CSV writer the byte-column writer replaced."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -612,25 +623,31 @@ def _cellwise_write_csv(path, header, rows):
 
 
 def test_tensor_csvs_match_row_by_row_writer(tmp_path):
-    # stationary n = 2, 3 and evolve on a 9-point window, byte for byte
-    model = dict(LATTICE_MODEL, space={"type": "lattice", "d": 2, "R": 1,
-                                       "boundary": "unbounded"})
-    space, rate_model = model_from_dict(model)
-    tm, _, _ = calibrate(rate_model, space)
+    # stationary n = 2, 3 and evolve on a 9-point window, and n = 3 on a
+    # 21-point line, whose 9261 rows end in a partial second block, byte for byte
+    window = dict(LATTICE_MODEL, space={"type": "lattice", "d": 2, "R": 1,
+                                        "boundary": "unbounded"})
+    line = dict(LATTICE_MODEL, space={"type": "lattice", "d": 1, "R": 10,
+                                      "boundary": "unbounded"})
+    assert 21 ** 3 // cli.BLOCK_ROWS == 1 and 21 ** 3 % cli.BLOCK_ROWS
     ref = tmp_path / "ref"
     ref.mkdir()
-    for n in (2, 3):
+    for name, model, n in (("window", window, 2), ("window", window, 3), ("line", line, 3)):
+        space, rate_model = model_from_dict(model)
+        tm, _, _ = calibrate(rate_model, space)
         code, out = run_cli(tmp_path, "stationary", {"model": model, "rho": 0.1, "n": n},
-                            outname=f"stationary{n}")
+                            outname=f"{name}{n}")
         assert code == 0
         k = stationary_k(n, tm, 0.1).values
-        _cellwise_write_csv(ref / f"stationary_k{n}.csv",
+        _cellwise_write_csv(ref / f"{name}_k{n}.csv",
                             [f"x{i + 1}" for i in range(n)] + ["value"],
                             (idx + (k[idx],) for idx in np.ndindex(k.shape)))
         assert ((out / f"stationary_k{n}.csv").read_bytes()
-                == (ref / f"stationary_k{n}.csv").read_bytes())
+                == (ref / f"{name}_k{n}.csv").read_bytes())
+    space, rate_model = model_from_dict(window)
+    tm, _, _ = calibrate(rate_model, space)
     code, out = run_cli(tmp_path, "evolve",
-                        {"model": model, "rho": 0.1, "N": 2, "T": 0.5, "dt": 0.05})
+                        {"model": window, "rho": 0.1, "N": 2, "T": 0.5, "dt": 0.05})
     assert code == 0
     k0 = [poisson_initial(n, 0.1, space) for n in (1, 2)]
     for n, (times, traj) in evolve_hierarchy(tm, k0, np.linspace(0, 0.5, 11)).items():
@@ -640,6 +657,75 @@ def test_tensor_csvs_match_row_by_row_writer(tmp_path):
                              for idx in np.ndindex(k.values.shape)))
         assert ((out / f"evolve_k{n}.csv").read_bytes()
                 == (ref / f"evolve_k{n}.csv").read_bytes())
+
+
+def test_moments_csv_matches_row_by_row_writer(tmp_path):
+    # orders 3 and 1 at two times: the order-1 rows leave x2 and x3 empty
+    times, orders = [0.25, 0.5], [3, 1]
+    code, out = run_cli(tmp_path, "simulate",
+                        {"model": FINITE_MODEL, "rho": 0.5, "T": 0.5, "replicas": 150,
+                         "snapshot_times": times, "orders": orders}, seed=3)
+    assert code == 0
+    space, rate_model = model_from_dict(FINITE_MODEL)
+    tm, _, _ = calibrate(rate_model, space)
+    batch = run_replicas(tm, 0.5, 0.5, times, 150, seed=3)
+    rows = []
+    for t in times:
+        for n in orders:
+            est = empirical_correlations(batch, space, t, n, tm.mbar)
+            rows += [(t, n) + idx + ("",) * (3 - n) + (est.values[idx], est.stderr[idx])
+                     for idx in np.ndindex(est.values.shape)]
+    _cellwise_write_csv(tmp_path / "moments.csv",
+                        ["t", "order", "x1", "x2", "x3", "value", "stderr"], rows)
+    assert (out / "moments.csv").read_bytes() == (tmp_path / "moments.csv").read_bytes()
+
+
+def test_tensor_csv_is_built_a_block_at_a_time(tmp_path):
+    # writing a 117,649-row tensor holds its bytes and one block's table;
+    # a table of all rows at once took about three times the file size
+    k = np.random.default_rng(5).random((49,) * 3)
+    index, values = _index_fields(3, 49), _format_floats(k)
+    path = tmp_path / "k3.csv"
+    tracemalloc.start()
+    try:
+        cli._write_csv(path, ["x1", "x2", "x3", "value"], _tensor_rows((), index, values))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * path.stat().st_size
+
+
+def test_nested_phase_counts_once(monkeypatch):
+    ticks = iter(range(10))
+    monkeypatch.setattr(metrics.time, "perf_counter", lambda: float(next(ticks)))
+    with metrics.recording() as rec:
+        with metrics.phase("write"):
+            with metrics.phase("write"):
+                with metrics.phase("moments"):
+                    pass
+    assert rec["phases_s"] == {"write": 3.0, "moments": 1.0}
+
+
+@pytest.mark.parametrize("command, cfg, compute", [
+    ("stationary", {"model": LATTICE_MODEL, "rho": 0.1, "n": 2}, "stationary"),
+    ("evolve", {"model": FINITE_MODEL, "rho": 0.5, "N": 2, "T": 0.5}, "evolve"),
+    ("simulate", {"model": FINITE_MODEL, "rho": 0.5, "T": 0.5, "replicas": 150},
+     "moments")])
+def test_write_phase_times_csv_assembly(tmp_path, monkeypatch, command, cfg, compute):
+    # formatting a tensor counts under write, not under the phase that
+    # computed the tensor
+    calls, format_floats = [], cli._format_floats
+
+    def slow(a):
+        calls.append(a)
+        time.sleep(0.05)
+        return format_floats(a)
+
+    monkeypatch.setattr(cli, "_format_floats", slow)
+    code, out = run_cli(tmp_path, command, cfg, seed=1)
+    assert code == 0
+    phases = json.loads((out / "manifest.json").read_text())["metrics"]["phases_s"]
+    assert phases["write"] >= 0.05 * len(calls) > phases[compute]
 
 
 class TestDeterminism:

@@ -8,6 +8,7 @@ from contactlab.model import (Kernel, RateModel, build_space, kernel_matrix,
                               model_from_dict)
 
 from conftest import nearest_stencil
+from reference import locate
 
 
 class TestBuildSpace:
@@ -35,7 +36,7 @@ class TestBuildSpace:
                           "boundary": "unbounded",
                           "marks": ["A", "B"], "nu": [0.3, 0.7]})
         for xi in (-1, 0, 1):
-            mass = sum(sp.weights[sp.locate(((xi,), s))] for s in ("A", "B"))
+            mass = sum(sp.weights[locate(sp, ((xi,), s))] for s in ("A", "B"))
             assert mass == pytest.approx(1.0)
 
     def test_rejects_bad_weight(self):
@@ -67,7 +68,7 @@ class TestBuildSpace:
                           "boundary": "periodic"})
         K = kernel_matrix(Kernel("stencil", stencil={(-1,): 0.25, (1,): 0.75}), sp)
         # (2,) - (-2,) = 4 wraps to the minimal image -1
-        assert K[sp.locate((2,)), sp.locate((-2,))] == 0.25
+        assert K[locate(sp, (2,)), locate(sp, (-2,))] == 0.25
 
     def test_product_enumeration_row_major(self):
         sp = build_space({"type": "product", "d": 1, "R": 1,
@@ -129,9 +130,9 @@ class TestKernelEval:
         sp = build_space({"type": "lattice", "d": 3, "R": 1,
                           "boundary": "unbounded"})
         K = kernel_matrix(Kernel("stencil", stencil=nearest_stencil(3)), sp)
-        o = sp.locate((0, 0, 0))
-        assert K[o, sp.locate((1, 0, 0))] == pytest.approx(1 / 6)
-        assert K[o, sp.locate((1, 1, 0))] == 0.0
+        o = locate(sp, (0, 0, 0))
+        assert K[o, locate(sp, (1, 0, 0))] == pytest.approx(1 / 6)
+        assert K[o, locate(sp, (1, 1, 0))] == 0.0
 
     def test_factorized_product(self):
         sp = build_space({"type": "product", "d": 1, "R": 1,
@@ -139,7 +140,7 @@ class TestKernelEval:
                           "marks": ["A", "B"], "nu": [0.5, 0.5]})
         K = kernel_matrix(Kernel("factorized", stencil={(0,): 0.3},
                                  Q=[[1.0, 2.0], [2.0, 1.0]]), sp)
-        assert K[sp.locate(((0,), "A")), sp.locate(((0,), "B"))] == pytest.approx(0.6)
+        assert K[locate(sp, ((0,), "A")), locate(sp, ((0,), "B"))] == pytest.approx(0.6)
 
     def test_even_stencil_symmetric(self):
         sp = build_space({"type": "lattice", "d": 2, "R": 1,
@@ -151,7 +152,7 @@ class TestKernelEval:
         sp = build_space({"type": "finite", "points": [0, 1],
                           "weights": [1, 1]})
         with pytest.raises(SpaceError):
-            sp.locate(99)
+            locate(sp, 99)
 
 
 class TestValidateModel:
@@ -182,7 +183,7 @@ class TestModelFromDict:
         sp, m = model_from_dict(cfg)
         assert sp.size == 27
         K = kernel_matrix(m.birth, sp)
-        assert K[sp.locate((0, 0, 0)), sp.locate((1, 0, 0))] == pytest.approx(1 / 6)
+        assert K[locate(sp, (0, 0, 0)), locate(sp, (1, 0, 0))] == pytest.approx(1 / 6)
 
     def test_missing_keys(self):
         with pytest.raises(ModelError):
@@ -203,7 +204,7 @@ class TestModelFromDict:
                          "Q": [[2, 1], [1, 2]]},
                "death": {"per_mark": [1.0, 3.0]}}
         sp, m = model_from_dict(cfg)
-        assert m.death[sp.locate(((0,), "B"))] == 3.0
+        assert m.death[locate(sp, ((0,), "B"))] == 3.0
 
     @pytest.mark.parametrize("form, key", [("stencil", "entries"), ("factorized", "alpha")])
     def test_duplicate_displacement_rejected(self, form, key):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from contactlab import simulator
 from contactlab.criticality import (TransformedModel, calibrate, ground_transform,
                                     solve_ground_state)
 from contactlab.errors import ModelError
@@ -246,6 +247,39 @@ class TestEmpiricalCorrelations:
             tracemalloc.stop()
         assert k3.values.shape == (space.size,) * 3
         assert peak < 64e6
+
+    def test_order4_memory_is_bounded(self):
+        # R = 200 on 25 points: summed over all replicas at once, the
+        # factorial products and their temporaries peaked at 72 MB; summed a
+        # chunk at a time the peak was 30.3 MB, mostly the 25^4-cell sums
+        R = 200
+        space = build_space({"type": "lattice", "d": 2, "R": 2, "boundary": "periodic"})
+        counts = np.random.default_rng(18).poisson(1.0, size=(R, space.size))
+        batch = ReplicaBatch(snapshots={0.0: counts}, final_counts=counts,
+                             truncated=np.zeros(R, dtype=bool))
+        tracemalloc.start()
+        try:
+            empirical_correlations(batch, space, 0.0, 4, np.ones(space.size))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 61e6
+
+    def test_chunked_sums_equal_one_chunk(self, monkeypatch):
+        # the sums are of integers below 2^53, so they are exact in any order
+        R, size = 150, 6
+        space = build_space({"type": "finite", "points": list(range(size))})
+        counts = np.random.default_rng(19).poisson(1.5, size=(R, size))
+        batch = ReplicaBatch(snapshots={0.0: counts}, final_counts=counts,
+                             truncated=np.zeros(R, dtype=bool))
+        mbar = np.linspace(0.5, 1.5, size)
+        whole = [empirical_correlations(batch, space, 0.0, n, mbar) for n in range(1, 5)]
+        assert R * size ** 3 <= simulator.MOMENT_CHUNK
+        monkeypatch.setattr(simulator, "MOMENT_CHUNK", 40)
+        for n, one in enumerate(whole, 1):
+            chunked = empirical_correlations(batch, space, 0.0, n, mbar)
+            assert np.array_equal(chunked.values, one.values)
+            assert np.array_equal(chunked.stderr, one.stderr)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_order_below_one_rejected(self, finite4_critical, n):

@@ -25,7 +25,7 @@ from contactlab.walkers import (DOMINATION_TOL, LOWER_TAIL_B, POISSON_TAIL, _HAS
                                 pair_limit, poisson_domination_check)
 
 from conftest import lattice_model, marked_model, nearest_stencil
-from reference import (alpha_of, b_pair, clock_pair_curves, empirical_cdf,
+from reference import (alpha_of, b_pair, clock_pair_curves, empirical_cdf, locate,
                        mark_chain_jump_counts, simulate_jump)
 
 
@@ -43,7 +43,7 @@ class TestSimulateJump:
         path = simulate_jump(tm, tm.space.points[0], 4000.0, rng)
         ht = np.diff(path.times)
         for h, st in zip(ht, path.states[:-1]):
-            holds[tm.space.locate(st)].append(h)
+            holds[locate(tm.space, st)].append(h)
         for i, hs in holds.items():
             hs = np.asarray(hs)
             if len(hs) < 200:
