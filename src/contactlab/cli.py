@@ -75,11 +75,22 @@ def _csv_lines(rows) -> list:
     return ["".join(",".join(map(_fmt, row)) + "\n" for row in rows).encode()]
 
 
-def _write_csv(path: Path, header, blocks):
-    """The ``header`` line, then the byte ``blocks`` (whole lines each)."""
+def _digest(blocks) -> str:
+    """The sha256 hex digest of the byte ``blocks`` one after another: that
+    of the file they are written to, without reading it back."""
+    digest = hashlib.sha256()
+    for block in blocks:
+        digest.update(block)
+    return digest.hexdigest()
+
+
+def _write_csv(path: Path, header, blocks) -> str:
+    """The ``header`` line, then the byte ``blocks`` (whole lines each); the
+    sha256 hex digest of the file."""
+    blocks = [(",".join(header) + "\n").encode(), *blocks]
     with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
         fh.writelines(blocks)
+    return _digest(blocks)
 
 
 # rows per block of _tensor_rows: its uint8 table is a block's bytes with
@@ -132,10 +143,6 @@ def _tensor_rows(lead: tuple, index: list, *cols) -> list:
     return blocks
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _json_default(o):
     if isinstance(o, np.ndarray):
         return o.tolist()
@@ -155,21 +162,18 @@ class Run:
         self.outdir.mkdir(parents=True, exist_ok=True)
         self.started = time.time()
         self.checks: dict[str, bool] = {}
-        self.files: list[Path] = []
+        self.digests: dict[str, str] = {}   # sha256 of each output, as written
 
     @metrics.phase("write")
     def write_json(self, name: str, payload: dict):
-        path = self.outdir / name
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-            fh.write("\n")
-        self.files.append(path)
+        data = (json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+                + "\n").encode()
+        (self.outdir / name).write_bytes(data)
+        self.digests[name] = _digest([data])
 
     @metrics.phase("write")
     def write_csv(self, name: str, header, lines):
-        path = self.outdir / name
-        _write_csv(path, header, lines)
-        self.files.append(path)
+        self.digests[name] = _write_csv(self.outdir / name, header, lines)
 
     def finish(self, command: str, recorded: dict):
         """Write ``manifest.json``: the outputs' digests, the checks and the
@@ -182,7 +186,7 @@ class Run:
             "seed": self.config.get("seed"),
             "wall_clock_seconds": round(time.time() - self.started, 3),
             "checks": self.checks,
-            "outputs": {p.name: _digest(p) for p in self.files},
+            "outputs": self.digests,
             "metrics": recorded,
         }
         path = self.outdir / "manifest.json"

@@ -287,8 +287,9 @@ def stationary_k(n: int, tm: TransformedModel, rho: float) -> CorrelationTensor:
 
     Solves Lhat_n (k_n - rho^n) = -f_n directly on a finite space, level by
     level with f_n built from k_{n-1}, on one Schur form of G; raises
-    DivergenceError on critical models.  ``stationary_pair_mc`` estimates
-    k_2 on unbounded lattices.
+    DivergenceError on critical models.  Each level is exactly symmetric:
+    an entry takes the solve's value at its index sorted ascending.
+    ``stationary_pair_mc`` estimates k_2 on unbounded lattices.
     """
     if n < 1:
         raise ModelError("stationary level must be >= 1")
@@ -300,6 +301,8 @@ def stationary_k(n: int, tm: TransformedModel, rho: float) -> CorrelationTensor:
         # -Lhat_m^{-1} f_m in the Schur basis, where Lhat_m is triangular
         C = _apply_each_axis(Z.conj().T, -source_f(m, tm, k).values)
         X = _apply_each_axis(Z, _kron_sum_solve(T, C)).real
+        # k_m is symmetric: every entry takes the value at its sorted index
+        X = X[tuple(np.sort(np.indices(X.shape).reshape(m, -1), axis=0))].reshape(X.shape)
         k = CorrelationTensor(m, X + float(rho) ** m)
     return k
 

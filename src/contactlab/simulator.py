@@ -256,9 +256,10 @@ def empirical_correlations(batch: ReplicaBatch, space, t: float, n: int,
         S2_m = (F_{m-1}^2)^T (C o C) - 2 rep_m o (F_{m-1}^2)^T C
                + rep_m^2 o S2_{m-1},
 
-    and order n holds F_{n-1}, size^(n-1) numbers per replica.  The sums
-    run over chunks of replicas whose F_{n-1} holds at most MOMENT_CHUNK
-    numbers (one chunk unless R size^(n-1) exceeds it), added up in turn.
+    and order n holds F_{n-1}, size^(n-1) numbers per replica.  The three
+    matrix products of each order run over chunks of replicas whose F_{n-1}
+    holds at most MOMENT_CHUNK numbers (one chunk unless R size^(n-1)
+    exceeds it), added up in turn, and the rep terms are applied once.
     Then, with scale the n-fold outer product of mbar,
 
         values = S1 / R / scale,
@@ -290,21 +291,30 @@ def empirical_correlations(batch: ReplicaBatch, space, t: float, n: int,
         scale = np.multiply.outer(scale, mbar)
         if m < n:
             reps.append((reps[-1][:, None, :] + np.eye(size)).reshape(-1, size))
-    # None, not 0.0, before the first chunk: 0.0 + -0.0 would drop a sign
-    S1 = S2 = None
+    # the products F_{m-1}^T C, (F_{m-1}^2)^T (C o C) and (F_{m-1}^2)^T C of
+    # each order m, summed over the chunks; None, not 0.0, before the first
+    # chunk: 0.0 + -0.0 would drop a sign
+    sums = [None] * n
     step = max(1, MOMENT_CHUNK // size ** (n - 1))
     for lo in range(0, R, step):
         c = C[lo:lo + step]
         r, sq = len(c), c * c
         # order 0: the empty product over the empty cell
-        F, s1, s2 = np.ones((r, 1)), np.full(1, float(r)), np.full(1, float(r))
-        for m, rep in enumerate(reps, 1):
+        F = np.ones((r, 1))
+        for m, rep in enumerate(reps):
             F2 = F * F
-            s1 = (F.T @ c - rep * s1[:, None]).ravel()
-            s2 = (F2.T @ sq - 2 * rep * (F2.T @ c) + rep * rep * s2[:, None]).ravel()
-            if m < n:
+            part = (F.T @ c, F2.T @ sq, F2.T @ c)
+            if sums[m] is None:
+                sums[m] = part
+            else:
+                for total, add in zip(sums[m], part):
+                    total += add
+            if m < n - 1:
                 F = (F[:, :, None] * (c[:, None, :] - rep)).reshape(r, -1)
-        S1, S2 = (s1, s2) if S1 is None else (S1 + s1, S2 + s2)
+    S1 = S2 = np.full(1, float(R))
+    for rep, (fc, f2sq, f2c) in zip(reps, sums):
+        S1, S2 = ((fc - rep * S1[:, None]).ravel(),
+                  (f2sq - 2 * rep * f2c + rep * rep * S2[:, None]).ravel())
     S1, S2 = S1.reshape(scale.shape), S2.reshape(scale.shape)
     values = S1 / R / scale
     stderr = np.sqrt(np.maximum(S2 - S1 ** 2 / R, 0.0) / (R - 1) / R) / scale

@@ -232,18 +232,78 @@ def _alias_table(P: np.ndarray):
 # once, or fewer once they hold _BLOCK_HITS hits (dense hits on a recurrent walk)
 _BLOCK = 64
 _BLOCK_HITS = 1 << 18
+# the most step tuples one skeleton draw picks from: 6^4 on nearest-neighbour Z^3
+_GROUP_OUTCOMES = 1296
+
+
+def _step_groups(codes: np.ndarray, probs: np.ndarray):
+    """``(prefix, law)`` of the k-tuples of steps, k the largest with ``O^k
+    <= _GROUP_OUTCOMES`` (at least 1) for the O step ``codes`` of law
+    ``probs``, in ``itertools.product`` order: ``prefix[j]`` (k, O^k) is
+    each tuple's code after its first j + 1 steps, and ``law`` its
+    probability."""
+    O = len(probs)
+    k = 1
+    while O ** (k + 1) <= _GROUP_OUTCOMES:
+        k += 1
+    tuples = np.indices((O,) * k).reshape(k, -1)
+    law = probs[tuples[0]]
+    for row in tuples[1:]:
+        law = law * probs[row]
+    return np.cumsum(codes[tuples], axis=0), law
+
+
+def _skeleton_steps(codes: np.ndarray, probs: np.ndarray, replicas: int, K: int,
+                    support: np.ndarray, rng: np.random.Generator):
+    """Yield, for n = 0..K, the replicas whose skeleton walk ``S_n`` lies on
+    the sorted lattice codes ``support`` and their positions in it.
+
+    The steps are drawn k at a time (``_step_groups``): one draw per group
+    of a k-tuple of ``codes`` under the product law of ``probs``, a uniform
+    integer below ``O^k`` when the law is uniform, else one alias draw, and
+    a table of prefix codes gives each tuple's k partial sums.  Each group
+    screens the replicas' codes at its start once, with the hash table of
+    the reach set ``support - prefix``; only the replicas that pass form
+    their k positions, which ``_on_support`` decides exactly.  The last
+    group forms only the steps up to K.
+    """
+    prefix, law = _step_groups(codes, probs)
+    k, G = prefix.shape
+    uniform = bool((probs == probs[0]).all())
+    [thresh], [alias] = _alias_table(law[None])
+    hashed = _support_hash(support)
+    reach_table, reach_bits = _support_hash(
+        np.unique(support[:, None] - np.unique(prefix)))
+    code = np.zeros(replicas, dtype=np.int64)
+    yield _on_support(support, hashed, code)
+    for first in range(1, K + 1, k):
+        kk = min(k, K + 1 - first)
+        if uniform:
+            t = rng.integers(G, size=replicas, dtype=np.uint16 if G <= 1 << 16 else np.int64)
+        else:
+            u = rng.random(replicas) * G
+            o = u.astype(np.int64)
+            t = np.where(u - o < thresh[o], o, alias[o])
+        cand = np.flatnonzero(reach_table.take(_hash(code, reach_bits)))
+        # the candidates' positions after each step of the group, step-major
+        at = code[cand] + prefix[:kk].take(t[cand], axis=1)
+        hit, where = _on_support(support, hashed, at.ravel())
+        j, i = np.divmod(hit, cand.size)
+        ends = np.searchsorted(j, np.arange(kk + 1))
+        for a, b in zip(ends[:-1], ends[1:]):
+            yield cand[i[a:b]], where[a:b]
+        code += prefix[kk - 1].take(t)
 
 
 def _skeleton_hits(walk: LatticeWalk, codes: np.ndarray, probs: np.ndarray, replicas: int,
                    K: int, reach: int, support: np.ndarray, rng: np.random.Generator):
     """Yield the hits of ``replicas`` skeleton walks ``S_n``, n = 0..K, on the
-    sorted lattice codes ``support``, in blocks of ``_BLOCK`` steps or of the
-    steps that reach ``_BLOCK_HITS`` hits, in step order: replica, position
-    in ``support`` and n, as int32 arrays.  A step is one draw of ``codes``
-    with law ``probs``: a uniform integer when the law is uniform, else one
-    alias draw.  If K steps could carry a start
-    ``reach`` away out of the code's range, that is a ``ModelError`` before
-    any draw.  K, the replica-steps and the hits are counted in ``metrics``.
+    sorted lattice codes ``support`` (``_skeleton_steps``), in blocks of
+    ``_BLOCK`` steps or of the steps that reach ``_BLOCK_HITS`` hits, in
+    step order: replica, position in ``support`` and n, as int32 arrays.
+    If K steps could carry a start ``reach`` away out of the code's range,
+    that is a ``ModelError`` before any draw.  K, the replica-steps and the
+    hits are counted in ``metrics``.
     """
     d = walk.d
     if reach + K * walk.K >= 1 << (63 // d - 1):
@@ -251,21 +311,8 @@ def _skeleton_hits(walk: LatticeWalk, codes: np.ndarray, probs: np.ndarray, repl
                          f"{63 // d - 1} in d = {d}: start {reach} + {walk.K} x {K} steps")
     metrics.count("walkers.skeleton_steps", K)
     metrics.count("walkers.replica_steps", K * replicas)
-    O = len(codes)
-    uniform = bool((probs == probs[0]).all())
-    [thresh], [alias] = _alias_table(probs[None])
-    hashed = _support_hash(support)
-    code = np.zeros(replicas, dtype=np.int64)
     near, pos, count = [], [], []
-    for n in range(K + 1):
-        if n and uniform:
-            code += codes.take(rng.integers(O, size=replicas,
-                                            dtype=np.uint8 if O < 256 else np.int64))
-        elif n:
-            u = rng.random(replicas) * O
-            o = u.astype(np.int64)
-            code += codes.take(np.where(u - o < thresh[o], o, alias[o]))
-        r, p = _on_support(support, hashed, code)
+    for n, (r, p) in enumerate(_skeleton_steps(codes, probs, replicas, K, support, rng)):
         near.append(r.astype(np.int32))
         pos.append(p.astype(np.int32))
         count.append(r.size)

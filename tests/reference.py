@@ -2,11 +2,14 @@
 against: a scalar single-path walker, the exponential-clock jump chain of
 both walkers, and the mark-chain jump counts read off that chain; the
 pointwise lookups of a point's index, of a walk's stencil and of b; and
+the skeleton walk stepped one step at a time from the same group draws;
 the scalar single-trajectory contact process, which picks each event by its
 destination, against the particle-attributed ``run_replicas``; the
 residual of the jump-extended balance condition; and the hierarchy
 operator Lhat_n and its semigroup, applied axis by axis."""
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,6 +240,44 @@ def _jump_chain(v, mark_trans, steps, step_probs, s, sign, t_grid, rng, reach=0,
                 f"walker displacement may leave the lattice code range 2^"
                 f"{63 // d - 1} in d = {d}: start {reach} + {K} x {int(n.max())} jumps")
         yield I, n, code
+
+
+def skeleton_hits(codes: np.ndarray, probs: np.ndarray, replicas: int, K: int,
+                  support: np.ndarray, rng: np.random.Generator):
+    """The hits of ``replicas`` skeleton walks ``S_0..S_K`` on the sorted
+    ``support`` as ``(replica, position in support, n)`` in (n, replica)
+    order, from the draws ``_skeleton_hits`` makes: one index per group of
+    k steps (``O^k <= 1296``) into the k-tuples of step outcomes in
+    ``itertools.product`` order, uniform or an alias draw under their
+    product law.  Each tuple is decoded into its k steps, and each position
+    is looked up with ``np.isin``."""
+    O = len(codes)
+    k = 1
+    while O ** (k + 1) <= 1296:
+        k += 1
+    tuples = list(itertools.product(range(O), repeat=k))
+    law = np.array([math.prod(probs[o] for o in tup) for tup in tuples])
+    digits = np.array(tuples)                                    # (O^k, k)
+    code = np.zeros(replicas, dtype=np.int64)
+    hits = []
+
+    def look(n):
+        on = np.flatnonzero(np.isin(code, support))
+        hits.append((on, np.searchsorted(support, code[on]), np.full(on.size, n)))
+
+    look(0)
+    for first in range(1, K + 1, k):
+        if (probs == probs[0]).all():
+            t = rng.integers(len(tuples), size=replicas, dtype=np.uint16)
+        else:
+            [thresh], [alias] = _alias_table(law[None])
+            u = rng.random(replicas) * len(tuples)
+            o = u.astype(np.int64)
+            t = np.where(u - o < thresh[o], o, alias[o])
+        for j, n in enumerate(range(first, min(first + k, K + 1))):
+            code = code + codes[digits[t, j]]
+            look(n)
+    return tuple(np.concatenate(field) for field in zip(*hits))
 
 
 def clock_pair_curves(walk: LatticeWalk, displacements, s0x: int, s0y: int, T: float,

@@ -309,6 +309,9 @@ class TestStationary:
             k = stationary_k(n, tm, 0.5)
             oracle = -np.linalg.solve(kron_sum_matrix(G, n), f.ravel())
             assert np.abs(k.values - 0.5 ** n - oracle.reshape(f.shape)).max() <= 1e-10
+            # exactly symmetric under every permutation of the indices
+            for perm in itertools.permutations(range(n)):
+                assert np.array_equal(k.values, k.values.transpose(perm))
 
     @pytest.mark.parametrize("case", ["symmetric window", "complex pair"])
     def test_real_and_complex_schur_paths(self, case):

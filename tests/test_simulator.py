@@ -281,6 +281,21 @@ class TestEmpiricalCorrelations:
             assert np.array_equal(chunked.values, one.values)
             assert np.array_equal(chunked.stderr, one.stderr)
 
+    def test_order_four_chunked_equals_one_chunk(self, monkeypatch):
+        # 25 points at R = 200: order 4 runs over 13 chunks, and its sums
+        # equal those of one chunk exactly
+        R = 200
+        space = build_space({"type": "lattice", "d": 2, "R": 2, "boundary": "periodic"})
+        counts = np.random.default_rng(20).poisson(1.0, size=(R, space.size))
+        batch = ReplicaBatch(snapshots={0.0: counts}, final_counts=counts,
+                             truncated=np.zeros(R, dtype=bool))
+        chunked = empirical_correlations(batch, space, 0.0, 4, np.ones(space.size))
+        assert -(-R // (simulator.MOMENT_CHUNK // space.size ** 3)) == 13
+        monkeypatch.setattr(simulator, "MOMENT_CHUNK", R * space.size ** 3)
+        one = empirical_correlations(batch, space, 0.0, 4, np.ones(space.size))
+        assert np.array_equal(chunked.values, one.values)
+        assert np.array_equal(chunked.stderr, one.stderr)
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_order_below_one_rejected(self, finite4_critical, n):
         batch = fixed_batch([1, 2, 0, 1], 150)

@@ -26,7 +26,7 @@ from contactlab.walkers import (DOMINATION_TOL, LOWER_TAIL_B, POISSON_TAIL, _HAS
 
 from conftest import lattice_model, marked_model, nearest_stencil
 from reference import (alpha_of, b_pair, clock_pair_curves, empirical_cdf, locate,
-                       mark_chain_jump_counts, simulate_jump)
+                       mark_chain_jump_counts, simulate_jump, skeleton_hits)
 
 
 def mean_se(per_replica):
@@ -273,9 +273,19 @@ class TestPairEngine:
         else:
             assert -1.0 < rep.tail_exponent_fit < 0.0
 
-    def test_unconverged_report_follows_running_max(self, z1_critical):
+    def test_unconverged_report_follows_running_max(self, z1_critical, monkeypatch):
         # (1,) has the largest running integral at T but not the largest
-        # estimate + 3 stderr: H_hat, stderr and the curve all come from (1,)
+        # estimate + 3 stderr: H_hat, stderr and the curve all come from (1,).
+        # The curves are built: each grows as a sqrt(t) (not integrable) times
+        # a replica factor 1 +- spread, 0.9 for (0,) and 0.01 for the others
+        sign = np.where(np.arange(2000) % 2, 1.0, -1.0)
+
+        def curves(walk, displacements, s0x, s0y, T, replicas, rng):
+            cps = walkers._geometric_checkpoints(T)
+            return [(cps, a * np.sqrt(cps)[:, None] * (1.0 + spread * sign))
+                    for a, spread in ((0.5, 0.9), (0.52, 0.01), (0.1, 0.01))]
+
+        monkeypatch.setattr(walkers, "pair_integral_curves", curves)
         rep = estimate_H(z1_critical, [(0,), (1,), (10,)], T=100.0, replicas=2000,
                          rng=np.random.default_rng(0))
         assert not rep.converged
@@ -528,6 +538,31 @@ class TestSkeleton:
         for (_, per), m_ref, e_ref in zip(curves, mean, se):
             m, e = mean_se(per)
             assert np.all(np.abs(m - m_ref) <= 5 * np.hypot(e, e_ref))
+
+    @pytest.mark.parametrize("stencil, d, K, k", [
+        (nearest_stencil(3), 3, 41, 4),                        # uniform, 4 steps a draw
+        (nearest_stencil(3), 3, 0, 4),                         # S_0 alone
+        ({(1,): 0.5, (-1,): 0.2, (2,): 0.3}, 1, 37, 6),        # alias draws, K % k = 1
+        ({(i, j): 1 / 48 for i in range(-3, 4) for j in range(-3, 4) if i or j},
+         2, 13, 1),                                            # 48 outcomes, one step a draw
+    ])
+    def test_grouped_draws_match_stepwise_reference(self, stencil, d, K, k):
+        # every hit of S_0..S_K from the grouped draws, against the same draws
+        # decoded into single steps and looked up with np.isin
+        space = build_space({"type": "lattice", "d": d, "R": 1, "boundary": "unbounded"})
+        tm, _, _ = calibrate(RateModel(birth=Kernel("stencil", stencil=stencil),
+                                       death=np.ones(space.size)), space)
+        walk = lattice_walk(tm)
+        codes, probs = _step_law(walk)
+        assert len(walkers._step_groups(codes, probs)[0]) == k
+        support = np.unique((walk.support[:, None] - walk.support).ravel())
+        got = list(_skeleton_hits(walk, codes, probs, 500, K, 2, support,
+                                  np.random.default_rng(46)))
+        expect = skeleton_hits(codes, probs, 500, K, support, np.random.default_rng(46))
+        # S_0 = 0 lies on support - support: every replica hits it
+        assert len(expect[0]) >= 500
+        for field in range(3):
+            assert np.array_equal(np.concatenate([b[field] for b in got]), expect[field])
 
     def test_hit_blocks_capped(self, z1_critical, monkeypatch):
         # a recurrent walk hits its support densely: a block closes at the
