@@ -247,10 +247,7 @@ def _step_groups(codes: np.ndarray, probs: np.ndarray):
     while O ** (k + 1) <= _GROUP_OUTCOMES:
         k += 1
     tuples = np.indices((O,) * k).reshape(k, -1)
-    law = probs[tuples[0]]
-    for row in tuples[1:]:
-        law = law * probs[row]
-    return np.cumsum(codes[tuples], axis=0), law
+    return np.cumsum(codes[tuples], axis=0), np.prod(probs[tuples], axis=0)
 
 
 def _skeleton_steps(codes: np.ndarray, probs: np.ndarray, replicas: int, K: int,
