@@ -29,8 +29,8 @@ import numpy as np
 from . import __version__, metrics
 from .criticality import calibrate, theta_kernel
 from .errors import ConfigError, ContactLabError, DivergenceError, ModelError
-from .hierarchy import (CorrelationTensor, evolve_hierarchy, factorial_bound_check,
-                        poisson_initial, stationary_k, stationary_pair_mc)
+from .hierarchy import (evolve_hierarchy, factorial_bound_check, poisson_initial,
+                        stationary_k, stationary_pair_mc)
 from .model import model_from_dict
 from .simulator import MIN_REPLICAS, empirical_correlations, run_replicas, snapshot_grid
 from .walkers import (convolution_bound_check, estimate_H, heat_bound_check,
@@ -341,7 +341,7 @@ def cmd_evolve(cfg, run: Run, rng, space, model):
         with metrics.phase("write"):
             index = _index_fields(n, space.size)
             # one call over the trajectory: values repeated across times share a string
-            values = _format_floats([tensor.values for tensor in traj])
+            values = _format_floats(traj)
             m = len(index[0])
             blocks = []
             for i, t in enumerate(times):
@@ -384,7 +384,7 @@ def cmd_stationary(cfg, run: Run, rng, space, model):
             run.write_csv(f"stationary_k{n}.csv",
                           [f"x{i + 1}" for i in range(n)] + ["value"],
                           _tensor_rows((), _index_fields(n, space.size),
-                                       _format_floats(k.values)))
+                                       _format_floats(k)))
     run.checks["stationary_converged"] = True
     return EXIT_OK
 
@@ -451,7 +451,8 @@ def cmd_verify_lemmas(cfg, run: Run, rng, space, model):
                              "passed": lower["passed"]}
     ok &= lower["passed"]
     with metrics.phase("lemmas.poisson_domination"):
-        dom = poisson_domination_check(tm.v, theta_kernel(tm), lam0, tgrid, list(range(8)))
+        dom = poisson_domination_check(tm.v, theta_kernel(tm), tm.nu, lam0, tgrid,
+                                       list(range(8)))
     results["poisson_domination"] = {"passed": dom["passed"],
                                      "max_excess": dom["max_excess"]}
     ok &= dom["passed"]
@@ -489,8 +490,7 @@ def cmd_verify_bounds(cfg, run: Run, rng, space, model):
         run.write_json("bounds.json", {"error": str(exc), "converged": False})
         run.checks["factorial_bound"] = False
         return EXIT_DIVERGENCE
-    k1 = CorrelationTensor(1, np.full(1, rho))
-    rep = factorial_bound_check([k1, k2], rho, trans.H_hat)
+    rep = factorial_bound_check({1: rho, 2: k2.values.max()}, rho, trans.H_hat)
     run.write_json("bounds.json", {
         "H": trans.H_hat, "D": rep["D"],
         "per_level": {str(k): v for k, v in rep["per_level"].items()},

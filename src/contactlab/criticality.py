@@ -17,7 +17,10 @@ criticality, and the ground-state transform ``b = a / psi``,
 ``mbar = psi * m`` is applied.
 Rescaling keeps the eigenvector, so calibration solves once: the ratios
 ``inflow / V = T psi / psi`` of the transformed model bracket the rescaled
-Perron root (Collatz 1942; Wielandt 1950).
+Perron root (Collatz 1942; Wielandt 1950).  On a translation-invariant
+critical model ``theta_kernel`` gives the walkers' row-stochastic mark jump
+law ``Theta nu`` as a plain (M, M) array, and is the one place that checks
+its row mass against ``MASS_TOL``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .model import Kernel, RateModel, StateSpace, _mark_factor, kernel_matrix
 __all__ = [
     "GroundState",
     "TransformedModel",
-    "ThetaKernel",
     "perron_solve",
     "solve_ground_state",
     "rescale_to_critical",
@@ -51,6 +53,8 @@ POSITIVITY_FLOOR = 1e-12
 # about SIGMA_GAP / (relative spectral gap)
 SIGMA_GAP = 1e-9
 MAX_SOLVES = 10
+# largest deviation from 1 accepted for a jump law's or a stencil's total mass
+MASS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -102,18 +106,6 @@ class TransformedModel:
         """Per-mark weights ``nu`` of a translation-invariant model (1 on a
         plain lattice): the first lattice point's, as marks run inner."""
         return self.space.weights[:len(self.q)]
-
-
-@dataclass(frozen=True)
-class ThetaKernel:
-    """Stochastic mark-transition kernel Theta(s, s') = Q q' / (v q)."""
-
-    theta: np.ndarray
-    nu: np.ndarray
-
-    def transition_probs(self) -> np.ndarray:
-        """Row-stochastic matrix of mark-jump probabilities Theta * nu."""
-        return self.theta * self.nu[None, :]
 
 
 def perron_solve(T: np.ndarray, tol: float):
@@ -246,13 +238,24 @@ def criticality_residual(tm: TransformedModel) -> float:
     return float(np.abs(inflow - V).max())
 
 
-def theta_kernel(tm: TransformedModel) -> ThetaKernel:
-    """Theta(s, s') = Q(s, s') q(s') / (v(s) q(s)); rows sum to 1 against nu."""
+def theta_kernel(tm: TransformedModel) -> np.ndarray:
+    """The mark jump law ``Theta(s, s') nu(s')``, (M, M) and row-stochastic,
+    with ``Theta(s, s') = |alpha| Q(s, s') q(s') / (v(s) q(s))``.
+
+    Criticality makes each row's mass 1; a row further than ``MASS_TOL``
+    from it is a ``ModelError`` (a miscalibrated model), and the rows are
+    divided by their mass against rounding.
+    """
     if not tm.translation_invariant:
         raise ModelError("theta_kernel requires a translation-invariant model")
     alpha_mass = sum(tm.alpha.values())
     theta = alpha_mass * tm.Q * tm.q[None, :] / (tm.v[:, None] * tm.q[:, None])
-    return ThetaKernel(theta=theta, nu=tm.nu)
+    trans = theta * tm.nu[None, :]
+    rows = trans.sum(axis=1)
+    if np.abs(rows - 1.0).max() > MASS_TOL:
+        raise ModelError(f"mark jump law mass {rows.max():.6g} deviates from 1: "
+                         "model miscalibrated")
+    return trans / rows[:, None]
 
 
 @metrics.phase("calibrate")

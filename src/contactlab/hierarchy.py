@@ -7,12 +7,14 @@ Level n of the hierarchy evolves by
                            + sum_i sum_y b(x_i, y) k(.., y, ..) mbar(y),
     f_n(x_1..x_n) = sum_i k_prev(.., x_i dropped, ..) sum_{j != i} b(x_i, x_j),
 
-with f_1 = 0.  Lhat_n is the Kronecker sum of the level-1 generator G over
-the n tensor axes, so exp(t Lhat_n) is the n-fold tensor power of exp(tG).
-Levels 1..N evolve exactly: the flattened (k_1, ..., k_N) solve one linear
-system dz/dt = A z whose sparse block-lower-triangular generator A has
-Lhat_n on its diagonal and the source map k_{n-1} -> f_n below it, and the
-action z(t) = exp(tA) z(0) is computed by ``expm_multiply`` (Al-Mohy and
+with f_1 = 0.  A correlation function k_n is a plain array of shape
+``(size,) * n`` over the space points (mbar convention), symmetric under
+every permutation of its axes.  Lhat_n is the Kronecker sum of the level-1
+generator G over the n axes, so exp(t Lhat_n) is the n-fold tensor power of
+exp(tG).  Levels 1..N evolve exactly: the flattened (k_1, ..., k_N) solve
+one linear system dz/dt = A z whose sparse block-lower-triangular generator
+A has Lhat_n on its diagonal and the source map k_{n-1} -> f_n below it, and
+the action z(t) = exp(tA) z(0) is computed by ``expm_multiply`` (Al-Mohy and
 Higham 2011) to double precision at the requested output times.  The
 stationary solution is k_n = int_0^inf exp(t Lhat_n) f_n dt + rho^n, built
 recursively.  On a finite space the integral is -Lhat_n^{-1} f_n, which
@@ -45,7 +47,6 @@ from .errors import ConvergenceError, DivergenceError, ModelError
 from .walkers import lattice_walk, pair_integral_curves, pair_limit, parse_start
 
 __all__ = [
-    "CorrelationTensor",
     "PairCorrelationMC",
     "generator_matrix",
     "source_f",
@@ -60,24 +61,6 @@ __all__ = [
 
 
 @dataclass
-class CorrelationTensor:
-    """Symmetric order-n array over space points (mbar convention)."""
-
-    order: int
-    values: np.ndarray  # shape (size,) * order
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != self.order:
-            raise ModelError(
-                f"tensor of order {self.order} has ndim {self.values.ndim}")
-
-    @property
-    def sup(self) -> float:
-        return float(np.abs(self.values).max())
-
-
-@dataclass
 class PairCorrelationMC:
     """Monte Carlo second correlation function on a displacement grid."""
 
@@ -85,12 +68,7 @@ class PairCorrelationMC:
     displacements: list
     values: np.ndarray
     stderr: np.ndarray
-    order: int = 2
     curves: dict = field(default_factory=dict)  # per displacement: its PairLimit
-
-    @property
-    def sup(self) -> float:
-        return float(self.values.max())
 
     def convergence(self, T_grid) -> dict:
         """Distance rho (limit - running) of the evolved k_2 from this estimate
@@ -130,27 +108,28 @@ def _source_terms(n: int, B: np.ndarray):
             yield i, (B if i < j else B.T).reshape(sh)
 
 
-def source_f(n: int, tm: TransformedModel, k_prev: CorrelationTensor) -> CorrelationTensor:
-    """Lower-level coupling f_n built from the level-(n-1) tensor."""
+def source_f(n: int, tm: TransformedModel, k_prev: np.ndarray) -> np.ndarray:
+    """Lower-level coupling f_n built from the level-(n-1) array ``k_prev``."""
     if n < 1:
         raise ModelError("source level must be >= 1")
     if n == 1:
-        return CorrelationTensor(1, np.zeros(tm.space.size))
-    if k_prev.order != n - 1:
-        raise ModelError(f"expected order {n - 1} input, got {k_prev.order}")
+        return np.zeros(tm.space.size)
+    if np.ndim(k_prev) != n - 1:
+        raise ModelError(f"expected order {n - 1} input, got {np.ndim(k_prev)}")
     out = np.zeros((tm.space.size,) * n)
     for i, Bij in _source_terms(n, tm.b):
-        out += np.expand_dims(k_prev.values, i) * Bij  # constant along axis i
-    return CorrelationTensor(n, out)
+        out += np.expand_dims(k_prev, i) * Bij  # constant along axis i
+    return out
 
 
-def poisson_initial(n: int, rho: float, space) -> CorrelationTensor:
+def poisson_initial(n: int, rho: float, space) -> np.ndarray:
     """Initial data of the Poisson measure with intensity rho.
 
-    In the mbar convention this is the constant tensor rho^n (the marked
-    per-mark profile q is absorbed by the measure change).
+    In the mbar convention this is the constant array rho^n over
+    ``(size,) * n`` (the marked per-mark profile q is absorbed by the
+    measure change).
     """
-    return CorrelationTensor(n, np.full((space.size,) * n, float(rho) ** n))
+    return np.full((space.size,) * n, float(rho) ** n)
 
 
 def _apply_each_axis(M: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -189,18 +168,18 @@ def _augmented_generator(tm: TransformedModel, N: int) -> sp.csr_matrix:
 def evolve_hierarchy(tm: TransformedModel, k0: list, times) -> dict:
     """Exact solution of levels 1..N at the output ``times``.
 
-    ``k0`` lists the initial tensors of orders 1..N (``poisson_initial``
-    for Poisson data).  ``times`` is any finite, non-negative,
-    non-decreasing grid; the solution is carried from one output time to
-    the next by ``expm_multiply`` of the augmented generator, so no step
-    size controls its accuracy; it counts the calls as
-    ``evolve.expm_multiply_calls``, one per output time.  Returns
-    ``{n: (times, tensors)}``.
+    ``k0`` lists the initial arrays of orders 1..N, shaped ``(size,) * n``
+    (``poisson_initial`` for Poisson data).  ``times`` is any finite,
+    non-negative, non-decreasing grid; the solution is carried from one
+    output time to the next by ``expm_multiply`` of the augmented generator,
+    so no step size controls its accuracy; it counts the calls as
+    ``evolve.expm_multiply_calls``, one per output time.  Returns ``{n:
+    (times, k_n)}`` with ``k_n`` of shape ``(len(times),) + (size,) * n``.
     """
     size = tm.space.size
     N = len(k0)
-    if N < 1 or any(k.values.shape != (size,) * n for n, k in enumerate(k0, 1)):
-        raise ModelError(f"initial data must be tensors of orders 1..N over "
+    if N < 1 or any(np.shape(k) != (size,) * n for n, k in enumerate(k0, 1)):
+        raise ModelError(f"initial data must be arrays of orders 1..N over "
                          f"{size} points")
     times = np.asarray(times, dtype=float)
     if (times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times))
@@ -209,21 +188,19 @@ def evolve_hierarchy(tm: TransformedModel, k0: list, times) -> dict:
                          "and non-decreasing grid")
     A = _augmented_generator(tm, N)
     trace = A.trace()
-    z = np.concatenate([k.values.ravel() for k in k0])
-    states = []
+    z = np.concatenate([np.ravel(k).astype(float) for k in k0])
+    states = np.empty((len(times), z.size))
     # expm_multiply's norm estimates draw from (and so advance) np.random
     global_state = np.random.get_state()
     try:
-        for h in np.diff(times, prepend=0.0):
-            z = expm_multiply(h * A, z, traceA=h * trace)
+        for i, h in enumerate(np.diff(times, prepend=0.0)):
+            z = states[i] = expm_multiply(h * A, z, traceA=h * trace)
             metrics.count("evolve.expm_multiply_calls")
-            states.append(z)
     finally:
         np.random.set_state(global_state)
     offsets = np.cumsum([0] + [size ** n for n in range(1, N + 1)])
-    return {n: (times, [CorrelationTensor(n, z[offsets[n - 1]:offsets[n]]
-                                          .reshape((size,) * n)) for z in states])
-            for n in range(1, N + 1)}
+    return {n: (times, states[:, offsets[n - 1]:offsets[n]]
+                .reshape((len(times),) + (size,) * n)) for n in range(1, N + 1)}
 
 
 # A level-n stationary solution exists iff the spectral abscissa of the
@@ -282,28 +259,29 @@ def _triangular_form(tm: TransformedModel):
 
 
 @metrics.phase("stationary")
-def stationary_k(n: int, tm: TransformedModel, rho: float) -> CorrelationTensor:
+def stationary_k(n: int, tm: TransformedModel, rho: float) -> np.ndarray:
     """Stationary correlation function k_n = int exp(t Lhat_n) f_n dt + rho^n.
 
     Solves Lhat_n (k_n - rho^n) = -f_n directly on a finite space, level by
     level with f_n built from k_{n-1}, on one Schur form of G; raises
     DivergenceError on critical models.  Each level is exactly symmetric:
     an entry takes the solve's value at its index sorted ascending.
-    ``stationary_pair_mc`` estimates k_2 on unbounded lattices.
+    Returns k_n, of shape ``(size,) * n``.  ``stationary_pair_mc`` estimates
+    k_2 on unbounded lattices.
     """
     if n < 1:
         raise ModelError("stationary level must be >= 1")
-    k = CorrelationTensor(1, np.full(tm.space.size, float(rho)))
+    k = np.full(tm.space.size, float(rho))
     if n == 1:
         return k
     T, Z = _triangular_form(tm)
     for m in range(2, n + 1):
         # -Lhat_m^{-1} f_m in the Schur basis, where Lhat_m is triangular
-        C = _apply_each_axis(Z.conj().T, -source_f(m, tm, k).values)
+        C = _apply_each_axis(Z.conj().T, -source_f(m, tm, k))
         X = _apply_each_axis(Z, _kron_sum_solve(T, C)).real
         # k_m is symmetric: every entry takes the value at its sorted index
         X = X[tuple(np.sort(np.indices(X.shape).reshape(m, -1), axis=0))].reshape(X.shape)
-        k = CorrelationTensor(m, X + float(rho) ** m)
+        k = X + float(rho) ** m
     return k
 
 
@@ -357,19 +335,19 @@ def bound_constant_D(rho: float, H: float) -> float:
     return float(np.sum(np.exp(n * np.log(rho / H) - 2 * log_fact)))
 
 
-def factorial_bound_check(tensors: list, rho: float, H: float) -> dict:
-    """Check k_n <= D H^n (n!)^2, D = ``bound_constant_D(rho, H)``, for each
-    computed level in ``tensors`` (CorrelationTensor or PairCorrelationMC)."""
+def factorial_bound_check(sups: dict, rho: float, H: float) -> dict:
+    """Check sup k_n <= D H^n (n!)^2, D = ``bound_constant_D(rho, H)``, for
+    each order n of ``sups``, which maps it to the computed sup of k_n."""
     if H <= 0:
         raise ModelError("factorial bound check needs a positive H")
     D = bound_constant_D(rho, H)
     report = {"per_level": {}, "passed": True, "D": D, "H": H}
-    for tensor in tensors:
-        n = tensor.order
+    for n, sup in sups.items():
+        sup = float(sup)
         bound = D * H ** n * math.factorial(n) ** 2
-        ratio = tensor.sup / bound
+        ratio = sup / bound
         ok = ratio <= 1.0
-        report["per_level"][n] = {"sup": tensor.sup, "bound": bound,
+        report["per_level"][n] = {"sup": sup, "bound": bound,
                                   "ratio": ratio, "passed": ok}
         report["passed"] = report["passed"] and ok
     return report
@@ -392,10 +370,10 @@ def convergence_check(n: int, tm: TransformedModel, rho: float, T_grid,
     except DivergenceError as exc:
         _, traj = evolve_hierarchy(tm, k0, T_grid)[n]
         return {"t": T_grid, "distance": None,
-                "norm_growth": np.array([k.sup for k in traj]),
+                "norm_growth": np.abs(traj).reshape(len(T_grid), -1).max(axis=1),
                 "converged": False, "divergence": str(exc),
                 "diagnostics": exc.diagnostics}
     _, traj = evolve_hierarchy(tm, k0, T_grid)[n]
-    dist = np.array([float(np.abs(k.values - k_inf.values).max()) for k in traj])
+    dist = np.abs(traj - k_inf).reshape(len(T_grid), -1).max(axis=1)
     return {"t": T_grid, "distance": dist, "threshold": tol,
             "converged": bool(dist[-1] <= tol), "stationary": k_inf}

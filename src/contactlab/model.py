@@ -270,10 +270,18 @@ def _nearest_stencil(dim: int, rate: float) -> dict:
 
 
 def _stencil_entries(d: dict, dim: int | None, key: str) -> dict:
+    """The stencil of ``d[key]``: ``"nearest"`` with total mass ``rate``, or
+    explicit ``[displacement, rate]`` entries, which take no ``rate``."""
     if d.get(key) == "nearest":
         if dim is None:
             raise ModelError("'nearest' stencil shorthand requires a lattice space")
-        return _nearest_stencil(dim, float(d.get("rate", 1.0)))
+        rate = d.get("rate", 1.0)
+        if isinstance(rate, bool):
+            raise ModelError(f"stencil rate must be a number, got {rate!r}")
+        return _nearest_stencil(dim, float(rate))
+    if "rate" in d:
+        raise ModelError(f"'rate' scales only the 'nearest' shorthand; explicit "
+                         f"'{key}' entries carry their own rates")
     entries = [(tuple(k), float(v)) for k, v in d[key]]
     stencil = dict(entries)
     if len(stencil) != len(entries):
@@ -297,6 +305,8 @@ def _kernel_from_dict(d: dict, dim: int | None = None) -> Kernel:
 
 
 def _death_from_config(d, space: StateSpace) -> np.ndarray:
+    if isinstance(d, bool):
+        raise ModelError(f"death rate must be a number, got {d!r}")
     if isinstance(d, (int, float)):
         return np.full(space.size, float(d))
     if isinstance(d, dict):

@@ -54,12 +54,11 @@ class ReplicaBatch:
 
     ``snapshots`` maps each snapshot time to the (R, size) counts; the row of
     a replica truncated before that time holds -1.  Item ``r`` is the
-    ``EventLog`` view of replica ``r``: no event list, and no snapshots the
-    replica never reached.
+    ``EventLog`` view of replica ``r``: no event list, no final counts, and
+    no snapshots the replica never reached.
     """
 
     snapshots: dict                   # time -> (R, size) counts
-    final_counts: np.ndarray          # (R, size)
     truncated: np.ndarray             # (R,) bool
     event_cap: int = DEFAULT_EVENT_CAP
 
@@ -70,7 +69,7 @@ class ReplicaBatch:
         return EventLog(events=[], truncated=bool(self.truncated[r]),
                         snapshots={t: c[r] for t, c in self.snapshots.items()
                                    if c[r, 0] >= 0},
-                        final_counts=self.final_counts[r], event_cap=self.event_cap)
+                        event_cap=self.event_cap)
 
     def __iter__(self):
         return (self[r] for r in range(len(self)))
@@ -173,7 +172,6 @@ def run_replicas(tm: TransformedModel, rho: float, T: float, snapshot_times,
     counts = np.zeros((size + 1, replicas), dtype=np.int64)
     counts[:size] = sample_poisson_initial(tm, rho, rng, replicas).T
     snaps = np.full((len(grid), size, replicas), -1, dtype=np.int64)
-    final = np.empty((size, replicas), dtype=np.int64)
     truncated = np.zeros(replicas, dtype=bool)
     # the active replicas' state, compacted as replicas leave
     idx = np.arange(replicas)
@@ -220,7 +218,6 @@ def run_replicas(tm: TransformedModel, rho: float, T: float, snapshot_times,
         flat[gain[o] * n + go] += 1
         if leave.any():
             out = np.flatnonzero(leave)
-            final[:, idx[out]] = counts[:size].take(out, axis=1)
             truncated[idx[out]] = ~stop[out]
             keep = np.flatnonzero(~leave)
             idx, t, si, n_ev, counts = (idx[keep], t_next[keep], si[keep],
@@ -234,7 +231,6 @@ def run_replicas(tm: TransformedModel, rho: float, T: float, snapshot_times,
                    active / iterations / replicas if iterations else 0.0)
     return ReplicaBatch(snapshots={float(ts): np.ascontiguousarray(snaps[j].T)
                                    for j, ts in enumerate(grid)},
-                        final_counts=np.ascontiguousarray(final.T),
                         truncated=truncated, event_cap=event_cap)
 
 

@@ -5,8 +5,9 @@ The walker jumps from x with holding rate V(x) and jump law
 (a stencil or factorized kernel with death rates ``v(s)``) the walker lives
 on the unbounded lattice: the displacement increment is drawn from the
 normalized stencil ``alpha`` and the mark moves independently with the
-stochastic kernel ``Theta(s, .) nu`` (``theta_kernel``); a plain lattice is
-one mark, which never changes.  The transience functional
+row-stochastic law ``Theta(s, .) nu`` that ``theta_kernel`` returns and
+checks; a plain lattice is one mark, which never changes.  The transience
+functional
 
     sup_{x,y} int_0^inf E_{x,y} b(X(t), Y(t)) dt
 
@@ -20,10 +21,12 @@ S_{N_t}``, with ``S`` a walk of i.i.d. steps independent of the jump count
 of the marks, and ``X - Y`` factors the same way on a reflection-symmetric
 stencil or a one-mark model.  The clocks and marks enter through their exact
 (count, mark) law by uniformization, ``jump_count_law`` (conditional Monte
-Carlo).  A replica is one int64 lattice code (``_lattice_code``), the
-integrand is looked up through a hashed prefilter (``_on_support``), each
-start reads it averaged over its stencil-symmetry orbit, and one skeleton
-serves every start (common random numbers).  A start that the skeleton
+Carlo), and one loop (``_skeleton_sums``) credits each skeleton hit with
+those weights for both functionals, the pair integral and the heat bound.
+A replica is one int64 lattice code (``_lattice_code``), the integrand is
+looked up through a hashed prefilter (``_on_support``), each start reads it
+averaged over its stencil-symmetry orbit, and one skeleton serves every
+start (common random numbers).  A start that the skeleton
 could carry out of the code's range is a ``ModelError`` before any draw.
 
 Of the lemma checks only the heat-kernel bound is Monte Carlo, and only in
@@ -41,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .criticality import TransformedModel, ThetaKernel, theta_kernel
+from .criticality import MASS_TOL, TransformedModel, theta_kernel
 from .errors import ModelError
 from .model import Kernel
 
@@ -66,8 +69,6 @@ __all__ = [
 
 # decay exponent in the lower-tail bound  P(n(t) <= floor(l0 t / 2)) <= M t exp(-B l0 t)
 LOWER_TAIL_B = (1.0 - np.log(2.0)) / 2.0
-# largest deviation from 1 accepted for a jump law's or a stencil's total mass
-MASS_TOL = 1e-9
 # a jump-count CDF may exceed the Poisson CDF it is dominated by only by rounding
 DOMINATION_TOL = 1e-12
 # the Poisson(Lambda t) tail mass that jump_count_law's uniformization leaves
@@ -172,20 +173,14 @@ def lattice_walk(tm: TransformedModel) -> LatticeWalk:
     items = sorted(tm.alpha.items())
     steps = np.array([k for k, _ in items], dtype=np.int64).reshape(len(items), d)
     vals = np.array([v for _, v in items])
-    # the jump-law mass lives in the mark rows: alpha_mass * Theta nu ~ 1
-    trans = theta_kernel(tm).transition_probs()
-    rows = trans.sum(axis=1)
-    if np.abs(rows - 1.0).max() > MASS_TOL:
-        raise ModelError(
-            f"walker jump law mass {rows.max():.6g} deviates from 1: "
-            "model miscalibrated")
+    trans = theta_kernel(tm)
     K = max(int(np.abs(steps).max()), 1)
     nonzero = vals != 0
     codes = _lattice_code(steps[nonzero])
     order = np.argsort(codes)
     probs = vals / vals.sum()
     return LatticeWalk(d=d, steps=steps, step_probs=probs, v=tm.v,
-                       mark_trans=trans / rows[:, None], Q=tm.Q, q=tm.q,
+                       mark_trans=trans, Q=tm.Q, q=tm.q,
                        support=codes[order], support_alpha=vals[nonzero][order],
                        K=K)
 
@@ -318,6 +313,39 @@ def _skeleton_hits(walk: LatticeWalk, codes: np.ndarray, probs: np.ndarray, repl
             yield (np.concatenate(near), np.concatenate(pos),
                    np.repeat(np.arange(n + 1 - len(count), n + 1, dtype=np.int32), count))
             near, pos, count = [], [], []
+
+
+def _skeleton_sums(walk: LatticeWalk, codes: np.ndarray, probs: np.ndarray, replicas: int,
+                   K: int, reach: int, support: np.ndarray, tables: np.ndarray,
+                   weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The (starts, columns, replicas) sums ``sum_n sum_m tables[k, m, S_n]
+    weights[k, c, m, n]`` over the skeleton walks of ``_skeleton_hits``.
+
+    ``tables`` (starts, M, support) holds each start's integrand per mark at
+    the sorted ``support`` codes, and ``weights`` (starts, columns, M, steps)
+    each column's weight per mark and step.  A hit at step n is credited to
+    a start only where its table is nonzero, and to a column only from the
+    first to the last step at which some weight of that column is nonzero.
+    """
+    M = tables.shape[1]
+    mine = tables.any(axis=1)                                  # (start, support code)
+    nonzero = weights.any(axis=2)                              # (start, column, n)
+    first = nonzero.argmax(axis=2)
+    last = nonzero.shape[2] - 1 - nonzero[:, :, ::-1].argmax(axis=2)
+    sums = np.zeros((len(tables), weights.shape[1], replicas))
+    for near, pos, step in _skeleton_hits(walk, codes, probs, replicas, K, reach,
+                                          support, rng):
+        for k, (table, weight) in enumerate(zip(tables, weights)):
+            on = np.flatnonzero(mine[k].take(pos))
+            n, p, r = step[on], pos[on], near[on]
+            for c, (lo, hi) in enumerate(np.searchsorted(n, np.c_[first[k], last[k] + 1])):
+                if lo == hi:
+                    continue
+                credit = table[0].take(p[lo:hi]) * weight[c, 0].take(n[lo:hi])
+                for m in range(1, M):
+                    credit += table[m].take(p[lo:hi]) * weight[c, m].take(n[lo:hi])
+                sums[k, c] += np.bincount(r[lo:hi], credit, minlength=replicas)
+    return sums
 
 
 def _step_law(walk: LatticeWalk, mirrored: bool = False):
@@ -553,27 +581,12 @@ def pair_integral_curves(walk: LatticeWalk, displacements, s0x, s0y, T: float,
     rate, trans = _pair_chain(walk)
     weights, K = _skeleton_weights(rate, trans, np.eye(M * M), cps, integrated=True)
     # the occupation times of each checkpoint interval, which a step's hits
-    # are credited with on the intervals where its weight grows (steps
-    # first..last); the curves are their running sums
+    # are credited with where its weight grows; the curves are their running sums
     gain = np.diff(weights[s0], axis=1, prepend=0.0)
     gain[gain < POISSON_TAIL * np.diff(cps, prepend=0.0)[:, None, None]] = 0.0
-    gain = np.ascontiguousarray(gain.transpose(0, 1, 3, 2))    # (start, interval, m, n)
-    grows = gain.any(axis=2)
-    first, last = grows.argmax(axis=2), grows.shape[2] - 1 - grows[:, :, ::-1].argmax(axis=2)
-    mine = tables.any(axis=1)                                  # (start, support code)
-    running = np.zeros((len(orbits), len(cps), replicas))
-    for near, pos, step in _skeleton_hits(walk, codes, probs, replicas, int(K[s0].max()),
-                                          int(np.abs(disps).max()), merged, rng):
-        for k, (table, rise) in enumerate(zip(tables, gain)):
-            on = np.flatnonzero(mine[k].take(pos))
-            n, p, r = step[on], pos[on], near[on]
-            for c, (lo, hi) in enumerate(np.searchsorted(n, np.c_[first[k], last[k] + 1])):
-                if lo == hi:
-                    continue
-                credit = table[0].take(p[lo:hi]) * rise[c, 0].take(n[lo:hi])
-                for m in range(1, M * M):
-                    credit += table[m].take(p[lo:hi]) * rise[c, m].take(n[lo:hi])
-                running[k, c] += np.bincount(r[lo:hi], credit, minlength=replicas)
+    running = _skeleton_sums(walk, codes, probs, replicas, int(K[s0].max()),
+                             int(np.abs(disps).max()), merged, tables,
+                             np.ascontiguousarray(gain.transpose(0, 1, 3, 2)), rng)
     # the running sums, one contiguous checkpoint row at a time (the same
     # additions as np.cumsum over axis 1, without its strided pass)
     for c in range(1, len(cps)):
@@ -761,14 +774,11 @@ def heat_bound_check(tm: TransformedModel, t_grid, x0, xi1, replicas: int,
     weights, [K] = _skeleton_weights(walk.v, walk.mark_trans, np.eye(len(walk.v))[[s0]],
                                      t_grid, integrated=False)
     point = weights[0].sum(axis=2)                  # P(N_t = n), (times, counts)
-    vals = np.zeros((len(t_grid), replicas))
     # alpha(start + S_n) is nonzero where S_n lies on the support shifted by -start
-    for near, pos, step in _skeleton_hits(walk, *_step_law(walk), replicas, int(K),
-                                          int(np.abs(start).max()),
-                                          walk.support - _lattice_code(start[None])[0], rng):
-        hit = walk.support_alpha[pos]
-        for i, w in enumerate(point):
-            vals[i] += np.bincount(near, w[step] * hit, minlength=replicas)
+    [vals] = _skeleton_sums(walk, *_step_law(walk), replicas, int(K),
+                            int(np.abs(start).max()),
+                            walk.support - _lattice_code(start[None])[0],
+                            walk.support_alpha[None, None], point[None, :, None], rng)
     vals *= kappa
     est = vals.mean(axis=1)
     se = vals.std(axis=1, ddof=1) / np.sqrt(replicas)
@@ -872,11 +882,12 @@ def jump_count_cdf(v: np.ndarray, trans: np.ndarray, p0: np.ndarray, t_grid,
     return np.pad(cdf, [(0, 0), (0, k_max + 1 - cdf.shape[1])], mode="edge")
 
 
-def poisson_domination_check(v: np.ndarray, theta: ThetaKernel, lambda0: float,
-                             t_grid, k_grid) -> dict:
+def poisson_domination_check(v: np.ndarray, trans: np.ndarray, nu: np.ndarray,
+                             lambda0: float, t_grid, k_grid) -> dict:
     """Exact CDF of the state-dependent jump count versus Poisson(lambda0).
 
-    The mark chain starts from ``nu``.  Passes iff ``P(N_t <= k) <=
+    The mark chain holds at rate ``v[s]``, jumps with the row-stochastic law
+    ``trans`` (``theta_kernel``) and starts from ``nu``.  Passes iff ``P(N_t <= k) <=
     PoissonCDF(k; lambda0 t) + DOMINATION_TOL`` at every (t, k) grid cell;
     both sides come from ``jump_count_cdf``, the Poisson one as the one-mark
     chain at rate lambda0, and the tolerance only absorbs rounding.
@@ -884,12 +895,10 @@ def poisson_domination_check(v: np.ndarray, theta: ThetaKernel, lambda0: float,
     v = np.asarray(v, dtype=float)
     if lambda0 > v.min() + 1e-12:
         raise ModelError("lambda0 must be a lower bound for the mark rates")
-    trans = theta.transition_probs()
-    trans = trans / trans.sum(axis=1, keepdims=True)
     t_grid = np.asarray(t_grid, dtype=float)
     k_grid = np.asarray(k_grid, dtype=int)
     k_max = int(k_grid.max())
-    chain = jump_count_cdf(v, trans, theta.nu, t_grid, k_max)[:, k_grid]
+    chain = jump_count_cdf(v, trans, nu, t_grid, k_max)[:, k_grid]
     poisson = _poisson_cdf(lambda0, t_grid, k_max)[:, k_grid]
     ok = chain - poisson <= DOMINATION_TOL
     return {

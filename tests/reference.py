@@ -5,8 +5,9 @@ pointwise lookups of a point's index, of a walk's stencil and of b; and
 the skeleton walk stepped one step at a time from the same group draws;
 the scalar single-trajectory contact process, which picks each event by its
 destination, against the particle-attributed ``run_replicas``; the
-residual of the jump-extended balance condition; and the hierarchy
-operator Lhat_n and its semigroup, applied axis by axis."""
+residual of the jump-extended balance condition; the hierarchy operator
+Lhat_n and its semigroup, applied axis by axis; and the heat-bound values
+credited at every grid time and skeleton step."""
 
 import itertools
 import math
@@ -18,11 +19,11 @@ from scipy.linalg import expm
 from contactlab import metrics
 from contactlab.criticality import GroundState, TransformedModel
 from contactlab.errors import ModelError, SpaceError
-from contactlab.hierarchy import (CorrelationTensor, _apply_axis, _apply_each_axis,
-                                  generator_matrix)
+from contactlab.hierarchy import _apply_axis, _apply_each_axis, generator_matrix
 from contactlab.model import RateModel, StateSpace, kernel_matrix
 from contactlab.simulator import DEFAULT_EVENT_CAP, EventLog
 from contactlab.walkers import (LatticeWalk, _alias_table, _lattice_code, _on_support,
+                                _skeleton_hits, _skeleton_weights, _step_law,
                                 _support_hash, _walker_start, lattice_walk)
 
 
@@ -414,20 +415,43 @@ def jump_criticality_residual(model: RateModel, space: StateSpace,
     return float(np.abs(inflow - outflow).max())
 
 
-def apply_Lhat(n: int, tm: TransformedModel, k: CorrelationTensor) -> CorrelationTensor:
-    """Hierarchy operator at level n (sum of the level-1 generator per axis)."""
-    if k.order != n or n < 1:
-        raise ModelError(f"expected tensor of order {n}, got {k.order}")
+def apply_Lhat(n: int, tm: TransformedModel, k: np.ndarray) -> np.ndarray:
+    """Hierarchy operator at level n (sum of the level-1 generator per axis)
+    applied to the order-n array ``k``."""
+    k = np.asarray(k, dtype=float)
+    if k.ndim != n or n < 1:
+        raise ModelError(f"expected an array of order {n}, got {k.ndim}")
     G = generator_matrix(tm)
-    out = np.zeros_like(k.values)
+    out = np.zeros_like(k)
     for i in range(n):
-        out += _apply_axis(G, k.values, i)
-    return CorrelationTensor(n, out)
+        out += _apply_axis(G, k, i)
+    return out
 
 
-def semigroup_apply(tm: TransformedModel, t: float, k: CorrelationTensor,
-                    E: np.ndarray | None = None) -> CorrelationTensor:
+def semigroup_apply(tm: TransformedModel, t: float, k: np.ndarray,
+                    E: np.ndarray | None = None) -> np.ndarray:
     """exp(t Lhat_n) k via the tensorized level-1 exponential."""
     if E is None:
         E = expm(t * generator_matrix(tm))
-    return CorrelationTensor(k.order, _apply_each_axis(E, k.values))
+    return _apply_each_axis(E, np.asarray(k, dtype=float))
+
+
+def heat_bound_values(tm: TransformedModel, t_grid, x0, xi1, replicas: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """The per-replica values ``kappa sum_n P(N_t = n) alpha(xi_0 - xi_1 +
+    S_n)`` (times, replicas) of ``heat_bound_check``, from the same skeleton
+    draws, with every hit credited at every grid time whatever its weight."""
+    walk = lattice_walk(tm)
+    xi0, s0 = _walker_start(tm, x0)
+    start = xi0 - np.asarray(xi1, dtype=np.int64).reshape(walk.d)
+    weights, [K] = _skeleton_weights(walk.v, walk.mark_trans, np.eye(len(walk.v))[[s0]],
+                                     t_grid, integrated=False)
+    point = weights[0].sum(axis=2)
+    vals = np.zeros((len(point), replicas))
+    for near, pos, step in _skeleton_hits(walk, *_step_law(walk), replicas, int(K),
+                                          int(np.abs(start).max()),
+                                          walk.support - _lattice_code(start[None])[0], rng):
+        hit = walk.support_alpha[pos]
+        for i, w in enumerate(point):
+            vals[i] += np.bincount(near, w[step] * hit, minlength=replicas)
+    return vals * (walk.Q.max() / walk.q.min())

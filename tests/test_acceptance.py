@@ -20,8 +20,7 @@ from contactlab.cli import main as cli_main
 from contactlab.criticality import (TransformedModel, calibrate,
                                     ground_transform,
                                     solve_ground_state, theta_kernel)
-from contactlab.hierarchy import (CorrelationTensor,
-                                  bound_constant_D, evolve_hierarchy,
+from contactlab.hierarchy import (bound_constant_D, evolve_hierarchy,
                                   factorial_bound_check, generator_matrix,
                                   poisson_initial, source_f,
                                   stationary_pair_mc)
@@ -128,12 +127,12 @@ def test_criterion_02_level_one():
     cases.append(random_finite_model(rng, size=4))
     for space, model in cases:
         tm, _, _ = calibrate(model, space)
-        k1 = CorrelationTensor(1, np.full(space.size, rho))
-        f1 = source_f(1, tm, CorrelationTensor(0, np.asarray(1.0)))
-        resid = np.abs(apply_Lhat(1, tm, k1).values + f1.values).max()
+        k1 = np.full(space.size, rho)
+        f1 = source_f(1, tm, np.asarray(1.0))
+        resid = np.abs(apply_Lhat(1, tm, k1) + f1).max()
         worst_resid = max(worst_resid, float(resid))
         _, traj = evolve_hierarchy(tm, [k1], np.linspace(0.0, 10.0, 201))[1]
-        drift = max(float(np.abs(k.values - rho).max()) for k in traj)
+        drift = float(np.abs(traj - rho).max())
         worst_drift = max(worst_drift, drift)
     assert worst_resid <= 1e-12
     assert worst_drift <= 1e-10
@@ -154,11 +153,10 @@ def test_criterion_03_operator_equivalence():
                               death=V, psi=np.ones(size))
         G = generator_matrix(tm)
         for n in (1, 2, 3):
-            k = CorrelationTensor(n, rng.random((size,) * n))
+            k = rng.random((size,) * n)
             out = apply_Lhat(n, tm, k)
-            oracle = (kron_sum_matrix(G, n) @ k.values.ravel()
-                      ).reshape(k.values.shape)
-            worst = max(worst, float(np.abs(out.values - oracle).max()))
+            oracle = (kron_sum_matrix(G, n) @ k.ravel()).reshape(k.shape)
+            worst = max(worst, float(np.abs(out - oracle).max()))
     assert worst <= 1e-13
     print(f"ACCEPTANCE 3: PASS - 100 random models, n <= 3, "
           f"max deviation {worst:.2e}")
@@ -174,13 +172,11 @@ def test_criterion_04_positivity_and_constants():
         tm, _, _ = calibrate(model, space)
         for t in (0.3, 1.0):
             E = expm(t * generator_matrix(tm))
-            k = CorrelationTensor(2, rng.random((size, size)))
+            k = rng.random((size, size))
             out = semigroup_apply(tm, t, k, E=E)
-            worst_neg = min(worst_neg, float(out.values.min()))
-            ones = CorrelationTensor(2, np.ones((size, size)))
-            fixed = semigroup_apply(tm, t, ones, E=E)
-            worst_ones = max(worst_ones,
-                             float(np.abs(fixed.values - 1.0).max()))
+            worst_neg = min(worst_neg, float(out.min()))
+            fixed = semigroup_apply(tm, t, np.ones((size, size)), E=E)
+            worst_ones = max(worst_ones, float(np.abs(fixed - 1.0).max()))
     assert worst_neg >= -1e-12
     assert worst_ones <= 1e-10
     print(f"ACCEPTANCE 4: PASS - 100 critical models: min entry "
@@ -200,7 +196,7 @@ def test_criterion_05_simulator_vs_dense():
     for t in snaps:
         for n in (1, 2):
             times, tensors = traj[n]
-            dense = tensors[int(np.argmin(np.abs(times - t)))].values
+            dense = tensors[int(np.argmin(np.abs(times - t)))]
             est = empirical_correlations(logs, space, t, n, tm.mbar)
             sigmas = np.abs(est.values - dense) / est.stderr
             worst_sigma = max(worst_sigma, float(sigmas.max()))
@@ -239,7 +235,7 @@ def test_criterion_07_stationary_k2(z3tm, z3_transience, z3_mc_long):
     assert np.all(sigmas <= 3.0)
 
     H = z3_transience[300.0].H_hat
-    report = factorial_bound_check([CorrelationTensor(1, np.full(1, rho)), mc], rho, H)
+    report = factorial_bound_check({1: rho, 2: mc.values.max()}, rho, H)
     assert report["passed"]
     bound = bound_constant_D(rho, H) * H ** 2 * 4.0
     assert mc.values.max() <= bound
@@ -271,14 +267,13 @@ def test_criterion_09_lemma_suite(z3tm):
     # the exact law, cross-checked by 20k Monte Carlo chains within 3 SE
     mspace, mmodel = marked_model(Q=[[2.0, 1.0], [1.0, 2.0]], v=[1.0, 3.0])
     tm_m, _, _ = calibrate(mmodel, mspace)
-    theta = theta_kernel(tm_m)
+    trans = theta_kernel(tm_m)
     t_grid, k_grid = np.linspace(0.5, 4.0, 8), np.arange(8)
-    dom = poisson_domination_check(tm_m.v, theta, lambda0=float(tm_m.v.min()),
+    dom = poisson_domination_check(tm_m.v, trans, tm_m.nu, lambda0=float(tm_m.v.min()),
                                    t_grid=t_grid, k_grid=k_grid)
     assert dom["passed"]
-    trans = theta.transition_probs()
-    counts = mark_chain_jump_counts(tm_m.v, trans / trans.sum(axis=1, keepdims=True),
-                                    theta.nu, t_grid, 20_000, np.random.default_rng(55))
+    counts = mark_chain_jump_counts(tm_m.v, trans, tm_m.nu, t_grid, 20_000,
+                                    np.random.default_rng(55))
     mc, se = empirical_cdf(counts, k_grid)
     assert np.all(np.abs(mc - dom["chain_cdf"]) <= 3 * se)
 

@@ -210,6 +210,9 @@ class TestExitCodes:
                       "snapshot_times": [1.0, 0.5, 1.0]}),
         ("simulate", {"model": FINITE_MODEL, "rho": 0.5, "T": 1.0, "replicas": 120,
                       "orders": [1, 1]}),
+        # a rate next to explicit stencil entries, which it would not scale
+        ("transience", {"model": dict(LATTICE_MODEL, birth={
+            "form": "stencil", "entries": DRIFT, "rate": 4.0}), "T": 5, "replicas": 100}),
     ])
     def test_rejected_before_calibration(self, tmp_path, monkeypatch, command, cfg):
         monkeypatch.setattr(cli, "calibrate", _no_calibration)
@@ -638,7 +641,7 @@ def test_tensor_csvs_match_row_by_row_writer(tmp_path):
         code, out = run_cli(tmp_path, "stationary", {"model": model, "rho": 0.1, "n": n},
                             outname=f"{name}{n}")
         assert code == 0
-        k = stationary_k(n, tm, 0.1).values
+        k = stationary_k(n, tm, 0.1)
         _cellwise_write_csv(ref / f"{name}_k{n}.csv",
                             [f"x{i + 1}" for i in range(n)] + ["value"],
                             (idx + (k[idx],) for idx in np.ndindex(k.shape)))
@@ -653,8 +656,8 @@ def test_tensor_csvs_match_row_by_row_writer(tmp_path):
     for n, (times, traj) in evolve_hierarchy(tm, k0, np.linspace(0, 0.5, 11)).items():
         _cellwise_write_csv(ref / f"evolve_k{n}.csv",
                             ["t"] + [f"x{i + 1}" for i in range(n)] + ["value"],
-                            ((t,) + idx + (k.values[idx],) for t, k in zip(times, traj)
-                             for idx in np.ndindex(k.values.shape)))
+                            ((t,) + idx + (k[idx],) for t, k in zip(times, traj)
+                             for idx in np.ndindex(k.shape)))
         assert ((out / f"evolve_k{n}.csv").read_bytes()
                 == (ref / f"evolve_k{n}.csv").read_bytes())
 

@@ -1,5 +1,7 @@
 """Ground-state calibration and the transformed model."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from contactlab.criticality import (calibrate, criticality_residual,
 from contactlab.errors import ConvergenceError, ModelError, ReducibleKernelError
 from contactlab.model import (Kernel, RateModel, build_space, kernel_matrix,
                               model_from_dict)
+from contactlab.walkers import lattice_walk
 
 from conftest import lattice_model, marked_model, nearest_stencil, random_finite_model
 from reference import jump_criticality_residual, locate
@@ -337,22 +340,34 @@ class TestThetaKernel:
     def test_constant_kernel(self):
         space, model = marked_model(Q=[[1, 1], [1, 1]], v=[1, 1])
         tm, gs, _ = calibrate(model, space)
-        th = theta_kernel(tm)
-        assert np.allclose(th.theta, 1.0 / space.nu.sum())
+        trans = theta_kernel(tm)
+        assert np.allclose(trans, space.nu[None, :] / space.nu.sum())
 
     def test_rows_sum_to_one(self):
         for v in ([1, 1], [1, 3]):
             space, model = marked_model(Q=[[2, 1], [1, 2]], v=v)
             tm, gs, _ = calibrate(model, space)
-            th = theta_kernel(tm)
-            assert np.allclose(th.transition_probs().sum(axis=1), 1.0, atol=1e-12)
+            assert np.allclose(theta_kernel(tm).sum(axis=1), 1.0, atol=1e-12)
 
     def test_requires_marked(self, z3_critical):
         # a plain lattice is one mark, which Theta nu keeps; a dense model
         # has no mark kernel
-        probs = theta_kernel(z3_critical).transition_probs()
+        probs = theta_kernel(z3_critical)
         assert probs.shape == (1, 1) and probs[0, 0] == pytest.approx(1.0, abs=1e-12)
         space, model = random_finite_model(np.random.default_rng(5))
         tm, _, _ = calibrate(model, space)
         with pytest.raises(ModelError):
             theta_kernel(tm)
+
+    def test_miscalibrated_law_rejected(self):
+        # the one mass check of the mark law: rows within MASS_TOL of 1 are
+        # divided by their mass, a row further off is a miscalibrated model,
+        # which the walkers meet through theta_kernel
+        space, model = marked_model(Q=[[2, 1], [1, 2]], v=[1, 3])
+        tm, _, _ = calibrate(model, space)
+        near = theta_kernel(replace(tm, Q=tm.Q * (1 + 0.1 * criticality.MASS_TOL)))
+        assert np.abs(near.sum(axis=1) - 1.0).max() <= 1e-15
+        bad = replace(tm, Q=tm.Q * (1 + 10 * criticality.MASS_TOL))
+        for build in (theta_kernel, lattice_walk):
+            with pytest.raises(ModelError, match="miscalibrated"):
+                build(bad)

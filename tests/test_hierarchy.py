@@ -10,8 +10,7 @@ from scipy.linalg import expm, schur
 from contactlab import metrics
 from contactlab.criticality import calibrate
 from contactlab.errors import DivergenceError, ModelError
-from contactlab.hierarchy import (CorrelationTensor, _augmented_generator,
-                                  bound_constant_D, convergence_check,
+from contactlab.hierarchy import (_augmented_generator, bound_constant_D, convergence_check,
                                   evolve_hierarchy,
                                   factorial_bound_check, generator_matrix,
                                   poisson_initial, source_f,
@@ -50,8 +49,8 @@ def augmented_matrix(tm, N):
         M[off[n - 1]:off[n], off[n - 1]:off[n]] = kron_sum_matrix(G, n)
         if n > 1:
             for c, e in enumerate(np.eye(size ** (n - 1))):
-                unit = CorrelationTensor(n - 1, e.reshape((size,) * (n - 1)))
-                M[off[n - 1]:off[n], off[n - 2] + c] = source_f(n, tm, unit).values.ravel()
+                unit = e.reshape((size,) * (n - 1))
+                M[off[n - 1]:off[n], off[n - 2] + c] = source_f(n, tm, unit).ravel()
     return M
 
 
@@ -65,16 +64,16 @@ def dissipative_tm(rng, size=3, leak=0.5):
 
 class TestOperators:
     def test_criticality_kills_constants(self, finite4_critical):
-        k = CorrelationTensor(2, np.full((4, 4), 3.7))
+        k = np.full((4, 4), 3.7)
         out = apply_Lhat(2, finite4_critical, k)
-        assert np.abs(out.values).max() <= 1e-10
+        assert np.abs(out).max() <= 1e-10
 
     def test_n1_matches_matrix_product(self, finite4_critical):
         tm = finite4_critical
         G = generator_matrix(tm)
-        k = CorrelationTensor(1, np.array([1.0, 0.0, 0.0, 0.0]))
+        k = np.array([1.0, 0.0, 0.0, 0.0])
         out = apply_Lhat(1, tm, k)
-        assert np.allclose(out.values, G @ k.values, atol=1e-14)
+        assert np.allclose(out, G @ k, atol=1e-14)
 
     def test_kronecker_sum_oracle(self):
         rng = np.random.default_rng(21)
@@ -83,41 +82,41 @@ class TestOperators:
             tm, _, _ = calibrate(model, space)
             G = generator_matrix(tm)
             for n in (2, 3):
-                k = CorrelationTensor(n, rng.random((3,) * n))
+                k = rng.random((3,) * n)
                 out = apply_Lhat(n, tm, k)
-                oracle = (kron_sum_matrix(G, n) @ k.values.ravel()).reshape(k.values.shape)
-                assert np.abs(out.values - oracle).max() <= 1e-13
+                oracle = (kron_sum_matrix(G, n) @ k.ravel()).reshape(k.shape)
+                assert np.abs(out - oracle).max() <= 1e-13
 
     def test_source_two_terms(self, finite4_critical):
         tm = finite4_critical
         rho = 0.7
-        f = source_f(2, tm, CorrelationTensor(1, np.full(4, rho)))
+        f = source_f(2, tm, np.full(4, rho))
         expect = rho * (tm.b + tm.b.T)
-        assert np.allclose(f.values, expect, atol=1e-14)
+        assert np.allclose(f, expect, atol=1e-14)
 
     def test_source_zero_kernel(self, finite4_critical):
         tm = finite4_critical
         zero_tm = tm.__class__(space=tm.space, b=np.zeros_like(tm.b),
                                mbar=tm.mbar, death=tm.death, psi=tm.psi)
-        f = source_f(2, zero_tm, CorrelationTensor(1, np.full(4, 0.5)))
-        assert np.all(f.values == 0.0)
+        f = source_f(2, zero_tm, np.full(4, 0.5))
+        assert np.all(f == 0.0)
 
     def test_source_triple_loop_oracle(self):
         rng = np.random.default_rng(31)
         space, model = random_finite_model(rng, size=2)
         tm, _, _ = calibrate(model, space)
-        k2 = CorrelationTensor(2, rng.random((2, 2)))
-        k2 = CorrelationTensor(2, 0.5 * (k2.values + k2.values.T))
+        k2 = rng.random((2, 2))
+        k2 = 0.5 * (k2 + k2.T)
         f = source_f(3, tm, k2)
         oracle = np.zeros((2, 2, 2))
         for idx in itertools.product(range(2), repeat=3):
             total = 0.0
             for i in range(3):
                 rest = tuple(idx[j] for j in range(3) if j != i)
-                total += k2.values[rest] * sum(tm.b[idx[i], idx[j]]
-                                               for j in range(3) if j != i)
+                total += k2[rest] * sum(tm.b[idx[i], idx[j]]
+                                        for j in range(3) if j != i)
             oracle[idx] = total
-        assert np.abs(f.values - oracle).max() <= 1e-14
+        assert np.abs(f - oracle).max() <= 1e-14
 
     def test_permutation_symmetry(self):
         rng = np.random.default_rng(41)
@@ -125,20 +124,19 @@ class TestOperators:
         tm, _, _ = calibrate(model, space)
         sym = rng.random((3, 3, 3))
         sym = sum(np.transpose(sym, p) for p in itertools.permutations(range(3)))
-        k = CorrelationTensor(3, sym)
-        out = apply_Lhat(3, tm, k).values
-        k2 = CorrelationTensor(2, rng.random((3, 3)))
-        k2 = CorrelationTensor(2, 0.5 * (k2.values + k2.values.T))
-        f = source_f(3, tm, k2).values
+        out = apply_Lhat(3, tm, sym)
+        k2 = rng.random((3, 3))
+        k2 = 0.5 * (k2 + k2.T)
+        f = source_f(3, tm, k2)
         for p in itertools.permutations(range(3)):
             assert np.abs(out - np.transpose(out, p)).max() <= 1e-12
             assert np.abs(f - np.transpose(f, p)).max() <= 1e-12
 
     def test_order_mismatch(self, finite4_critical):
         with pytest.raises(ModelError):
-            apply_Lhat(2, finite4_critical, CorrelationTensor(1, np.ones(4)))
+            apply_Lhat(2, finite4_critical, np.ones(4))
         with pytest.raises(ModelError):
-            source_f(2, finite4_critical, CorrelationTensor(2, np.ones((4, 4))))
+            source_f(2, finite4_critical, np.ones((4, 4)))
 
 
 class TestSemigroup:
@@ -146,13 +144,13 @@ class TestSemigroup:
         rng = np.random.default_rng(55)
         space, model = random_finite_model(rng, size=4)
         tm, _, _ = calibrate(model, space)
-        ones = CorrelationTensor(2, np.ones((4, 4)))
+        ones = np.ones((4, 4))
         for t in (0.1, 1.0, 10.0):
             out = semigroup_apply(tm, t, ones)
-            assert np.abs(out.values - 1.0).max() <= 1e-10
-            k = CorrelationTensor(2, rng.random((4, 4)))
+            assert np.abs(out - 1.0).max() <= 1e-10
+            k = rng.random((4, 4))
             kt = semigroup_apply(tm, t, k)
-            assert kt.values.min() >= -1e-12
+            assert kt.min() >= -1e-12
 
     def test_pure_birth_lower_bound(self):
         # semigroup at time t dominates exp(-t Vmax) * (pure-birth semigroup)
@@ -174,7 +172,7 @@ class TestEvolve:
         k0 = poisson_initial(1, 0.8, finite4_critical.space)
         grid = np.linspace(0.0, 5.0, 101)
         times, traj = evolve_hierarchy(finite4_critical, [k0], grid)[1]
-        assert max(np.abs(k.values - 0.8).max() for k in traj) <= 1e-10
+        assert np.abs(traj - 0.8).max() <= 1e-10
 
     def test_matches_dense_expm(self):
         # random critical models, N = 2 and 3, uniform and non-uniform grids
@@ -184,13 +182,12 @@ class TestEvolve:
             tm, _, _ = calibrate(model, space)
             for N in (2, 3):
                 M = augmented_matrix(tm, N)
-                k0 = [CorrelationTensor(n, rng.random((size,) * n))
-                      for n in range(1, N + 1)]
-                z0 = np.concatenate([k.values.ravel() for k in k0])
+                k0 = [rng.random((size,) * n) for n in range(1, N + 1)]
+                z0 = np.concatenate([k.ravel() for k in k0])
                 for times in (np.linspace(0.0, 2.0, 5), [0.1, 0.35, 0.4, 0.4, 1.7, 3.0]):
                     res = evolve_hierarchy(tm, k0, times)
                     for i, t in enumerate(times):
-                        got = np.concatenate([res[n][1][i].values.ravel()
+                        got = np.concatenate([res[n][1][i].ravel()
                                               for n in range(1, N + 1)])
                         assert np.abs(got - expm(t * M) @ z0).max() <= 1e-12
 
@@ -207,15 +204,15 @@ class TestEvolve:
             for r in range(3):
                 for c in range(3):
                     block = A[off[r]:off[r + 1], off[c]:off[c + 1]]
-                    k = CorrelationTensor(c + 1, rng.random((size,) * (c + 1)))
+                    k = rng.random((size,) * (c + 1))
                     if r == c:
-                        expect = apply_Lhat(r + 1, tm, k).values
+                        expect = apply_Lhat(r + 1, tm, k)
                     elif r == c + 1:
-                        expect = source_f(r + 1, tm, k).values
+                        expect = source_f(r + 1, tm, k)
                     else:
                         assert block.count_nonzero() == 0
                         continue
-                    assert np.abs(block @ k.values.ravel() - expect.ravel()).max() <= 1e-13
+                    assert np.abs(block @ k.ravel() - expect.ravel()).max() <= 1e-13
 
     def test_global_rng_does_not_change_result(self):
         # at h |A|_1 > 63 expm_multiply estimates the 1-norms of powers of A,
@@ -229,7 +226,7 @@ class TestEvolve:
         for seed in (1, 2):
             np.random.seed(seed)
             res = evolve_hierarchy(tm, k0, [0.0, 60.0])
-            runs.append(b"".join(k.values.tobytes() for n in (1, 2) for k in res[n][1]))
+            runs.append(b"".join(res[n][1].tobytes() for n in (1, 2)))
         assert runs[0] == runs[1]
 
     def test_global_rng_state_restored(self):
@@ -252,7 +249,7 @@ class TestEvolve:
         for times in ([], [1.0, 0.5], [-0.1, 1.0], [0.0, np.inf], [[0.0, 1.0]]):
             with pytest.raises(ModelError):
                 evolve_hierarchy(tm, k0, times)
-        for bad in ([], k0[::-1], [k0[0], CorrelationTensor(2, np.ones((3, 3)))]):
+        for bad in ([], k0[::-1], [k0[0], np.ones((3, 3))]):
             with pytest.raises(ModelError):
                 evolve_hierarchy(tm, bad, [1.0])
 
@@ -264,17 +261,17 @@ class TestEvolve:
         model = RateModel(birth=Kernel("dense", matrix=A), death=np.ones(2))
         tm, _, _ = calibrate(model, space)
         G = generator_matrix(tm)
-        k0 = CorrelationTensor(1, np.array([1.0, 0.25]))
+        k0 = np.array([1.0, 0.25])
         T = 1.3
         times, traj = evolve_hierarchy(tm, [k0], np.linspace(0.0, T, 65))[1]
-        oracle = expm(T * G) @ k0.values
-        assert np.abs(traj[-1].values - oracle).max() <= 1e-10
+        oracle = expm(T * G) @ k0
+        assert np.abs(traj[-1] - oracle).max() <= 1e-10
 
     def test_level2_nonnegative(self, finite4_critical):
         k0 = [poisson_initial(n, 0.5, finite4_critical.space) for n in (1, 2)]
         res = evolve_hierarchy(finite4_critical, k0, np.linspace(0.0, 2.0, 41))
         _, traj = res[2]
-        assert min(k.values.min() for k in traj) >= -1e-12
+        assert traj.min() >= -1e-12
 
 
 class TestPoissonInitial:
@@ -282,14 +279,14 @@ class TestPoissonInitial:
         space = build_space({"type": "finite", "points": [0, 1],
                              "weights": [1, 1]})
         k = poisson_initial(3, 0.5, space)
-        assert k.values.shape == (2, 2, 2)
-        assert np.all(k.values == 0.125)
+        assert k.shape == (2, 2, 2)
+        assert np.all(k == 0.125)
 
 
 class TestStationary:
     def test_level1_exact(self, finite4_critical):
         k = stationary_k(1, finite4_critical, 0.3)
-        assert np.all(k.values == 0.3)
+        assert np.all(k == 0.3)
 
     def test_finite_critical_diverges(self, finite4_critical):
         with pytest.raises(DivergenceError) as exc:
@@ -305,13 +302,13 @@ class TestStationary:
         assert np.abs(G @ G.T - G.T @ G).max() > 1e-2  # non-normal generator
         k = stationary_k(1, tm, 0.5)
         for n in (2, 3):
-            f = source_f(n, tm, k).values
+            f = source_f(n, tm, k)
             k = stationary_k(n, tm, 0.5)
             oracle = -np.linalg.solve(kron_sum_matrix(G, n), f.ravel())
-            assert np.abs(k.values - 0.5 ** n - oracle.reshape(f.shape)).max() <= 1e-10
+            assert np.abs(k - 0.5 ** n - oracle.reshape(f.shape)).max() <= 1e-10
             # exactly symmetric under every permutation of the indices
             for perm in itertools.permutations(range(n)):
-                assert np.array_equal(k.values, k.values.transpose(perm))
+                assert np.array_equal(k, k.transpose(perm))
 
     @pytest.mark.parametrize("case", ["symmetric window", "complex pair"])
     def test_real_and_complex_schur_paths(self, case):
@@ -340,18 +337,17 @@ class TestStationary:
                                    "stationary.trsyl_calls": 1 + len(G)}
         k2 = stationary_k(2, tm, 0.5)
         for n, kn, prev in ((2, k2, stationary_k(1, tm, 0.5)), (3, k, k2)):
-            f = source_f(n, tm, prev).values
+            f = source_f(n, tm, prev)
             oracle = -np.linalg.solve(kron_sum_matrix(G, n), f.ravel())
-            assert np.abs(kn.values - 0.5 ** n - oracle.reshape(f.shape)).max() <= 1e-10
+            assert np.abs(kn - 0.5 ** n - oracle.reshape(f.shape)).max() <= 1e-10
 
     def test_dissipative_residual(self):
         rng = np.random.default_rng(77)
         tm = dissipative_tm(rng)
         k = stationary_k(2, tm, 0.5)
         # stationarity of the integral part: Lhat (k - rho^2) + f = 0
-        f = source_f(2, tm, CorrelationTensor(1, np.full(3, 0.5)))
-        part = CorrelationTensor(2, k.values - 0.25)
-        resid = apply_Lhat(2, tm, part).values + f.values
+        f = source_f(2, tm, np.full(3, 0.5))
+        resid = apply_Lhat(2, tm, k - 0.25) + f
         assert np.abs(resid).max() <= 1e-12
 
     def test_recurrence_inequality(self):
@@ -368,7 +364,7 @@ class TestStationary:
         G2 = kron_sum_matrix(G, 2)
         Hmat = -np.linalg.solve(G2, tm.b.ravel())
         H = float(Hmat.max())
-        K1, K2, K3 = k1.sup, k2.sup, k3.sup
+        K1, K2, K3 = (float(np.abs(k).max()) for k in (k1, k2, k3))
         assert K2 <= 4 * K1 * H + rho ** 2 + 1e-9
         assert K3 <= 9 * K2 * H + rho ** 3 + 1e-9
 
@@ -383,15 +379,27 @@ class TestBounds:
 
     def test_level1_ratio_below_one(self):
         rho, H = 0.3, 0.2
-        rep = factorial_bound_check([CorrelationTensor(1, np.full(3, rho))], rho, H)
+        rep = factorial_bound_check({1: rho}, rho, H)
         assert rep["D"] == bound_constant_D(rho, H)
         assert rep["per_level"][1]["ratio"] <= 1.0
         assert rep["passed"]
 
     def test_constructed_violation_flagged(self):
         rho, H = 0.3, 0.2
-        bad = CorrelationTensor(2, np.full((3, 3), 10.0))
-        rep = factorial_bound_check([bad], rho, H)
+        rep = factorial_bound_check({2: 10.0}, rho, H)
+        assert not rep["passed"]
+
+    def test_reads_one_sup_per_order(self):
+        # D >= rho / H, its first term, so order 1 at rho passes; an order-2 sup
+        # 1.5 times D H^2 (2!)^2 fails, and with it the whole check
+        rho, H = 0.3, 0.2
+        D = bound_constant_D(rho, H)
+        rep = factorial_bound_check({1: rho, 2: 1.5 * D * H ** 2 * 4}, rho, H)
+        assert list(rep["per_level"]) == [1, 2]
+        one, two = rep["per_level"][1], rep["per_level"][2]
+        assert one == {"sup": rho, "bound": D * H, "ratio": rho / (D * H), "passed": True}
+        assert two["sup"] == 1.5 * D * H ** 2 * 4 and two["bound"] == D * H ** 2 * 4
+        assert two["ratio"] == pytest.approx(1.5, rel=1e-15) and not two["passed"]
         assert not rep["passed"]
 
 

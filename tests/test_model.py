@@ -217,6 +217,30 @@ class TestModelFromDict:
         with pytest.raises(ModelError, match=r"repeats the displacements \[\[1\]\]"):
             model_from_dict(cfg)
 
+    @pytest.mark.parametrize("kern, death", [
+        # explicit entries carry their own rates: a rate next to them would be
+        # dropped ({+-1: 0.2}, where "nearest" at rate 4 is {+-1: 2.0})
+        ({"form": "stencil", "entries": [[[1], 0.2], [[-1], 0.2]], "rate": 4.0}, 1.0),
+        ({"form": "factorized", "alpha": [[[1], 0.2], [[-1], 0.2]], "rate": 4.0,
+          "Q": [[1.0]]}, 1.0),
+        # a boolean is no number: it would become 1.0
+        ({"form": "stencil", "entries": "nearest", "rate": True}, 1.0),
+        ({"form": "stencil", "entries": "nearest"}, True),
+    ])
+    def test_dropped_or_coerced_numbers_rejected(self, kern, death):
+        cfg = {"space": {"type": "lattice", "d": 1, "R": 2, "boundary": "unbounded"},
+               "birth": kern, "death": death}
+        with pytest.raises(ModelError):
+            model_from_dict(cfg)
+
+    def test_nearest_rate_scales_the_stencil(self):
+        cfg = {"space": {"type": "lattice", "d": 1, "R": 2, "boundary": "unbounded"},
+               "birth": {"form": "stencil", "entries": "nearest", "rate": 4.0},
+               "death": 2}
+        _, m = model_from_dict(cfg)
+        assert m.birth.stencil == {(-1,): 2.0, (1,): 2.0}
+        assert np.array_equal(m.death, np.full(5, 2.0))
+
     def test_mark_kernel_shape_mismatch(self):
         cfg = {"space": {"type": "product", "d": 1, "R": 1,
                          "boundary": "unbounded",

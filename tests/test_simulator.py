@@ -36,8 +36,7 @@ def factorial_product(counts, idx):
 def fixed_batch(counts, replicas, t=0.0):
     """A batch in which every replica holds ``counts`` at time ``t``."""
     stacked = np.tile(np.asarray(counts, dtype=np.int64), (replicas, 1))
-    return ReplicaBatch(snapshots={t: stacked}, final_counts=stacked.copy(),
-                        truncated=np.zeros(replicas, dtype=bool))
+    return ReplicaBatch(snapshots={t: stacked}, truncated=np.zeros(replicas, dtype=bool))
 
 
 def one_point_critical():
@@ -187,7 +186,7 @@ class TestEmpiricalCorrelations:
         mbar = rng.uniform(0.5, 2.0, size)
         space = build_space({"type": "finite", "points": list(range(size)),
                              "weights": list(mbar)})
-        batch = ReplicaBatch(snapshots={0.0: counts}, final_counts=counts,
+        batch = ReplicaBatch(snapshots={0.0: counts},
                              truncated=np.zeros(R, dtype=bool))
         for n in (1, 2, 3):
             est = empirical_correlations(batch, space, 0.0, n, mbar)
@@ -221,7 +220,7 @@ class TestEmpiricalCorrelations:
         R = 2000
         space = build_space({"type": "lattice", "d": 2, "R": 3, "boundary": "periodic"})
         counts = np.random.default_rng(16).poisson(1.0, size=(R, space.size))
-        batch = ReplicaBatch(snapshots={0.0: counts}, final_counts=counts,
+        batch = ReplicaBatch(snapshots={0.0: counts},
                              truncated=np.zeros(R, dtype=bool))
         tracemalloc.start()
         try:
@@ -237,7 +236,7 @@ class TestEmpiricalCorrelations:
         R = 1000
         space = build_space({"type": "lattice", "d": 2, "R": 3, "boundary": "periodic"})
         counts = np.random.default_rng(17).poisson(1.0, size=(R, space.size))
-        batch = ReplicaBatch(snapshots={0.0: counts}, final_counts=counts,
+        batch = ReplicaBatch(snapshots={0.0: counts},
                              truncated=np.zeros(R, dtype=bool))
         tracemalloc.start()
         try:
@@ -255,7 +254,7 @@ class TestEmpiricalCorrelations:
         R = 200
         space = build_space({"type": "lattice", "d": 2, "R": 2, "boundary": "periodic"})
         counts = np.random.default_rng(18).poisson(1.0, size=(R, space.size))
-        batch = ReplicaBatch(snapshots={0.0: counts}, final_counts=counts,
+        batch = ReplicaBatch(snapshots={0.0: counts},
                              truncated=np.zeros(R, dtype=bool))
         tracemalloc.start()
         try:
@@ -270,7 +269,7 @@ class TestEmpiricalCorrelations:
         R, size = 150, 6
         space = build_space({"type": "finite", "points": list(range(size))})
         counts = np.random.default_rng(19).poisson(1.5, size=(R, size))
-        batch = ReplicaBatch(snapshots={0.0: counts}, final_counts=counts,
+        batch = ReplicaBatch(snapshots={0.0: counts},
                              truncated=np.zeros(R, dtype=bool))
         mbar = np.linspace(0.5, 1.5, size)
         whole = [empirical_correlations(batch, space, 0.0, n, mbar) for n in range(1, 5)]
@@ -287,7 +286,7 @@ class TestEmpiricalCorrelations:
         R = 200
         space = build_space({"type": "lattice", "d": 2, "R": 2, "boundary": "periodic"})
         counts = np.random.default_rng(20).poisson(1.0, size=(R, space.size))
-        batch = ReplicaBatch(snapshots={0.0: counts}, final_counts=counts,
+        batch = ReplicaBatch(snapshots={0.0: counts},
                              truncated=np.zeros(R, dtype=bool))
         chunked = empirical_correlations(batch, space, 0.0, 4, np.ones(space.size))
         assert -(-R // (simulator.MOMENT_CHUNK // space.size ** 3)) == 13
@@ -323,7 +322,7 @@ class TestHierarchyAgreement:
         t2, traj2 = res[2]
         i = int(np.argmin(np.abs(t2 - T)))
         k2_hat = empirical_correlations(logs, space, T, 2, tm.mbar)
-        z = (k2_hat.values - traj2[i].values) / np.maximum(k2_hat.stderr, 1e-12)
+        z = (k2_hat.values - traj2[i]) / np.maximum(k2_hat.stderr, 1e-12)
         assert np.abs(z).max() <= 3.5
 
     def test_marked_window_matches_evolve(self):
@@ -350,7 +349,7 @@ class TestHierarchyAgreement:
             for i, t in enumerate(times, 1):
                 est = empirical_correlations(batch, space, t, n, tm.mbar)
                 assert np.all(est.stderr > 0)
-                z = (est.values - traj[i].values) / est.stderr
+                z = (est.values - traj[i]) / est.stderr
                 worst = max(worst, float(np.abs(z).max()))
         assert worst <= z_max
 
@@ -370,7 +369,7 @@ class TestHierarchyAgreement:
         for i, t in enumerate(times, 1):
             est = empirical_correlations(batch, space, t, 3, tm.mbar)
             assert np.all(est.stderr > 0)
-            z = (est.values - traj[i].values) / est.stderr
+            z = (est.values - traj[i]) / est.stderr
             worst = max(worst, float(np.abs(z).max()))
         assert worst <= z_max
 
@@ -495,7 +494,6 @@ class TestParticleAttribution:
                 for c0 in rng.poisson(rho * tm.mbar, size=(R, 3))]
         ref = ReplicaBatch(snapshots={t: np.array([log.snapshots[t] for log in logs])
                                       for t in snaps},
-                           final_counts=np.array([log.final_counts for log in logs]),
                            truncated=np.zeros(R, dtype=bool))
         batch = run_replicas(tm, rho, 1.5, snaps, 6000, seed=18)
         worst = 0.0
@@ -514,6 +512,5 @@ class TestReproducibility:
         a = run_replicas(finite4_critical, 0.5, 1.0, [1.0], 50, seed=42)
         b = run_replicas(finite4_critical, 0.5, 1.0, [1.0], 50, seed=42)
         assert len(a) == len(b) == 50
-        assert np.array_equal(a.final_counts, b.final_counts)
         assert np.array_equal(a.snapshots[1.0], b.snapshots[1.0])
         assert np.array_equal(a.truncated, b.truncated)

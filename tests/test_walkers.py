@@ -25,8 +25,9 @@ from contactlab.walkers import (DOMINATION_TOL, LOWER_TAIL_B, POISSON_TAIL, _HAS
                                 pair_limit, poisson_domination_check)
 
 from conftest import lattice_model, marked_model, nearest_stencil
-from reference import (alpha_of, b_pair, clock_pair_curves, empirical_cdf, locate,
-                       mark_chain_jump_counts, simulate_jump, skeleton_hits)
+from reference import (alpha_of, b_pair, clock_pair_curves, empirical_cdf,
+                       heat_bound_values, locate, mark_chain_jump_counts, simulate_jump,
+                       skeleton_hits)
 
 
 def mean_se(per_replica):
@@ -98,7 +99,7 @@ class TestSimulateJump:
     def test_mark_transitions_match_theta(self):
         space, model = marked_model(Q=[[2, 1], [1, 2]], v=[1.0, 3.0])
         tm, _, _ = calibrate(model, space)
-        trans = theta_kernel(tm).transition_probs()
+        trans = theta_kernel(tm)
         walk = lattice_walk(tm)
         rng = np.random.default_rng(5)
         counts = np.zeros((2, 2))
@@ -190,7 +191,7 @@ class TestPairEngine:
         from scipy.linalg import expm
         space, model = marked_model(Q=[[2, 1], [1, 2]], v=[1.0, 3.0])
         tm, _, _ = calibrate(model, space)
-        v, trans = tm.v, theta_kernel(tm).transition_probs()
+        v, trans = tm.v, theta_kernel(tm)
         T, R, M = 4.0, 40, 2
         size = (2 * R + 1) * M * M
 
@@ -772,6 +773,26 @@ class TestHeatBound:
         se = rep["stderr"][0]
         assert abs(rep["estimate"][0] - rep["kappa"] * probe) <= 3.5 * se
 
+    @pytest.mark.parametrize("case", ["z3", "marked z3", "z1"])
+    def test_matches_every_step_reference(self, case):
+        # a hit is credited only at the grid times whose weight range holds
+        # its step, which drops zero terms only: the values equal those of a
+        # loop that credits every grid time at every step, from the same draws
+        if case == "z3":
+            (space, model), x0 = lattice_model(3), (0, 0, 0)
+        elif case == "marked z3":
+            (space, model), x0 = marked_model(v=[1.0, 3.0], d=3), ((0, 0, 0), "A")
+        else:
+            (space, model), x0 = lattice_model(1), (0,)
+        tm, _, _ = calibrate(model, space)
+        xi1 = (1,) + (0,) * (space.dim - 1)
+        grid = np.geomspace(1.0, 100.0, 12)
+        rep = heat_bound_check(tm, grid, x0, xi1, replicas=2000,
+                               rng=np.random.default_rng(23))
+        vals = heat_bound_values(tm, grid, x0, xi1, 2000, np.random.default_rng(23))
+        assert np.array_equal(rep["estimate"], vals.mean(axis=1))
+        assert np.array_equal(rep["stderr"], vals.std(axis=1, ddof=1) / np.sqrt(2000))
+
 
 class TestConvolution:
     def test_identity_n1(self):
@@ -941,11 +962,9 @@ class TestJumpCountLaw:
 
 class TestPoissonDomination:
     def test_homogeneous_equality(self):
-        from contactlab.criticality import ThetaKernel
-        nu = np.array([1.0])
-        th = ThetaKernel(theta=np.array([[1.0]]), nu=nu)
+        nu, trans = np.array([1.0]), np.array([[1.0]])
         t_grid, k_grid = [0.5, 1.0, 2.0], [0, 1, 2, 4]
-        rep = poisson_domination_check(np.array([2.0]), th, 2.0, t_grid=t_grid,
+        rep = poisson_domination_check(np.array([2.0]), trans, nu, 2.0, t_grid=t_grid,
                                        k_grid=k_grid)
         assert rep["passed"]
         # one mark at rate lambda0 is the Poisson process itself
@@ -953,7 +972,7 @@ class TestPoissonDomination:
         assert np.abs(rep["poisson_cdf"] - stats.poisson.cdf(
             k_grid, 2.0 * np.asarray(t_grid)[:, None])).max() <= 1e-14
         # the Monte Carlo counts sit within 3 SE above and 4 SE below it
-        counts = mark_chain_jump_counts(np.array([2.0]), th.transition_probs(), nu,
+        counts = mark_chain_jump_counts(np.array([2.0]), trans, nu,
                                         t_grid, 20000, np.random.default_rng(18))
         mc, se = empirical_cdf(counts, k_grid)
         assert np.all(mc <= rep["chain_cdf"] + 3 * se)
@@ -962,24 +981,23 @@ class TestPoissonDomination:
     def test_state_dependent_dominated(self):
         space, model = marked_model(Q=[[2, 1], [1, 2]], v=[1.0, 3.0])
         tm, _, _ = calibrate(model, space)
-        th = theta_kernel(tm)
+        trans = theta_kernel(tm)
         t_grid, k_grid = [0.5, 1, 2, 4], [0, 1, 2, 3, 5, 8]
-        rep = poisson_domination_check(tm.v, th, 1.0, t_grid=t_grid, k_grid=k_grid)
+        rep = poisson_domination_check(tm.v, trans, tm.nu, 1.0, t_grid=t_grid,
+                                       k_grid=k_grid)
         assert rep["passed"]
         assert rep["max_excess"] <= rep["tolerance"] == DOMINATION_TOL
         # strictly below the Poisson CDF wherever it is not rounding-small
         assert np.all(rep["chain_cdf"] < rep["poisson_cdf"])
-        trans = th.transition_probs()
-        counts = mark_chain_jump_counts(tm.v, trans / trans.sum(axis=1, keepdims=True),
-                                        th.nu, t_grid, 20000, np.random.default_rng(19))
+        counts = mark_chain_jump_counts(tm.v, trans, tm.nu, t_grid, 20000,
+                                        np.random.default_rng(19))
         mc, se = empirical_cdf(counts, k_grid)
         assert np.all(np.abs(mc - rep["chain_cdf"]) <= 3 * se)
 
     def test_lambda0_above_min_rejected(self):
-        from contactlab.criticality import ThetaKernel
-        th = ThetaKernel(theta=np.array([[1.0]]), nu=np.array([1.0]))
         with pytest.raises(ModelError):
-            poisson_domination_check(np.array([1.0]), th, 2.0, [1.0], [1])
+            poisson_domination_check(np.array([1.0]), np.array([[1.0]]), np.array([1.0]),
+                                     2.0, [1.0], [1])
 
     def test_jump_count_identity(self):
         # the jump counts of the mark chain and of the full marked walker both
