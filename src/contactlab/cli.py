@@ -33,8 +33,9 @@ from .hierarchy import (evolve_hierarchy, factorial_bound_check, poisson_initial
                         stationary_k, stationary_pair_mc)
 from .model import model_from_dict
 from .simulator import MIN_REPLICAS, empirical_correlations, run_replicas, snapshot_grid
-from .walkers import (convolution_bound_check, estimate_H, heat_bound_check,
-                      lower_tail_bound_check, parse_start, poisson_domination_check)
+from .walkers import (_nearest_neighbour, convolution_bound_check, estimate_H,
+                      heat_bound_check, heat_bound_exact, lower_tail_bound_check,
+                      parse_start, poisson_domination_check)
 
 REQUIRED = object()
 # a model config sets one of the two (see _model_from_config)
@@ -457,10 +458,16 @@ def cmd_verify_lemmas(cfg, run: Run, rng, space, model):
                                      "max_excess": dom["max_excess"]}
     ok &= dom["passed"]
     x0 = ((tuple([0] * d), space.marks[0]) if tm.marked else tuple([0] * d))
+    # a nearest-neighbour stencil takes the exact convolution and heat bound
+    exact = _nearest_neighbour(list(tm.alpha), list(tm.alpha.values()))
+    metrics.count("lemmas.exact_convolution", conv["exact"])
+    metrics.count("lemmas.exact_heat_bound", exact)
+    grid = np.geomspace(1.0, 100.0, 12)
     with metrics.phase("lemmas.heat_bound"):
-        hb = heat_bound_check(tm, np.geomspace(1.0, 100.0, 12), x0, tuple([0] * d),
-                              replicas, rng)
-    results["heat_bound"] = {"sup_scaled": hb["sup_scaled"], "flat": hb["flat"]}
+        hb = (heat_bound_exact(tm, grid, x0, tuple([0] * d)) if exact else
+              heat_bound_check(tm, grid, x0, tuple([0] * d), replicas, rng))
+    results["heat_bound"] = {"sup_scaled": hb["sup_scaled"], "flat": hb["flat"],
+                             "exact": exact}
     ok &= hb["flat"]
     results["passed"] = bool(ok)
     run.write_json("lemmas.json", results)

@@ -29,9 +29,13 @@ averaged over its stencil-symmetry orbit, and one skeleton serves every
 start (common random numbers).  A start that the skeleton
 could carry out of the code's range is a ``ModelError`` before any draw.
 
-Of the lemma checks only the heat-kernel bound is Monte Carlo, and only in
-its skeleton.  The convolution bound is a deterministic recursion, and the
-Poisson domination compares the exact jump-count law of the mark chain
+The lemma checks are exact on a nearest-neighbour stencil (equal weights
+on the ``+-e_i``, ``_nearest_neighbour``): ``_point_law`` gives ``P(S_n =
+x)`` of its skeleton in closed form, which yields both the convolution sups
+and the heat-kernel bound (``heat_bound_exact``).  On any other stencil the
+convolution bound is a deterministic recursion (``_convolution``) and the
+heat-kernel bound is Monte Carlo in its skeleton only (``heat_bound_check``).
+The Poisson domination compares the exact jump-count law of the mark chain
 (``jump_count_cdf``) with the Poisson CDF, which is the same law for one
 mark at rate ``lambda0`` and which the lower-tail bound reads too.
 """
@@ -58,6 +62,7 @@ __all__ = [
     "parse_start",
     "estimate_H",
     "heat_bound_check",
+    "heat_bound_exact",
     "convolution_bound_check",
     "iterated_convolution",
     "jump_count_law",
@@ -78,6 +83,12 @@ POISSON_TAIL = 1e-18
 LAW_TRIM = 1e-30
 # a fitted integrand exponent counts as integrable only at or below -1 - margin
 INTEGRABILITY_MARGIN = 0.05
+# the most float64 entries (128 MiB) jump_count_law allocates for its law or
+# the block-diagonal jump matrix of its start laws; a larger law is a ModelError
+LAW_CAP = 1 << 24
+# heat_bound_exact's curve is flat when its last-decade slope drift is at most
+# this fraction of its last slope
+HEAT_FLAT_RTOL = 0.01
 
 
 @dataclass
@@ -388,7 +399,9 @@ def jump_count_law(v: np.ndarray, trans: np.ndarray, p0: np.ndarray, t_grid,
     ``POISSON_TAIL * 1e-3``, normalized to remove their shared rounding;
     below it the integral reads a running sum of the ``p_j``.  Each event
     moves only the band of counts with an entry above ``LAW_TRIM``.  The
-    events are counted in ``metrics`` as ``walkers.weight_terms``.
+    events are counted in ``metrics`` as ``walkers.weight_terms``.  A law or
+    jump matrix of more than ``LAW_CAP`` entries is a ``ModelError`` before
+    it is allocated.
     """
     v = np.asarray(v, dtype=float)
     p0 = np.atleast_2d(np.asarray(p0, dtype=float))
@@ -419,6 +432,10 @@ def jump_count_law(v: np.ndarray, trans: np.ndarray, p0: np.ndarray, t_grid,
     ncap = J if k_max is None else min(int(k_max), J)
     # column s M + m holds mark m of start law s
     S, M = p0.shape
+    size = max((S * M) ** 2, len(L) * (ncap + 1) * S * M)
+    if size > LAW_CAP:
+        raise ModelError(f"the (count, mark) law of {S} start laws on {M} marks to "
+                         f"{ncap} jumps needs {size} entries, over LAW_CAP = {LAW_CAP}")
     start = (p0 / p0.sum(axis=1, keepdims=True)).ravel()
     jump = np.kron(np.eye(S), (v / lam)[:, None] * np.asarray(trans, dtype=float))
     stay = np.tile(1.0 - v / lam, S)
@@ -749,6 +766,18 @@ def estimate_H(tm: TransformedModel, start_pairs, T: float, replicas: int,
 # Lemma checks
 # ---------------------------------------------------------------------------
 
+def _heat_terms(tm: TransformedModel, t_grid, x0, xi1):
+    """What both heat-kernel bounds read: the walk, ``xi_0 - xi_1``, kappa,
+    the exact ``P(N_t = n)`` (times, counts) of the walker's marks and its
+    skeleton length K (``_skeleton_weights``)."""
+    walk = lattice_walk(tm)
+    xi0, s0 = _walker_start(tm, x0)
+    start = xi0 - np.asarray(xi1, dtype=np.int64).reshape(walk.d)
+    weights, [K] = _skeleton_weights(walk.v, walk.mark_trans, np.eye(len(walk.v))[[s0]],
+                                     np.asarray(t_grid, dtype=float), integrated=False)
+    return walk, start, walk.Q.max() / walk.q.min(), weights[0].sum(axis=2), int(K)
+
+
 def heat_bound_check(tm: TransformedModel, t_grid, x0, xi1, replicas: int,
                      rng: np.random.Generator) -> dict:
     """Heat-kernel bound: E_x b(X(t), y) <= kappa E alpha(xi(t) - xi_1).
@@ -764,18 +793,11 @@ def heat_bound_check(tm: TransformedModel, t_grid, x0, xi1, replicas: int,
     its last interval, which a bounded curve ``C - c / t`` shares, agree
     within 3 SE of their difference.
     """
-    walk = lattice_walk(tm)
+    walk, start, kappa, point, K = _heat_terms(tm, t_grid, x0, xi1)
     d = walk.d
-    xi0, s0 = _walker_start(tm, x0)
-    xi1 = np.asarray(xi1, dtype=np.int64).reshape(walk.d)
-    kappa = walk.Q.max() / walk.q.min()
     t_grid = np.asarray(t_grid, dtype=float)
-    start = xi0 - xi1                          # xi(t) - xi_1 at t = 0
-    weights, [K] = _skeleton_weights(walk.v, walk.mark_trans, np.eye(len(walk.v))[[s0]],
-                                     t_grid, integrated=False)
-    point = weights[0].sum(axis=2)                  # P(N_t = n), (times, counts)
     # alpha(start + S_n) is nonzero where S_n lies on the support shifted by -start
-    [vals] = _skeleton_sums(walk, *_step_law(walk), replicas, int(K),
+    [vals] = _skeleton_sums(walk, *_step_law(walk), replicas, K,
                             int(np.abs(start).max()),
                             walk.support - _lattice_code(start[None])[0],
                             walk.support_alpha[None, None], point[None, :, None], rng)
@@ -802,6 +824,102 @@ def heat_bound_check(tm: TransformedModel, t_grid, x0, xi1, replicas: int,
     }
 
 
+def heat_bound_exact(tm: TransformedModel, t_grid, x0, xi1) -> dict:
+    """``heat_bound_check`` without Monte Carlo, on a nearest-neighbour stencil.
+
+    There ``E alpha(xi_0 - xi_1 + S_n) = |alpha| P(S_{n+1} = xi_0 - xi_1)``
+    (``_point_law``), so the bound is ``kappa |alpha| sum_n P(N_t = n)
+    P(S_{n+1} = xi_0 - xi_1)``, with the law of ``N_t`` and the cut K of
+    ``heat_bound_check``.  Returns its keys with zero standard errors; the
+    curve is ``flat`` when the change of the slope of ``t * scaled`` from the
+    first to the last interval of the last decade is at most
+    ``HEAT_FLAT_RTOL`` times the last slope.
+    """
+    walk, start, kappa, point, K = _heat_terms(tm, t_grid, x0, xi1)
+    if not _nearest_neighbour(walk.steps, walk.step_probs):
+        raise ModelError("heat_bound_exact needs a nearest-neighbour stencil")
+    t_grid = np.asarray(t_grid, dtype=float)
+    est = kappa * walk.support_alpha.sum() * (point @ _point_law(start, K + 1)[1:])
+    scaled = est * t_grid ** (walk.d / 2.0)
+    slopes = np.diff(t_grid * scaled) / np.diff(t_grid)
+    inside = np.flatnonzero(t_grid[:-1] >= t_grid[-1] / 10.0)
+    drift = float(slopes[-1] - slopes[inside[0]]) if inside.size else 0.0
+    zero = np.zeros_like(est)
+    return {
+        "t": t_grid, "estimate": est, "stderr": zero,
+        "scaled": scaled, "scaled_stderr": zero,
+        "sup_scaled": float(scaled.max()),
+        "drift_last_decade": drift, "drift_stderr": 0.0,
+        "flat": bool(abs(drift) <= HEAT_FLAT_RTOL * abs(slopes[-1])) if inside.size else True,
+        "kappa": float(kappa),
+    }
+
+
+def _nearest_neighbour(steps, probs) -> bool:
+    """Whether the step law of ``steps`` (S, d) with weights ``probs`` puts
+    one and the same weight on each of ``+-e_i`` and none elsewhere."""
+    steps = np.asarray(steps, dtype=np.int64)
+    probs = np.asarray(probs, dtype=float)
+    on = probs != 0
+    unit = np.eye(steps.shape[1], dtype=np.int64)
+    return bool(on.sum() == len(unit) * 2 and (probs[on] == probs[on][0]).all()
+                and np.array_equal(np.unique(steps[on], axis=0),
+                                   np.unique(np.concatenate([unit, -unit]), axis=0)))
+
+
+# the most terms _point_law forms at once (8 MiB of float64)
+_POINT_BLOCK = 1 << 20
+
+
+def _point_law(x, n_max: int) -> np.ndarray:
+    """``P(S_n = x)`` for n = 0..n_max on the nearest-neighbour walk on Z^d,
+    d = len(x).
+
+    The steps split binomially over the axes: of the n steps of the walk on
+    the first j axes, m fall on axis j with probability ``C(n, m) j^-m
+    (1 - 1/j)^(n - m)``, and the one-axis walk of m steps ends at k with
+    probability ``C(m, (m + k) / 2) 2^-m``.  So each axis is one (n_max + 1)^2
+    sum of non-negative terms, formed from ``math.lgamma`` in blocks of at
+    most ``_POINT_BLOCK``.  The terms are counted in ``metrics`` as
+    ``walkers.point_law_terms``.
+    """
+    x = np.abs(np.atleast_1d(np.asarray(x, dtype=np.int64)))
+    n = np.arange(n_max + 1)
+    logfact = np.array([math.lgamma(k + 1.0) for k in n])
+
+    def log_binomial(top, bottom):
+        """``log C(top, bottom)``, ``-inf`` where bottom is not in 0..top."""
+        ok = (bottom >= 0) & (bottom <= top)
+        return np.where(ok, logfact[top] - logfact[np.clip(bottom, 0, top)]
+                        - logfact[np.clip(top - bottom, 0, None)], -np.inf)
+
+    def axis(k):
+        """log P(the one-axis walk ends at k after n steps), n = 0..n_max."""
+        up, odd = np.divmod(n + k, 2)
+        return np.where(odd == 0, log_binomial(n, up), -np.inf) - n * math.log(2.0)
+
+    law = np.exp(axis(x[0]))
+    # blocks of rows n bound the (rows, n_max + 1) terms to _POINT_BLOCK entries
+    blocks = np.array_split(n, -(-len(n) ** 2 // _POINT_BLOCK))
+    for j, k in enumerate(x[1:], start=2):
+        on_axis = axis(k) - n * math.log(j)        # m = n steps on axis j
+        rows = []
+        for top in blocks:
+            rest = np.clip(top[:, None] - n, 0, None)      # the steps on axes < j
+            terms = np.exp(log_binomial(top[:, None], n) + on_axis
+                           + rest * math.log1p(-1.0 / j))
+            rows.append((terms * law.take(rest)).sum(axis=1))
+        law = np.concatenate(rows)
+    metrics.count("walkers.point_law_terms", (n_max + 1) * (1 + (len(x) - 1) * (n_max + 1)))
+    return law
+
+
+def _stencil(alpha: Kernel | dict) -> dict:
+    """The stencil ``alpha`` as ``{displacement tuple: weight}``."""
+    return alpha.stencil if isinstance(alpha, Kernel) else {
+        tuple(np.atleast_1d(k)): float(v) for k, v in alpha.items()}
+
+
 def _convolution(alpha: Kernel | dict, d: int, n_max: int):
     """``alpha^{*n}`` for n = 1..n_max by the stencil recursion ``alpha^{*(n+1)}
     = sum_k alpha_k shift_k(alpha^{*n})``, on a window that grows by the
@@ -812,8 +930,7 @@ def _convolution(alpha: Kernel | dict, d: int, n_max: int):
     symmetric axis) is still checked against ``MASS_TOL``.  Returns the sups,
     ``alpha^{*n_max}`` on the window and the symmetric-axis mask.
     """
-    st = alpha.stencil if isinstance(alpha, Kernel) else {
-        tuple(np.atleast_1d(k)): float(v) for k, v in alpha.items()}
+    st = _stencil(alpha)
     K = max(max(abs(c) for c in k) for k in st)
     base = np.zeros((2 * K + 1,) * d)
     for k, v in st.items():
@@ -859,15 +976,34 @@ def iterated_convolution(alpha: Kernel | dict, d: int, n_max: int):
 
 
 def convolution_bound_check(alpha, d: int, n_max: int) -> dict:
-    """Verify sup alpha^{*n} * n^{d/2} stays bounded (no divergence trend)."""
-    sups, _, _ = _convolution(alpha, d, n_max)
+    """Verify sup alpha^{*n} * n^{d/2} stays bounded (no divergence trend).
+
+    On a nearest-neighbour stencil (``exact``) ``alpha^{*n} = |alpha|^n
+    P(S_n = .)``, and each one-axis factor of ``_point_law`` does not drop
+    when its coordinate moves 2 towards 0, so the sup lies at some ``(1^j,
+    0^{d-j})`` with j = n (mod 2); the mass checks of ``_convolution`` hold
+    for ``|alpha|^n``.  Other stencils run the recursion ``_convolution``.
+    """
+    st = _stencil(alpha)
+    exact = _nearest_neighbour(list(st), list(st.values()))
     n = np.arange(1, n_max + 1)
+    if exact:
+        mass = float(np.sum(list(st.values())))
+        if abs(mass - 1.0) > MASS_TOL:
+            raise ModelError(f"stencil mass {mass:.6g} is not normalized to 1")
+        leakage = np.abs(mass ** n - 1.0)
+        if (leakage > MASS_TOL).any():
+            raise ModelError(f"convolution mass leakage {leakage[leakage > MASS_TOL][0]:.3e}")
+        sups = mass ** n * np.max([_point_law((1,) * j + (0,) * (d - j), n_max)[1:]
+                                   for j in range(d + 1)], axis=0)
+    else:
+        sups, _, _ = _convolution(alpha, d, n_max)
     scaled = sups * n ** (d / 2.0)
     med = float(np.median(scaled))
     return {
         "n": n, "sup": sups, "scaled": scaled,
         "max_over_median": float(scaled.max() / med),
-        "bounded": bool(scaled.max() <= 2.0 * med),
+        "bounded": bool(scaled.max() <= 2.0 * med), "exact": exact,
     }
 
 

@@ -249,6 +249,29 @@ class TestExitCodes:
         div = json.loads((out / "divergence.json").read_text())
         assert div["diagnostics"]["spectral_abscissa"] >= -div["diagnostics"]["tol"]
 
+    def test_oversized_mark_law_exits_2(self, tmp_path):
+        # 16 Gauss-Legendre marks: the pair chain's 256 joint marks from 256
+        # start laws once built a 32 GiB jump matrix and died with exit 1;
+        # the law's size is checked against walkers.LAW_CAP before any of it
+        s, w = np.polynomial.legendre.leggauss(16)
+        s, w = (s + 1.0) / 2.0, w / 2.0
+        model = {"space": {"type": "product", "d": 3, "R": 1, "boundary": "unbounded",
+                           "marks": [f"m{i}" for i in range(16)], "nu": w.tolist()},
+                 "birth": {"form": "factorized", "alpha": "nearest", "rate": 1.0,
+                           "Q": (1.0 + np.outer(s, s)).tolist()},
+                 "death": {"per_mark": (1.0 + 2.0 * s).tolist()}}
+        began = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code, _ = run_cli(tmp_path, "transience",
+                              {"model": model, "T": 50, "replicas": 1000}, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 64 * 2 ** 20
+        assert time.perf_counter() - began < 10.0
+
 
 class TestOutputs:
     def test_manifest_lists_all_files(self, tmp_path):
@@ -544,20 +567,21 @@ class TestOutputs:
                     "poisson_domination": "passed", "heat_bound": "flat"}
         assert manifest["checks"] == {f"lemma_{name}": lemmas[name][key]
                                       for name, key in verdicts.items()}
-        assert lemmas["passed"] == all(manifest["checks"].values())
-        assert (code == 0) == lemmas["passed"]
-        assert code in (0, 1)
+        # every verdict is exact on nearest-neighbour Z^3, and each holds
+        assert lemmas["passed"] and all(manifest["checks"].values())
+        assert code == 0
+        assert lemmas["heat_bound"]["exact"] is True
         assert len((out / "convolution.csv").read_text().splitlines()) == 1 + 64
-        # the lemma phases are timed, and the convolution runs on the half box
-        # of nearest-neighbour Z^3: (n + 1)^3 cells at each step n = 2..64
+        # the lemma phases are timed; the convolution reads the point law at
+        # (1^j, 0^{3-j}), j = 0..3, to n = 64, with no recursion and no draw
         recorded = manifest["metrics"]
         assert {"lemmas.convolution", "lemmas.poisson_domination",
                 "lemmas.heat_bound"} <= set(recorded["phases_s"])
         counters = recorded["counters"]
-        assert counters["convolution.symmetric_axes"] == 3
-        assert counters["convolution.cells"] == sum((n + 1) ** 3 for n in range(2, 65))
-        assert (counters["walkers.replica_steps"]
-                == counters["walkers.skeleton_steps"] * 2000)
+        assert counters["lemmas.exact_convolution"] == counters["lemmas.exact_heat_bound"] == 1
+        assert counters["walkers.point_law_terms"] > 4 * 65 * (1 + 2 * 65)
+        assert "convolution.cells" not in counters
+        assert "walkers.replica_steps" not in counters
         # uniformization to t = 40 / lambda0: the lower tail and the Poisson side
         # of the domination run one mark at lambda0 = 1, the mark chain runs at
         # Lambda = 3, and so does the heat bound's walker to t = 100; each
@@ -568,8 +592,9 @@ class TestOutputs:
                 <= sum(m + 20 * np.sqrt(m) for m in means))
 
     def test_verify_lemmas_draws_only_in_heat_bound(self, tmp_path, monkeypatch):
-        # the other three verdicts are exact: the generator reaches the heat
-        # bound unused, and a plain stencil gets the domination verdict too
+        # off nearest neighbours the other three verdicts are exact: the
+        # generator reaches the Monte Carlo heat bound unused, and a plain
+        # stencil gets the domination verdict too
         heat_bound_check = cli.heat_bound_check
         states = []
 
@@ -578,10 +603,14 @@ class TestOutputs:
             return heat_bound_check(tm, t_grid, x0, xi1, replicas, rng)
 
         monkeypatch.setattr(cli, "heat_bound_check", spy)
+        plain = dict(LATTICE_MODEL, birth={"form": "stencil", "entries": DRIFT})
         code, out = run_cli(tmp_path, "verify-lemmas",
-                            {"model": LATTICE_MODEL, "replicas": 2000}, seed=5)
+                            {"model": plain, "replicas": 2000}, seed=5)
         assert states == [np.random.default_rng(5).bit_generator.state]
         lemmas = json.loads((out / "lemmas.json").read_text())
+        assert lemmas["heat_bound"]["exact"] is False
+        counters = json.loads((out / "manifest.json").read_text())["metrics"]["counters"]
+        assert counters["lemmas.exact_convolution"] == counters["lemmas.exact_heat_bound"] == 0
         # one mark at rate lambda0 is the Poisson law itself
         assert lemmas["poisson_domination"] == {"passed": True, "max_excess": 0.0}
         assert code in (0, 1)
@@ -748,3 +777,20 @@ class TestDeterminism:
         _, out2 = run_cli(tmp_path, "transience", cfg, seed=8, outname="b")
         assert (out1 / "transience_curve.csv").read_bytes() != \
                (out2 / "transience_curve.csv").read_bytes()
+
+    @pytest.mark.parametrize("model", [LATTICE_MODEL, MARKED_MODEL])
+    def test_verify_lemmas_nearest_neighbour_seed_free(self, tmp_path, monkeypatch, model):
+        # on a nearest-neighbour stencil every lemma verdict is exact: no Monte
+        # Carlo heat bound runs, and the outputs do not depend on the seed
+        def no_monte_carlo(*args, **kwargs):
+            raise AssertionError("the Monte Carlo heat bound ran on nearest neighbours")
+
+        monkeypatch.setattr(cli, "heat_bound_check", no_monte_carlo)
+        digests = []
+        for seed in (1, 2):
+            code, out = run_cli(tmp_path, "verify-lemmas", {"model": model, "replicas": 200},
+                                seed=seed, outname=f"seed{seed}")
+            assert code == 0
+            digests.append(json.loads((out / "manifest.json").read_text())["outputs"])
+        assert digests[0] == digests[1]
+        assert set(digests[0]) == {"convolution.csv", "lemmas.json"}

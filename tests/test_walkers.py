@@ -13,13 +13,14 @@ from contactlab.cli import main
 from contactlab.criticality import calibrate, theta_kernel
 from contactlab.errors import ModelError
 from contactlab.model import Kernel, RateModel, build_space
-from contactlab.walkers import (DOMINATION_TOL, LOWER_TAIL_B, POISSON_TAIL, _HASH_MULT,
-                                _alias_table, _increment_exponent, _lattice_code,
-                                _on_support, _orbit, _pair_chain, _skeleton_hits,
-                                _skeleton_weights, _step_law,
+from contactlab.walkers import (DOMINATION_TOL, LOWER_TAIL_B, POISSON_TAIL,
+                                _HASH_MULT, _alias_table, _convolution,
+                                _increment_exponent, _lattice_code,
+                                _nearest_neighbour, _on_support, _orbit, _pair_chain,
+                                _point_law, _skeleton_hits, _skeleton_weights, _step_law,
                                 _support_hash, _symmetry_generators, _tail_fit,
                                 convolution_bound_check, estimate_H,
-                                heat_bound_check, iterated_convolution,
+                                heat_bound_check, heat_bound_exact, iterated_convolution,
                                 jump_count_cdf, jump_count_law, lattice_walk,
                                 lower_tail_bound_check, pair_integral_curves,
                                 pair_limit, poisson_domination_check)
@@ -794,6 +795,138 @@ class TestHeatBound:
         assert np.array_equal(rep["stderr"], vals.std(axis=1, ddof=1) / np.sqrt(2000))
 
 
+def _stationary_jump_rate(walk):
+    """The mean jump rate of the walker's marks in their stationary law: the
+    embedded chain's stationary mu, weighted by the mean holding times."""
+    vals, vecs = np.linalg.eig(walk.mark_trans.T)
+    mu = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
+    return 1.0 / np.sum(mu / mu.sum() / walk.v)
+
+
+class TestExactHeatBound:
+    def test_z1_bessel_closed_form(self, z1_critical):
+        # a rate-v walk on Z: E alpha(xi(t)) = |alpha| P(X_t = 1) = |alpha| e^{-vt} I_1(vt)
+        from scipy import special
+        grid = np.geomspace(1e-3, 100.0, 15)
+        rep = heat_bound_exact(z1_critical, grid, (0,), (0,))
+        walk = lattice_walk(z1_critical)
+        closed = rep["kappa"] * walk.support_alpha.sum() * special.ive(1, walk.v[0] * grid)
+        np.testing.assert_allclose(rep["estimate"], closed, rtol=1e-12, atol=0.0)
+        assert not rep["stderr"].any() and rep["drift_stderr"] == 0.0
+        assert rep["flat"]
+
+    @pytest.mark.parametrize("marked, x0", [(False, (0, 0, 0)), (True, ((0, 0, 0), "A")),
+                                            (True, ((0, 0, 0), "B"))])
+    def test_scaled_curve_nears_local_clt_limit(self, marked, x0):
+        # N_t ~ lambda t at the marks' stationary jump rate lambda, and
+        # P(S_{n+1} = 0) + P(S_n = 0) ~ 2 (d / 2 pi n)^{d/2}, so t^{3/2} times
+        # the bound nears kappa |alpha| (2 pi lambda / 3)^{-3/2}
+        space, model = marked_model(v=[1.0, 3.0], d=3) if marked else lattice_model(3)
+        tm, _, _ = calibrate(model, space)
+        walk = lattice_walk(tm)
+        rep = heat_bound_exact(tm, np.geomspace(1.0, 300.0, 11), x0, (0, 0, 0))
+        limit = (rep["kappa"] * walk.support_alpha.sum()
+                 * (2 * np.pi * _stationary_jump_rate(walk) / 3) ** -1.5)
+        error = np.abs(rep["scaled"] / limit - 1.0)
+        assert (np.diff(error) < 0).all()
+        assert error[-1] < 5e-3
+        assert rep["flat"]
+
+    def test_marked_z3_within_monte_carlo_error(self):
+        # the exact curve lies within a Bonferroni z-limit of the Monte Carlo
+        # estimate at every grid time
+        space, model = marked_model(Q=[[2, 1], [1, 2]], v=[1.0, 3.0], d=3)
+        tm, _, _ = calibrate(model, space)
+        grid = np.geomspace(1.0, 100.0, 12)
+        x0 = ((0, 0, 0), "A")
+        exact = heat_bound_exact(tm, grid, x0, (0, 0, 0))
+        mc = heat_bound_check(tm, grid, x0, (0, 0, 0), replicas=20000,
+                              rng=np.random.default_rng(2601))
+        z = stats.norm.isf(1e-3 / (2 * len(grid)))
+        assert np.all(np.abs(exact["estimate"] - mc["estimate"]) <= z * mc["stderr"])
+        assert exact["kappa"] == mc["kappa"]
+
+    def test_growing_curve_not_flat(self, z3_critical, monkeypatch):
+        # a point law inflated by sqrt(n) makes the scaled curve grow like
+        # t^{1/2}: its last-decade slope drifts by far more than HEAT_FLAT_RTOL
+        point_law = walkers._point_law
+        monkeypatch.setattr(walkers, "_point_law",
+                            lambda x, n_max: point_law(x, n_max) * np.sqrt(np.arange(n_max + 1)))
+        rep = heat_bound_exact(z3_critical, np.geomspace(1.0, 100.0, 12), (0, 0, 0),
+                               (0, 0, 0))
+        growth = np.polyfit(np.log(rep["t"][-4:]), np.log(rep["scaled"][-4:]), 1)[0]
+        assert growth == pytest.approx(0.5, abs=0.05)
+        assert not rep["flat"]
+
+    def test_other_stencil_rejected(self):
+        space = build_space({"type": "lattice", "d": 1, "R": 1, "boundary": "unbounded"})
+        model = RateModel(birth=Kernel("stencil", stencil={(-1,): 0.3, (1,): 0.7}),
+                          death=np.ones(space.size))
+        tm, _, _ = calibrate(model, space)
+        with pytest.raises(ModelError, match="nearest-neighbour"):
+            heat_bound_exact(tm, [1.0, 2.0], (0,), (0,))
+
+
+class TestPointLaw:
+    @pytest.mark.parametrize("d, n_max", [(1, 64), (2, 40), (3, 20), (4, 8)])
+    def test_matches_convolution_window(self, d, n_max):
+        # the point law at every cell of the recursion's full window, read
+        # once per orbit of the axis reflections and permutations
+        _, last = iterated_convolution(nearest_stencil(d), d, n_max)
+        cells = np.abs(np.indices(last.shape).reshape(d, -1).T - n_max)
+        orbits, which = np.unique(np.sort(cells, axis=1), axis=0, return_inverse=True)
+        law = np.array([_point_law(u, n_max)[n_max] for u in orbits])
+        np.testing.assert_allclose(law[which.ravel()], last.ravel(), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("d, n_max", [(1, 64), (2, 64), (3, 64), (4, 24)])
+    def test_sups_match_recursion(self, d, n_max):
+        # the sup of alpha^{*n} lies at some (1^j, 0^{d-j}) at every n
+        with metrics.recording() as rec:
+            rep = convolution_bound_check(nearest_stencil(d), d, n_max)
+        assert rep["exact"]
+        assert "convolution.cells" not in rec["counters"]
+        assert rec["counters"]["walkers.point_law_terms"] == (
+            (d + 1) * (n_max + 1) * (1 + (d - 1) * (n_max + 1)))
+        sups, _, _ = _convolution(nearest_stencil(d), d, n_max)
+        np.testing.assert_allclose(rep["sup"], sups, rtol=1e-12, atol=0.0)
+
+    def test_small_laws(self):
+        # P(S_n = 0) on Z^2 is C(n, n/2)^2 / 4^n
+        from math import comb
+        law = _point_law((0, 0), 20)
+        exact = [comb(n, n // 2) ** 2 / 4 ** n if n % 2 == 0 else 0.0 for n in range(21)]
+        np.testing.assert_allclose(law, exact, rtol=1e-12, atol=0.0)
+        assert _point_law((2, -1, 0), 2).tolist() == [0.0, 0.0, 0.0]
+
+    def test_blocks_do_not_change_the_law(self, monkeypatch):
+        whole = _point_law((3, 1, 2), 90)
+        monkeypatch.setattr(walkers, "_POINT_BLOCK", 500)
+        assert np.array_equal(_point_law((3, 1, 2), 90), whole)
+
+    @pytest.mark.parametrize("stencil, expected", [
+        (nearest_stencil(3), True),
+        (nearest_stencil(2, mass=0.9), True),                 # any equal weight
+        ({**nearest_stencil(2), (0, 0): 0.0}, True),          # a zero entry is off the support
+        ({**nearest_stencil(2), (0, 0): 0.1}, False),
+        ({(-1, 0): 0.25, (1, 0): float(np.nextafter(0.25, 1.0)), (0, -1): 0.25,
+          (0, 1): 0.25}, False),                               # one ulp off equal
+        ({(-1,): 0.5, (2,): 0.5}, False),
+        ({(1, 0): 0.5, (-1, 0): 0.5}, False),                 # axis 2 missing
+        ({(1, 1): 0.25, (-1, -1): 0.25, (1, -1): 0.25, (-1, 1): 0.25}, False),
+    ])
+    def test_nearest_neighbour_predicate(self, stencil, expected):
+        d = len(next(iter(stencil)))
+        steps = np.array(list(stencil)).reshape(len(stencil), d)
+        assert _nearest_neighbour(steps, np.array(list(stencil.values()))) is expected
+
+    def test_other_stencils_run_the_recursion(self):
+        st = {(-1,): 0.2, (0,): 0.5, (2,): 0.3}
+        with metrics.recording() as rec:
+            rep = convolution_bound_check(st, 1, 12)
+        assert not rep["exact"] and rec["counters"]["convolution.cells"] > 0
+        assert "walkers.point_law_terms" not in rec["counters"]
+
+
 class TestConvolution:
     def test_identity_n1(self):
         sups, _ = iterated_convolution(nearest_stencil(3), 3, 1)
@@ -950,6 +1083,18 @@ class TestJumpCountLaw:
         cdf = jump_count_cdf(v, trans, p0, t_grid, 12)
         for row, t in zip(cdf, t_grid):
             assert np.abs(row - _generator_cdf(v, trans, p0, t, 12)).max() <= 1e-13
+
+    def test_oversized_law_rejected(self, monkeypatch):
+        # 4 start laws on 4 marks: a 16 x 16 jump matrix is the cap itself,
+        # and a fifth mark takes it over before anything is allocated
+        monkeypatch.setattr(walkers, "LAW_CAP", 256)
+        for M, ok in [(4, True), (5, False)]:
+            args = (np.ones(M), np.full((M, M), 1.0 / M), np.eye(M)[:4], [1e-3])
+            if ok:
+                assert jump_count_law(*args).shape[:2] == (4, 1)
+            else:
+                with pytest.raises(ModelError, match="LAW_CAP = 256"):
+                    jump_count_law(*args)
 
     def test_terms_counted(self):
         # a Poisson(40) tail below POISSON_TAIL takes about 40 + 13 sqrt(40) terms
