@@ -83,9 +83,10 @@ POISSON_TAIL = 1e-18
 LAW_TRIM = 1e-30
 # a fitted integrand exponent counts as integrable only at or below -1 - margin
 INTEGRABILITY_MARGIN = 0.05
-# the most float64 entries (128 MiB) jump_count_law allocates for its law or
-# the block-diagonal jump matrix of its start laws; a larger law is a ModelError
-LAW_CAP = 1 << 24
+# the most float64 entries (1 GiB) jump_count_law allocates for its law or
+# the block-diagonal jump matrix of its start laws; a larger law is a
+# ModelError.  8 marks (64 joint marks) to T = 150 take 0.73 of it.
+LAW_CAP = 1 << 27
 # heat_bound_exact's curve is flat when its last-decade slope drift is at most
 # this fraction of its last slope
 HEAT_FLAT_RTOL = 0.01
