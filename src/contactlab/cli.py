@@ -467,14 +467,14 @@ def cmd_verify_lemmas(cfg, run: Run, rng, space, model):
         hb = (heat_bound_exact(tm, grid, x0, tuple([0] * d)) if exact else
               heat_bound_check(tm, grid, x0, tuple([0] * d), replicas, rng))
     results["heat_bound"] = {"sup_scaled": hb["sup_scaled"], "flat": hb["flat"],
-                             "exact": exact}
-    ok &= hb["flat"]
+                             "bounded": hb["bounded"], "exact": exact}
+    ok &= hb["bounded"]
     results["passed"] = bool(ok)
     run.write_json("lemmas.json", results)
     for name, res in results.items():
         if name == "passed":
             continue
-        verdict = res.get("passed", res.get("bounded", res.get("flat")))
+        verdict = res.get("passed", res.get("bounded"))
         run.checks[f"lemma_{name}"] = bool(verdict)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

@@ -88,7 +88,7 @@ INTEGRABILITY_MARGIN = 0.05
 # ModelError.  8 marks (64 joint marks) to T = 150 take 0.73 of it.
 LAW_CAP = 1 << 27
 # heat_bound_exact's curve is flat when its last-decade slope drift is at most
-# this fraction of its last slope
+# this fraction of its last slope in size, and bounded when it rises by at most that
 HEAT_FLAT_RTOL = 0.01
 
 
@@ -315,16 +315,17 @@ def _skeleton_hits(walk: LatticeWalk, codes: np.ndarray, probs: np.ndarray, repl
                          f"{63 // d - 1} in d = {d}: start {reach} + {walk.K} x {K} steps")
     metrics.count("walkers.skeleton_steps", K)
     metrics.count("walkers.replica_steps", K * replicas)
-    near, pos, count = [], [], []
+    near, pos, count, total = [], [], [], 0
     for n, (r, p) in enumerate(_skeleton_steps(codes, probs, replicas, K, support, rng)):
         near.append(r.astype(np.int32))
         pos.append(p.astype(np.int32))
         count.append(r.size)
-        if len(count) == _BLOCK or sum(count) >= _BLOCK_HITS or n == K:
-            metrics.count("walkers.support_hits", sum(count))
+        total += r.size
+        if len(count) == _BLOCK or total >= _BLOCK_HITS or n == K:
+            metrics.count("walkers.support_hits", total)
             yield (np.concatenate(near), np.concatenate(pos),
                    np.repeat(np.arange(n + 1 - len(count), n + 1, dtype=np.int32), count))
-            near, pos, count = [], [], []
+            near, pos, count, total = [], [], [], 0
 
 
 def _skeleton_sums(walk: LatticeWalk, codes: np.ndarray, probs: np.ndarray, replicas: int,
@@ -336,27 +337,44 @@ def _skeleton_sums(walk: LatticeWalk, codes: np.ndarray, probs: np.ndarray, repl
     ``tables`` (starts, M, support) holds each start's integrand per mark at
     the sorted ``support`` codes, and ``weights`` (starts, columns, M, steps)
     each column's weight per mark and step.  A hit at step n is credited to
-    a start only where its table is nonzero, and to a column only from the
-    first to the last step at which some weight of that column is nonzero.
+    a start only where its table is nonzero, its own codes, and to a column
+    only from the first to the last step at which some weight of that column
+    is nonzero.  Per block of hits, start and column, the marks are
+    contracted once into a credit table ``g[n - n0, q] = sum_m weights[k, c,
+    m, n] tables[k, m, own_k[q]]`` over the block's steps n0.. and the
+    start's own codes ``own_k``, and each hit reads its credit with one
+    gather at ``(n - n0) len(own_k) + q``.  The (hit, column) pairs gathered
+    are counted in ``metrics`` as ``walkers.credit_pairs``.
     """
     M = tables.shape[1]
     mine = tables.any(axis=1)                                  # (start, support code)
     nonzero = weights.any(axis=2)                              # (start, column, n)
     first = nonzero.argmax(axis=2)
     last = nonzero.shape[2] - 1 - nonzero[:, :, ::-1].argmax(axis=2)
+    # each start's tables on its own codes, and a support code's index among them
+    own = [table[:, row] for table, row in zip(tables, mine)]
+    index = np.cumsum(mine, axis=1) - 1
     sums = np.zeros((len(tables), weights.shape[1], replicas))
+    pairs = 0
     for near, pos, step in _skeleton_hits(walk, codes, probs, replicas, K, reach,
                                           support, rng):
-        for k, (table, weight) in enumerate(zip(tables, weights)):
+        for k, (table, weight) in enumerate(zip(own, weights)):
             on = np.flatnonzero(mine[k].take(pos))
-            n, p, r = step[on], pos[on], near[on]
+            if not on.size:
+                continue
+            n, r = step[on], near[on]
+            n0, n1 = int(n[0]), int(n[-1]) + 1
+            h = (n - n0).astype(np.int64) * table.shape[1] + index[k].take(pos[on])
             for c, (lo, hi) in enumerate(np.searchsorted(n, np.c_[first[k], last[k] + 1])):
                 if lo == hi:
                     continue
-                credit = table[0].take(p[lo:hi]) * weight[c, 0].take(n[lo:hi])
+                g = weight[c, 0, n0:n1, None] * table[0]
                 for m in range(1, M):
-                    credit += table[m].take(p[lo:hi]) * weight[c, m].take(n[lo:hi])
-                sums[k, c] += np.bincount(r[lo:hi], credit, minlength=replicas)
+                    g += weight[c, m, n0:n1, None] * table[m]
+                sums[k, c] += np.bincount(r[lo:hi], g.ravel().take(h[lo:hi]),
+                                          minlength=replicas)
+                pairs += hi - lo
+    metrics.count("walkers.credit_pairs", pairs)
     return sums
 
 
@@ -398,7 +416,9 @@ def jump_count_law(v: np.ndarray, trans: np.ndarray, p0: np.ndarray, t_grid,
     Pois_j(Lambda t)`` or ``P(Pois(Lambda t) > j) / Lambda``.  Each time reads
     the events of its window, outside which ``Pois_j`` is below
     ``POISSON_TAIL * 1e-3``, normalized to remove their shared rounding;
-    below it the integral reads a running sum of the ``p_j``.  Each event
+    below it the integral reads a running sum of the ``p_j``.  The times
+    whose window holds each event, and those whose window opens after it,
+    are found for all events before the loop.  Each event
     moves only the band of counts with an entry above ``LAW_TRIM``.  The
     events are counted in ``metrics`` as ``walkers.weight_terms``.  A law or
     jump matrix of more than ``LAW_CAP`` entries is a ``ModelError`` before
@@ -453,17 +473,19 @@ def jump_count_law(v: np.ndarray, trans: np.ndarray, p0: np.ndarray, t_grid,
         p[0] = start
         w = np.zeros((len(L), ncap + 1, S * M))
         below = np.zeros((ncap + 1, S * M))
-        # the times whose window holds event e are a[e]..b[e] - 1
-        events = np.arange(J + 1)
-        a, b = np.searchsorted(last, events), np.searchsorted(first, events, side="right")
+        # the times whose window holds event e are a[e]..b[e] - 1, and those
+        # whose window starts at event e + 1 are b[e]..b[e + 1] - 1
+        events = np.arange(J + 2)
+        a = np.searchsorted(last, events).tolist()
+        b = np.searchsorted(first, events, side="right").tolist()
+        c = np.ascontiguousarray(c.T)        # (events, times)
         lo = hi = 0                          # p is zero outside the counts lo..hi
         for e in range(J + 1):
             seg = p[lo:hi + 1]
-            w[a[e]:b[e], lo:hi + 1] += c[a[e]:b[e], e, None, None] * seg
+            w[a[e]:b[e], lo:hi + 1] += c[e, a[e]:b[e], None, None] * seg
             if integrated:
                 below[lo:hi + 1] += seg
-                # the times whose window starts at event e + 1
-                for i in range(b[e], np.searchsorted(first, e + 1, side="right")):
+                for i in range(b[e], b[e + 1]):
                     w[i] += below / lam
             moved = seg @ jump
             seg *= stay
@@ -789,10 +811,12 @@ def heat_bound_check(tm: TransformedModel, t_grid, x0, xi1, replicas: int,
     gives ``kappa sum_n P(N_t = n) alpha(xi_0 - xi_1 + S_n)`` with the exact
     law ``P(N_t = n)`` of ``jump_count_law``, cut at the skeleton length K
     (``_skeleton_weights``): only the skeleton is Monte Carlo.  Reports the
-    mean, ``estimate * t^{d/2}`` and a flatness verdict over the last decade
-    (on an ascending grid): the slope of ``t * scaled`` over its first and
-    its last interval, which a bounded curve ``C - c / t`` shares, agree
-    within 3 SE of their difference.
+    mean, ``estimate * t^{d/2}`` and two verdicts over the last decade (on
+    an ascending grid) on the drift of the slope of ``t * scaled`` from its
+    first to its last interval, which a curve ``C - c / t`` does not have:
+    ``flat``, the drift is within 3 SE of 0, and ``bounded``, it is at most
+    3 SE above 0.  A decaying curve, as on a drifting stencil, drifts down:
+    bounded but not flat.
     """
     walk, start, kappa, point, K = _heat_terms(tm, t_grid, x0, xi1)
     d = walk.d
@@ -821,6 +845,7 @@ def heat_bound_check(tm: TransformedModel, t_grid, x0, xi1, replicas: int,
         "sup_scaled": float(scaled.max()),
         "drift_last_decade": float(drift), "drift_stderr": drift_se,
         "flat": bool(abs(drift) <= 3 * drift_se),
+        "bounded": bool(drift <= 3 * drift_se),
         "kappa": float(kappa),
     }
 
@@ -834,7 +859,8 @@ def heat_bound_exact(tm: TransformedModel, t_grid, x0, xi1) -> dict:
     ``heat_bound_check``.  Returns its keys with zero standard errors; the
     curve is ``flat`` when the change of the slope of ``t * scaled`` from the
     first to the last interval of the last decade is at most
-    ``HEAT_FLAT_RTOL`` times the last slope.
+    ``HEAT_FLAT_RTOL`` times the last slope in size, and ``bounded`` when it
+    rises by at most that.
     """
     walk, start, kappa, point, K = _heat_terms(tm, t_grid, x0, xi1)
     if not _nearest_neighbour(walk.steps, walk.step_probs):
@@ -845,13 +871,14 @@ def heat_bound_exact(tm: TransformedModel, t_grid, x0, xi1) -> dict:
     slopes = np.diff(t_grid * scaled) / np.diff(t_grid)
     inside = np.flatnonzero(t_grid[:-1] >= t_grid[-1] / 10.0)
     drift = float(slopes[-1] - slopes[inside[0]]) if inside.size else 0.0
+    tol = HEAT_FLAT_RTOL * abs(slopes[-1]) if inside.size else 0.0
     zero = np.zeros_like(est)
     return {
         "t": t_grid, "estimate": est, "stderr": zero,
         "scaled": scaled, "scaled_stderr": zero,
         "sup_scaled": float(scaled.max()),
         "drift_last_decade": drift, "drift_stderr": 0.0,
-        "flat": bool(abs(drift) <= HEAT_FLAT_RTOL * abs(slopes[-1])) if inside.size else True,
+        "flat": bool(abs(drift) <= tol), "bounded": bool(drift <= tol),
         "kappa": float(kappa),
     }
 

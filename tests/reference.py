@@ -6,8 +6,9 @@ the skeleton walk stepped one step at a time from the same group draws;
 the scalar single-trajectory contact process, which picks each event by its
 destination, against the particle-attributed ``run_replicas``; the
 residual of the jump-extended balance condition; the hierarchy operator
-Lhat_n and its semigroup, applied axis by axis; and the heat-bound values
-credited at every grid time and skeleton step."""
+Lhat_n and its semigroup, applied axis by axis; the heat-bound values
+credited at every grid time and skeleton step; and the skeleton sums
+credited hit by hit, with a take and a product per mark."""
 
 import itertools
 import math
@@ -279,6 +280,33 @@ def skeleton_hits(codes: np.ndarray, probs: np.ndarray, replicas: int, K: int,
             code = code + codes[digits[t, j]]
             look(n)
     return tuple(np.concatenate(field) for field in zip(*hits))
+
+
+def skeleton_sums(walk: LatticeWalk, codes: np.ndarray, probs: np.ndarray, replicas: int,
+                  K: int, reach: int, support: np.ndarray, tables: np.ndarray,
+                  weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``walkers._skeleton_sums`` from the same hits, each hit's credit
+    formed for itself: per column, ``sum_m tables[k, m, pos] weights[k, c,
+    m, n]`` by one take of the table and one of the weights per mark."""
+    M = tables.shape[1]
+    mine = tables.any(axis=1)                                  # (start, support code)
+    nonzero = weights.any(axis=2)                              # (start, column, n)
+    first = nonzero.argmax(axis=2)
+    last = nonzero.shape[2] - 1 - nonzero[:, :, ::-1].argmax(axis=2)
+    sums = np.zeros((len(tables), weights.shape[1], replicas))
+    for near, pos, step in _skeleton_hits(walk, codes, probs, replicas, K, reach,
+                                          support, rng):
+        for k, (table, weight) in enumerate(zip(tables, weights)):
+            on = np.flatnonzero(mine[k].take(pos))
+            n, p, r = step[on], pos[on], near[on]
+            for c, (lo, hi) in enumerate(np.searchsorted(n, np.c_[first[k], last[k] + 1])):
+                if lo == hi:
+                    continue
+                credit = table[0].take(p[lo:hi]) * weight[c, 0].take(n[lo:hi])
+                for m in range(1, M):
+                    credit += table[m].take(p[lo:hi]) * weight[c, m].take(n[lo:hi])
+                sums[k, c] += np.bincount(r[lo:hi], credit, minlength=replicas)
+    return sums
 
 
 def clock_pair_curves(walk: LatticeWalk, displacements, s0x: int, s0y: int, T: float,

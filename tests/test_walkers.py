@@ -1,5 +1,6 @@
 """Auxiliary walkers, the transience estimate, and the lemma checks."""
 
+import copy
 import json
 
 import numpy as np
@@ -28,7 +29,16 @@ from contactlab.walkers import (DOMINATION_TOL, LOWER_TAIL_B, POISSON_TAIL,
 from conftest import lattice_model, marked_model, nearest_stencil
 from reference import (alpha_of, b_pair, clock_pair_curves, empirical_cdf,
                        heat_bound_values, locate, mark_chain_jump_counts, simulate_jump,
-                       skeleton_hits)
+                       skeleton_hits, skeleton_sums)
+
+
+def drift_model():
+    """Critical model on Z^3 with a stencil that is not its own mirror image."""
+    stencil = {(1, 0, 0): 0.3, (-1, 0, 0): 0.1, (0, 1, 0): 0.15,
+               (0, -1, 0): 0.15, (0, 0, 1): 0.15, (0, 0, -1): 0.15}
+    space = build_space({"type": "lattice", "d": 3, "R": 1, "boundary": "unbounded"})
+    return space, RateModel(birth=Kernel("stencil", stencil=stencil),
+                            death=np.ones(space.size))
 
 
 def mean_se(per_replica):
@@ -480,6 +490,59 @@ class TestSharedChain:
                                  np.random.default_rng(35))
 
 
+def _spy_sums(monkeypatch) -> list:
+    """Record each ``_skeleton_sums`` call's result with the reference loop's
+    (``skeleton_sums``) from a copy of its generator: ``[(got, expect)]``."""
+    calls = []
+    sums = walkers._skeleton_sums
+
+    def spy(*args):
+        twin = copy.deepcopy(args[-1])
+        got = sums(*args)
+        # the caller adds the columns up in place
+        calls.append((got.copy(), skeleton_sums(*args[:-1], twin)))
+        return got
+
+    monkeypatch.setattr(walkers, "_skeleton_sums", spy)
+    return calls
+
+
+class TestCreditTables:
+    @pytest.mark.parametrize("case", ["z3", "marked z3", "drift", "short blocks"])
+    def test_matches_mark_by_mark_reference(self, case, monkeypatch):
+        # _skeleton_sums contracts the marks once per block, start and column
+        # and gathers each hit's credit: bit for bit the sums of the loop that
+        # forms each hit's credit mark by mark.  The MARKED_Z3 starts have
+        # joint initial marks s_x M + s_y = 0, 1 and 3; the one-mark drift
+        # skeleton takes the mirrored law.  Blocks of 64 steps from S_0 end
+        # inside a group of 4 steps (1-4, 5-8, ...); short blocks end at
+        # other steps too, so the credit tables span blocks of every length
+        if case == "marked z3":
+            space, model = marked_model(Q=[[2, 1], [1, 2]], v=[1.0, 3.0], d=3)
+            starts = [((0, 0, 0), 0, 0), ((1, 0, 0), 0, 1), ((2, 0, 0), 1, 1)]
+        else:
+            space, model = drift_model() if case == "drift" else lattice_model(3)
+            starts = [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+        tm, _, _ = calibrate(model, space)
+        ends = []
+        hits = walkers._skeleton_hits
+
+        def spy_hits(*args):
+            for block in hits(*args):
+                ends.extend(block[2][-1:].tolist())
+                yield block
+
+        monkeypatch.setattr(walkers, "_skeleton_hits", spy_hits)
+        if case == "short blocks":
+            monkeypatch.setattr(walkers, "_BLOCK_HITS", 300)
+        calls = _spy_sums(monkeypatch)
+        estimate_H(tm, starts, T=30.0, replicas=2000, rng=np.random.default_rng(2701))
+        [(got, expect)] = calls
+        assert got.shape[0] == 3 and got.any()
+        assert np.array_equal(got, expect)
+        assert any((n + 1) % 64 for n in ends[:-1]) == (case == "short blocks")
+
+
 def _pair_generator_integral(v, trans, alpha, Q, q, start, T, R=40):
     """E int_0^T b(X_t, Y_t) dt for the pair chain (D, s_x, s_y) of a
     one-dimensional model on |D| <= R, from the top-right block of
@@ -774,6 +837,33 @@ class TestHeatBound:
         se = rep["stderr"][0]
         assert abs(rep["estimate"][0] - rep["kappa"] * probe) <= 3.5 * se
 
+    def test_drifting_stencil_bounded(self):
+        # the scaled curve of a drifting walk decays, so its last-decade slope
+        # drifts down: below -3 SE at 4000 replicas, yet bounded
+        space, model = drift_model()
+        tm, _, _ = calibrate(model, space)
+        for seed in (1, 2, 3):
+            rep = heat_bound_check(tm, np.geomspace(1.0, 100.0, 12), (0, 0, 0), (0, 0, 0),
+                                   replicas=4000, rng=np.random.default_rng(seed))
+            assert rep["drift_last_decade"] < -3 * rep["drift_stderr"]
+            assert rep["bounded"] and not rep["flat"]
+
+    def test_growing_curve_not_bounded(self, z3_critical, monkeypatch):
+        # weights inflated by sqrt(n) make the scaled curve grow like t^{1/2}:
+        # its last-decade slope rises by about 7 SE at 40000 replicas
+        heat_terms = walkers._heat_terms
+
+        def inflated(*args):
+            walk, start, kappa, point, K = heat_terms(*args)
+            return walk, start, kappa, point * np.sqrt(np.arange(point.shape[1])), K
+
+        monkeypatch.setattr(walkers, "_heat_terms", inflated)
+        rep = heat_bound_check(z3_critical, np.geomspace(1.0, 100.0, 12), (0, 0, 0),
+                               (1, 0, 0), replicas=40000, rng=np.random.default_rng(2705))
+        growth = np.polyfit(np.log(rep["t"][-4:]), np.log(rep["scaled"][-4:]), 1)[0]
+        assert growth == pytest.approx(0.5, abs=0.1)
+        assert not rep["flat"] and not rep["bounded"]
+
     @pytest.mark.parametrize("case", ["z3", "marked z3", "z1"])
     def test_matches_every_step_reference(self, case):
         # a hit is credited only at the grid times whose weight range holds
@@ -856,7 +946,7 @@ class TestExactHeatBound:
                                (0, 0, 0))
         growth = np.polyfit(np.log(rep["t"][-4:]), np.log(rep["scaled"][-4:]), 1)[0]
         assert growth == pytest.approx(0.5, abs=0.05)
-        assert not rep["flat"]
+        assert not rep["flat"] and not rep["bounded"]
 
     def test_other_stencil_rejected(self):
         space = build_space({"type": "lattice", "d": 1, "R": 1, "boundary": "unbounded"})
