@@ -839,12 +839,12 @@ class TestHeatBound:
 
     def test_drifting_stencil_bounded(self):
         # the scaled curve of a drifting walk decays, so its last-decade slope
-        # drifts down: below -3 SE at 4000 replicas, yet bounded
+        # drifts down: below -3 SE at 40000 replicas, yet bounded
         space, model = drift_model()
         tm, _, _ = calibrate(model, space)
         for seed in (1, 2, 3):
             rep = heat_bound_check(tm, np.geomspace(1.0, 100.0, 12), (0, 0, 0), (0, 0, 0),
-                                   replicas=4000, rng=np.random.default_rng(seed))
+                                   replicas=40000, rng=np.random.default_rng(seed))
             assert rep["drift_last_decade"] < -3 * rep["drift_stderr"]
             assert rep["bounded"] and not rep["flat"]
 
