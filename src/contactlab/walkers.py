@@ -209,34 +209,7 @@ def _walker_start(tm: TransformedModel, x0):
     return np.asarray(x0, dtype=np.int64).reshape(tm.space.dim), 0
 
 
-def _alias_table(P: np.ndarray):
-    """Walker alias tables of the rows of P (J, O), each summing to 1.
-
-    Returns ``(thresh, alias)`` of P's shape.  With ``u`` uniform on [0, O),
-    row r draws outcome ``i = floor(u)`` if ``u - i < thresh[r, i]`` and
-    ``alias[r, i]`` otherwise, so outcome i has probability
-    ``(thresh[r, i] + sum over alias[r, k] = i of (1 - thresh[r, k])) / O``.
-    An outcome of probability 0 gets threshold 0 and is no alias, so it is
-    never drawn.
-    """
-    J, O = P.shape
-    thresh = np.ones((J, O))
-    alias = np.tile(np.arange(O), (J, 1))
-    for r in range(J):
-        p = P[r] * O
-        small = [i for i in range(O) if p[i] < 1.0]
-        large = [i for i in range(O) if p[i] >= 1.0]
-        while small and large:
-            lo, hi = small.pop(), large.pop()
-            thresh[r, lo], alias[r, lo] = p[lo], hi
-            p[hi] -= 1.0 - p[lo]
-            (small if p[hi] < 1.0 else large).append(hi)
-        # what is left holds p = 1 up to rounding and keeps threshold 1
-    return thresh, alias
-
-
-# _skeleton_hits hands over the support hits of this many skeleton steps at
-# once, or fewer once they hold _BLOCK_HITS hits (dense hits on a recurrent walk)
+# a block of _skeleton_hits closes once it holds this many steps or hits
 _BLOCK = 64
 _BLOCK_HITS = 1 << 18
 # the most step tuples one skeleton draw picks from: 6^4 on nearest-neighbour Z^3
@@ -257,57 +230,22 @@ def _step_groups(codes: np.ndarray, probs: np.ndarray):
     return np.cumsum(codes[tuples], axis=0), np.prod(probs[tuples], axis=0)
 
 
-def _skeleton_steps(codes: np.ndarray, probs: np.ndarray, replicas: int, K: int,
-                    support: np.ndarray, rng: np.random.Generator):
-    """Yield, for n = 0..K, the replicas whose skeleton walk ``S_n`` lies on
-    the sorted lattice codes ``support`` and their positions in it.
-
-    The steps are drawn k at a time (``_step_groups``): one draw per group
-    of a k-tuple of ``codes`` under the product law of ``probs``, a uniform
-    integer below ``O^k`` when the law is uniform, else one alias draw, and
-    a table of prefix codes gives each tuple's k partial sums.  Each group
-    screens the replicas' codes at its start once, with the hash table of
-    the reach set ``support - prefix``; only the replicas that pass form
-    their k positions, which ``_on_support`` decides exactly.  The last
-    group forms only the steps up to K.
-    """
-    prefix, law = _step_groups(codes, probs)
-    k, G = prefix.shape
-    uniform = bool((probs == probs[0]).all())
-    [thresh], [alias] = _alias_table(law[None])
-    hashed = _support_hash(support)
-    reach_table, reach_bits = _support_hash(
-        np.unique(support[:, None] - np.unique(prefix)))
-    code = np.zeros(replicas, dtype=np.int64)
-    yield _on_support(support, hashed, code)
-    for first in range(1, K + 1, k):
-        kk = min(k, K + 1 - first)
-        if uniform:
-            t = rng.integers(G, size=replicas, dtype=np.uint16 if G <= 1 << 16 else np.int64)
-        else:
-            u = rng.random(replicas) * G
-            o = u.astype(np.int64)
-            t = np.where(u - o < thresh[o], o, alias[o])
-        cand = np.flatnonzero(reach_table.take(_hash(code, reach_bits)))
-        # the candidates' positions after each step of the group, step-major
-        at = code[cand] + prefix[:kk].take(t[cand], axis=1)
-        hit, where = _on_support(support, hashed, at.ravel())
-        j, i = np.divmod(hit, cand.size)
-        ends = np.searchsorted(j, np.arange(kk + 1))
-        for a, b in zip(ends[:-1], ends[1:]):
-            yield cand[i[a:b]], where[a:b]
-        code += prefix[kk - 1].take(t)
-
-
 def _skeleton_hits(walk: LatticeWalk, codes: np.ndarray, probs: np.ndarray, replicas: int,
                    K: int, reach: int, support: np.ndarray, rng: np.random.Generator):
     """Yield the hits of ``replicas`` skeleton walks ``S_n``, n = 0..K, on the
-    sorted lattice codes ``support`` (``_skeleton_steps``), in blocks of
-    ``_BLOCK`` steps or of the steps that reach ``_BLOCK_HITS`` hits, in
-    step order: replica, position in ``support`` and n, as int32 arrays.
-    If K steps could carry a start ``reach`` away out of the code's range,
-    that is a ``ModelError`` before any draw.  K, the replica-steps and the
-    hits are counted in ``metrics``.
+    sorted lattice codes ``support`` in blocks of int32 arrays: replica,
+    position in ``support`` and n, in (n, replica) order.
+
+    Each group of k steps (``_step_groups``) is one draw of a k-tuple of
+    ``codes`` under the product law of ``probs``: a uniform integer below
+    ``O^k`` when the law is uniform, else ``searchsorted`` of a uniform in
+    the tuples' CDF.  The group screens the replicas once with the hash
+    table of the reach set ``support - prefix``, and ``_on_support`` decides
+    the positions (up to S_K) of those that pass.  A block closes with the
+    group that brings it to ``_BLOCK`` steps or ``_BLOCK_HITS`` hits, so it
+    holds fewer than ``_BLOCK_HITS + k replicas`` hits.  K steps that could
+    carry a start ``reach`` away out of the code's range are a ``ModelError``
+    before any draw.  K, the replica-steps and the hits go to ``metrics``.
     """
     d = walk.d
     if reach + K * walk.K >= 1 << (63 // d - 1):
@@ -315,17 +253,40 @@ def _skeleton_hits(walk: LatticeWalk, codes: np.ndarray, probs: np.ndarray, repl
                          f"{63 // d - 1} in d = {d}: start {reach} + {walk.K} x {K} steps")
     metrics.count("walkers.skeleton_steps", K)
     metrics.count("walkers.replica_steps", K * replicas)
-    near, pos, count, total = [], [], [], 0
-    for n, (r, p) in enumerate(_skeleton_steps(codes, probs, replicas, K, support, rng)):
-        near.append(r.astype(np.int32))
-        pos.append(p.astype(np.int32))
-        count.append(r.size)
-        total += r.size
-        if len(count) == _BLOCK or total >= _BLOCK_HITS or n == K:
-            metrics.count("walkers.support_hits", total)
-            yield (np.concatenate(near), np.concatenate(pos),
-                   np.repeat(np.arange(n + 1 - len(count), n + 1, dtype=np.int32), count))
-            near, pos, count, total = [], [], [], 0
+    prefix, law = _step_groups(codes, probs)
+    k, G = prefix.shape
+    # the tuples' CDF over its own last entry, so that every u < 1 lands below G
+    cdf = np.cumsum(law)
+    cdf /= cdf[-1]
+    hashed = _support_hash(support)
+    reach_table, reach_bits = _support_hash(np.unique(support[:, None] - np.unique(prefix)))
+
+    def close(block, total):
+        metrics.count("walkers.support_hits", total)
+        return tuple(np.concatenate(field).astype(np.int32) for field in zip(*block))
+
+    code = np.zeros(replicas, dtype=np.int64)
+    near, where = _on_support(support, hashed, code)
+    block, steps, total = [(near, where, np.zeros_like(near))], 1, near.size
+    for first in range(1, K + 1, k):
+        kk = min(k, K + 1 - first)
+        if (probs == probs[0]).all():
+            t = rng.integers(G, size=replicas, dtype=np.uint16 if G <= 1 << 16 else np.int64)
+        else:
+            t = np.searchsorted(cdf, rng.random(replicas), side="right")
+        cand = np.flatnonzero(reach_table.take(_hash(code, reach_bits)))
+        # the candidates' positions after each step of the group, step-major
+        at = code[cand] + prefix[:kk].take(t[cand], axis=1)
+        hit, where = _on_support(support, hashed, at.ravel())
+        j, i = np.divmod(hit, cand.size)
+        block.append((cand[i], where, first + j))
+        steps, total = steps + kk, total + hit.size
+        code += prefix[kk - 1].take(t)
+        if steps >= _BLOCK or total >= _BLOCK_HITS:
+            yield close(block, total)
+            block, steps, total = [], 0, 0
+    if block:
+        yield close(block, total)
 
 
 def _skeleton_sums(walk: LatticeWalk, codes: np.ndarray, probs: np.ndarray, replicas: int,

@@ -23,9 +23,9 @@ from contactlab.errors import ModelError, SpaceError
 from contactlab.hierarchy import _apply_axis, _apply_each_axis, generator_matrix
 from contactlab.model import RateModel, StateSpace, kernel_matrix
 from contactlab.simulator import DEFAULT_EVENT_CAP, EventLog
-from contactlab.walkers import (LatticeWalk, _alias_table, _lattice_code, _on_support,
-                                _skeleton_hits, _skeleton_weights, _step_law,
-                                _support_hash, _walker_start, lattice_walk)
+from contactlab.walkers import (LatticeWalk, _lattice_code, _on_support, _skeleton_hits,
+                                _skeleton_weights, _step_law, _support_hash, _walker_start,
+                                lattice_walk)
 
 
 def locate(space: StateSpace, point) -> int:
@@ -122,6 +122,32 @@ def simulate_jump(tm: TransformedModel, x0, T: float,
         times.append(t)
         states.append(tm.space.points[i])
     return WalkerPath(times=np.array(times), states=states)
+
+
+def _alias_table(P: np.ndarray):
+    """Walker alias tables of the rows of P (J, O), each summing to 1.
+
+    Returns ``(thresh, alias)`` of P's shape.  With ``u`` uniform on [0, O),
+    row r draws outcome ``i = floor(u)`` if ``u - i < thresh[r, i]`` and
+    ``alias[r, i]`` otherwise, so outcome i has probability
+    ``(thresh[r, i] + sum over alias[r, k] = i of (1 - thresh[r, k])) / O``.
+    An outcome of probability 0 gets threshold 0 and is no alias, so it is
+    never drawn.
+    """
+    J, O = P.shape
+    thresh = np.ones((J, O))
+    alias = np.tile(np.arange(O), (J, 1))
+    for r in range(J):
+        p = P[r] * O
+        small = [i for i in range(O) if p[i] < 1.0]
+        large = [i for i in range(O) if p[i] >= 1.0]
+        while small and large:
+            lo, hi = small.pop(), large.pop()
+            thresh[r, lo], alias[r, lo] = p[lo], hi
+            p[hi] -= 1.0 - p[lo]
+            (small if p[hi] < 1.0 else large).append(hi)
+        # what is left holds p = 1 up to rounding and keeps threshold 1
+    return thresh, alias
 
 
 def _jump_chain(v, mark_trans, steps, step_probs, s, sign, t_grid, rng, reach=0,
@@ -250,7 +276,7 @@ def skeleton_hits(codes: np.ndarray, probs: np.ndarray, replicas: int, K: int,
     ``support`` as ``(replica, position in support, n)`` in (n, replica)
     order, from the draws ``_skeleton_hits`` makes: one index per group of
     k steps (``O^k <= 1296``) into the k-tuples of step outcomes in
-    ``itertools.product`` order, uniform or an alias draw under their
+    ``itertools.product`` order, uniform or an inverse-CDF draw under their
     product law.  Each tuple is decoded into its k steps, and each position
     is looked up with ``np.isin``."""
     O = len(codes)
@@ -272,10 +298,8 @@ def skeleton_hits(codes: np.ndarray, probs: np.ndarray, replicas: int, K: int,
         if (probs == probs[0]).all():
             t = rng.integers(len(tuples), size=replicas, dtype=np.uint16)
         else:
-            [thresh], [alias] = _alias_table(law[None])
-            u = rng.random(replicas) * len(tuples)
-            o = u.astype(np.int64)
-            t = np.where(u - o < thresh[o], o, alias[o])
+            cdf = np.cumsum(law)
+            t = np.searchsorted(cdf / cdf[-1], rng.random(replicas), side="right")
         for j, n in enumerate(range(first, min(first + k, K + 1))):
             code = code + codes[digits[t, j]]
             look(n)

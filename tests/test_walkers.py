@@ -15,7 +15,7 @@ from contactlab.criticality import calibrate, theta_kernel
 from contactlab.errors import ModelError
 from contactlab.model import Kernel, RateModel, build_space
 from contactlab.walkers import (DOMINATION_TOL, LOWER_TAIL_B, POISSON_TAIL,
-                                _HASH_MULT, _alias_table, _convolution,
+                                _HASH_MULT, _convolution,
                                 _increment_exponent, _lattice_code,
                                 _nearest_neighbour, _on_support, _orbit, _pair_chain,
                                 _point_law, _skeleton_hits, _skeleton_weights, _step_law,
@@ -27,7 +27,7 @@ from contactlab.walkers import (DOMINATION_TOL, LOWER_TAIL_B, POISSON_TAIL,
                                 pair_limit, poisson_domination_check)
 
 from conftest import lattice_model, marked_model, nearest_stencil
-from reference import (alpha_of, b_pair, clock_pair_curves, empirical_cdf,
+from reference import (_alias_table, alpha_of, b_pair, clock_pair_curves, empirical_cdf,
                        heat_bound_values, locate, mark_chain_jump_counts, simulate_jump,
                        skeleton_hits, skeleton_sums)
 
@@ -514,9 +514,10 @@ class TestCreditTables:
         # and gathers each hit's credit: bit for bit the sums of the loop that
         # forms each hit's credit mark by mark.  The MARKED_Z3 starts have
         # joint initial marks s_x M + s_y = 0, 1 and 3; the one-mark drift
-        # skeleton takes the mirrored law.  Blocks of 64 steps from S_0 end
-        # inside a group of 4 steps (1-4, 5-8, ...); short blocks end at
-        # other steps too, so the credit tables span blocks of every length
+        # skeleton takes the mirrored law.  A block closes with the group of 4
+        # steps (1-4, 5-8, ...) that brings it to 64 steps, at S_64, S_128,
+        # ...; short blocks close at other groups too, so the credit tables
+        # span blocks of many lengths
         if case == "marked z3":
             space, model = marked_model(Q=[[2, 1], [1, 2]], v=[1.0, 3.0], d=3)
             starts = [((0, 0, 0), 0, 0), ((1, 0, 0), 0, 1), ((2, 0, 0), 1, 1)]
@@ -540,7 +541,8 @@ class TestCreditTables:
         [(got, expect)] = calls
         assert got.shape[0] == 3 and got.any()
         assert np.array_equal(got, expect)
-        assert any((n + 1) % 64 for n in ends[:-1]) == (case == "short blocks")
+        assert all(n % 4 == 0 for n in ends[:-1])
+        assert any(n % 64 for n in ends[:-1]) == (case == "short blocks")
 
 
 def _pair_generator_integral(v, trans, alpha, Q, q, start, T, R=40):
@@ -630,11 +632,12 @@ class TestSkeleton:
             assert np.array_equal(np.concatenate([b[field] for b in got]), expect[field])
 
     def test_hit_blocks_capped(self, z1_critical, monkeypatch):
-        # a recurrent walk hits its support densely: a block closes at the
-        # first step that brings it to _BLOCK_HITS hits, and the blocks hold
-        # the same hits in the same order as blocks of 64 steps
+        # a recurrent walk hits its support densely: a block closes with the
+        # first group of k steps that brings it to _BLOCK_HITS hits, and the
+        # blocks hold the same hits in the same order as blocks of 64 steps
         walk = lattice_walk(z1_critical)
         codes, probs = _step_law(walk)
+        k = len(walkers._step_groups(codes, probs)[0])
 
         def blocks():
             return list(_skeleton_hits(walk, codes, probs, 2000, 300, 0, walk.support,
@@ -648,7 +651,7 @@ class TestSkeleton:
             assert np.array_equal(np.concatenate([b[field] for b in whole]),
                                   np.concatenate([b[field] for b in capped]))
         for near, _, step in capped[:-1]:
-            last = step == step[-1]
+            last = step > (step[-1] - 1) // k * k       # the hits of the closing group
             assert len(near) >= 1000 > len(near) - last.sum()
 
     def test_one_mark_asymmetric_stencil_mirrored(self):
