@@ -631,6 +631,33 @@ class TestSkeleton:
         for field in range(3):
             assert np.array_equal(np.concatenate([b[field] for b in got]), expect[field])
 
+    def test_inverse_cdf_draw_has_the_step_law(self):
+        # the reference mirrors the draw, so the law is checked on its own: S_1
+        # follows the step law and S_6, the end of a group of 6 steps, its
+        # 6-fold convolution, every cell within a Bonferroni z-limit
+        stencil = {(1,): 0.5, (-1,): 0.2, (2,): 0.3}
+        space = build_space({"type": "lattice", "d": 1, "R": 2, "boundary": "unbounded"})
+        tm, _, _ = calibrate(RateModel(birth=Kernel("stencil", stencil=stencil),
+                                       death=np.ones(space.size)), space)
+        walk = lattice_walk(tm)
+        codes, probs = _step_law(walk)
+        assert walkers._step_groups(codes, probs)[0].shape == (6, 729)
+        R = 100000
+        support = np.arange(-6, 13)                   # every S_n with n <= 6
+        _, pos, step = map(np.concatenate, zip(*_skeleton_hits(
+            walk, codes, probs, R, 6, 0, support, np.random.default_rng(48))))
+        law = np.array([0.2, 0.0, 0.5, 0.3])         # on -1..2
+        six = law
+        for _ in range(5):
+            six = np.convolve(six, law)               # on -6..12
+        expect = {1: np.pad(law, (5, 10)), 6: six}
+        z = stats.norm.isf(1e-3 / (2 * sum(np.count_nonzero(p) for p in expect.values())))
+        for n, p in expect.items():
+            count = np.bincount(pos[step == n], minlength=len(support))
+            assert count.sum() == R and np.all(count[p == 0] == 0)
+            on = p > 0
+            assert np.all(np.abs(count[on] - R * p[on]) <= z * np.sqrt(R * p[on] * (1 - p[on])))
+
     def test_hit_blocks_capped(self, z1_critical, monkeypatch):
         # a recurrent walk hits its support densely: a block closes with the
         # first group of k steps that brings it to _BLOCK_HITS hits, and the
