@@ -762,6 +762,25 @@ def _heat_terms(tm: TransformedModel, t_grid, x0, xi1):
     return walk, start, walk.Q.max() / walk.q.min(), weights[0].sum(axis=2), int(K)
 
 
+def _heat_verdict(t_grid: np.ndarray, curves: np.ndarray, z: float, rtol: float) -> dict:
+    """The heat bound's verdict from the (times, columns) ``curves`` of ``t *
+    scaled``, one column per replica or the exact curve alone: the drift is
+    the mean change of the slope from the first to the last interval of the
+    last decade (on an ascending grid), which a curve ``C - c / t`` does not
+    have.  With ``tol = z drift_stderr + rtol |last slope|`` the curve is
+    ``flat`` when ``|drift| <= tol`` and ``bounded`` when ``drift <= tol``."""
+    slopes = np.diff(curves, axis=0) / np.diff(t_grid)[:, None]
+    inside = np.flatnonzero(t_grid[:-1] >= t_grid[-1] / 10.0)
+    if not inside.size:
+        return {"drift_last_decade": 0.0, "drift_stderr": 0.0, "flat": True, "bounded": True}
+    change = slopes[-1] - slopes[inside[0]]
+    drift = float(change.mean())
+    se = float(change.std(ddof=1) / np.sqrt(change.size)) if change.size > 1 else 0.0
+    tol = z * se + rtol * abs(float(slopes[-1].mean()))
+    return {"drift_last_decade": drift, "drift_stderr": se,
+            "flat": bool(abs(drift) <= tol), "bounded": bool(drift <= tol)}
+
+
 def heat_bound_check(tm: TransformedModel, t_grid, x0, xi1, replicas: int,
                      rng: np.random.Generator) -> dict:
     """Heat-kernel bound: E_x b(X(t), y) <= kappa E alpha(xi(t) - xi_1).
@@ -772,12 +791,10 @@ def heat_bound_check(tm: TransformedModel, t_grid, x0, xi1, replicas: int,
     gives ``kappa sum_n P(N_t = n) alpha(xi_0 - xi_1 + S_n)`` with the exact
     law ``P(N_t = n)`` of ``jump_count_law``, cut at the skeleton length K
     (``_skeleton_weights``): only the skeleton is Monte Carlo.  Reports the
-    mean, ``estimate * t^{d/2}`` and two verdicts over the last decade (on
-    an ascending grid) on the drift of the slope of ``t * scaled`` from its
-    first to its last interval, which a curve ``C - c / t`` does not have:
-    ``flat``, the drift is within 3 SE of 0, and ``bounded``, it is at most
-    3 SE above 0.  A decaying curve, as on a drifting stencil, drifts down:
-    bounded but not flat.
+    mean, ``estimate * t^{d/2}`` and the verdicts of ``_heat_verdict`` on
+    the per-replica curves: ``flat``, the drift is within 3 SE of 0, and
+    ``bounded``, it is at most 3 SE above 0.  A decaying curve, as on a
+    drifting stencil, drifts down: bounded but not flat.
     """
     walk, start, kappa, point, K = _heat_terms(tm, t_grid, x0, xi1)
     d = walk.d
@@ -792,21 +809,11 @@ def heat_bound_check(tm: TransformedModel, t_grid, x0, xi1, replicas: int,
     se = vals.std(axis=1, ddof=1) / np.sqrt(replicas)
     scale = t_grid ** (d / 2.0)
     scaled, scaled_se = est * scale, se * scale
-    # a bounded curve nears its local-CLT limit as C - c / t, so t * scaled
-    # has slope C; flat: the slopes of the first and the last interval of the
-    # last decade agree within 3 SE of their per-replica difference
-    slopes = np.diff(vals * (t_grid * scale)[:, None], axis=0) / np.diff(t_grid)[:, None]
-    inside = np.flatnonzero(t_grid[:-1] >= t_grid[-1] / 10.0)
-    change = slopes[-1] - slopes[inside[0]] if inside.size else np.zeros(replicas)
-    drift = float(change.mean())
-    drift_se = float(change.std(ddof=1) / np.sqrt(replicas))
     return {
         "t": t_grid, "estimate": est, "stderr": se,
         "scaled": scaled, "scaled_stderr": scaled_se,
         "sup_scaled": float(scaled.max()),
-        "drift_last_decade": float(drift), "drift_stderr": drift_se,
-        "flat": bool(abs(drift) <= 3 * drift_se),
-        "bounded": bool(drift <= 3 * drift_se),
+        **_heat_verdict(t_grid, vals * (t_grid * scale)[:, None], 3.0, 0.0),
         "kappa": float(kappa),
     }
 
@@ -818,10 +825,8 @@ def heat_bound_exact(tm: TransformedModel, t_grid, x0, xi1) -> dict:
     (``_point_law``), so the bound is ``kappa |alpha| sum_n P(N_t = n)
     P(S_{n+1} = xi_0 - xi_1)``, with the law of ``N_t`` and the cut K of
     ``heat_bound_check``.  Returns its keys with zero standard errors; the
-    curve is ``flat`` when the change of the slope of ``t * scaled`` from the
-    first to the last interval of the last decade is at most
-    ``HEAT_FLAT_RTOL`` times the last slope in size, and ``bounded`` when it
-    rises by at most that.
+    verdicts of ``_heat_verdict`` take ``HEAT_FLAT_RTOL`` times the last
+    slope as their tolerance.
     """
     walk, start, kappa, point, K = _heat_terms(tm, t_grid, x0, xi1)
     if not _nearest_neighbour(walk.steps, walk.step_probs):
@@ -829,17 +834,12 @@ def heat_bound_exact(tm: TransformedModel, t_grid, x0, xi1) -> dict:
     t_grid = np.asarray(t_grid, dtype=float)
     est = kappa * walk.support_alpha.sum() * (point @ _point_law(start, K + 1)[1:])
     scaled = est * t_grid ** (walk.d / 2.0)
-    slopes = np.diff(t_grid * scaled) / np.diff(t_grid)
-    inside = np.flatnonzero(t_grid[:-1] >= t_grid[-1] / 10.0)
-    drift = float(slopes[-1] - slopes[inside[0]]) if inside.size else 0.0
-    tol = HEAT_FLAT_RTOL * abs(slopes[-1]) if inside.size else 0.0
     zero = np.zeros_like(est)
     return {
         "t": t_grid, "estimate": est, "stderr": zero,
         "scaled": scaled, "scaled_stderr": zero,
         "sup_scaled": float(scaled.max()),
-        "drift_last_decade": drift, "drift_stderr": 0.0,
-        "flat": bool(abs(drift) <= tol), "bounded": bool(drift <= tol),
+        **_heat_verdict(t_grid, (t_grid * scaled)[:, None], 0.0, HEAT_FLAT_RTOL),
         "kappa": float(kappa),
     }
 
