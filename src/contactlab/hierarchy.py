@@ -56,7 +56,6 @@ __all__ = [
     "stationary_pair_mc",
     "factorial_bound_check",
     "bound_constant_D",
-    "convergence_check",
 ]
 
 
@@ -351,29 +350,3 @@ def factorial_bound_check(sups: dict, rho: float, H: float) -> dict:
                                   "ratio": ratio, "passed": ok}
         report["passed"] = report["passed"] and ok
     return report
-
-
-def convergence_check(n: int, tm: TransformedModel, rho: float, T_grid,
-                      tol: float = 1e-8) -> dict:
-    """Distance of the evolved solution from the stationary one over time.
-
-    Evolves exactly from Poisson initial data and reports
-    ``sup |k_t - k_rho|`` at the grid times; converged when it is at most
-    ``tol`` at the last one.  A DivergenceError from the stationary solve is
-    reported as non-convergence with the growth of ``sup |k_t|`` as the
-    diagnostic.  ``PairCorrelationMC.convergence`` is the Monte Carlo verdict.
-    """
-    T_grid = np.asarray(T_grid, dtype=float)
-    k0 = [poisson_initial(m, rho, tm.space) for m in range(1, n + 1)]
-    try:
-        k_inf = stationary_k(n, tm, rho)
-    except DivergenceError as exc:
-        _, traj = evolve_hierarchy(tm, k0, T_grid)[n]
-        return {"t": T_grid, "distance": None,
-                "norm_growth": np.abs(traj).reshape(len(T_grid), -1).max(axis=1),
-                "converged": False, "divergence": str(exc),
-                "diagnostics": exc.diagnostics}
-    _, traj = evolve_hierarchy(tm, k0, T_grid)[n]
-    dist = np.abs(traj - k_inf).reshape(len(T_grid), -1).max(axis=1)
-    return {"t": T_grid, "distance": dist, "threshold": tol,
-            "converged": bool(dist[-1] <= tol), "stationary": k_inf}

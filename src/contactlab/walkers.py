@@ -50,7 +50,6 @@ import numpy as np
 from . import metrics
 from .criticality import MASS_TOL, TransformedModel, theta_kernel
 from .errors import ModelError
-from .model import Kernel
 
 __all__ = [
     "TransienceReport",
@@ -64,7 +63,6 @@ __all__ = [
     "heat_bound_check",
     "heat_bound_exact",
     "convolution_bound_check",
-    "iterated_convolution",
     "jump_count_law",
     "jump_count_cdf",
     "poisson_domination_check",
@@ -903,13 +901,12 @@ def _point_law(x, n_max: int) -> np.ndarray:
     return law
 
 
-def _stencil(alpha: Kernel | dict) -> dict:
+def _stencil(alpha: dict) -> dict:
     """The stencil ``alpha`` as ``{displacement tuple: weight}``."""
-    return alpha.stencil if isinstance(alpha, Kernel) else {
-        tuple(np.atleast_1d(k)): float(v) for k, v in alpha.items()}
+    return {tuple(np.atleast_1d(k)): float(v) for k, v in alpha.items()}
 
 
-def _convolution(alpha: Kernel | dict, d: int, n_max: int):
+def _convolution(alpha: dict, d: int, n_max: int):
     """``alpha^{*n}`` for n = 1..n_max by the stencil recursion ``alpha^{*(n+1)}
     = sum_k alpha_k shift_k(alpha^{*n})``, on a window that grows by the
     stencil radius K each step.  On an axis where the stencil equals its mirror
@@ -954,14 +951,6 @@ def _convolution(alpha: Kernel | dict, d: int, n_max: int):
             raise ModelError(f"convolution mass leakage {abs(float(mass) - 1.0):.3e}")
         sups.append(float(cur.max()))
     return np.array(sups), cur, sym
-
-
-def iterated_convolution(alpha: Kernel | dict, d: int, n_max: int):
-    """``(sups, last)``: ``sups[n-1] = sup alpha^{*n}``, and ``alpha^{*n_max}``
-    on the full window, unfolded once from ``_convolution``'s half window."""
-    sups, half, sym = _convolution(alpha, d, n_max)
-    return sups, np.pad(half, [(m - 1, 0) if s else (0, 0)
-                               for m, s in zip(half.shape, sym)], mode="reflect")
 
 
 def convolution_bound_check(alpha, d: int, n_max: int) -> dict:

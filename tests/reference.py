@@ -6,9 +6,11 @@ the skeleton walk stepped one step at a time from the same group draws;
 the scalar single-trajectory contact process, which picks each event by its
 destination, against the particle-attributed ``run_replicas``; the
 residual of the jump-extended balance condition; the hierarchy operator
-Lhat_n and its semigroup, applied axis by axis; the heat-bound values
-credited at every grid time and skeleton step; and the skeleton sums
-credited hit by hit, with a take and a product per mark."""
+Lhat_n and its semigroup, applied axis by axis, and the distance of the
+evolved hierarchy from its stationary solution; the heat-bound values
+credited at every grid time and skeleton step; the skeleton sums credited
+hit by hit, with a take and a product per mark; and the iterated
+convolution unfolded onto its full window."""
 
 import itertools
 import math
@@ -19,13 +21,14 @@ from scipy.linalg import expm
 
 from contactlab import metrics
 from contactlab.criticality import GroundState, TransformedModel
-from contactlab.errors import ModelError, SpaceError
-from contactlab.hierarchy import _apply_axis, _apply_each_axis, generator_matrix
+from contactlab.errors import DivergenceError, ModelError, SpaceError
+from contactlab.hierarchy import (_apply_axis, _apply_each_axis, evolve_hierarchy,
+                                  generator_matrix, poisson_initial, stationary_k)
 from contactlab.model import RateModel, StateSpace, kernel_matrix
 from contactlab.simulator import DEFAULT_EVENT_CAP, EventLog
-from contactlab.walkers import (LatticeWalk, _lattice_code, _on_support, _skeleton_hits,
-                                _skeleton_weights, _step_law, _support_hash, _walker_start,
-                                lattice_walk)
+from contactlab.walkers import (LatticeWalk, _convolution, _lattice_code, _on_support,
+                                _skeleton_hits, _skeleton_weights, _step_law, _support_hash,
+                                _walker_start, lattice_walk)
 
 
 def locate(space: StateSpace, point) -> int:
@@ -488,6 +491,32 @@ def semigroup_apply(tm: TransformedModel, t: float, k: np.ndarray,
     return _apply_each_axis(E, np.asarray(k, dtype=float))
 
 
+def convergence_check(n: int, tm: TransformedModel, rho: float, T_grid,
+                      tol: float = 1e-8) -> dict:
+    """Distance of the evolved solution from the stationary one over time.
+
+    Evolves exactly from Poisson initial data and reports
+    ``sup |k_t - k_rho|`` at the grid times; converged when it is at most
+    ``tol`` at the last one.  A DivergenceError from the stationary solve is
+    reported as non-convergence with the growth of ``sup |k_t|`` as the
+    diagnostic.  ``PairCorrelationMC.convergence`` is the Monte Carlo verdict.
+    """
+    T_grid = np.asarray(T_grid, dtype=float)
+    k0 = [poisson_initial(m, rho, tm.space) for m in range(1, n + 1)]
+    try:
+        k_inf = stationary_k(n, tm, rho)
+    except DivergenceError as exc:
+        _, traj = evolve_hierarchy(tm, k0, T_grid)[n]
+        return {"t": T_grid, "distance": None,
+                "norm_growth": np.abs(traj).reshape(len(T_grid), -1).max(axis=1),
+                "converged": False, "divergence": str(exc),
+                "diagnostics": exc.diagnostics}
+    _, traj = evolve_hierarchy(tm, k0, T_grid)[n]
+    dist = np.abs(traj - k_inf).reshape(len(T_grid), -1).max(axis=1)
+    return {"t": T_grid, "distance": dist, "threshold": tol,
+            "converged": bool(dist[-1] <= tol), "stationary": k_inf}
+
+
 def heat_bound_values(tm: TransformedModel, t_grid, x0, xi1, replicas: int,
                       rng: np.random.Generator) -> np.ndarray:
     """The per-replica values ``kappa sum_n P(N_t = n) alpha(xi_0 - xi_1 +
@@ -507,3 +536,11 @@ def heat_bound_values(tm: TransformedModel, t_grid, x0, xi1, replicas: int,
         for i, w in enumerate(point):
             vals[i] += np.bincount(near, w[step] * hit, minlength=replicas)
     return vals * (walk.Q.max() / walk.q.min())
+
+
+def iterated_convolution(alpha: dict, d: int, n_max: int):
+    """``(sups, last)``: ``sups[n-1] = sup alpha^{*n}``, and ``alpha^{*n_max}``
+    on the full window, unfolded once from ``_convolution``'s half window."""
+    sups, half, sym = _convolution(alpha, d, n_max)
+    return sups, np.pad(half, [(m - 1, 0) if s else (0, 0)
+                               for m, s in zip(half.shape, sym)], mode="reflect")

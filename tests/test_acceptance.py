@@ -14,8 +14,8 @@ from scipy.linalg import expm
 
 from conftest import (lattice_model, marked_model, nearest_stencil,
                       random_finite_model)
-from reference import (apply_Lhat, empirical_cdf, jump_criticality_residual,
-                       mark_chain_jump_counts, semigroup_apply)
+from reference import (apply_Lhat, empirical_cdf, iterated_convolution,
+                       jump_criticality_residual, mark_chain_jump_counts, semigroup_apply)
 from contactlab.cli import main as cli_main
 from contactlab.criticality import (TransformedModel, calibrate,
                                     ground_transform,
@@ -27,8 +27,7 @@ from contactlab.hierarchy import (bound_constant_D, evolve_hierarchy,
 from contactlab.model import Kernel, RateModel, build_space
 from contactlab.simulator import empirical_correlations, run_replicas
 from contactlab.walkers import (LOWER_TAIL_B, convolution_bound_check,
-                                estimate_H, heat_bound_check,
-                                iterated_convolution, lower_tail_bound_check,
+                                estimate_H, heat_bound_check, lower_tail_bound_check,
                                 poisson_domination_check)
 
 

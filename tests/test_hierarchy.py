@@ -10,7 +10,7 @@ from scipy.linalg import expm, schur
 from contactlab import metrics
 from contactlab.criticality import calibrate
 from contactlab.errors import DivergenceError, ModelError
-from contactlab.hierarchy import (_augmented_generator, bound_constant_D, convergence_check,
+from contactlab.hierarchy import (_augmented_generator, bound_constant_D,
                                   evolve_hierarchy,
                                   factorial_bound_check, generator_matrix,
                                   poisson_initial, source_f,
@@ -18,7 +18,7 @@ from contactlab.hierarchy import (_augmented_generator, bound_constant_D, conver
 from contactlab.model import Kernel, RateModel, build_space
 
 from conftest import lattice_model, random_finite_model
-from reference import apply_Lhat, semigroup_apply
+from reference import apply_Lhat, convergence_check, semigroup_apply
 from contactlab.walkers import lattice_walk, pair_integral_curves, pair_limit
 
 

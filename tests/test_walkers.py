@@ -21,15 +21,14 @@ from contactlab.walkers import (DOMINATION_TOL, LOWER_TAIL_B, POISSON_TAIL,
                                 _point_law, _skeleton_hits, _skeleton_weights, _step_law,
                                 _support_hash, _symmetry_generators, _tail_fit,
                                 convolution_bound_check, estimate_H,
-                                heat_bound_check, heat_bound_exact, iterated_convolution,
-                                jump_count_cdf, jump_count_law, lattice_walk,
-                                lower_tail_bound_check, pair_integral_curves,
-                                pair_limit, poisson_domination_check)
+                                heat_bound_check, heat_bound_exact, jump_count_cdf,
+                                jump_count_law, lattice_walk, lower_tail_bound_check,
+                                pair_integral_curves, pair_limit, poisson_domination_check)
 
 from conftest import lattice_model, marked_model, nearest_stencil
 from reference import (_alias_table, alpha_of, b_pair, clock_pair_curves, empirical_cdf,
-                       heat_bound_values, locate, mark_chain_jump_counts, simulate_jump,
-                       skeleton_hits, skeleton_sums)
+                       heat_bound_values, iterated_convolution, locate,
+                       mark_chain_jump_counts, simulate_jump, skeleton_hits, skeleton_sums)
 
 
 def drift_model():
