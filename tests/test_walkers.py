@@ -608,7 +608,7 @@ class TestSkeleton:
     @pytest.mark.parametrize("stencil, d, K, k", [
         (nearest_stencil(3), 3, 41, 4),                        # uniform, 4 steps a draw
         (nearest_stencil(3), 3, 0, 4),                         # S_0 alone
-        ({(1,): 0.5, (-1,): 0.2, (2,): 0.3}, 1, 37, 6),        # alias draws, K % k = 1
+        ({(1,): 0.5, (-1,): 0.2, (2,): 0.3}, 1, 37, 6),        # inverse-CDF draws, K % k = 1
         ({(i, j): 1 / 48 for i in range(-3, 4) for j in range(-3, 4) if i or j},
          2, 13, 1),                                            # 48 outcomes, one step a draw
     ])
