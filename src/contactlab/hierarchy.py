@@ -18,11 +18,15 @@ the action z(t) = exp(tA) z(0) is computed by ``expm_multiply`` (Al-Mohy and
 Higham 2011) to double precision at the requested output times.  The
 stationary solution is k_n = int_0^inf exp(t Lhat_n) f_n dt + rho^n, built
 recursively.  On a finite space the integral is -Lhat_n^{-1} f_n, which
-``stationary_k`` solves directly: Bartels-Stewart on one Schur form of G,
-in real arithmetic when G's spectrum is real (its real Schur form is then
-triangular) and in complex arithmetic otherwise.  It exists exactly when
-the spectral abscissa of G is negative, and a DivergenceError reports the
-leading eigenvalues otherwise.  On unbounded lattices, marked ones
+``stationary_k`` solves directly.  When the birth kernel b is symmetric, G
+is self-adjoint in the mbar inner product, so Lhat_n is diagonal in the
+eigenbasis of G and the solve is one division by the sums of its
+eigenvalues (one symmetric eigendecomposition).  Any other b takes
+Bartels-Stewart on one Schur form of G, in real arithmetic when G's
+spectrum is real (its real Schur form is then triangular) and in complex
+arithmetic otherwise.  The solution exists exactly when the spectral
+abscissa of G is negative, and a DivergenceError reports the leading
+eigenvalues otherwise.  On unbounded lattices, marked ones
 included, k_2 is estimated instead (``stationary_pair_mc``) by the
 Feynman-Kac two-walker representation  exp(t Lhat_2) f = E_{x,y} f(X_t, Y_t).
 Its source term b(x, y) + b(y, x) needs no integrand of its own: exchanging
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -232,19 +237,10 @@ def _kron_sum_solve(T: np.ndarray, C: np.ndarray, shift: complex = 0.0) -> np.nd
     return X
 
 
-def _triangular_form(tm: TransformedModel):
-    """Schur form G = Z T Z^H of the level-1 generator with T triangular.
-
-    The real Schur form is kept when it is triangular (real spectrum), so
-    the solves run in real arithmetic; a 2x2 block (a complex pair) turns
-    it into the complex Schur form.  Raises DivergenceError when the
-    spectral abscissa of G is not negative (the integrals diverge).
-    """
-    T, Z = schur(generator_matrix(tm))
-    if np.any(np.diag(T, -1)):
-        T, Z = rsf2csf(T, Z)
-    metrics.count(f"stationary.schur_{T.dtype}")
-    eig = np.diag(T)
+def _check_abscissa(eig: np.ndarray) -> None:
+    """Raise DivergenceError when the spectral abscissa of G, the largest
+    real part of its eigenvalues ``eig``, is not negative (the integrals
+    diverge)."""
     abscissa = float(eig.real.max())
     if abscissa >= -SPECTRAL_TOL:
         lead = eig[np.argsort(-eig.real)[:5]]
@@ -254,7 +250,36 @@ def _triangular_form(tm: TransformedModel):
             diagnostics={"spectral_abscissa": abscissa, "tol": SPECTRAL_TOL,
                          "leading_eigenvalues": [[float(z.real), float(z.imag)]
                                                  for z in lead]})
+
+
+def _triangular_form(tm: TransformedModel):
+    """Schur form G = Z T Z^H of the level-1 generator with T triangular.
+
+    The real Schur form is kept when it is triangular (real spectrum), so
+    the solves run in real arithmetic; a 2x2 block (a complex pair) turns
+    it into the complex Schur form.  Raises DivergenceError on a critical G.
+    """
+    T, Z = schur(generator_matrix(tm))
+    if np.any(np.diag(T, -1)):
+        T, Z = rsf2csf(T, Z)
+    metrics.count(f"stationary.schur_{T.dtype}")
+    _check_abscissa(np.diag(T))
     return T, Z
+
+
+def _eigenbasis(tm: TransformedModel):
+    """Eigenvalues lam of G and the maps W^{-1}, W with G = W diag(lam) W^{-1},
+    for a symmetric birth kernel b.
+
+    With M = diag(mbar), S = M^{1/2} G M^{-1/2} = M^{1/2} b M^{1/2} - V is
+    symmetric, so S = Q diag(lam) Q^T with Q orthogonal, W = M^{-1/2} Q and
+    W^{-1} = Q^T M^{1/2}.  Raises DivergenceError on a critical G.
+    """
+    r = np.sqrt(tm.mbar)
+    lam, Q = np.linalg.eigh(r[:, None] * tm.b * r - np.diag(tm.death))
+    metrics.count("stationary.eigh")
+    _check_abscissa(lam)
+    return lam, Q.T * r, Q / r[:, None]
 
 
 @metrics.phase("stationary")
@@ -262,22 +287,33 @@ def stationary_k(n: int, tm: TransformedModel, rho: float) -> np.ndarray:
     """Stationary correlation function k_n = int exp(t Lhat_n) f_n dt + rho^n.
 
     Solves Lhat_n (k_n - rho^n) = -f_n directly on a finite space, level by
-    level with f_n built from k_{n-1}, on one Schur form of G; raises
-    DivergenceError on critical models.  Each level is exactly symmetric:
-    an entry takes the solve's value at its index sorted ascending.
-    Returns k_n, of shape ``(size,) * n``.  ``stationary_pair_mc`` estimates
-    k_2 on unbounded lattices.
+    level with f_n built from k_{n-1}.  A symmetric birth kernel b (a
+    homogeneous lattice window with a symmetric stencil, for one) is solved
+    in the eigenbasis of G, where Lhat_n is diagonal: one ``eigh``, counted as
+    ``stationary.eigh``.  Any other b is solved on one Schur form of G
+    (``stationary.schur_<dtype>``), by one triangular Sylvester solve per
+    slice (``stationary.trsyl_calls``).  Raises DivergenceError on critical
+    models.  Each level is exactly symmetric: an entry takes the solve's
+    value at its index sorted ascending.  Returns k_n, of shape ``(size,) *
+    n``.  ``stationary_pair_mc`` estimates k_2 on unbounded lattices.
     """
     if n < 1:
         raise ModelError("stationary level must be >= 1")
     k = np.full(tm.space.size, float(rho))
     if n == 1:
         return k
-    T, Z = _triangular_form(tm)
+    symmetric = np.array_equal(tm.b, tm.b.T)
+    if symmetric:
+        lam, to_basis, from_basis = _eigenbasis(tm)
+    else:
+        T, from_basis = _triangular_form(tm)
+        to_basis = from_basis.conj().T
     for m in range(2, n + 1):
-        # -Lhat_m^{-1} f_m in the Schur basis, where Lhat_m is triangular
-        C = _apply_each_axis(Z.conj().T, -source_f(m, tm, k))
-        X = _apply_each_axis(Z, _kron_sum_solve(T, C)).real
+        # -Lhat_m^{-1} f_m in a basis where Lhat_m is diagonal, with the
+        # eigenvalues lam_i + lam_j (+ lam_k), or triangular
+        C = _apply_each_axis(to_basis, -source_f(m, tm, k))
+        C = C / reduce(np.add.outer, [lam] * m) if symmetric else _kron_sum_solve(T, C)
+        X = _apply_each_axis(from_basis, C).real
         # k_m is symmetric: every entry takes the value at its sorted index
         X = X[tuple(np.sort(np.indices(X.shape).reshape(m, -1), axis=0))].reshape(X.shape)
         k = X + float(rho) ** m

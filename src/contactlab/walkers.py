@@ -253,6 +253,7 @@ def _skeleton_hits(walk: LatticeWalk, codes: np.ndarray, probs: np.ndarray, repl
     metrics.count("walkers.replica_steps", K * replicas)
     prefix, law = _step_groups(codes, probs)
     k, G = prefix.shape
+    uniform = (probs == probs[0]).all()
     # the tuples' CDF over its own last entry, so that every u < 1 lands below G
     cdf = np.cumsum(law)
     cdf /= cdf[-1]
@@ -268,7 +269,7 @@ def _skeleton_hits(walk: LatticeWalk, codes: np.ndarray, probs: np.ndarray, repl
     block, steps, total = [(near, where, np.zeros_like(near))], 1, near.size
     for first in range(1, K + 1, k):
         kk = min(k, K + 1 - first)
-        if (probs == probs[0]).all():
+        if uniform:
             t = rng.integers(G, size=replicas, dtype=np.uint16 if G <= 1 << 16 else np.int64)
         else:
             t = np.searchsorted(cdf, rng.random(replicas), side="right")

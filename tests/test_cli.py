@@ -249,6 +249,19 @@ class TestExitCodes:
         div = json.loads((out / "divergence.json").read_text())
         assert div["diagnostics"]["spectral_abscissa"] >= -div["diagnostics"]["tol"]
 
+    def test_critical_periodic_window_exits_3(self, tmp_path):
+        # a symmetric birth kernel takes the eigenbasis solve, which decides
+        # divergence too; its eigenvalues are real, written as [re, 0.0]
+        window = {**LATTICE_MODEL, "space": {**LATTICE_MODEL["space"],
+                                             "boundary": "periodic"}}
+        code, out = run_cli(tmp_path, "stationary", {"model": window, "rho": 0.5, "n": 2})
+        assert code == 3
+        diag = json.loads((out / "divergence.json").read_text())["diagnostics"]
+        assert abs(diag["spectral_abscissa"]) <= 1e-12
+        assert all(im == 0.0 for _, im in diag["leading_eigenvalues"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["metrics"]["counters"]["stationary.eigh"] == 1
+
     def test_oversized_mark_law_exits_2(self, tmp_path):
         # 16 Gauss-Legendre marks: the pair chain's 256 joint marks from 256
         # start laws once built a 32 GiB jump matrix and died with exit 1;
@@ -304,10 +317,10 @@ class TestOutputs:
         cal = json.loads((tmp_path / "calibrate1" / "calibration.json").read_text())
         assert recorded["calibrate"]["counters"] == {"calibrate.solves": cal["iterations"]}
         assert 0 <= recorded["calibrate"]["values"]["calibrate.bracket_width"] <= 1e-12
-        # the homogeneous window takes the one-mark Perron solve
+        # the homogeneous window takes the one-mark Perron solve, and its
+        # symmetric birth kernel the eigenbasis solve
         assert recorded["stationary"]["counters"] == {"calibrate.solves": 1,
-                                                      "stationary.schur_float64": 1,
-                                                      "stationary.trsyl_calls": 1}
+                                                      "stationary.eigh": 1}
 
     def test_evolve_writes_levels(self, tmp_path):
         code, out = run_cli(tmp_path, "evolve",

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import expm, schur
 
 from contactlab import metrics
-from contactlab.criticality import calibrate
+from contactlab.criticality import TransformedModel, calibrate
 from contactlab.errors import DivergenceError, ModelError
 from contactlab.hierarchy import (_augmented_generator, bound_constant_D,
                                   evolve_hierarchy,
@@ -310,36 +310,85 @@ class TestStationary:
             for perm in itertools.permutations(range(n)):
                 assert np.array_equal(k, k.transpose(perm))
 
-    @pytest.mark.parametrize("case", ["symmetric window", "complex pair"])
+    @pytest.mark.parametrize("case", ["real spectrum", "complex pair", "symmetric window"])
     def test_real_and_complex_schur_paths(self, case):
-        # a symmetric generator has a triangular (diagonal) real Schur form
-        # and is solved in real arithmetic; a directed 3-cycle birth kernel
-        # gives G a complex eigenvalue pair, a 2x2 block in its real Schur
-        # form, and the complex path
+        # a symmetric birth kernel b (the lattice window) is solved in the
+        # eigenbasis of G, any other b on a Schur form of G.  A symmetric
+        # dense birth matrix with unequal death gives b = A / psi, which is
+        # not symmetric, and G similar to a symmetric matrix: a real
+        # spectrum, a triangular real Schur form and real arithmetic.  A
+        # directed 3-cycle birth kernel gives G a complex eigenvalue pair, a
+        # 2x2 block in its real Schur form, and the complex path
         if case == "symmetric window":
             space, model = lattice_model(2)
             tm, _, _ = calibrate(model, space)
-            dtype = "float64"
         else:
             space = build_space({"type": "finite", "points": [0, 1, 2]})
-            A = np.roll(np.eye(3), 1, axis=1) + 0.1
+            A = (np.roll(np.eye(3), 1, axis=1) + 0.1 if case == "complex pair"
+                 else np.array([[0.2, 1.0, 0.4], [1.0, 0.3, 0.6], [0.4, 0.6, 0.5]]))
             model = RateModel(birth=Kernel("dense", matrix=A),
                               death=np.array([1.0, 1.5, 2.0]))
             tm, _, _ = calibrate(model, space)
             tm = tm.__class__(space=tm.space, b=tm.b * 0.5, mbar=tm.mbar,
                               death=tm.death, psi=tm.psi)
-            dtype = "complex128"
         G = generator_matrix(tm)
-        assert np.any(np.diag(schur(G)[0], -1)) == (dtype == "complex128")
+        assert np.array_equal(tm.b, tm.b.T) == (case == "symmetric window")
+        if case == "symmetric window":
+            counters = {"stationary.eigh": 1}
+        else:
+            dtype = "complex128" if case == "complex pair" else "float64"
+            assert np.any(np.diag(schur(G)[0], -1)) == (dtype == "complex128")
+            counters = {f"stationary.schur_{dtype}": 1,
+                        "stationary.trsyl_calls": 1 + len(G)}
         with metrics.recording() as rec:
             k = stationary_k(3, tm, 0.5)
-        assert rec["counters"] == {f"stationary.schur_{dtype}": 1,
-                                   "stationary.trsyl_calls": 1 + len(G)}
+        assert rec["counters"] == counters
         k2 = stationary_k(2, tm, 0.5)
         for n, kn, prev in ((2, k2, stationary_k(1, tm, 0.5)), (3, k, k2)):
             f = source_f(n, tm, prev)
             oracle = -np.linalg.solve(kron_sum_matrix(G, n), f.ravel())
             assert np.abs(kn - 0.5 ** n - oracle.reshape(f.shape)).max() <= 1e-10
+
+    def test_eigenbasis_matches_kronecker_sum_solve(self):
+        # a symmetric b with a non-constant mbar: G = b mbar - V is neither
+        # symmetric nor normal, and only its similarity to the symmetric
+        # mbar^{1/2} b mbar^{1/2} - V makes the eigenbasis solve exact
+        rng = np.random.default_rng(5)
+        size = 5
+        B = rng.random((size, size))
+        B = B + B.T
+        mbar = rng.random(size) + 0.5
+        space = build_space({"type": "finite", "points": list(range(size)),
+                             "weights": mbar.tolist()})
+        # each row of G sums to -0.5: a strictly sub-critical generator
+        tm = TransformedModel(space=space, b=B, mbar=mbar, death=B @ mbar + 0.5,
+                              psi=np.ones(size))
+        G = generator_matrix(tm)
+        assert np.abs(G @ G.T - G.T @ G).max() > 1e-2
+        k = stationary_k(1, tm, 0.5)
+        for n in (2, 3):
+            f = source_f(n, tm, k)
+            with metrics.recording() as rec:
+                k = stationary_k(n, tm, 0.5)
+            assert rec["counters"] == {"stationary.eigh": 1}
+            oracle = -np.linalg.solve(kron_sum_matrix(G, n), f.ravel())
+            assert np.abs(k - 0.5 ** n - oracle.reshape(f.shape)).max() <= 1e-10
+            for perm in itertools.permutations(range(n)):
+                assert np.array_equal(k, k.transpose(perm))
+
+    def test_critical_periodic_window_diverges(self):
+        # a periodic window keeps the constants: abscissa 0, symmetric b
+        space, model = lattice_model(2, R=2, boundary="periodic")
+        tm, _, _ = calibrate(model, space)
+        assert np.array_equal(tm.b, tm.b.T)
+        with metrics.recording() as rec, pytest.raises(DivergenceError) as exc:
+            stationary_k(2, tm, 0.5)
+        assert rec["counters"] == {"stationary.eigh": 1}
+        diag = exc.value.diagnostics
+        assert abs(diag["spectral_abscissa"]) <= 1e-12
+        assert json.loads(json.dumps(diag)) == diag  # plain floats and lists
+        assert all(type(re) is float and im == 0.0
+                   for re, im in diag["leading_eigenvalues"])
 
     def test_dissipative_residual(self):
         rng = np.random.default_rng(77)
