@@ -25,12 +25,17 @@ import time
 from pathlib import Path
 
 import numpy as np
+# numpy loads these on first use: numpy.random for main's default_rng, and
+# numpy.ma for a plain np.unique; loading them here keeps that out of the commands
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 from . import __version__, metrics
 from .criticality import calibrate, theta_kernel
 from .errors import ConfigError, ContactLabError, DivergenceError, ModelError
-from .hierarchy import (evolve_hierarchy, factorial_bound_check, poisson_initial,
-                        stationary_k, stationary_pair_mc)
+from .hierarchy import (EVOLVE_CAP, check_trajectory, evolve_hierarchy,
+                        factorial_bound_check, poisson_initial, stationary_k,
+                        stationary_pair_mc)
 from .model import model_from_dict
 from .simulator import MIN_REPLICAS, empirical_correlations, run_replicas, snapshot_grid
 from .walkers import (_nearest_neighbour, convolution_bound_check, estimate_H,
@@ -334,9 +339,12 @@ def cmd_transience(cfg, run: Run, rng, space, model):
 
 def cmd_evolve(cfg, run: Run, rng, space, model):
     rho, N, T = float(cfg["rho"]), cfg["N"], float(cfg["T"])
+    # the evolution is exact: dt only spaces the output times (T = 0 has one);
+    # a grid over EVOLVE_CAP entries is refused before anything is allocated
+    steps = max(round(min(T / float(cfg["dt"]), EVOLVE_CAP)), 1) if T > 0 else 0
+    check_trajectory(steps + 1, space.size, N)
     tm, _, _ = calibrate(model, space)
-    # the evolution is exact: dt only spaces the output times (T = 0 has one)
-    grid = np.linspace(0.0, T, (max(round(T / float(cfg["dt"])), 1) if T > 0 else 0) + 1)
+    grid = np.linspace(0.0, T, steps + 1)
     k0 = [poisson_initial(n, rho, space) for n in range(1, N + 1)]
     for n, (times, traj) in evolve_hierarchy(tm, k0, grid).items():
         with metrics.phase("write"):

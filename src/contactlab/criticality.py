@@ -5,16 +5,18 @@ The principal eigenpair of the positive operator
     (T psi)(x) = sum_y [a(x, y) / V(x)] psi(y) m(y)
 
 is found directly: one dense eigensolve locates the root r, and inverse
-iteration on one LU factorization of ``sigma I - T`` (``sigma`` just above
-r) gives the sup-normalized eigenvector within a few solves, stopped when
-the Collatz-Wielandt bracket certifies r.  A lattice kernel
+iteration with ``sigma I - T`` (``sigma`` just above r; numpy's ``solve``)
+gives the sup-normalized eigenvector within a few solves, stopped when the
+Collatz-Wielandt bracket certifies r.  A lattice kernel
 ``alpha(xi - xi') Q(s, s')`` (a stencil is ``Q`` = ones, and a plain lattice
 one mark of weight ``weights[0]``) whose death rates ``v(s)`` depend on the
 mark only reduces to the mark-only kernel ``alpha_mass Q(s, s') / v(s)``
 against ``nu``, and the eigenfunction is reported with the ``sum q nu = 1``
 normalization.  The birth kernel is rescaled by ``1/r`` to land exactly on
 criticality, and the ground-state transform ``b = a / psi``,
-``mbar = psi * m`` is applied.
+``mbar = psi * m`` is applied; it records whether the critical birth
+matrix a is symmetric (a reversible kernel, whose level-1 generator the
+hierarchy diagonalizes by one symmetric eigendecomposition).
 Rescaling keeps the eigenvector, so calibration solves once: the ratios
 ``inflow / V = T psi / psi`` of the transformed model bracket the rescaled
 Perron root (Collatz 1942; Wielandt 1950).  On a translation-invariant
@@ -28,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from . import metrics
 from .errors import ConvergenceError, ModelError, ReducibleKernelError
@@ -77,7 +78,9 @@ class TransformedModel:
     ``b`` and ``jump_b`` are dense matrices over the space points; ``mbar``
     is the transformed measure.  A translation-invariant model carries the
     multi-species payload ``(alpha, Q, q, v)`` alongside the dense view (needed
-    by the unbounded walkers); a plain lattice is one mark.
+    by the unbounded walkers); a plain lattice is one mark.  ``reversible``
+    says that the birth matrix ``a = psi b`` is symmetric: the generator
+    ``b mbar - V`` is then similar to a symmetric matrix.
     """
 
     space: StateSpace
@@ -86,6 +89,7 @@ class TransformedModel:
     death: np.ndarray
     psi: np.ndarray
     jump_b: np.ndarray | None = None
+    reversible: bool = False
     # translation-invariant payload (None for generic dense models)
     alpha: dict | None = None           # displacement stencil of b's spatial part
     Q: np.ndarray | None = None         # mark kernel (post-rescale; ones for a stencil)
@@ -114,9 +118,9 @@ def perron_solve(T: np.ndarray, tol: float):
     ``eigvals`` gives the root ``r`` as the eigenvalue of largest real part;
     a second eigenvalue within ``tol max(r, 1)`` of it means a reducible
     kernel with a non-simple root, which has no unique positive
-    eigenvector.  ``sigma I - T`` with ``sigma`` just above ``r`` is then
-    factored once, and inverse iteration from the ones vector (each solve
-    maps the positive cone into itself) runs until the Collatz-Wielandt
+    eigenvector.  Inverse iteration with ``sigma I - T``, ``sigma`` just
+    above ``r``, then runs from the ones vector (each ``np.linalg.solve``
+    maps the positive cone into itself) until the Collatz-Wielandt
     bracket ``[min Tx/x, max Tx/x]`` has width at most ``tol`` relative to
     the root.  Returns ``(r, x, solves, bracket)`` with ``r`` the bracket's
     midpoint and ``x`` sup-normalized.
@@ -127,10 +131,10 @@ def perron_solve(T: np.ndarray, tol: float):
     if len(top) > 1 and top[1] >= r - tol * max(r, 1.0):
         raise ReducibleKernelError(
             f"Perron root {r:.6g} is not simple; kernel reducible")
-    lu = lu_factor((r + SIGMA_GAP * max(abs(r), 1.0)) * np.eye(len(T)) - T)
+    shifted = (r + SIGMA_GAP * max(abs(r), 1.0)) * np.eye(len(T)) - T
     x = np.ones(len(T))
     for solves in range(1, MAX_SOLVES + 1):
-        y = lu_solve(lu, x)
+        y = np.linalg.solve(shifted, x)
         x = y / y[np.argmax(np.abs(y))]
         if np.any(x <= POSITIVITY_FLOOR):
             raise ReducibleKernelError(
@@ -197,7 +201,8 @@ def rescale_to_critical(model: RateModel, gs: GroundState) -> RateModel:
 
 def ground_transform(model: RateModel, space: StateSpace,
                      gs: GroundState) -> TransformedModel:
-    """Apply b = a / psi, mbar = psi * m to a critical model."""
+    """Apply b = a / psi, mbar = psi * m to a critical model, and record
+    whether a is symmetric (``reversible``)."""
     psi = np.asarray(gs.psi, dtype=float)
     if np.any(psi <= POSITIVITY_FLOOR * psi.max()):
         raise ModelError("psi entry below positivity floor")
@@ -215,7 +220,9 @@ def ground_transform(model: RateModel, space: StateSpace,
         q = gs.q.copy()
         v = _mark_death(model, len(q))
     return TransformedModel(space=space, b=b, mbar=mbar, death=model.death.copy(),
-                            psi=psi, jump_b=jump_b, alpha=alpha, Q=Q, q=q, v=v)
+                            psi=psi, jump_b=jump_b,
+                            reversible=bool(np.array_equal(A, A.T)),
+                            alpha=alpha, Q=Q, q=q, v=v)
 
 
 def _balance(tm: TransformedModel):

@@ -11,40 +11,44 @@ with f_1 = 0.  A correlation function k_n is a plain array of shape
 ``(size,) * n`` over the space points (mbar convention), symmetric under
 every permutation of its axes.  Lhat_n is the Kronecker sum of the level-1
 generator G over the n axes, so exp(t Lhat_n) is the n-fold tensor power of
-exp(tG).  Levels 1..N evolve exactly: the flattened (k_1, ..., k_N) solve
-one linear system dz/dt = A z whose sparse block-lower-triangular generator
-A has Lhat_n on its diagonal and the source map k_{n-1} -> f_n below it, and
-the action z(t) = exp(tA) z(0) is computed by ``expm_multiply`` (Al-Mohy and
-Higham 2011) to double precision at the requested output times.  The
-stationary solution is k_n = int_0^inf exp(t Lhat_n) f_n dt + rho^n, built
-recursively.  On a finite space the integral is -Lhat_n^{-1} f_n, which
-``stationary_k`` solves directly.  When the birth kernel b is symmetric, G
-is self-adjoint in the mbar inner product, so Lhat_n is diagonal in the
-eigenbasis of G and the solve is one division by the sums of its
-eigenvalues (one symmetric eigendecomposition).  Any other b takes
-Bartels-Stewart on one Schur form of G, in real arithmetic when G's
-spectrum is real (its real Schur form is then triangular) and in complex
-arithmetic otherwise.  The solution exists exactly when the spectral
-abscissa of G is negative, and a DivergenceError reports the leading
-eigenvalues otherwise.  On unbounded lattices, marked ones
-included, k_2 is estimated instead (``stationary_pair_mc``) by the
-Feynman-Kac two-walker representation  exp(t Lhat_2) f = E_{x,y} f(X_t, Y_t).
-Its source term b(x, y) + b(y, x) needs no integrand of its own: exchanging
-the walkers makes the integral of b(Y, X) from (u, s_x, s_y) that of b(X, Y)
-from (-u, s_y, s_x), the per-start integral the transience estimate reads.
-The summed running integral is extrapolated by ``walkers.pair_limit``.
+exp(tG).  When the critical birth matrix a = psi b is symmetric (a
+reversible kernel; Kelly, *Reversibility and Stochastic Networks*), G is
+similar to the symmetric P G P^{-1} with P = diag(psi sqrt(w)), w = mbar /
+psi the space weights, so one symmetric eigendecomposition G = W diag(lam)
+W^{-1} diagonalizes every Lhat_n.  The stationary solution is then one
+division by the sums of eigenvalues, and levels 1 and 2 evolve in closed
+form: k_1(t) = W exp(lam t) W^{-1} k_1(0), and level 2 is stepped exactly
+between output times with the phi_1 function of exponential integrators
+(Hochbruck and Ostermann 2010).  Otherwise levels 1..N evolve exactly as
+one linear system dz/dt = A z on the flattened (k_1, ..., k_N), whose
+sparse block-lower-triangular generator A has Lhat_n on its diagonal and
+the source map k_{n-1} -> f_n below it; z(t) = exp(tA) z(0) is computed by
+``expm_multiply`` (Al-Mohy and Higham 2011) to double precision at the
+requested output times.  The stationary solution is k_n = int_0^inf exp(t
+Lhat_n) f_n dt + rho^n, built recursively.  On a finite space the integral
+is -Lhat_n^{-1} f_n, which ``stationary_k`` solves directly: in the
+eigenbasis for a reversible kernel, and by Bartels-Stewart on one Schur
+form of G for any other, in real arithmetic when G's spectrum is real (its
+real Schur form is then triangular) and in complex arithmetic otherwise.
+scipy is imported only by the Schur solve and by ``expm_multiply``.  The
+solution exists exactly when the spectral abscissa of G is negative, and a
+DivergenceError reports the leading eigenvalues otherwise.  On unbounded
+lattices, marked ones included, k_2 is estimated instead
+(``stationary_pair_mc``) by the Feynman-Kac two-walker representation
+exp(t Lhat_2) f = E_{x,y} f(X_t, Y_t).  Its source term b(x, y) + b(y, x)
+needs no integrand of its own: exchanging the walkers makes the integral of
+b(Y, X) from (u, s_x, s_y) that of b(X, Y) from (-u, s_y, s_x), the
+per-start integral the transience estimate reads.  The summed running
+integral is extrapolated by ``walkers.pair_limit``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import get_lapack_funcs, rsf2csf, schur
-from scipy.sparse.linalg import expm_multiply
 
 from . import metrics
 from .criticality import TransformedModel
@@ -56,6 +60,7 @@ __all__ = [
     "generator_matrix",
     "source_f",
     "evolve_hierarchy",
+    "check_trajectory",
     "poisson_initial",
     "stationary_k",
     "stationary_pair_mc",
@@ -143,13 +148,39 @@ def _apply_each_axis(M: np.ndarray, k: np.ndarray) -> np.ndarray:
     return k
 
 
-def _augmented_generator(tm: TransformedModel, N: int) -> sp.csr_matrix:
-    """Generator A of z = (vec k_1, ..., vec k_N), with dz/dt = A z.
+def _sorted_index(n: int, size: int) -> tuple:
+    """Each index of an order-n tensor over ``size`` points, in C order, sorted
+    ascending, as n flat arrays: an entry that takes the value at its sorted
+    index makes the tensor exactly symmetric under every permutation of its
+    axes."""
+    return tuple(np.sort(np.indices((size,) * n).reshape(n, -1), axis=0))
+
+
+def _eigenbasis(tm: TransformedModel):
+    """Eigenvalues lam of G and the maps W^{-1}, W with G = W diag(lam) W^{-1},
+    for a reversible kernel (the birth matrix a = psi b symmetric).
+
+    With w = mbar / psi and P = diag(p), p = psi sqrt(w), S = P G P^{-1} =
+    sqrt(w) a sqrt(w) - V is symmetric, so S = Q diag(lam) Q^T with Q
+    orthogonal, W = P^{-1} Q and W^{-1} = Q^T P.  A constant psi makes p
+    sqrt(mbar) up to a factor.
+    """
+    s = np.sqrt(tm.mbar / tm.psi)
+    p = tm.psi * s
+    lam, Q = np.linalg.eigh(p[:, None] * tm.b * s - np.diag(tm.death))
+    return lam, Q.T * p, Q / p[:, None]
+
+
+def _augmented_generator(tm: TransformedModel, N: int):
+    """Generator A of z = (vec k_1, ..., vec k_N), with dz/dt = A z, as a
+    scipy CSR matrix.
 
     Block (n, n) is Lhat_n, the Kronecker sum of G over n axes; block
     (n, n-1) is the matrix of the source map k_{n-1} -> f_n.  Vectors are
     tensors flattened in C order.
     """
+    import scipy.sparse as sp
+
     size = tm.space.size
     G = sp.csr_matrix(generator_matrix(tm))
     blocks = [[None] * N for _ in range(N)]
@@ -168,28 +199,33 @@ def _augmented_generator(tm: TransformedModel, N: int) -> sp.csr_matrix:
     return A
 
 
-@metrics.phase("evolve")
-def evolve_hierarchy(tm: TransformedModel, k0: list, times) -> dict:
-    """Exact solution of levels 1..N at the output ``times``.
+# the most float64 entries an evolved trajectory may hold, len(times) times
+# size + size^2 + ... + size^N (128 MiB; the CLI writes about 30 bytes of CSV
+# per entry on top); a larger grid is a ModelError before anything is allocated
+EVOLVE_CAP = 1 << 24
+# the closed-form level 2 holds (size, size, size) tables: the sources of the
+# modes and one per distinct step; above this many points expm_multiply of
+# the sparse generator is the smaller and the faster
+CLOSED_FORM_POINTS = 100
+# the closed form keeps the tables of this many distinct steps
+STEP_TABLES = 8
 
-    ``k0`` lists the initial arrays of orders 1..N, shaped ``(size,) * n``
-    (``poisson_initial`` for Poisson data).  ``times`` is any finite,
-    non-negative, non-decreasing grid; the solution is carried from one
-    output time to the next by ``expm_multiply`` of the augmented generator,
-    so no step size controls its accuracy; it counts the calls as
-    ``evolve.expm_multiply_calls``, one per output time.  Returns ``{n:
-    (times, k_n)}`` with ``k_n`` of shape ``(len(times),) + (size,) * n``.
-    """
-    size = tm.space.size
-    N = len(k0)
-    if N < 1 or any(np.shape(k) != (size,) * n for n, k in enumerate(k0, 1)):
-        raise ModelError(f"initial data must be arrays of orders 1..N over "
-                         f"{size} points")
-    times = np.asarray(times, dtype=float)
-    if (times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times))
-            or times[0] < 0 or np.any(np.diff(times) < 0)):
-        raise ModelError("output times must be a non-empty, finite, non-negative "
-                         "and non-decreasing grid")
+
+def check_trajectory(n_times: int, size: int, N: int) -> None:
+    """Raise ModelError when ``n_times`` output times of levels 1..N over
+    ``size`` points exceed ``EVOLVE_CAP`` entries."""
+    entries = n_times * sum(size ** n for n in range(1, N + 1))
+    if entries > EVOLVE_CAP:
+        raise ModelError(f"{n_times} output times of levels 1..{N} over {size} "
+                         f"points need {entries} entries, over EVOLVE_CAP = {EVOLVE_CAP}")
+
+
+def _evolve_expm_multiply(tm: TransformedModel, k0: list, times: np.ndarray) -> list:
+    """Levels 1..N at ``times``, each step one ``expm_multiply`` of the
+    augmented generator (``evolve.expm_multiply_calls``)."""
+    from scipy.sparse.linalg import expm_multiply
+
+    size, N = tm.space.size, len(k0)
     A = _augmented_generator(tm, N)
     trace = A.trace()
     z = np.concatenate([np.ravel(k).astype(float) for k in k0])
@@ -203,8 +239,101 @@ def evolve_hierarchy(tm: TransformedModel, k0: list, times) -> dict:
     finally:
         np.random.set_state(global_state)
     offsets = np.cumsum([0] + [size ** n for n in range(1, N + 1)])
-    return {n: (times, states[:, offsets[n - 1]:offsets[n]]
-                .reshape((len(times),) + (size,) * n)) for n in range(1, N + 1)}
+    return [states[:, offsets[n - 1]:offsets[n]].reshape((len(times),) + (size,) * n)
+            for n in range(1, N + 1)]
+
+
+def _evolve_eigenbasis(tm: TransformedModel, k0: list, times: np.ndarray) -> list:
+    """Levels 1 and 2 at ``times`` in closed form, for a reversible kernel.
+
+    With G = W diag(lam) W^{-1} and a(t) = exp(lam t) W^{-1} k_1(0), k_1(t) =
+    W a(t).  C = W^{-1} k_2 W^{-T} obeys dC/dt = nu C + sum_l a_l(t) Fhat_l
+    entrywise, with nu_ij = lam_i + lam_j and Fhat_l = W^{-1} f_2(w_l) W^{-T}
+    the source of mode l (w_l the l-th column of W).  A step of length h from
+    t is then exact:
+
+        C <- exp(nu h) C + sum_l a_l(t) Fhat_l Phi_l(h),
+        Phi_l(h)_ij = int_0^h exp(lam_l s + nu_ij (h - s)) ds
+                    = h exp(m h) phi_1(-|lam_l - nu_ij| h),
+
+    with m = max(lam_l, nu_ij) and phi_1(z) = expm1(z) / z, taken at
+    non-positive z only.  The tables of the last ``STEP_TABLES`` distinct
+    steps are kept.  An exactly symmetric k_2(0) gives an exactly symmetric
+    k_2(t), by the sorted-index rule of ``stationary_k``.
+    """
+    lam, to_basis, from_basis = _eigenbasis(tm)
+    metrics.count("evolve.eigh")
+    start = to_basis @ k0[0]
+    modes = np.exp(np.outer(times, lam)) * start   # a(t) at each output time
+    k1 = modes @ from_basis.T
+    if len(k0) == 1:
+        return [k1]
+    size = len(lam)
+    nu = lam[:, None] + lam
+    # f_2(w) = b diag(w) + (b diag(w))^T, so Fhat_l = H_l + H_l^T with
+    # H_l = (W^{-1} b) diag(w_l) W^{-T}; H[l, i, j] from one product
+    H = ((to_basis @ tm.b)
+         @ (from_basis[:, :, None] * to_basis.T[:, None, :]).reshape(size, -1))
+    H = H.reshape(size, size, size).transpose(1, 0, 2)
+    source = H + H.transpose(0, 2, 1)
+    # Phi = exp(m h) expm1(gap h) / gap, with h in place of expm1(gap h) / gap
+    # where gap is 0
+    gap = -np.abs(lam[:, None, None] - nu)
+    tie = gap == 0
+    inv_gap = np.divide(1.0, gap, out=np.zeros_like(gap), where=~tie)
+
+    @lru_cache(maxsize=STEP_TABLES)
+    def step(h: float):
+        decay = np.exp(nu * h)
+        phi = np.expm1(gap * h) * inv_gap
+        phi[tie] = h
+        phi *= np.maximum(np.exp(lam * h)[:, None, None], decay)   # exp(m h)
+        return decay, (source * phi).reshape(size, -1)
+
+    C = to_basis @ k0[1] @ to_basis.T
+    basis = np.empty((len(times), size, size))
+    for i, h in enumerate(np.diff(times, prepend=0.0)):
+        decay, table = step(float(h))
+        C = basis[i] = decay * C + (start @ table).reshape(size, size)
+        start = modes[i]
+    k2 = from_basis @ basis @ from_basis.T
+    if np.array_equal(k0[1], k0[1].T):
+        k2 = k2[(slice(None), *_sorted_index(2, size))].reshape(k2.shape)
+    return [k1, k2]
+
+
+@metrics.phase("evolve")
+def evolve_hierarchy(tm: TransformedModel, k0: list, times) -> dict:
+    """Exact solution of levels 1..N at the output ``times``.
+
+    ``k0`` lists the initial arrays of orders 1..N, shaped ``(size,) * n``
+    (``poisson_initial`` for Poisson data).  ``times`` is any finite,
+    non-negative, non-decreasing grid of at most ``EVOLVE_CAP`` entries in
+    all (``check_trajectory``); no step size controls the accuracy.  A
+    reversible kernel at N = 1, or at N = 2 on at most
+    ``CLOSED_FORM_POINTS`` points, evolves in closed form in the eigenbasis
+    of G (one ``eigh``, counted as ``evolve.eigh``).  Any other input is
+    carried from one output time to the next by ``expm_multiply`` of the
+    augmented generator, counted as ``evolve.expm_multiply_calls``, one per
+    output time.  Returns ``{n: (times, k_n)}`` with ``k_n`` of shape
+    ``(len(times),) + (size,) * n``.
+    """
+    size = tm.space.size
+    N = len(k0)
+    if N < 1 or any(np.shape(k) != (size,) * n for n, k in enumerate(k0, 1)):
+        raise ModelError(f"initial data must be arrays of orders 1..N over "
+                         f"{size} points")
+    times = np.asarray(times, dtype=float)
+    if (times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times))
+            or times[0] < 0 or np.any(np.diff(times) < 0)):
+        raise ModelError("output times must be a non-empty, finite, non-negative "
+                         "and non-decreasing grid")
+    check_trajectory(len(times), size, N)
+    if tm.reversible and (N == 1 or N == 2 and size <= CLOSED_FORM_POINTS):
+        levels = _evolve_eigenbasis(tm, [np.asarray(k, dtype=float) for k in k0], times)
+    else:
+        levels = _evolve_expm_multiply(tm, k0, times)
+    return {n: (times, k) for n, k in enumerate(levels, 1)}
 
 
 # A level-n stationary solution exists iff the spectral abscissa of the
@@ -223,6 +352,8 @@ def _kron_sum_solve(T: np.ndarray, C: np.ndarray, shift: complex = 0.0) -> np.nd
     of T.
     """
     if C.ndim == 2:
+        from scipy.linalg import get_lapack_funcs
+
         trsyl = get_lapack_funcs("trsyl", (T,))
         X, scale, info = trsyl(T + shift * np.eye(len(T)), T.conj(), C,
                                trana="N", tranb="C")
@@ -259,6 +390,8 @@ def _triangular_form(tm: TransformedModel):
     the solves run in real arithmetic; a 2x2 block (a complex pair) turns
     it into the complex Schur form.  Raises DivergenceError on a critical G.
     """
+    from scipy.linalg import rsf2csf, schur
+
     T, Z = schur(generator_matrix(tm))
     if np.any(np.diag(T, -1)):
         T, Z = rsf2csf(T, Z)
@@ -267,44 +400,32 @@ def _triangular_form(tm: TransformedModel):
     return T, Z
 
 
-def _eigenbasis(tm: TransformedModel):
-    """Eigenvalues lam of G and the maps W^{-1}, W with G = W diag(lam) W^{-1},
-    for a symmetric birth kernel b.
-
-    With M = diag(mbar), S = M^{1/2} G M^{-1/2} = M^{1/2} b M^{1/2} - V is
-    symmetric, so S = Q diag(lam) Q^T with Q orthogonal, W = M^{-1/2} Q and
-    W^{-1} = Q^T M^{1/2}.  Raises DivergenceError on a critical G.
-    """
-    r = np.sqrt(tm.mbar)
-    lam, Q = np.linalg.eigh(r[:, None] * tm.b * r - np.diag(tm.death))
-    metrics.count("stationary.eigh")
-    _check_abscissa(lam)
-    return lam, Q.T * r, Q / r[:, None]
-
-
 @metrics.phase("stationary")
 def stationary_k(n: int, tm: TransformedModel, rho: float) -> np.ndarray:
     """Stationary correlation function k_n = int exp(t Lhat_n) f_n dt + rho^n.
 
     Solves Lhat_n (k_n - rho^n) = -f_n directly on a finite space, level by
-    level with f_n built from k_{n-1}.  A symmetric birth kernel b (a
-    homogeneous lattice window with a symmetric stencil, for one) is solved
-    in the eigenbasis of G, where Lhat_n is diagonal: one ``eigh``, counted as
-    ``stationary.eigh``.  Any other b is solved on one Schur form of G
-    (``stationary.schur_<dtype>``), by one triangular Sylvester solve per
-    slice (``stationary.trsyl_calls``).  Raises DivergenceError on critical
-    models.  Each level is exactly symmetric: an entry takes the solve's
-    value at its index sorted ascending.  Returns k_n, of shape ``(size,) *
-    n``.  ``stationary_pair_mc`` estimates k_2 on unbounded lattices.
+    level with f_n built from k_{n-1}.  A reversible kernel (the critical
+    birth matrix a = psi b symmetric: a lattice window with a symmetric
+    stencil, or a dense model with a symmetric matrix, for two) is solved in
+    the eigenbasis of G, where Lhat_n is diagonal: one numpy ``eigh``,
+    counted as ``stationary.eigh``.  Any other kernel is solved on one scipy
+    Schur form of G (``stationary.schur_<dtype>``), by one triangular
+    Sylvester solve per slice (``stationary.trsyl_calls``).  Raises
+    DivergenceError on critical models.  Each level is exactly symmetric:
+    an entry takes the solve's value at its index sorted ascending.  Returns
+    k_n, of shape ``(size,) * n``.  ``stationary_pair_mc`` estimates k_2 on
+    unbounded lattices.
     """
     if n < 1:
         raise ModelError("stationary level must be >= 1")
     k = np.full(tm.space.size, float(rho))
     if n == 1:
         return k
-    symmetric = np.array_equal(tm.b, tm.b.T)
-    if symmetric:
+    if tm.reversible:
         lam, to_basis, from_basis = _eigenbasis(tm)
+        metrics.count("stationary.eigh")
+        _check_abscissa(lam)
     else:
         T, from_basis = _triangular_form(tm)
         to_basis = from_basis.conj().T
@@ -312,10 +433,10 @@ def stationary_k(n: int, tm: TransformedModel, rho: float) -> np.ndarray:
         # -Lhat_m^{-1} f_m in a basis where Lhat_m is diagonal, with the
         # eigenvalues lam_i + lam_j (+ lam_k), or triangular
         C = _apply_each_axis(to_basis, -source_f(m, tm, k))
-        C = C / reduce(np.add.outer, [lam] * m) if symmetric else _kron_sum_solve(T, C)
+        C = C / reduce(np.add.outer, [lam] * m) if tm.reversible else _kron_sum_solve(T, C)
         X = _apply_each_axis(from_basis, C).real
         # k_m is symmetric: every entry takes the value at its sorted index
-        X = X[tuple(np.sort(np.indices(X.shape).reshape(m, -1), axis=0))].reshape(X.shape)
+        X = X[_sorted_index(m, len(X))].reshape(X.shape)
         k = X + float(rho) ** m
     return k
 

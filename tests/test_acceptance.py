@@ -149,7 +149,7 @@ def test_criterion_03_operator_equivalence():
         b = rng.random((size, size)) + 0.1
         V = rng.random(size) + 0.3
         tm = TransformedModel(space=space, b=b, mbar=space.weights.copy(),
-                              death=V, psi=np.ones(size))
+                              death=V, psi=np.ones(size), reversible=False)
         G = generator_matrix(tm)
         for n in (1, 2, 3):
             k = rng.random((size,) * n)

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from contextlib import nullcontext
@@ -286,6 +289,89 @@ class TestExitCodes:
         assert time.perf_counter() - began < 10.0
 
 
+    def test_oversized_evolve_grid_exits_2(self, tmp_path, monkeypatch):
+        # dt = 1e-9 once asked np.linspace for 10^9 + 1 output times (8 GB);
+        # the grid's len(times) * (size + size^2) entries are checked against
+        # hierarchy.EVOLVE_CAP before any of it
+        monkeypatch.setattr(cli, "calibrate", _no_calibration)
+        tracemalloc.start()
+        try:
+            code, _ = run_cli(tmp_path, "evolve", {"model": FINITE_MODEL, "rho": 0.5,
+                                                   "T": 1, "dt": 1e-9})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("cap, expect", [(11 * 20, 0), (11 * 20 - 1, 2)])
+    def test_evolve_grid_cap_boundary(self, tmp_path, monkeypatch, cap, expect):
+        # 11 output times of levels 1 and 2 on four points: 11 * (4 + 16) entries
+        from contactlab import hierarchy
+        monkeypatch.setattr(hierarchy, "EVOLVE_CAP", cap)
+        code, _ = run_cli(tmp_path, "evolve", {"model": FINITE_MODEL, "rho": 0.5,
+                                               "N": 2, "T": 0.5, "dt": 0.05})
+        assert code == expect
+
+
+# run in a fresh process: the argv lists of the commands that must not
+# import scipy, then of those that load it on demand; prints their exit codes
+# and the scipy modules loaded after each group
+_SCIPY_GUARD = """
+import json, sys
+from contactlab.cli import main
+groups = json.loads(sys.argv[1])
+out = {}
+for name in ("without", "with"):
+    codes = [main(argv) for argv in groups[name]]
+    out[name] = {"codes": codes,
+                 "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}
+print(json.dumps(out))
+"""
+
+
+def test_commands_load_scipy_only_when_they_need_it(tmp_path):
+    # scipy is imported only by the Schur solve of a non-reversible kernel and
+    # by expm_multiply (N >= 3 here); every other command runs without it
+    window = {**LATTICE_MODEL, "space": {**LATTICE_MODEL["space"], "d": 2}}
+    symmetric_dense = {"space": {"type": "finite", "points": [0, 1, 2],
+                                 "weights": [0.5, 1.0, 2.0]},
+                       "birth": {"form": "dense", "matrix": [[0.2, 1.0, 0.4],
+                                                             [1.0, 0.3, 0.6],
+                                                             [0.4, 0.6, 0.5]]},
+                       "death": [1.0, 1.5, 2.0]}
+    drift_window = dict(LATTICE_MODEL, birth={"form": "stencil", "entries": DRIFT})
+    groups = {
+        "without": [("calibrate", {"model": FINITE_MODEL}, None, 0),
+                    ("simulate", {"model": FINITE_MODEL, "rho": 0.5, "replicas": 100}, 1, 0),
+                    ("transience", {"model": LATTICE_MODEL, "T": 5, "replicas": 200}, 1, 0),
+                    ("verify-lemmas", {"model": MARKED_MODEL, "replicas": 200}, 1, 0),
+                    ("stationary", {"model": window, "rho": 0.5}, None, 0),
+                    ("stationary", {"model": symmetric_dense, "rho": 0.5}, None, 3),
+                    ("evolve", {"model": window, "rho": 0.5, "N": 2, "T": 0.5}, None, 0)],
+        "with": [("stationary", {"model": drift_window, "rho": 0.1}, None, 0),
+                 ("evolve", {"model": window, "rho": 0.5, "N": 3, "T": 0.2, "dt": 0.1},
+                  None, 0)],
+    }
+    argvs, expected = {}, {}
+    for name, runs in groups.items():
+        argvs[name], expected[name] = [], []
+        for i, (command, cfg, seed, code) in enumerate(runs):
+            argv = [command, "--config", write_config(tmp_path, f"{name}{i}.json", cfg),
+                    "--out", str(tmp_path / f"{name}{i}")]
+            argvs[name].append(argv + (["--seed", str(seed)] if seed is not None else []))
+            expected[name].append(code)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["without"] == {"codes": expected["without"], "scipy": []}
+    assert out["with"]["codes"] == expected["with"]
+    assert "scipy.linalg" in out["with"]["scipy"]
+
+
 class TestOutputs:
     def test_manifest_lists_all_files(self, tmp_path):
         code, out = run_cli(tmp_path, "calibrate", {"model": FINITE_MODEL})
@@ -353,6 +439,20 @@ class TestOutputs:
         bare = json.loads((quiet / "manifest.json").read_text())
         assert "evolve.expm_multiply_calls" not in bare["metrics"]["counters"]
         assert bare["outputs"] == manifest["outputs"]
+
+    def test_evolve_counts_eigh_on_a_reversible_kernel(self, tmp_path):
+        # a symmetric window at N = 2 evolves in closed form: one eigh, no
+        # expm_multiply, and an exactly symmetric k_2 from Poisson data
+        window = {**LATTICE_MODEL, "space": {**LATTICE_MODEL["space"], "d": 2}}
+        code, out = run_cli(tmp_path, "evolve", {"model": window, "rho": 0.5, "N": 2,
+                                                 "T": 0.5, "dt": 0.1})
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["metrics"]["counters"] == {"calibrate.solves": 1, "evolve.eigh": 1}
+        rows = [r.split(",") for r in (out / "evolve_k2.csv").read_text().splitlines()[1:]]
+        cells = {(t, x, y): v for t, x, y, v in rows}
+        assert len(cells) == 6 * 81
+        assert all(v == cells[t, y, x] for (t, x, y), v in cells.items())
 
     def test_evolve_at_t0_writes_each_point_once(self, tmp_path):
         code, out = run_cli(tmp_path, "evolve",

@@ -186,6 +186,23 @@ class TestRescaleAndTransform:
         assert np.allclose(tm.b, A / np.array([[2.0], [0.5]]))
         assert np.allclose(tm.mbar, np.array([2.0, 0.5]))
 
+    def test_records_a_symmetric_birth_matrix(self):
+        # reversible: the rescaled birth matrix a is symmetric, whatever psi
+        # does to b = a / psi; a symmetric mark kernel Q on a symmetric
+        # stencil counts, a random dense matrix does not
+        A = np.array([[0.2, 1.0, 0.4], [1.0, 0.3, 0.6], [0.4, 0.6, 0.5]])
+        space = build_space({"type": "finite", "points": [0, 1, 2],
+                             "weights": [0.5, 1.0, 2.0]})
+        dense = RateModel(birth=Kernel("dense", matrix=A), death=np.array([1.0, 1.5, 2.0]))
+        cases = [((space, dense), True), (lattice_model(3), True), (marked_model(), True),
+                 (marked_model(Q=[[2.0, 1.0], [0.5, 2.0]]), False),
+                 (random_finite_model(np.random.default_rng(5)), False)]
+        for (sp, model), reversible in cases:
+            tm, _, _ = calibrate(model, sp)
+            assert tm.reversible is reversible
+        tm, _, _ = calibrate(dense, space)
+        assert not np.array_equal(tm.b, tm.b.T)
+
     def test_birth_intensity_identity(self):
         rng = np.random.default_rng(5)
         space, model = random_finite_model(rng)
@@ -227,7 +244,8 @@ class TestResiduals:
         space, model = lattice_model(3, boundary="periodic")
         tm, gs, _ = calibrate(model, space)
         inflated = tm.__class__(space=tm.space, b=tm.b * 1.1, mbar=tm.mbar,
-                                death=tm.death, psi=tm.psi, alpha=None)
+                                death=tm.death, psi=tm.psi,
+                                reversible=tm.reversible, alpha=None)
         resid = criticality_residual(inflated)
         assert resid == pytest.approx(0.1 * tm.death.max(), rel=1e-10)
 
@@ -237,7 +255,7 @@ class TestResiduals:
         P = np.array([[0.2, 0.5, 0.3], [0.1, 0.1, 0.8], [0.4, 0.4, 0.2]])
         from contactlab.criticality import TransformedModel
         tm = TransformedModel(space=space, b=P, mbar=np.ones(3),
-                              death=np.ones(3), psi=np.ones(3))
+                              death=np.ones(3), psi=np.ones(3), reversible=False)
         assert criticality_residual(tm) <= 1e-15
 
     def test_jump_residual_degenerate(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, schur
 
-from contactlab import metrics
+from contactlab import hierarchy, metrics
 from contactlab.criticality import TransformedModel, calibrate
 from contactlab.errors import DivergenceError, ModelError
 from contactlab.hierarchy import (_augmented_generator, bound_constant_D,
@@ -59,7 +59,21 @@ def dissipative_tm(rng, size=3, leak=0.5):
     space, model = random_finite_model(rng, size=size)
     tm, gs, _ = calibrate(model, space)
     return tm.__class__(space=tm.space, b=tm.b * (1.0 - leak), mbar=tm.mbar,
-                        death=tm.death, psi=tm.psi)
+                        death=tm.death, psi=tm.psi, reversible=tm.reversible)
+
+
+def reversible_tm():
+    """Critical dense model with a symmetric birth matrix and unequal death
+    rates and weights: a reversible kernel whose psi varies about tenfold."""
+    rng = np.random.default_rng(23)
+    A = rng.random((5, 5))
+    space = build_space({"type": "finite", "points": list(range(5)),
+                         "weights": [0.2, 1.0, 3.0, 0.5, 2.0]})
+    model = RateModel(birth=Kernel("dense", matrix=A + A.T),
+                      death=np.array([0.5, 1.0, 4.0, 1.5, 0.8]))
+    tm, _, _ = calibrate(model, space)
+    assert tm.reversible and tm.psi.max() > 10 * tm.psi.min()
+    return tm
 
 
 class TestOperators:
@@ -97,7 +111,8 @@ class TestOperators:
     def test_source_zero_kernel(self, finite4_critical):
         tm = finite4_critical
         zero_tm = tm.__class__(space=tm.space, b=np.zeros_like(tm.b),
-                               mbar=tm.mbar, death=tm.death, psi=tm.psi)
+                               mbar=tm.mbar, death=tm.death, psi=tm.psi,
+                               reversible=True)
         f = source_f(2, zero_tm, np.full(4, 0.5))
         assert np.all(f == 0.0)
 
@@ -168,6 +183,66 @@ class TestSemigroup:
 
 
 class TestEvolve:
+    def test_closed_form_matches_dense_expm(self):
+        # a reversible kernel at N <= 2 evolves in closed form in the
+        # eigenbasis of G: on an unbounded window (psi constant) and on a
+        # dense model whose psi varies, from random initial data, on a uniform
+        # grid and on one with t = 0 and a repeated time
+        space, model = lattice_model(2)
+        cases = [calibrate(model, space)[0], reversible_tm()]
+        rng = np.random.default_rng(29)
+        for tm in cases:
+            size = tm.space.size
+            for N in (1, 2):
+                M = augmented_matrix(tm, N)
+                k0 = [rng.random((size,) * n) for n in range(1, N + 1)]
+                z0 = np.concatenate([k.ravel() for k in k0])
+                for times in (np.linspace(0.0, 2.0, 9), [0.0, 0.1, 0.35, 0.4, 0.4, 1.7, 3.0]):
+                    with metrics.recording() as rec:
+                        res = evolve_hierarchy(tm, k0, times)
+                    assert rec["counters"] == {"evolve.eigh": 1}
+                    for i, t in enumerate(times):
+                        got = np.concatenate([res[n][1][i].ravel()
+                                              for n in range(1, N + 1)])
+                        assert np.abs(got - expm(t * M) @ z0).max() <= 1e-12
+
+    def test_closed_form_symmetric_only_from_symmetric_data(self):
+        # Poisson k_2(0) gives an exactly symmetric k_2(t); a non-symmetric
+        # k_2(0) keeps the asymmetry of its exact evolution
+        tm = reversible_tm()
+        times = np.linspace(0.0, 1.0, 5)
+        _, k2 = evolve_hierarchy(tm, [poisson_initial(n, 0.5, tm.space)
+                                      for n in (1, 2)], times)[2]
+        assert np.array_equal(k2, k2.transpose(0, 2, 1))
+        rng = np.random.default_rng(31)
+        k0 = [rng.random(5), rng.random((5, 5))]
+        _, k2 = evolve_hierarchy(tm, k0, times)[2]
+        exact = (expm(times[-1] * augmented_matrix(tm, 2))
+                 @ np.concatenate([k.ravel() for k in k0]))[5:].reshape(5, 5)
+        assert np.abs(exact - exact.T).max() > 1e-3
+        assert np.abs(k2[-1] - exact).max() <= 1e-12
+
+    def test_other_inputs_take_expm_multiply(self):
+        # N = 3, a non-reversible kernel, and N = 2 past CLOSED_FORM_POINTS
+        rev, other = reversible_tm(), dissipative_tm(np.random.default_rng(3))
+        space, model = lattice_model(1, R=hierarchy.CLOSED_FORM_POINTS // 2)
+        wide = calibrate(model, space)[0]
+        assert not other.reversible and wide.reversible
+        for tm, N in ((rev, 3), (other, 2), (wide, 2)):
+            k0 = [poisson_initial(n, 0.5, tm.space) for n in range(1, N + 1)]
+            with metrics.recording() as rec:
+                evolve_hierarchy(tm, k0, [0.0, 0.5])
+            assert rec["counters"] == {"evolve.expm_multiply_calls": 2}
+
+    def test_trajectory_cap(self, monkeypatch):
+        # len(times) * (size + size^2) entries: 3 * 20 on four points
+        tm = dissipative_tm(np.random.default_rng(3), size=4)
+        k0 = [poisson_initial(n, 0.5, tm.space) for n in (1, 2)]
+        monkeypatch.setattr(hierarchy, "EVOLVE_CAP", 60)
+        evolve_hierarchy(tm, k0, [0.0, 0.5, 1.0])
+        with pytest.raises(ModelError, match="EVOLVE_CAP"):
+            evolve_hierarchy(tm, k0, [0.0, 0.5, 1.0, 1.5])
+
     def test_constant_k1_stationary(self, finite4_critical):
         k0 = poisson_initial(1, 0.8, finite4_critical.space)
         grid = np.linspace(0.0, 5.0, 101)
@@ -312,27 +387,32 @@ class TestStationary:
 
     @pytest.mark.parametrize("case", ["real spectrum", "complex pair", "symmetric window"])
     def test_real_and_complex_schur_paths(self, case):
-        # a symmetric birth kernel b (the lattice window) is solved in the
-        # eigenbasis of G, any other b on a Schur form of G.  A symmetric
-        # dense birth matrix with unequal death gives b = A / psi, which is
-        # not symmetric, and G similar to a symmetric matrix: a real
-        # spectrum, a triangular real Schur form and real arithmetic.  A
+        # a reversible kernel (the symmetric lattice window) is solved in the
+        # eigenbasis of G, any other on a Schur form of G.  A drifting stencil
+        # on a Z^1 window is not reversible, but G is tridiagonal with
+        # positive off-diagonal products, so similar to a symmetric matrix: a
+        # real spectrum, a triangular real Schur form and real arithmetic.  A
         # directed 3-cycle birth kernel gives G a complex eigenvalue pair, a
         # 2x2 block in its real Schur form, and the complex path
         if case == "symmetric window":
             space, model = lattice_model(2)
             tm, _, _ = calibrate(model, space)
+        elif case == "real spectrum":
+            space = build_space({"type": "lattice", "d": 1, "R": 2,
+                                 "boundary": "unbounded"})
+            model = RateModel(birth=Kernel("stencil", stencil={(1,): 0.75, (-1,): 0.25}),
+                              death=np.ones(space.size))
+            tm, _, _ = calibrate(model, space)
         else:
             space = build_space({"type": "finite", "points": [0, 1, 2]})
-            A = (np.roll(np.eye(3), 1, axis=1) + 0.1 if case == "complex pair"
-                 else np.array([[0.2, 1.0, 0.4], [1.0, 0.3, 0.6], [0.4, 0.6, 0.5]]))
+            A = np.roll(np.eye(3), 1, axis=1) + 0.1
             model = RateModel(birth=Kernel("dense", matrix=A),
                               death=np.array([1.0, 1.5, 2.0]))
             tm, _, _ = calibrate(model, space)
             tm = tm.__class__(space=tm.space, b=tm.b * 0.5, mbar=tm.mbar,
-                              death=tm.death, psi=tm.psi)
+                              death=tm.death, psi=tm.psi, reversible=tm.reversible)
         G = generator_matrix(tm)
-        assert np.array_equal(tm.b, tm.b.T) == (case == "symmetric window")
+        assert tm.reversible == (case == "symmetric window")
         if case == "symmetric window":
             counters = {"stationary.eigh": 1}
         else:
@@ -362,7 +442,7 @@ class TestStationary:
                              "weights": mbar.tolist()})
         # each row of G sums to -0.5: a strictly sub-critical generator
         tm = TransformedModel(space=space, b=B, mbar=mbar, death=B @ mbar + 0.5,
-                              psi=np.ones(size))
+                              psi=np.ones(size), reversible=True)
         G = generator_matrix(tm)
         assert np.abs(G @ G.T - G.T @ G).max() > 1e-2
         k = stationary_k(1, tm, 0.5)
@@ -389,6 +469,26 @@ class TestStationary:
         assert json.loads(json.dumps(diag)) == diag  # plain floats and lists
         assert all(type(re) is float and im == 0.0
                    for re, im in diag["leading_eigenvalues"])
+
+    def test_reversible_kernel_with_varying_psi(self):
+        # a symmetric birth matrix a with unequal death and weights: b = a / psi
+        # is not symmetric, and G is similar to a symmetric matrix through
+        # diag(psi sqrt(w)), not through diag(sqrt(mbar))
+        tm = reversible_tm()
+        tm = tm.__class__(space=tm.space, b=tm.b * 0.5, mbar=tm.mbar,
+                          death=tm.death, psi=tm.psi, reversible=tm.reversible)
+        assert not np.array_equal(tm.b, tm.b.T)
+        G = generator_matrix(tm)
+        k = stationary_k(1, tm, 0.5)
+        for n in (2, 3):
+            f = source_f(n, tm, k)
+            with metrics.recording() as rec:
+                k = stationary_k(n, tm, 0.5)
+            assert rec["counters"] == {"stationary.eigh": 1}
+            oracle = -np.linalg.solve(kron_sum_matrix(G, n), f.ravel())
+            assert np.abs(k - 0.5 ** n - oracle.reshape(f.shape)).max() <= 1e-10
+            for perm in itertools.permutations(range(n)):
+                assert np.array_equal(k, k.transpose(perm))
 
     def test_dissipative_residual(self):
         rng = np.random.default_rng(77)

@@ -56,7 +56,7 @@ def asymmetric_jump_model():
     jb = np.array([[0.0, 0.1, 1.5], [2.0, 0.0, 0.1], [0.05, 0.8, 0.0]])
     return TransformedModel(space=space, b=b, mbar=space.weights,
                             death=np.array([1.0, 0.7, 1.3]), psi=np.ones(3),
-                            jump_b=jb)
+                            jump_b=jb, reversible=False)
 
 
 def level1_generator(b, mbar, V, jb=None):
@@ -77,7 +77,7 @@ class TestSimulateContact:
         from contactlab.criticality import TransformedModel
         tm = TransformedModel(space=space, b=np.zeros((1, 1)),
                               mbar=space.weights, death=model.death,
-                              psi=np.ones(1))
+                              psi=np.ones(1), reversible=True)
         rng = np.random.default_rng(0)
         n = 20000
         times = np.empty(n)
@@ -92,7 +92,7 @@ class TestSimulateContact:
         space = build_space({"type": "finite", "points": [0], "weights": [1.0]})
         tm = TransformedModel(space=space, b=np.zeros((1, 1)),
                               mbar=space.weights, death=np.ones(1),
-                              psi=np.ones(1))
+                              psi=np.ones(1), reversible=True)
         log = simulate_contact(tm, [1], 1000.0, [], np.random.default_rng(1))
         assert len(log.events) == 1
         assert log.events[0][1] == "death"
@@ -468,7 +468,8 @@ class TestParticleAttribution:
         mbar = space.weights
         b = np.array([[0.05, 0.02, 1.6], [1.8, 0.05, 0.03], [0.02, 0.9, 0.05]])
         V = np.array([1.0, 0.7, 1.3])
-        tm = TransformedModel(space=space, b=b, mbar=mbar, death=V, psi=np.ones(3))
+        tm = TransformedModel(space=space, b=b, mbar=mbar, death=V, psi=np.ones(3),
+                              reversible=False)
         B = b * mbar[:, None]
         wrong = [B.T - np.diag(V), level1_generator(b.T, mbar, V)]
         rho = 0.7

@@ -127,7 +127,7 @@ class TestSimulateJump:
     def test_miscalibrated_jump_law_rejected(self, finite4_critical):
         tm = finite4_critical
         bad = tm.__class__(space=tm.space, b=tm.b * 1.3, mbar=tm.mbar,
-                           death=tm.death, psi=tm.psi)
+                           death=tm.death, psi=tm.psi, reversible=tm.reversible)
         with pytest.raises(ModelError):
             simulate_jump(bad, tm.space.points[0], 1.0,
                           np.random.default_rng(0))
