@@ -19,14 +19,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import locale  # noqa: F401
 import math
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
-# numpy loads these on first use: numpy.random for main's default_rng, and
-# numpy.ma for a plain np.unique; loading them here keeps that out of the commands
+# these load on first use: locale for argparse's first parser (through
+# gettext), numpy.random for main's default_rng, and numpy.ma for a plain
+# np.unique; loading them here keeps that out of the commands
 import numpy.ma  # noqa: F401
 import numpy.random  # noqa: F401
 
