@@ -27,15 +27,14 @@ from pathlib import Path
 
 import numpy as np
 # these load on first use: locale for argparse's first parser (through
-# gettext), numpy.random for main's default_rng, and numpy.ma for a plain
-# np.unique; loading them here keeps that out of the commands
-import numpy.ma  # noqa: F401
+# gettext) and numpy.random for main's default_rng; loading them here keeps
+# that out of the commands
 import numpy.random  # noqa: F401
 
 from . import __version__, metrics
 from .criticality import calibrate, theta_kernel
 from .errors import ConfigError, ContactLabError, DivergenceError, ModelError
-from .hierarchy import (EVOLVE_CAP, check_trajectory, evolve_hierarchy,
+from .hierarchy import (EVOLVE_CAP, check_level, check_trajectory, evolve_hierarchy,
                         factorial_bound_check, poisson_initial, stationary_k,
                         stationary_pair_mc)
 from .model import model_from_dict
@@ -371,6 +370,9 @@ def cmd_stationary(cfg, run: Run, rng, space, model):
         starts = _starts(cfg, "displacements", space.dim or 1, nmark)
     elif backend != "dense":
         raise ConfigError(f"unknown backend {backend!r}: use 'dense' or 'montecarlo'")
+    else:
+        # a level over STATIONARY_CAP entries is refused before calibrating
+        check_level(n, space.size)
     tm, _, _ = calibrate(model, space)
     try:
         if backend == "montecarlo":

@@ -33,7 +33,8 @@ import numpy as np
 
 from . import metrics
 from .errors import ConvergenceError, ModelError, ReducibleKernelError
-from .model import Kernel, RateModel, StateSpace, _mark_factor, kernel_matrix
+from .model import (Kernel, RateModel, StateSpace, _mark_factor, kernel_matrix,
+                    window_symmetries)
 
 __all__ = [
     "GroundState",
@@ -80,7 +81,9 @@ class TransformedModel:
     multi-species payload ``(alpha, Q, q, v)`` alongside the dense view (needed
     by the unbounded walkers); a plain lattice is one mark.  ``reversible``
     says that the birth matrix ``a = psi b`` is symmetric: the generator
-    ``b mbar - V`` is then similar to a symmetric matrix.
+    ``b mbar - V`` is then similar to a symmetric matrix.  ``symmetries``
+    holds the point permutations of the window that leave the model exactly
+    invariant (``model.window_symmetries``).
     """
 
     space: StateSpace
@@ -90,6 +93,7 @@ class TransformedModel:
     psi: np.ndarray
     jump_b: np.ndarray | None = None
     reversible: bool = False
+    symmetries: tuple = ()
     # translation-invariant payload (None for generic dense models)
     alpha: dict | None = None           # displacement stencil of b's spatial part
     Q: np.ndarray | None = None         # mark kernel (post-rescale; ones for a stencil)
@@ -202,7 +206,8 @@ def rescale_to_critical(model: RateModel, gs: GroundState) -> RateModel:
 def ground_transform(model: RateModel, space: StateSpace,
                      gs: GroundState) -> TransformedModel:
     """Apply b = a / psi, mbar = psi * m to a critical model, and record
-    whether a is symmetric (``reversible``)."""
+    whether a is symmetric (``reversible``) and the window's exact
+    symmetries of the model (``symmetries``)."""
     psi = np.asarray(gs.psi, dtype=float)
     if np.any(psi <= POSITIVITY_FLOOR * psi.max()):
         raise ModelError("psi entry below positivity floor")
@@ -222,6 +227,7 @@ def ground_transform(model: RateModel, space: StateSpace,
     return TransformedModel(space=space, b=b, mbar=mbar, death=model.death.copy(),
                             psi=psi, jump_b=jump_b,
                             reversible=bool(np.array_equal(A, A.T)),
+                            symmetries=window_symmetries(model, space),
                             alpha=alpha, Q=Q, q=q, v=v)
 
 

@@ -61,6 +61,7 @@ __all__ = [
     "source_f",
     "evolve_hierarchy",
     "check_trajectory",
+    "check_level",
     "poisson_initial",
     "stationary_k",
     "stationary_pair_mc",
@@ -148,12 +149,54 @@ def _apply_each_axis(M: np.ndarray, k: np.ndarray) -> np.ndarray:
     return k
 
 
-def _sorted_index(n: int, size: int) -> tuple:
-    """Each index of an order-n tensor over ``size`` points, in C order, sorted
-    ascending, as n flat arrays: an entry that takes the value at its sorted
-    index makes the tensor exactly symmetric under every permutation of its
-    axes."""
-    return tuple(np.sort(np.indices((size,) * n).reshape(n, -1), axis=0))
+def _sorted_cells(points: list, size: int) -> np.ndarray:
+    """The C-order flat index of each cell ``points`` (n index arrays that
+    broadcast together) with its indices sorted ascending, by a bubble
+    network of compare-swaps."""
+    x = list(points)
+    for top in range(len(x) - 1, 0, -1):
+        for i in range(top):
+            x[i], x[i + 1] = np.minimum(x[i], x[i + 1]), np.maximum(x[i], x[i + 1])
+    flat = x[0].astype(np.intp)   # the last swaps leave x[0] full-shaped
+    for xi in x[1:]:
+        flat *= size
+        flat += xi
+    return flat.ravel()
+
+
+def _canonical_cells(n: int, size: int, generators=()) -> np.ndarray:
+    """The C-order flat index of the least cell in the orbit of each cell of
+    an order-n tensor over ``size`` points, under every permutation of the n
+    indices and under the group of point permutations that ``generators``
+    (index arrays) generate, each acting on all n indices at once.  A
+    tensor that takes at each cell its value at that index is exactly
+    invariant under both.
+
+    Sorting a cell's indices gives the least cell of its orbit under the
+    index permutations (``_sorted_cells``, on broadcast index arrays of the
+    smallest integer type).  Over the sorted cells, each generator maps a
+    cell to the sorted image of its points, and the least flat index is
+    carried along these maps until no cell changes: the least of its orbit.
+    """
+    axes = np.arange(size, dtype=np.min_scalar_type(size - 1))
+    cells = _sorted_cells([axes.reshape((size,) + (1,) * (n - 1 - i)) for i in range(n)],
+                          size)
+    if not generators:
+        return cells
+    sorted_ = np.flatnonzero(cells == np.arange(cells.size))
+    points = np.unravel_index(sorted_, (size,) * n)
+    # the position among the sorted cells of each sorted cell's flat index
+    position = np.empty_like(cells)
+    position[sorted_] = np.arange(sorted_.size)
+    images = [position[_sorted_cells([g[p] for p in points], size)] for g in generators]
+    least = sorted_.copy()
+    while True:
+        before = least.copy()
+        for image in images:
+            np.minimum(least, least[image], out=least)
+        if np.array_equal(least, before):
+            position[sorted_] = least   # now the least cell of each orbit
+            return position[cells]
 
 
 def _eigenbasis(tm: TransformedModel):
@@ -203,21 +246,44 @@ def _augmented_generator(tm: TransformedModel, N: int):
 # size + size^2 + ... + size^N (128 MiB; the CLI writes about 30 bytes of CSV
 # per entry on top); a larger grid is a ModelError before anything is allocated
 EVOLVE_CAP = 1 << 24
+# the most float64 entries of one stationary level, size^n (128 MiB); the
+# solve holds a few arrays of that size at once.  A larger level is a
+# ModelError before anything is allocated
+STATIONARY_CAP = 1 << 24
 # the closed-form level 2 holds (size, size, size) tables: the sources of the
 # modes and one per distinct step; above this many points expm_multiply of
-# the sparse generator is the smaller and the faster
+# the sparse generator is the smaller and the faster.  Up to this many points
+# the canonical cells also run over the window symmetries
 CLOSED_FORM_POINTS = 100
 # the closed form keeps the tables of this many distinct steps
 STEP_TABLES = 8
 
 
+def _check_entries(what: str, entries: int, cap: int, name: str) -> None:
+    """Raise ModelError when ``what`` needs more than ``cap`` entries."""
+    if entries > cap:
+        raise ModelError(f"{what} need {entries} entries, over {name} = {cap}")
+
+
 def check_trajectory(n_times: int, size: int, N: int) -> None:
     """Raise ModelError when ``n_times`` output times of levels 1..N over
     ``size`` points exceed ``EVOLVE_CAP`` entries."""
-    entries = n_times * sum(size ** n for n in range(1, N + 1))
-    if entries > EVOLVE_CAP:
-        raise ModelError(f"{n_times} output times of levels 1..{N} over {size} "
-                         f"points need {entries} entries, over EVOLVE_CAP = {EVOLVE_CAP}")
+    _check_entries(f"{n_times} output times of levels 1..{N} over {size} points",
+                   n_times * sum(size ** n for n in range(1, N + 1)), EVOLVE_CAP,
+                   "EVOLVE_CAP")
+
+
+def check_level(n: int, size: int) -> None:
+    """Raise ModelError when the stationary level n over ``size`` points
+    exceeds ``STATIONARY_CAP`` entries."""
+    _check_entries(f"stationary level {n} over {size} points", size ** n,
+                   STATIONARY_CAP, "STATIONARY_CAP")
+
+
+def _generators(tm: TransformedModel) -> tuple:
+    """The window symmetries of ``tm`` the canonical cells run over: all of
+    them on at most ``CLOSED_FORM_POINTS`` points, none above."""
+    return tm.symmetries if tm.space.size <= CLOSED_FORM_POINTS else ()
 
 
 def _evolve_expm_multiply(tm: TransformedModel, k0: list, times: np.ndarray) -> list:
@@ -258,14 +324,22 @@ def _evolve_eigenbasis(tm: TransformedModel, k0: list, times: np.ndarray) -> lis
 
     with m = max(lam_l, nu_ij) and phi_1(z) = expm1(z) / z, taken at
     non-positive z only.  The tables of the last ``STEP_TABLES`` distinct
-    steps are kept.  An exactly symmetric k_2(0) gives an exactly symmetric
-    k_2(t), by the sorted-index rule of ``stationary_k``.
+    steps are kept.  Initial data that are exactly symmetric under index
+    permutations give levels that are too, and exactly invariant under the
+    window symmetries that leave the data invariant, by the canonical-cell
+    rule of ``stationary_k``.
     """
     lam, to_basis, from_basis = _eigenbasis(tm)
     metrics.count("evolve.eigh")
     start = to_basis @ k0[0]
     modes = np.exp(np.outer(times, lam)) * start   # a(t) at each output time
     k1 = modes @ from_basis.T
+    symmetric = len(k0) == 1 or np.array_equal(k0[1], k0[1].T)
+    # the window symmetries that also leave the initial data invariant
+    generators = [g for g in _generators(tm) if np.array_equal(k0[0][g], k0[0])
+                  and (len(k0) == 1 or np.array_equal(k0[1][np.ix_(g, g)], k0[1]))]
+    if symmetric and generators:
+        k1 = k1[:, _canonical_cells(1, len(lam), generators)]
     if len(k0) == 1:
         return [k1]
     size = len(lam)
@@ -297,8 +371,9 @@ def _evolve_eigenbasis(tm: TransformedModel, k0: list, times: np.ndarray) -> lis
         C = basis[i] = decay * C + (start @ table).reshape(size, size)
         start = modes[i]
     k2 = from_basis @ basis @ from_basis.T
-    if np.array_equal(k0[1], k0[1].T):
-        k2 = k2[(slice(None), *_sorted_index(2, size))].reshape(k2.shape)
+    if symmetric:
+        cells = _canonical_cells(2, size, generators)
+        k2 = k2.reshape(len(times), -1)[:, cells].reshape(k2.shape)
     return [k1, k2]
 
 
@@ -412,13 +487,18 @@ def stationary_k(n: int, tm: TransformedModel, rho: float) -> np.ndarray:
     counted as ``stationary.eigh``.  Any other kernel is solved on one scipy
     Schur form of G (``stationary.schur_<dtype>``), by one triangular
     Sylvester solve per slice (``stationary.trsyl_calls``).  Raises
-    DivergenceError on critical models.  Each level is exactly symmetric:
-    an entry takes the solve's value at its index sorted ascending.  Returns
-    k_n, of shape ``(size,) * n``.  ``stationary_pair_mc`` estimates k_2 on
-    unbounded lattices.
+    DivergenceError on critical models, and ModelError before anything is
+    allocated on a level of more than ``STATIONARY_CAP`` entries
+    (``check_level``).  Each level is exactly symmetric: an entry takes the
+    solve's value at the least cell of its orbit under the index
+    permutations and, on at most ``CLOSED_FORM_POINTS`` points, the window
+    symmetries of the model (``_canonical_cells``).  Returns k_n, of shape
+    ``(size,) * n``.  ``stationary_pair_mc`` estimates k_2 on unbounded
+    lattices.
     """
     if n < 1:
         raise ModelError("stationary level must be >= 1")
+    check_level(n, tm.space.size)
     k = np.full(tm.space.size, float(rho))
     if n == 1:
         return k
@@ -435,8 +515,8 @@ def stationary_k(n: int, tm: TransformedModel, rho: float) -> np.ndarray:
         C = _apply_each_axis(to_basis, -source_f(m, tm, k))
         C = C / reduce(np.add.outer, [lam] * m) if tm.reversible else _kron_sum_solve(T, C)
         X = _apply_each_axis(from_basis, C).real
-        # k_m is symmetric: every entry takes the value at its sorted index
-        X = X[_sorted_index(m, len(X))].reshape(X.shape)
+        # k_m is symmetric: every entry takes the value at its canonical cell
+        X = X.ravel()[_canonical_cells(m, len(X), _generators(tm))].reshape(X.shape)
         k = X + float(rho) ** m
     return k
 

@@ -32,6 +32,7 @@ __all__ = [
     "build_space",
     "kernel_matrix",
     "model_from_dict",
+    "window_symmetries",
 ]
 
 # the keys of a model config and, per type or form, of its space and kernels
@@ -204,6 +205,65 @@ def _mark_factor(kern: Kernel, space: StateSpace) -> np.ndarray:
         raise ModelError(f"mark kernel Q is {kern.Q.shape[0]}x{kern.Q.shape[1]} "
                          f"but the space has {nmark} mark(s)")
     return kern.Q
+
+
+def _unique(a) -> np.ndarray:
+    """The sorted distinct values of ``a``, flattened: a plain ``np.unique``
+    by one sort, without the ``np.ma.is_masked`` test that loads
+    ``numpy.ma``."""
+    a = np.sort(np.ravel(a))
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
+def _symmetry_generators(steps: np.ndarray, step_probs: np.ndarray) -> list:
+    """The single-axis reflections and axis transpositions that each map the
+    step law onto itself exactly, as (d, d) signed permutation matrices."""
+    d = steps.shape[1]
+    on = step_probs != 0
+    law = dict(zip(map(tuple, steps[on].tolist()), step_probs[on]))
+    candidates = []
+    for i in range(d):
+        g = np.eye(d, dtype=np.int64)
+        g[i, i] = -1
+        candidates.append(g)
+        for j in range(i + 1, d):
+            g = np.eye(d, dtype=np.int64)
+            g[[i, j]] = g[[j, i]]
+            candidates.append(g)
+    return [g for g in candidates
+            if dict(zip(map(tuple, (steps[on] @ g).tolist()), step_probs[on])) == law]
+
+
+def window_symmetries(model: RateModel, space: StateSpace) -> tuple:
+    """Point permutations of the lattice or product window ``space``, as
+    index arrays, one per single-axis reflection or axis transposition g
+    (the point at lattice coordinate xi, mark s goes to xi g, s) that leaves
+    ``model`` exactly invariant: its birth and jump stencils
+    (``_symmetry_generators``), its death rates and the weights.  Empty on a
+    finite space and for a dense kernel."""
+    kernels = [k for k in (model.birth, model.jump) if k is not None]
+    if space.structure == "finite" or any(k.form == "dense" for k in kernels):
+        return ()
+    d, R = space.dim, space.radius
+    keys = None
+    for kern in kernels:
+        steps = np.array(list(kern.stencil), dtype=np.int64).reshape(-1, d)
+        found = {g.tobytes(): g for g in
+                 _symmetry_generators(steps, np.array(list(kern.stencil.values())))}
+        keys = found if keys is None else {k: g for k, g in keys.items() if k in found}
+    width = 2 * R + 1
+    y = np.indices((width,) * d).reshape(d, -1).T - R
+    nmark = space.size // len(y)
+    perms = []
+    for g in keys.values():
+        lattice = np.ravel_multi_index(tuple((y @ g + R).T), (width,) * d)
+        perm = (lattice[:, None] * nmark + np.arange(nmark)).ravel()
+        if (np.array_equal(model.death[perm], model.death)
+                and np.array_equal(space.weights[perm], space.weights)):
+            perms.append(perm)
+    return tuple(perms)
 
 
 def kernel_matrix(kern: Kernel | None, space: StateSpace) -> np.ndarray:

@@ -20,6 +20,7 @@ import numpy as np
 from . import metrics
 from .criticality import TransformedModel
 from .errors import ModelError
+from .model import _unique
 
 __all__ = [
     "EventLog",
@@ -92,7 +93,7 @@ def sample_poisson_initial(tm: TransformedModel, rho: float,
 
 def snapshot_grid(T: float, snapshot_times) -> np.ndarray:
     """Sorted distinct snapshot times: at least one, each finite and in [0, T]."""
-    grid = np.unique(np.asarray(snapshot_times, dtype=float))
+    grid = _unique(np.asarray(snapshot_times, dtype=float))
     if not (np.isfinite(T) and T >= 0):
         raise ModelError(f"the horizon T = {T} must be finite and non-negative")
     if grid.size == 0:

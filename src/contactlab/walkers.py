@@ -50,6 +50,7 @@ import numpy as np
 from . import metrics
 from .criticality import MASS_TOL, TransformedModel, theta_kernel
 from .errors import ModelError
+from .model import _symmetry_generators, _unique
 
 __all__ = [
     "TransienceReport",
@@ -258,7 +259,7 @@ def _skeleton_hits(walk: LatticeWalk, codes: np.ndarray, probs: np.ndarray, repl
     cdf = np.cumsum(law)
     cdf /= cdf[-1]
     hashed = _support_hash(support)
-    reach_table, reach_bits = _support_hash(np.unique(support[:, None] - np.unique(prefix)))
+    reach_table, reach_bits = _support_hash(_unique(support[:, None] - _unique(prefix)))
 
     def close(block, total):
         metrics.count("walkers.support_hits", total)
@@ -488,35 +489,16 @@ def _geometric_checkpoints(T: float):
     return cps
 
 
-def _symmetry_generators(steps: np.ndarray, step_probs: np.ndarray) -> list:
-    """The single-axis reflections and axis transpositions that each map the
-    step law onto itself exactly, as (d, d) signed permutation matrices."""
-    d = steps.shape[1]
-    on = step_probs != 0
-    law = dict(zip(map(tuple, steps[on].tolist()), step_probs[on]))
-    candidates = []
-    for i in range(d):
-        g = np.eye(d, dtype=np.int64)
-        g[i, i] = -1
-        candidates.append(g)
-        for j in range(i + 1, d):
-            g = np.eye(d, dtype=np.int64)
-            g[[i, j]] = g[[j, i]]
-            candidates.append(g)
-    return [g for g in candidates
-            if dict(zip(map(tuple, (steps[on] @ g).tolist()), step_probs[on])) == law]
-
-
 def _orbit(u, generators) -> np.ndarray:
     """Sorted lattice codes of the orbit of the point u under the group that
     the ``generators`` generate."""
     orbit = np.asarray(u, dtype=np.int64).reshape(1, -1)
     while True:
-        grown = np.unique(np.concatenate([orbit] + [orbit @ g for g in generators]),
-                          axis=0)
-        if len(grown) == len(orbit):
-            return np.unique(_lattice_code(orbit))
-        orbit = grown
+        grown = np.concatenate([orbit] + [orbit @ g for g in generators])
+        codes, first = np.unique(_lattice_code(grown), return_index=True)
+        if len(codes) == len(orbit):
+            return codes
+        orbit = grown[first]
 
 
 def pair_integral_curves(walk: LatticeWalk, displacements, s0x, s0y, T: float,
@@ -570,7 +552,7 @@ def pair_integral_curves(walk: LatticeWalk, displacements, s0x, s0y, T: float,
     sx, sy = np.divmod(np.arange(M * M), M)
     table = walk.support_alpha * (walk.Q[sx, sy] / walk.q[sx])[:, None]
     # every distinct start's orbit-averaged table on one sorted code table
-    merged = np.unique(np.concatenate([(walk.support - o[:, None]).ravel() for o in orbits]))
+    merged = _unique(np.concatenate([(walk.support - o[:, None]).ravel() for o in orbits]))
     tables = np.zeros((len(orbits), M * M, len(merged)))
     for k, orbit in enumerate(orbits):
         for shift in orbit:
@@ -851,8 +833,8 @@ def _nearest_neighbour(steps, probs) -> bool:
     on = probs != 0
     unit = np.eye(steps.shape[1], dtype=np.int64)
     return bool(on.sum() == len(unit) * 2 and (probs[on] == probs[on][0]).all()
-                and np.array_equal(np.unique(steps[on], axis=0),
-                                   np.unique(np.concatenate([unit, -unit]), axis=0)))
+                and set(map(tuple, steps[on].tolist()))
+                == set(map(tuple, np.concatenate([unit, -unit]).tolist())))
 
 
 # the most terms _point_law forms at once (8 MiB of float64)
@@ -978,7 +960,9 @@ def convolution_bound_check(alpha, d: int, n_max: int) -> dict:
     else:
         sups, _, _ = _convolution(alpha, d, n_max)
     scaled = sups * n ** (d / 2.0)
-    med = float(np.median(scaled))
+    # np.median's arithmetic on the sorted values, without its np.ma test
+    ordered = np.sort(scaled)
+    med = float((ordered[(n_max - 1) // 2] + ordered[n_max // 2]) / 2)
     return {
         "n": n, "sup": sups, "scaled": scaled,
         "max_over_median": float(scaled.max() / med),

@@ -5,9 +5,10 @@ pointwise lookups of a point's index, of a walk's stencil and of b; and
 the skeleton walk stepped one step at a time from the same group draws;
 the scalar single-trajectory contact process, which picks each event by its
 destination, against the particle-attributed ``run_replicas``; the
-residual of the jump-extended balance condition; the hierarchy operator
-Lhat_n and its semigroup, applied axis by axis, and the distance of the
-evolved hierarchy from its stationary solution; the heat-bound values
+residual of the jump-extended balance condition; the sorted-index cells of
+a tensor by ``np.sort``; the hierarchy operator Lhat_n and its semigroup,
+applied axis by axis, and the distance of the evolved hierarchy from its
+stationary solution; the heat-bound values
 credited at every grid time and skeleton step; the skeleton sums credited
 hit by hit, with a take and a product per mark; and the iterated
 convolution unfolded onto its full window."""
@@ -468,6 +469,14 @@ def jump_criticality_residual(model: RateModel, space: StateSpace,
     inflow = (A + J) @ (psi * space.weights)
     outflow = (model.death + J.T @ space.weights) * psi
     return float(np.abs(inflow - outflow).max())
+
+
+def sorted_index_cells(n: int, size: int) -> np.ndarray:
+    """The C-order flat index of each cell of an order-n tensor over ``size``
+    points with its indices sorted ascending, by ``np.sort`` of every index
+    (the symmetrization rule of artifact version 0.25.0)."""
+    cells = np.sort(np.indices((size,) * n).reshape(n, -1), axis=0)
+    return np.ravel_multi_index(tuple(cells), (size,) * n)
 
 
 def apply_Lhat(n: int, tm: TransformedModel, k: np.ndarray) -> np.ndarray:

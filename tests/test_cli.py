@@ -313,18 +313,46 @@ class TestExitCodes:
                                                "N": 2, "T": 0.5, "dt": 0.05})
         assert code == expect
 
+    def test_oversized_stationary_level_exits_2(self, tmp_path, monkeypatch):
+        # n = 4 on the 343-point Z^3 window once asked np.zeros for 343^4
+        # entries (103 GiB) in source_f; the level's size^n entries are
+        # checked against hierarchy.STATIONARY_CAP before calibrating
+        monkeypatch.setattr(cli, "calibrate", _no_calibration)
+        window = {**LATTICE_MODEL, "space": {**LATTICE_MODEL["space"], "R": 3}}
+        tracemalloc.start()
+        try:
+            code, _ = run_cli(tmp_path, "stationary", {"model": window, "rho": 0.1, "n": 4})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("cap, expect", [(9, 0), (8, 2)])
+    def test_stationary_level_cap_boundary(self, tmp_path, monkeypatch, cap, expect):
+        # level 2 on the three-point Z^1 window: 3^2 entries
+        from contactlab import hierarchy
+        monkeypatch.setattr(hierarchy, "STATIONARY_CAP", cap)
+        window = {**LATTICE_MODEL, "space": {**LATTICE_MODEL["space"], "d": 1}}
+        code, _ = run_cli(tmp_path, "stationary", {"model": window, "rho": 0.5})
+        assert code == expect
+
 
 # run in a fresh process: the argv lists of the commands that must not
-# import scipy, then of those that load it on demand; prints their exit codes
-# and the scipy modules loaded after each group
+# import scipy, then of those that load it on demand; prints their exit codes,
+# whether numpy.ma is loaded after the import and after each command, and the
+# scipy modules loaded after each group
 _SCIPY_GUARD = """
 import json, sys
 from contactlab.cli import main
 groups = json.loads(sys.argv[1])
-out = {}
+out = {"numpy.ma": "numpy.ma" in sys.modules}
 for name in ("without", "with"):
-    codes = [main(argv) for argv in groups[name]]
-    out[name] = {"codes": codes,
+    codes, masked = [], []
+    for argv in groups[name]:
+        codes.append(main(argv))
+        masked.append("numpy.ma" in sys.modules)
+    out[name] = {"codes": codes, "numpy.ma": masked,
                  "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}
 print(json.dumps(out))
 """
@@ -332,7 +360,9 @@ print(json.dumps(out))
 
 def test_commands_load_scipy_only_when_they_need_it(tmp_path):
     # scipy is imported only by the Schur solve of a non-reversible kernel and
-    # by expm_multiply (N >= 3 here); every other command runs without it
+    # by expm_multiply (N >= 3 here); every other command runs without it.
+    # numpy.ma (which a plain np.unique loads) is loaded by no command
+    # without scipy, and scipy loads it itself
     window = {**LATTICE_MODEL, "space": {**LATTICE_MODEL["space"], "d": 2}}
     symmetric_dense = {"space": {"type": "finite", "points": [0, 1, 2],
                                  "weights": [0.5, 1.0, 2.0]},
@@ -346,6 +376,9 @@ def test_commands_load_scipy_only_when_they_need_it(tmp_path):
                     ("simulate", {"model": FINITE_MODEL, "rho": 0.5, "replicas": 100}, 1, 0),
                     ("transience", {"model": LATTICE_MODEL, "T": 5, "replicas": 200}, 1, 0),
                     ("verify-lemmas", {"model": MARKED_MODEL, "replicas": 200}, 1, 0),
+                    ("verify-lemmas", {"model": drift_window, "replicas": 200}, 1, 0),
+                    ("verify-bounds", {"model": LATTICE_MODEL, "rho": 0.1, "T": 5,
+                                       "replicas": 200}, 1, 3),
                     ("stationary", {"model": window, "rho": 0.5}, None, 0),
                     ("stationary", {"model": symmetric_dense, "rho": 0.5}, None, 3),
                     ("evolve", {"model": window, "rho": 0.5, "N": 2, "T": 0.5}, None, 0)],
@@ -367,7 +400,10 @@ def test_commands_load_scipy_only_when_they_need_it(tmp_path):
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
-    assert out["without"] == {"codes": expected["without"], "scipy": []}
+    assert out["numpy.ma"] is False
+    assert out["without"] == {"codes": expected["without"],
+                              "numpy.ma": [False] * len(expected["without"]),
+                              "scipy": []}
     assert out["with"]["codes"] == expected["with"]
     assert "scipy.linalg" in out["with"]["scipy"]
 

@@ -1,5 +1,6 @@
 """Correlation hierarchy: operators, evolution, stationary solutions."""
 
+import dataclasses
 import itertools
 import json
 
@@ -17,8 +18,8 @@ from contactlab.hierarchy import (_augmented_generator, bound_constant_D,
                                   stationary_k, stationary_pair_mc)
 from contactlab.model import Kernel, RateModel, build_space
 
-from conftest import lattice_model, random_finite_model
-from reference import apply_Lhat, convergence_check, semigroup_apply
+from conftest import lattice_model, marked_model, nearest_stencil, random_finite_model
+from reference import apply_Lhat, convergence_check, semigroup_apply, sorted_index_cells
 from contactlab.walkers import lattice_walk, pair_integral_curves, pair_limit
 
 
@@ -619,3 +620,197 @@ class TestPairCorrelationMC:
             gap_se = max(0.2 * c.gap_stderr for c in mc.curves.values())
             assert rep["threshold"] == 3 * (mc.stderr.max() + gap_se)
             assert rep["converged"] is expect
+
+
+def _window(d, R, boundary="unbounded", stencil=None, death=None):
+    """A Z^d window model: nearest-neighbour unless ``stencil`` is given,
+    death 1 unless ``death`` maps the lattice coordinates (P, d) to rates."""
+    space = build_space({"type": "lattice", "d": d, "R": R, "boundary": boundary})
+    x = np.array(space.points)
+    V = np.ones(space.size) if death is None else death(x)
+    return space, RateModel(birth=Kernel("stencil", stencil=stencil or nearest_stencil(d)),
+                            death=V)
+
+
+def _critical(space, model):
+    """The calibrated transformed model of ``model`` on ``space``."""
+    return calibrate(model, space)[0]
+
+
+def _subcritical(tm):
+    """``tm`` with half its birth kernel: a stationary solution exists on a
+    periodic window too, and the window symmetries are kept."""
+    return dataclasses.replace(tm, b=tm.b * 0.5)
+
+
+def _symmetric_cases():
+    """Calibrated windows with exact symmetries: unbounded and periodic Z^1,
+    Z^2, Z^3 (the periodic ones with a death rate that varies with |x|^2, so
+    that psi is a per-point solve), and a product window."""
+    radial = lambda x: 1.0 + 0.1 * (x ** 2).sum(axis=1)   # noqa: E731
+    cases = {}
+    for d, R in ((1, 3), (2, 2), (3, 1)):
+        cases[f"Z{d} unbounded"] = _window(d, R)
+        cases[f"Z{d} periodic"] = _window(d, R, "periodic", death=radial)
+    cases["product"] = marked_model(Q=[[2.0, 1.0], [1.0, 2.0]], v=[1.0, 3.0], d=2, R=1)
+    return {name: _subcritical(calibrate(model, space)[0])
+            if space.boundary == "periodic" else calibrate(model, space)[0]
+            for name, (space, model) in cases.items()}
+
+
+SYMMETRIC = _symmetric_cases()
+
+
+def _old_rule(monkeypatch):
+    """Make the hierarchy symmetrize by the sorted-index rule of 0.25.0."""
+    monkeypatch.setattr(hierarchy, "_canonical_cells",
+                        lambda n, size, generators=(): sorted_index_cells(n, size))
+
+
+def _outputs(tm):
+    """Stationary k_2, k_3 and evolved k_1, k_2 (N = 1 and N = 2) of ``tm``
+    from Poisson data at rho = 0.3."""
+    times = np.linspace(0.0, 1.0, 5)
+    out = [stationary_k(n, tm, 0.3) for n in (2, 3)]
+    for N in (1, 2):
+        res = evolve_hierarchy(tm, [poisson_initial(n, 0.3, tm.space)
+                                    for n in range(1, N + 1)], times)
+        out += [res[n][1] for n in range(1, N + 1)]
+    return out
+
+
+class TestWindowSymmetry:
+    @pytest.mark.parametrize("n, size", [(1, 5), (2, 1), (2, 7), (3, 6), (3, 49), (4, 5)])
+    def test_sorting_network_is_the_sorted_index(self, n, size):
+        # without window symmetries each cell maps to its sorted index, so
+        # outputs are those of the np.sort rule, byte for byte
+        assert np.array_equal(hierarchy._canonical_cells(n, size),
+                              sorted_index_cells(n, size))
+
+    @pytest.mark.parametrize("name", ["Z1 unbounded", "Z2 periodic", "Z3 unbounded",
+                                      "product"])
+    def test_least_cell_of_each_orbit(self, name):
+        # brute force over every signed axis permutation, which all leave a
+        # nearest-neighbour window invariant: the least sorted image of a cell
+        tm = SYMMETRIC[name]
+        space, d = tm.space, tm.space.dim
+        group = []
+        for axes in itertools.permutations(range(d)):
+            for signs in itertools.product((1, -1), repeat=d):
+                def image(p):
+                    xi = tuple(signs[i] * space.coordinate(p)[axes[i]] for i in range(d))
+                    return (xi, p[1]) if space.structure == "product" else xi
+                group.append([space.points.index(image(p)) for p in space.points])
+        size = space.size
+        for n in (1, 2, 3) if size < 20 else (1, 2):
+            expect = [min(np.ravel_multi_index(sorted(h[c] for c in cell), (size,) * n)
+                          for h in group)
+                      for cell in itertools.product(range(size), repeat=n)]
+            got = hierarchy._canonical_cells(n, size, tm.symmetries)
+            assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC))
+    def test_outputs_exactly_invariant(self, name):
+        # stationary k_2, k_3 and evolved k_1, k_2, under every detected
+        # symmetry (the generators of the group) and index permutation
+        tm = SYMMETRIC[name]
+        assert len(tm.symmetries) == tm.space.dim * (tm.space.dim + 1) // 2
+        k2, k3, *evolved = _outputs(tm)
+        for g in tm.symmetries:
+            assert np.array_equal(k2, k2[np.ix_(g, g)])
+            assert np.array_equal(k3, k3[np.ix_(g, g, g)])
+            for k in evolved:
+                assert np.array_equal(k, k[(slice(None),) + np.ix_(*[g] * (k.ndim - 1))])
+        for k in (k2, k3):
+            for perm in itertools.permutations(range(k.ndim)):
+                assert np.array_equal(k, k.transpose(perm))
+        assert np.array_equal(evolved[-1], evolved[-1].transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC))
+    def test_values_move_at_rounding_level(self, name, monkeypatch):
+        new = _outputs(SYMMETRIC[name])
+        _old_rule(monkeypatch)
+        for a, b in zip(new, _outputs(SYMMETRIC[name])):
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+    def test_sublattice_splitting_stencil(self, monkeypatch):
+        # steps of +-2 e_i split the window into sublattices that never
+        # meet; the symmetrized values stay within 1e-12 of the solves
+        stencil = {(2, 0): 0.25, (-2, 0): 0.25, (0, 2): 0.25, (0, -2): 0.25}
+        tm = _critical(*_window(2, 3, stencil=stencil))
+        assert len(tm.symmetries) == 3
+        new = _outputs(tm)
+        _old_rule(monkeypatch)
+        for a, b in zip(new, _outputs(tm)):
+            assert (np.abs(a - b) <= 1e-12 * np.abs(b)).all()
+
+    @pytest.mark.parametrize("case", ["drift", "death"])
+    def test_models_without_symmetry_keep_their_bytes(self, case, monkeypatch):
+        # a drifting stencil and a death rate that no symmetry keeps: no
+        # window symmetry, and the bytes of the 0.25.0 rule
+        if case == "drift":
+            tm = _critical(*_window(1, 3, stencil={(1,): 0.75, (-1,): 0.25}))
+        else:
+            rng = np.random.default_rng(71)
+            space, model = _window(2, 2, "periodic",
+                                   death=lambda x: 1.0 + 0.2 * rng.random(len(x)))
+            tm = _subcritical(calibrate(model, space)[0])
+        assert tm.symmetries == ()
+        new = _outputs(tm)
+        _old_rule(monkeypatch)
+        for a, b in zip(new, _outputs(tm)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_wide_windows_keep_the_sorted_index(self, monkeypatch):
+        # above CLOSED_FORM_POINTS the canonical cells ignore the symmetries:
+        # the bytes of the 0.25.0 rule
+        tm = _critical(*_window(1, 3))
+        new = stationary_k(3, tm, 0.3)
+        monkeypatch.setattr(hierarchy, "CLOSED_FORM_POINTS", 6)
+        wide = stationary_k(3, tm, 0.3)
+        assert wide.tobytes() != new.tobytes()
+        _old_rule(monkeypatch)
+        assert stationary_k(3, tm, 0.3).tobytes() == wide.tobytes()
+
+    def test_evolve_keeps_only_symmetries_of_the_data(self):
+        # initial k_1 invariant under the x reflection only: k_1(t) and
+        # k_2(t) keep that one, and match the exact evolution
+        tm = _critical(*_window(2, 2))
+        x = np.array(tm.space.points)
+        k0 = [0.3 + 0.01 * x[:, 1] + 0.001 * x[:, 0] ** 2, np.full((25, 25), 0.09)]
+        times = [0.0, 0.4, 1.0]
+        res = evolve_hierarchy(tm, k0, times)
+        M = augmented_matrix(tm, 2)
+        z0 = np.concatenate([k.ravel() for k in k0])
+        flip = [tm.space.points.index((-a, b)) for a, b in tm.space.points]
+        for i, t in enumerate(times):
+            got = np.concatenate([res[1][1][i], res[2][1][i].ravel()])
+            assert np.abs(got - expm(t * M) @ z0).max() <= 1e-12
+            assert np.array_equal(res[1][1][i], res[1][1][i][flip])
+        assert not np.array_equal(res[1][1][-1], res[1][1][-1][::-1])
+
+
+class TestProductWindow:
+    @pytest.mark.parametrize("Q", [[[2.0, 1.0], [1.0, 2.0]], [[2.0, 1.0], [0.5, 2.0]]])
+    def test_stationary_matches_kronecker_sum_solve(self, Q):
+        # an unbounded product window (Z^1, R = 2, two marks): a symmetric Q
+        # is reversible (eigenbasis), another takes the Schur solve
+        space, model = marked_model(Q=Q, v=[1.0, 3.0], d=1, R=2)
+        tm, _, _ = calibrate(model, space)
+        assert tm.reversible == (Q[0][1] == Q[1][0]) and len(tm.symmetries) == 1
+        G = generator_matrix(tm)
+        k = stationary_k(1, tm, 0.4)
+        for n in (2, 3):
+            f = source_f(n, tm, k)
+            k = stationary_k(n, tm, 0.4)
+            oracle = -np.linalg.solve(kron_sum_matrix(G, n), f.ravel())
+            assert np.abs(k - 0.4 ** n - oracle.reshape(f.shape)).max() <= 1e-10
+
+
+def test_stationary_level_cap(monkeypatch):
+    # size^n entries: 3^2 on the Z^1 window R = 1; a larger level is refused
+    tm = _critical(*_window(1, 1))
+    monkeypatch.setattr(hierarchy, "STATIONARY_CAP", 9)
+    stationary_k(2, tm, 0.5)
+    with pytest.raises(ModelError, match="STATIONARY_CAP"):
+        stationary_k(3, tm, 0.5)

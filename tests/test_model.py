@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from contactlab.errors import ModelError, SpaceError
-from contactlab.model import (Kernel, RateModel, build_space, kernel_matrix,
-                              model_from_dict)
+from contactlab.model import (Kernel, RateModel, _unique, build_space, kernel_matrix,
+                              model_from_dict, window_symmetries)
 
 from conftest import nearest_stencil
 from reference import locate
@@ -172,6 +172,71 @@ class TestValidateModel:
                           "boundary": "periodic"})
         K = kernel_matrix(Kernel("stencil", stencil=nearest_stencil(3)), sp)
         assert np.allclose(K.T @ sp.weights, 1.0)
+
+
+class TestWindowSymmetries:
+    """The exact symmetries of a model on its window, as point permutations."""
+
+    @staticmethod
+    def symmetries(stencil, d=2, R=2, boundary="unbounded", death=None, jump=None):
+        space = build_space({"type": "lattice", "d": d, "R": R, "boundary": boundary})
+        V = np.ones(space.size) if death is None else death(np.array(space.points))
+        model = RateModel(birth=Kernel("stencil", stencil=stencil), death=V,
+                          jump=None if jump is None else Kernel("stencil", stencil=jump))
+        return space, window_symmetries(model, space)
+
+    def test_each_permutation_keeps_the_kernel_and_death(self):
+        # the kernel matrix and the death rates are invariant, entry by entry
+        stencil = {(1, 0): 0.2, (-1, 0): 0.2, (0, 1): 0.2, (0, -1): 0.2, (1, 1): 0.1,
+                   (-1, -1): 0.1, (1, -1): 0.1, (-1, 1): 0.1}
+        death = lambda x: 1.0 + np.abs(x).sum(axis=1)   # noqa: E731
+        for boundary in ("unbounded", "periodic"):
+            space, perms = self.symmetries(stencil, boundary=boundary, death=death)
+            assert len(perms) == 3
+            A = kernel_matrix(Kernel("stencil", stencil=stencil), space)
+            V = death(np.array(space.points))
+            for g in perms:
+                assert sorted(g) == list(range(space.size))
+                assert np.array_equal(A[np.ix_(g, g)], A) and np.array_equal(V[g], V)
+
+    @pytest.mark.parametrize("stencil, death, jump, count", [
+        (nearest_stencil(2), None, None, 3),
+        # each axis its own rate: the reflections only
+        ({(1, 0): 0.3, (-1, 0): 0.3, (0, 1): 0.2, (0, -1): 0.2}, None, None, 2),
+        # a drift along x: the y reflection only
+        ({(1, 0): 0.3, (-1, 0): 0.1, (0, 1): 0.2, (0, -1): 0.2}, None, None, 1),
+        # a death rate that grows along x
+        (nearest_stencil(2), lambda x: 2.0 + 0.1 * x[:, 0], None, 1),
+        # a jump kernel along x only keeps the reflections
+        (nearest_stencil(2), None, {(1, 0): 0.1, (-1, 0): 0.1}, 2),
+    ])
+    def test_generators_kept(self, stencil, death, jump, count):
+        _, perms = self.symmetries(stencil, death=death, jump=jump)
+        assert len(perms) == count
+
+    def test_product_window_keeps_marks(self):
+        space = build_space({"type": "product", "d": 1, "R": 2, "boundary": "unbounded",
+                             "marks": ["A", "B"], "nu": [0.5, 1.5]})
+        model = RateModel(birth=Kernel("factorized", stencil=nearest_stencil(1),
+                                       Q=[[2.0, 1.0], [1.0, 2.0]]),
+                          death=np.tile([1.0, 3.0], 5))
+        [g] = window_symmetries(model, space)
+        assert [space.points[i] for i in g] == [((-x,), s) for (x,), s in space.points]
+
+    def test_none_off_the_lattice_or_for_dense_kernels(self):
+        finite = build_space({"type": "finite", "points": [0, 1]})
+        dense = RateModel(birth=Kernel("dense", matrix=np.ones((2, 2))), death=np.ones(2))
+        assert window_symmetries(dense, finite) == ()
+        window = build_space({"type": "lattice", "d": 1, "R": 1})
+        dense = RateModel(birth=Kernel("dense", matrix=np.ones((3, 3))), death=np.ones(3))
+        assert window_symmetries(dense, window) == ()
+
+
+@pytest.mark.parametrize("a", [np.array([], dtype=np.int64), np.array([3, 1, 3, -2, 1]),
+                               np.random.default_rng(72).integers(-40, 40, (30, 7)),
+                               np.array([0.5, 2.0, 0.5, 1.0])])
+def test_unique_is_np_unique(a):
+    assert np.array_equal(_unique(a), np.unique(a))
 
 
 class TestModelFromDict:
