@@ -34,9 +34,9 @@ import numpy.random  # noqa: F401
 from . import __version__, metrics
 from .criticality import calibrate, theta_kernel
 from .errors import ConfigError, ContactLabError, DivergenceError, ModelError
-from .hierarchy import (EVOLVE_CAP, check_level, check_trajectory, evolve_hierarchy,
-                        factorial_bound_check, poisson_initial, stationary_k,
-                        stationary_pair_mc)
+from .hierarchy import (EVOLVE_CAP, _canonical_cells, check_level, check_trajectory,
+                        evolve_hierarchy, factorial_bound_check, poisson_initial,
+                        stationary_k, stationary_pair_mc)
 from .model import model_from_dict
 from .simulator import MIN_REPLICAS, empirical_correlations, run_replicas, snapshot_grid
 from .walkers import (_nearest_neighbour, convolution_bound_check, estimate_H,
@@ -113,17 +113,28 @@ def _index_fields(n: int, size: int, width: int | None = None) -> list:
     return cols + [np.zeros(size ** n, "S1")] * ((width or n) - n)
 
 
-def _format_floats(a) -> np.ndarray:
+def _format_floats(a, cells=None) -> np.ndarray:
     """``.17g`` byte strings of the floats of ``a`` in C order, as an
     ``S`` array.  Each distinct bit pattern is formatted once (so -0 stays
-    apart from 0), and every cell holding it takes that string."""
-    bits = np.ascontiguousarray(a, dtype=np.float64).view(np.int64).ravel()
-    uniq, inverse = np.unique(bits, return_inverse=True)
+    apart from 0), and every cell holding it takes that string.  Where ``a``
+    takes at every cell of its trailing axes the value at the cell that
+    ``cells`` maps it to (``hierarchy._canonical_cells``), only the values at
+    those cells are sorted.  The strings are totalled as the value
+    ``write.values_formatted``."""
+    bits = np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+    rows = None if cells is None else bits.reshape(-1, cells.size)
+    if rows is not None and np.array_equal(rows[:, cells], rows):
+        rep = cells == np.arange(cells.size)
+        uniq, inverse = np.unique(rows[:, rep], return_inverse=True)
+        inverse = inverse.reshape(len(rows), -1)[:, (np.cumsum(rep) - 1)[cells]]
+    else:
+        uniq, inverse = np.unique(bits, return_inverse=True)
+    metrics.add("write.values_formatted", uniq.size)
     vals = tuple(uniq.view(np.float64).tolist())
     # one %-format over all of them: the conversion of format(v, ".17g"),
     # without a Python call per value
     strs = (b"%.17g\n" * len(vals) % vals).split(b"\n")[:-1]
-    return np.array(strs, dtype="S")[inverse]
+    return np.array(strs, dtype="S")[inverse.ravel()]
 
 
 def _tensor_rows(lead: tuple, index: list, *cols) -> list:
@@ -338,8 +349,16 @@ def cmd_transience(cfg, run: Run, rng, space, model):
     return EXIT_OK
 
 
+def _no_jumps(command: str, model) -> None:
+    """The correlation hierarchy has no jump term: refuse a jump kernel."""
+    if model.jump is not None:
+        raise ModelError(f"{command} solves the correlation hierarchy, which has no "
+                         "jump term: a model with a jump kernel is not supported")
+
+
 def cmd_evolve(cfg, run: Run, rng, space, model):
     rho, N, T = float(cfg["rho"]), cfg["N"], float(cfg["T"])
+    _no_jumps("evolve", model)
     # the evolution is exact: dt only spaces the output times (T = 0 has one);
     # a grid over EVOLVE_CAP entries is refused before anything is allocated
     steps = max(round(min(T / float(cfg["dt"]), EVOLVE_CAP)), 1) if T > 0 else 0
@@ -351,7 +370,7 @@ def cmd_evolve(cfg, run: Run, rng, space, model):
         with metrics.phase("write"):
             index = _index_fields(n, space.size)
             # one call over the trajectory: values repeated across times share a string
-            values = _format_floats(traj)
+            values = _format_floats(traj, _canonical_cells(n, space.size, tm.symmetries))
             m = len(index[0])
             blocks = []
             for i, t in enumerate(times):
@@ -371,7 +390,8 @@ def cmd_stationary(cfg, run: Run, rng, space, model):
     elif backend != "dense":
         raise ConfigError(f"unknown backend {backend!r}: use 'dense' or 'montecarlo'")
     else:
-        # a level over STATIONARY_CAP entries is refused before calibrating
+        # a jump kernel or a level over STATIONARY_CAP entries is refused first
+        _no_jumps("dense stationary", model)
         check_level(n, space.size)
     tm, _, _ = calibrate(model, space)
     try:
@@ -397,7 +417,8 @@ def cmd_stationary(cfg, run: Run, rng, space, model):
             run.write_csv(f"stationary_k{n}.csv",
                           [f"x{i + 1}" for i in range(n)] + ["value"],
                           _tensor_rows((), _index_fields(n, space.size),
-                                       _format_floats(k)))
+                                       _format_floats(k, _canonical_cells(
+                                           n, space.size, tm.symmetries))))
     run.checks["stationary_converged"] = True
     return EXIT_OK
 

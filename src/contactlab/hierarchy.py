@@ -149,19 +149,20 @@ def _apply_each_axis(M: np.ndarray, k: np.ndarray) -> np.ndarray:
     return k
 
 
-def _sorted_cells(points: list, size: int) -> np.ndarray:
-    """The C-order flat index of each cell ``points`` (n index arrays that
-    broadcast together) with its indices sorted ascending, by a bubble
-    network of compare-swaps."""
-    x = list(points)
-    for top in range(len(x) - 1, 0, -1):
-        for i in range(top):
-            x[i], x[i + 1] = np.minimum(x[i], x[i + 1]), np.maximum(x[i], x[i + 1])
-    flat = x[0].astype(np.intp)   # the last swaps leave x[0] full-shaped
-    for xi in x[1:]:
-        flat *= size
-        flat += xi
-    return flat.ravel()
+def _point_group(generators: np.ndarray, size: int) -> np.ndarray:
+    """Every point permutation that the rows of ``generators`` generate, one
+    per row, the identity first; the identity alone when they number more
+    than ``SYMMETRY_CAP`` entries in all."""
+    elements = [np.arange(size, dtype=generators.dtype)]
+    seen = {elements[0].tobytes()}
+    for h in elements:   # grows while it is read: a breadth-first closure
+        for x in generators.take(h, axis=1):
+            if x.tobytes() not in seen:
+                seen.add(x.tobytes())
+                elements.append(x)
+        if len(elements) * size > SYMMETRY_CAP:
+            return np.array(elements[:1])
+    return np.array(elements)
 
 
 def _canonical_cells(n: int, size: int, generators=()) -> np.ndarray:
@@ -170,33 +171,58 @@ def _canonical_cells(n: int, size: int, generators=()) -> np.ndarray:
     indices and under the group of point permutations that ``generators``
     (index arrays) generate, each acting on all n indices at once.  A
     tensor that takes at each cell its value at that index is exactly
-    invariant under both.
+    invariant under both.  Computed once per order, size and generators
+    (the solvers and the CSV writer share it), and read-only.
 
-    Sorting a cell's indices gives the least cell of its orbit under the
-    index permutations (``_sorted_cells``, on broadcast index arrays of the
-    smallest integer type).  Over the sorted cells, each generator maps a
-    cell to the sorted image of its points, and the least flat index is
-    carried along these maps until no cell changes: the least of its orbit.
+    The group is enumerated (``_point_group``: 48 elements on Z^3, none but
+    the identity past ``SYMMETRY_CAP``).  Along a
+    stabilizer chain (Butler, *Fundamental Algorithms for Permutation
+    Groups*, 1991) a cell's least image with its indices in their given
+    order takes for each index in turn the least point of its current
+    image's orbit under the stabilizer of the points placed so far, and an
+    element that reaches it moves the indices still to place.  The least
+    over the orders of the indices is the least over the axis permutations
+    that a bubble network of adjacent axis swaps composes.
     """
-    axes = np.arange(size, dtype=np.min_scalar_type(size - 1))
-    cells = _sorted_cells([axes.reshape((size,) + (1,) * (n - 1 - i)) for i in range(n)],
-                          size)
-    if not generators:
-        return cells
-    sorted_ = np.flatnonzero(cells == np.arange(cells.size))
-    points = np.unravel_index(sorted_, (size,) * n)
-    # the position among the sorted cells of each sorted cell's flat index
-    position = np.empty_like(cells)
-    position[sorted_] = np.arange(sorted_.size)
-    images = [position[_sorted_cells([g[p] for p in points], size)] for g in generators]
-    least = sorted_.copy()
-    while True:
-        before = least.copy()
-        for image in images:
-            np.minimum(least, least[image], out=least)
-        if np.array_equal(least, before):
-            position[sorted_] = least   # now the least cell of each orbit
-            return position[cells]
+    return _orbit_map(n, size, tuple(np.asarray(g, np.intp).tobytes()
+                                     for g in generators))
+
+
+@lru_cache(maxsize=8)
+def _orbit_map(n: int, size: int, generators: tuple) -> np.ndarray:
+    """``_canonical_cells`` of the generators given as bytes of intp arrays."""
+    point = np.min_scalar_type(size - 1)
+    group = _point_group(np.array([np.frombuffer(g, np.intp) for g in generators],
+                                  point).reshape(-1, size), size)
+    # an element index below each image point: one minimum picks both
+    shift = (len(group) - 1).bit_length()
+    packed = group.astype(np.intp) << shift | np.arange(len(group))[:, None]
+    # the image of each index under the element placed so far, and the flat
+    # index of the least points placed, as broadcast arrays
+    image = [np.arange(size, dtype=point).reshape((size,) + (1,) * (n - 1 - i))
+             for i in range(n)]
+    placed = np.zeros((1,) * n, np.intp)
+    for j in range(n):
+        prefixes = np.flatnonzero(np.bincount(placed.ravel(), minlength=size ** j))
+        stabilizer = np.ones((prefixes.size, len(group)), bool)
+        for i in range(j):
+            c = prefixes // size ** (j - 1 - i) % size
+            stabilizer &= (group[:, c] == c).T
+        # the least packed image of each point under each prefix's stabilizer
+        row, element = np.nonzero(stabilizer)
+        starts = np.flatnonzero(np.diff(row, prepend=-1))
+        least = np.minimum.reduceat(packed[element], starts)
+        best = least.ravel().take(np.searchsorted(prefixes, placed) * size + image[j])
+        if j + 1 < n:
+            moved = (best & ((1 << shift) - 1)) * size
+            image[j + 1:] = [group.ravel().take(moved + x) for x in image[j + 1:]]
+        placed = placed * size + (best >> shift)
+    for top in range(n - 1, 0, -1):
+        for i in range(top):
+            placed = np.minimum(placed, placed.swapaxes(i, i + 1))
+    cells = placed.ravel()
+    cells.flags.writeable = False
+    return cells
 
 
 def _eigenbasis(tm: TransformedModel):
@@ -252,11 +278,14 @@ EVOLVE_CAP = 1 << 24
 STATIONARY_CAP = 1 << 24
 # the closed-form level 2 holds (size, size, size) tables: the sources of the
 # modes and one per distinct step; above this many points expm_multiply of
-# the sparse generator is the smaller and the faster.  Up to this many points
-# the canonical cells also run over the window symmetries
+# the sparse generator is the smaller and the faster
 CLOSED_FORM_POINTS = 100
 # the closed form keeps the tables of this many distinct steps
 STEP_TABLES = 8
+# the most entries (elements x points) of an enumerated window symmetry group,
+# as on Z^5 at R = 1; the canonical cells of a window with a larger group
+# (Z^6, or Z^5 at R = 2) run over the index permutations alone
+SYMMETRY_CAP = 1 << 22
 
 
 def _check_entries(what: str, entries: int, cap: int, name: str) -> None:
@@ -278,12 +307,6 @@ def check_level(n: int, size: int) -> None:
     exceeds ``STATIONARY_CAP`` entries."""
     _check_entries(f"stationary level {n} over {size} points", size ** n,
                    STATIONARY_CAP, "STATIONARY_CAP")
-
-
-def _generators(tm: TransformedModel) -> tuple:
-    """The window symmetries of ``tm`` the canonical cells run over: all of
-    them on at most ``CLOSED_FORM_POINTS`` points, none above."""
-    return tm.symmetries if tm.space.size <= CLOSED_FORM_POINTS else ()
 
 
 def _evolve_expm_multiply(tm: TransformedModel, k0: list, times: np.ndarray) -> list:
@@ -336,7 +359,7 @@ def _evolve_eigenbasis(tm: TransformedModel, k0: list, times: np.ndarray) -> lis
     k1 = modes @ from_basis.T
     symmetric = len(k0) == 1 or np.array_equal(k0[1], k0[1].T)
     # the window symmetries that also leave the initial data invariant
-    generators = [g for g in _generators(tm) if np.array_equal(k0[0][g], k0[0])
+    generators = [g for g in tm.symmetries if np.array_equal(k0[0][g], k0[0])
                   and (len(k0) == 1 or np.array_equal(k0[1][np.ix_(g, g)], k0[1]))]
     if symmetric and generators:
         k1 = k1[:, _canonical_cells(1, len(lam), generators)]
@@ -491,8 +514,9 @@ def stationary_k(n: int, tm: TransformedModel, rho: float) -> np.ndarray:
     allocated on a level of more than ``STATIONARY_CAP`` entries
     (``check_level``).  Each level is exactly symmetric: an entry takes the
     solve's value at the least cell of its orbit under the index
-    permutations and, on at most ``CLOSED_FORM_POINTS`` points, the window
-    symmetries of the model (``_canonical_cells``).  Returns k_n, of shape
+    permutations and the window symmetries of the model
+    (``_canonical_cells``); the number of the last level's orbits is the
+    value ``stationary.orbits``.  Returns k_n, of shape
     ``(size,) * n``.  ``stationary_pair_mc`` estimates k_2 on unbounded
     lattices.
     """
@@ -516,8 +540,9 @@ def stationary_k(n: int, tm: TransformedModel, rho: float) -> np.ndarray:
         C = C / reduce(np.add.outer, [lam] * m) if tm.reversible else _kron_sum_solve(T, C)
         X = _apply_each_axis(from_basis, C).real
         # k_m is symmetric: every entry takes the value at its canonical cell
-        X = X.ravel()[_canonical_cells(m, len(X), _generators(tm))].reshape(X.shape)
-        k = X + float(rho) ** m
+        cells = _canonical_cells(m, len(X), tm.symmetries)
+        k = X.ravel()[cells].reshape(X.shape) + float(rho) ** m
+    metrics.record("stationary.orbits", np.count_nonzero(cells == np.arange(cells.size)))
     return k
 
 

@@ -2,8 +2,8 @@
 
 A recorder lives in a context variable.  ``recording()`` starts a fresh one
 (the CLI starts one per command and writes it to ``manifest.json``), and
-``count``, ``record`` and ``phase`` add to the recorder in effect; outside
-``recording()`` they do nothing.  ``phase`` is a context manager and a
+``count``, ``record``, ``add`` and ``phase`` add to the recorder in effect;
+outside ``recording()`` they do nothing.  ``phase`` is a context manager and a
 decorator; a phase's time includes that of the phases it encloses, and a
 phase entered inside one of the same name adds nothing.
 """
@@ -43,6 +43,13 @@ def record(name: str, value: float):
     rec = _recorder.get()
     if rec is not None:
         rec["values"][name] = float(value)
+
+
+def add(name: str, value: float):
+    """Add ``value`` to the value ``name``, a total over the recording."""
+    rec = _recorder.get()
+    if rec is not None:
+        rec["values"][name] = rec["values"].get(name, 0.0) + float(value)
 
 
 @contextmanager

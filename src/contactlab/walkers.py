@@ -381,9 +381,9 @@ def jump_count_law(v: np.ndarray, trans: np.ndarray, p0: np.ndarray, t_grid,
     whose window holds each event, and those whose window opens after it,
     are found for all events before the loop.  Each event
     moves only the band of counts with an entry above ``LAW_TRIM``.  The
-    events are counted in ``metrics`` as ``walkers.weight_terms``.  A law or
-    jump matrix of more than ``LAW_CAP`` entries is a ``ModelError`` before
-    it is allocated.
+    events are counted in ``metrics`` as ``walkers.weight_terms``.  A Poisson
+    table, law or jump matrix of more than ``LAW_CAP`` entries is a
+    ``ModelError`` before it is allocated.
     """
     v = np.asarray(v, dtype=float)
     p0 = np.atleast_2d(np.asarray(p0, dtype=float))
@@ -392,6 +392,9 @@ def jump_count_law(v: np.ndarray, trans: np.ndarray, p0: np.ndarray, t_grid,
     lam = float(v.max())
     L = lam * t_grid[order]
     top = int(np.ceil(L[-1] + 12.0 * np.sqrt(L[-1]) + 30.0))
+    if len(L) * (top + 1) > LAW_CAP:
+        raise ModelError(f"the Poisson weights of {len(L)} times to {top} events need "
+                         f"{len(L) * (top + 1)} entries, over LAW_CAP = {LAW_CAP}")
     j = np.arange(top + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         logw = (-L[:, None] + j * np.log(L[:, None])

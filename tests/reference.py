@@ -6,7 +6,8 @@ the skeleton walk stepped one step at a time from the same group draws;
 the scalar single-trajectory contact process, which picks each event by its
 destination, against the particle-attributed ``run_replicas``; the
 residual of the jump-extended balance condition; the sorted-index cells of
-a tensor by ``np.sort``; the hierarchy operator Lhat_n and its semigroup,
+a tensor by ``np.sort``, and the canonical cells by a fixpoint over the
+window symmetries' generators; the hierarchy operator Lhat_n and its semigroup,
 applied axis by axis, and the distance of the evolved hierarchy from its
 stationary solution; the heat-bound values
 credited at every grid time and skeleton step; the skeleton sums credited
@@ -477,6 +478,55 @@ def sorted_index_cells(n: int, size: int) -> np.ndarray:
     (the symmetrization rule of artifact version 0.25.0)."""
     cells = np.sort(np.indices((size,) * n).reshape(n, -1), axis=0)
     return np.ravel_multi_index(tuple(cells), (size,) * n)
+
+
+def _sorted_cells(points: list, size: int) -> np.ndarray:
+    """The C-order flat index of each cell ``points`` (n index arrays that
+    broadcast together) with its indices sorted ascending, by a bubble
+    network of compare-swaps."""
+    x = list(points)
+    for top in range(len(x) - 1, 0, -1):
+        for i in range(top):
+            x[i], x[i + 1] = np.minimum(x[i], x[i + 1]), np.maximum(x[i], x[i + 1])
+    flat = x[0].astype(np.intp)   # the last swaps leave x[0] full-shaped
+    for xi in x[1:]:
+        flat *= size
+        flat += xi
+    return flat.ravel()
+
+
+def fixpoint_canonical_cells(n: int, size: int, generators=()) -> np.ndarray:
+    """The canonical-cell map of artifact version 0.26.0: the C-order flat
+    index of the least cell in the orbit of each cell of an order-n tensor
+    over ``size`` points, under every permutation of the n indices and under
+    the group of point permutations that ``generators`` (index arrays)
+    generate, each acting on all n indices at once.
+
+    Sorting a cell's indices gives the least cell of its orbit under the
+    index permutations (``_sorted_cells``, on broadcast index arrays of the
+    smallest integer type).  Over the sorted cells, each generator maps a
+    cell to the sorted image of its points, and the least flat index is
+    carried along these maps until no cell changes: the least of its orbit.
+    """
+    axes = np.arange(size, dtype=np.min_scalar_type(size - 1))
+    cells = _sorted_cells([axes.reshape((size,) + (1,) * (n - 1 - i)) for i in range(n)],
+                          size)
+    if not generators:
+        return cells
+    sorted_ = np.flatnonzero(cells == np.arange(cells.size))
+    points = np.unravel_index(sorted_, (size,) * n)
+    # the position among the sorted cells of each sorted cell's flat index
+    position = np.empty_like(cells)
+    position[sorted_] = np.arange(sorted_.size)
+    images = [position[_sorted_cells([g[p] for p in points], size)] for g in generators]
+    least = sorted_.copy()
+    while True:
+        before = least.copy()
+        for image in images:
+            np.minimum(least, least[image], out=least)
+        if np.array_equal(least, before):
+            position[sorted_] = least   # now the least cell of each orbit
+            return position[cells]
 
 
 def apply_Lhat(n: int, tm: TransformedModel, k: np.ndarray) -> np.ndarray:

@@ -328,6 +328,39 @@ class TestExitCodes:
         assert code == 2
         assert peak < 2 ** 20
 
+    @pytest.mark.parametrize("command", ["transience", "verify-bounds"])
+    def test_oversized_horizon_exits_2(self, tmp_path, command):
+        # T = 1e12 on Z^3 once asked np.arange for the 2e12 events of the
+        # jump-count law's Poisson table (14.6 TiB) and died with exit 1; its
+        # times x events entries are checked against walkers.LAW_CAP first
+        cfg = {"model": LATTICE_MODEL, "T": 1e12, "replicas": 100}
+        if command == "verify-bounds":
+            cfg["rho"] = 0.1
+        began = time.perf_counter()
+        code, _ = run_cli(tmp_path, command, cfg, seed=1)
+        assert code == 2
+        assert time.perf_counter() - began < 0.5
+
+    def test_jump_kernel_refused_by_the_hierarchy(self, tmp_path, monkeypatch, capsys):
+        # the correlation hierarchy has no jump term: evolve and dense
+        # stationary refuse a jump kernel before calibrating, and simulate
+        # moves particles by it
+        model = {"space": {"type": "lattice", "d": 1, "R": 2, "boundary": "periodic"},
+                 "birth": {"form": "stencil", "entries": "nearest", "rate": 1.0},
+                 "death": 1.0,
+                 "jump": {"form": "stencil", "entries": "nearest", "rate": 0.4}}
+        code, _ = run_cli(tmp_path, "simulate", {"model": model, "rho": 0.5,
+                                                 "replicas": 100}, seed=1)
+        assert code == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "calibrate", _no_calibration)
+        for command in ("evolve", "stationary"):
+            code, _ = run_cli(tmp_path, command, {"model": model, "rho": 0.5},
+                              outname=command)
+            err = capsys.readouterr().err
+            assert code == 2
+            assert "jump kernel" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("cap, expect", [(9, 0), (8, 2)])
     def test_stationary_level_cap_boundary(self, tmp_path, monkeypatch, cap, expect):
         # level 2 on the three-point Z^1 window: 3^2 entries
@@ -801,6 +834,47 @@ def test_tensor_rows_match_cellwise_format():
     assert _format_floats(bits).tolist() == [_fmt(v).encode() for v in bits.tolist()]
 
 
+def test_orbit_aware_format_matches_full_path():
+    # tensors constant on the orbits of the Z^2 window's symmetries, with
+    # -0 beside 0 and values repeated across orbits: formatting only the
+    # representatives gives the bytes of formatting every cell
+    from contactlab.hierarchy import _canonical_cells
+
+    space, model = model_from_dict({**LATTICE_MODEL, "space": {
+        **LATTICE_MODEL["space"], "d": 2, "R": 2}})
+    generators = calibrate(model, space)[0].symmetries
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 3):
+        cells = _canonical_cells(n, space.size, generators)
+        reps = np.flatnonzero(cells == np.arange(cells.size))
+        # three output times, as evolve formats a trajectory
+        vals = rng.choice([-0.0, 0.0, 1.0 / 3.0, 2.5, -7e-300], size=(3, cells.size))
+        vals[:, reps[-1]] = rng.random(3)
+        a = vals[:, cells].reshape((3,) + (space.size,) * n)
+        for tensor in (a, a[1]):
+            with metrics.recording() as rec:
+                got = _format_floats(tensor, cells)
+            assert got.tolist() == _format_floats(tensor).tolist()
+            assert rec["values"]["write.values_formatted"] == len(
+                set(tensor.ravel().view(np.int64).tolist()))
+    # a tensor that is not constant on them takes the full path
+    a[0].flat[cells.size - 1] = 4.0
+    assert _format_floats(a, cells).tolist() == _format_floats(a).tolist()
+
+
+def test_dense_stationary_formats_each_orbit_once(tmp_path):
+    # the 343-point Z^3 window's 48 symmetries: 117,649 rows, each orbit's
+    # value formatted once, recorded outside the digested outputs
+    window = {**LATTICE_MODEL, "space": {**LATTICE_MODEL["space"], "R": 3}}
+    code, out = run_cli(tmp_path, "stationary", {"model": window, "rho": 0.1, "n": 2})
+    assert code == 0
+    rows = (out / "stationary_k2.csv").read_text().splitlines()[1:]
+    assert len(rows) == 343 ** 2
+    values = json.loads((out / "manifest.json").read_text())["metrics"]["values"]
+    assert values["write.values_formatted"] == len({r.split(",")[2] for r in rows}) < 2000
+    assert values["write.values_formatted"] <= values["stationary.orbits"] < 2000
+
+
 def _cellwise_write_csv(path, header, rows):
     """The row-by-row CSV writer the byte-column writer replaced."""
     with open(path, "w") as fh:
@@ -903,10 +977,10 @@ def test_write_phase_times_csv_assembly(tmp_path, monkeypatch, command, cfg, com
     # computed the tensor
     calls, format_floats = [], cli._format_floats
 
-    def slow(a):
+    def slow(a, *cells):
         calls.append(a)
         time.sleep(0.05)
-        return format_floats(a)
+        return format_floats(a, *cells)
 
     monkeypatch.setattr(cli, "_format_floats", slow)
     code, out = run_cli(tmp_path, command, cfg, seed=1)

@@ -19,7 +19,8 @@ from contactlab.hierarchy import (_augmented_generator, bound_constant_D,
 from contactlab.model import Kernel, RateModel, build_space
 
 from conftest import lattice_model, marked_model, nearest_stencil, random_finite_model
-from reference import apply_Lhat, convergence_check, semigroup_apply, sorted_index_cells
+from reference import (apply_Lhat, convergence_check, fixpoint_canonical_cells,
+                       semigroup_apply, sorted_index_cells)
 from contactlab.walkers import lattice_walk, pair_integral_curves, pair_limit
 
 
@@ -761,16 +762,47 @@ class TestWindowSymmetry:
         for a, b in zip(new, _outputs(tm)):
             assert a.tobytes() == b.tobytes()
 
-    def test_wide_windows_keep_the_sorted_index(self, monkeypatch):
-        # above CLOSED_FORM_POINTS the canonical cells ignore the symmetries:
-        # the bytes of the 0.25.0 rule
-        tm = _critical(*_window(1, 3))
-        new = stationary_k(3, tm, 0.3)
-        monkeypatch.setattr(hierarchy, "CLOSED_FORM_POINTS", 6)
-        wide = stationary_k(3, tm, 0.3)
-        assert wide.tobytes() != new.tobytes()
+    def test_wide_windows_are_exactly_invariant(self, monkeypatch):
+        # the window symmetries apply above CLOSED_FORM_POINTS too: k_2 on
+        # the 121-point Z^2 window is exactly invariant under them, within
+        # 1e-13 of the sorted-index rule
+        tm = _critical(*_window(2, 5))
+        assert tm.space.size > hierarchy.CLOSED_FORM_POINTS and len(tm.symmetries) == 3
+        k2 = stationary_k(2, tm, 0.3)
+        for g in tm.symmetries:
+            assert np.array_equal(k2, k2[np.ix_(g, g)])
+        assert np.array_equal(k2, k2.T)
         _old_rule(monkeypatch)
-        assert stationary_k(3, tm, 0.3).tobytes() == wide.tobytes()
+        old = stationary_k(2, tm, 0.3)
+        assert k2.tobytes() != old.tobytes()
+        assert np.abs(k2 - old).max() <= 1e-13 * np.abs(old).max()
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC) + ["Z3 R=3"])
+    def test_map_equals_fixpoint_reference(self, name):
+        # the stabilizer-chain map is the fixpoint map of 0.26.0, with the
+        # window symmetries and without them
+        tm = _critical(*_window(3, 3)) if name == "Z3 R=3" else SYMMETRIC[name]
+        size = tm.space.size
+        for n in (1, 2) if size > 100 else (1, 2, 3):
+            for generators in (tm.symmetries, ()):
+                got = hierarchy._canonical_cells(n, size, generators)
+                assert np.array_equal(got, fixpoint_canonical_cells(n, size, generators))
+        assert not got.flags.writeable
+        assert hierarchy._canonical_cells(n, size) is got   # computed once
+
+    @pytest.mark.parametrize("cap, enumerated", [(8 * 25, True), (8 * 25 - 1, False)])
+    def test_symmetry_cap(self, monkeypatch, cap, enumerated):
+        # the 8 symmetries of the 25-point Z^2 window hold 200 entries; a
+        # group over SYMMETRY_CAP keeps the index permutations alone
+        tm = SYMMETRIC["Z2 unbounded"]
+        monkeypatch.setattr(hierarchy, "SYMMETRY_CAP", cap)
+        hierarchy._orbit_map.cache_clear()
+        try:
+            got = hierarchy._canonical_cells(2, 25, tm.symmetries)
+        finally:
+            hierarchy._orbit_map.cache_clear()
+        expect = fixpoint_canonical_cells(2, 25, tm.symmetries if enumerated else ())
+        assert np.array_equal(got, expect)
 
     def test_evolve_keeps_only_symmetries_of_the_data(self):
         # initial k_1 invariant under the x reflection only: k_1(t) and
