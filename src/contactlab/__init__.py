@@ -1,3 +1,3 @@
 """Numerical laboratory for contact processes in the critical regime."""
 
-__version__ = "0.27.0"
+__version__ = "0.28.0"

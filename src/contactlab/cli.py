@@ -309,6 +309,18 @@ def _check_numbers(cfg: dict, entry: str):
 # generator (None without a seed) and the parsed (space, model)
 # ---------------------------------------------------------------------------
 
+def _no_jumps(command: str, model, engine: str = "the correlation hierarchy") -> None:
+    """Refuse a jump kernel: the correlation hierarchy has no jump term, and
+    the two-walker engine moves its walkers by the birth stencil alone."""
+    if model.jump is not None:
+        raise ModelError(f"{command} runs {engine}, which has no jump term: a "
+                         "model with a jump kernel is not supported")
+
+
+# the engine of transience, verify-lemmas, verify-bounds and montecarlo stationary
+WALKERS = "the two-walker engine"
+
+
 def cmd_calibrate(cfg, run: Run, rng, space, model):
     tm, gs, report = calibrate(model, space)
     payload = {
@@ -334,6 +346,7 @@ def cmd_calibrate(cfg, run: Run, rng, space, model):
 def cmd_transience(cfg, run: Run, rng, space, model):
     nmark = len(space.marks or ())
     starts = _starts(cfg, "starts", space.dim or 1, nmark)
+    _no_jumps("transience", model, WALKERS)
     tm, _, _ = calibrate(model, space)
     rep = estimate_H(tm, starts, T=float(cfg["T"]), replicas=cfg["replicas"], rng=rng)
     run.write_json("transience.json", {
@@ -347,13 +360,6 @@ def cmd_transience(cfg, run: Run, rng, space, model):
                       _csv_lines(zip(rep.times, rep.running)))
     run.checks["transience_converged"] = rep.converged
     return EXIT_OK
-
-
-def _no_jumps(command: str, model) -> None:
-    """The correlation hierarchy has no jump term: refuse a jump kernel."""
-    if model.jump is not None:
-        raise ModelError(f"{command} solves the correlation hierarchy, which has no "
-                         "jump term: a model with a jump kernel is not supported")
 
 
 def cmd_evolve(cfg, run: Run, rng, space, model):
@@ -387,6 +393,7 @@ def cmd_stationary(cfg, run: Run, rng, space, model):
             raise ConfigError(f"the montecarlo backend computes n = 2 only, not n = {n}")
         nmark = len(space.marks or ())
         starts = _starts(cfg, "displacements", space.dim or 1, nmark)
+        _no_jumps("montecarlo stationary", model, WALKERS)
     elif backend != "dense":
         raise ConfigError(f"unknown backend {backend!r}: use 'dense' or 'montecarlo'")
     else:
@@ -463,6 +470,7 @@ def cmd_simulate(cfg, run: Run, rng, space, model):
 
 def cmd_verify_lemmas(cfg, run: Run, rng, space, model):
     replicas = cfg["replicas"]
+    _no_jumps("verify-lemmas", model, WALKERS)
     tm, _, _ = calibrate(model, space)
     if not tm.translation_invariant:
         raise ModelError("verify-lemmas requires a translation-invariant model")
@@ -515,6 +523,7 @@ def cmd_verify_lemmas(cfg, run: Run, rng, space, model):
 def cmd_verify_bounds(cfg, run: Run, rng, space, model):
     rho, T, replicas = float(cfg["rho"]), float(cfg["T"]), cfg["replicas"]
     starts = _starts(cfg, "starts", space.dim or 1, len(space.marks or ()))
+    _no_jumps("verify-bounds", model, WALKERS)
     tm, _, _ = calibrate(model, space)
     trans = estimate_H(tm, starts, T=T, replicas=replicas, rng=rng)
     if not trans.converged:

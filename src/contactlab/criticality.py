@@ -16,7 +16,9 @@ normalization.  The birth kernel is rescaled by ``1/r`` to land exactly on
 criticality, and the ground-state transform ``b = a / psi``,
 ``mbar = psi * m`` is applied; it records whether the critical birth
 matrix a is symmetric (a reversible kernel, whose level-1 generator the
-hierarchy diagonalizes by one symmetric eigendecomposition).
+hierarchy diagonalizes by one symmetric eigendecomposition), and, on a
+lattice window that factors, the one-axis generators whose Kronecker sum
+the level-1 generator is (``axis_factors``).
 Rescaling keeps the eigenvector, so calibration solves once: the ratios
 ``inflow / V = T psi / psi`` of the transformed model bracket the rescaled
 Perron root (Collatz 1942; Wielandt 1950).  On a translation-invariant
@@ -33,8 +35,8 @@ import numpy as np
 
 from . import metrics
 from .errors import ConvergenceError, ModelError, ReducibleKernelError
-from .model import (Kernel, RateModel, StateSpace, _mark_factor, kernel_matrix,
-                    window_symmetries)
+from .model import (Kernel, RateModel, StateSpace, _mark_factor, axis_stencils,
+                    build_space, kernel_matrix, window_symmetries)
 
 __all__ = [
     "GroundState",
@@ -43,6 +45,7 @@ __all__ = [
     "solve_ground_state",
     "rescale_to_critical",
     "ground_transform",
+    "axis_factors",
     "criticality_residual",
     "theta_kernel",
     "calibrate",
@@ -83,7 +86,9 @@ class TransformedModel:
     says that the birth matrix ``a = psi b`` is symmetric: the generator
     ``b mbar - V`` is then similar to a symmetric matrix.  ``symmetries``
     holds the point permutations of the window that leave the model exactly
-    invariant (``model.window_symmetries``).
+    invariant (``model.window_symmetries``).  ``factors`` holds one
+    generator per axis of a lattice window that factors (``axis_factors``),
+    whose Kronecker sum is ``b mbar - V``; None on any other model.
     """
 
     space: StateSpace
@@ -94,6 +99,7 @@ class TransformedModel:
     jump_b: np.ndarray | None = None
     reversible: bool = False
     symmetries: tuple = ()
+    factors: tuple | None = None
     # translation-invariant payload (None for generic dense models)
     alpha: dict | None = None           # displacement stencil of b's spatial part
     Q: np.ndarray | None = None         # mark kernel (post-rescale; ones for a stencil)
@@ -103,6 +109,12 @@ class TransformedModel:
     @property
     def translation_invariant(self) -> bool:
         return self.alpha is not None
+
+    @property
+    def symmetrizable(self) -> bool:
+        """G is similar to a symmetric matrix through a positive diagonal:
+        the kernel is reversible or the window factors."""
+        return self.reversible or self.factors is not None
 
     @property
     def marked(self) -> bool:
@@ -203,11 +215,40 @@ def rescale_to_critical(model: RateModel, gs: GroundState) -> RateModel:
     return model.with_birth(model.birth.scaled(1.0 / gs.eigenvalue))
 
 
+def _reversible_chain(F: np.ndarray) -> bool:
+    """F is symmetric, or tridiagonal with positive entries beside its
+    diagonal: a birth-death chain, reversible by Kolmogorov's criterion."""
+    return np.array_equal(F, F.T) or bool(
+        (np.diag(F, 1) > 0).all() and (np.diag(F, -1) > 0).all()
+        and not np.triu(F, 2).any() and not np.tril(F, -2).any())
+
+
+def axis_factors(model: RateModel, space: StateSpace, psi: np.ndarray) -> tuple | None:
+    """The one-axis generators ``(a_i / psi) mbar - V / d`` of the axis
+    stencils a_i (``model.axis_stencils``), whose Kronecker sum is the
+    level-1 generator of the critical ``model`` on the lattice window
+    ``space``, when psi is constant and each is a reversible chain
+    (``_reversible_chain``); None otherwise.  Decided exactly."""
+    stencils = axis_stencils(model, space)
+    if stencils is None or np.any(psi != psi[0]):
+        return None
+    line = build_space({"type": "lattice", "d": 1, "R": space.radius,
+                        "boundary": space.boundary})
+    # V / d on each axis makes equal axes equal factors; the entries are the
+    # products of b mbar, a / psi times psi m, one by one
+    shift = model.death[0] / space.dim * np.eye(line.size)
+    factors = tuple((kernel_matrix(Kernel("stencil", stencil=st), line) if st
+                     else np.zeros((line.size, line.size)))
+                    / psi[0] * (psi[0] * space.weights[0]) - shift for st in stencils)
+    return factors if all(map(_reversible_chain, factors)) else None
+
+
 def ground_transform(model: RateModel, space: StateSpace,
                      gs: GroundState) -> TransformedModel:
     """Apply b = a / psi, mbar = psi * m to a critical model, and record
-    whether a is symmetric (``reversible``) and the window's exact
-    symmetries of the model (``symmetries``)."""
+    whether a is symmetric (``reversible``), the window's exact symmetries
+    of the model (``symmetries``) and its one-axis generators
+    (``factors``)."""
     psi = np.asarray(gs.psi, dtype=float)
     if np.any(psi <= POSITIVITY_FLOOR * psi.max()):
         raise ModelError("psi entry below positivity floor")
@@ -228,6 +269,7 @@ def ground_transform(model: RateModel, space: StateSpace,
                             psi=psi, jump_b=jump_b,
                             reversible=bool(np.array_equal(A, A.T)),
                             symmetries=window_symmetries(model, space),
+                            factors=axis_factors(model, space, psi),
                             alpha=alpha, Q=Q, q=q, v=v)
 
 

@@ -34,3 +34,10 @@ class DivergenceError(ContactLabError, RuntimeError):
 
 class ConfigError(ContactLabError, ValueError):
     """Invalid experiment or model configuration file."""
+
+
+def _check_entries(what: str, entries: int, cap: int, name: str) -> None:
+    """Raise ModelError when ``what`` needs more than ``cap`` entries: the
+    size check before an allocation that a config sets."""
+    if entries > cap:
+        raise ModelError(f"{what} need {entries} entries, over {name} = {cap}")

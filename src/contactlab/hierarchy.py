@@ -15,7 +15,13 @@ exp(tG).  When the critical birth matrix a = psi b is symmetric (a
 reversible kernel; Kelly, *Reversibility and Stochastic Networks*), G is
 similar to the symmetric P G P^{-1} with P = diag(psi sqrt(w)), w = mbar /
 psi the space weights, so one symmetric eigendecomposition G = W diag(lam)
-W^{-1} diagonalizes every Lhat_n.  The stationary solution is then one
+W^{-1} diagonalizes every Lhat_n.  On a lattice window whose stencil lies
+on the axes (``criticality.axis_factors``), G is itself the Kronecker sum
+of one reversible chain per axis (Van Loan, *The ubiquitous Kronecker
+product*, 2000), a drifting birth-death chain included; then W is the
+Kronecker product of the chains' bases, lam the Kronecker sum of their
+spectra, and W is applied one axis of the window at a time.  The
+stationary solution is then one
 division by the sums of eigenvalues, and levels 1 and 2 evolve in closed
 form: k_1(t) = W exp(lam t) W^{-1} k_1(0), and level 2 is stepped exactly
 between output times with the phi_1 function of exponential integrators
@@ -27,9 +33,10 @@ the source map k_{n-1} -> f_n below it; z(t) = exp(tA) z(0) is computed by
 requested output times.  The stationary solution is k_n = int_0^inf exp(t
 Lhat_n) f_n dt + rho^n, built recursively.  On a finite space the integral
 is -Lhat_n^{-1} f_n, which ``stationary_k`` solves directly: in the
-eigenbasis for a reversible kernel, and by Bartels-Stewart on one Schur
-form of G for any other, in real arithmetic when G's spectrum is real (its
-real Schur form is then triangular) and in complex arithmetic otherwise.
+eigenbasis for a reversible kernel or a window that factors, and by
+Bartels-Stewart on one Schur form of G for any other, in real arithmetic
+when G's spectrum is real (its real Schur form is then triangular) and in
+complex arithmetic otherwise.
 scipy is imported only by the Schur solve and by ``expm_multiply``.  The
 solution exists exactly when the spectral abscissa of G is negative, and a
 DivergenceError reports the leading eigenvalues otherwise.  On unbounded
@@ -52,7 +59,7 @@ import numpy as np
 
 from . import metrics
 from .criticality import TransformedModel
-from .errors import ConvergenceError, DivergenceError, ModelError
+from .errors import ConvergenceError, DivergenceError, ModelError, _check_entries
 from .walkers import lattice_walk, pair_integral_curves, pair_limit, parse_start
 
 __all__ = [
@@ -100,10 +107,6 @@ def generator_matrix(tm: TransformedModel) -> np.ndarray:
     return tm.b * tm.mbar[None, :] - np.diag(tm.death)
 
 
-def _apply_axis(M: np.ndarray, k: np.ndarray, axis: int) -> np.ndarray:
-    return np.moveaxis(np.tensordot(M, k, axes=([1], [axis])), 0, axis)
-
-
 def _source_terms(n: int, B: np.ndarray):
     """The terms of f_n: for each ordered pair of axes i != j, yield i and B
     shaped to broadcast with axis i as its first argument and axis j as its
@@ -142,10 +145,13 @@ def poisson_initial(n: int, rho: float, space) -> np.ndarray:
     return np.full((space.size,) * n, float(rho) ** n)
 
 
-def _apply_each_axis(M: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """M applied along every tensor axis of k (the n-fold tensor power of M)."""
-    for i in range(k.ndim):
-        k = _apply_axis(M, k, i)
+def _mode_products(mats: list, k: np.ndarray) -> np.ndarray:
+    """``mats[s]`` applied along the s-th leading axis of k read as a tensor
+    over (len(mats[0]), len(mats[1]), ..., rest), as a 2-D array with the
+    rest outermost.  Each product is one matmul of a flat view that moves
+    the axis it maps from the front to the back, with no copy in between."""
+    for M in mats:
+        k = k.reshape(len(M), -1).T @ M.T
     return k
 
 
@@ -225,19 +231,44 @@ def _orbit_map(n: int, size: int, generators: tuple) -> np.ndarray:
     return cells
 
 
-def _eigenbasis(tm: TransformedModel):
-    """Eigenvalues lam of G and the maps W^{-1}, W with G = W diag(lam) W^{-1},
-    for a reversible kernel (the birth matrix a = psi b symmetric).
+def _eigenbasis(tm: TransformedModel, phase: str):
+    """Eigenvalues lam of G, and the maps W^{-1} and W with G = W diag(lam)
+    W^{-1} as lists of factors, one per axis of the window's Kronecker
+    sum (``tm.factors``), or the one factor G itself for any other
+    reversible kernel; each factor is made symmetric by a positive diagonal
+    P and diagonalized by one ``eigh``, counted as ``<phase>.eigh`` once per
+    distinct factor, and the factor sizes are the value ``<phase>.factors``.
 
-    With w = mbar / psi and P = diag(p), p = psi sqrt(w), S = P G P^{-1} =
-    sqrt(w) a sqrt(w) - V is symmetric, so S = Q diag(lam) Q^T with Q
-    orthogonal, W = P^{-1} Q and W^{-1} = Q^T P.  A constant psi makes p
-    sqrt(mbar) up to a factor.
+    A one-axis factor F is symmetric (P = I) or a birth-death chain, made
+    symmetric by P = diag(p), p_{k+1} / p_k = sqrt(F[k, k+1] / F[k+1, k]);
+    S = P F P^{-1} has the off-diagonal sqrt(F[k, k+1] F[k+1, k]).  For G,
+    with w = mbar / psi and p = psi sqrt(w), S = sqrt(w) a sqrt(w) - V.
+    Then S = Q diag(mu) Q^T, and the factor's W^{-1} = Q^T P and W = P^{-1}
+    Q.  lam is the Kronecker sum of the factors' mu.
     """
-    s = np.sqrt(tm.mbar / tm.psi)
-    p = tm.psi * s
-    lam, Q = np.linalg.eigh(p[:, None] * tm.b * s - np.diag(tm.death))
-    return lam, Q.T * p, Q / p[:, None]
+    if tm.factors is None:
+        s = np.sqrt(tm.mbar / tm.psi)
+        p = tm.psi * s
+        pieces, axes = [(p[:, None] * tm.b * s - np.diag(tm.death), p)], [0]
+    else:
+        distinct = {F.tobytes(): F for F in tm.factors}
+        axes = [list(distinct).index(F.tobytes()) for F in tm.factors]
+        pieces = []
+        for F in distinct.values():
+            p = np.ones(len(F))
+            if not np.array_equal(F, F.T):
+                p[1:] = np.cumprod(np.sqrt(np.diag(F, 1) / np.diag(F, -1)))
+                off = np.sqrt(np.diag(F, 1) * np.diag(F, -1))
+                F = np.diag(np.diag(F)) + np.diag(off, 1) + np.diag(off, -1)
+            pieces.append((F, p))
+    bases = []
+    for S, p in pieces:
+        mu, Q = np.linalg.eigh(S)
+        metrics.count(f"{phase}.eigh")
+        bases.append((mu, Q.T * p, Q / p[:, None]))
+    metrics.record(f"{phase}.factors", [len(bases[j][0]) for j in axes])
+    lam = reduce(lambda a, b: np.add.outer(a, b).ravel(), [bases[j][0] for j in axes])
+    return lam, [bases[j][1] for j in axes], [bases[j][2] for j in axes]
 
 
 def _augmented_generator(tm: TransformedModel, N: int):
@@ -288,12 +319,6 @@ STEP_TABLES = 8
 SYMMETRY_CAP = 1 << 22
 
 
-def _check_entries(what: str, entries: int, cap: int, name: str) -> None:
-    """Raise ModelError when ``what`` needs more than ``cap`` entries."""
-    if entries > cap:
-        raise ModelError(f"{what} need {entries} entries, over {name} = {cap}")
-
-
 def check_trajectory(n_times: int, size: int, N: int) -> None:
     """Raise ModelError when ``n_times`` output times of levels 1..N over
     ``size`` points exceed ``EVOLVE_CAP`` entries."""
@@ -333,7 +358,10 @@ def _evolve_expm_multiply(tm: TransformedModel, k0: list, times: np.ndarray) -> 
 
 
 def _evolve_eigenbasis(tm: TransformedModel, k0: list, times: np.ndarray) -> list:
-    """Levels 1 and 2 at ``times`` in closed form, for a reversible kernel.
+    """Levels 1 and 2 at ``times`` in closed form, for a reversible kernel
+    or a window that factors.  Level 1 applies the factors of W one axis at
+    a time; level 2 (at most ``CLOSED_FORM_POINTS`` points) their Kronecker
+    product.
 
     With G = W diag(lam) W^{-1} and a(t) = exp(lam t) W^{-1} k_1(0), k_1(t) =
     W a(t).  C = W^{-1} k_2 W^{-T} obeys dC/dt = nu C + sum_l a_l(t) Fhat_l
@@ -352,11 +380,10 @@ def _evolve_eigenbasis(tm: TransformedModel, k0: list, times: np.ndarray) -> lis
     window symmetries that leave the data invariant, by the canonical-cell
     rule of ``stationary_k``.
     """
-    lam, to_basis, from_basis = _eigenbasis(tm)
-    metrics.count("evolve.eigh")
-    start = to_basis @ k0[0]
-    modes = np.exp(np.outer(times, lam)) * start   # a(t) at each output time
-    k1 = modes @ from_basis.T
+    lam, to_factors, from_factors = _eigenbasis(tm, "evolve")
+    start = _mode_products(to_factors, k0[0]).ravel()
+    modes = np.exp(np.outer(lam, times)) * start[:, None]   # a(t) at each output time
+    k1 = _mode_products(from_factors, modes).reshape(len(times), -1)
     symmetric = len(k0) == 1 or np.array_equal(k0[1], k0[1].T)
     # the window symmetries that also leave the initial data invariant
     generators = [g for g in tm.symmetries if np.array_equal(k0[0][g], k0[0])
@@ -366,6 +393,7 @@ def _evolve_eigenbasis(tm: TransformedModel, k0: list, times: np.ndarray) -> lis
     if len(k0) == 1:
         return [k1]
     size = len(lam)
+    to_basis, from_basis = reduce(np.kron, to_factors), reduce(np.kron, from_factors)
     nu = lam[:, None] + lam
     # f_2(w) = b diag(w) + (b diag(w))^T, so Fhat_l = H_l + H_l^T with
     # H_l = (W^{-1} b) diag(w_l) W^{-T}; H[l, i, j] from one product
@@ -392,7 +420,7 @@ def _evolve_eigenbasis(tm: TransformedModel, k0: list, times: np.ndarray) -> lis
     for i, h in enumerate(np.diff(times, prepend=0.0)):
         decay, table = step(float(h))
         C = basis[i] = decay * C + (start @ table).reshape(size, size)
-        start = modes[i]
+        start = modes[:, i]
     k2 = from_basis @ basis @ from_basis.T
     if symmetric:
         cells = _canonical_cells(2, size, generators)
@@ -408,9 +436,10 @@ def evolve_hierarchy(tm: TransformedModel, k0: list, times) -> dict:
     (``poisson_initial`` for Poisson data).  ``times`` is any finite,
     non-negative, non-decreasing grid of at most ``EVOLVE_CAP`` entries in
     all (``check_trajectory``); no step size controls the accuracy.  A
-    reversible kernel at N = 1, or at N = 2 on at most
-    ``CLOSED_FORM_POINTS`` points, evolves in closed form in the eigenbasis
-    of G (one ``eigh``, counted as ``evolve.eigh``).  Any other input is
+    window that factors or a reversible kernel, at N = 1, or at N = 2 on at
+    most ``CLOSED_FORM_POINTS`` points, evolves in closed form in the
+    eigenbasis of G (one ``eigh`` per distinct factor, counted as
+    ``evolve.eigh``).  Any other input is
     carried from one output time to the next by ``expm_multiply`` of the
     augmented generator, counted as ``evolve.expm_multiply_calls``, one per
     output time.  Returns ``{n: (times, k_n)}`` with ``k_n`` of shape
@@ -427,7 +456,7 @@ def evolve_hierarchy(tm: TransformedModel, k0: list, times) -> dict:
         raise ModelError("output times must be a non-empty, finite, non-negative "
                          "and non-decreasing grid")
     check_trajectory(len(times), size, N)
-    if tm.reversible and (N == 1 or N == 2 and size <= CLOSED_FORM_POINTS):
+    if tm.symmetrizable and (N == 1 or N == 2 and size <= CLOSED_FORM_POINTS):
         levels = _evolve_eigenbasis(tm, [np.asarray(k, dtype=float) for k in k0], times)
     else:
         levels = _evolve_expm_multiply(tm, k0, times)
@@ -503,11 +532,13 @@ def stationary_k(n: int, tm: TransformedModel, rho: float) -> np.ndarray:
     """Stationary correlation function k_n = int exp(t Lhat_n) f_n dt + rho^n.
 
     Solves Lhat_n (k_n - rho^n) = -f_n directly on a finite space, level by
-    level with f_n built from k_{n-1}.  A reversible kernel (the critical
-    birth matrix a = psi b symmetric: a lattice window with a symmetric
-    stencil, or a dense model with a symmetric matrix, for two) is solved in
-    the eigenbasis of G, where Lhat_n is diagonal: one numpy ``eigh``,
-    counted as ``stationary.eigh``.  Any other kernel is solved on one scipy
+    level with f_n built from k_{n-1}.  A window that factors
+    (``tm.factors``) or a reversible kernel (the critical birth matrix a =
+    psi b symmetric, as a dense model with a symmetric matrix) is solved in
+    the eigenbasis of G, where Lhat_n is diagonal: one numpy ``eigh`` per
+    distinct factor (``_eigenbasis``), counted as ``stationary.eigh``, its
+    maps applied one factor's axis at a time (``_mode_products``).  Any
+    other kernel is solved on one scipy
     Schur form of G (``stationary.schur_<dtype>``), by one triangular
     Sylvester solve per slice (``stationary.trsyl_calls``).  Raises
     DivergenceError on critical models, and ModelError before anything is
@@ -526,19 +557,20 @@ def stationary_k(n: int, tm: TransformedModel, rho: float) -> np.ndarray:
     k = np.full(tm.space.size, float(rho))
     if n == 1:
         return k
-    if tm.reversible:
-        lam, to_basis, from_basis = _eigenbasis(tm)
-        metrics.count("stationary.eigh")
+    if tm.symmetrizable:
+        lam, to_factors, from_factors = _eigenbasis(tm, "stationary")
         _check_abscissa(lam)
     else:
-        T, from_basis = _triangular_form(tm)
-        to_basis = from_basis.conj().T
+        T, Z = _triangular_form(tm)
+        to_factors, from_factors = [Z.conj().T], [Z]
     for m in range(2, n + 1):
         # -Lhat_m^{-1} f_m in a basis where Lhat_m is diagonal, with the
-        # eigenvalues lam_i + lam_j (+ lam_k), or triangular
-        C = _apply_each_axis(to_basis, -source_f(m, tm, k))
-        C = C / reduce(np.add.outer, [lam] * m) if tm.reversible else _kron_sum_solve(T, C)
-        X = _apply_each_axis(from_basis, C).real
+        # eigenvalues lam_i + lam_j (+ lam_k), or triangular; the factors act
+        # on each of the m axes in turn
+        shape = (tm.space.size,) * m
+        C = _mode_products(to_factors * m, -source_f(m, tm, k)).reshape(shape)
+        C = C / reduce(np.add.outer, [lam] * m) if tm.symmetrizable else _kron_sum_solve(T, C)
+        X = _mode_products(from_factors * m, C).reshape(shape).real
         # k_m is symmetric: every entry takes the value at its canonical cell
         cells = _canonical_cells(m, len(X), tm.symmetries)
         k = X.ravel()[cells].reshape(X.shape) + float(rho) ** m

@@ -38,11 +38,13 @@ def count(name: str, n: int = 1):
         rec["counters"][name] = rec["counters"].get(name, 0) + int(n)
 
 
-def record(name: str, value: float):
-    """Set the value ``name`` (the last one recorded is kept)."""
+def record(name: str, value):
+    """Set the value ``name``, a number or a list of integers (the last one
+    recorded is kept)."""
     rec = _recorder.get()
     if rec is not None:
-        rec["values"][name] = float(value)
+        rec["values"][name] = (list(map(int, value)) if isinstance(value, list)
+                               else float(value))
 
 
 def add(name: str, value: float):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import metrics
 from .criticality import TransformedModel
-from .errors import ModelError
+from .errors import ModelError, _check_entries
 from .model import _unique
 
 __all__ = [
@@ -35,6 +35,10 @@ __all__ = [
 DEFAULT_EVENT_CAP = 1_000_000
 # the fewest replicas empirical_correlations estimates moments from
 MIN_REPLICAS = 100
+# the most int64 entries (1 GiB) of run_replicas' counts and snapshots,
+# (size + 1 + len(snapshot_times) size) replicas; more is a ModelError
+# before anything is allocated
+SIMULATE_CAP = 1 << 27
 # the most falling-factorial products (2 MB) empirical_correlations holds
 # per order: it sums its moments over chunks of replicas this bounds
 MOMENT_CHUNK = 1 << 18
@@ -160,11 +164,16 @@ def run_replicas(tm: TransformedModel, rho: float, T: float, snapshot_times,
     product-Poisson with intensity rho * mbar.  The run counts
     ``simulator.iterations``, ``simulator.events`` and
     ``simulator.truncated``, and records ``simulator.active_fraction``, the
-    mean active replicas per iteration over ``replicas``.
+    mean active replicas per iteration over ``replicas``.  Counts and
+    snapshots of more than ``SIMULATE_CAP`` entries are a ModelError before
+    anything is allocated.
     """
     size = tm.space.size
     T = float(T)
     grid = snapshot_grid(T, snapshot_times)
+    _check_entries(f"the counts and {len(grid)} snapshots of {replicas} replicas over "
+                   f"{size} points", (size + 1 + len(grid) * size) * replicas,
+                   SIMULATE_CAP, "SIMULATE_CAP")
     next_snap = np.append(grid, np.inf)
     rng = np.random.default_rng(seed)
     rate, out_cum, lose, gain = _particle_outcomes(tm)

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import metrics
 from .criticality import MASS_TOL, TransformedModel, theta_kernel
-from .errors import ModelError
+from .errors import ModelError, _check_entries
 from .model import _symmetry_generators, _unique
 
 __all__ = [
@@ -86,6 +86,9 @@ INTEGRABILITY_MARGIN = 0.05
 # the block-diagonal jump matrix of its start laws; a larger law is a
 # ModelError.  8 marks (64 joint marks) to T = 150 take 0.73 of it.
 LAW_CAP = 1 << 27
+# the most float64 entries (1 GiB) of _skeleton_sums' (starts, checkpoints,
+# replicas) sums; more is a ModelError before they are allocated
+REPLICA_CAP = 1 << 27
 # heat_bound_exact's curve is flat when its last-decade slope drift is at most
 # this fraction of its last slope in size, and bounded when it rises by at most that
 HEAT_FLAT_RTOL = 0.01
@@ -305,8 +308,12 @@ def _skeleton_sums(walk: LatticeWalk, codes: np.ndarray, probs: np.ndarray, repl
     m, n] tables[k, m, own_k[q]]`` over the block's steps n0.. and the
     start's own codes ``own_k``, and each hit reads its credit with one
     gather at ``(n - n0) len(own_k) + q``.  The (hit, column) pairs gathered
-    are counted in ``metrics`` as ``walkers.credit_pairs``.
+    are counted in ``metrics`` as ``walkers.credit_pairs``.  Sums of more
+    than ``REPLICA_CAP`` entries are a ModelError before any is allocated.
     """
+    _check_entries(f"{replicas} replicas of {len(tables)} starts at {weights.shape[1]} "
+                   "checkpoints", len(tables) * weights.shape[1] * replicas,
+                   REPLICA_CAP, "REPLICA_CAP")
     M = tables.shape[1]
     mine = tables.any(axis=1)                                  # (start, support code)
     nonzero = weights.any(axis=2)                              # (start, column, n)
@@ -392,9 +399,8 @@ def jump_count_law(v: np.ndarray, trans: np.ndarray, p0: np.ndarray, t_grid,
     lam = float(v.max())
     L = lam * t_grid[order]
     top = int(np.ceil(L[-1] + 12.0 * np.sqrt(L[-1]) + 30.0))
-    if len(L) * (top + 1) > LAW_CAP:
-        raise ModelError(f"the Poisson weights of {len(L)} times to {top} events need "
-                         f"{len(L) * (top + 1)} entries, over LAW_CAP = {LAW_CAP}")
+    _check_entries(f"the Poisson weights of {len(L)} times to {top} events",
+                   len(L) * (top + 1), LAW_CAP, "LAW_CAP")
     j = np.arange(top + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         logw = (-L[:, None] + j * np.log(L[:, None])
@@ -417,10 +423,8 @@ def jump_count_law(v: np.ndarray, trans: np.ndarray, p0: np.ndarray, t_grid,
     ncap = J if k_max is None else min(int(k_max), J)
     # column s M + m holds mark m of start law s
     S, M = p0.shape
-    size = max((S * M) ** 2, len(L) * (ncap + 1) * S * M)
-    if size > LAW_CAP:
-        raise ModelError(f"the (count, mark) law of {S} start laws on {M} marks to "
-                         f"{ncap} jumps needs {size} entries, over LAW_CAP = {LAW_CAP}")
+    _check_entries(f"the (count, mark) law of {S} start laws on {M} marks to {ncap} jumps",
+                   max((S * M) ** 2, len(L) * (ncap + 1) * S * M), LAW_CAP, "LAW_CAP")
     start = (p0 / p0.sum(axis=1, keepdims=True)).ravel()
     jump = np.kron(np.eye(S), (v / lam)[:, None] * np.asarray(trans, dtype=float))
     stay = np.tile(1.0 - v / lam, S)

@@ -24,8 +24,8 @@ from scipy.linalg import expm
 from contactlab import metrics
 from contactlab.criticality import GroundState, TransformedModel
 from contactlab.errors import DivergenceError, ModelError, SpaceError
-from contactlab.hierarchy import (_apply_axis, _apply_each_axis, evolve_hierarchy,
-                                  generator_matrix, poisson_initial, stationary_k)
+from contactlab.hierarchy import (evolve_hierarchy, generator_matrix, poisson_initial,
+                                  stationary_k)
 from contactlab.model import RateModel, StateSpace, kernel_matrix
 from contactlab.simulator import DEFAULT_EVENT_CAP, EventLog
 from contactlab.walkers import (LatticeWalk, _convolution, _lattice_code, _on_support,
@@ -527,6 +527,17 @@ def fixpoint_canonical_cells(n: int, size: int, generators=()) -> np.ndarray:
         if np.array_equal(least, before):
             position[sorted_] = least   # now the least cell of each orbit
             return position[cells]
+
+
+def _apply_axis(M: np.ndarray, k: np.ndarray, axis: int) -> np.ndarray:
+    return np.moveaxis(np.tensordot(M, k, axes=([1], [axis])), 0, axis)
+
+
+def _apply_each_axis(M: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """M applied along every tensor axis of k (the n-fold tensor power of M)."""
+    for i in range(k.ndim):
+        k = _apply_axis(M, k, i)
+    return k
 
 
 def apply_Lhat(n: int, tm: TransformedModel, k: np.ndarray) -> np.ndarray:

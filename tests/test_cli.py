@@ -361,6 +361,58 @@ class TestExitCodes:
             assert code == 2
             assert "jump kernel" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, extra", [
+        ("transience", {}), ("verify-lemmas", {}), ("verify-bounds", {"rho": 0.1}),
+        ("stationary", {"rho": 0.1, "backend": "montecarlo"})])
+    def test_jump_kernel_refused_by_the_walkers(self, tmp_path, monkeypatch, capsys,
+                                                command, extra):
+        # the two-walker engine moves its walkers by the birth stencil alone:
+        # a jump kernel exits 2 before calibrating, not with the numbers of
+        # the jump-free model
+        model = dict(LATTICE_MODEL, jump={"form": "stencil",
+                                          "entries": [[[1, 0, 0], 0.4]]})
+        monkeypatch.setattr(cli, "calibrate", _no_calibration)
+        code, _ = run_cli(tmp_path, command, {"model": model, "replicas": 100, **extra},
+                          seed=1)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "two-walker engine" in err and "jump kernel" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("simulate", {"model": dict(LATTICE_MODEL, space={**LATTICE_MODEL["space"],
+                                                          "d": 2, "R": 3}),
+                      "rho": 1.0}),
+        ("transience", {"model": LATTICE_MODEL, "T": 200.0})])
+    def test_oversized_replica_counts_exit_2(self, tmp_path, capsys, command, cfg):
+        # 2e9 replicas once asked np.zeros for 745 GiB of simulator counts on
+        # the 49-point window, and for 939 GiB of running integrals on Z^3;
+        # both sizes are checked against a cap before anything is allocated
+        began = time.perf_counter()
+        code, _ = run_cli(tmp_path, command, {**cfg, "replicas": 2_000_000_000}, seed=1)
+        assert time.perf_counter() - began < 0.5
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "_CAP" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("cap, expect", [(900, 0), (899, 2)])
+    def test_simulate_replica_cap_boundary(self, tmp_path, monkeypatch, cap, expect):
+        # 100 replicas on four points with one snapshot: (4 + 1 + 4) * 100
+        from contactlab import simulator
+        monkeypatch.setattr(simulator, "SIMULATE_CAP", cap)
+        code, _ = run_cli(tmp_path, "simulate", {"model": FINITE_MODEL, "rho": 0.5,
+                                                 "replicas": 100}, seed=1)
+        assert code == expect
+
+    @pytest.mark.parametrize("cap, expect", [(4800, 0), (4799, 2)])
+    def test_walker_replica_cap_boundary(self, tmp_path, monkeypatch, cap, expect):
+        # 200 replicas of the three default starts at the 8 checkpoints of T = 5
+        from contactlab import walkers
+        monkeypatch.setattr(walkers, "REPLICA_CAP", cap)
+        code, _ = run_cli(tmp_path, "transience", {"model": LATTICE_MODEL, "T": 5,
+                                                   "replicas": 200}, seed=1)
+        assert code == expect
+
     @pytest.mark.parametrize("cap, expect", [(9, 0), (8, 2)])
     def test_stationary_level_cap_boundary(self, tmp_path, monkeypatch, cap, expect):
         # level 2 on the three-point Z^1 window: 3^2 entries
@@ -392,8 +444,9 @@ print(json.dumps(out))
 
 
 def test_commands_load_scipy_only_when_they_need_it(tmp_path):
-    # scipy is imported only by the Schur solve of a non-reversible kernel and
-    # by expm_multiply (N >= 3 here); every other command runs without it.
+    # scipy is imported only by the Schur solve of a non-reversible kernel
+    # that does not factor (a drifting window factors) and by expm_multiply
+    # (N >= 3 here); every other command runs without it.
     # numpy.ma (which a plain np.unique loads) is loaded by no command
     # without scipy, and scipy loads it itself
     window = {**LATTICE_MODEL, "space": {**LATTICE_MODEL["space"], "d": 2}}
@@ -413,9 +466,12 @@ def test_commands_load_scipy_only_when_they_need_it(tmp_path):
                     ("verify-bounds", {"model": LATTICE_MODEL, "rho": 0.1, "T": 5,
                                        "replicas": 200}, 1, 3),
                     ("stationary", {"model": window, "rho": 0.5}, None, 0),
+                    ("stationary", {"model": drift_window, "rho": 0.1}, None, 0),
                     ("stationary", {"model": symmetric_dense, "rho": 0.5}, None, 3),
-                    ("evolve", {"model": window, "rho": 0.5, "N": 2, "T": 0.5}, None, 0)],
-        "with": [("stationary", {"model": drift_window, "rho": 0.1}, None, 0),
+                    ("evolve", {"model": window, "rho": 0.5, "N": 2, "T": 0.5}, None, 0),
+                    ("evolve", {"model": drift_window, "rho": 0.1, "N": 2, "T": 0.5},
+                     None, 0)],
+        "with": [("stationary", {"model": DRIFT_MARKED_MODEL, "rho": 0.1}, None, 0),
                  ("evolve", {"model": window, "rho": 0.5, "N": 3, "T": 0.2, "dt": 0.1},
                   None, 0)],
     }

@@ -216,6 +216,75 @@ class TestRescaleAndTransform:
         assert np.allclose(lhs, direct, rtol=1e-14, atol=0.0)
 
 
+def _stencil_window(stencil, d, R=2, boundary="unbounded", death=None):
+    """A calibrated Z^d window model with ``stencil``, death 1 unless
+    ``death`` maps the lattice coordinates to rates."""
+    space = build_space({"type": "lattice", "d": d, "R": R, "boundary": boundary})
+    V = np.ones(space.size) if death is None else death(np.array(space.points))
+    return calibrate(RateModel(birth=Kernel("stencil", stencil=stencil), death=V),
+                     space)[0]
+
+
+def kron_sum(factors) -> np.ndarray:
+    """sum_i I x ... x F_i x ... x I over the axes, built independently."""
+    sizes = [len(F) for F in factors]
+    total = 0.0
+    for i, F in enumerate(factors):
+        total = total + np.kron(np.kron(np.eye(int(np.prod(sizes[:i]))), F),
+                                np.eye(int(np.prod(sizes[i + 1:]))))
+    return total
+
+
+class TestAxisFactors:
+    """The decision that a lattice window's generator is a Kronecker sum of
+    reversible one-axis chains, pinned on both sides."""
+
+    FACTOR = {
+        "Z1 nearest": (nearest_stencil(1), 1, "unbounded"),
+        "Z2 nearest periodic": (nearest_stencil(2), 2, "periodic"),
+        "Z3 nearest": (nearest_stencil(3), 3, "unbounded"),
+        "Z2 drift": ({(1, 0): 0.3, (-1, 0): 0.1, (0, 1): 0.2, (0, -1): 0.2}, 2,
+                     "unbounded"),
+        "Z2 steps of 2 with a zero step": ({(2, 0): 0.2, (-2, 0): 0.2, (0, 1): 0.1,
+                                            (0, -1): 0.1, (0, 0): 0.4}, 2, "periodic"),
+        "Z2 one axis": ({(1, 0): 0.5, (-1, 0): 0.5}, 2, "unbounded"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FACTOR))
+    def test_kronecker_sum_is_the_generator(self, name):
+        from contactlab.hierarchy import generator_matrix
+        stencil, d, boundary = self.FACTOR[name]
+        tm = _stencil_window(stencil, d, boundary=boundary)
+        assert len(tm.factors) == d
+        assert all(F.shape == (5, 5) for F in tm.factors)
+        G = generator_matrix(tm)
+        assert np.abs(kron_sum(tm.factors) - G).max() <= 4e-16 * np.abs(G).max()
+
+    @pytest.mark.parametrize("case", ["diagonal step", "product window", "site death",
+                                      "periodic drift", "fully directed", "dense",
+                                      "jump kernel"])
+    def test_windows_that_do_not_factor(self, case):
+        drift = {(1,): 0.75, (-1,): 0.25}
+        if case == "diagonal step":
+            tm = _stencil_window({**nearest_stencil(2), (1, 1): 0.1}, 2)
+        elif case == "product window":
+            tm = calibrate(*reversed(marked_model(d=2)))[0]
+        elif case == "site death":
+            tm = _stencil_window(nearest_stencil(2), 2, boundary="periodic",
+                                 death=lambda x: 1.0 + 0.1 * (x ** 2).sum(axis=1))
+        elif case == "periodic drift":
+            tm = _stencil_window(drift, 1, boundary="periodic")
+        elif case == "fully directed":
+            tm = _stencil_window({(1,): 1.0}, 1)
+        elif case == "dense":
+            tm = calibrate(*reversed(random_finite_model(np.random.default_rng(3))))[0]
+        else:
+            space, model = lattice_model(1, R=2, boundary="periodic")
+            tm = calibrate(RateModel(birth=model.birth, death=model.death,
+                                     jump=Kernel("stencil", stencil=drift)), space)[0]
+        assert tm.factors is None
+
+
 class TestResiduals:
     def test_calibrated_residual_small(self):
         rng = np.random.default_rng(2)

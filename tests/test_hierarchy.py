@@ -16,7 +16,7 @@ from contactlab.hierarchy import (_augmented_generator, bound_constant_D,
                                   factorial_bound_check, generator_matrix,
                                   poisson_initial, source_f,
                                   stationary_k, stationary_pair_mc)
-from contactlab.model import Kernel, RateModel, build_space
+from contactlab.model import Kernel, RateModel, build_space, kernel_matrix
 
 from conftest import lattice_model, marked_model, nearest_stencil, random_finite_model
 from reference import (apply_Lhat, convergence_check, fixpoint_canonical_cells,
@@ -390,29 +390,33 @@ class TestStationary:
     @pytest.mark.parametrize("case", ["real spectrum", "complex pair", "symmetric window"])
     def test_real_and_complex_schur_paths(self, case):
         # a reversible kernel (the symmetric lattice window) is solved in the
-        # eigenbasis of G, any other on a Schur form of G.  A drifting stencil
-        # on a Z^1 window is not reversible, but G is tridiagonal with
-        # positive off-diagonal products, so similar to a symmetric matrix: a
-        # real spectrum, a triangular real Schur form and real arithmetic.  A
-        # directed 3-cycle birth kernel gives G a complex eigenvalue pair, a
-        # 2x2 block in its real Schur form, and the complex path
+        # eigenbasis of G, any other that does not factor on a Schur form of
+        # G.  A drifting birth-death chain as a dense kernel on five points
+        # is not symmetric and has no window to factor, but G is tridiagonal
+        # with positive off-diagonal products, so similar to a symmetric
+        # matrix: a real spectrum, a triangular real Schur form and real
+        # arithmetic.  A directed 3-cycle birth kernel gives G a complex
+        # eigenvalue pair, a 2x2 block in its real Schur form, and the
+        # complex path
         if case == "symmetric window":
             space, model = lattice_model(2)
             tm, _, _ = calibrate(model, space)
-        elif case == "real spectrum":
-            space = build_space({"type": "lattice", "d": 1, "R": 2,
-                                 "boundary": "unbounded"})
-            model = RateModel(birth=Kernel("stencil", stencil={(1,): 0.75, (-1,): 0.25}),
-                              death=np.ones(space.size))
-            tm, _, _ = calibrate(model, space)
         else:
-            space = build_space({"type": "finite", "points": [0, 1, 2]})
-            A = np.roll(np.eye(3), 1, axis=1) + 0.1
-            model = RateModel(birth=Kernel("dense", matrix=A),
-                              death=np.array([1.0, 1.5, 2.0]))
+            if case == "real spectrum":
+                line = build_space({"type": "lattice", "d": 1, "R": 2,
+                                    "boundary": "unbounded"})
+                A = kernel_matrix(Kernel("stencil", stencil={(1,): 0.75, (-1,): 0.25}),
+                                  line)
+                death = np.array([1.0, 1.2, 0.8, 1.5, 1.0])
+            else:
+                A = np.roll(np.eye(3), 1, axis=1) + 0.1
+                death = np.array([1.0, 1.5, 2.0])
+            space = build_space({"type": "finite", "points": list(range(len(A)))})
+            model = RateModel(birth=Kernel("dense", matrix=A), death=death)
             tm, _, _ = calibrate(model, space)
             tm = tm.__class__(space=tm.space, b=tm.b * 0.5, mbar=tm.mbar,
                               death=tm.death, psi=tm.psi, reversible=tm.reversible)
+        assert tm.factors is None or case == "symmetric window"
         G = generator_matrix(tm)
         assert tm.reversible == (case == "symmetric window")
         if case == "symmetric window":
@@ -820,6 +824,84 @@ class TestWindowSymmetry:
             assert np.abs(got - expm(t * M) @ z0).max() <= 1e-12
             assert np.array_equal(res[1][1][i], res[1][1][i][flip])
         assert not np.array_equal(res[1][1][-1], res[1][1][-1][::-1])
+
+
+def _half_birth(tm):
+    """``tm`` with half its birth kernel, its axis factors halved alike: a
+    stationary solution exists on a periodic window too."""
+    shift = tm.death[0] / tm.space.dim * np.eye(2 * tm.space.radius + 1)
+    return dataclasses.replace(tm, b=tm.b * 0.5, factors=tuple(
+        (F + shift) * 0.5 - shift for F in tm.factors))
+
+
+DRIFT2 = {(1, 0): 0.3, (-1, 0): 0.1, (0, 1): 0.15, (0, -1): 0.15}
+FACTORED = {
+    "Z1 drift": (1, 3, "unbounded", {(1,): 0.75, (-1,): 0.25}),
+    "Z1 periodic": (1, 3, "periodic", None),
+    "Z2 nearest": (2, 1, "unbounded", None),
+    "Z2 drift": (2, 1, "unbounded", DRIFT2),
+    "Z2 periodic": (2, 1, "periodic", None),
+    "Z2 steps of 1 and 2": (2, 1, "unbounded",
+                            {(2, 0): 0.1, (-2, 0): 0.1, (1, 0): 0.15, (-1, 0): 0.15,
+                             (0, 2): 0.05, (0, -2): 0.05, (0, 1): 0.2, (0, -1): 0.2}),
+    "Z3 nearest": (3, 1, "unbounded", None),
+    "Z3 drift": (3, 1, "unbounded", {(1, 0, 0): 0.3, (-1, 0, 0): 0.1, (0, 1, 0): 0.15,
+                                     (0, -1, 0): 0.15, (0, 0, 1): 0.15,
+                                     (0, 0, -1): 0.15}),
+}
+
+
+def _factored(name):
+    d, R, boundary, stencil = FACTORED[name]
+    tm = _critical(*_window(d, R, boundary, stencil=stencil))
+    assert tm.factors is not None
+    return _half_birth(tm) if boundary == "periodic" else tm
+
+
+class TestAxisFactors:
+    @pytest.mark.parametrize("name", sorted(FACTORED))
+    def test_stationary_matches_kronecker_sum_solve(self, name):
+        # one eigh per distinct one-axis factor, applied one sub-axis at a
+        # time; n = 3 where the dense oracle fits (at most 9 points)
+        tm = _factored(name)
+        G = generator_matrix(tm)
+        distinct = len({F.tobytes() for F in tm.factors})
+        k = stationary_k(1, tm, 0.4)
+        for n in (2, 3) if tm.space.size <= 9 else (2,):
+            f = source_f(n, tm, k)
+            with metrics.recording() as rec:
+                k = stationary_k(n, tm, 0.4)
+            assert rec["counters"] == {"stationary.eigh": distinct}
+            assert rec["values"]["stationary.factors"] == [len(F) for F in tm.factors]
+            oracle = -np.linalg.solve(kron_sum_matrix(G, n), f.ravel())
+            assert np.abs(k - 0.4 ** n - oracle.reshape(f.shape)).max() <= 1e-10
+            for g in tm.symmetries:
+                assert np.array_equal(k, k[np.ix_(*[g] * n)])
+
+    @pytest.mark.parametrize("name", ["Z1 drift", "Z2 drift", "Z2 periodic", "Z3 nearest"])
+    def test_closed_form_evolve_matches_dense_expm(self, name):
+        tm = _factored(name)
+        size = tm.space.size
+        rng = np.random.default_rng(37)
+        times = [0.0, 0.3, 0.3, 1.1, 2.5]
+        for N in (1, 2):
+            M = augmented_matrix(tm, N)
+            k0 = [rng.random((size,) * n) for n in range(1, N + 1)]
+            z0 = np.concatenate([k.ravel() for k in k0])
+            with metrics.recording() as rec:
+                res = evolve_hierarchy(tm, k0, times)
+            assert rec["counters"] == {"evolve.eigh": len({F.tobytes() for F in tm.factors})}
+            for i, t in enumerate(times):
+                got = np.concatenate([res[n][1][i].ravel() for n in range(1, N + 1)])
+                assert np.abs(got - expm(t * M) @ z0).max() <= 1e-12
+
+    def test_cubic_window_counts_one_eigh(self):
+        # the three identical factors of the 343-point Z^3 window: one eigh of 7
+        tm = _critical(*_window(3, 3))
+        with metrics.recording() as rec:
+            stationary_k(2, tm, 0.1)
+        assert rec["counters"] == {"stationary.eigh": 1}
+        assert rec["values"]["stationary.factors"] == [7, 7, 7]
 
 
 class TestProductWindow:
