@@ -35,8 +35,8 @@ import numpy as np
 
 from . import metrics
 from .errors import ConvergenceError, ModelError, ReducibleKernelError
-from .model import (Kernel, RateModel, StateSpace, _mark_factor, axis_stencils,
-                    build_space, kernel_matrix, window_symmetries)
+from .model import (Kernel, RateModel, StateSpace, _mark_factor, build_space,
+                    kernel_matrix, window_symmetries)
 
 __all__ = [
     "GroundState",
@@ -86,9 +86,10 @@ class TransformedModel:
     says that the birth matrix ``a = psi b`` is symmetric: the generator
     ``b mbar - V`` is then similar to a symmetric matrix.  ``symmetries``
     holds the point permutations of the window that leave the model exactly
-    invariant (``model.window_symmetries``).  ``factors`` holds one
-    generator per axis of a lattice window that factors (``axis_factors``),
-    whose Kronecker sum is ``b mbar - V``; None on any other model.
+    invariant (``model.window_symmetries``).  ``factors`` holds, per axis
+    of a lattice window that factors (``axis_factors``), the one-axis
+    generator, whose Kronecker sum is ``b mbar - V``, and the log of the
+    positive diagonal that makes it symmetric; None on any other model.
     """
 
     space: StateSpace
@@ -109,12 +110,6 @@ class TransformedModel:
     @property
     def translation_invariant(self) -> bool:
         return self.alpha is not None
-
-    @property
-    def symmetrizable(self) -> bool:
-        """G is similar to a symmetric matrix through a positive diagonal:
-        the kernel is reversible or the window factors."""
-        return self.reversible or self.factors is not None
 
     @property
     def marked(self) -> bool:
@@ -215,32 +210,51 @@ def rescale_to_critical(model: RateModel, gs: GroundState) -> RateModel:
     return model.with_birth(model.birth.scaled(1.0 / gs.eigenvalue))
 
 
-def _reversible_chain(F: np.ndarray) -> bool:
-    """F is symmetric, or tridiagonal with positive entries beside its
-    diagonal: a birth-death chain, reversible by Kolmogorov's criterion."""
-    return np.array_equal(F, F.T) or bool(
-        (np.diag(F, 1) > 0).all() and (np.diag(F, -1) > 0).all()
-        and not np.triu(F, 2).any() and not np.tril(F, -2).any())
+def _chain_scales(F: np.ndarray) -> np.ndarray | None:
+    """log p of a positive diagonal P with P F P^{-1} symmetric: zeros for a
+    symmetric F; for a birth-death chain (tridiagonal, positive beside the
+    diagonal, reversible by Kolmogorov's criterion) the partial sums of
+    log sqrt(F[k, k+1] / F[k+1, k]); None for any other F."""
+    if np.array_equal(F, F.T):
+        return np.zeros(len(F))
+    up, down = np.diag(F, 1), np.diag(F, -1)
+    if (up > 0).all() and (down > 0).all() and not (np.triu(F, 2).any()
+                                                    or np.tril(F, -2).any()):
+        return np.concatenate([[0.0], np.cumsum(0.5 * (np.log(up) - np.log(down)))])
+    return None
 
 
 def axis_factors(model: RateModel, space: StateSpace, psi: np.ndarray) -> tuple | None:
-    """The one-axis generators ``(a_i / psi) mbar - V / d`` of the axis
-    stencils a_i (``model.axis_stencils``), whose Kronecker sum is the
-    level-1 generator of the critical ``model`` on the lattice window
-    ``space``, when psi is constant and each is a reversible chain
-    (``_reversible_chain``); None otherwise.  Decided exactly."""
-    stencils = axis_stencils(model, space)
-    if stencils is None or np.any(psi != psi[0]):
+    """The pairs ``(G_i, log p_i)``, one per axis of the lattice window
+    ``space``, of the one-axis generators G_i = (a_i / psi) mbar - V / d of
+    the axis stencils a_i, whose Kronecker sum is the level-1 generator of
+    the critical ``model``, and the log of the positive diagonal making each
+    symmetric (``_chain_scales``); None when the window does not factor so.
+    Decided exactly, with no tolerance: a plain lattice window with no jump
+    kernel, a stencil whose every entry lies on a coordinate axis (the zero
+    step goes to the first axis), one death rate, one weight, a constant
+    psi and a reversible chain on every axis."""
+    if (space.structure != "lattice" or model.jump is not None
+            or model.birth.form != "stencil" or np.any(model.death != model.death[0])
+            or np.any(space.weights != space.weights[0]) or np.any(psi != psi[0])):
         return None
+    stencils = [{} for _ in range(space.dim)]
+    for disp, a in model.birth.stencil.items():
+        on = np.flatnonzero(disp)
+        if len(disp) != space.dim or len(on) > 1:
+            return None
+        i = on[0] if len(on) else 0
+        stencils[i][(disp[i],)] = a
     line = build_space({"type": "lattice", "d": 1, "R": space.radius,
                         "boundary": space.boundary})
     # V / d on each axis makes equal axes equal factors; the entries are the
     # products of b mbar, a / psi times psi m, one by one
     shift = model.death[0] / space.dim * np.eye(line.size)
-    factors = tuple((kernel_matrix(Kernel("stencil", stencil=st), line) if st
-                     else np.zeros((line.size, line.size)))
-                    / psi[0] * (psi[0] * space.weights[0]) - shift for st in stencils)
-    return factors if all(map(_reversible_chain, factors)) else None
+    factors = [(kernel_matrix(Kernel("stencil", stencil=st), line) if st
+                else np.zeros((line.size, line.size)))
+               / psi[0] * (psi[0] * space.weights[0]) - shift for st in stencils]
+    scales = [_chain_scales(F) for F in factors]
+    return None if any(lp is None for lp in scales) else tuple(zip(factors, scales))
 
 
 def ground_transform(model: RateModel, space: StateSpace,
@@ -248,7 +262,7 @@ def ground_transform(model: RateModel, space: StateSpace,
     """Apply b = a / psi, mbar = psi * m to a critical model, and record
     whether a is symmetric (``reversible``), the window's exact symmetries
     of the model (``symmetries``) and its one-axis generators
-    (``factors``)."""
+    with their symmetrizing scales (``factors``)."""
     psi = np.asarray(gs.psi, dtype=float)
     if np.any(psi <= POSITIVITY_FLOOR * psi.max()):
         raise ModelError("psi entry below positivity floor")

@@ -20,9 +20,12 @@ on the axes (``criticality.axis_factors``), G is itself the Kronecker sum
 of one reversible chain per axis (Van Loan, *The ubiquitous Kronecker
 product*, 2000), a drifting birth-death chain included; then W is the
 Kronecker product of the chains' bases, lam the Kronecker sum of their
-spectra, and W is applied one axis of the window at a time.  The
-stationary solution is then one
-division by the sums of eigenvalues, and levels 1 and 2 evolve in closed
+spectra, and W is applied one axis of the window at a time.  A drifting
+chain's W has the condition number of its diagonal P, which grows
+geometrically with the window, so a level whose W is conditioned worse
+than ``BASIS_CONDITION_CAP`` takes the general path below
+(``_eigenbasis_solves``).  The stationary solution is then one division
+by the sums of eigenvalues, and levels 1 and 2 evolve in closed
 form: k_1(t) = W exp(lam t) W^{-1} k_1(0), and level 2 is stepped exactly
 between output times with the phi_1 function of exponential integrators
 (Hochbruck and Ostermann 2010).  Otherwise levels 1..N evolve exactly as
@@ -231,36 +234,38 @@ def _orbit_map(n: int, size: int, generators: tuple) -> np.ndarray:
     return cells
 
 
+def _eigenbasis_solves(tm: TransformedModel, n: int) -> bool:
+    """Levels up to n are solved in the eigenbasis of G (``_eigenbasis``):
+    the kernel is reversible, or the window factors and the condition
+    number of W on level n, prod_i (max p_i / min p_i)^n over the axes'
+    diagonals P_i, is at most ``BASIS_CONDITION_CAP``."""
+    if tm.factors is None:
+        return tm.reversible
+    return n * sum(np.ptp(lp) for _, lp in tm.factors) <= math.log(BASIS_CONDITION_CAP)
+
+
 def _eigenbasis(tm: TransformedModel, phase: str):
     """Eigenvalues lam of G, and the maps W^{-1} and W with G = W diag(lam)
     W^{-1} as lists of factors, one per axis of the window's Kronecker
     sum (``tm.factors``), or the one factor G itself for any other
-    reversible kernel; each factor is made symmetric by a positive diagonal
-    P and diagonalized by one ``eigh``, counted as ``<phase>.eigh`` once per
-    distinct factor, and the factor sizes are the value ``<phase>.factors``.
+    reversible kernel; each factor F is made symmetric by its positive
+    diagonal P and diagonalized by one ``eigh``, counted as
+    ``<phase>.eigh`` once per distinct factor, and the factor sizes are the
+    value ``<phase>.factors``.
 
-    A one-axis factor F is symmetric (P = I) or a birth-death chain, made
-    symmetric by P = diag(p), p_{k+1} / p_k = sqrt(F[k, k+1] / F[k+1, k]);
-    S = P F P^{-1} has the off-diagonal sqrt(F[k, k+1] F[k+1, k]).  For G,
-    with w = mbar / psi and p = psi sqrt(w), S = sqrt(w) a sqrt(w) - V.
-    Then S = Q diag(mu) Q^T, and the factor's W^{-1} = Q^T P and W = P^{-1}
-    Q.  lam is the Kronecker sum of the factors' mu.
+    S = P F P^{-1} = Q diag(mu) Q^T with Q orthogonal, so the factor's
+    W^{-1} = Q^T P and W = P^{-1} Q, and lam is the Kronecker sum of the
+    factors' mu.  A one-axis factor records log p (``axis_factors``); for
+    G, w = mbar / psi and p = psi sqrt(w) give S = sqrt(w) a sqrt(w) - V.
     """
     if tm.factors is None:
         s = np.sqrt(tm.mbar / tm.psi)
         p = tm.psi * s
         pieces, axes = [(p[:, None] * tm.b * s - np.diag(tm.death), p)], [0]
     else:
-        distinct = {F.tobytes(): F for F in tm.factors}
-        axes = [list(distinct).index(F.tobytes()) for F in tm.factors]
-        pieces = []
-        for F in distinct.values():
-            p = np.ones(len(F))
-            if not np.array_equal(F, F.T):
-                p[1:] = np.cumprod(np.sqrt(np.diag(F, 1) / np.diag(F, -1)))
-                off = np.sqrt(np.diag(F, 1) * np.diag(F, -1))
-                F = np.diag(np.diag(F)) + np.diag(off, 1) + np.diag(off, -1)
-            pieces.append((F, p))
+        distinct = {F.tobytes(): (F, np.exp(lp)) for F, lp in tm.factors}
+        axes = [list(distinct).index(F.tobytes()) for F, _ in tm.factors]
+        pieces = [(p[:, None] * F / p, p) for F, p in distinct.values()]
     bases = []
     for S, p in pieces:
         mu, Q = np.linalg.eigh(S)
@@ -313,6 +318,12 @@ STATIONARY_CAP = 1 << 24
 CLOSED_FORM_POINTS = 100
 # the closed form keeps the tables of this many distinct steps
 STEP_TABLES = 8
+# the largest condition number of W, (p_max / p_min)^n at level n, with which
+# a window that factors is solved in its eigenbasis: the rounding error of
+# W^{-1} grows like it (on a drifting Z^1 window, 1.5e-14 relative on k_2 at
+# 6.6e3 and 4e-13 at 5.9e4).  A worse-conditioned level takes the Schur or
+# expm_multiply path, as a kernel that does not factor
+BASIS_CONDITION_CAP = 1e4
 # the most entries (elements x points) of an enumerated window symmetry group,
 # as on Z^5 at R = 1; the canonical cells of a window with a larger group
 # (Z^6, or Z^5 at R = 2) run over the index permutations alone
@@ -439,7 +450,8 @@ def evolve_hierarchy(tm: TransformedModel, k0: list, times) -> dict:
     window that factors or a reversible kernel, at N = 1, or at N = 2 on at
     most ``CLOSED_FORM_POINTS`` points, evolves in closed form in the
     eigenbasis of G (one ``eigh`` per distinct factor, counted as
-    ``evolve.eigh``).  Any other input is
+    ``evolve.eigh``) when that basis is conditioned well enough at level N
+    (``_eigenbasis_solves``).  Any other input is
     carried from one output time to the next by ``expm_multiply`` of the
     augmented generator, counted as ``evolve.expm_multiply_calls``, one per
     output time.  Returns ``{n: (times, k_n)}`` with ``k_n`` of shape
@@ -456,7 +468,7 @@ def evolve_hierarchy(tm: TransformedModel, k0: list, times) -> dict:
         raise ModelError("output times must be a non-empty, finite, non-negative "
                          "and non-decreasing grid")
     check_trajectory(len(times), size, N)
-    if tm.symmetrizable and (N == 1 or N == 2 and size <= CLOSED_FORM_POINTS):
+    if _eigenbasis_solves(tm, N) and (N == 1 or N == 2 and size <= CLOSED_FORM_POINTS):
         levels = _evolve_eigenbasis(tm, [np.asarray(k, dtype=float) for k in k0], times)
     else:
         levels = _evolve_expm_multiply(tm, k0, times)
@@ -537,8 +549,9 @@ def stationary_k(n: int, tm: TransformedModel, rho: float) -> np.ndarray:
     psi b symmetric, as a dense model with a symmetric matrix) is solved in
     the eigenbasis of G, where Lhat_n is diagonal: one numpy ``eigh`` per
     distinct factor (``_eigenbasis``), counted as ``stationary.eigh``, its
-    maps applied one factor's axis at a time (``_mode_products``).  Any
-    other kernel is solved on one scipy
+    maps applied one factor's axis at a time (``_mode_products``), when
+    that basis is conditioned well enough at level n
+    (``_eigenbasis_solves``).  Any other kernel is solved on one scipy
     Schur form of G (``stationary.schur_<dtype>``), by one triangular
     Sylvester solve per slice (``stationary.trsyl_calls``).  Raises
     DivergenceError on critical models, and ModelError before anything is
@@ -557,7 +570,8 @@ def stationary_k(n: int, tm: TransformedModel, rho: float) -> np.ndarray:
     k = np.full(tm.space.size, float(rho))
     if n == 1:
         return k
-    if tm.symmetrizable:
+    eigen = _eigenbasis_solves(tm, n)
+    if eigen:
         lam, to_factors, from_factors = _eigenbasis(tm, "stationary")
         _check_abscissa(lam)
     else:
@@ -569,7 +583,7 @@ def stationary_k(n: int, tm: TransformedModel, rho: float) -> np.ndarray:
         # on each of the m axes in turn
         shape = (tm.space.size,) * m
         C = _mode_products(to_factors * m, -source_f(m, tm, k)).reshape(shape)
-        C = C / reduce(np.add.outer, [lam] * m) if tm.symmetrizable else _kron_sum_solve(T, C)
+        C = C / reduce(np.add.outer, [lam] * m) if eigen else _kron_sum_solve(T, C)
         X = _mode_products(from_factors * m, C).reshape(shape).real
         # k_m is symmetric: every entry takes the value at its canonical cell
         cells = _canonical_cells(m, len(X), tm.symmetries)

@@ -33,7 +33,6 @@ __all__ = [
     "kernel_matrix",
     "model_from_dict",
     "window_symmetries",
-    "axis_stencils",
 ]
 
 # the keys of a model config and, per type or form, of its space and kernels
@@ -265,27 +264,6 @@ def window_symmetries(model: RateModel, space: StateSpace) -> tuple:
                 and np.array_equal(space.weights[perm], space.weights)):
             perms.append(perm)
     return tuple(perms)
-
-
-def axis_stencils(model: RateModel, space: StateSpace) -> tuple | None:
-    """The one-axis birth stencils, one per axis of the lattice window
-    ``space`` (the step c e_i as ``(c,)``, a zero step on the first axis),
-    whose Kronecker sum is the birth matrix of ``model`` on it; None when
-    the window does not factor so.  Decided exactly, with no tolerance: a
-    plain lattice window with no jump kernel, a stencil whose every entry
-    lies on a coordinate axis, one death rate and one weight."""
-    if (space.structure != "lattice" or model.jump is not None
-            or model.birth.form != "stencil" or np.any(model.death != model.death[0])
-            or np.any(space.weights != space.weights[0])):
-        return None
-    axes = [{} for _ in range(space.dim)]
-    for disp, a in model.birth.stencil.items():
-        on = np.flatnonzero(disp)
-        if len(disp) != space.dim or len(on) > 1:
-            return None
-        i = on[0] if len(on) else 0
-        axes[i][(disp[i],)] = a
-    return tuple(axes)
 
 
 def kernel_matrix(kern: Kernel | None, space: StateSpace) -> np.ndarray:

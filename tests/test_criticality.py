@@ -256,9 +256,16 @@ class TestAxisFactors:
         stencil, d, boundary = self.FACTOR[name]
         tm = _stencil_window(stencil, d, boundary=boundary)
         assert len(tm.factors) == d
-        assert all(F.shape == (5, 5) for F in tm.factors)
+        factors = [F for F, _ in tm.factors]
+        assert all(F.shape == (5, 5) for F in factors)
         G = generator_matrix(tm)
-        assert np.abs(kron_sum(tm.factors) - G).max() <= 4e-16 * np.abs(G).max()
+        assert np.abs(kron_sum(factors) - G).max() <= 4e-16 * np.abs(G).max()
+        # the recorded diagonal makes each factor symmetric; a symmetric
+        # factor records the identity
+        for F, lp in tm.factors:
+            S = np.exp(lp)[:, None] * F / np.exp(lp)
+            assert np.abs(S - S.T).max() <= 4e-16 * np.abs(F).max()
+            assert lp.any() == (not np.array_equal(F, F.T))
 
     @pytest.mark.parametrize("case", ["diagonal step", "product window", "site death",
                                       "periodic drift", "fully directed", "dense",

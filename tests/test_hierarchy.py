@@ -831,12 +831,13 @@ def _half_birth(tm):
     stationary solution exists on a periodic window too."""
     shift = tm.death[0] / tm.space.dim * np.eye(2 * tm.space.radius + 1)
     return dataclasses.replace(tm, b=tm.b * 0.5, factors=tuple(
-        (F + shift) * 0.5 - shift for F in tm.factors))
+        ((F + shift) * 0.5 - shift, lp) for F, lp in tm.factors))
 
 
+DRIFT1 = {(1,): 0.75, (-1,): 0.25}
 DRIFT2 = {(1, 0): 0.3, (-1, 0): 0.1, (0, 1): 0.15, (0, -1): 0.15}
 FACTORED = {
-    "Z1 drift": (1, 3, "unbounded", {(1,): 0.75, (-1,): 0.25}),
+    "Z1 drift": (1, 2, "unbounded", DRIFT1),
     "Z1 periodic": (1, 3, "periodic", None),
     "Z2 nearest": (2, 1, "unbounded", None),
     "Z2 drift": (2, 1, "unbounded", DRIFT2),
@@ -865,14 +866,14 @@ class TestAxisFactors:
         # time; n = 3 where the dense oracle fits (at most 9 points)
         tm = _factored(name)
         G = generator_matrix(tm)
-        distinct = len({F.tobytes() for F in tm.factors})
+        distinct = len({F.tobytes() for F, _ in tm.factors})
         k = stationary_k(1, tm, 0.4)
         for n in (2, 3) if tm.space.size <= 9 else (2,):
             f = source_f(n, tm, k)
             with metrics.recording() as rec:
                 k = stationary_k(n, tm, 0.4)
             assert rec["counters"] == {"stationary.eigh": distinct}
-            assert rec["values"]["stationary.factors"] == [len(F) for F in tm.factors]
+            assert rec["values"]["stationary.factors"] == [len(F) for F, _ in tm.factors]
             oracle = -np.linalg.solve(kron_sum_matrix(G, n), f.ravel())
             assert np.abs(k - 0.4 ** n - oracle.reshape(f.shape)).max() <= 1e-10
             for g in tm.symmetries:
@@ -890,7 +891,49 @@ class TestAxisFactors:
             z0 = np.concatenate([k.ravel() for k in k0])
             with metrics.recording() as rec:
                 res = evolve_hierarchy(tm, k0, times)
-            assert rec["counters"] == {"evolve.eigh": len({F.tobytes() for F in tm.factors})}
+            assert rec["counters"] == {"evolve.eigh": len({F.tobytes()
+                                                           for F, _ in tm.factors})}
+            for i, t in enumerate(times):
+                got = np.concatenate([res[n][1][i].ravel() for n in range(1, N + 1)])
+                assert np.abs(got - expm(t * M) @ z0).max() <= 1e-12
+
+    @pytest.mark.parametrize("R, levels", [(3, {2: "eigh", 3: "schur"}),
+                                           (15, {2: "schur"})])
+    def test_drift_leaves_the_eigenbasis_when_ill_conditioned(self, R, levels):
+        # the 3:1 drift's W has condition 3^R per level: 729 at R = 3, n = 2
+        # is solved in the eigenbasis, 3^9 at n = 3 and 3^30 at R = 15, n = 2
+        # on the Schur form, each as accurate as the Kronecker-sum solve
+        tm = _critical(*_window(1, R, stencil=DRIFT1))
+        G = generator_matrix(tm)
+        k = stationary_k(1, tm, 0.4)
+        for n, path in levels.items():
+            f = source_f(n, tm, k)
+            with metrics.recording() as rec:
+                k = stationary_k(n, tm, 0.4)
+            assert set(rec["counters"]) == ({"stationary.eigh"} if path == "eigh" else
+                                            {"stationary.schur_float64",
+                                             "stationary.trsyl_calls"})
+            oracle = -np.linalg.solve(kron_sum_matrix(G, n), f.ravel())
+            assert np.abs(k - 0.4 ** n - oracle.reshape(f.shape)).max() <= 1e-10
+
+    @pytest.mark.parametrize("stencil, R, paths", [
+        (DRIFT1, 6, ["evolve.eigh", "evolve.expm_multiply_calls"]),
+        (DRIFT1, 15, ["evolve.expm_multiply_calls"] * 2),
+        ({(1,): 0.99, (-1,): 0.01}, 10, ["evolve.expm_multiply_calls"] * 2)])
+    def test_evolve_leaves_the_closed_form_when_ill_conditioned(self, stencil, R, paths):
+        # condition 3^R of W on level 1 and 9^R on level 2 against the cap
+        # 1e4; a strong drift is past it at once
+        tm = _critical(*_window(1, R, stencil=stencil))
+        size = tm.space.size
+        rng = np.random.default_rng(41)
+        times = [0.0, 0.3, 1.1, 2.5]
+        for N, counter in enumerate(paths, 1):
+            M = augmented_matrix(tm, N)
+            k0 = [rng.random((size,) * n) for n in range(1, N + 1)]
+            z0 = np.concatenate([k.ravel() for k in k0])
+            with metrics.recording() as rec:
+                res = evolve_hierarchy(tm, k0, times)
+            assert counter in rec["counters"]
             for i, t in enumerate(times):
                 got = np.concatenate([res[n][1][i].ravel() for n in range(1, N + 1)])
                 assert np.abs(got - expm(t * M) @ z0).max() <= 1e-12
