@@ -320,10 +320,10 @@ CLOSED_FORM_POINTS = 100
 STEP_TABLES = 8
 # the largest condition number of W, (p_max / p_min)^n at level n, with which
 # a window that factors is solved in its eigenbasis: the rounding error of
-# W^{-1} grows like it (on a drifting Z^1 window, 1.5e-14 relative on k_2 at
-# 6.6e3 and 4e-13 at 5.9e4).  A worse-conditioned level takes the Schur or
-# expm_multiply path, as a kernel that does not factor
-BASIS_CONDITION_CAP = 1e4
+# W^{-1} grows like it (on drifting Z^1 windows, the closed-form evolve at
+# N = 1 is off by 6e-14 at 729 and by 8.7e-13 at 9.8e3).  A worse-conditioned
+# level takes the Schur or expm_multiply path, as a kernel that does not factor
+BASIS_CONDITION_CAP = 1e3
 # the most entries (elements x points) of an enumerated window symmetry group,
 # as on Z^5 at R = 1; the canonical cells of a window with a larger group
 # (Z^6, or Z^5 at R = 2) run over the index permutations alone

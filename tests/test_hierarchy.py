@@ -919,10 +919,11 @@ class TestAxisFactors:
     @pytest.mark.parametrize("stencil, R, paths", [
         (DRIFT1, 6, ["evolve.eigh", "evolve.expm_multiply_calls"]),
         (DRIFT1, 15, ["evolve.expm_multiply_calls"] * 2),
+        ({(1,): 0.99, (-1,): 0.01}, 1, ["evolve.eigh", "evolve.expm_multiply_calls"]),
         ({(1,): 0.99, (-1,): 0.01}, 10, ["evolve.expm_multiply_calls"] * 2)])
     def test_evolve_leaves_the_closed_form_when_ill_conditioned(self, stencil, R, paths):
         # condition 3^R of W on level 1 and 9^R on level 2 against the cap
-        # 1e4; a strong drift is past it at once
+        # 1e3; a 99:1 drift has 99^R on level 1, so only R = 1 is within it
         tm = _critical(*_window(1, R, stencil=stencil))
         size = tm.space.size
         rng = np.random.default_rng(41)
