@@ -1,3 +1,3 @@
 """Numerical laboratory for contact processes in the critical regime."""
 
-__version__ = "0.28.0"
+__version__ = "0.29.0"

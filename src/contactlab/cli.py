@@ -33,7 +33,8 @@ import numpy.random  # noqa: F401
 
 from . import __version__, metrics
 from .criticality import calibrate, theta_kernel
-from .errors import ConfigError, ContactLabError, DivergenceError, ModelError
+from .errors import (ConfigError, ContactLabError, DivergenceError, ModelError,
+                     _check_tensors)
 from .hierarchy import (EVOLVE_CAP, _canonical_cells, check_level, check_trajectory,
                         evolve_hierarchy, factorial_bound_check, poisson_initial,
                         stationary_k, stationary_pair_mc)
@@ -304,6 +305,18 @@ def _check_numbers(cfg: dict, entry: str):
                               f"{'>' if strict else '>='} {low}, got {val!r}")
 
 
+def _rho(cfg: dict, power: int) -> float:
+    """The config's rho, a config error unless ``rho ** power``, the highest
+    power of it the command forms, is a finite float."""
+    rho = float(cfg["rho"])
+    try:
+        rho ** power
+    except OverflowError:
+        raise ConfigError(f"config key 'rho' = {rho!r} is too large: rho^{power} "
+                          "is not a finite float") from None
+    return rho
+
+
 # ---------------------------------------------------------------------------
 # commands: each takes the settings of _settings, the run, the random
 # generator (None without a seed) and the parsed (space, model)
@@ -363,7 +376,7 @@ def cmd_transience(cfg, run: Run, rng, space, model):
 
 
 def cmd_evolve(cfg, run: Run, rng, space, model):
-    rho, N, T = float(cfg["rho"]), cfg["N"], float(cfg["T"])
+    rho, N, T = _rho(cfg, cfg["N"]), cfg["N"], float(cfg["T"])
     _no_jumps("evolve", model)
     # the evolution is exact: dt only spaces the output times (T = 0 has one);
     # a grid over EVOLVE_CAP entries is refused before anything is allocated
@@ -387,7 +400,8 @@ def cmd_evolve(cfg, run: Run, rng, space, model):
 
 
 def cmd_stationary(cfg, run: Run, rng, space, model):
-    rho, n, backend = float(cfg["rho"]), cfg["n"], cfg["backend"]
+    n, backend = cfg["n"], cfg["backend"]
+    rho = _rho(cfg, 2 if backend == "montecarlo" else n)
     if backend == "montecarlo":
         if n != 2:
             raise ConfigError(f"the montecarlo backend computes n = 2 only, not n = {n}")
@@ -448,6 +462,10 @@ def cmd_simulate(cfg, run: Run, rng, space, model):
     if cfg["replicas"] < MIN_REPLICAS:
         raise ConfigError(f"config key 'replicas' must be >= {MIN_REPLICAS} for "
                           f"simulate, got {cfg['replicas']}")
+    # the moments' tensors take the budget of an evolved trajectory
+    _check_tensors(f"the moments of orders {orders} at {len(snap)} snapshot times over "
+                   f"{space.size} points", len(snap), space.size, sorted(orders),
+                   EVOLVE_CAP, "EVOLVE_CAP")
     tm, _, _ = calibrate(model, space)
     batch = run_replicas(tm, rho, T, snap, cfg["replicas"], seed=cfg["seed"])
     with metrics.phase("moments"):
@@ -521,7 +539,7 @@ def cmd_verify_lemmas(cfg, run: Run, rng, space, model):
 
 
 def cmd_verify_bounds(cfg, run: Run, rng, space, model):
-    rho, T, replicas = float(cfg["rho"]), float(cfg["T"]), cfg["replicas"]
+    rho, T, replicas = _rho(cfg, 2), float(cfg["T"]), cfg["replicas"]
     starts = _starts(cfg, "starts", space.dim or 1, len(space.marks or ()))
     _no_jumps("verify-bounds", model, WALKERS)
     tm, _, _ = calibrate(model, space)

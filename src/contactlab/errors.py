@@ -41,3 +41,14 @@ def _check_entries(what: str, entries: int, cap: int, name: str) -> None:
     size check before an allocation that a config sets."""
     if entries > cap:
         raise ModelError(f"{what} need {entries} entries, over {name} = {cap}")
+
+
+def _check_tensors(what: str, times: int, size: int, orders, cap: int, name: str) -> None:
+    """``_check_entries`` on ``times`` tensors over ``size`` points, one of
+    each order n of the ascending ``orders`` (a list or a range): ``times *
+    sum(size ** n)`` entries.  On two points or more an order past the
+    cap's bit length is over the cap alone, and its power is never formed."""
+    if size > 1 and orders[-1] > cap.bit_length():
+        raise ModelError(f"{what} need over {size}^{orders[-1]} entries, over {name} = {cap}")
+    entries = len(orders) if size == 1 else sum(size ** n for n in orders)
+    _check_entries(what, times * entries, cap, name)

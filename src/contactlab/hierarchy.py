@@ -62,7 +62,7 @@ import numpy as np
 
 from . import metrics
 from .criticality import TransformedModel
-from .errors import ConvergenceError, DivergenceError, ModelError, _check_entries
+from .errors import ConvergenceError, DivergenceError, ModelError, _check_tensors
 from .walkers import lattice_walk, pair_integral_curves, pair_limit, parse_start
 
 __all__ = [
@@ -333,15 +333,14 @@ SYMMETRY_CAP = 1 << 22
 def check_trajectory(n_times: int, size: int, N: int) -> None:
     """Raise ModelError when ``n_times`` output times of levels 1..N over
     ``size`` points exceed ``EVOLVE_CAP`` entries."""
-    _check_entries(f"{n_times} output times of levels 1..{N} over {size} points",
-                   n_times * sum(size ** n for n in range(1, N + 1)), EVOLVE_CAP,
-                   "EVOLVE_CAP")
+    _check_tensors(f"{n_times} output times of levels 1..{N} over {size} points",
+                   n_times, size, range(1, N + 1), EVOLVE_CAP, "EVOLVE_CAP")
 
 
 def check_level(n: int, size: int) -> None:
     """Raise ModelError when the stationary level n over ``size`` points
     exceeds ``STATIONARY_CAP`` entries."""
-    _check_entries(f"stationary level {n} over {size} points", size ** n,
+    _check_tensors(f"stationary level {n} over {size} points", 1, size, [n],
                    STATIONARY_CAP, "STATIONARY_CAP")
 
 
@@ -639,7 +638,8 @@ def bound_constant_D(rho: float, H: float) -> float:
     """D = sum_{n >= 1} (rho / H)^n / (n!)^2, summed over its first 60 terms."""
     n = np.arange(1, 61)
     log_fact = np.array([math.lgamma(k + 1.0) for k in n])
-    return float(np.sum(np.exp(n * np.log(rho / H) - 2 * log_fact)))
+    with np.errstate(divide="ignore"):      # D = 0 at rho = 0
+        return float(np.sum(np.exp(n * np.log(rho / H) - 2 * log_fact)))
 
 
 def factorial_bound_check(sups: dict, rho: float, H: float) -> dict:
@@ -652,7 +652,8 @@ def factorial_bound_check(sups: dict, rho: float, H: float) -> dict:
     for n, sup in sups.items():
         sup = float(sup)
         bound = D * H ** n * math.factorial(n) ** 2
-        ratio = sup / bound
+        # at rho = 0 both k_n and D are 0
+        ratio = sup / bound if bound else (0.0 if sup <= 0 else math.inf)
         ok = ratio <= 1.0
         report["per_level"][n] = {"sup": sup, "bound": bound,
                                   "ratio": ratio, "passed": ok}

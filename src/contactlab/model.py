@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContactLabError, ModelError, SpaceError
+from .errors import ContactLabError, ModelError, SpaceError, _check_entries
 
 __all__ = [
     "StateSpace",
@@ -35,6 +35,10 @@ __all__ = [
     "window_symmetries",
 ]
 
+# the most float64 entries (1 GiB) of the dense size x size birth kernel that
+# calibration builds on every lattice window (``kernel_matrix``); a larger
+# window is a ModelError before its points are enumerated
+KERNEL_CAP = 1 << 27
 # the keys of a model config and, per type or form, of its space and kernels
 MODEL_KEYS = {"space", "birth", "death", "jump"}
 SPACE_KEYS = {"finite": {"type", "points", "weights"},
@@ -104,14 +108,20 @@ def build_space(spec: dict) -> StateSpace:
         if not (isinstance(val, (int, np.integer)) and not isinstance(val, bool)
                 and val >= low):
             raise SpaceError(f"lattice {key} must be an integer >= {low}, got {val!r}")
+    if d > 63:
+        # the walker's int64 lattice code gives each coordinate 63 // d bits
+        raise SpaceError(f"lattice d must be at most 63, got {d}")
     boundary = spec.get("boundary", "periodic")
     if boundary not in ("periodic", "unbounded"):
         raise SpaceError(f"unknown boundary mode {boundary!r}")
+    marks = tuple(spec["marks"]) if kind == "product" else ()
+    size = (2 * R + 1) ** d * max(len(marks), 1)
+    _check_entries(f"the dense kernels of the {size}-point window", size ** 2,
+                   KERNEL_CAP, "KERNEL_CAP")
     lat = _lattice_points(d, R)
     if kind == "lattice":
         return StateSpace(tuple(lat), np.ones(len(lat)), "lattice",
                           dim=d, radius=R, boundary=boundary)
-    marks = tuple(spec["marks"])
     nu = np.asarray(spec["nu"], dtype=float)
     if len(marks) != len(nu):
         raise SpaceError("marks and nu length mismatch")

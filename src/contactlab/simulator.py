@@ -91,8 +91,14 @@ class MomentEstimate:
 
 def sample_poisson_initial(tm: TransformedModel, rho: float,
                            rng: np.random.Generator, replicas: int) -> np.ndarray:
-    """(replicas, size) product-Poisson counts with intensity rho * mbar per point."""
-    return rng.poisson(rho * tm.mbar, size=(replicas, tm.space.size))
+    """(replicas, size) product-Poisson counts with intensity rho * mbar per
+    point; an intensity numpy cannot sample is a ModelError."""
+    try:
+        return rng.poisson(rho * tm.mbar, size=(replicas, tm.space.size))
+    except ValueError as exc:
+        raise ModelError(f"rho = {rho!r} is too large: numpy cannot sample the "
+                         f"Poisson intensities rho * mbar, up to {rho * tm.mbar.max()!r} "
+                         f"({exc})") from None
 
 
 def snapshot_grid(T: float, snapshot_times) -> np.ndarray:

@@ -82,9 +82,9 @@ POISSON_TAIL = 1e-18
 LAW_TRIM = 1e-30
 # a fitted integrand exponent counts as integrable only at or below -1 - margin
 INTEGRABILITY_MARGIN = 0.05
-# the most float64 entries (1 GiB) jump_count_law allocates for its law or
-# the block-diagonal jump matrix of its start laws; a larger law is a
-# ModelError.  8 marks (64 joint marks) to T = 150 take 0.73 of it.
+# the most float64 entries (1 GiB) jump_count_law allocates for its Poisson
+# table or its law; a larger one is a ModelError.  8 marks (64 joint marks)
+# to T = 150 take 0.73 of it.
 LAW_CAP = 1 << 27
 # the most float64 entries (1 GiB) of _skeleton_sums' (starts, checkpoints,
 # replicas) sums; more is a ModelError before they are allocated
@@ -388,9 +388,9 @@ def jump_count_law(v: np.ndarray, trans: np.ndarray, p0: np.ndarray, t_grid,
     whose window holds each event, and those whose window opens after it,
     are found for all events before the loop.  Each event
     moves only the band of counts with an entry above ``LAW_TRIM``.  The
-    events are counted in ``metrics`` as ``walkers.weight_terms``.  A Poisson
-    table, law or jump matrix of more than ``LAW_CAP`` entries is a
-    ``ModelError`` before it is allocated.
+    events are counted in ``metrics`` as ``walkers.weight_terms``.  Every start
+    law steps through the one (M, M) jump.  A Poisson table or law of more
+    than ``LAW_CAP`` entries is a ``ModelError`` before it is allocated.
     """
     v = np.asarray(v, dtype=float)
     p0 = np.atleast_2d(np.asarray(p0, dtype=float))
@@ -424,21 +424,21 @@ def jump_count_law(v: np.ndarray, trans: np.ndarray, p0: np.ndarray, t_grid,
     # column s M + m holds mark m of start law s
     S, M = p0.shape
     _check_entries(f"the (count, mark) law of {S} start laws on {M} marks to {ncap} jumps",
-                   max((S * M) ** 2, len(L) * (ncap + 1) * S * M), LAW_CAP, "LAW_CAP")
-    start = (p0 / p0.sum(axis=1, keepdims=True)).ravel()
-    jump = np.kron(np.eye(S), (v / lam)[:, None] * np.asarray(trans, dtype=float))
-    stay = np.tile(1.0 - v / lam, S)
+                   len(L) * (ncap + 1) * S * M, LAW_CAP, "LAW_CAP")
+    start = p0 / p0.sum(axis=1, keepdims=True)
+    jump = (v / lam)[:, None] * np.asarray(trans, dtype=float)
+    stay = 1.0 - v / lam
     if not stay.any():
         # every event is a jump: the count is the event count, and the marks
         # after n jumps have the law start @ jump^n
-        law = np.empty((ncap + 1, S * M))
+        law = np.empty((ncap + 1, S, M))
         law[0] = start
         for n in range(ncap):
             law[n + 1] = law[n] @ jump
-        w = c[:, :ncap + 1, None] * law
+        w = c[:, :ncap + 1, None, None] * law
     else:
         p = np.zeros((ncap + 2, S * M))     # the last row takes what leaves the cap
-        p[0] = start
+        p[0] = start.ravel()
         w = np.zeros((len(L), ncap + 1, S * M))
         below = np.zeros((ncap + 1, S * M))
         # the times whose window holds event e are a[e]..b[e] - 1, and those
@@ -455,9 +455,10 @@ def jump_count_law(v: np.ndarray, trans: np.ndarray, p0: np.ndarray, t_grid,
                 below[lo:hi + 1] += seg
                 for i in range(b[e], b[e + 1]):
                     w[i] += below / lam
-            moved = seg @ jump
-            seg *= stay
-            p[lo + 1:hi + 2] += moved
+            rows = seg.reshape(-1, M)        # a view: one row per (count, start)
+            moved = rows @ jump
+            rows *= stay
+            p[lo + 1:hi + 2] += moved.reshape(seg.shape)
             hi = min(hi + 1, ncap)
             p[ncap + 1] = 0.0
             # the band loses the end counts with no entry above LAW_TRIM
@@ -479,11 +480,10 @@ def _skeleton_weights(v, trans, p0, t_grid, integrated: bool):
     t = np.asarray(t_grid, dtype=float)
     scale = np.where(t > 0, t, 1.0) if integrated else np.ones_like(t)
     big = (w / scale[:, None, None] >= POISSON_TAIL).any(axis=(1, 3))   # (S, counts)
-    K = np.array([np.flatnonzero(row).max(initial=0) for row in big])
-    w = w[:, :, :int(K.max()) + 1].copy()
-    for s, k in enumerate(K):
-        w[s, :, k + 1:] = 0.0
-    return w, K
+    counts = np.arange(big.shape[1])
+    K = (big * counts).max(axis=1)
+    keep = counts[:K.max() + 1] <= K[:, None]                          # (S, counts)
+    return np.where(keep[:, None, :, None], w[:, :, :K.max() + 1], 0.0), K
 
 
 def _geometric_checkpoints(T: float):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -216,6 +217,9 @@ class TestExitCodes:
         # a rate next to explicit stencil entries, which it would not scale
         ("transience", {"model": dict(LATTICE_MODEL, birth={
             "form": "stencil", "entries": DRIFT, "rate": 4.0}), "T": 5, "replicas": 100}),
+        # a level of order 2^63, whose size^n is never formed
+        ("evolve", {"model": FINITE_MODEL, "rho": 0.5, "N": 2 ** 63}),
+        ("stationary", {"model": FINITE_MODEL, "rho": 0.5, "n": 2 ** 63}),
     ])
     def test_rejected_before_calibration(self, tmp_path, monkeypatch, command, cfg):
         monkeypatch.setattr(cli, "calibrate", _no_calibration)
@@ -421,6 +425,95 @@ class TestExitCodes:
         window = {**LATTICE_MODEL, "space": {**LATTICE_MODEL["space"], "d": 1}}
         code, _ = run_cli(tmp_path, "stationary", {"model": window, "rho": 0.5})
         assert code == expect
+
+    @pytest.mark.parametrize("command, cfg, power", [
+        ("evolve", {"model": FINITE_MODEL, "N": 2}, 2),
+        ("evolve", {"model": FINITE_MODEL, "N": 3}, 3),
+        ("stationary", {"model": FINITE_MODEL, "n": 3}, 3),
+        ("stationary", {"model": LATTICE_MODEL, "backend": "montecarlo"}, 2),
+        ("verify-bounds", {"model": LATTICE_MODEL}, 2)])
+    def test_rho_power_bound(self, tmp_path, monkeypatch, capsys, command, cfg, power):
+        # rho = 1e300 once died on OverflowError from rho ** n (exit 1); the
+        # largest rho whose power is finite reaches calibration, the next is
+        # refused before it
+        class Calibrating(Exception):
+            pass
+
+        def calibrating(*args, **kwargs):
+            raise Calibrating
+
+        def finite(rho):
+            try:
+                return math.isfinite(rho ** power)
+            except OverflowError:
+                return False
+
+        monkeypatch.setattr(cli, "calibrate", calibrating)
+        top = sys.float_info.max ** (1.0 / power)
+        while finite(math.nextafter(top, math.inf)):
+            top = math.nextafter(top, math.inf)
+        while not finite(top):
+            top = math.nextafter(top, 0.0)
+        with pytest.raises(Calibrating):
+            run_cli(tmp_path, command, {**cfg, "rho": top}, seed=1)
+        code, _ = run_cli(tmp_path, command, {**cfg, "rho": math.nextafter(top, math.inf)},
+                          seed=1)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"rho^{power} is not a finite float" in err and "Traceback" not in err
+
+    def test_unsampled_intensity_exits_2(self, tmp_path, capsys):
+        # rho = 1e300 once died on numpy's "lam value too large" (exit 1)
+        code, _ = run_cli(tmp_path, "simulate", {"model": FINITE_MODEL, "rho": 1e300}, seed=1)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "cannot sample" in err and "Traceback" not in err
+
+    def test_oversized_simulate_orders_exit_2(self, tmp_path, monkeypatch, capsys):
+        # orders [7] on the 49-point window once ran the whole simulation and
+        # died on a 2.1 GiB moment array; the moments are checked against
+        # EVOLVE_CAP before calibrating, and no power of 2^63 is formed
+        monkeypatch.setattr(cli, "calibrate", _no_calibration)
+        window = dict(LATTICE_MODEL, space={**LATTICE_MODEL["space"], "d": 2, "R": 3})
+        for orders in ([7], [1, 2 ** 63]):
+            began = time.perf_counter()
+            code, _ = run_cli(tmp_path, "simulate", {"model": window, "rho": 1.0,
+                                                     "orders": orders}, seed=1)
+            assert time.perf_counter() - began < 0.5
+            err = capsys.readouterr().err
+            assert code == 2
+            assert "EVOLVE_CAP" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("cap, expect", [(40, 0), (39, 2)])
+    def test_simulate_orders_cap_boundary(self, tmp_path, monkeypatch, cap, expect):
+        # orders 1 and 2 at two snapshot times on four points: 2 * (4 + 16)
+        monkeypatch.setattr(cli, "EVOLVE_CAP", cap)
+        code, _ = run_cli(tmp_path, "simulate", {"model": FINITE_MODEL, "rho": 0.5,
+                                                 "snapshot_times": [0.5, 1.0],
+                                                 "replicas": 100}, seed=1)
+        assert code == expect
+
+    @pytest.mark.parametrize("command, space", [
+        # 5.1e8 points once died on MemoryError in build_space
+        ("transience", {"d": 3, "R": 400}),
+        # 64 axes once died in kernel_matrix's np.indices
+        ("calibrate", {"d": 64, "R": 0}),
+        # a power of 2^63 is never formed
+        ("calibrate", {"d": 2 ** 63, "R": 1})])
+    def test_unheld_window_exits_2(self, tmp_path, capsys, command, space):
+        window = dict(LATTICE_MODEL, space={**LATTICE_MODEL["space"], **space})
+        began = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code, _ = run_cli(tmp_path, command, {"model": window}, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert peak < 2 ** 20
+        assert time.perf_counter() - began < 0.5
 
 
 # run in a fresh process: the argv lists of the commands that must not

@@ -539,6 +539,14 @@ class TestBounds:
         assert rep["per_level"][1]["ratio"] <= 1.0
         assert rep["passed"]
 
+    def test_zero_intensity_holds(self):
+        # rho = 0 makes D and every k_n zero: 0 <= 0 holds, where 0 / 0 once
+        # raised ZeroDivisionError
+        rep = factorial_bound_check({1: 0.0, 2: 0.0}, 0.0, 0.2)
+        assert rep["D"] == 0.0
+        assert rep["passed"]
+        assert not factorial_bound_check({1: 1e-300}, 0.0, 0.2)["passed"]
+
     def test_constructed_violation_flagged(self):
         rho, H = 0.3, 0.2
         rep = factorial_bound_check({2: 10.0}, rho, H)

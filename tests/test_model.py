@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import contactlab.model as model_module
 from contactlab.errors import ModelError, SpaceError
 from contactlab.model import (Kernel, RateModel, _unique, build_space, kernel_matrix,
                               model_from_dict, window_symmetries)
@@ -95,6 +96,34 @@ def loop_kernel_matrix(kern, space):
 
 SKEWED_2D = {(1, 0): 0.3, (-1, 0): 0.1, (0, 1): 0.25, (0, -2): 0.15,
              (1, 1): 0.05, (0, 0): 0.15}
+
+
+class TestWindowBounds:
+    def test_kernel_cap(self):
+        # calibration builds the dense size^2 kernel of every window: Z^3 at
+        # R = 10 (21^3 points, 8.6e7 entries) fits KERNEL_CAP = 2^27, R = 11
+        # (23^3 points, 1.5e8) is refused before its points are enumerated
+        assert build_space({"type": "lattice", "d": 3, "R": 10}).size == 21 ** 3
+        with pytest.raises(ModelError, match="148035889 entries, over KERNEL_CAP"):
+            build_space({"type": "lattice", "d": 3, "R": 11})
+
+    @pytest.mark.parametrize("cap, ok", [(36, True), (35, False)])
+    def test_kernel_cap_counts_marks(self, monkeypatch, cap, ok):
+        # three points with two marks: a 6 x 6 kernel
+        monkeypatch.setattr(model_module, "KERNEL_CAP", cap)
+        spec = {"type": "product", "d": 1, "R": 1, "marks": [0, 1], "nu": [0.5, 0.5]}
+        if ok:
+            assert build_space(spec).size == 6
+        else:
+            with pytest.raises(ModelError, match="36 entries, over KERNEL_CAP = 35"):
+                build_space(spec)
+
+    def test_dimension_bound(self):
+        # the walker's int64 lattice code gives each coordinate 63 // d bits;
+        # 64 axes once died in kernel_matrix's np.indices
+        assert build_space({"type": "lattice", "d": 63, "R": 0}).size == 1
+        with pytest.raises(SpaceError, match="at most 63"):
+            build_space({"type": "lattice", "d": 64, "R": 0})
 
 
 class TestKernelEval:

@@ -515,3 +515,17 @@ class TestReproducibility:
         assert len(a) == len(b) == 50
         assert np.array_equal(a.snapshots[1.0], b.snapshots[1.0])
         assert np.array_equal(a.truncated, b.truncated)
+
+
+class TestInitialIntensity:
+    def test_largest_sampled_intensity(self):
+        # numpy samples a Poisson intensity up to its own bound, int64 max
+        # less 10 of its square roots, and raises ValueError on the next
+        # float; that is a ModelError (exit 2), where it once was a crash
+        tm = asymmetric_jump_model()          # the largest mbar is 2
+        top = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+        rng = np.random.default_rng(3)
+        counts = simulator.sample_poisson_initial(tm, top / 2.0, rng, 2)
+        assert counts.shape == (2, 3) and counts[:, 2].min() > 0.99 * top
+        with pytest.raises(ModelError, match="cannot sample"):
+            simulator.sample_poisson_initial(tm, np.nextafter(top, np.inf) / 2.0, rng, 2)

@@ -489,6 +489,27 @@ class TestSharedChain:
                                  np.random.default_rng(35))
 
 
+class TestMarkIndependence:
+    def test_constant_marks_reproduce_the_lattice(self, z3_critical):
+        # constant Q and v with uniform nu make the marks invisible: every
+        # one of the 16 joint initial marks at M = 4 steps through the pair
+        # chain's (16, 16) jump and reads the plain Z^3 running integral
+        M, disps = 4, [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+        space = build_space({"type": "product", "d": 3, "R": 1, "boundary": "unbounded",
+                             "marks": list(range(M)), "nu": [1.0 / M] * M})
+        model = RateModel(birth=Kernel("factorized", stencil=nearest_stencil(3),
+                                       Q=np.full((M, M), 2.0)),
+                          death=np.ones(space.size))
+        tm, _, _ = calibrate(model, space)
+        starts = [(u, sx, sy) for u in disps for sx, sy in [(0, 0), (1, 3), (3, 2)]]
+        rep = estimate_H(tm, starts, T=50.0, replicas=2000, rng=np.random.default_rng(5))
+        ref = estimate_H(z3_critical, disps, T=50.0, replicas=2000,
+                         rng=np.random.default_rng(5))
+        for (u, _, _), value in rep.per_start.items():
+            assert value["running_final"] == pytest.approx(
+                ref.per_start[u]["running_final"], rel=1e-12, abs=0)
+
+
 def _spy_sums(monkeypatch) -> list:
     """Record each ``_skeleton_sums`` call's result with the reference loop's
     (``skeleton_sums``) from a copy of its generator: ``[(got, expect)]``."""
@@ -1204,16 +1225,18 @@ class TestJumpCountLaw:
             assert np.abs(row - _generator_cdf(v, trans, p0, t, 12)).max() <= 1e-13
 
     def test_oversized_law_rejected(self, monkeypatch):
-        # 4 start laws on 4 marks: a 16 x 16 jump matrix is the cap itself,
+        # 4 start laws on 4 marks to 3 jumps at one time: a law of 64
+        # entries is the cap itself (its 32-entry Poisson table is under it),
         # and a fifth mark takes it over before anything is allocated
-        monkeypatch.setattr(walkers, "LAW_CAP", 256)
+        monkeypatch.setattr(walkers, "LAW_CAP", 64)
         for M, ok in [(4, True), (5, False)]:
             args = (np.ones(M), np.full((M, M), 1.0 / M), np.eye(M)[:4], [1e-3])
             if ok:
-                assert jump_count_law(*args).shape[:2] == (4, 1)
+                assert jump_count_law(*args, k_max=3).shape == (4, 1, 4, M)
             else:
-                with pytest.raises(ModelError, match="LAW_CAP = 256"):
-                    jump_count_law(*args)
+                with pytest.raises(ModelError, match="on 5 marks to 3 jumps need 80 entries, "
+                                   "over LAW_CAP = 64"):
+                    jump_count_law(*args, k_max=3)
 
     def test_terms_counted(self):
         # a Poisson(40) tail below POISSON_TAIL takes about 40 + 13 sqrt(40) terms
